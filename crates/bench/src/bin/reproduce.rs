@@ -1143,10 +1143,10 @@ fn e13_hot_path(quick: bool) {
     let router = HashRouter::new(1);
     let mut scratch = HistScratch::new();
     let mut hist = Vec::new();
-    // The Misra–Gries augment rides in the audited cycle: its map and
-    // selection scratch pre-size to the transient combined set (`S + max
-    // distinct per batch`, with in-place cut-off selection), so after
-    // warm-up the full route → histogram → MG path allocates nothing.
+    // The Misra–Gries augment rides in the audited cycle: its table is
+    // sized once for `2S` counters and its two scratch vectors grow to the
+    // widest batch seen (in-place cut-off selection), so after warm-up the
+    // full route → histogram → MG path allocates nothing.
     let mut hh = InfiniteHeavyHitters::new(0.01, 0.001);
     let mut seed = 0x5eed_1357u64;
     let mut cycle = |batch: &[u64],

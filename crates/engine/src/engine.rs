@@ -513,7 +513,11 @@ impl Engine {
     /// persisted prefix of `m` items with the same one-sided `ε·m` bound as
     /// the engine that wrote the snapshot: serialisation is exact and the
     /// persisted epoch is a consistent cut, so the mergeable-summaries
-    /// accounting is unchanged (see `psfa-store`).
+    /// accounting is unchanged (see `psfa-store`). The window clock resumes
+    /// from the persisted cut; a boundary that cut left due (clock on the
+    /// boundary, marker not yet sent) is cut and sealed before this
+    /// returns, so `global_window()` is at `⌊m / slide⌋` from the first
+    /// query on.
     ///
     /// `config` must describe the same engine shape the snapshot was taken
     /// with (shard count, φ/ε, window, Count-Min parameters), and a
@@ -592,7 +596,18 @@ impl Engine {
         let mut builder = EngineBuilder::new(config);
         builder.recovered = Some(record);
         builder.preopened_store = Some(store);
-        builder.try_spawn()
+        let engine = builder.try_spawn()?;
+        // A persist cut can land between a boundary-crossing batch and its
+        // `Boundary` marker: the record then holds a clock on (or past) a
+        // boundary that no shard has sealed. The resumed fence would cut it
+        // on the next ingest; cut it now and wait for the shards to seal,
+        // so the first query already sees the window the prefix implies.
+        if engine.handle.cut_due_window_boundaries() > 0 {
+            // A failed drain means a shard died at start-up; queries
+            // report that themselves, and recovery has nothing to add.
+            let _ = engine.drain();
+        }
+        Ok(engine)
     }
 
     /// A cloneable handle for ingestion and live queries.
@@ -934,15 +949,13 @@ impl EngineHandle {
     /// loads when none is due). Must not be called while holding an ingest
     /// guard — the cut takes the fence exclusively. `pub(crate)`: lane
     /// producers ([`crate::Producer`]) cut the boundaries their claims
-    /// flagged as due.
-    pub(crate) fn cut_due_window_boundaries(&self) {
+    /// flagged as due. Returns the number of boundaries cut.
+    pub(crate) fn cut_due_window_boundaries(&self) -> u64 {
         let Some(windows) = &self.window_fence else {
-            return;
+            return 0;
         };
         match &self.obs {
-            None => {
-                windows.poll_cut(|seq| self.send_boundary(seq));
-            }
+            None => windows.poll_cut(|seq| self.send_boundary(seq)),
             Some(obs) => {
                 // Boundary cuts take the fence exclusively; their duration
                 // is producer stall, recorded alongside snapshot cuts.
@@ -962,6 +975,7 @@ impl EngineHandle {
                     obs.fence_exclusive_wait
                         .record(obs.now_ns().saturating_sub(start));
                 }
+                cut
             }
         }
     }

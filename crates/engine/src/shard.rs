@@ -10,9 +10,10 @@
 //!   tracker, the open window pane, and the Count-Min sketch — one pass,
 //!   zero allocations;
 //! * the Count-Min sketch is a [`psfa_sketch::AtomicCountMin`]: the worker
-//!   adds with relaxed atomics and point queries read concurrently with no
-//!   mutex (the one-sided overestimate survives relaxed ordering — see
-//!   that module's docs);
+//!   — its only writer — adds with a relaxed load and store per counter
+//!   and point queries read concurrently with no mutex (the one-sided
+//!   overestimate survives relaxed ordering — see that module's docs for
+//!   the single-writer contract);
 //! * finished sub-batch buffers are returned to the engine's
 //!   [`psfa_stream::BufferPool`] return lanes, so producers reuse their
 //!   capacity instead of allocating per batch;
@@ -57,7 +58,7 @@
 //! One edge carries all cross-thread visibility: the snapshot publication.
 //! [`psfa_primitives::ArcCell::set`] stores the new pointer with `Release`,
 //! and readers swap it out with `Acquire` — so everything the worker wrote
-//! before publishing (relaxed Count-Min adds, relaxed stat increments, the
+//! before publishing (relaxed Count-Min stores, relaxed stat increments, the
 //! snapshot contents) is visible to any reader that observed that
 //! snapshot. In particular `cm_estimate(x) ≥ snapshot.estimate(x)` holds
 //! for any reader: the sketch it queries already contains every batch at

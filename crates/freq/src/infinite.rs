@@ -199,9 +199,7 @@ impl ParallelFrequencyEstimator {
     /// snapshot publication wants: point queries binary-search it and
     /// cross-shard merges run as sorted merges ([`crate::merge_sum`]).
     pub fn tracked_items_sorted(&self) -> Vec<(u64, u64)> {
-        let mut entries = self.summary.entries();
-        entries.sort_unstable_by_key(|&(item, _)| item);
-        entries
+        self.summary.entries_sorted()
     }
 
     /// Canonical binary encoding, appended to `w`. The histogram seed is

@@ -14,45 +14,50 @@
 //! step, each of which decrements at least `S` distinct counters — so the
 //! estimate error after processing `m` elements stays below `m / S ≤ εm`
 //! (Lemma 5.1 / Lemma 5.3).
+//!
+//! [`MgSummary::augment`] computes exactly that result without ever
+//! materialising the combined set in the table: histogram entries that are
+//! already tracked are added in place, the rest are *parked* in a side
+//! vector, `ϕ` is selected over the live counters plus the parked counts,
+//! and only parked entries that survive the cut are inserted. A batch of
+//! `p` distinct items therefore costs `p` table probes and `O(S)` table
+//! writes, not `p` inserts followed by `p` removals. It is the one
+//! implementation behind the infinite-window tracker, the open pane of
+//! [`crate::PaneWindow`] and [`MgSummary::merge`].
 
 use std::collections::HashMap;
 
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
-use psfa_primitives::{phi_cutoff_in_place, HistogramEntry};
+use psfa_primitives::{phi_cutoff_in_place, HistogramEntry, KeyMixBuildHasher};
 
 /// Type tag for encoded MG summaries (see `psfa_primitives::codec`).
 const TAG: u8 = 0x03;
 const VERSION: u8 = 1;
 
+/// The counter table: item → counter, hashed with one keyed multiply per
+/// probe ([`KeyMixBuildHasher`], seeded per summary).
+type Counters = HashMap<u64, u64, KeyMixBuildHasher>;
+
 /// A Misra–Gries summary: at most `capacity` items with approximate counters.
 #[derive(Debug)]
 pub struct MgSummary {
     capacity: usize,
-    entries: HashMap<u64, u64>,
+    entries: Counters,
     /// Reusable counter-value buffer for the cut-off selection in
     /// [`MgSummary::augment`]; pure scratch, excluded from equality and
     /// cloning.
     scratch: Vec<u64>,
-    /// High-water mark of the map reservation target (`2·(S + p)` for the
-    /// widest batch seen). Monotone on purpose: `HashMap::capacity()` dips
-    /// as `retain` leaves tombstones behind, so re-deriving the guard from
-    /// it would re-reserve (and possibly reallocate) in steady state.
-    reserved: usize,
+    /// Reusable side vector for the histogram entries of one
+    /// [`MgSummary::augment`] call that are not tracked; pure scratch.
+    parked: Vec<HistogramEntry>,
 }
 
 impl Clone for MgSummary {
     /// Clones the persistent state only — the clone starts with empty
-    /// scratch (copying up to `S + p` dead selection values would charge
-    /// every state clone, e.g. a persistence cut, for nothing).
+    /// scratch (copying up to `S + p` dead values would charge every state
+    /// clone, e.g. a persistence cut, for nothing).
     fn clone(&self) -> Self {
-        Self {
-            capacity: self.capacity,
-            entries: self.entries.clone(),
-            scratch: Vec::new(),
-            // The cloned map is sized for its current entries, not the
-            // original's reservation, so the clone starts cold.
-            reserved: 0,
-        }
+        Self::with_counters(self.capacity, self.entries.clone())
     }
 }
 
@@ -70,13 +75,7 @@ impl MgSummary {
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "summary capacity must be at least 1");
-        Self {
-            capacity,
-            entries: HashMap::with_capacity(capacity + 1),
-            scratch: Vec::new(),
-            reserved: 0,
-        }
+        Self::from_entries(capacity, &[])
     }
 
     /// Rebuilds a summary from previously published `(item, counter)`
@@ -92,7 +91,14 @@ impl MgSummary {
     /// `capacity`.
     pub fn from_entries(capacity: usize, entries: &[(u64, u64)]) -> Self {
         assert!(capacity >= 1, "summary capacity must be at least 1");
-        let mut map = HashMap::with_capacity(capacity + 1);
+        // Twice the capacity: the table never holds more than `S` live
+        // counters, so when the tombstones that evictions leave behind use
+        // up its free slots it is at most half full and cleans up by
+        // rehashing inside its allocation — it never has to grow.
+        let mut map = Counters::with_capacity_and_hasher(
+            capacity.saturating_mul(2),
+            KeyMixBuildHasher::new(),
+        );
         for &(item, count) in entries {
             if count > 0 {
                 map.insert(item, count);
@@ -102,11 +108,29 @@ impl MgSummary {
             map.len() <= capacity,
             "more entries than the summary capacity"
         );
+        Self::with_counters(capacity, map)
+    }
+
+    /// Builds a summary from decoded input: `histogram` (distinct items)
+    /// cut to `capacity` counters. The table is sized by the entries the
+    /// input actually holds, never by the untrusted `capacity`; it grows to
+    /// its steady-state size on demand.
+    pub(crate) fn from_decoded(capacity: usize, histogram: &[HistogramEntry]) -> Self {
+        let table = Counters::with_capacity_and_hasher(
+            histogram.len().min(capacity),
+            KeyMixBuildHasher::new(),
+        );
+        let mut summary = Self::with_counters(capacity, table);
+        summary.augment(histogram);
+        summary
+    }
+
+    fn with_counters(capacity: usize, entries: Counters) -> Self {
         Self {
             capacity,
-            entries: map,
+            entries,
             scratch: Vec::new(),
-            reserved: 0,
+            parked: Vec::new(),
         }
     }
 
@@ -135,6 +159,19 @@ impl MgSummary {
         self.entries.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
+    /// All tracked `(item, counter)` pairs, ascending by item — the layout
+    /// of published snapshots, sealed panes and the canonical encoding.
+    pub fn entries_sorted(&self) -> Vec<(u64, u64)> {
+        let mut entries = self.entries();
+        entries.sort_unstable();
+        entries
+    }
+
+    /// Empties the summary, keeping its table for the next stream.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Sequential Misra–Gries update for a single element (Algorithm 1).
     ///
     /// Provided for completeness and for differential testing against the
@@ -157,58 +194,52 @@ impl MgSummary {
 
     /// `MGaugment` (Lemma 5.3): merges a minibatch histogram into the summary.
     ///
-    /// Runs in `O(S + p)` work where `p` is the number of distinct items in
-    /// the histogram. Returns the cut-off `ϕ` that was applied (useful for
-    /// instrumentation; `0` means no counter was decremented).
+    /// `histogram` must hold each item at most once — what `buildHist`
+    /// produces, and what another summary's entries are. Runs in `O(S + p)`
+    /// work where `p` is the number of histogram entries, `p` table probes
+    /// and `O(S)` table writes among it (see the module docs). Returns the
+    /// cut-off `ϕ` that was applied (`0` means no counter was decremented,
+    /// so no tracked item was evicted).
     ///
-    /// The combine–select–subtract steps mutate the counter map **in
-    /// place** (the map is the combined set once the histogram is added;
-    /// `retain` keeps its table). The map and the selection buffer are
-    /// pre-sized to the transient combined set `S + p` before combining,
-    /// so once they have grown to the largest batch seen, an augment
-    /// performs **zero** heap allocations — no mid-combine rehash even
-    /// when `p` spikes. This is the per-minibatch core of the engine's
-    /// ingest hot path (asserted by E13's counting-allocator audit).
+    /// The table is sized once for `2S` counters and the two scratch
+    /// vectors grow to the widest batch seen, so after warm-up an augment
+    /// performs **zero** heap allocations. This is the per-minibatch core
+    /// of the engine's ingest hot path (asserted by E13's
+    /// counting-allocator audit).
     pub fn augment(&mut self, histogram: &[HistogramEntry]) -> u64 {
-        // Pre-size for the transient combined set: the map holds up to
-        // S + p entries between step 1 and step 3. The target is *twice*
-        // that so the hash table always has room to reclaim the tombstones
-        // `retain` leaves behind by rehashing in place inside its existing
-        // allocation — at `2·(S + p)` the live set never crosses the
-        // half-full threshold that would force a reallocating resize. The
-        // guard is the monotone `reserved` high-water mark, not
-        // `HashMap::capacity()` (which dips as tombstones accumulate), so
-        // after the widest batch has been seen once no augment ever
-        // reserves, rehashes mid-combine, or allocates again.
-        let combined = 2 * (self.capacity + histogram.len());
-        if combined > self.reserved {
-            self.reserved = combined;
-            self.entries
-                .reserve(combined.saturating_sub(self.entries.len()));
-        }
-        // Step 1: combine counters (the map transiently holds up to
-        // S + p entries).
+        // Step 1: add the entries that are tracked; park the rest.
+        self.parked.clear();
         for e in histogram {
-            *self.entries.entry(e.item).or_insert(0) += e.count;
-        }
-        if self.entries.len() <= self.capacity {
-            // `phi_cutoff` is 0 whenever at most S counters exist; skip
-            // even reading the values out.
-            return 0;
+            match self.entries.get_mut(&e.item) {
+                Some(count) => *count += e.count,
+                None if e.count > 0 => self.parked.push(*e),
+                None => {}
+            }
         }
 
-        // Step 2: find the cut-off ϕ such that at most S counters exceed it.
-        self.scratch.clear();
-        self.scratch.reserve(self.entries.len());
-        self.scratch.extend(self.entries.values().copied());
-        let phi = phi_cutoff_in_place(&mut self.scratch, self.capacity);
+        // Step 2: the cut-off ϕ over the combined set — at most S of the
+        // live counters and parked counts exceed it (0 while all fit).
+        let phi = if self.entries.len() + self.parked.len() <= self.capacity {
+            0
+        } else {
+            self.scratch.clear();
+            self.scratch.extend(self.entries.values().copied());
+            self.scratch.extend(self.parked.iter().map(|e| e.count));
+            phi_cutoff_in_place(&mut self.scratch, self.capacity)
+        };
 
-        // Step 3: subtract ϕ and keep the strictly positive counters.
+        // Step 3: subtract ϕ and keep the strictly positive counters; of
+        // the parked entries only the survivors ever enter the table.
         if phi > 0 {
             self.entries.retain(|_, count| {
                 *count = count.saturating_sub(phi);
                 *count > 0
             });
+        }
+        for e in &self.parked {
+            if e.count > phi {
+                self.entries.insert(e.item, e.count - phi);
+            }
         }
         debug_assert!(self.entries.len() <= self.capacity);
         phi
@@ -240,8 +271,7 @@ impl MgSummary {
     pub fn encode_into(&self, w: &mut ByteWriter) {
         put_header(w, TAG, VERSION);
         w.put_u64(self.capacity as u64);
-        let mut entries: Vec<(u64, u64)> = self.entries();
-        entries.sort_unstable();
+        let entries = self.entries_sorted();
         w.put_u32(entries.len() as u32);
         for (item, count) in entries {
             w.put_u64(item);
@@ -271,7 +301,7 @@ impl MgSummary {
                 "mg-summary: more entries than capacity",
             ));
         }
-        let mut entries = HashMap::with_capacity(len);
+        let mut entries = Vec::with_capacity(len);
         let mut prev: Option<u64> = None;
         for _ in 0..len {
             let item = r.get_u64()?;
@@ -285,14 +315,9 @@ impl MgSummary {
                 ));
             }
             prev = Some(item);
-            entries.insert(item, count);
+            entries.push(HistogramEntry { item, count });
         }
-        Ok(Self {
-            capacity: capacity as usize,
-            entries,
-            scratch: Vec::new(),
-            reserved: 0,
-        })
+        Ok(Self::from_decoded(capacity as usize, &entries))
     }
 
     /// Decodes a summary from a standalone buffer produced by
@@ -434,34 +459,58 @@ mod tests {
     }
 
     #[test]
-    fn augment_presizes_for_the_combined_set_and_stops_growing() {
-        // After the widest batch has been seen, the reservation target and
-        // the scratch buffer are fixed and the map stays within its warm
-        // allocation — the allocation-free steady state E13 audits with a
-        // counting allocator. `HashMap::capacity()` itself is not asserted
-        // exactly: it dips nondeterministically as `retain` leaves
-        // tombstones behind, which is precisely why the reservation guard
-        // is the monotone `reserved` mark.
+    fn augment_never_grows_the_table_and_warms_its_scratch_once() {
+        // The allocation-free steady state E13 audits with a counting
+        // allocator. The table is sized once, for 2S counters: whatever
+        // `p` is, it only ever holds survivors, and the tombstones their
+        // eviction leaves are reclaimed in place. (`HashMap::capacity()`
+        // is items + free slots: it dips as tombstones accumulate and
+        // would at least double if the table were ever reallocated.)
         let mut s = MgSummary::new(8);
-        let batch: Vec<(u64, u64)> = (0..50u64).map(|i| (i, 1 + i % 3)).collect();
-        s.augment(&hist(&batch));
-        assert_eq!(s.reserved, 2 * (8 + 50), "map not pre-sized for 2(S + p)");
-        let scratch_cap = s.scratch.capacity();
-        assert!(scratch_cap >= 50, "scratch not sized for the combined set");
-        for round in 1..50u64 {
-            // Fresh distinct items every round, same batch width.
-            let b: Vec<(u64, u64)> = (0..50u64).map(|i| (i * 31 + round * 1000, 2)).collect();
-            s.augment(&hist(&b));
-            assert_eq!(s.reserved, 2 * (8 + 50), "reservation target moved");
-            assert_eq!(s.scratch.capacity(), scratch_cap, "scratch regrew");
-            // Loose ceiling: a steady-state resize would double the table
-            // well past the reservation target.
-            assert!(s.entries.capacity() <= 2 * s.reserved, "map regrew");
+        let table = s.entries.capacity();
+        assert!(table >= 16, "table not sized for 2S");
+        // Two warm-up batches: the second is the first to select over a
+        // full summary plus a full batch.
+        for offset in [0u64, 500] {
+            let batch: Vec<(u64, u64)> = (0..50u64).map(|i| (offset + i, 1 + i)).collect();
+            s.augment(&hist(&batch));
         }
-        // A wider batch raises the high-water mark exactly once.
-        let wide: Vec<(u64, u64)> = (0..100u64).map(|i| (i + 1_000_000, 1)).collect();
-        s.augment(&hist(&wide));
-        assert_eq!(s.reserved, 2 * (8 + 100));
+        let (scratch_cap, parked_cap) = (s.scratch.capacity(), s.parked.capacity());
+        assert!(scratch_cap >= 8 + 50 && parked_cap >= 50);
+        for round in 1..500u64 {
+            // Fresh distinct items every round (maximal eviction churn),
+            // same batch width.
+            let b: Vec<(u64, u64)> = (0..50u64)
+                .map(|i| (i * 31 + round * 1000, 1 + (i + round) % 50))
+                .collect();
+            s.augment(&hist(&b));
+            assert_eq!(s.len(), 8, "distinct counts: exactly S survive");
+            assert!(s.entries.capacity() <= table, "table regrew");
+            assert_eq!(s.scratch.capacity(), scratch_cap, "scratch regrew");
+            assert_eq!(s.parked.capacity(), parked_cap, "parked regrew");
+        }
+    }
+
+    #[test]
+    fn only_survivors_of_the_cut_enter_the_table() {
+        // S = 2 holding {1: 10, 2: 4}; the batch brings 3: 7, 4: 1, 5: 4.
+        // Combined counters 10, 7, 4, 4, 1 ⇒ ϕ = 4 (third largest), so 1
+        // and 3 survive with 6 and 3 — and the ties at ϕ (2 and 5) do not.
+        let mut s = MgSummary::new(2);
+        s.augment(&hist(&[(1, 10), (2, 4)]));
+        let phi = s.augment(&hist(&[(3, 7), (4, 1), (5, 4)]));
+        assert_eq!(phi, 4);
+        let mut entries = s.entries();
+        entries.sort_unstable();
+        assert_eq!(entries, vec![(1, 6), (3, 3)]);
+        // A hit and a miss in one batch: 1 is added in place first.
+        let phi = s.augment(&hist(&[(1, 1), (9, 2)]));
+        assert_eq!(phi, 2, "counters 7, 3, 2 with S = 2");
+        let mut entries = s.entries();
+        entries.sort_unstable();
+        assert_eq!(entries, vec![(1, 5), (3, 1)]);
+        // Zero-count entries never create a counter.
+        assert_eq!(MgSummary::new(4).augment(&hist(&[(7, 0)])), 0);
     }
 
     #[test]

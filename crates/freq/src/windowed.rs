@@ -13,10 +13,10 @@
 //!   accepted minibatches on every shard);
 //! * each shard keeps a [`PaneWindow`]: one `ε`-accurate Misra–Gries
 //!   summary (stored as sorted `(item, estimate)` entries) per sealed pane
-//!   in a bounded [`psfa_window::PaneRing`], plus a lazy open-pane
-//!   accumulator for the current traffic. Sealing at a boundary sums the
-//!   last `k` pane summaries per key into a [`SealedWindow`] — the
-//!   shard's view of the boundary-aligned window;
+//!   in a bounded [`psfa_window::PaneRing`], plus one more
+//!   [`MgSummary`] for the open pane's traffic so far. Sealing at a
+//!   boundary sums the last `k` pane summaries per key into a
+//!   [`SealedWindow`] — the shard's view of the boundary-aligned window;
 //! * a cross-shard query combines every shard's [`SealedWindow`] *at the
 //!   same boundary* into a [`GlobalWindow`] by summing per-key estimates.
 //!
@@ -26,11 +26,12 @@
 //! total, with shard `s` holding `m_{s,j}` items of pane `j` (the panes
 //! partition `W`: `Σ_{s,j} m_{s,j} = n_W`). Each sealed pane summary is an
 //! `ε`-accurate Misra–Gries summary of its `m_{s,j}` items — the open
-//! pane accumulates exact counts and prunes lazily with the `MGaugment`
-//! cut-off rule, so every subtract-`ϕ` event (lazy prune or the final cut
-//! at sealing) removes at least `ϕ·(S+1)` counted mass and the total
-//! deduction stays below `m_{s,j}/(S+1) ≤ ε·m_{s,j}` (Lemma 5.1's
-//! accounting). Pane estimates are therefore *one-sided*:
+//! pane is an [`MgSummary`] of `S` counters that every minibatch of the
+//! pane is merged into with `MGaugment`, exactly as the infinite-window
+//! tracker does, so every subtract-`ϕ` event removes at least `ϕ·(S+1)`
+//! counted mass and the total deduction stays below
+//! `m_{s,j}/(S+1) ≤ ε·m_{s,j}` (Lemma 5.1's accounting); sealing just
+//! freezes it. Pane estimates are therefore *one-sided*:
 //! `f_j − ε·m_{s,j} ≤ f̂_j ≤ f_j`. Summing one-sided estimates per key —
 //! across the window's panes and then across shards (every occurrence
 //! lands on exactly one shard's panes) — keeps them one-sided, and the
@@ -47,11 +48,12 @@
 //! window holds at most `k·S` entries and sealing is pure sorted-vector
 //! merging — no hashing, no selection.
 //!
-//! The lazy open pane keeps the ingest hot path cheap: a minibatch costs
-//! `O(p)` hash updates (`p` = distinct items), with an `O(S + p)` prune
-//! only when the accumulator outgrows `4S` entries; a boundary costs one
-//! `O(S + p)` cut plus an `O(k·S·log k)` merge of sorted pane entries — paid
-//! per `slide` items, not per minibatch.
+//! The open pane costs what the tracker costs: per minibatch `p` table
+//! probes (`p` = distinct items), one selection over `S + p` values and
+//! `O(S)` table writes, and never more than `S` counters of state. A
+//! boundary costs an `O(S log S)` sort of the open summary plus an
+//! `O(k·S·log k)` merge of sorted pane entries — paid per `slide` items, not
+//! per minibatch.
 //!
 //! ```
 //! use psfa_freq::windowed::{GlobalWindow, PaneWindow};
@@ -78,19 +80,20 @@
 use std::collections::HashMap;
 
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
-use psfa_primitives::{phi_cutoff, HistogramEntry};
+use psfa_primitives::{build_hist, HistogramEntry};
 use psfa_window::{Pane, PaneRing};
 
 use crate::heavy_hitters::HeavyHitter;
+use crate::summary::MgSummary;
 
 /// Type tag for encoded pane windows (see `psfa_primitives::codec`).
 const TAG: u8 = 0x09;
 const VERSION: u8 = 1;
 
-/// The open pane prunes back to `S` counters once it holds more than
-/// `PRUNE_FACTOR · S` — amortising the cut-off selection over several
-/// minibatches instead of paying it on every one.
-const PRUNE_FACTOR: usize = 4;
+/// Windows encoded before the open pane became an [`MgSummary`] carry up
+/// to `4S + 1` open counters (the old accumulator pruned lazily, past `4S`).
+/// Decoding still accepts that many and cuts them to `S`.
+const LEGACY_OPEN_FACTOR: usize = 4;
 
 /// One sealed pane's summary: at most `S` `(item, estimate)` entries,
 /// ascending by item. One-sided for the pane's items.
@@ -128,21 +131,18 @@ pub fn merge_sum(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
     out
 }
 
-/// One shard's boundary-aligned sliding-window state: a lazy open-pane
-/// accumulator receiving the current traffic plus a ring of the last `k`
-/// sealed per-pane summaries (see the module docs).
+/// One shard's boundary-aligned sliding-window state: a Misra–Gries
+/// summary of the open pane's traffic plus a ring of the last `k` sealed
+/// per-pane summaries (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PaneWindow {
     epsilon: f64,
-    /// Summary capacity `S = ⌈1/ε⌉`.
-    capacity: usize,
     /// Sealed panes, each an `ε`-summary of its pane's items.
     ring: PaneRing<PaneEntries>,
-    /// Items in the open pane (exact, prunes do not change it).
+    /// Items in the open pane (exact, cut-offs do not change it).
     open_items: u64,
-    /// Open-pane counters: exact until a lazy prune, one-sided after
-    /// (every deduction follows the `MGaugment` cut-off accounting).
-    open_counts: HashMap<u64, u64>,
+    /// The open pane: `S = ⌈1/ε⌉` counters, one-sided for `open_items`.
+    open: MgSummary,
 }
 
 impl PartialEq for PaneWindow {
@@ -150,7 +150,7 @@ impl PartialEq for PaneWindow {
         self.epsilon.to_bits() == other.epsilon.to_bits()
             && self.ring == other.ring
             && self.open_items == other.open_items
-            && self.open_counts == other.open_counts
+            && self.open == other.open
     }
 }
 
@@ -160,15 +160,7 @@ impl PaneWindow {
     /// # Panics
     /// Panics if `epsilon` is not in `(0, 1)` or `panes == 0`.
     pub fn new(epsilon: f64, panes: usize) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
-        let capacity = (1.0 / epsilon).ceil() as usize;
-        Self {
-            epsilon,
-            capacity,
-            ring: PaneRing::new(panes),
-            open_items: 0,
-            open_counts: HashMap::with_capacity(capacity),
-        }
+        Self::resume_after(epsilon, panes, 0)
     }
 
     /// Creates an empty window whose boundary numbering continues after
@@ -182,13 +174,11 @@ impl PaneWindow {
     /// Panics if `epsilon` is not in `(0, 1)` or `panes == 0`.
     pub fn resume_after(epsilon: f64, panes: usize, seq: u64) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
-        let capacity = (1.0 / epsilon).ceil() as usize;
         Self {
             epsilon,
-            capacity,
             ring: PaneRing::resume_after(panes, seq),
             open_items: 0,
-            open_counts: HashMap::with_capacity(capacity),
+            open: MgSummary::new((1.0 / epsilon).ceil() as usize),
         }
     }
 
@@ -218,77 +208,42 @@ impl PaneWindow {
         self.ring.window_items()
     }
 
-    /// Adds one minibatch to the open pane: `O(µ)` hash updates plus an
-    /// amortised lazy prune.
+    /// Adds one minibatch to the open pane: `buildHist`, then
+    /// [`PaneWindow::process_histogram`].
     pub fn process_minibatch(&mut self, minibatch: &[u64]) {
-        for &item in minibatch {
-            *self.open_counts.entry(item).or_insert(0) += 1;
+        if minibatch.is_empty() {
+            return;
         }
-        self.open_items += minibatch.len() as u64;
-        self.maybe_prune_open();
+        // A fresh histogram hash per batch, derived from the stream
+        // position so the window carries no extra state for it.
+        let seed = (self.ring.sealed_seq() << 40) ^ self.open_items;
+        let histogram = build_hist(minibatch, seed);
+        self.process_histogram(&histogram, minibatch.len() as u64);
     }
 
     /// Adds one minibatch to the open pane given its precomputed frequency
     /// histogram (`items` = the minibatch length): the engine shares one
-    /// `buildHist` pass between this and the infinite-window tracker, so
-    /// the open pane costs `O(p)` hash updates per minibatch.
+    /// `buildHist` pass between this and the infinite-window tracker, and
+    /// the open pane then costs one `MGaugment` ([`MgSummary::augment`]).
     pub fn process_histogram(&mut self, histogram: &[HistogramEntry], items: u64) {
         debug_assert_eq!(
             histogram.iter().map(|e| e.count).sum::<u64>(),
             items,
             "histogram does not cover the declared item count"
         );
-        for e in histogram {
-            *self.open_counts.entry(e.item).or_insert(0) += e.count;
-        }
+        self.open.augment(histogram);
         self.open_items += items;
-        self.maybe_prune_open();
     }
 
-    /// Lazy Misra–Gries prune: once the open accumulator outgrows
-    /// `PRUNE_FACTOR · S` entries, subtract the `MGaugment` cut-off `ϕ`
-    /// (at most `S` counters survive above it). Each such event removes at
-    /// least `ϕ·(S+1)` counted mass, so the pane's total deduction — lazy
-    /// prunes plus the final cut at sealing — stays below
-    /// `m_pane/(S+1) ≤ ε·m_pane`.
-    fn maybe_prune_open(&mut self) {
-        if self.open_counts.len() <= PRUNE_FACTOR * self.capacity {
-            return;
-        }
-        let values: Vec<u64> = self.open_counts.values().copied().collect();
-        let phi = phi_cutoff(&values, self.capacity);
-        if phi > 0 {
-            self.open_counts.retain(|_, count| {
-                *count = count.saturating_sub(phi);
-                *count > 0
-            });
-        }
-    }
-
-    /// Seals the open pane at a window boundary: the accumulated counts
-    /// are cut to at most `S` counters (the `MGaugment` cut-off, applied
-    /// to the exact-or-lazily-pruned histogram), the pane enters the ring
-    /// (evicting the pane that slid out of the window), a fresh open pane
-    /// starts, and the shard's new [`SealedWindow`] is returned.
-    /// `O(p + k·S·log k)` work — off the per-item hot path, paid once per
-    /// boundary.
+    /// Seals the open pane at a window boundary: its summary (already at
+    /// most `S` counters) enters the ring as sorted entries (evicting the
+    /// pane that slid out of the window), a fresh open pane starts, and
+    /// the shard's new [`SealedWindow`] is returned.
+    /// `O(S log S + k·S·log k)` work — off the per-item hot path, paid once
+    /// per boundary.
     pub fn seal(&mut self) -> SealedWindow {
-        let values: Vec<u64> = self.open_counts.values().copied().collect();
-        let phi = phi_cutoff(&values, self.capacity);
-        let mut entries: PaneEntries = self
-            .open_counts
-            .drain()
-            .filter_map(|(item, count)| {
-                let rem = count.saturating_sub(phi);
-                if rem > 0 {
-                    Some((item, rem))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        debug_assert!(entries.len() <= self.capacity);
-        entries.sort_unstable();
+        let entries: PaneEntries = self.open.entries_sorted();
+        self.open.clear();
         self.ring.seal(self.open_items, entries);
         self.open_items = 0;
         self.sealed_window()
@@ -334,8 +289,7 @@ impl PaneWindow {
         w.put_f64(self.epsilon);
         w.put_u32(self.ring.capacity() as u32);
         w.put_u64(self.open_items);
-        let mut open: Vec<(u64, u64)> = self.open_counts.iter().map(|(&k, &v)| (k, v)).collect();
-        open.sort_unstable();
+        let open = self.open.entries_sorted();
         w.put_u32(open.len() as u32);
         for (item, count) in open {
             w.put_u64(item);
@@ -362,7 +316,9 @@ impl PaneWindow {
 
     /// Decodes a window previously written by [`PaneWindow::encode_into`],
     /// validating every structural invariant (never panics on corrupted
-    /// input).
+    /// input). An open pane of more than `S` counters — written before the
+    /// open pane was cut per batch — is cut to `S` with the `MGaugment`
+    /// rule, which keeps it one-sided within `ε·open_items`.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         r.expect_header(TAG, VERSION)?;
         let epsilon = r.get_f64()?;
@@ -376,12 +332,16 @@ impl PaneWindow {
         }
         let open_items = r.get_u64()?;
         let open_len = r.get_len(16)?;
-        if open_len > PRUNE_FACTOR * capacity + 1 {
+        if open_len
+            > LEGACY_OPEN_FACTOR
+                .saturating_mul(capacity)
+                .saturating_add(1)
+        {
             return Err(CodecError::Invalid(
-                "pane window: open pane larger than the prune threshold",
+                "pane window: open pane larger than any encoder writes",
             ));
         }
-        let mut open_counts = HashMap::with_capacity(open_len);
+        let mut open_counts = Vec::with_capacity(open_len);
         let mut open_total = 0u64;
         let mut prev: Option<u64> = None;
         for _ in 0..open_len {
@@ -399,7 +359,7 @@ impl PaneWindow {
             open_total = open_total
                 .checked_add(count)
                 .ok_or(CodecError::Invalid("pane window: open counters overflow"))?;
-            open_counts.insert(item, count);
+            open_counts.push(HistogramEntry { item, count });
         }
         if open_total > open_items {
             return Err(CodecError::Invalid(
@@ -449,10 +409,9 @@ impl PaneWindow {
         ))?;
         Ok(Self {
             epsilon,
-            capacity,
             ring,
             open_items,
-            open_counts,
+            open: MgSummary::from_decoded(capacity, &open_counts),
         })
     }
 
@@ -583,8 +542,7 @@ mod tests {
         // Two shards, round-robin routed (maximal interleaving), 4 panes of
         // 1000 items each; check the bound at every boundary. With
         // ε = 0.02 ⇒ S = 50, the per-shard panes (~500 items, hundreds of
-        // distinct keys) exercise the lazy prune path, not just the final
-        // cut.
+        // distinct keys) overflow the open summary many times over.
         let epsilon = 0.02;
         let panes = 4usize;
         let pane_items = 1000usize;
@@ -639,13 +597,110 @@ mod tests {
                 .map(|(item, count)| HistogramEntry { item, count })
                 .collect();
             by_hist.process_histogram(&hist, chunk.len() as u64);
-            // Lazy prunes may fire at different points (per-item vs
-            // per-histogram insertion order), so compare the sealed
-            // outcome, which is what queries see.
+            // `MGaugment` does not depend on the histogram's entry order.
+            assert_eq!(by_batch, by_hist);
         }
-        let (a, b) = (by_batch.seal(), by_hist.seal());
-        assert_eq!(a.seq, b.seq);
-        assert_eq!(a.items, b.items);
+        assert_eq!(by_batch.seal(), by_hist.seal());
+    }
+
+    #[test]
+    fn distinct_heavy_panes_seal_within_epsilon_m_pane_and_never_overestimate() {
+        // Every batch brings p > 4S distinct keys (S = 20, ~380 distinct of
+        // 400 items): the regime in which the open pane is cut on every
+        // batch. Three recurring keys carry the signal.
+        let epsilon = 0.05;
+        let capacity = 20usize;
+        let mut shard = PaneWindow::new(epsilon, 2);
+        let mut fresh = 1_000_000u64;
+        for pane in 0..4u64 {
+            let mut truth: HashMap<u64, u64> = HashMap::new();
+            let mut m_pane = 0u64;
+            for batch in 0..6u64 {
+                let mut items: Vec<u64> = (0..380)
+                    .map(|_| {
+                        fresh += 1;
+                        fresh
+                    })
+                    .collect();
+                for (key, copies) in [(1u64, 10 + pane), (2, 6), (3, 4 + batch % 2)] {
+                    items.extend(std::iter::repeat_n(key, copies as usize));
+                }
+                let mut counts: HashMap<u64, u64> = HashMap::new();
+                for &x in &items {
+                    *counts.entry(x).or_insert(0) += 1;
+                    *truth.entry(x).or_insert(0) += 1;
+                }
+                assert!(counts.len() > 4 * capacity);
+                let hist: Vec<HistogramEntry> = counts
+                    .into_iter()
+                    .map(|(item, count)| HistogramEntry { item, count })
+                    .collect();
+                shard.process_histogram(&hist, items.len() as u64);
+                m_pane += items.len() as u64;
+            }
+            shard.seal();
+            let sealed = shard.ring.panes().last().expect("just sealed");
+            assert_eq!(sealed.items, m_pane);
+            assert!(sealed.summary.len() <= capacity);
+            let slack = (epsilon * m_pane as f64).floor() as u64;
+            let estimate = |item: u64| {
+                sealed
+                    .summary
+                    .binary_search_by_key(&item, |&(i, _)| i)
+                    .map_or(0, |at| sealed.summary[at].1)
+            };
+            for (&item, &f) in &truth {
+                let est = estimate(item);
+                assert!(est <= f, "pane {pane}: estimate {est} above truth {f}");
+                assert!(
+                    est + slack >= f,
+                    "pane {pane}: estimate {est} under truth {f} by more than ε·m_pane = {slack}"
+                );
+            }
+            assert!(estimate(1) > 0, "the recurring key must survive every cut");
+        }
+    }
+
+    #[test]
+    fn decode_cuts_a_legacy_open_pane_of_up_to_4s_plus_1_counters_to_s() {
+        // What a store written before the open pane was cut per batch can
+        // hold: 4S + 1 = 41 exact open counters for ε = 0.1 (S = 10).
+        let epsilon = 0.1;
+        let legacy_open: Vec<(u64, u64)> = (0..41u64).map(|i| (100 + i, 1 + i)).collect();
+        let open_items: u64 = legacy_open.iter().map(|&(_, c)| c).sum();
+        let encode = |open: &[(u64, u64)]| {
+            let mut w = ByteWriter::new();
+            put_header(&mut w, TAG, VERSION);
+            w.put_f64(epsilon);
+            w.put_u32(2);
+            w.put_u64(open_items);
+            w.put_u32(open.len() as u32);
+            for &(item, count) in open {
+                w.put_u64(item);
+                w.put_u64(count);
+            }
+            w.put_u32(0); // no sealed panes
+            w.into_bytes()
+        };
+        let mut decoded = PaneWindow::decode(&encode(&legacy_open)).expect("legacy open pane");
+        assert_eq!(decoded.open_items(), open_items);
+        assert_eq!(decoded.open.len(), 10, "cut to S on load");
+        // The 11th largest counter is 31: one cut-off, so every counter is
+        // below its exact value by at most ϕ = 31 ≤ ε·open_items = 86.
+        let slack = (epsilon * open_items as f64).floor() as u64;
+        for &(item, f) in &legacy_open {
+            let est = decoded.open.estimate(item);
+            assert!(est <= f && est + slack >= f, "item {item}: {est} vs {f}");
+        }
+        assert_eq!(decoded.open.estimate(140), 41 - 31);
+        // It re-encodes in the current form and keeps working.
+        let reencoded = PaneWindow::decode(&decoded.encode()).expect("current form");
+        assert_eq!(reencoded, decoded);
+        decoded.process_minibatch(&[140; 5]);
+        assert_eq!(decoded.seal().estimate(140), 15);
+        // One counter more than any encoder ever wrote is refused.
+        let too_many: Vec<(u64, u64)> = (0..42u64).map(|i| (100 + i, 1)).collect();
+        assert!(PaneWindow::decode(&encode(&too_many)).is_err());
     }
 
     #[test]

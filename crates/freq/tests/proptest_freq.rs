@@ -6,9 +6,10 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 use psfa_freq::{
-    ParallelFrequencyEstimator, SlidingFreqSpaceEfficient, SlidingFreqWorkEfficient,
+    MgSummary, ParallelFrequencyEstimator, SlidingFreqSpaceEfficient, SlidingFreqWorkEfficient,
     SlidingFrequencyEstimator,
 };
+use psfa_primitives::{phi_cutoff, HistogramEntry};
 
 fn window_counts(history: &[u64], n: u64) -> HashMap<u64, u64> {
     let start = history.len().saturating_sub(n as usize);
@@ -19,8 +20,65 @@ fn window_counts(history: &[u64], n: u64) -> HashMap<u64, u64> {
     counts
 }
 
+/// `MGaugment` as Lemma 5.3 states it — materialise the combined counters,
+/// select `ϕ`, subtract and retain — the reference [`MgSummary::augment`]
+/// must equal exactly.
+fn reference_augment(
+    counters: &mut HashMap<u64, u64>,
+    capacity: usize,
+    histogram: &[HistogramEntry],
+) -> u64 {
+    for e in histogram {
+        *counters.entry(e.item).or_insert(0) += e.count;
+    }
+    let values: Vec<u64> = counters.values().copied().collect();
+    let phi = phi_cutoff(&values, capacity);
+    counters.retain(|_, count| {
+        *count = count.saturating_sub(phi);
+        *count > 0
+    });
+    phi
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The probe-only `augment` returns the same `ϕ` and leaves the same
+    /// entries as the reference after every batch: empty batches (`p = 0`),
+    /// batches far wider than the summary (`p ≫ S`), ties at `ϕ` (counts
+    /// from a range of 1..4) and keys already tracked (a small universe)
+    /// all included.
+    #[test]
+    fn augment_equals_materialise_select_retain(
+        batches in prop::collection::vec(
+            prop::collection::vec((0u64..300, 1u64..40), 0..250),
+            1..12,
+        ),
+        capacity in 1usize..24,
+        universe in 8u64..300,
+        count_range in 1u64..40,
+    ) {
+        let mut summary = MgSummary::new(capacity);
+        let mut reference: HashMap<u64, u64> = HashMap::new();
+        for batch in &batches {
+            // One entry per item, as `buildHist` guarantees.
+            let mut seen = std::collections::HashSet::new();
+            let histogram: Vec<HistogramEntry> = batch
+                .iter()
+                .map(|&(item, count)| HistogramEntry {
+                    item: item % universe,
+                    count: 1 + count % count_range,
+                })
+                .filter(|e| seen.insert(e.item))
+                .collect();
+            let phi = summary.augment(&histogram);
+            prop_assert_eq!(phi, reference_augment(&mut reference, capacity, &histogram));
+            let mut expected: Vec<(u64, u64)> = reference.iter().map(|(&k, &v)| (k, v)).collect();
+            expected.sort_unstable();
+            prop_assert_eq!(summary.entries_sorted(), expected);
+            prop_assert!(summary.len() <= capacity);
+        }
+    }
 
     /// Theorem 5.2: the infinite-window estimate is within [f − εm, f] for
     /// every item, regardless of how the stream is cut into minibatches.

@@ -1,20 +1,32 @@
-//! Seeded hash families.
+//! Seeded hash families, and what each consumer needs from them.
 //!
-//! Two constructions are provided:
+//! | consumer | needs | gets |
+//! |---|---|---|
+//! | Count-Min / row `i` (Section 6) | a **pairwise-independent** map into `0..w`: the `Pr[h(x) = h(y)] ≤ 1/w` collision bound is all the `ε·m` analysis uses | [`MultiplyAddShiftHash`] — one 128-bit multiply-add, no division |
+//! | `buildHist` (Theorem 2.3) | an `O(log µ)`-wise independent map into `0..µ/log µ` so the balls-and-bins bound on distinct keys per bucket goes through | [`PolynomialHash`] with `k = 8`, reseeded per minibatch |
+//! | Count-Sketch buckets and signs | pairwise independence | [`PolynomialHash`] with `k = 2` |
+//! | in-memory tables keyed by item id (`MgSummary`) | no independence guarantee — only an even spread that an adversary who cannot see the seed cannot defeat | [`KeyMixBuildHasher`], seeded per table instance |
 //!
-//! * [`MultiplyShiftHash`] — the classic multiply–shift scheme mapping 64-bit
-//!   keys into a power-of-two range. It is 2-universal, cheap, and is what
-//!   the Count-Min sketch rows (Section 6) use, matching the paper's
-//!   requirement of a pairwise-independent family.
+//! Three constructions:
+//!
+//! * [`MultiplyAddShiftHash`] — Dietzfelbinger's multiply-add-shift scheme
+//!   with 128-bit parameters: `(a·x + b) mod 2^128`, top 64 bits. For 64-bit
+//!   keys this is *strongly universal* (pairwise independent) over 64-bit
+//!   outputs; the output is then reduced into an arbitrary range `w` by
+//!   taking the high word of `h·w` (multiply-high), which keeps every bucket
+//!   within `w/2^64` of uniform. One 128-bit multiply-add and one
+//!   multiply-high — no modular reduction, no division.
 //! * [`PolynomialHash`] — degree-(k−1) polynomial hashing over the Mersenne
-//!   prime `2^61 − 1`, giving a k-wise independent family. `buildHist`
-//!   (Theorem 2.3) asks for an `O(log µ)`-wise independent family so that the
-//!   balls-and-bins argument bounding the per-bucket distinct count goes
-//!   through; we use `k = 8` by default which is enough for every minibatch
-//!   size exercised in the experiments.
+//!   prime `2^61 − 1`, giving a k-wise independent family at `k` modular
+//!   multiply-adds plus two `%` (key and range) per evaluation.
+//! * [`KeyMixBuildHasher`] — a [`std::hash::BuildHasher`] for `u64`-keyed
+//!   hash tables: one folded 64×64→128 multiply per key instead of SipHash's
+//!   rounds.
 //!
-//! Both families are deterministic functions of their seed, so experiments
-//! are reproducible.
+//! The two families are deterministic functions of their seed, so sketches
+//! can be re-derived from a stored seed and experiments are reproducible.
+
+use std::hash::{BuildHasher, Hasher};
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -31,53 +43,134 @@ pub trait HashFamily: Send + Sync {
     fn range(&self) -> u64;
 }
 
-/// 2-universal multiply–shift hashing into a power-of-two range.
-#[derive(Debug, Clone)]
-pub struct MultiplyShiftHash {
-    a: u64,
-    b: u64,
-    out_bits: u32,
+/// Pairwise-independent multiply-add-shift hashing into an arbitrary range,
+/// division-free (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MultiplyAddShiftHash {
+    a: u128,
+    b: u128,
+    range: u64,
 }
 
-impl MultiplyShiftHash {
-    /// Creates a hash function into `0..2^out_bits` seeded from `rng`.
+impl MultiplyAddShiftHash {
+    /// Creates a hash function into `0..range` with parameters drawn from
+    /// `rng`.
     ///
     /// # Panics
-    /// Panics if `out_bits` is 0 or greater than 63.
-    pub fn new<R: RngCore>(out_bits: u32, rng: &mut R) -> Self {
-        assert!(
-            (1..=63).contains(&out_bits),
-            "MultiplyShiftHash: out_bits must be in 1..=63"
-        );
-        // `a` must be odd for the multiply-shift family.
-        let a = rng.next_u64() | 1;
-        let b = rng.next_u64();
-        Self { a, b, out_bits }
-    }
-
-    /// Creates a hash function into the smallest power of two `>= range`.
-    pub fn for_range<R: RngCore>(range: u64, rng: &mut R) -> Self {
-        let bits = 64 - range.max(2).saturating_sub(1).leading_zeros();
-        Self::new(bits.max(1), rng)
+    /// Panics if `range == 0`.
+    pub fn new<R: RngCore>(range: u64, rng: &mut R) -> Self {
+        assert!(range >= 1, "MultiplyAddShiftHash: range must be at least 1");
+        let mut wide = || (rng.next_u64() as u128) << 64 | rng.next_u64() as u128;
+        Self {
+            a: wide(),
+            b: wide(),
+            range,
+        }
     }
 
     /// Creates a deterministic instance from an integer seed.
-    pub fn from_seed(out_bits: u32, seed: u64) -> Self {
+    pub fn from_seed(range: u64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        Self::new(out_bits, &mut rng)
+        Self::new(range, &mut rng)
+    }
+
+    /// The pairwise-independent 64-bit value before range reduction: the
+    /// top half of `(a·key + b) mod 2^128`.
+    #[inline]
+    fn mix(&self, key: u64) -> u64 {
+        (self.a.wrapping_mul(key as u128).wrapping_add(self.b) >> 64) as u64
     }
 }
 
-impl HashFamily for MultiplyShiftHash {
+impl HashFamily for MultiplyAddShiftHash {
+    #[inline]
     fn hash(&self, key: u64) -> u64 {
-        self.a
-            .wrapping_mul(key)
-            .wrapping_add(self.b)
-            .wrapping_shr(64 - self.out_bits)
+        // Multiply-high range reduction: ⌊mix · range / 2^64⌋ < range.
+        ((self.mix(key) as u128 * self.range as u128) >> 64) as u64
     }
 
     fn range(&self) -> u64 {
-        1u64 << self.out_bits
+        self.range
+    }
+}
+
+/// [`BuildHasher`] for hash tables keyed by `u64` item identifiers: each
+/// key costs one folded 64×64→128 multiply ([`KeyMixHasher`]).
+///
+/// Item identifiers arrive from outside the program, so the seed matters:
+/// [`KeyMixBuildHasher::new`] draws it from the standard library's
+/// per-process random keys, different for every instance, which keeps the
+/// protection the default `RandomState` gives against keys crafted to
+/// collide — an attacker has to know the seed to build them.
+#[derive(Debug, Clone)]
+pub struct KeyMixBuildHasher {
+    key: u64,
+    multiplier: u64,
+}
+
+impl KeyMixBuildHasher {
+    /// A hasher seeded from the process's random keys; every call yields a
+    /// different seed.
+    pub fn new() -> Self {
+        let random = std::collections::hash_map::RandomState::new();
+        Self::with_seeds(random.hash_one(0u64), random.hash_one(1u64))
+    }
+
+    fn with_seeds(key: u64, multiplier: u64) -> Self {
+        Self {
+            key,
+            // Odd, so multiplication is a bijection on the low word.
+            multiplier: multiplier | 1,
+        }
+    }
+}
+
+impl Default for KeyMixBuildHasher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BuildHasher for KeyMixBuildHasher {
+    type Hasher = KeyMixHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> KeyMixHasher {
+        KeyMixHasher {
+            state: self.key,
+            multiplier: self.multiplier,
+        }
+    }
+}
+
+/// The [`Hasher`] built by [`KeyMixBuildHasher`]: xors each 64-bit word into
+/// the state and replaces it by the folded product `hi ^ lo` of
+/// `state · multiplier`, so both the high bits (the table's control bytes)
+/// and the low bits (its bucket index) depend on every key bit.
+#[derive(Debug, Clone)]
+pub struct KeyMixHasher {
+    state: u64,
+    multiplier: u64,
+}
+
+impl Hasher for KeyMixHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = (self.state ^ word) as u128 * self.multiplier as u128;
+        self.state = (product >> 64) as u64 ^ product as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
     }
 }
 
@@ -168,30 +261,110 @@ mod tests {
     use super::*;
 
     #[test]
-    fn multiply_shift_in_range() {
-        let h = MultiplyShiftHash::from_seed(10, 42);
-        assert_eq!(h.range(), 1024);
-        for key in 0..10_000u64 {
-            assert!(h.hash(key) < 1024);
+    fn multiply_add_shift_in_range_and_deterministic() {
+        // A non-power-of-two range, as Count-Min's `⌈e/ε⌉` widths are.
+        let h = MultiplyAddShiftHash::from_seed(5437, 42);
+        let same = MultiplyAddShiftHash::from_seed(5437, 42);
+        let other = MultiplyAddShiftHash::from_seed(5437, 43);
+        assert_eq!(h.range(), 5437);
+        assert_eq!(h, same);
+        for key in (0..1_000_000u64)
+            .step_by(97)
+            .chain([u64::MAX, u64::MAX - 1])
+        {
+            assert!(h.hash(key) < 5437);
+            assert_eq!(h.hash(key), same.hash(key));
+        }
+        assert!((0..100).any(|k| h.hash(k) != other.hash(k)));
+        // Range 1 is legal and maps everything to 0.
+        assert_eq!(MultiplyAddShiftHash::from_seed(1, 7).hash(12345), 0);
+    }
+
+    #[test]
+    fn multiply_add_shift_spreads_structured_keys_evenly() {
+        // Sequential and strided keys — the inputs a plain multiply-shift
+        // without the add handles worst — land within a small factor of the
+        // uniform load in every bucket.
+        let range = 128u64;
+        let h = MultiplyAddShiftHash::from_seed(range, 11);
+        for stride in [1u64, 1 << 20, 1 << 40] {
+            let mut buckets = vec![0u64; range as usize];
+            let keys = 64_000u64;
+            for i in 0..keys {
+                buckets[h.hash(i.wrapping_mul(stride)) as usize] += 1;
+            }
+            let expected = keys / range;
+            for (i, &c) in buckets.iter().enumerate() {
+                assert!(
+                    c > expected / 4 && c < expected * 4,
+                    "stride {stride}: bucket {i} holds {c}, expected about {expected}"
+                );
+            }
         }
     }
 
     #[test]
-    fn multiply_shift_for_range_covers_requested_range() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let h = MultiplyShiftHash::for_range(1000, &mut rng);
-        assert!(h.range() >= 1000);
-        assert!(h.range() <= 2048);
+    fn multiply_add_shift_pairs_collide_at_about_one_over_range() {
+        // Pairwise independence, observed: over many independently seeded
+        // functions a fixed pair of distinct keys collides with probability
+        // 1/range (here 1/64: 20 000 draws, expectation 312.5, σ ≈ 17.5).
+        let range = 64u64;
+        let draws = 20_000u64;
+        for (x, y) in [(0u64, 1u64), (7, 7 + (1 << 32)), (u64::MAX, 12345)] {
+            let collisions = (0..draws)
+                .filter(|&seed| {
+                    let h = MultiplyAddShiftHash::from_seed(range, seed);
+                    h.hash(x) == h.hash(y)
+                })
+                .count() as u64;
+            assert!(
+                (200..=430).contains(&collisions),
+                "pair ({x}, {y}) collided {collisions} times in {draws} draws"
+            );
+        }
     }
 
     #[test]
-    fn multiply_shift_is_deterministic_per_seed() {
-        let h1 = MultiplyShiftHash::from_seed(16, 7);
-        let h2 = MultiplyShiftHash::from_seed(16, 7);
-        let h3 = MultiplyShiftHash::from_seed(16, 8);
-        assert_eq!(h1.hash(12345), h2.hash(12345));
-        // Different seeds should (overwhelmingly likely) differ somewhere.
-        assert!((0..100).any(|k| h1.hash(k) != h3.hash(k)));
+    #[should_panic(expected = "range")]
+    fn multiply_add_shift_rejects_zero_range() {
+        let _ = MultiplyAddShiftHash::from_seed(0, 1);
+    }
+
+    #[test]
+    fn key_mix_hasher_spreads_sequential_keys_in_both_halves() {
+        // hashbrown takes the bucket index from the low bits and its
+        // control byte from the top seven: sequential keys must vary both.
+        let build = KeyMixBuildHasher::with_seeds(0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344);
+        let mut low = std::collections::HashSet::new();
+        let mut high = std::collections::HashSet::new();
+        for key in 0..4096u64 {
+            let h = build.hash_one(key);
+            low.insert(h & 0xFFF);
+            high.insert(h >> 57);
+        }
+        assert!(low.len() > 2000, "low 12 bits take {} values", low.len());
+        assert_eq!(high.len(), 128, "top 7 bits must take every value");
+    }
+
+    #[test]
+    fn key_mix_tables_behave_like_hash_maps_and_differ_in_seed() {
+        let mut table: std::collections::HashMap<u64, u64, KeyMixBuildHasher> =
+            std::collections::HashMap::default();
+        for key in 0..10_000u64 {
+            *table.entry(key % 777).or_insert(0) += 1;
+        }
+        assert_eq!(table.len(), 777);
+        assert_eq!(table.values().sum::<u64>(), 10_000);
+        assert_eq!(table.get(&776).copied(), Some(10_000 / 777));
+        // Two tables never share a seed (with overwhelming probability).
+        let (a, b) = (KeyMixBuildHasher::new(), KeyMixBuildHasher::new());
+        assert!((0..16u64).any(|k| a.hash_one(k) != b.hash_one(k)));
+        // Byte-slice input goes through the same mixing.
+        assert_eq!(a.hash_one(0x0102_0304_0506_0708u64), {
+            let mut h = a.build_hasher();
+            h.write(&0x0102_0304_0506_0708u64.to_le_bytes());
+            h.finish()
+        });
     }
 
     #[test]
@@ -236,13 +409,6 @@ mod tests {
             let want = ((a as u128 * b as u128) % MERSENNE_61 as u128) as u64;
             assert_eq!(mul_mod_m61(a, b), want, "a={a} b={b}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out_bits")]
-    fn multiply_shift_rejects_zero_bits() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = MultiplyShiftHash::new(0, &mut rng);
     }
 
     #[test]

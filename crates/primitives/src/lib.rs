@@ -22,7 +22,8 @@
 //! * [`css`] — compacted stream segments (CSS) of Lemma 2.1: an encoding of
 //!   a binary stream segment that records only the positions of the 1 bits.
 //! * [`hash`] — seeded pairwise- and k-wise-independent hash families used
-//!   by `buildHist` and the Count-Min sketch.
+//!   by `buildHist` and the Count-Min sketch, and the keyed hasher behind
+//!   the Misra–Gries counter table.
 //! * [`instrument`] — lightweight operation counters used by the
 //!   work-efficiency experiments (E8) to measure *work* independently of
 //!   wall-clock time.
@@ -59,7 +60,7 @@ pub use arc_cell::ArcCell;
 pub use codec::{put_header, ByteReader, ByteWriter, CodecError};
 pub use css::CompactedSegment;
 pub use fault::FaultPlan;
-pub use hash::{HashFamily, MultiplyShiftHash, PolynomialHash};
+pub use hash::{HashFamily, KeyMixBuildHasher, MultiplyAddShiftHash, PolynomialHash};
 pub use histogram::{build_hist, build_hist_hashmap, build_hist_into, HistScratch, HistogramEntry};
 pub use instrument::WorkMeter;
 pub use intsort::{int_sort_by_key, int_sort_pairs};

@@ -1,59 +1,75 @@
-//! Lock-free concurrent Count-Min: single-writer relaxed-atomic counters.
+//! Lock-free concurrent Count-Min: a single-writer counter matrix.
 //!
 //! [`crate::ParallelCountMin`] is a plain-memory sketch: sharing it between
 //! an ingesting shard worker and concurrent point queries requires a mutex,
-//! which serialises the worker's `O((µ + w)·d)` batch update against every
-//! `O(d)` query — the one lock left on the engine's ingest hot path after
-//! snapshot publication went atomic. [`AtomicCountMin`] removes it by
-//! storing the counter matrix as [`AtomicU64`]s:
+//! which serialises the worker's batch update against every `O(d)` query.
+//! [`AtomicCountMin`] removes the lock by storing the counter matrix as
+//! [`AtomicU64`]s that **one** thread writes and any number read:
 //!
-//! * the (single) writer adds histogram counts with **relaxed**
-//!   `fetch_add`s — an atomic read-modify-write per `(row, distinct item)`;
+//! * the writer adds a histogram count with a **relaxed load followed by a
+//!   relaxed store** of the sum — two plain moves on every mainstream
+//!   target, not a locked read-modify-write;
 //! * readers take **relaxed** loads and the row-wise minimum, with no
 //!   synchronisation against the writer at all.
 //!
-//! ## Why relaxed ordering preserves the Count-Min guarantee
+//! ## The single-writer contract
+//!
+//! At most one thread may be inside [`AtomicCountMin::ingest_histogram`]
+//! at a time, and successive writers must be ordered by a happens-before
+//! edge (a thread join, a channel hand-off). That is how every sketch in
+//! this workspace is used: a shard's sketch is written by that shard's
+//! worker only — a restarted worker is spawned by the supervisor after the
+//! panicked one has unwound — and a thread-local substream's sketch by its
+//! producer only. Two overlapping writers would race on the load/store
+//! pair and could drop an increment, which would break the one-sided
+//! guarantee below; it is a contract violation, not a data race in the
+//! language sense (every access is atomic), and debug builds detect it:
+//! `ingest_histogram` flips a writer flag on entry and exit and panics if
+//! it finds the flag already set.
+//!
+//! ## Why relaxed load + store preserves the Count-Min guarantee
 //!
 //! Count-Min's contract is one-sided: a point query must **never
 //! underestimate** the true frequency of the stream prefix it answers for,
-//! and overestimates by at most `ε·m` (w.h.p.). Both sides survive relaxed
-//! atomics:
+//! and overestimates by at most `ε·m` (w.h.p.).
 //!
-//! * **No increment is ever lost.** `fetch_add` is an atomic RMW; relaxed
-//!   ordering weakens *when other threads observe* an increment, never
-//!   whether it happens. Every counter is monotonically non-decreasing.
-//! * **A read observes some prefix of each counter's increments.** A
-//!   concurrent query may see row `i` already updated by a batch and row
-//!   `j` not yet — so the row-wise min is an overestimate of the item's
-//!   frequency in the *least-advanced visible prefix*, and a lower bound
-//!   on nothing it shouldn't be: each counter the min inspects only ever
-//!   contains real mass from routed occurrences (plus collisions), so the
-//!   answer still never under-counts any prefix it claims to cover.
+//! * **No increment is lost.** With one writer nothing can intervene
+//!   between a counter's load and the store of `load + count`, so the
+//!   pair has exactly the effect of a `fetch_add`. The value of every
+//!   counter therefore only grows, in the counter's modification order.
+//! * **A reader sees each counter at some point of that order, and never
+//!   goes back.** Atomic loads — relaxed ones included — are coherent: a
+//!   thread's successive loads of one location observe a non-decreasing
+//!   position in its modification order. So every counter a reader
+//!   inspects is monotone over time, and so is the row-wise minimum.
+//! * **Never an underestimate of a visible prefix.** A concurrent query
+//!   may see row `i` already updated by a batch and row `j` not yet; each
+//!   counter it reads still holds only real mass (occurrences of the item
+//!   plus collisions) from a prefix of the writer's adds, so the minimum
+//!   is at least the item's frequency in the least-advanced prefix it saw.
+//!   The engine's snapshot publication is a `Release`/`Acquire` edge, so a
+//!   reader that loaded a snapshot sees every add of every batch at or
+//!   before that snapshot's epoch: `cm_estimate ≥ snapshot.estimate`.
 //! * **The upper bound is inherited.** Counters never exceed what the
 //!   plain-memory sketch would hold after the same updates, so
-//!   `f̂ ≤ f + ε·m` holds with the same probability once the writer's
-//!   updates are visible (e.g. after a queue drain, or via the engine's
-//!   snapshot-publication `Release`/`Acquire` edge, which orders the
-//!   relaxed adds of every batch at or before the snapshot's epoch before
-//!   any reader that loaded that snapshot).
+//!   `f̂ ≤ f + ε·m` holds with the same probability.
 //!
-//! With **multiple** writers the same argument holds per increment (RMWs
-//! from different threads interleave without losing updates), but this
-//! engine only ever has one writer per shard, which additionally makes the
-//! writer's own reads (e.g. a persistence clone on the worker thread)
-//! exact.
+//! The writer's own reads (a persistence clone on the worker thread) are
+//! exact: it reads back its own stores.
 
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use psfa_primitives::{HashFamily, HistogramEntry, PolynomialHash};
+use psfa_primitives::{HashFamily, HistogramEntry, MultiplyAddShiftHash};
 
 use crate::count_min::CountMinSketch;
 use crate::parallel::ParallelCountMin;
 
-/// A Count-Min sketch whose counters are relaxed atomics: one writer
+/// A Count-Min sketch whose counters are relaxed atomics: **one** writer
 /// ingests minibatch histograms through `&self` while any number of
 /// readers run point queries concurrently, lock-free (see the module docs
-/// for the memory-ordering argument).
+/// for the single-writer contract and the memory-ordering argument).
 #[derive(Debug)]
 pub struct AtomicCountMin {
     epsilon: f64,
@@ -64,13 +80,16 @@ pub struct AtomicCountMin {
     /// seed is never advanced here).
     hist_seed: u64,
     width: usize,
-    depth: usize,
     /// Row-major `depth × width` counter matrix.
     counters: Vec<AtomicU64>,
-    hashes: Vec<PolynomialHash>,
+    hashes: Vec<MultiplyAddShiftHash>,
     /// Total mass added (`m`); incremented after the counter adds, so it
     /// trails them — a reader never sees a total ahead of the counters.
     total: AtomicU64,
+    /// Set while a writer is inside `ingest_histogram` (debug builds only:
+    /// the overlapping-writer check of the single-writer contract).
+    #[cfg(debug_assertions)]
+    writing: AtomicBool,
 }
 
 impl AtomicCountMin {
@@ -96,18 +115,20 @@ impl AtomicCountMin {
             .iter()
             .flat_map(|row| row.iter().map(|&c| AtomicU64::new(c)))
             .collect();
-        let depth = inner.depth();
-        let hashes = (0..depth).map(|row| inner.row_hash(row).clone()).collect();
+        let hashes = (0..inner.depth())
+            .map(|row| inner.row_hash(row).clone())
+            .collect();
         Self {
             epsilon: inner.epsilon(),
             delta: inner.delta(),
             seed: inner.seed(),
             hist_seed: sketch.histogram_seed(),
             width: inner.width(),
-            depth,
             counters,
             hashes,
             total: AtomicU64::new(inner.total()),
+            #[cfg(debug_assertions)]
+            writing: AtomicBool::new(false),
         }
     }
 
@@ -117,13 +138,9 @@ impl AtomicCountMin {
     /// some recent value of every counter — still a valid Count-Min of a
     /// recent prefix per the module docs.
     pub fn to_parallel(&self) -> ParallelCountMin {
-        let rows: Vec<Vec<u64>> = (0..self.depth)
-            .map(|row| {
-                self.row(row)
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect()
-            })
+        let rows: Vec<Vec<u64>> = self
+            .rows()
+            .map(|(_, row)| row.iter().map(|c| c.load(Ordering::Relaxed)).collect())
             .collect();
         let sketch = CountMinSketch::from_parts(
             self.epsilon,
@@ -135,34 +152,48 @@ impl AtomicCountMin {
         ParallelCountMin::from_sketch_with_seed(sketch, self.hist_seed)
     }
 
-    fn row(&self, row: usize) -> &[AtomicU64] {
-        &self.counters[row * self.width..(row + 1) * self.width]
+    /// Each row's hash function with its `width` counters.
+    fn rows(&self) -> impl Iterator<Item = (&MultiplyAddShiftHash, &[AtomicU64])> {
+        self.hashes
+            .iter()
+            .zip(self.counters.chunks_exact(self.width))
     }
 
-    /// Adds one minibatch's histogram: one relaxed `fetch_add` per
-    /// `(row, distinct item)` and no allocation. `&self` — the writer needs
-    /// no exclusive access.
+    /// Adds one minibatch's histogram: per `(row, distinct item)` one hash,
+    /// one relaxed load and one relaxed store; no allocation. `&self` — the
+    /// writer needs no exclusive access, but there must be only one (the
+    /// single-writer contract in the module docs).
+    ///
+    /// # Panics
+    /// In debug builds, panics if another call is in progress on this
+    /// sketch.
     pub fn ingest_histogram(&self, hist: &[HistogramEntry]) {
         if hist.is_empty() {
             return;
         }
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.writing.swap(true, Ordering::Acquire),
+            "AtomicCountMin: overlapping writers break the single-writer contract"
+        );
         let mut added = 0u64;
         for entry in hist {
             added += entry.count;
-            for (row, hash) in self.hashes.iter().enumerate() {
-                let col = hash.hash(entry.item) as usize;
-                self.row(row)[col].fetch_add(entry.count, Ordering::Relaxed);
+            for (hash, row) in self.rows() {
+                add(&row[hash.hash(entry.item) as usize], entry.count);
             }
         }
-        self.total.fetch_add(added, Ordering::Relaxed);
+        add(&self.total, added);
+        #[cfg(debug_assertions)]
+        self.writing.store(false, Ordering::Release);
     }
 
     /// Lock-free point query: the row-wise minimum under relaxed loads —
     /// an overestimate of `item`'s frequency in every fully visible prefix
     /// and never more than `f + ε·m` (w.h.p.) over the whole stream.
     pub fn query(&self, item: u64) -> u64 {
-        (0..self.depth)
-            .map(|row| self.row(row)[self.hashes[row].hash(item) as usize].load(Ordering::Relaxed))
+        self.rows()
+            .map(|(hash, row)| row[hash.hash(item) as usize].load(Ordering::Relaxed))
             .min()
             .unwrap_or(0)
     }
@@ -187,6 +218,13 @@ impl AtomicCountMin {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+}
+
+/// The single writer's add: nothing else stores to `counter`, so a relaxed
+/// load and a relaxed store of the sum lose no increment (module docs).
+#[inline]
+fn add(counter: &AtomicU64, count: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + count, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -243,33 +281,80 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_queries_never_observe_lost_increments() {
-        // One writer, several readers: every reader's estimate of the single
-        // hot item must be monotone and end at the exact total.
+    fn concurrent_readers_stay_monotone_and_end_exact() {
+        // One load+store writer, several readers: every reader's estimate
+        // of each key (and of the total) must be monotone, and the final
+        // state exact. The barrier starts everyone together and the writer
+        // keeps going until every reader has queried through at least 200
+        // of its rounds, so reads really do overlap writes.
+        const KEYS: [u64; 3] = [77, 78, 1 << 40];
         let sketch = Arc::new(AtomicCountMin::new(0.01, 0.01, 7));
         let stop = Arc::new(AtomicBool::new(false));
-        let mut readers = Vec::new();
-        for _ in 0..3 {
-            let sketch = sketch.clone();
-            let stop = stop.clone();
-            readers.push(std::thread::spawn(move || {
-                let mut last = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    let q = sketch.query(77);
-                    assert!(q >= last, "estimate went backwards: {q} < {last}");
-                    last = q;
-                }
-            }));
-        }
-        let rounds = 2_000u64;
-        for _ in 0..rounds {
-            sketch.ingest_histogram(&[HistogramEntry { item: 77, count: 3 }]);
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let progress: Arc<Vec<AtomicU64>> = Arc::new((0..3).map(|_| AtomicU64::new(0)).collect());
+        let readers: Vec<_> = (0..3)
+            .map(|id| {
+                let (sketch, stop, start, progress) = (
+                    sketch.clone(),
+                    stop.clone(),
+                    start.clone(),
+                    progress.clone(),
+                );
+                std::thread::spawn(move || {
+                    let mut last = [0u64; 4];
+                    start.wait();
+                    while !stop.load(Ordering::Acquire) {
+                        let seen = [
+                            sketch.query(KEYS[0]),
+                            sketch.query(KEYS[1]),
+                            sketch.query(KEYS[2]),
+                            sketch.total(),
+                        ];
+                        for (now, before) in seen.iter().zip(&last) {
+                            assert!(now >= before, "went backwards: {now} < {before}");
+                        }
+                        last = seen;
+                        progress[id].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        let hist: Vec<HistogramEntry> = KEYS
+            .iter()
+            .map(|&item| HistogramEntry { item, count: 3 })
+            .collect();
+        start.wait();
+        let mut rounds = 0u64;
+        while rounds < 2_000 || progress.iter().any(|p| p.load(Ordering::Relaxed) < 200) {
+            // A reader that failed its assertion makes no more progress;
+            // stop and let its join report the panic.
+            if readers.iter().any(|r| r.is_finished()) {
+                break;
+            }
+            sketch.ingest_histogram(&hist);
+            rounds += 1;
+            if rounds.is_multiple_of(64) {
+                std::thread::yield_now();
+            }
         }
         stop.store(true, Ordering::Release);
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(sketch.query(77), 3 * rounds);
-        assert_eq!(sketch.total(), 3 * rounds);
+        for key in KEYS {
+            assert_eq!(sketch.query(key), 3 * rounds);
+        }
+        assert_eq!(sketch.total(), 9 * rounds);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "single-writer contract")]
+    fn overlapping_writers_are_caught_in_debug_builds() {
+        // A second writer arriving while the flag is up is exactly what a
+        // concurrent `ingest_histogram` would look like from the inside.
+        let sketch = AtomicCountMin::new(0.1, 0.1, 1);
+        sketch.writing.store(true, Ordering::Release);
+        sketch.ingest_histogram(&[HistogramEntry { item: 1, count: 1 }]);
     }
 }

@@ -1,12 +1,21 @@
 //! Sequential Count-Min sketch (Cormode–Muthukrishnan), the baseline the
 //! parallel minibatch version of Section 6 builds on.
+//!
+//! Row `i` places an item with a pairwise-independent
+//! [`MultiplyAddShiftHash`] into `0..w` — all the `ε·m` analysis asks of a
+//! row is `Pr[h(x) = h(y)] ≤ 1/w` — so an update or a query costs one
+//! 128-bit multiply-add and one multiply-high per row, with no division.
 
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
-use psfa_primitives::{HashFamily, PolynomialHash};
+use psfa_primitives::{HashFamily, MultiplyAddShiftHash};
 
 /// Type tag for encoded Count-Min sketches (see `psfa_primitives::codec`).
 const TAG: u8 = 0x07;
-const VERSION: u8 = 1;
+/// Version 2: rows hash with [`MultiplyAddShiftHash`]. Version 1 derived a
+/// degree-1 polynomial over `2^61 − 1` from the same seed, so its counters
+/// sit in different columns and must not be read by this code: decoding a
+/// version-1 sketch fails with [`CodecError::UnsupportedVersion`].
+const VERSION: u8 = 2;
 
 /// A Count-Min sketch: `d = ⌈ln(1/δ)⌉` rows of `w = ⌈e/ε⌉` counters.
 ///
@@ -24,7 +33,7 @@ pub struct CountMinSketch {
     depth: usize,
     /// Row-major counter array, `depth` rows of `width` counters.
     rows: Vec<Vec<u64>>,
-    hashes: Vec<PolynomialHash>,
+    hashes: Vec<MultiplyAddShiftHash>,
     /// Total mass added so far (`m`).
     total: u64,
 }
@@ -53,7 +62,7 @@ impl CountMinSketch {
         let width = (std::f64::consts::E / epsilon).ceil() as usize;
         let depth = (1.0 / delta).ln().ceil().max(1.0) as usize;
         let hashes = (0..depth)
-            .map(|i| PolynomialHash::from_seed(2, width as u64, seed ^ (0x9E37 + i as u64)))
+            .map(|i| MultiplyAddShiftHash::from_seed(width as u64, seed ^ (0x9E37 + i as u64)))
             .collect();
         Self {
             epsilon,
@@ -109,7 +118,7 @@ impl CountMinSketch {
 
     /// The hash function of row `row` (exposed for the atomic concurrent
     /// sketch, which shares this sketch's exact hashing).
-    pub(crate) fn row_hash(&self, row: usize) -> &PolynomialHash {
+    pub(crate) fn row_hash(&self, row: usize) -> &MultiplyAddShiftHash {
         &self.hashes[row]
     }
 
@@ -177,11 +186,7 @@ impl CountMinSketch {
     /// the two sketches were created with the same `(ε, δ, seed)` and may be
     /// merged counter-wise.
     pub fn is_mergeable_with(&self, other: &CountMinSketch) -> bool {
-        self.width == other.width
-            && self.depth == other.depth
-            && self.hashes.iter().zip(&other.hashes).all(|(a, b)| {
-                (0..16u64).all(|probe| a.hash(probe ^ 0xABCD) == b.hash(probe ^ 0xABCD))
-            })
+        self.width == other.width && self.depth == other.depth && self.hashes == other.hashes
     }
 
     /// Merges another sketch into this one by adding counters point-wise.
@@ -238,7 +243,12 @@ impl CountMinSketch {
     /// seed and validating dimensions against `(ε, δ)` (never panics on
     /// corrupted input).
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        r.expect_header(TAG, VERSION)?;
+        // `expect_header` admits every version up to `VERSION`; there is no
+        // reading an older one (see `VERSION`), so only the current passes.
+        let found = r.expect_header(TAG, VERSION)?;
+        if found != VERSION {
+            return Err(CodecError::UnsupportedVersion { found });
+        }
         let epsilon = r.get_f64()?;
         let delta = r.get_f64()?;
         if !(epsilon > 0.0 && epsilon < 1.0) {
@@ -353,6 +363,45 @@ mod tests {
     }
 
     #[test]
+    fn rows_collide_on_random_key_pairs_at_about_one_over_width() {
+        // What the ε·m analysis needs of a row: two distinct keys share a
+        // column with probability ≈ 1/w. Random pairs (sparse 64-bit keys
+        // and dense small ones), every row checked on its own.
+        let cm = CountMinSketch::new(0.05, 0.01, 2024);
+        let w = cm.width() as f64;
+        let pairs = 200_000u64;
+        let mut state = 77u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        for dense in [false, true] {
+            let mut collisions = vec![0u64; cm.depth()];
+            for _ in 0..pairs {
+                let (mut x, mut y) = (next(), next());
+                if dense {
+                    (x, y) = (x >> 44, y >> 44);
+                }
+                if x == y {
+                    continue;
+                }
+                for (row, hits) in collisions.iter_mut().enumerate() {
+                    *hits += u64::from(cm.column(row, x) == cm.column(row, y));
+                }
+            }
+            let expected = pairs as f64 / w;
+            for (row, &hits) in collisions.iter().enumerate() {
+                assert!(
+                    (hits as f64) > 0.85 * expected && (hits as f64) < 1.15 * expected,
+                    "row {row} (dense = {dense}): {hits} collisions, expected about {expected:.0}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unseen_item_query_is_small() {
         let mut cm = CountMinSketch::new(0.01, 0.01, 11);
         for item in 0..1000u64 {
@@ -389,6 +438,21 @@ mod tests {
             assert_eq!(decoded.query(item), sketch.query(item));
         }
         assert!(decoded.is_mergeable_with(&sketch));
+    }
+
+    #[test]
+    fn decode_rejects_sketches_written_under_the_version_1_row_hash() {
+        // Same layout, different columns: a version-1 sketch must fail
+        // typed instead of being decoded into counters this hash misreads.
+        let mut sketch = CountMinSketch::new(0.01, 0.05, 77);
+        sketch.update(5, 9);
+        let mut bytes = sketch.encode();
+        assert_eq!(bytes[1], VERSION, "layout: tag(1) + version(1)");
+        bytes[1] = 1;
+        assert_eq!(
+            CountMinSketch::decode(&bytes),
+            Err(CodecError::UnsupportedVersion { found: 1 })
+        );
     }
 
     #[test]

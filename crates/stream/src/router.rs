@@ -10,10 +10,11 @@
 //!   answer, for any key, *where its count mass may live* ([`Placement`]).
 //! * [`HashRouter`] — stateless hash partitioning; every key is owned by
 //!   exactly one shard (PR 1's behaviour, still the default).
-//! * [`SkewAwareRouter`] — detects hot keys online with a Space-Saving
-//!   tracker (as in QPOPSS and Parallel Space Saving) and spreads each hot
-//!   key's occurrences round-robin across *all* shards; queries must then sum
-//!   the key's per-shard counts ([`Placement::Replicated`]).
+//! * [`SkewAwareRouter`] — detects hot keys online with a small array-based
+//!   Space-Saving tracker kept off the data path (as in QPOPSS and Parallel
+//!   Space Saving) and spreads each hot key's occurrences round-robin
+//!   across *all* shards; queries must then sum the key's per-shard counts
+//!   ([`Placement::Replicated`]).
 //! * [`RoutingPolicy`] — plain-data configuration that builds a router, so
 //!   engine configs stay `Clone`/`Debug` while handles share one
 //!   `Arc<dyn Router>`.
@@ -33,8 +34,6 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-use psfa_baselines::SpaceSaving;
 
 use crate::split::{partition_by_key, shard_of};
 
@@ -58,6 +57,64 @@ thread_local! {
     /// set with **zero shared-memory writes** (no `RwLock` read, no `Arc`
     /// refcount bump) until a promotion actually happens.
     static HOT_CACHE: RefCell<Vec<HotCacheSlot>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The skew detector: a Space-Saving summary (Metwally et al.) in two flat
+/// arrays. The capacity is a few dozen slots — `4 / hot_fraction`, 32 for
+/// two shards — so finding a key and finding the minimum are linear scans
+/// over a couple of cache lines, with no hashing and no allocation after
+/// construction. The eviction victim is the *first* slot holding the
+/// minimum count, so the same sample sequence always yields the same
+/// summary (and the same promotions).
+///
+/// Guarantee, as for any Space-Saving summary of `S` slots over `m`
+/// samples: `f ≤ count ≤ f + m/S` for every tracked key, and every key
+/// with `f > m/S` is tracked.
+#[derive(Debug)]
+struct HotKeyDetector {
+    capacity: usize,
+    keys: Vec<u64>,
+    counts: Vec<u64>,
+    samples: u64,
+}
+
+impl HotKeyDetector {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            keys: Vec::with_capacity(capacity),
+            counts: Vec::with_capacity(capacity),
+            samples: 0,
+        }
+    }
+
+    fn update(&mut self, key: u64) {
+        self.samples += 1;
+        // One pass finds the key or, failing that, the first slot holding
+        // the minimum count: ties break by slot index.
+        let (mut victim, mut min) = (0, u64::MAX);
+        for (slot, (&tracked, count)) in self.keys.iter().zip(&mut self.counts).enumerate() {
+            if tracked == key {
+                *count += 1;
+                return;
+            }
+            if *count < min {
+                (victim, min) = (slot, *count);
+            }
+        }
+        if self.keys.len() < self.capacity {
+            self.keys.push(key);
+            self.counts.push(1);
+        } else {
+            self.keys[victim] = key;
+            self.counts[victim] += 1;
+        }
+    }
+
+    /// Tracked `(key, count)` pairs in slot order.
+    fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.keys.iter().copied().zip(self.counts.iter().copied())
+    }
 }
 
 /// Where a key's count mass may reside under a router's policy.
@@ -178,9 +235,10 @@ impl Router for HashRouter {
 /// Skew-aware routing: hot keys are detected online and split round-robin
 /// across all shards; everything else routes by hash.
 ///
-/// A Space-Saving tracker observes every partitioned minibatch. Once a key's
-/// estimated traffic share reaches `hot_fraction` (of all items observed so
-/// far), it is *promoted*: subsequent occurrences are dealt round-robin to
+/// An array-based Space-Saving tracker observes a stride sample of every
+/// partitioned minibatch. Once a key's estimated traffic share reaches
+/// `hot_fraction` (of all items sampled so far), it is *promoted*:
+/// subsequent occurrences are dealt round-robin to
 /// all shards, levelling the per-shard load that hash routing concentrates
 /// on the key's home shard. Promotion is **sticky** — a promoted key is
 /// never demoted, so [`Router::placement`] can always answer from the
@@ -204,9 +262,9 @@ pub struct SkewAwareRouter {
     /// Every `sample_stride`-th item is fed to the tracker: a key with
     /// traffic share `p` has share `p` in the stride sample too, so
     /// detection is unaffected while the per-batch tracking cost (including
-    /// Space-Saving's `O(capacity)` eviction scans) shrinks by the stride.
+    /// Space-Saving's `O(capacity)` scans) shrinks by the stride.
     sample_stride: usize,
-    tracker: Mutex<SpaceSaving>,
+    tracker: Mutex<HotKeyDetector>,
     /// Sticky, monotonically growing hot set, kept sorted: with at most
     /// `hot_capacity` (tens of) entries, a binary search beats hashing on
     /// the per-item routing path. Readers clone the `Arc` so the routing
@@ -280,7 +338,7 @@ impl SkewAwareRouter {
             hot_fraction,
             min_items: 512,
             sample_stride: 8,
-            tracker: Mutex::new(SpaceSaving::new(tracker_epsilon)),
+            tracker: Mutex::new(HotKeyDetector::new((1.0 / tracker_epsilon).ceil() as usize)),
             hot: RwLock::new(Arc::new(Vec::new())),
             promotion_epoch: AtomicU64::new(0),
             cache_hot_set: true,
@@ -353,14 +411,13 @@ impl SkewAwareRouter {
         for &item in minibatch.iter().skip(offset).step_by(self.sample_stride) {
             tracker.update(item);
         }
-        let m = tracker.stream_len();
+        let m = tracker.samples;
         if m < self.min_items {
             return;
         }
         let threshold = self.hot_fraction * m as f64;
         let promoted: Vec<u64> = tracker
             .entries()
-            .into_iter()
             .filter(|&(key, est)| est as f64 >= threshold && hot.binary_search(&key).is_err())
             .map(|(key, _)| key)
             .collect();
@@ -661,6 +718,83 @@ mod tests {
             router.partition(&batch);
         }
         assert!(router.hot_keys().len() <= 3);
+    }
+
+    #[test]
+    fn detector_keeps_the_space_saving_bounds() {
+        // 16 slots over a skewed stream of ~300 distinct keys: every
+        // tracked count is within [f, f + m/S], every key with f > m/S is
+        // tracked, and the counts add up to the samples seen.
+        let mut detector = HotKeyDetector::new(16);
+        let mut generator = ZipfGenerator::new(300, 1.1, 29);
+        let mut truth: HashMap<u64, u64> = HashMap::new();
+        for key in generator.next_minibatch(20_000) {
+            detector.update(key);
+            *truth.entry(key).or_insert(0) += 1;
+        }
+        let m = detector.samples;
+        assert_eq!(m, 20_000);
+        assert_eq!(detector.entries().map(|(_, c)| c).sum::<u64>(), m);
+        let tracked: HashMap<u64, u64> = detector.entries().collect();
+        assert_eq!(tracked.len(), 16, "no key tracked twice");
+        for (&key, &count) in &tracked {
+            let f = truth[&key];
+            assert!(
+                f <= count && count <= f + m / 16,
+                "key {key}: {count} vs {f}"
+            );
+        }
+        for (&key, &f) in &truth {
+            assert!(
+                f <= m / 16 || tracked.contains_key(&key),
+                "missed key {key}"
+            );
+        }
+    }
+
+    #[test]
+    fn identical_input_yields_identical_promotions_after_every_batch() {
+        // Twelve equally hot keys (1/16 of the traffic each, above the 5%
+        // threshold) compete for a hot set of four, over a tail of one-off
+        // keys that keeps the 80-slot detector evicting among tied
+        // minimum counts. Which four win is decided by tie-breaks alone —
+        // by slot index, so two routers always agree.
+        let routers = [
+            SkewAwareRouter::with_params(4, 4, 0.05),
+            SkewAwareRouter::with_params(4, 4, 0.05),
+        ];
+        let mut tail = 1_000_000u64;
+        for round in 0..30u64 {
+            let batch: Vec<u64> = (0..2_000u64)
+                .map(|i| {
+                    let slot = (i + round) % 16;
+                    if slot < 12 {
+                        slot
+                    } else {
+                        tail += 1;
+                        tail
+                    }
+                })
+                .collect();
+            let parts = routers.each_ref().map(|r| r.partition(&batch));
+            assert_eq!(parts[0], parts[1], "round {round}");
+            assert_eq!(
+                routers[0].hot_keys(),
+                routers[1].hot_keys(),
+                "round {round}"
+            );
+            assert_eq!(
+                routers[0].promotions(),
+                routers[1].promotions(),
+                "round {round}"
+            );
+        }
+        assert_eq!(
+            routers[0].hot_keys().len(),
+            4,
+            "the hot set must have filled"
+        );
+        assert!(routers[0].promotions() >= 1);
     }
 
     #[test]

@@ -209,3 +209,175 @@ fn compaction_bounds_history_while_the_engine_runs() {
     engine.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The on-disk state a persist cut leaves when it lands between a
+/// boundary-crossing batch and that boundary's marker: the logical clock
+/// sits exactly on `k·slide` while every shard has sealed only `k − 1`
+/// panes and still holds pane `k` open. The flusher produces this by racing
+/// a producer; here the record is written through the store's public API so
+/// the case is exact and repeatable.
+#[test]
+fn recovery_cuts_a_boundary_the_persisted_cut_left_due() {
+    let dir = tmpdir("due-boundary");
+    let (shards, phi, epsilon) = (2usize, 0.05, 0.01);
+    let (window, panes, batch_len) = (8_000u64, 4usize, 1_000usize);
+    let slide = window / panes as u64;
+    let (cm_epsilon, cm_delta, cm_seed) = (0.01, 0.05, 5u64);
+    let config = EngineConfig::with_shards(shards)
+        .heavy_hitters(phi, epsilon)
+        .count_min(cm_epsilon, cm_delta, cm_seed)
+        .sliding_window(window)
+        .window_panes(panes);
+
+    // Three panes' worth of traffic, hash-routed as the engine would.
+    let k = 3u64;
+    let router = HashRouter::new(shards);
+    let mut generator = ZipfGenerator::new(5_000, 1.2, 77);
+    let mut states: Vec<(InfiniteHeavyHitters, PaneWindow, ParallelCountMin, u64, u64)> = (0
+        ..shards)
+        .map(|_| {
+            (
+                InfiniteHeavyHitters::new(phi, epsilon),
+                PaneWindow::new(epsilon, panes),
+                ParallelCountMin::new(cm_epsilon, cm_delta, cm_seed),
+                0,
+                0,
+            )
+        })
+        .collect();
+    let mut truth: HashMap<u64, u64> = HashMap::new();
+    let mut ticket = 0u64;
+    while ticket < k * slide {
+        let batch = generator.next_minibatch(batch_len);
+        for &x in &batch {
+            *truth.entry(x).or_insert(0) += 1;
+        }
+        for ((hh, pane, cm, epoch, items), part) in states.iter_mut().zip(router.partition(&batch))
+        {
+            hh.process_minibatch(&part);
+            pane.process_minibatch(&part);
+            cm.process_minibatch(&part);
+            *epoch += 1;
+            *items += part.len() as u64;
+        }
+        ticket += batch.len() as u64;
+        // Boundaries 1 … k−1 were cut and sealed; the k-th marker is the
+        // one the persist cut got ahead of.
+        if ticket.is_multiple_of(slide) && ticket < k * slide {
+            for (_, pane, ..) in states.iter_mut() {
+                pane.seal();
+            }
+        }
+    }
+    let record = EpochRecord {
+        epoch: 1,
+        phi,
+        epsilon,
+        window: Some(WindowState {
+            size: window,
+            panes: panes as u32,
+            ticket,
+            boundaries: k - 1,
+        }),
+        hot_keys: Vec::new(),
+        shards: states
+            .into_iter()
+            .enumerate()
+            .map(
+                |(shard, (heavy_hitters, pane, count_min, epoch, items))| ShardState {
+                    shard: shard as u32,
+                    epoch,
+                    items,
+                    heavy_hitters,
+                    window: Some(pane),
+                    count_min,
+                },
+            )
+            .collect(),
+    };
+    let mut store = SnapshotStore::open(&dir, 8, 4).unwrap();
+    store.append(&record).unwrap();
+    drop(store);
+
+    // Straight after recovery — no ingest, no drain — the window is the
+    // one the prefix implies: boundary k, covering the last three panes.
+    let recovered = Engine::recover(&dir, config).expect("recover");
+    let handle = recovered.handle();
+    assert_eq!(handle.total_items(), k * slide);
+    let live = handle.global_window().expect("three boundaries are due");
+    assert_eq!(live.seq(), k, "the due boundary must be cut by recovery");
+    assert_eq!(live.items(), k * slide);
+    let slack = (epsilon * live.items() as f64).ceil() as u64;
+    for (&item, &f) in &truth {
+        let est = live.estimate(item);
+        assert!(
+            est <= f && est + slack >= f,
+            "item {item}: window estimate {est} vs {f}"
+        );
+    }
+    // The clock carries on from there: the next slide seals boundary k+1.
+    for _ in 0..slide as usize / batch_len {
+        handle.ingest(&generator.next_minibatch(batch_len)).unwrap();
+    }
+    recovered.drain().unwrap();
+    assert_eq!(handle.global_window().unwrap().seq(), k + 1);
+    recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store written before Count-Min rows switched hash (sketch codec
+/// version 1) holds counters in columns this code would misread. Such a
+/// record must surface as a typed error from `load` and from `recover` —
+/// never as a sketch that silently answers wrong.
+#[test]
+fn recover_rejects_a_record_holding_a_version_1_count_min() {
+    let dir = tmpdir("old-cm-version");
+    let (cm_epsilon, cm_delta, cm_seed) = (0.01, 0.05, 5u64);
+    let config = EngineConfig::with_shards(2)
+        .heavy_hitters(0.05, 0.01)
+        .count_min(cm_epsilon, cm_delta, cm_seed)
+        .persistence(PersistenceConfig::new(&dir).interval_batches(u64::MAX / 2));
+    let engine = Engine::spawn(config.clone());
+    let handle = engine.handle();
+    handle
+        .ingest(&(0..4_000u64).map(|i| i % 97).collect::<Vec<_>>())
+        .unwrap();
+    engine.drain().unwrap();
+    handle.snapshot_now().unwrap();
+    engine.kill();
+
+    // Rewrite the one record as an old writer would have stamped it: each
+    // shard's sketch starts `[0x08, ver, hist seed, 0x07, ver]`; set the
+    // inner (Count-Min) version byte to 1 and re-checksum the frame.
+    let segment = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "psfalog"))
+        .expect("segment file exists");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let marker = ParallelCountMin::new(cm_epsilon, cm_delta, cm_seed).encode()[..12].to_vec();
+    let (frame, payload) = (12usize, 20usize); // segment header, then [len][crc]
+    let mut patched = 0;
+    for at in payload..bytes.len() - marker.len() {
+        if bytes[at..at + marker.len()] == marker[..] {
+            bytes[at + marker.len() - 1] = 1;
+            patched += 1;
+        }
+    }
+    assert_eq!(patched, 2, "one sketch header per shard");
+    let crc = psfa::store::crc32(&bytes[payload..]);
+    bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&segment, &bytes).unwrap();
+
+    let old_version = |e: &StoreError| {
+        matches!(
+            e,
+            StoreError::Codec(psfa::primitives::CodecError::UnsupportedVersion { found: 1 })
+        )
+    };
+    let store = SnapshotStore::open(&dir, 8, 4).expect("the log itself is intact");
+    assert!(store.load(1).is_err_and(|e| old_version(&e)));
+    drop(store);
+    assert!(Engine::recover(&dir, config).is_err_and(|e| old_version(&e)));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
