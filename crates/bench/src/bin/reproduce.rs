@@ -3,8 +3,9 @@
 //! persistence-overhead experiment (E11), the global-sliding-window
 //! experiment (E12), the ingest-hot-path experiment (E13), the
 //! observability-overhead experiment (E14), the serving-front-end
-//! experiment (E15), and the multi-producer ingest-scaling experiment
-//! (E16), and prints the result tables recorded in EXPERIMENTS.md.
+//! experiment (E15), and the fault-tolerance experiment (E17), and prints
+//! the result tables recorded in EXPERIMENTS.md. (E16 is retired; its
+//! records stay in `BENCH_8.json` / `BENCH_9.json`.)
 //!
 //! Usage:
 //! ```text
@@ -116,9 +117,6 @@ fn main() {
     }
     if want("e15") {
         e15_serving(quick);
-    }
-    if want("e16") {
-        e16_multi_producer(quick);
     }
     if want("e17") {
         e17_fault_tolerance(quick);
@@ -1701,190 +1699,6 @@ fn e15_serving(quick: bool) {
         report.busy * 100 / (report.completed + report.busy).max(1),
         metrics.peak_inflight_bytes,
         inflight_cap
-    );
-}
-
-/// E16 — multi-producer ingest scaling: the two contention-free ingest
-/// modes raced head-to-head across producers × shards.
-///
-/// **Lanes** (the default): each producer owns one SPSC lane per shard;
-/// routing runs on the producer thread into producer-private scratch, and
-/// shard workers drain every producer's lane. **Thread-local**
-/// ([`EngineConfig::thread_local_ingest`]): each producer owns a private
-/// Misra–Gries + Count-Min substream merged into query answers at read
-/// time — no routing, no cross-thread handoff, no shard workers involved.
-///
-/// Two measurements per (mode, p) point, both recorded in the bench-json
-/// trajectory:
-///
-/// * **wall-clock** — `p` real producer threads driving the engine,
-///   `drain` included. On a multi-core host this is the end-to-end
-///   scaling number.
-/// * **critical path** — each parallel stage's substream timed *serially*,
-///   reporting `m / max_stage_time`: what `p` cores would sustain if the
-///   slowest stage bounded the run. For thread-local mode the stages are
-///   the `p` producer substreams; for lanes mode the bound is the
-///   slowest shard's share of the routed stream through the rebuilt
-///   worker loop (routing on the producers is a strictly cheaper stage).
-///   This is the honest load-balance component of scaling on hosts with
-///   too few cores to show it on the wall clock (this repository's CI
-///   runs single-core).
-///
-/// The winning mode is whichever ingests faster at p = 4 on the wall
-/// clock. Asserts the winning mode scales ≥ 1.7× from 1 → 4 — measured on
-/// the wall clock when ≥ 8 cores are available, on the critical path
-/// otherwise (the printed line says which basis applied). Also asserts
-/// exact item conservation through both modes.
-fn e16_multi_producer(quick: bool) {
-    println!("== E16: multi-producer ingest — SPSC lanes vs thread-local substreams ==");
-    let phi = 0.01;
-    let eps = 0.001;
-    let batches = zipf_minibatches(100_000, 1.2, scaled(64, quick).max(8), 20_000, 73);
-    let m: u64 = batches.iter().map(|b| b.len() as u64).sum();
-
-    // Round-robin split of the batch sequence across `p` producers.
-    let slices = |p: usize| -> Vec<Vec<&Vec<u64>>> {
-        (0..p)
-            .map(|k| batches.iter().skip(k).step_by(p).collect())
-            .collect()
-    };
-
-    // Wall-clock: `p` producer threads driving the real engine, with
-    // `p` shards in lanes mode (the sweep couples producers to shards).
-    let wall = |thread_local: bool, p: usize| -> f64 {
-        let mut config = EngineConfig::with_shards(p).heavy_hitters(phi, eps);
-        if thread_local {
-            config = EngineConfig::with_shards(1)
-                .heavy_hitters(phi, eps)
-                .thread_local_ingest();
-        }
-        let engine = Engine::spawn(config);
-        let handle = engine.handle();
-        let (_, secs) = timed(|| {
-            std::thread::scope(|scope| {
-                for part in slices(p) {
-                    let mut producer = handle.producer();
-                    scope.spawn(move || {
-                        for batch in part {
-                            producer.ingest(batch).expect("engine closed");
-                        }
-                        producer.flush();
-                    });
-                }
-            });
-            engine.drain().unwrap();
-        });
-        assert_eq!(
-            handle.total_items(),
-            m,
-            "E16: every accepted item must be counted exactly once"
-        );
-        engine.shutdown().unwrap();
-        m as f64 / secs
-    };
-
-    // Critical path, thread-local mode: each producer substream timed
-    // serially; the slowest bounds a parallel run.
-    let cp_thread_local = |p: usize| -> f64 {
-        let engine = Engine::spawn(
-            EngineConfig::with_shards(1)
-                .heavy_hitters(phi, eps)
-                .thread_local_ingest(),
-        );
-        let handle = engine.handle();
-        let mut worst = 0.0f64;
-        for part in slices(p) {
-            let mut producer = handle.producer();
-            let (_, secs) = timed(|| {
-                for batch in part {
-                    producer.ingest(batch).expect("engine closed");
-                }
-                producer.flush();
-            });
-            worst = worst.max(secs);
-        }
-        assert_eq!(handle.total_items(), m, "E16: thread-local conservation");
-        engine.shutdown().unwrap();
-        m as f64 / worst
-    };
-
-    // Critical path, lanes mode: the shard stage bounds the pipeline, so
-    // time each shard's routed share through the rebuilt worker loop.
-    let cp_lanes = |p: usize| -> f64 {
-        let split = pre_split(&batches, p);
-        let params = HotPathParams::default();
-        let mut worst = 0.0f64;
-        for (shard, shard_batches) in split.iter().enumerate() {
-            let mut shard_loop = HotShardLoop::new(shard, params);
-            let (_, secs) = timed(|| {
-                for batch in shard_batches {
-                    shard_loop.ingest(batch);
-                }
-                shard_loop.finish();
-            });
-            worst = worst.max(secs);
-        }
-        m as f64 / worst
-    };
-
-    println!(
-        "{}",
-        header(&["mode", "p=shards", "wall Mitems/s", "crit-path Mitems/s"])
-    );
-    // best-of-2 damps scheduler noise; indexed by log2(p).
-    let best2 = |f: &dyn Fn() -> f64| f().max(f());
-    let mut wall_tput = [[0.0f64; 3]; 2];
-    let mut cp_tput = [[0.0f64; 3]; 2];
-    for (mode_idx, (mode, thread_local)) in [("lanes", false), ("thread-local", true)]
-        .into_iter()
-        .enumerate()
-    {
-        for (i, &p) in [1usize, 2, 4].iter().enumerate() {
-            let w = best2(&|| wall(thread_local, p));
-            let cp = if thread_local {
-                best2(&|| cp_thread_local(p))
-            } else {
-                best2(&|| cp_lanes(p))
-            };
-            wall_tput[mode_idx][i] = w;
-            cp_tput[mode_idx][i] = cp;
-            bench_json::record("E16", &format!("{mode} p{p}"), w);
-            bench_json::record("E16", &format!("{mode} p{p} critical-path"), cp);
-            println!(
-                "{}",
-                row(&[
-                    mode.into(),
-                    p.to_string(),
-                    format!("{:.2}", w / 1e6),
-                    format!("{:.2}", cp / 1e6),
-                ])
-            );
-        }
-    }
-
-    let winner = if wall_tput[0][2] >= wall_tput[1][2] {
-        0
-    } else {
-        1
-    };
-    let winner_name = ["lanes", "thread-local"][winner];
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (ratio, basis) = if cores >= 8 {
-        (wall_tput[winner][2] / wall_tput[winner][0], "wall-clock")
-    } else {
-        (cp_tput[winner][2] / cp_tput[winner][0], "critical-path")
-    };
-    println!(
-        "  winner at p=4: {winner_name} ({:.2} Mitems/s wall); 1→4 scaling {ratio:.2}x \
-         ({basis} basis, {cores} core(s))\n",
-        wall_tput[winner][2] / 1e6
-    );
-    assert!(
-        ratio >= 1.7,
-        "E16: the winning ingest mode ({winner_name}) must scale at least 1.7x from \
-         1 to 4 shards on the {basis} basis (measured {ratio:.2}x)"
     );
 }
 

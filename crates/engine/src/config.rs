@@ -75,20 +75,11 @@ pub struct EngineConfig {
     /// docs). `None` (the default) compiles the instrumentation out of the
     /// hot path entirely — no clock reads, no histogram writes.
     pub observability: Option<ObsConfig>,
-    /// Thread-local ingest mode: each [`crate::EngineHandle::producer`]
-    /// owns a *private* substream (its own Misra–Gries tracker and
-    /// Count-Min sketch) instead of routing into the shard workers, and
-    /// queries merge the producer substreams with the shard summaries at
-    /// read time. Ingestion is entirely producer-local — no routing, no
-    /// cross-thread handoff — at the cost of query-time merge work and of
-    /// features that need a global stream order: incompatible with the
-    /// sliding window and with persistence (`validate` rejects both).
-    pub thread_local_ingest: bool,
     /// Deterministic fault injection (see [`psfa_primitives::fault`]).
     /// `None` (the default) compiles every fault site down to a single
     /// `Option` branch — the same zero-cost-when-off pattern as
     /// [`EngineConfig::observability`]. Set it (tests, chaos experiments)
-    /// to schedule worker panics, store write errors, and lane stalls.
+    /// to schedule worker panics and store write errors.
     pub fault: Option<Arc<FaultPlan>>,
     /// How many times the supervisor restarts one shard's panicked worker
     /// before declaring the shard **dead** (permanently quarantined: its
@@ -117,7 +108,6 @@ impl Default for EngineConfig {
             membership_publish_interval: 1,
             persistence: None,
             observability: None,
-            thread_local_ingest: false,
             fault: None,
             worker_restart_limit: 8,
         }
@@ -212,13 +202,6 @@ impl EngineConfig {
         self.observability(ObsConfig::default())
     }
 
-    /// Switches producers to thread-local ingest (see
-    /// [`EngineConfig::thread_local_ingest`]).
-    pub fn thread_local_ingest(mut self) -> Self {
-        self.thread_local_ingest = true;
-        self
-    }
-
     /// Arms deterministic fault injection with the given plan (see
     /// [`EngineConfig::fault`]).
     pub fn fault_injection(mut self, plan: FaultPlan) -> Self {
@@ -262,18 +245,6 @@ impl EngineConfig {
         );
         if let Some(persistence) = &self.persistence {
             persistence.validate();
-        }
-        if self.thread_local_ingest {
-            assert!(
-                self.window.is_none(),
-                "thread-local ingest is incompatible with the global sliding \
-                 window (producer substreams have no shard-consistent boundaries)"
-            );
-            assert!(
-                self.persistence.is_none(),
-                "thread-local ingest is incompatible with persistence \
-                 (producer substreams are outside the snapshot cut)"
-            );
         }
         if let Some(n) = self.window {
             assert!(
@@ -331,24 +302,6 @@ mod tests {
     fn epsilon_above_phi_rejected() {
         EngineConfig::with_shards(2)
             .heavy_hitters(0.01, 0.1)
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible with the global sliding")]
-    fn thread_local_ingest_rejects_windows() {
-        EngineConfig::with_shards(2)
-            .sliding_window(1 << 16)
-            .thread_local_ingest()
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible with persistence")]
-    fn thread_local_ingest_rejects_persistence() {
-        EngineConfig::with_shards(2)
-            .persist_to("/tmp/never-created")
-            .thread_local_ingest()
             .validate();
     }
 

@@ -134,6 +134,38 @@ impl fmt::Display for TryIngestError {
 
 impl std::error::Error for TryIngestError {}
 
+/// What [`EngineHandle::admit`] does when a target shard's queue is full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// Block until the queue has room (backpressure).
+    Wait,
+    /// Refuse the whole minibatch with [`Refused::Busy`].
+    Shed,
+}
+
+/// Why [`EngineHandle::admit`] refused a minibatch; each public entry
+/// point maps this onto its own error type.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Refused {
+    /// The ingest fence is closed (shutdown); nothing was enqueued.
+    Closed,
+    /// [`Admission::Shed`] only: a target queue was at capacity; nothing
+    /// was enqueued.
+    Busy,
+    /// A target shard's channel is gone — its worker died permanently —
+    /// possibly after some of the minibatch's sub-batches were enqueued.
+    WorkerGone(IngestError),
+}
+
+impl From<Refused> for TryIngestError {
+    fn from(refused: Refused) -> Self {
+        match refused {
+            Refused::Busy => TryIngestError::Busy,
+            Refused::Closed | Refused::WorkerGone(_) => TryIngestError::Closed,
+        }
+    }
+}
+
 /// Error returned by [`Engine::shutdown`] and [`EngineHandle::drain`] when
 /// one or more shard workers died permanently (exhausted their restart
 /// budget after repeated panics) instead of completing the operation.
@@ -300,10 +332,6 @@ impl EngineBuilder {
         let senders = Arc::new(senders);
         let fence = Arc::new(IngestFence::new());
         let accepted_batches = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        // Gate 0 is reserved as the "no lanes" sentinel used by legacy
-        // unit tests; real cuts allocate from 1.
-        let gates = Arc::new(std::sync::atomic::AtomicU64::new(1));
-        let locals = Arc::new(std::sync::Mutex::new(Vec::new()));
 
         // The window fence shares the ingest fence, so pane boundaries cut
         // shard-consistently; on recovery the logical clock resumes from
@@ -340,8 +368,6 @@ impl EngineBuilder {
                     store,
                     fence.clone(),
                     senders.clone(),
-                    shared.clone(),
-                    gates.clone(),
                     router.clone(),
                     config.phi,
                     config.epsilon,
@@ -374,15 +400,12 @@ impl EngineBuilder {
             window_fence,
             persister,
             accepted_batches,
-            gates,
-            locals,
             obs,
             phi: config.phi,
             epsilon: config.epsilon,
             window: config.window,
             window_panes: config.window_panes,
             queue_capacity: config.queue_capacity,
-            config: Arc::new(config.clone()),
         };
         // The periodic reporter renders the full ObsReport table off a
         // cloned handle; it only exists when both observability and a
@@ -415,8 +438,8 @@ impl EngineBuilder {
 /// The supervisor — not the worker — owns the command `Receiver`, so a
 /// panic never disconnects the channel: producers keep their backpressure
 /// semantics (`Busy`, blocking sends) instead of seeing `Closed`, queued
-/// commands and lane batches survive the restart, and the reborn worker
-/// resumes the same queue. The shard's health is published through
+/// commands — minibatches and cuts alike — survive the restart, and the
+/// reborn worker resumes the same queue. The shard's health is published through
 /// [`crate::ShardHealth`] in the shared stats: `Quarantined` while down
 /// (queries annotate answers via the `*_checked` variants), back to `Live`
 /// after the reseed, and `Dead` once the restart budget
@@ -735,51 +758,37 @@ impl Drop for Engine {
 /// accounting of [`psfa_freq::MgSummary::merge`] applied at query time).
 #[derive(Clone)]
 pub struct EngineHandle {
-    pub(crate) senders: Arc<Vec<SyncSender<ShardCommand>>>,
-    pub(crate) shared: Arc<Vec<Arc<ShardShared>>>,
-    pub(crate) router: Arc<dyn Router>,
+    senders: Arc<Vec<SyncSender<ShardCommand>>>,
+    shared: Arc<Vec<Arc<ShardShared>>>,
+    router: Arc<dyn Router>,
     /// Recycles routed sub-batch buffers between producers and workers, so
     /// steady-state ingestion allocates nothing (see [`BufferPool`]).
     pub(crate) pool: Arc<BufferPool>,
     /// Orders whole minibatches against snapshot cuts and shutdown:
     /// enqueues hold the fence's shared side across their sends, so a cut
     /// (or [`Engine::shutdown`]) serialises strictly between minibatches.
-    pub(crate) fence: Arc<IngestFence>,
+    fence: Arc<IngestFence>,
     /// The global window's logical item clock, when a window is
     /// configured: accepted items tick it (under the ingest guard), and
     /// the producer that observes a `slide` crossing cuts the boundary.
-    pub(crate) window_fence: Option<Arc<WindowFence>>,
+    window_fence: Option<Arc<WindowFence>>,
     /// Snapshot machinery, when persistence is configured.
-    pub(crate) persister: Option<Arc<Persister>>,
-    /// Minibatches accepted so far (one per successful `ingest` call, one
-    /// per accepted pre-routed `enqueue`/`try_enqueue`, one per
-    /// [`crate::Producer::ingest`]); the flusher's `interval_batches`
-    /// counts against this.
-    pub(crate) accepted_batches: Arc<std::sync::atomic::AtomicU64>,
-    /// Engine-wide gate id allocator for cut-like commands (boundaries,
-    /// barriers, persistence cuts) — shared with the persister so gate ids
-    /// stay unique across all cut kinds. Ids are only compared for
-    /// equality (a lane mark against its command), so allocation is a
-    /// relaxed fetch-add inside the exclusive cut.
-    pub(crate) gates: Arc<std::sync::atomic::AtomicU64>,
-    /// Thread-local producer substreams ([`crate::Producer`] in
-    /// thread-local mode): each entry is a producer-private shard whose
-    /// summaries queries merge in at read time.
-    pub(crate) locals: Arc<std::sync::Mutex<Vec<Arc<ShardShared>>>>,
-    /// The engine configuration (producer construction needs the mode
-    /// flag and the accuracy parameters).
-    pub(crate) config: Arc<EngineConfig>,
+    persister: Option<Arc<Persister>>,
+    /// Minibatches accepted so far (one per admitted minibatch, whichever
+    /// entry point offered it); the flusher's `interval_batches` counts
+    /// against this.
+    accepted_batches: Arc<std::sync::atomic::AtomicU64>,
     /// Observability recorders, when [`crate::ObsConfig`] is set. All
     /// recording is relaxed telemetry: it never adds ordering the data
     /// plane relies on (see the ordering contract in `shard.rs`).
-    pub(crate) obs: Option<Arc<EngineObs>>,
+    obs: Option<Arc<EngineObs>>,
     phi: f64,
     epsilon: f64,
     window: Option<u64>,
     window_panes: usize,
     /// Per-shard queue capacity in minibatches — the admission threshold
-    /// of [`EngineHandle::try_ingest`].
-    pub(crate) queue_capacity: usize,
+    /// of [`Admission::Shed`].
+    queue_capacity: usize,
 }
 
 impl EngineHandle {
@@ -826,61 +835,11 @@ impl EngineHandle {
     /// reports how many per-shard sub-batches had already been enqueued so
     /// the caller can account for the partial application.
     pub fn ingest(&self, minibatch: &[u64]) -> Result<(), IngestError> {
-        if minibatch.is_empty() {
-            return Ok(());
-        }
-        {
-            // One fence guard across every per-shard send: a racing
-            // shutdown or snapshot cut either happens entirely before this
-            // call (Err / cut excludes the batch) or entirely after it
-            // (Ok, everything enqueued and included).
-            let Some(guard) = self.fence.enter() else {
-                return Err(IngestError::rejected());
-            };
-            // Route into pooled buffers: the sub-batch `Vec`s sent below
-            // were recycled from the workers' return lanes, so a
-            // steady-state ingest call performs no heap allocation.
-            let mut parts = self.pool.checkout();
-            self.router.partition_into(minibatch, &mut parts);
-            self.trace_hot_promotions();
-            let parts_total = parts.iter().filter(|p| !p.is_empty()).count();
-            let mut parts_delivered = 0usize;
-            let mut delivery_failed = false;
-            for (shard, slot) in parts.iter_mut().enumerate() {
-                if slot.is_empty() {
-                    continue;
-                }
-                if self.send_part(shard, std::mem::take(slot)).is_err() {
-                    delivery_failed = true;
-                    break;
-                }
-                parts_delivered += 1;
-            }
-            // The container (and any unsent capacity) goes back either way.
-            self.pool.checkin(parts);
-            if delivery_failed {
-                return Err(IngestError {
-                    parts_delivered,
-                    parts_total,
-                });
-            }
-            // The window clock ticks under the same guard as the sends, so
-            // a boundary cut orders before or after the whole minibatch —
-            // never between its per-shard parts. The batched claim flags
-            // whether this batch crossed a boundary; only then does the
-            // producer pay for the poll (most batches skip it entirely).
-            let boundary_due = match &self.window_fence {
-                Some(windows) => windows.claim(&guard, minibatch.len() as u64).due,
-                None => false,
-            };
-            self.accepted_batches
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            drop(guard);
-            if boundary_due {
-                self.cut_due_window_boundaries();
-            }
-        }
-        Ok(())
+        self.admit_pooled(minibatch, Admission::Wait)
+            .map_err(|refused| match refused {
+                Refused::WorkerGone(partial) => partial,
+                Refused::Closed | Refused::Busy => IngestError::rejected(),
+            })
     }
 
     /// Non-blocking [`EngineHandle::ingest`]: routes the minibatch, then
@@ -899,58 +858,93 @@ impl EngineHandle {
     /// the send blocks for that one batch — a write stall bounded by the
     /// race window, never unbounded buffering.
     pub fn try_ingest(&self, minibatch: &[u64]) -> Result<(), TryIngestError> {
+        self.admit_pooled(minibatch, Admission::Shed)
+            .map_err(TryIngestError::from)
+    }
+
+    /// [`EngineHandle::admit`] with routing scratch checked out of the
+    /// shared pool for the duration of the call (a [`crate::Producer`]
+    /// owns its scratch instead).
+    fn admit_pooled(&self, minibatch: &[u64], admission: Admission) -> Result<(), Refused> {
+        // Routed into pooled buffers: the sub-batch `Vec`s sent to the
+        // workers were recycled from their return lanes, so a steady-state
+        // ingest call performs no heap allocation. The container (and any
+        // unsent capacity) goes back whatever the outcome.
+        let mut parts = self.pool.checkout();
+        let outcome = self.admit(minibatch, &mut parts, admission);
+        self.pool.checkin(parts);
+        outcome
+    }
+
+    /// The one way a minibatch reaches the shard workers; every public
+    /// ingest entry point ends here. Routes `minibatch` into `parts` (one
+    /// scratch buffer per shard; sent buffers are left behind as empty
+    /// `Vec`s) and enqueues the non-empty sub-batches on their shards'
+    /// FIFOs.
+    ///
+    /// One fence guard spans the whole sequence, so a racing shutdown or
+    /// cut happens either entirely before this minibatch (refused / not
+    /// in the cut) or entirely after it (accepted, every part enqueued
+    /// and in the cut) — never between its per-shard parts. The window
+    /// clock ticks under the same guard; the batched claim flags whether
+    /// this minibatch crossed a boundary, and only then does the caller
+    /// pay for the exclusive cut (most minibatches skip it entirely).
+    pub(crate) fn admit(
+        &self,
+        minibatch: &[u64],
+        parts: &mut [Vec<u64>],
+        admission: Admission,
+    ) -> Result<(), Refused> {
         if minibatch.is_empty() {
             return Ok(());
         }
-        {
-            let Some(guard) = self.fence.enter() else {
-                return Err(TryIngestError::Closed);
-            };
-            let mut parts = self.pool.checkout();
-            self.router.partition_into(minibatch, &mut parts);
-            self.trace_hot_promotions();
-            // Admission: every target shard must have queue room *now*.
-            // Depth is derived from the monotone stat counters (processed
-            // read before enqueued, so it never under-reports room).
-            let full = parts.iter().enumerate().any(|(shard, part)| {
+        let Some(guard) = self.fence.enter() else {
+            return Err(Refused::Closed);
+        };
+        self.router.partition_into(minibatch, parts);
+        self.trace_hot_promotions();
+        // Shedding admits only if every target shard has queue room *now*,
+        // before any send, so `Busy` is a clean rejection.
+        if admission == Admission::Shed
+            && parts.iter().enumerate().any(|(shard, part)| {
                 !part.is_empty()
-                    && self.shared[shard].stats.snapshot(shard).queue_depth
-                        >= self.queue_capacity as u64
-            });
-            if full {
-                self.pool.checkin(parts);
-                return Err(TryIngestError::Busy);
+                    && self.shared[shard].stats.queue_depth() >= self.queue_capacity as u64
+            })
+        {
+            return Err(Refused::Busy);
+        }
+        let parts_total = parts.iter().filter(|p| !p.is_empty()).count();
+        let mut parts_delivered = 0usize;
+        for (shard, slot) in parts.iter_mut().enumerate() {
+            if slot.is_empty() {
+                continue;
             }
-            for (shard, slot) in parts.iter_mut().enumerate() {
-                if slot.is_empty() {
-                    continue;
-                }
-                if self.send_part(shard, std::mem::take(slot)).is_err() {
-                    self.pool.checkin(parts);
-                    return Err(TryIngestError::Closed);
-                }
+            if self.send_part(shard, std::mem::take(slot)).is_err() {
+                return Err(Refused::WorkerGone(IngestError {
+                    parts_delivered,
+                    parts_total,
+                }));
             }
-            self.pool.checkin(parts);
-            let boundary_due = match &self.window_fence {
-                Some(windows) => windows.claim(&guard, minibatch.len() as u64).due,
-                None => false,
-            };
-            self.accepted_batches
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            drop(guard);
-            if boundary_due {
-                self.cut_due_window_boundaries();
-            }
+            parts_delivered += 1;
+        }
+        let boundary_due = match &self.window_fence {
+            Some(windows) => windows.claim(&guard, minibatch.len() as u64).due,
+            None => false,
+        };
+        self.accepted_batches
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        drop(guard);
+        if boundary_due {
+            self.cut_due_window_boundaries();
         }
         Ok(())
     }
 
     /// Cuts any window boundary the logical clock has crossed (two atomic
     /// loads when none is due). Must not be called while holding an ingest
-    /// guard — the cut takes the fence exclusively. `pub(crate)`: lane
-    /// producers ([`crate::Producer`]) cut the boundaries their claims
-    /// flagged as due. Returns the number of boundaries cut.
-    pub(crate) fn cut_due_window_boundaries(&self) -> u64 {
+    /// guard — the cut takes the fence exclusively. Returns the number of
+    /// boundaries cut.
+    fn cut_due_window_boundaries(&self) -> u64 {
         let Some(windows) = &self.window_fence else {
             return 0;
         };
@@ -980,19 +974,16 @@ impl EngineHandle {
         }
     }
 
-    /// Enqueues one boundary marker on every shard's queue, stamping lane
-    /// marks first so lane traffic obeys the same cut. Runs inside the
-    /// window fence's exclusive cut ([`psfa_stream::WindowFence::poll_cut`]
-    /// holds the ingest fence exclusively around the seal closure), which
-    /// is what serialises these marks against every other gated send.
+    /// Enqueues one boundary marker on every shard's queue. Runs inside
+    /// the window fence's exclusive cut
+    /// ([`psfa_stream::WindowFence::poll_cut`] holds the ingest fence
+    /// exclusively around the seal closure), so the marker lands at the
+    /// same stream position on every shard's FIFO.
     fn send_boundary(&self, seq: u64) {
-        use std::sync::atomic::Ordering;
-        let gate = self.gates.fetch_add(1, Ordering::Relaxed);
-        for (sender, shared) in self.senders.iter().zip(self.shared.iter()) {
-            let fanin = shared.mark_lanes(gate);
+        for sender in self.senders.iter() {
             // A send error means that worker already exited; the
             // surviving shards still seal so queries stay aligned.
-            let _ = sender.send(ShardCommand::Boundary { seq, gate, fanin });
+            let _ = sender.send(ShardCommand::Boundary { seq });
         }
     }
 
@@ -1000,7 +991,7 @@ impl EngineHandle {
     /// changed since the last emission. Racing producers deduplicate on the
     /// monotone promotion epoch: exactly one of them wins the `fetch_max`
     /// for any given epoch and emits the event.
-    pub(crate) fn trace_hot_promotions(&self) {
+    fn trace_hot_promotions(&self) {
         use std::sync::atomic::Ordering;
         let Some(obs) = &self.obs else {
             return;
@@ -1041,37 +1032,8 @@ impl EngineHandle {
         true
     }
 
-    /// Enqueues one pre-routed sub-batch onto `shard`'s queue. Useful with
-    /// [`psfa_stream::SplitGenerator`] when the caller splits upstream.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn enqueue(&self, shard: usize, part: Vec<u64>) -> Result<(), EngineClosed> {
-        {
-            // Hold the fence guard across the send: Engine::shutdown and
-            // snapshot cuts then serialise after this batch, guaranteeing
-            // the worker processes everything accepted here (see
-            // shutdown()).
-            let Some(guard) = self.fence.enter() else {
-                return Err(EngineClosed);
-            };
-            let len = part.len() as u64;
-            self.send_part(shard, part)?;
-            let boundary_due = match &self.window_fence {
-                Some(windows) => windows.claim(&guard, len).due,
-                None => false,
-            };
-            self.accepted_batches
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            drop(guard);
-            if boundary_due {
-                self.cut_due_window_boundaries();
-            }
-        }
-        Ok(())
-    }
-
-    /// Sends one sub-batch; the caller must hold a fence guard.
+    /// Sends one sub-batch (the only place a [`ShardCommand::Batch`] is
+    /// built); the caller must hold a fence guard.
     fn send_part(&self, shard: usize, part: Vec<u64>) -> Result<(), EngineClosed> {
         use std::sync::atomic::Ordering;
         let len = part.len() as u64;
@@ -1081,21 +1043,20 @@ impl EngineHandle {
         // hold for every concurrent observer (the metrics invariant tests
         // sample it mid-flight). A blocked producer transiently
         // over-reports queue depth by its in-flight batch, which only
-        // makes `try_ingest` admission more conservative. Relaxed:
+        // makes `Admission::Shed` more conservative. Relaxed:
         // monotone progress hints (see the ordering contract in
         // `shard.rs`).
         let stats = &self.shared[shard].stats;
         stats.items_enqueued.fetch_add(len, Ordering::Relaxed);
         stats.batches_enqueued.fetch_add(1, Ordering::Relaxed);
+        let command = ShardCommand::Batch(part);
         let sent = match &self.obs {
-            None => self.senders[shard]
-                .send(ShardCommand::Batch(part))
-                .map_err(|_| EngineClosed),
+            None => self.senders[shard].send(command).map_err(|_| EngineClosed),
             Some(obs) => {
                 // Backpressure accounting: an uncontended enqueue records a
                 // zero wait with no clock read; only the blocking path (the
                 // shard's queue was full) pays for timestamps.
-                match self.senders[shard].try_send(ShardCommand::Batch(part)) {
+                match self.senders[shard].try_send(command) {
                     Ok(()) => {
                         obs.enqueue_wait.record(0);
                         Ok(())
@@ -1123,74 +1084,14 @@ impl EngineHandle {
         sent
     }
 
-    /// Non-blocking variant of [`EngineHandle::enqueue`]: returns the batch
-    /// if the shard's queue is full so the caller can shed or retry.
+    /// Blocks until every minibatch accepted before this call is
+    /// processed.
     ///
-    /// One caveat when a global window is configured: a *successful*
-    /// enqueue whose items cross a window boundary places the boundary
-    /// marker on **every** shard's queue before returning (skipping a
-    /// boundary would desynchronise the aligned window), and a marker
-    /// send waits for queue space exactly like a snapshot cut does — so
-    /// that one call in `1 / slide` may wait for saturated workers to
-    /// drain a slot. The shed/retry path (`Err(Full)`) never blocks.
-    pub fn try_enqueue(&self, shard: usize, part: Vec<u64>) -> Result<(), TrySendError<Vec<u64>>> {
-        use std::sync::atomic::Ordering;
-        let mut boundary_due = false;
-        let result = {
-            let Some(guard) = self.fence.enter() else {
-                return Err(TrySendError::Disconnected(part));
-            };
-            let len = part.len() as u64;
-            // Reserve before the send (see `send_part`): the worker may
-            // process the batch before a post-send increment would land,
-            // breaking `items_enqueued >= items_processed` for observers.
-            let stats = &self.shared[shard].stats;
-            stats.items_enqueued.fetch_add(len, Ordering::Relaxed);
-            stats.batches_enqueued.fetch_add(1, Ordering::Relaxed);
-            match self.senders[shard].try_send(ShardCommand::Batch(part)) {
-                Ok(()) => {
-                    if let Some(obs) = &self.obs {
-                        // Non-blocking by construction: a successful
-                        // try_enqueue never waited.
-                        obs.enqueue_wait.record(0);
-                    }
-                    if let Some(windows) = &self.window_fence {
-                        boundary_due = windows.claim(&guard, len).due;
-                    }
-                    self.accepted_batches.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }
-                Err(err) => {
-                    // Refused: undo the reservation so a shed batch leaves
-                    // no phantom queue depth behind.
-                    stats.items_enqueued.fetch_sub(len, Ordering::Relaxed);
-                    stats.batches_enqueued.fetch_sub(1, Ordering::Relaxed);
-                    match err {
-                        TrySendError::Full(ShardCommand::Batch(part)) => {
-                            Err(TrySendError::Full(part))
-                        }
-                        TrySendError::Disconnected(ShardCommand::Batch(part)) => {
-                            Err(TrySendError::Disconnected(part))
-                        }
-                        _ => unreachable!("try_send returns the command it was given"),
-                    }
-                }
-            }
-        };
-        if boundary_due {
-            self.cut_due_window_boundaries();
-        }
-        result
-    }
-
-    /// Blocks until every minibatch enqueued — or accepted by a
-    /// [`crate::Producer`] — before this call is processed.
-    ///
-    /// The barrier is a gated cut like any other: marks are stamped into
-    /// every registered ingest lane and the commands are sent under the
-    /// exclusive fence, so the workers drain lane traffic up to the same
-    /// consistent cut before acknowledging. `cut_with` works on a closed
-    /// fence, so draining remains valid through (and after) shutdown.
+    /// The barrier is a cut like any other: one command per shard, sent
+    /// under the exclusive fence, that each worker acknowledges when it
+    /// dequeues it — by FIFO order, after everything accepted before the
+    /// cut. `cut_with` works on a closed fence, so draining remains valid
+    /// through (and after) shutdown.
     ///
     /// A shard whose worker died permanently (marked [`ShardHealth::Dead`]
     /// after exhausting its restart budget) cannot acknowledge the
@@ -1198,22 +1099,11 @@ impl EngineHandle {
     /// Workers that exited through a *graceful* shutdown still count as
     /// drained — their queues were emptied before they left.
     pub fn drain(&self) -> Result<(), ShutdownError> {
-        use std::sync::atomic::Ordering;
         let acks = self.fence.cut_with(|_cut| {
-            let gate = self.gates.fetch_add(1, Ordering::Relaxed);
             let mut acks = Vec::with_capacity(self.shards());
-            for (shard, (sender, shared)) in self.senders.iter().zip(self.shared.iter()).enumerate()
-            {
-                let fanin = shared.mark_lanes(gate);
+            for (shard, sender) in self.senders.iter().enumerate() {
                 let (ack_tx, ack_rx) = sync_channel(1);
-                if sender
-                    .send(ShardCommand::Barrier {
-                        ack: ack_tx,
-                        gate,
-                        fanin,
-                    })
-                    .is_ok()
-                {
+                if sender.send(ShardCommand::Barrier { ack: ack_tx }).is_ok() {
                     acks.push((shard, ack_rx));
                 }
             }
@@ -1259,38 +1149,17 @@ impl EngineHandle {
     }
 
     /// Hands out a [`crate::Producer`]: a per-thread ingest endpoint that
-    /// bypasses the shared shard channels. In the default (lanes) mode the
-    /// producer owns one SPSC lane per shard and routes into them; with
-    /// [`EngineConfig::thread_local_ingest`] it instead accumulates a
-    /// private substream merged into queries at read time. One producer
-    /// per thread — the endpoints are deliberately `!Sync` single-owner
+    /// owns its routing scratch and otherwise ingests exactly like
+    /// [`EngineHandle::ingest`] / [`EngineHandle::try_ingest`]. One
+    /// producer per thread — the endpoints are single-owner (`&mut self`)
     /// values; clone the handle and call this once per producer thread.
     pub fn producer(&self) -> crate::Producer {
         crate::Producer::new(self)
     }
 
-    /// Current snapshots of every shard (each at its own epoch), followed
-    /// by the snapshots of any thread-local producer substreams. Summaries
-    /// are mergeable, so downstream accounting (`total_items`,
-    /// `heavy_hitters`, `epochs`) treats the substreams exactly like extra
-    /// shards: the summed one-sided error stays `Σ ε·m_s = ε·m`.
+    /// Current snapshots of every shard (each at its own epoch).
     pub fn snapshots(&self) -> Vec<Arc<ShardSnapshot>> {
-        let mut snapshots: Vec<Arc<ShardSnapshot>> =
-            self.shared.iter().map(|s| s.load_snapshot()).collect();
-        let locals = self.locals();
-        snapshots.extend(locals.iter().map(|s| s.load_snapshot()));
-        snapshots
-    }
-
-    /// Locks the thread-local substream registry, recovering from poison.
-    /// Recovery is safe: the registry is an append-only `Vec` of fully
-    /// constructed `Arc`s, so a thread that panicked while holding the
-    /// lock cannot have left it torn — the push either completed or never
-    /// happened.
-    pub(crate) fn locals(&self) -> std::sync::MutexGuard<'_, Vec<Arc<ShardShared>>> {
-        self.locals
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.shared.iter().map(|s| s.load_snapshot()).collect()
     }
 
     /// Current staleness annotation: `Some` when any shard is quarantined
@@ -1387,29 +1256,14 @@ impl EngineHandle {
     /// shard underestimates its substream by at most `ε·m_s`, so the sum
     /// underestimates by at most `ε·m` and never overestimates.
     pub fn estimate(&self, item: u64) -> u64 {
-        self.timed(QueryKind::Estimate, || {
-            let sharded = match self.router.placement(item) {
-                Placement::Owner(shard) => self.shared[shard].load_snapshot().estimate(item),
-                Placement::Replicated => self
-                    .shared
-                    .iter()
-                    .map(|s| s.load_snapshot().estimate(item))
-                    .sum(),
-            };
-            // Thread-local substreams are unrouted: any key may appear in
-            // any producer's substream, so they are always summed in.
-            sharded + self.locals_estimate(item)
+        self.timed(QueryKind::Estimate, || match self.router.placement(item) {
+            Placement::Owner(shard) => self.shared[shard].load_snapshot().estimate(item),
+            Placement::Replicated => self
+                .shared
+                .iter()
+                .map(|s| s.load_snapshot().estimate(item))
+                .sum(),
         })
-    }
-
-    /// Sum of `item`'s Misra–Gries estimates across the thread-local
-    /// producer substreams (`0` when none are registered — lanes mode).
-    fn locals_estimate(&self, item: u64) -> u64 {
-        let locals = self.locals();
-        locals
-            .iter()
-            .map(|s| s.load_snapshot().estimate(item))
-            .sum()
     }
 
     /// The globally consistent sliding window at the latest boundary every
@@ -1426,6 +1280,13 @@ impl EngineHandle {
     /// items whether keys are hash-owned or split by the skew-aware
     /// router.
     pub fn global_window(&self) -> Option<GlobalWindow> {
+        GlobalWindow::merge(self.aligned_windows()?.iter().map(Arc::as_ref))
+    }
+
+    /// Every shard's sealed window at the newest boundary all of them have
+    /// sealed — what [`EngineHandle::global_window`] merges. `None` in the
+    /// cases listed there.
+    fn aligned_windows(&self) -> Option<Vec<Arc<psfa_freq::SealedWindow>>> {
         self.window_fence.as_ref()?;
         let snapshots = self.snapshots();
         // The newest boundary *every* shard has sealed; each shard's
@@ -1435,11 +1296,10 @@ impl EngineHandle {
         if seq == 0 {
             return None;
         }
-        let aligned: Option<Vec<&psfa_freq::SealedWindow>> = snapshots
+        snapshots
             .iter()
-            .map(|s| s.window_at(seq).map(Arc::as_ref))
-            .collect();
-        GlobalWindow::merge(aligned?)
+            .map(|s| s.window_at(seq).cloned())
+            .collect()
     }
 
     /// Live one-sided estimate of `item`'s frequency in the aligned global
@@ -1449,12 +1309,16 @@ impl EngineHandle {
     /// shard). `0` when no aligned window is available yet (see
     /// [`EngineHandle::global_window`]).
     ///
-    /// Each call merges the per-shard sealed windows; to probe many keys
-    /// at one boundary, call [`EngineHandle::global_window`] once and use
-    /// [`GlobalWindow::estimate`] on the result.
+    /// Nothing is merged for a point query: the key is looked up in each
+    /// shard's sealed window (a binary search) and the estimates summed,
+    /// which is the value [`GlobalWindow::estimate`] gives. To probe many
+    /// keys at one boundary, call [`EngineHandle::global_window`] once and
+    /// use the result — consecutive calls here may straddle a boundary.
     pub fn sliding_estimate(&self, item: u64) -> u64 {
         self.timed(QueryKind::SlidingEstimate, || {
-            self.global_window().map_or(0, |w| w.estimate(item))
+            self.aligned_windows().map_or(0, |windows| {
+                windows.iter().map(|window| window.estimate(item)).sum()
+            })
         })
     }
 
@@ -1485,14 +1349,10 @@ impl EngineHandle {
     pub fn cm_estimate(&self, item: u64) -> u64 {
         self.timed(QueryKind::CmEstimate, || {
             let query_shard = |shard: usize| self.shared[shard].count_min.query(item);
-            let sharded = match self.router.placement(item) {
+            match self.router.placement(item) {
                 Placement::Owner(shard) => query_shard(shard),
                 Placement::Replicated => (0..self.shards()).map(query_shard).sum(),
-            };
-            // Thread-local substreams are unrouted; always sum them in
-            // (each sketch overestimates one-sidedly, so the sum does too).
-            let locals = self.locals();
-            sharded + locals.iter().map(|s| s.count_min.query(item)).sum::<u64>()
+            }
         })
     }
 
@@ -1538,10 +1398,6 @@ impl EngineHandle {
         let mut merged = self.shared[0].count_min.to_parallel();
         for shared in &self.shared[1..] {
             merged.merge(&shared.count_min.to_parallel());
-        }
-        let locals = self.locals();
-        for local in locals.iter() {
-            merged.merge(&local.count_min.to_parallel());
         }
         merged
     }
@@ -1699,7 +1555,6 @@ mod tests {
     use super::*;
     use psfa_stream::{StreamGenerator, ZipfGenerator};
     use std::collections::HashMap;
-    use std::sync::mpsc::TrySendError;
 
     fn config() -> EngineConfig {
         EngineConfig::with_shards(4)
@@ -1848,6 +1703,37 @@ mod tests {
     }
 
     #[test]
+    fn sliding_estimate_answers_as_the_merged_window_does() {
+        // The point query skips `GlobalWindow::merge`; its answer must be
+        // the merged window's, also for a hot key the skew-aware router
+        // split over every shard (no shard holds its whole estimate).
+        let engine = Engine::spawn(
+            config()
+                .skew_aware_routing()
+                .sliding_window(40_000)
+                .window_panes(4),
+        );
+        let handle = engine.handle();
+        let mut generator = ZipfGenerator::new(5_000, 1.4, 23);
+        for _ in 0..12 {
+            handle.ingest(&generator.next_minibatch(5_000)).unwrap();
+        }
+        engine.drain().unwrap();
+        let hot = handle.metrics().hot_keys[0];
+        let window = handle.global_window().expect("six boundaries sealed");
+        let holders = handle
+            .snapshots()
+            .iter()
+            .filter(|s| s.window_at(window.seq()).expect("aligned").estimate(hot) > 0)
+            .count();
+        assert!(holders > 1, "the hot key is split");
+        for item in (0..5_000).chain([hot]) {
+            assert_eq!(handle.sliding_estimate(item), window.estimate(item));
+        }
+        engine.shutdown().unwrap();
+    }
+
+    #[test]
     fn window_clock_can_be_advanced_without_traffic() {
         let engine = Engine::spawn(config().sliding_window(8_000).window_panes(4));
         let handle = engine.handle();
@@ -1928,10 +1814,7 @@ mod tests {
                 parts_total: 0
             })
         );
-        assert!(matches!(
-            handle.try_enqueue(0, vec![8]),
-            Err(TrySendError::Disconnected(_))
-        ));
+        assert_eq!(handle.try_ingest(&[8]), Err(TryIngestError::Closed));
         let m = handle.metrics();
         assert_eq!(m.items_enqueued(), 4);
         assert_eq!(m.items_processed(), 4);
@@ -2274,30 +2157,50 @@ mod tests {
     }
 
     #[test]
-    fn try_enqueue_reports_full_queues() {
-        // One shard, capacity 1, and a worker kept busy by a barrier that we
-        // never... actually barriers ack immediately; instead saturate with
-        // large batches and observe at least one Full result under load.
-        let engine = Engine::spawn(
+    fn busy_is_a_clean_rejection_while_the_worker_is_stalled() {
+        // One shard, capacity 1, and a lifted operator that parks the
+        // worker inside its first batch until released: the queue depth is
+        // pinned at capacity, so every non-blocking offer must be shed
+        // without touching the enqueue counters.
+        let (entered_tx, entered_rx) = sync_channel::<()>(1);
+        let (release_tx, release_rx) = sync_channel::<()>(1);
+        let mut ends = Some((entered_tx, release_rx));
+        let engine = Engine::builder(
             EngineConfig::with_shards(1)
                 .queue_capacity(1)
                 .heavy_hitters(0.05, 0.01),
-        );
-        let handle = engine.handle();
-        let mut full_seen = false;
-        for _ in 0..200 {
-            match handle.try_enqueue(0, vec![1; 50_000]) {
-                Ok(()) => {}
-                Err(TrySendError::Full(batch)) => {
-                    full_seen = true;
-                    assert_eq!(batch.len(), 50_000, "full queue returns the batch");
-                    break;
+        )
+        .lift(("stall".to_string(), move |_shard: usize| {
+            let (entered, release) = ends.take().expect("one shard, one operator");
+            let mut stalled = false;
+            ("stall".to_string(), move |_batch: &[u64]| {
+                if !stalled {
+                    stalled = true;
+                    entered.send(()).unwrap();
+                    release.recv().unwrap();
                 }
-                Err(TrySendError::Disconnected(_)) => panic!("engine closed unexpectedly"),
-            }
-        }
-        assert!(full_seen, "a capacity-1 queue must report Full under load");
+            })
+        }))
+        .spawn();
+        let handle = engine.handle();
+        let mut producer = handle.producer();
+
+        handle.try_ingest(&[1, 2, 3]).unwrap();
+        entered_rx.recv().unwrap();
+        assert_eq!(handle.try_ingest(&[4; 10]), Err(TryIngestError::Busy));
+        assert_eq!(producer.try_ingest(&[5; 10]), Err(TryIngestError::Busy));
+        let m = handle.metrics();
+        assert_eq!((m.items_enqueued(), m.shards[0].batches_enqueued), (3, 1));
+
+        release_tx.send(()).unwrap();
+        engine.drain().unwrap();
+        assert_eq!(handle.total_items(), 3, "shed batches left no trace");
+        // Room again: both endpoints are admitted through the same core.
+        producer.try_ingest(&[5; 10]).unwrap();
+        engine.drain().unwrap();
+        assert_eq!(handle.total_items(), 13);
         engine.shutdown().unwrap();
+        assert_eq!(producer.try_ingest(&[1]), Err(TryIngestError::Closed));
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //! queries *while ingestion runs*.
 //!
 //! ```text
-//!  producers (any thread, cloneable EngineHandle)
+//!  producers (any thread: a cloned EngineHandle, or a per-thread Producer)
 //!      │  ingest(&[u64])  — items tick the WindowFence's logical clock
 //!      ▼
 //!  pluggable router (psfa_stream::Router)
 //!      │  hash: each key owned by one shard (default)
 //!      │  skew-aware: hot keys split round-robin across all shards
-//!      │  bounded sync channels (backpressure when full)
-//!      │  every `slide` items: a window boundary marker is enqueued on
-//!      │  EVERY shard from one exclusive fence cut (same position on all)
+//!      │  ONE bounded FIFO channel per shard carries every minibatch
+//!      │  (backpressure when full) and every cut: each `slide` items a
+//!      │  window boundary marker is enqueued on EVERY shard from one
+//!      │  exclusive fence cut (same position on all); drain barriers and
+//!      │  persistence snapshots are cut the same way
 //!      ▼
 //!  shard workers 0..N   each owns: InfiniteHeavyHitters   (φ, ε)
 //!      │                           PaneWindow             (global window)

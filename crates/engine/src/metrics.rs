@@ -78,8 +78,20 @@ pub(crate) struct ShardStats {
 }
 
 impl ShardStats {
+    /// Minibatches queued or in flight. Reads processed before enqueued,
+    /// so a racing worker can only make the depth over-report — it never
+    /// goes negative and never under-reports room taken.
+    pub(crate) fn queue_depth(&self) -> u64 {
+        let batches_processed = self.batches_processed.load(Ordering::Acquire);
+        self.batches_enqueued
+            .load(Ordering::Acquire)
+            .saturating_sub(batches_processed)
+    }
+
     pub(crate) fn snapshot(&self, shard: usize) -> ShardMetrics {
-        // Read processed before enqueued so depth never goes negative.
+        // Processed before enqueued throughout, so no derived depth ever
+        // goes negative.
+        let queue_depth = self.queue_depth();
         let batches_processed = self.batches_processed.load(Ordering::Acquire);
         let items_processed = self.items_processed.load(Ordering::Acquire);
         let batches_enqueued = self.batches_enqueued.load(Ordering::Acquire);
@@ -91,7 +103,7 @@ impl ShardStats {
             items_processed,
             batches_enqueued,
             batches_processed,
-            queue_depth: batches_enqueued.saturating_sub(batches_processed),
+            queue_depth,
             window_seq,
             health: ShardHealth::from_code(self.health.load(Ordering::Acquire)),
             restarts: self.restarts.load(Ordering::Acquire),

@@ -34,7 +34,7 @@ use psfa_stream::{IngestFence, Router, WindowFence};
 
 use crate::metrics::StoreMetrics;
 use crate::obs::EngineObs;
-use crate::shard::{ShardCommand, ShardShared};
+use crate::shard::ShardCommand;
 
 /// The window configuration a persisted epoch must capture: the geometry
 /// plus the live [`WindowFence`] whose clock is read from inside the
@@ -61,13 +61,6 @@ pub(crate) struct Persister {
     store: Mutex<SnapshotStore>,
     fence: Arc<IngestFence>,
     senders: Arc<Vec<SyncSender<ShardCommand>>>,
-    /// Per-shard shared state: the cut stamps lane marks into each shard's
-    /// registered ingest lanes so lane traffic obeys the same cut as
-    /// channel traffic (see the `shard` module docs).
-    shards_shared: Arc<Vec<Arc<ShardShared>>>,
-    /// Engine-wide gate id allocator, shared with the engine handles so
-    /// gate ids stay unique across *all* cut kinds.
-    gates: Arc<AtomicU64>,
     router: Arc<dyn Router>,
     phi: f64,
     epsilon: f64,
@@ -91,8 +84,6 @@ impl Persister {
         store: SnapshotStore,
         fence: Arc<IngestFence>,
         senders: Arc<Vec<SyncSender<ShardCommand>>>,
-        shards_shared: Arc<Vec<Arc<ShardShared>>>,
-        gates: Arc<AtomicU64>,
         router: Arc<dyn Router>,
         phi: f64,
         epsilon: f64,
@@ -107,8 +98,6 @@ impl Persister {
             store: Mutex::new(store),
             fence,
             senders,
-            shards_shared,
-            gates,
             router,
             phi,
             epsilon,
@@ -136,7 +125,7 @@ impl Persister {
         // Poison recovery is safe: the cut lock guards no data (`()`),
         // only mutual exclusion, and a cut that panicked mid-flight left
         // at most an unanswered Persist reply channel behind — the next
-        // cut allocates fresh gates and channels.
+        // cut allocates fresh channels.
         let _cut = self
             .cut_lock
             .lock()
@@ -152,23 +141,13 @@ impl Persister {
         let (receivers, hot_keys, window) = self
             .fence
             .cut_with(|_cut| {
-                let gate = self.gates.fetch_add(1, Ordering::Relaxed);
                 let receivers = self
                     .senders
                     .iter()
-                    .zip(self.shards_shared.iter())
-                    .map(|(sender, shared)| {
-                        // Stamp the lane marks before sending the command:
-                        // gated sends serialise under this exclusive cut, so
-                        // per-lane mark order equals channel command order.
-                        let fanin = shared.mark_lanes(gate);
+                    .map(|sender| {
                         let (tx, rx) = sync_channel(1);
                         sender
-                            .send(ShardCommand::Persist {
-                                reply: tx,
-                                gate,
-                                fanin,
-                            })
+                            .send(ShardCommand::Persist { reply: tx })
                             .map(|_| rx)
                             .map_err(|_| ())
                     })
@@ -295,9 +274,8 @@ pub(crate) struct Flusher {
 impl Flusher {
     /// Spawns the flusher: wakes every `poll`, cuts an epoch once
     /// `interval_batches` minibatches have been accepted (the shared
-    /// `accepted` counter, bumped once per accepted `ingest`/`enqueue`
-    /// call) since the last cut, and — unless aborted — cuts a final epoch
-    /// on the way out.
+    /// `accepted` counter, bumped once per accepted minibatch) since the
+    /// last cut, and — unless aborted — cuts a final epoch on the way out.
     pub(crate) fn spawn(
         persister: Arc<Persister>,
         accepted: Arc<AtomicU64>,

@@ -78,35 +78,20 @@
 //!   published, so a reader that sees the new boundary number also finds
 //!   the sealed window in the snapshot.
 //!
-//! ## Ingest lanes and gated commands
+//! ## One FIFO per shard
 //!
-//! Since PR 9 a shard accepts minibatches on two paths: the bounded MPSC
-//! control channel (every [`ShardCommand`], including legacy
-//! [`ShardCommand::Batch`]es), and any number of per-producer
-//! [`psfa_stream::IngestLane`]s registered in [`ShardShared`]. The worker
-//! polls the lanes whenever the channel runs dry, so the steady-state
-//! multi-producer transfer is single-producer/single-consumer per lane —
-//! no shared channel lock, no shared head/tail cache line.
-//!
-//! Lanes put batches *outside* the channel's total order, so every
-//! cut-like command carries a **gate**: the cutter (holding the ingest
-//! fence exclusively) stamps a [`psfa_stream::LaneMark`] into every
-//! registered lane at its exact push position and records how many lanes
-//! it marked (`fanin`) in the command. On receiving a gated command the
-//! worker first drains each lane *to its mark* — batches before the mark
-//! are exactly the pre-cut batches; a lane whose mark was consumed is
-//! parked until the gate executes, and `pop_batch` structurally refuses
-//! to jump a due mark — then performs the seal / persist reply /
-//! barrier ack. Marks are stamped before the command is sent and both
-//! cuts and channel sends serialise under the exclusive fence, so per-lane
-//! mark order always equals channel command order, and the worker never
-//! waits for a mark that is not already in place.
+//! Everything a worker does arrives as a [`ShardCommand`] on its bounded
+//! channel, minibatches included — there is no other way in. The channel's
+//! total order is therefore the shard's stream order, and a cut (window
+//! boundary, drain barrier, persistence snapshot) needs no mechanism of
+//! its own: the cutter enqueues one command per shard while holding the
+//! ingest fence exclusively, and by the time a worker dequeues it, it has
+//! processed exactly the minibatches accepted before the cut.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
+use std::sync::Arc;
 
 use psfa_freq::{InfiniteHeavyHitters, PaneWindow, SealedWindow};
 use psfa_obs::TraceKind;
@@ -115,7 +100,7 @@ use psfa_primitives::{
 };
 use psfa_sketch::AtomicCountMin;
 use psfa_store::ShardState;
-use psfa_stream::{BufferPool, IngestLane, MinibatchOperator};
+use psfa_stream::{BufferPool, MinibatchOperator};
 
 use crate::config::EngineConfig;
 use crate::metrics::ShardStats;
@@ -126,49 +111,26 @@ use crate::obs::{EngineObs, PublishReason};
 /// while shards lag each other by a few queued markers.
 const WINDOW_HISTORY: usize = 8;
 
-/// How long an idle worker with registered lanes sleeps on the control
-/// channel before re-polling the lanes: the first-batch latency of a lane
-/// whose producer started while the worker was parked. Once traffic flows
-/// the worker never sleeps, so this bounds wake-up latency, not
-/// throughput.
-const LANE_POLL: Duration = Duration::from_micros(500);
-
-/// Commands accepted by a shard worker, in queue order.
-///
-/// Cut-like commands (`Barrier`, `Boundary`, `Persist`) are **gated**: the
-/// cutter stamped a mark for `gate` into `fanin` registered ingest lanes
-/// (under the exclusive fence, before sending the command), and the worker
-/// drains each lane exactly to its mark before executing the command — see
-/// the module docs. An engine without lane producers always sends
-/// `fanin == 0`, which degenerates to the pre-lane behaviour.
+/// Commands accepted by a shard worker, in queue order (see "One FIFO per
+/// shard" in the module docs).
 pub(crate) enum ShardCommand {
     /// One routed minibatch to ingest. The worker returns the buffer to the
     /// engine's [`BufferPool`] when done, so its capacity recirculates to
     /// the producers.
     Batch(Vec<u64>),
-    /// Drain checkpoint: acknowledge once every earlier command — and every
-    /// lane batch pushed before the barrier's cut — is done.
+    /// Drain checkpoint: acknowledge once every earlier command is done.
     Barrier {
         /// Acknowledged once the checkpoint is reached.
         ack: SyncSender<()>,
-        /// Gate id of the barrier's marks.
-        gate: u64,
-        /// Lanes marked at the cut.
-        fanin: usize,
     },
     /// Window boundary `seq`: seal the open pane. The `WindowFence`
     /// enqueues this on every shard from inside an exclusive cut, so the
-    /// marker sits at the same stream position on every shard's FIFO — and
-    /// its lane marks at the same push position in every lane — so the
-    /// items between two markers (one pane) partition the global stream
+    /// marker sits at the same stream position on every shard's FIFO and
+    /// the items between two markers (one pane) partition the global stream
     /// identically from every shard's point of view.
     Boundary {
         /// Boundary sequence number being sealed.
         seq: u64,
-        /// Gate id of the boundary's marks.
-        gate: u64,
-        /// Lanes marked at the cut.
-        fanin: usize,
     },
     /// Snapshot cut: reply with a clone of the full operator state. The
     /// persister enqueues this on every shard while holding the ingest
@@ -178,16 +140,8 @@ pub(crate) enum ShardCommand {
     Persist {
         /// Receives the operator state as of the cut.
         reply: SyncSender<ShardState>,
-        /// Gate id of the snapshot's marks.
-        gate: u64,
-        /// Lanes marked at the cut.
-        fanin: usize,
     },
-    /// No-op used to rouse a worker parked on an empty channel so it
-    /// notices freshly registered ingest lanes.
-    Wake,
-    /// Finish queued work (including lane residue), then exit and hand
-    /// back the operator state.
+    /// Finish queued work, then exit and hand back the operator state.
     Shutdown,
 }
 
@@ -264,27 +218,15 @@ pub(crate) struct ShardShared {
     /// Minibatches the worker has fully processed (may run ahead of the
     /// published snapshot's `epoch`; the gap is what triggers `refresh`).
     /// Starts at the recovered epoch after a crash recovery, unlike the
-    /// per-process stats counters. `pub(crate)`: a thread-local producer
-    /// (see `crate::producer`) plays the worker role for its own substream
-    /// and drives the same lazy-publication protocol.
+    /// per-process stats counters.
     pub(crate) live_epoch: AtomicU64,
     /// Set by a reader that observed a stale snapshot; cleared by the
-    /// worker (or thread-local producer) when it republishes on the next
-    /// batch.
+    /// worker when it republishes on the next batch.
     pub(crate) refresh: AtomicBool,
     /// Abstract summary-update work charged by this shard's tracker (the
     /// work-optimality accounting of E8, live on a running engine). The
     /// worker holds a clone of the same counter.
     pub work: WorkMeter,
-    /// Per-producer SPSC ingest lanes feeding this shard, in registration
-    /// order. The registry only grows (a dropped producer closes its lanes
-    /// but leaves them registered), so indices are stable and a cutter's
-    /// mark fan-in can never disagree with what the worker eventually
-    /// finds.
-    lanes: Mutex<Vec<Arc<IngestLane>>>,
-    /// Bumped after every registration; the worker caches the lane list
-    /// and re-reads it only when this moves — one relaxed load per poll.
-    lane_generation: AtomicU64,
 }
 
 impl ShardShared {
@@ -329,62 +271,7 @@ impl ShardShared {
             live_epoch,
             refresh: AtomicBool::new(false),
             work: WorkMeter::new(),
-            lanes: Mutex::new(Vec::new()),
-            lane_generation: AtomicU64::new(0),
         }
-    }
-
-    /// Registers a producer's SPSC ingest lane with this shard. The
-    /// generation bump happens inside the registry lock so a concurrent
-    /// cutter either marks the new lane (and counts it in `fanin`) or
-    /// misses it entirely — never a marked-but-uncounted lane.
-    pub(crate) fn register_lane(&self, lane: Arc<IngestLane>) {
-        // Poison recovery is safe here: the registry is an append-only
-        // `Vec` of `Arc`s, so a panic mid-update cannot leave it in a
-        // torn state — the push either happened or it did not, and the
-        // generation bump below re-establishes the only cross-field
-        // invariant (generation moves after every visible registration).
-        let mut lanes = self
-            .lanes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        lanes.push(lane);
-        self.lane_generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// Stamps a cut mark for `gate` into every registered lane at its
-    /// current push position and returns how many lanes were marked (the
-    /// command's `fanin`). Must be called while holding the ingest fence
-    /// exclusively — that is what makes "current push position" a
-    /// consistent cut across producers.
-    pub(crate) fn mark_lanes(&self, gate: u64) -> usize {
-        // Poison recovery is safe: marking only reads the append-only
-        // registry, and a poisoned lock still guards a structurally
-        // valid `Vec` (see `register_lane`).
-        let lanes = self
-            .lanes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for lane in lanes.iter() {
-            lane.push_mark(gate);
-        }
-        lanes.len()
-    }
-
-    /// Current lane registry generation (relaxed; the worker re-snapshots
-    /// when it moves).
-    pub(crate) fn lane_generation(&self) -> u64 {
-        self.lane_generation.load(Ordering::Acquire)
-    }
-
-    /// Clones the current lane registry (worker refresh path).
-    pub(crate) fn lanes_snapshot(&self) -> Vec<Arc<IngestLane>> {
-        // Poison recovery is safe: cloning the append-only registry only
-        // reads `Arc`s that were fully constructed before being pushed.
-        self.lanes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
     }
 
     /// The latest published snapshot. If the worker has processed batches
@@ -453,11 +340,6 @@ pub(crate) struct ShardWorker {
     last_any_publish_epoch: u64,
     lifted: Vec<(String, Box<dyn MinibatchOperator + Send>)>,
     shared: Arc<ShardShared>,
-    /// Cached view of the shard's ingest lane registry (refreshed when
-    /// `lanes_gen` falls behind [`ShardShared::lane_generation`]).
-    lanes: Vec<Arc<IngestLane>>,
-    /// Registry generation the cache reflects.
-    lanes_gen: u64,
     /// Observability recorders, when enabled (see the `obs` module).
     obs: Option<Arc<EngineObs>>,
     /// Fault-injection plan, when enabled (see `psfa_primitives::fault`).
@@ -526,8 +408,6 @@ impl ShardWorker {
             last_any_publish_epoch: epoch,
             lifted,
             shared,
-            lanes: Vec::new(),
-            lanes_gen: 0,
             obs,
             fault: config.fault.clone(),
             last_publish_ns: 0,
@@ -543,9 +423,9 @@ impl ShardWorker {
     ///   entries (rebuilt one-sided via
     ///   [`InfiniteHeavyHitters::from_entries`]), the sealed window
     ///   history, and the shard's Count-Min sketch (it lives in
-    ///   [`ShardShared`] and was never torn down). Queued channel commands
-    ///   and lane batches also survive: the supervisor keeps the receiver
-    ///   and the lanes are registered in [`ShardShared`].
+    ///   [`ShardShared`] and was never torn down). Queued commands —
+    ///   minibatches and cuts alike — also survive: the supervisor keeps
+    ///   the receiver.
     /// * **Lost**: the effects of minibatches processed *after* the last
     ///   publication (at most `membership_publish_interval` batches plus
     ///   the in-flight one), the open (unsealed) window pane, and any
@@ -605,8 +485,6 @@ impl ShardWorker {
             last_any_publish_epoch: snapshot.epoch,
             lifted: Vec::new(),
             shared,
-            lanes: Vec::new(),
-            lanes_gen: 0,
             obs,
             fault: config.fault.clone(),
             last_publish_ns: 0,
@@ -626,53 +504,32 @@ impl ShardWorker {
                 .push(now, TraceKind::WorkerStart, self.shard as u32, 0, 0);
         }
         loop {
-            // Drain-then-block: once the control channel runs dry, serve
-            // the ingest lanes, publish anything pending so idle shards
-            // always expose an exact snapshot, then wait for the next
-            // command.
+            // Drain-then-block: once the queue runs dry, publish anything
+            // pending so idle shards always expose an exact snapshot, then
+            // wait for the next command.
             let command = match queue.try_recv() {
                 Ok(command) => command,
                 Err(TryRecvError::Empty) => {
-                    self.refresh_lanes();
-                    if self.poll_lanes_once() {
-                        continue;
-                    }
                     self.publish_if_dirty(PublishReason::Idle);
-                    if self.lanes.is_empty() {
-                        // No lanes ever registered: the pre-lane blocking
-                        // wait, exact legacy idle semantics. A producer
-                        // registering its first lane sends `Wake`.
-                        match queue.recv() {
-                            Ok(command) => command,
-                            Err(_) => break,
-                        }
-                    } else {
-                        match queue.recv_timeout(LANE_POLL) {
-                            Ok(command) => command,
-                            Err(RecvTimeoutError::Timeout) => continue,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
+                    match queue.recv() {
+                        Ok(command) => command,
+                        Err(_) => break,
                     }
                 }
                 Err(TryRecvError::Disconnected) => break,
             };
             match command {
                 ShardCommand::Batch(minibatch) => self.ingest(minibatch),
-                ShardCommand::Barrier { ack, gate, fanin } => {
+                ShardCommand::Barrier { ack } => {
                     // FIFO queue ⇒ everything enqueued before the barrier is
-                    // already processed; the gated drain extends the same
-                    // guarantee to the lanes. Publish so a drained caller
-                    // reads current state. A failed send means the drainer
-                    // gave up waiting, which is not the worker's problem.
-                    self.drain_to_gate(gate, fanin);
+                    // already processed. Publish so a drained caller reads
+                    // current state. A failed send means the drainer gave up
+                    // waiting, which is not the worker's problem.
                     self.publish_if_dirty(PublishReason::Drain);
                     let _ = ack.send(());
                 }
-                ShardCommand::Boundary { seq, gate, fanin } => {
-                    self.drain_to_gate(gate, fanin);
-                    self.seal_boundary(seq);
-                }
-                ShardCommand::Persist { reply, gate, fanin } => {
+                ShardCommand::Boundary { seq } => self.seal_boundary(seq),
+                ShardCommand::Persist { reply } => {
                     // Hand back a clone of the operator state as of this
                     // cut; encoding and disk I/O happen on the flusher
                     // thread, off the ingest hot path. The atomic Count-Min
@@ -680,7 +537,6 @@ impl ShardWorker {
                     // and reads its own adds. A failed send means the
                     // persister gave up (e.g. the engine is being torn
                     // down) — not the worker's problem.
-                    self.drain_to_gate(gate, fanin);
                     let _ = reply.send(ShardState {
                         shard: self.shard as u32,
                         epoch: self.epoch,
@@ -690,14 +546,9 @@ impl ShardWorker {
                         count_min: self.shared.count_min.to_parallel(),
                     });
                 }
-                ShardCommand::Wake => {}
                 ShardCommand::Shutdown => break,
             }
         }
-        // Lane residue: the engine closes the ingest fence before sending
-        // `Shutdown`, so every producer push has completed and is visible —
-        // drain it all so accepted batches are never lost.
-        self.drain_lanes_for_shutdown();
         // Outstanding handles keep answering queries after shutdown; leave
         // them the final state.
         self.publish_if_dirty(PublishReason::Drain);
@@ -740,125 +591,6 @@ impl ShardWorker {
         // The seq counter last: a reader that sees the new boundary also
         // finds the sealed window in the published snapshot.
         self.shared.stats.window_seq.store(seq, Ordering::Release);
-    }
-
-    /// Re-reads the lane registry when it grew since the last snapshot.
-    /// Returns whether the cache changed. One relaxed-ish atomic load on
-    /// the no-change path — cheap enough to call once per channel-dry poll.
-    fn refresh_lanes(&mut self) -> bool {
-        let generation = self.shared.lane_generation();
-        if generation == self.lanes_gen {
-            return false;
-        }
-        self.lanes = self.shared.lanes_snapshot();
-        self.lanes_gen = generation;
-        true
-    }
-
-    /// One sweep over the cached lanes, ingesting every immediately
-    /// poppable batch. Returns whether anything was processed.
-    /// [`IngestLane::pop_batch`] structurally refuses to pass a due mark,
-    /// so opportunistic polling can never run ahead of a pending cut.
-    fn poll_lanes_once(&mut self) -> bool {
-        let mut any = false;
-        for i in 0..self.lanes.len() {
-            loop {
-                let batch = self.lanes[i].pop_batch();
-                match batch {
-                    Some(batch) => {
-                        any = true;
-                        self.ingest(batch);
-                    }
-                    None => break,
-                }
-            }
-        }
-        any
-    }
-
-    /// The lane side of a gated command: drains every marked lane exactly
-    /// to its `gate` mark before the caller executes the cut.
-    ///
-    /// The cutter stamped `fanin` marks under the exclusive fence *before*
-    /// sending the command, and all gated sends serialise under that
-    /// fence, so per-lane mark order equals channel command order: when
-    /// this command is at the head of the queue, every earlier gate's mark
-    /// has already been consumed and exactly `fanin` front marks for
-    /// `gate` exist at or before each marked lane's push position. Lanes
-    /// registered after the cut carry no mark for `gate`
-    /// ([`IngestLane::pop_mark_for`] refuses later gates) and are not
-    /// waited on. `fanin == 0` — an engine without lane producers — is a
-    /// no-op, the pre-lane fast path.
-    fn drain_to_gate(&mut self, gate: u64, fanin: usize) {
-        if fanin == 0 {
-            return;
-        }
-        let mut parked = vec![false; self.lanes.len()];
-        let mut seen = 0usize;
-        while seen < fanin {
-            let mut progressed = false;
-            for (i, lane_parked) in parked.iter_mut().enumerate() {
-                if *lane_parked {
-                    continue;
-                }
-                while let Some(batch) = self.lanes[i].pop_batch() {
-                    progressed = true;
-                    self.ingest(batch);
-                }
-                if self.lanes[i].pop_mark_for(gate) {
-                    *lane_parked = true;
-                    seen += 1;
-                    progressed = true;
-                }
-            }
-            if seen >= fanin {
-                break;
-            }
-            if !progressed {
-                // A marked lane may have registered after our last cache
-                // refresh (registration bumps the generation inside the
-                // registry lock, so the cutter's fan-in always matches a
-                // registry state we can observe). Refresh; otherwise yield
-                // — the marks are already in place, we are only waiting on
-                // our own pop visibility.
-                if self.refresh_lanes() {
-                    parked.resize(self.lanes.len(), false);
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Drains every lane to exhaustion at shutdown. The engine closes the
-    /// ingest fence before sending [`ShardCommand::Shutdown`], so no push
-    /// can start after this begins; any mark still pending belongs to a
-    /// cut whose command was never sent (a cutter racing teardown) — with
-    /// no command left to order against it is consumed unconditionally so
-    /// the batches behind it are not stranded.
-    fn drain_lanes_for_shutdown(&mut self) {
-        self.refresh_lanes();
-        loop {
-            let mut progressed = false;
-            for i in 0..self.lanes.len() {
-                loop {
-                    let batch = self.lanes[i].pop_batch();
-                    match batch {
-                        Some(batch) => {
-                            progressed = true;
-                            self.ingest(batch);
-                        }
-                        None => break,
-                    }
-                }
-                if self.lanes[i].pop_mark_if_due().is_some() {
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
     }
 
     /// The per-minibatch hot path: one histogram pass into reused scratch,
@@ -1024,12 +756,7 @@ mod tests {
         let (tx, rx) = sync_channel(8);
         tx.send(ShardCommand::Batch(vec![7; 100])).unwrap();
         tx.send(ShardCommand::Batch(vec![7, 8, 9])).unwrap();
-        tx.send(ShardCommand::Boundary {
-            seq: 1,
-            gate: 0,
-            fanin: 0,
-        })
-        .unwrap();
+        tx.send(ShardCommand::Boundary { seq: 1 }).unwrap();
         tx.send(ShardCommand::Batch(vec![9; 10])).unwrap();
         tx.send(ShardCommand::Shutdown).unwrap();
         let fin = worker.run(&rx);
@@ -1071,12 +798,7 @@ mod tests {
         let (tx, rx) = sync_channel(4);
         let (ack_tx, ack_rx) = sync_channel(1);
         tx.send(ShardCommand::Batch(vec![1; 50])).unwrap();
-        tx.send(ShardCommand::Barrier {
-            ack: ack_tx,
-            gate: 0,
-            fanin: 0,
-        })
-        .unwrap();
+        tx.send(ShardCommand::Barrier { ack: ack_tx }).unwrap();
         let handle = std::thread::spawn(move || worker.run(&rx));
         ack_rx.recv().expect("barrier must be acknowledged");
         assert_eq!(shared.load_snapshot().stream_len, 50);
@@ -1110,12 +832,7 @@ mod tests {
             tx.send(ShardCommand::Batch(vec![7; 100])).unwrap();
         }
         let (ack_tx, ack_rx) = sync_channel(1);
-        tx.send(ShardCommand::Barrier {
-            ack: ack_tx,
-            gate: 0,
-            fanin: 0,
-        })
-        .unwrap();
+        tx.send(ShardCommand::Barrier { ack: ack_tx }).unwrap();
         ack_rx.recv().unwrap();
         let snap = shared.load_snapshot();
         assert_eq!(snap.epoch, 10);
@@ -1161,118 +878,5 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 13);
         assert_eq!(fin.lifted.len(), 1);
         assert_eq!(fin.lifted[0].0, "counter");
-    }
-
-    #[test]
-    fn gated_boundary_orders_lane_batches_exactly() {
-        // Two batches pushed before the cut mark land in the sealed pane;
-        // a batch pushed after it (but delivered to the worker at the same
-        // time) must stay in the open pane.
-        let config = test_config();
-        let shared = Arc::new(ShardShared::new(0, &config, None));
-        let lane = Arc::new(IngestLane::new(8));
-        shared.register_lane(lane.clone());
-        lane.push(vec![7; 100]);
-        lane.push(vec![7, 8, 9]);
-        let fanin = shared.mark_lanes(1);
-        assert_eq!(fanin, 1);
-        lane.push(vec![9; 10]); // post-cut
-        let worker = ShardWorker::new(
-            0,
-            &config,
-            Vec::new(),
-            shared.clone(),
-            test_pool(),
-            None,
-            None,
-        );
-        let (tx, rx) = sync_channel(8);
-        tx.send(ShardCommand::Boundary {
-            seq: 1,
-            gate: 1,
-            fanin,
-        })
-        .unwrap();
-        tx.send(ShardCommand::Shutdown).unwrap();
-        let fin = worker.run(&rx);
-        // All three batches processed (shutdown drained the post-cut one).
-        assert_eq!(fin.items, 113);
-        let snap = shared.load_snapshot();
-        assert_eq!(snap.stream_len, 113);
-        let sealed = snap.window_at(1).expect("boundary 1 sealed");
-        assert_eq!(sealed.items, 103, "pane holds exactly the pre-cut items");
-        assert_eq!(sealed.estimate(7), 101);
-        let window = fin.window.expect("window configured");
-        assert_eq!(window.open_items(), 10, "post-cut batch stays open");
-    }
-
-    #[test]
-    fn gated_barrier_drains_lane_batches_before_acknowledging() {
-        // The barrier rides the channel while the pre-cut batch sits in a
-        // lane the worker has never polled — the gated drain must pull it
-        // in (and publish it) before the ack, or drain() would lie.
-        let config = test_config();
-        let shared = Arc::new(ShardShared::new(0, &config, None));
-        let lane = Arc::new(IngestLane::new(4));
-        shared.register_lane(lane.clone());
-        lane.push(vec![3; 40]);
-        let fanin = shared.mark_lanes(2);
-        let worker = ShardWorker::new(
-            0,
-            &config,
-            Vec::new(),
-            shared.clone(),
-            test_pool(),
-            None,
-            None,
-        );
-        let (tx, rx) = sync_channel(4);
-        let (ack_tx, ack_rx) = sync_channel(1);
-        tx.send(ShardCommand::Barrier {
-            ack: ack_tx,
-            gate: 2,
-            fanin,
-        })
-        .unwrap();
-        let handle = std::thread::spawn(move || worker.run(&rx));
-        ack_rx.recv().expect("barrier must be acknowledged");
-        assert_eq!(shared.load_snapshot().stream_len, 40);
-        drop(tx);
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn worker_picks_up_lanes_registered_mid_run() {
-        // A worker already parked on its channel must notice a lane
-        // registered afterwards (via Wake) and ingest from it.
-        let config = test_config();
-        let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = ShardWorker::new(
-            0,
-            &config,
-            Vec::new(),
-            shared.clone(),
-            test_pool(),
-            None,
-            None,
-        );
-        let (tx, rx) = sync_channel(4);
-        let handle = std::thread::spawn(move || worker.run(&rx));
-        // Give the worker a moment to park in the blocking recv.
-        std::thread::sleep(Duration::from_millis(5));
-        let lane = Arc::new(IngestLane::new(4));
-        shared.register_lane(lane.clone());
-        let _ = tx.try_send(ShardCommand::Wake);
-        lane.push(vec![5; 25]);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while shared.load_snapshot().stream_len < 25 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "worker never ingested from the late-registered lane"
-            );
-            std::thread::yield_now();
-        }
-        drop(tx);
-        handle.join().unwrap();
     }
 }

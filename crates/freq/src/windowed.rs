@@ -77,8 +77,6 @@
 //! assert!(GlobalWindow::merge([&a2, &b3]).is_none());
 //! ```
 
-use std::collections::HashMap;
-
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use psfa_primitives::{build_hist, HistogramEntry};
 use psfa_window::{Pane, PaneRing};
@@ -103,9 +101,9 @@ type PaneEntries = Vec<(u64, u64)>;
 /// run, adding the values of keys present in both (a linear sorted merge).
 ///
 /// This is the mergeable-summaries primitive in its cheapest form: pane
-/// sealing uses it to combine per-pane summaries, and the engine's
-/// cross-shard `heavy_hitters` uses it to sum per-shard snapshot entries by
-/// key without hashing.
+/// sealing uses it to combine per-pane summaries, [`GlobalWindow::merge`]
+/// to combine per-shard windows, and the engine's cross-shard
+/// `heavy_hitters` to sum per-shard snapshot entries by key without hashing.
 pub fn merge_sum(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
@@ -438,12 +436,18 @@ pub struct SealedWindow {
     pub entries: Vec<(u64, u64)>,
 }
 
+/// The estimate `entries` (ascending by item) holds for `item`; `0` when
+/// it is not tracked.
+fn lookup(entries: &[(u64, u64)], item: u64) -> u64 {
+    entries
+        .binary_search_by_key(&item, |&(i, _)| i)
+        .map_or(0, |at| entries[at].1)
+}
+
 impl SealedWindow {
     /// This shard's window estimate for `item` (`0` when untracked).
     pub fn estimate(&self, item: u64) -> u64 {
-        self.entries
-            .binary_search_by_key(&item, |&(i, _)| i)
-            .map_or(0, |at| self.entries[at].1)
+        lookup(&self.entries, item)
     }
 }
 
@@ -454,7 +458,9 @@ impl SealedWindow {
 pub struct GlobalWindow {
     seq: u64,
     items: u64,
-    entries: HashMap<u64, u64>,
+    /// `(item, estimate)` pairs, ascending by item, like the per-shard
+    /// windows they were summed from.
+    entries: Vec<(u64, u64)>,
 }
 
 impl GlobalWindow {
@@ -462,22 +468,24 @@ impl GlobalWindow {
     /// Returns `None` if the iterator is empty or the windows are not
     /// aligned to one boundary (their `seq`s differ) — merging misaligned
     /// windows would double- or under-count sliding panes.
+    ///
+    /// A sorted merge per shard ([`merge_sum`]): linear in the entries, no
+    /// hashing and no table to size, so what a merge costs follows the
+    /// number of entries and nothing else.
     pub fn merge<'a>(shards: impl IntoIterator<Item = &'a SealedWindow>) -> Option<Self> {
         let mut shards = shards.into_iter();
         let first = shards.next()?;
         let mut merged = Self {
             seq: first.seq,
             items: first.items,
-            entries: first.entries.iter().copied().collect(),
+            entries: first.entries.clone(),
         };
         for shard in shards {
             if shard.seq != merged.seq {
                 return None;
             }
             merged.items += shard.items;
-            for &(item, est) in &shard.entries {
-                *merged.entries.entry(item).or_insert(0) += est;
-            }
+            merged.entries = merge_sum(&merged.entries, &shard.entries);
         }
         Some(merged)
     }
@@ -495,7 +503,7 @@ impl GlobalWindow {
     /// One-sided window-frequency estimate for `item`:
     /// `f − ε·n_W ≤ f̂ ≤ f` over the aligned window.
     pub fn estimate(&self, item: u64) -> u64 {
-        self.entries.get(&item).copied().unwrap_or(0)
+        lookup(&self.entries, item)
     }
 
     /// The φ-heavy hitters of the aligned window, most frequent first:
@@ -506,8 +514,8 @@ impl GlobalWindow {
         let mut out: Vec<HeavyHitter> = self
             .entries
             .iter()
-            .filter(|&(_, &est)| est as f64 >= threshold)
-            .map(|(&item, &estimate)| HeavyHitter { item, estimate })
+            .filter(|&&(_, est)| est as f64 >= threshold)
+            .map(|&(item, estimate)| HeavyHitter { item, estimate })
             .collect();
         out.sort_unstable_by(|a, b| b.estimate.cmp(&a.estimate).then(a.item.cmp(&b.item)));
         out
@@ -517,7 +525,7 @@ impl GlobalWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, VecDeque};
 
     /// Deterministic pseudo-random stream with a skewed head.
     fn stream(seed: u64, len: usize) -> Vec<u64> {

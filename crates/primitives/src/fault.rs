@@ -2,9 +2,9 @@
 //!
 //! Production fault tolerance is untestable without a way to *cause*
 //! faults on demand. A [`FaultPlan`] is a declarative schedule of typed
-//! fault points — worker panics, store write errors, lane-push stalls,
-//! connection drops — that the engine, persister, producers, and serving
-//! layer consult at their respective fault sites. The plan is threaded as
+//! fault points — worker panics, store write errors, connection drops —
+//! that the engine, persister, and serving layer consult at their
+//! respective fault sites. The plan is threaded as
 //! an `Option<Arc<FaultPlan>>` exactly like the observability config
 //! introduced earlier: when unset the fault sites compile down to a single
 //! `Option` branch on the hot path and nothing else, so production
@@ -40,16 +40,6 @@ struct StoreWriteError {
     fired: AtomicBool,
 }
 
-/// A producer-side stall before the lane push of one shard's `batch`-th
-/// routed sub-batch.
-#[derive(Debug)]
-struct LaneStall {
-    shard: usize,
-    batch: u64,
-    stall: Duration,
-    fired: AtomicBool,
-}
-
 /// A deterministic schedule of typed fault points (see the module docs).
 ///
 /// Build one with the `with_*` methods (or [`FaultPlan::from_seed`]) and
@@ -60,7 +50,6 @@ struct LaneStall {
 pub struct FaultPlan {
     worker_panics: Vec<WorkerPanic>,
     store_write_errors: Vec<StoreWriteError>,
-    lane_stalls: Vec<LaneStall>,
     /// Server-side: drop each connection after this many served frames.
     drop_after_frames: Option<u64>,
     /// Supervisor-side: hold a quarantined shard this long before the
@@ -76,7 +65,6 @@ impl fmt::Debug for FaultPlan {
         f.debug_struct("FaultPlan")
             .field("worker_panics", &self.worker_panics.len())
             .field("store_write_errors", &self.store_write_errors.len())
-            .field("lane_stalls", &self.lane_stalls.len())
             .field("drop_after_frames", &self.drop_after_frames)
             .field("restart_delay", &self.restart_delay)
             .finish_non_exhaustive()
@@ -105,19 +93,6 @@ impl FaultPlan {
     pub fn with_store_write_error(mut self, ordinal: u64) -> Self {
         self.store_write_errors.push(StoreWriteError {
             ordinal,
-            fired: AtomicBool::new(false),
-        });
-        self
-    }
-
-    /// Schedules a producer-side stall of `stall` before the lane push of
-    /// `shard`'s `batch`-th routed sub-batch (1-based), simulating a slow
-    /// or wedged producer.
-    pub fn with_lane_stall(mut self, shard: usize, batch: u64, stall: Duration) -> Self {
-        self.lane_stalls.push(LaneStall {
-            shard,
-            batch,
-            stall,
             fired: AtomicBool::new(false),
         });
         self
@@ -199,22 +174,6 @@ impl FaultPlan {
             })
     }
 
-    /// Consumes (at most once) a lane stall scheduled for `shard`'s
-    /// `batch`-th routed sub-batch; the producer sleeps for the returned
-    /// duration before pushing.
-    pub fn lane_stall(&self, shard: usize, batch: u64) -> Option<Duration> {
-        self.lane_stalls
-            .iter()
-            .find(|s| {
-                s.shard == shard
-                    && s.batch == batch
-                    && s.fired
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-            })
-            .map(|s| s.stall)
-    }
-
     /// Server-side connection-drop threshold, if scheduled.
     pub fn connection_drop_after(&self) -> Option<u64> {
         self.drop_after_frames
@@ -247,14 +206,6 @@ mod tests {
         assert!(plan.store_write_error().is_none()); // append #0
         assert!(plan.store_write_error().is_some()); // append #1
         assert!(plan.store_write_error().is_none()); // append #2
-    }
-
-    #[test]
-    fn lane_stall_is_shard_and_batch_scoped() {
-        let plan = FaultPlan::new().with_lane_stall(0, 3, Duration::from_millis(7));
-        assert!(plan.lane_stall(1, 3).is_none());
-        assert_eq!(plan.lane_stall(0, 3), Some(Duration::from_millis(7)));
-        assert!(plan.lane_stall(0, 3).is_none());
     }
 
     #[test]

@@ -19,13 +19,12 @@
 //! edge (a thread join, a channel hand-off). That is how every sketch in
 //! this workspace is used: a shard's sketch is written by that shard's
 //! worker only — a restarted worker is spawned by the supervisor after the
-//! panicked one has unwound — and a thread-local substream's sketch by its
-//! producer only. Two overlapping writers would race on the load/store
-//! pair and could drop an increment, which would break the one-sided
-//! guarantee below; it is a contract violation, not a data race in the
-//! language sense (every access is atomic), and debug builds detect it:
-//! `ingest_histogram` flips a writer flag on entry and exit and panics if
-//! it finds the flag already set.
+//! panicked one has unwound. Two overlapping writers would race on the
+//! load/store pair and could drop an increment, which would break the
+//! one-sided guarantee below; it is a contract violation, not a data race
+//! in the language sense (every access is atomic), and debug builds detect
+//! it: `ingest_histogram` flips a writer flag on entry and exit and panics
+//! if it finds the flag already set.
 //!
 //! ## Why relaxed load + store preserves the Count-Min guarantee
 //!

@@ -1,65 +1,27 @@
-//! Per-producer → per-shard SPSC ingest lanes.
+//! A bounded single-producer/single-consumer ring of sub-batch buffers.
 //!
-//! The engine's original front end funnels every producer through one
-//! bounded MPSC channel per shard; with many producers the channel's
-//! internal lock and the shared head/tail cache lines serialise exactly
-//! the traffic that sharding was supposed to spread out. An
-//! [`IngestLane`] removes that contention point: each producer owns one
-//! lane **per shard** (mirroring [`crate::BufferPool`]'s per-shard return
-//! lanes, in the opposite direction), so the steady-state transfer is
-//! single-producer/single-consumer — a ring of recycled sub-batch buffers
-//! whose endpoints each touch their own cursor and never compete.
-//!
-//! ## Cut marks
-//!
-//! Lanes would break the engine's consistent-cut machinery if they were
-//! plain queues: a snapshot or window-boundary cut must order *exactly*
-//! the batches accepted before it on every shard, but a worker draining
-//! lanes opportunistically could race past the cut position before the
-//! control-channel command reaches it. Lanes therefore carry an ordered
-//! side-queue of **cut marks**. The cutter — which holds the exclusive
-//! side of the [`crate::IngestFence`], so no producer is mid-push — stamps
-//! every lane with a mark at its current push position
-//! ([`IngestLane::push_mark`]). The consumer sees each mark *in position*:
-//! [`IngestLane::pop_batch`] refuses to hand out a batch past an
-//! unconsumed mark, and [`IngestLane::pop_mark_if_due`] yields the mark
-//! exactly when every earlier batch has been popped. A worker that drains
-//! each lane to its mark for gate `g` before executing `g`'s command has
-//! processed *exactly* the pre-cut stream — the same guarantee the shared
-//! channel gave for free by total order, recovered with one atomic load
-//! per pop on the fast path.
+//! The engine no longer ingests through this type: every minibatch rides
+//! the bounded per-shard channel, whose FIFO order is also what makes a cut
+//! (window boundary, drain barrier, persistence snapshot) a plain command
+//! in the queue. The ring's **one remaining caller is the benchmark's layer
+//! replay** (`benchmark/src/layers.rs`, the
+//! `stream.lane.push_pop_ns_per_batch` row), which pushes and pops
+//! single-threaded; the ring goes when that row is retired.
 //!
 //! ## Ordering contract
 //!
-//! * **Producer side** (`push`/`try_push`/`close`): one thread at a time,
-//!   while holding an [`crate::IngestGuard`]. The slot write happens
-//!   before the `Release` bump of the push cursor, so a consumer (or an
-//!   exclusive cutter) that observes the cursor observes the batch.
-//! * **Cutter side** (`push_mark`): any thread, but only under the
-//!   exclusive side of the fence the producers enter — the `RwLock`
-//!   handoff orders it against every completed push.
-//! * **Consumer side** (`pop_batch`/`pop_mark_if_due`): one thread (the
-//!   shard worker). The slot take happens before the `Release` bump of
-//!   the pop cursor, which is what lets a blocked producer reuse the slot.
+//! * **Producer side** (`push`/`try_push`): one thread at a time. The slot
+//!   write happens before the `Release` bump of the push cursor, so a
+//!   consumer that observes the cursor observes the batch.
+//! * **Consumer side** (`pop_batch`): one thread. The slot take happens
+//!   before the `Release` bump of the pop cursor, which is what lets the
+//!   producer reuse the slot.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// A cut mark stamped into a lane at an exact stream position (see the
-/// module docs): all batches pushed before `at` are ordered before the
-/// cut identified by `gate`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneMark {
-    /// Push-cursor position of the cut: the number of batches this lane
-    /// had accepted when the mark was stamped.
-    pub at: u64,
-    /// Engine-wide gate id tying this mark to its control command.
-    pub gate: u64,
-}
-
 /// A bounded single-producer/single-consumer ring of minibatch
-/// sub-batches with in-position cut marks (see the module docs).
+/// sub-batches (see the module docs).
 #[derive(Debug)]
 pub struct IngestLane {
     slots: Box<[Mutex<Option<Vec<u64>>>]>,
@@ -69,11 +31,6 @@ pub struct IngestLane {
     /// Batches fully taken: bumped with `Release` *after* the slot take,
     /// only by the consumer.
     popped: AtomicU64,
-    /// Position of the oldest unconsumed mark (`u64::MAX` when none):
-    /// lets the consumer skip the mark mutex on the fast path.
-    next_mark_at: AtomicU64,
-    marks: Mutex<VecDeque<LaneMark>>,
-    closed: AtomicBool,
 }
 
 impl IngestLane {
@@ -87,9 +44,6 @@ impl IngestLane {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             pushed: AtomicU64::new(0),
             popped: AtomicU64::new(0),
-            next_mark_at: AtomicU64::new(u64::MAX),
-            marks: Mutex::new(VecDeque::new()),
-            closed: AtomicBool::new(false),
         }
     }
 
@@ -115,13 +69,13 @@ impl IngestLane {
             .saturating_sub(self.popped.load(Ordering::Acquire))
     }
 
-    /// True when no batch is in flight (marks may still be pending).
+    /// True when no batch is in flight.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Producer side: enqueues one sub-batch, or returns it when the ring
-    /// is full (clean backpressure for `try_ingest`). Never blocks.
+    /// is full. Never blocks.
     pub fn try_push(&self, batch: Vec<u64>) -> Result<(), Vec<u64>> {
         let pushed = self.pushed.load(Ordering::Relaxed);
         if pushed - self.popped.load(Ordering::Acquire) >= self.slots.len() as u64 {
@@ -133,91 +87,21 @@ impl IngestLane {
         Ok(())
     }
 
-    /// Producer side: enqueues one sub-batch, spinning (with yields) while
-    /// the ring is full. The consumer drains without taking the ingest
-    /// fence, so this wait is bounded by worker progress even while the
-    /// producer holds its guard — the same liveness argument as the
-    /// blocking channel send it replaces.
+    /// Producer side: enqueues one sub-batch into a ring known to have
+    /// room (the replay pops every batch right after pushing it). There is
+    /// no blocking push; a producer that can outrun its consumer uses
+    /// [`IngestLane::try_push`] and decides how to wait.
+    ///
+    /// # Panics
+    /// Panics if the ring is full.
     pub fn push(&self, batch: Vec<u64>) {
-        let mut batch = batch;
-        loop {
-            match self.try_push(batch) {
-                Ok(()) => return,
-                Err(back) => {
-                    batch = back;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Cutter side: stamps a mark for `gate` at the current push position.
-    /// Must be called under the **exclusive** side of the fence the lane's
-    /// producer enters, so the position is stable and covers exactly the
-    /// fully pushed batches.
-    pub fn push_mark(&self, gate: u64) {
-        let at = self.pushed.load(Ordering::Acquire);
-        let mut marks = self.marks.lock().expect("lane marks poisoned");
-        marks.push_back(LaneMark { at, gate });
-        if marks.len() == 1 {
-            self.next_mark_at.store(at, Ordering::Release);
-        }
-    }
-
-    /// Consumer side: takes the front mark if every batch before it has
-    /// been popped. Marks for back-to-back cuts at the same position are
-    /// yielded one call at a time, in cut order.
-    pub fn pop_mark_if_due(&self) -> Option<LaneMark> {
-        let popped = self.popped.load(Ordering::Relaxed);
-        if self.next_mark_at.load(Ordering::Acquire) > popped {
-            return None;
-        }
-        let mut marks = self.marks.lock().expect("lane marks poisoned");
-        // Re-check under the lock: the fast-path load raced a pop_mark.
-        if marks.front().is_some_and(|m| m.at <= popped) {
-            let mark = marks.pop_front().expect("front mark vanished");
-            self.next_mark_at
-                .store(marks.front().map_or(u64::MAX, |m| m.at), Ordering::Release);
-            Some(mark)
-        } else {
-            None
-        }
-    }
-
-    /// Consumer side: takes the front mark if it is due **and** belongs to
-    /// `gate`. A gated drain uses this instead of
-    /// [`IngestLane::pop_mark_if_due`] so it can never consume a *later*
-    /// gate's mark early — a lane registered after gate `g`'s cut carries no
-    /// `g` mark, and draining it for `g` must leave its `g+1` mark (and the
-    /// batches it fences) untouched.
-    pub fn pop_mark_for(&self, gate: u64) -> bool {
-        let popped = self.popped.load(Ordering::Relaxed);
-        if self.next_mark_at.load(Ordering::Acquire) > popped {
-            return false;
-        }
-        let mut marks = self.marks.lock().expect("lane marks poisoned");
-        if marks
-            .front()
-            .is_some_and(|m| m.at <= popped && m.gate == gate)
-        {
-            marks.pop_front();
-            self.next_mark_at
-                .store(marks.front().map_or(u64::MAX, |m| m.at), Ordering::Release);
-            true
-        } else {
-            false
-        }
+        assert!(self.try_push(batch).is_ok(), "push into a full lane");
     }
 
     /// Consumer side: takes the next batch, or `None` when the ring is
-    /// empty **or a due mark is in front** — a batch past an unconsumed
-    /// mark is never handed out, which is what keeps cuts exact (consume
-    /// the mark via [`IngestLane::pop_mark_if_due`] first).
+    /// empty.
     pub fn pop_batch(&self) -> Option<Vec<u64>> {
         let popped = self.popped.load(Ordering::Relaxed);
-        if self.next_mark_at.load(Ordering::Acquire) <= popped {
-            return None;
-        }
         if popped >= self.pushed.load(Ordering::Acquire) {
             return None;
         }
@@ -229,17 +113,6 @@ impl IngestLane {
             .expect("published lane slot was empty");
         self.popped.store(popped + 1, Ordering::Release);
         Some(batch)
-    }
-
-    /// Producer side: marks the lane closed (the producer is gone). The
-    /// consumer drains whatever is in flight and may then drop the lane.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    /// True once the producer closed the lane.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
     }
 }
 
@@ -264,78 +137,40 @@ mod tests {
     }
 
     #[test]
-    fn marks_gate_batches_at_exact_positions() {
-        let lane = IngestLane::new(8);
-        lane.push(vec![1]);
-        lane.push(vec![2]);
-        lane.push_mark(7); // cut after 2 batches
-        lane.push(vec![3]);
-        lane.push_mark(8); // cut after 3 batches
-        lane.push_mark(9); // back-to-back cut at the same position
-
-        // The mark is not due until both pre-cut batches are popped, and
-        // batches never jump a due mark.
-        assert_eq!(lane.pop_mark_if_due(), None);
-        assert_eq!(lane.pop_batch(), Some(vec![1]));
-        assert_eq!(lane.pop_mark_if_due(), None);
-        assert_eq!(lane.pop_batch(), Some(vec![2]));
-        assert_eq!(lane.pop_batch(), None, "batch past a due mark");
-        assert_eq!(lane.pop_mark_if_due(), Some(LaneMark { at: 2, gate: 7 }));
-        assert_eq!(lane.pop_batch(), Some(vec![3]));
-        assert_eq!(lane.pop_mark_if_due(), Some(LaneMark { at: 3, gate: 8 }));
-        assert_eq!(lane.pop_mark_if_due(), Some(LaneMark { at: 3, gate: 9 }));
-        assert_eq!(lane.pop_mark_if_due(), None);
-    }
-
-    #[test]
-    fn pop_mark_for_refuses_a_later_gate() {
-        // A lane that carries only gate 5's mark (registered after gate
-        // 4's cut) must not yield it to a drain looking for gate 4.
-        let lane = IngestLane::new(4);
-        lane.push(vec![1]);
-        lane.push_mark(5);
-        assert_eq!(lane.pop_batch(), Some(vec![1]));
-        assert!(!lane.pop_mark_for(4), "gate 5's mark must survive");
-        assert_eq!(lane.pop_batch(), None, "and keep fencing batches");
-        assert!(lane.pop_mark_for(5));
-        assert!(!lane.pop_mark_for(5));
-    }
-
-    #[test]
     fn spsc_transfer_preserves_every_batch_in_order() {
+        const BATCHES: u64 = 10_000;
         let lane = Arc::new(IngestLane::new(4));
         let producer = {
             let lane = lane.clone();
             std::thread::spawn(move || {
-                for i in 0..10_000u64 {
-                    lane.push(vec![i]);
+                for i in 0..BATCHES {
+                    let mut batch = vec![i];
+                    while let Err(back) = lane.try_push(batch) {
+                        batch = back;
+                        std::thread::yield_now();
+                    }
                 }
-                lane.close();
             })
         };
         let mut expect = 0u64;
-        loop {
-            if let Some(batch) = lane.pop_batch() {
-                assert_eq!(batch, vec![expect]);
-                expect += 1;
-            } else if lane.is_closed() && lane.is_empty() {
-                break;
-            } else {
-                std::thread::yield_now();
+        while expect < BATCHES {
+            match lane.pop_batch() {
+                Some(batch) => {
+                    assert_eq!(batch, vec![expect]);
+                    expect += 1;
+                }
+                None => std::thread::yield_now(),
             }
         }
-        assert_eq!(expect, 10_000);
         producer.join().unwrap();
+        assert!(lane.is_empty());
     }
 
     #[test]
-    fn close_is_visible_after_drain() {
+    #[should_panic(expected = "full lane")]
+    fn push_into_a_full_ring_panics() {
         let lane = IngestLane::new(1);
-        lane.push(vec![9]);
-        lane.close();
-        assert!(lane.is_closed());
-        assert!(!lane.is_empty());
-        assert_eq!(lane.pop_batch(), Some(vec![9]));
-        assert!(lane.is_empty());
+        lane.push(vec![1]);
+        lane.push(vec![2]);
     }
 }

@@ -28,9 +28,8 @@
 //!   stream, the ordering primitive under snapshot persistence, plus the
 //!   [`WindowFence`] logical item clock that turns cuts into window-aligned
 //!   barriers for cross-shard sliding windows.
-//! * [`lane`] — per-producer → per-shard SPSC ingest lanes with
-//!   in-position cut marks, the contention-free multi-producer front end
-//!   over the fence's ordering guarantees.
+//! * [`lane`] — a bounded SPSC ring of sub-batch buffers; no longer on the
+//!   engine's ingest path, kept for the benchmark's layer replay.
 //! * [`metrics`] — throughput/latency accounting.
 
 #![warn(missing_docs)]
@@ -51,7 +50,7 @@ pub use generators::{
     AdversarialChurnGenerator, BinaryStreamGenerator, BurstyGenerator, PacketTraceGenerator,
     StreamGenerator, UniformGenerator, ZipfGenerator,
 };
-pub use lane::{IngestLane, LaneMark};
+pub use lane::IngestLane;
 pub use metrics::ThroughputMeter;
 pub use pipeline::{MinibatchOperator, Pipeline, PipelineReport};
 pub use pool::{BufferPool, PoolCounters};

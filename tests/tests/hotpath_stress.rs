@@ -1,7 +1,7 @@
 //! Concurrent stress test of the lock-free ingest hot path: query threads
 //! hammer `estimate` / `cm_estimate` / `heavy_hitters` / the sliding
-//! window *while* four producers ingest through their own per-shard SPSC
-//! lanes (`EngineHandle::producer`), guarding the lock-free snapshot
+//! window *while* four producers ingest through their own
+//! `EngineHandle::producer` endpoints, guarding the lock-free snapshot
 //! publication and relaxed-atomic Count-Min against torn reads:
 //!
 //! * per-shard snapshot **epochs are monotone** across reads, and every
@@ -130,10 +130,10 @@ fn concurrent_queries_during_ingest_never_tear() {
         }));
     }
 
-    // --- four lane producers + one mid-stress snapshot ------------------
-    // Each producer owns a set of per-shard SPSC lanes (`handle.producer()`),
-    // so this also stresses the gated-cut protocol: the snapshot below must
-    // drain every lane exactly to its mark before cutting.
+    // --- four producers + one mid-stress snapshot -----------------------
+    // All four feed the same per-shard FIFOs, so this also stresses the
+    // FIFO cut: the snapshot below is one `Persist` command per shard, and
+    // must find exactly the first half in front of it.
     let mid = batches.len() / 2;
     let (first_half, second_half) = batches.split_at(mid);
     let ingest_all = |chunk: &[Vec<u64>]| {
@@ -141,13 +141,11 @@ fn concurrent_queries_during_ingest_never_tear() {
             for k in 0..4usize {
                 let mut producer = handle.producer();
                 scope.spawn(move || {
-                    assert_eq!(producer.mode(), "lanes");
                     for batch in chunk.iter().skip(k).step_by(4) {
                         producer.ingest(batch).expect("engine closed");
                     }
-                    // Dropping the producer closes its lanes; the pushes are
-                    // already visible, so the cut below covers all of them
-                    // without an explicit flush.
+                    // No flush: accepted batches are already on the shard
+                    // queues, so the cut below covers all of them.
                 });
             }
         });
@@ -156,8 +154,8 @@ fn concurrent_queries_during_ingest_never_tear() {
     // Cut an epoch while the queriers are still hammering.
     let epoch = handle.snapshot_now().expect("mid-stress snapshot");
     let persisted_items = {
-        // The cut is consistent: it covers exactly the first half (both
-        // producers joined before the cut).
+        // The cut is consistent: it covers exactly the first half (every
+        // producer joined before the cut).
         let view = handle.view_at(epoch).expect("persisted epoch view");
         view.total_items()
     };

@@ -1,9 +1,8 @@
 //! Property tests for the multi-producer ingest building blocks: the
-//! batched window-fence tickets ([`WindowFence::claim`]) and the SPSC
-//! ingest lanes ([`IngestLane`]).
+//! batched window-fence tickets ([`WindowFence::claim`]) and the bounded
+//! SPSC ring ([`IngestLane`]) the benchmark's layer replay still times.
 //!
-//! The tentpole claims two ordering theorems and this file checks both on
-//! arbitrary inputs:
+//! Two ordering properties, checked on arbitrary inputs:
 //!
 //! 1. **Tickets tile the stream.** Any interleaving of per-producer
 //!    position claims partitions `0..n` exactly — no gap, no overlap —
@@ -11,18 +10,16 @@
 //!    consecutive sequence numbers, at multiples of the slide. The `due`
 //!    hint is sound: when a claim reports `due = false`, skipping the
 //!    poll strands nothing.
-//! 2. **Lanes are FIFO with in-position marks.** A lane never reorders
-//!    or loses batches, refuses to hand out a batch past a due mark, and
-//!    yields marks exactly when every pre-mark batch has been consumed —
-//!    matching a simple queue-plus-positions reference model on any
-//!    operation sequence.
+//! 2. **The ring is a bounded FIFO.** It never reorders or loses
+//!    batches and refuses a push exactly at capacity — matching a plain
+//!    queue reference model on any operation sequence.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use psfa::stream::{BatchClaim, IngestFence, IngestLane, LaneMark, WindowFence};
+use psfa::stream::{BatchClaim, IngestFence, IngestLane, WindowFence};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -130,90 +127,42 @@ proptest! {
         prop_assert_eq!(window.ticket(), accepted);
     }
 
-    /// An [`IngestLane`] matches a queue-plus-mark-positions reference
-    /// model on any sequence of push / mark / pop operations: FIFO order,
-    /// exact backpressure at capacity, marks due exactly when every
-    /// earlier batch is consumed, and no batch ever served past a due
-    /// mark.
+    /// An [`IngestLane`] matches a plain queue reference model on any
+    /// sequence of push / pop operations: FIFO order, exact backpressure
+    /// at capacity, nothing lost.
     #[test]
     fn lane_matches_reference_model(
         capacity in 1usize..8,
-        ops in prop::collection::vec(0u8..4, 1..300),
+        ops in prop::collection::vec(0u8..2, 1..300),
     ) {
         let lane = IngestLane::new(capacity);
-        let mut batches: VecDeque<u64> = VecDeque::new();
-        let mut marks: VecDeque<(u64, u64)> = VecDeque::new();
+        let mut model: VecDeque<u64> = VecDeque::new();
         let mut next_batch = 0u64;
-        let mut next_gate = 1u64;
-        let mut pushed = 0u64;
-        let mut popped = 0u64;
         for &op in &ops {
-            match op {
-                0 => {
-                    let result = lane.try_push(vec![next_batch]);
-                    if pushed - popped < capacity as u64 {
-                        prop_assert!(result.is_ok(), "push refused below capacity");
-                        batches.push_back(next_batch);
-                        pushed += 1;
-                        next_batch += 1;
-                    } else {
-                        prop_assert_eq!(
-                            result.expect_err("push accepted at capacity"),
-                            vec![next_batch],
-                        );
-                    }
+            if op == 0 {
+                let result = lane.try_push(vec![next_batch]);
+                if model.len() < capacity {
+                    prop_assert!(result.is_ok(), "push refused below capacity");
+                    model.push_back(next_batch);
+                    next_batch += 1;
+                } else {
+                    prop_assert_eq!(
+                        result.expect_err("push accepted at capacity"),
+                        vec![next_batch],
+                    );
                 }
-                1 => {
-                    lane.push_mark(next_gate);
-                    marks.push_back((pushed, next_gate));
-                    next_gate += 1;
-                }
-                2 => {
-                    let fenced = marks.front().is_some_and(|&(at, _)| at <= popped);
-                    let got = lane.pop_batch();
-                    if fenced || batches.is_empty() {
-                        prop_assert_eq!(got, None, "batch served past a due mark");
-                    } else {
-                        let want = batches.pop_front().expect("model under-ran");
-                        prop_assert_eq!(got, Some(vec![want]));
-                        popped += 1;
-                    }
-                }
-                _ => {
-                    let due = marks.front().is_some_and(|&(at, _)| at <= popped);
-                    let got = lane.pop_mark_if_due();
-                    if due {
-                        let (at, gate) = marks.pop_front().expect("model under-ran");
-                        prop_assert_eq!(got, Some(LaneMark { at, gate }));
-                    } else {
-                        prop_assert_eq!(got, None, "mark yielded early");
-                    }
-                }
+            } else {
+                prop_assert_eq!(lane.pop_batch(), model.pop_front().map(|b| vec![b]));
             }
-            prop_assert_eq!(lane.pushed(), pushed);
-            prop_assert_eq!(lane.popped(), popped);
-            prop_assert_eq!(lane.len(), pushed - popped);
+            prop_assert_eq!(lane.len(), model.len() as u64);
+            prop_assert_eq!(lane.pushed(), next_batch);
+            prop_assert_eq!(lane.popped(), next_batch - model.len() as u64);
         }
-
-        // Drain what is left: everything comes out, in order, with each
-        // mark in its exact position.
-        loop {
-            let mut progressed = false;
-            if let Some(mark) = lane.pop_mark_if_due() {
-                let (at, gate) = marks.pop_front().expect("unexpected mark");
-                prop_assert_eq!(mark, LaneMark { at, gate });
-                progressed = true;
-            }
-            if let Some(batch) = lane.pop_batch() {
-                let want = batches.pop_front().expect("unexpected batch");
-                prop_assert_eq!(batch, vec![want]);
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
+        // Drain what is left: everything comes out, in order.
+        while let Some(want) = model.pop_front() {
+            prop_assert_eq!(lane.pop_batch(), Some(vec![want]));
         }
-        prop_assert!(batches.is_empty(), "lane lost batches");
-        prop_assert!(marks.is_empty(), "lane lost marks");
+        prop_assert_eq!(lane.pop_batch(), None);
+        prop_assert!(lane.is_empty());
     }
 }

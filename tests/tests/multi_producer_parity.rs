@@ -1,22 +1,22 @@
 //! Multi-producer ingest parity: whatever combination of producer count
-//! (1/2/4/8), routing policy (hash / skew-aware) and ingest mode (SPSC
-//! lanes / thread-local substreams) feeds the engine, the answers must be
-//! indistinguishable from a single-threaded run over the same stream:
+//! (1/2/4/8) and routing policy (hash / skew-aware) feeds the engine
+//! through per-thread [`Producer`]s, the answers must be indistinguishable
+//! from a single-threaded run over the same stream:
 //!
 //! * **exact conservation** — every accepted item is counted exactly once
 //!   (`total_items` equals the stream length, no loss, no double count);
 //! * **one-sided `ε·m` accuracy** — estimates never exceed the true
 //!   frequency and undershoot by at most `⌈ε·m⌉`, the Misra–Gries bound of
-//!   Lemma 5.3 (the per-shard / per-substream errors are `ε·mᵢ` and the
-//!   `mᵢ` sum to `m`, so the merged bound survives any partitioning);
+//!   Lemma 5.3 (the per-shard errors are `ε·mᵢ` and the `mᵢ` sum to `m`,
+//!   so the merged bound survives any partitioning);
 //! * **heavy-hitter coverage** — every item with true frequency
 //!   `≥ φ·m` is reported, and nothing below `(φ−ε)·m` sneaks in;
 //! * **overestimate-only Count-Min band** — `cm_estimate` never dips
 //!   below the true frequency.
 //!
-//! This is the acceptance test for the multi-producer front end: if lane
-//! routing dropped a batch, a ticket double-counted, or a thread-local
-//! substream were missed at merge time, conservation or the ε-band breaks.
+//! This is the acceptance test for the multi-producer front end: if a
+//! producer's routing scratch dropped or resent a sub-batch, or a window
+//! ticket double-counted, conservation or the ε-band breaks.
 
 use std::collections::HashMap;
 
@@ -53,19 +53,17 @@ fn exact_truth(batches: &[Vec<u64>]) -> HashMap<u64, u64> {
 /// Runs `producers` concurrent [`Producer`]s over a fixed stream
 /// (round-robin batch assignment) and checks every parity property
 /// against the exact single-threaded truth.
-fn run_parity(thread_local: bool, routing: RoutingPolicy, producers: usize) {
+fn run_parity(routing: RoutingPolicy, producers: usize) {
     let batches = minibatches(31 + producers as u64);
     let truth = exact_truth(&batches);
     let m: u64 = (BATCHES * BATCH_SIZE) as u64;
 
-    let mut config = EngineConfig::with_shards(SHARDS)
-        .routing(routing)
-        .heavy_hitters(PHI, EPSILON)
-        .count_min(CM_EPSILON, CM_DELTA, 5);
-    if thread_local {
-        config = config.thread_local_ingest();
-    }
-    let engine = Engine::spawn(config);
+    let engine = Engine::spawn(
+        EngineConfig::with_shards(SHARDS)
+            .routing(routing)
+            .heavy_hitters(PHI, EPSILON)
+            .count_min(CM_EPSILON, CM_DELTA, 5),
+    );
     let handle = engine.handle();
 
     std::thread::scope(|scope| {
@@ -82,15 +80,10 @@ fn run_parity(thread_local: bool, routing: RoutingPolicy, producers: usize) {
     });
     engine.drain().unwrap();
 
-    let mode = if thread_local {
-        "thread-local"
-    } else {
-        "lanes"
-    };
-    let label = format!("{mode} mode, {producers} producers");
+    let label = format!("{producers} producers");
 
-    // Exact conservation: no item lost in a lane, none double-counted by a
-    // ticket, no substream missed at merge time.
+    // Exact conservation: no item lost on the way to a shard, none
+    // double-counted.
     assert_eq!(
         handle.total_items(),
         m,
@@ -143,103 +136,15 @@ fn run_parity(thread_local: bool, routing: RoutingPolicy, producers: usize) {
 }
 
 #[test]
-fn lanes_hash_routing_matches_single_thread() {
+fn producers_hash_routing_matches_single_thread() {
     for producers in [1, 2, 4, 8] {
-        run_parity(false, RoutingPolicy::Hash, producers);
+        run_parity(RoutingPolicy::Hash, producers);
     }
 }
 
 #[test]
-fn lanes_skew_aware_routing_matches_single_thread() {
+fn producers_skew_aware_routing_matches_single_thread() {
     for producers in [1, 2, 4, 8] {
-        run_parity(false, RoutingPolicy::skew_aware(), producers);
+        run_parity(RoutingPolicy::skew_aware(), producers);
     }
-}
-
-#[test]
-fn thread_local_hash_routing_matches_single_thread() {
-    for producers in [1, 2, 4, 8] {
-        run_parity(true, RoutingPolicy::Hash, producers);
-    }
-}
-
-#[test]
-fn thread_local_skew_aware_routing_matches_single_thread() {
-    for producers in [1, 2, 4, 8] {
-        run_parity(true, RoutingPolicy::skew_aware(), producers);
-    }
-}
-
-/// Queries racing thread-local producers mid-stream must only ever see
-/// merged states that respect the invariants: estimates never exceed the
-/// final true frequency (every published substream prefix underestimates
-/// its own prefix), `total_items` is monotone, and the Count-Min band
-/// stays above the Misra–Gries band for any item.
-#[test]
-fn thread_local_queries_merge_mid_stream() {
-    let batches = minibatches(97);
-    let truth = exact_truth(&batches);
-    let engine = Engine::spawn(
-        EngineConfig::with_shards(2)
-            .thread_local_ingest()
-            .heavy_hitters(PHI, EPSILON)
-            .count_min(CM_EPSILON, CM_DELTA, 5),
-    );
-    let handle = engine.handle();
-    let probes: Vec<u64> = {
-        let mut items: Vec<(u64, u64)> = truth.iter().map(|(&i, &f)| (i, f)).collect();
-        items.sort_by_key(|&(_, f)| std::cmp::Reverse(f));
-        items.iter().take(16).map(|&(i, _)| i).collect()
-    };
-
-    let done = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let done = &done;
-        let handle = &handle;
-        let truth = &truth;
-        let probes = &probes;
-        let querier = scope.spawn(move || {
-            let mut last_total = 0u64;
-            let mut rounds = 0u64;
-            while !done.load(std::sync::atomic::Ordering::Acquire) {
-                let total = handle.total_items();
-                assert!(total >= last_total, "total_items went backwards");
-                last_total = total;
-                for &item in probes {
-                    let est = handle.estimate(item);
-                    assert!(
-                        est <= truth[&item],
-                        "mid-stream estimate of {item} exceeds final truth"
-                    );
-                    assert!(
-                        handle.cm_estimate(item) >= est,
-                        "Count-Min band dipped below Misra–Gries for {item}"
-                    );
-                }
-                rounds += 1;
-                std::thread::yield_now();
-            }
-            rounds
-        });
-        // Producers run to completion in an inner scope while the querier
-        // hammers the merged view, then the querier is released.
-        std::thread::scope(|inner| {
-            for k in 0..2usize {
-                let mut producer = handle.producer();
-                let slice: Vec<&Vec<u64>> = batches.iter().skip(k).step_by(2).collect();
-                inner.spawn(move || {
-                    for batch in slice {
-                        producer.ingest(batch).expect("engine closed mid-stream");
-                    }
-                    producer.flush();
-                });
-            }
-        });
-        done.store(true, std::sync::atomic::Ordering::Release);
-        let rounds = querier.join().expect("querier panicked");
-        assert!(rounds > 0, "querier never observed the stream");
-    });
-    engine.drain().unwrap();
-    assert_eq!(handle.total_items(), (BATCHES * BATCH_SIZE) as u64);
-    engine.shutdown().unwrap();
 }
