@@ -1,6 +1,6 @@
 //! E2 bench: basic counting minibatch ingestion — the parallel SBBC ladder
 //! (Theorem 4.1) vs the sequential DGIM exponential histogram, and the
-//! per-level parallel vs sequential ablation called out in DESIGN.md §5.
+//! per-level parallel vs sequential ablation of that theorem's ladder.
 
 mod common;
 

@@ -1,4 +1,4 @@
-//! Ablation bench (DESIGN.md §5): the paper's `buildHist` (hash + integer
+//! Ablation bench: the paper's `buildHist` (hash + integer
 //! sort + collectBin, Theorem 2.3) vs a fold/reduce hash-map histogram, for
 //! varying numbers of distinct items in the minibatch.
 

@@ -2,24 +2,26 @@
 //! trajectory.
 //!
 //! `reproduce --bench-json <path>` collects one record per measurement and
-//! writes them as a JSON array. Three record shapes exist:
+//! writes them as a JSON array. Three record shapes are written:
 //!
 //! * throughput — `{"experiment", "config", "items_per_sec"}` (every
 //!   committed `BENCH_<pr>.json` since PR 5);
 //! * latency percentiles — `{"experiment", "config", "metric", "p50_ns",
 //!   "p90_ns", "p99_ns", "p999_ns"}` (added with the observability layer:
 //!   E14 records enqueue-wait and per-kind query latencies);
-//! * request latency — `{"experiment", "config", "metric", "requests",
-//!   "busy", "p50_ns", "p99_ns", "p999_ns"}` (added with the serving front
-//!   end: E15 records open-loop, coordinated-omission-free request
-//!   latencies per request kind, plus how many requests ran and how many
-//!   were rejected with `Busy`);
 //! * availability — `{"experiment", "config", "faults_injected",
 //!   "faults_recovered", "queries_total", "queries_degraded",
 //!   "unavail_p50_ns", "unavail_p99_ns", "unavail_max_ns"}` (added with
 //!   fault injection: E17 kills workers mid-stream and records the
 //!   per-fault unavailability window — quarantine to restart — plus how
 //!   many queries answered degraded while it was open).
+//!
+//! A fourth shape is only *read*: request latency — `{"experiment",
+//! "config", "metric", "requests", "busy", "p50_ns", "p99_ns",
+//! "p999_ns"}`, which the retired E15 wrote into `BENCH_7..9.json`. Its
+//! writer is gone (`benchmark/`'s `serve_mixed` workload measures the
+//! front end now) but [`validate_file`] still accepts it, so the committed
+//! history stays valid byte for byte.
 //!
 //! The writer is hand-rolled (no serde in the offline build); experiment,
 //! config and metric strings are plain ASCII table labels, escaped for the
@@ -36,7 +38,7 @@ use std::sync::Mutex;
 pub enum Record {
     /// One throughput measurement.
     Throughput {
-        /// Experiment id, e.g. `"E13"`.
+        /// Experiment id, e.g. `"E14"`.
         experiment: String,
         /// Configuration label, e.g. `"engine x4 (new)"`.
         config: String,
@@ -56,28 +58,6 @@ pub enum Record {
         p50_ns: u64,
         /// 90th percentile, ns.
         p90_ns: u64,
-        /// 99th percentile, ns.
-        p99_ns: u64,
-        /// 99.9th percentile, ns.
-        p999_ns: u64,
-    },
-    /// One open-loop request-latency distribution from the serving front
-    /// end. Latency is measured from each request's *scheduled* send time,
-    /// so a stalled server inflates the percentiles instead of silently
-    /// thinning the sample (no coordinated omission).
-    RequestLatency {
-        /// Experiment id, e.g. `"E15"`.
-        experiment: String,
-        /// Configuration label, e.g. `"serve x4 loopback"`.
-        config: String,
-        /// Request kind, e.g. `"ingest"` or `"estimate"`.
-        metric: String,
-        /// Requests that completed successfully.
-        requests: u64,
-        /// Requests rejected with an explicit `Busy` (backpressure).
-        busy: u64,
-        /// Median, ns, from scheduled send time.
-        p50_ns: u64,
         /// 99th percentile, ns.
         p99_ns: u64,
         /// 99.9th percentile, ns.
@@ -140,29 +120,6 @@ pub fn record_latency(
         metric: metric.to_string(),
         p50_ns,
         p90_ns,
-        p99_ns,
-        p999_ns,
-    });
-}
-
-/// Appends one open-loop request-latency record to the in-process
-/// collection. `requests` counts completed requests, `busy` counts explicit
-/// backpressure rejections; percentiles are nanoseconds from the scheduled
-/// send time.
-pub fn record_request_latency(
-    experiment: &str,
-    config: &str,
-    metric: &str,
-    (requests, busy): (u64, u64),
-    (p50_ns, p99_ns, p999_ns): (u64, u64, u64),
-) {
-    push(Record::RequestLatency {
-        experiment: experiment.to_string(),
-        config: config.to_string(),
-        metric: metric.to_string(),
-        requests,
-        busy,
-        p50_ns,
         p99_ns,
         p999_ns,
     });
@@ -243,24 +200,6 @@ pub fn write_to(path: impl AsRef<Path>) -> std::io::Result<usize> {
                 escape(config),
                 escape(metric),
             )?,
-            Record::RequestLatency {
-                experiment,
-                config,
-                metric,
-                requests,
-                busy,
-                p50_ns,
-                p99_ns,
-                p999_ns,
-            } => writeln!(
-                out,
-                "  {{\"experiment\": \"{}\", \"config\": \"{}\", \"metric\": \"{}\", \
-                 \"requests\": {requests}, \"busy\": {busy}, \
-                 \"p50_ns\": {p50_ns}, \"p99_ns\": {p99_ns}, \"p999_ns\": {p999_ns}}}{comma}",
-                escape(experiment),
-                escape(config),
-                escape(metric),
-            )?,
             Record::Availability {
                 experiment,
                 config,
@@ -296,7 +235,8 @@ pub fn write_to(path: impl AsRef<Path>) -> std::io::Result<usize> {
 /// or an availability record (`experiment`, `config`, the four fault/query
 /// counters, and the three `unavail_*_ns` percentiles).
 /// Returns the number of valid records, or a description of the first
-/// malformed line. Matches exactly what [`write_to`] emits — the point is
+/// malformed line. Matches exactly what [`write_to`] emits, plus the
+/// request-latency shape only the committed history holds — the point is
 /// to catch hand-edited or truncated committed files in CI, not to be a
 /// general JSON parser.
 pub fn validate_file(path: impl AsRef<Path>) -> Result<usize, String> {
@@ -383,19 +323,12 @@ mod tests {
 
     #[test]
     fn records_round_trip_as_json_lines() {
-        record("E13", "engine x4 \"new\"", 1234567.89);
+        record("E14", "engine x4 \"new\"", 1234567.89);
         record_latency(
             "E14",
             "engine x4 + obs",
             "enqueue_wait",
             (64, 128, 512, 2048),
-        );
-        record_request_latency(
-            "E15",
-            "serve x4 loopback",
-            "ingest",
-            (1000, 7),
-            (10, 90, 900),
         );
         record_availability(
             "E17",
@@ -411,12 +344,11 @@ mod tests {
         assert!(n >= 3);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("[\n"));
-        assert!(text.contains("\"experiment\": \"E13\""));
+        assert!(text.contains("\"experiment\": \"E14\""));
         assert!(text.contains("\\\"new\\\""));
         assert!(text.contains("\"items_per_sec\": 1234568"));
         assert!(text.contains("\"metric\": \"enqueue_wait\""));
         assert!(text.contains("\"p999_ns\": 2048"));
-        assert!(text.contains("\"requests\": 1000, \"busy\": 7"));
         assert!(text.contains("\"faults_injected\": 2, \"faults_recovered\": 2"));
         assert!(text.contains("\"unavail_max_ns\": 2100000"));
         // What the writer emits, the validator accepts.
@@ -461,13 +393,22 @@ mod tests {
         // Missing keys.
         let p = write("c.json", "[\n  {\"experiment\": \"E9\"}\n]\n");
         assert!(validate_file(p).is_err());
-        // None of the three record shapes.
+        // None of the record shapes.
         let p = write(
             "d.json",
             "[\n  {\"experiment\": \"E14\", \"config\": \"x\", \"metric\": \"m\"}\n]\n",
         );
         assert!(validate_file(p).is_err());
-        // Request-latency record missing its busy counter.
+        // Request-latency record: no writer emits the shape any more, but a
+        // line as committed in `BENCH_7..9.json` still validates …
+        let p = write(
+            "r.json",
+            "[\n  {\"experiment\": \"E15\", \"config\": \"serve x4 loopback\", \
+             \"metric\": \"ingest\", \"requests\": 8000, \"busy\": 0, \"p50_ns\": 311295, \
+             \"p99_ns\": 1900543, \"p999_ns\": 4128767}\n]\n",
+        );
+        assert_eq!(validate_file(p), Ok(1));
+        // … and not without its busy counter.
         let p = write(
             "f.json",
             "[\n  {\"experiment\": \"E15\", \"config\": \"x\", \"metric\": \"ingest\", \

@@ -1,19 +1,19 @@
-//! Shared helpers for the benchmark harness and the `reproduce` experiment
+//! Shared helpers for the criterion benches and the `reproduce` experiment
 //! binary: canonical workloads, timing utilities, and table printing.
 //!
-//! Every experiment in DESIGN.md §4 (E1–E8, F2) is regenerated either by a
-//! Criterion bench in `benches/` (wall-clock comparisons) or by
-//! `cargo run --release -p psfa-bench --bin reproduce` (accuracy/space/work
-//! tables), or both. EXPERIMENTS.md records the measured outcomes.
+//! This crate regenerates the *paper* (PAPER.md): each of E1–E8 and F2
+//! checks one theorem (named on the experiment's function in
+//! `src/bin/reproduce.rs`), either as a Criterion bench in `benches/`
+//! (wall-clock comparisons) or as an accuracy/space/work table from
+//! `cargo run --release -p psfa-bench --bin reproduce`, or both. The
+//! *engine* is measured by the `benchmark/` package (BENCHMARK.json), not
+//! here.
 
 use std::time::Instant;
 
 use psfa::prelude::*;
 
-pub mod alloc_counter;
 pub mod bench_json;
-pub mod hotpath;
-pub mod loadgen;
 
 /// Number of threads rayon is using — recorded in experiment output because
 /// the depth/speedup claims are only observable with more than one core.

@@ -53,18 +53,6 @@ pub struct EngineConfig {
     /// summaries per shard). Must divide `window`. Ignored without a
     /// window.
     pub window_panes: usize,
-    /// Rate limit on membership-triggered snapshot publications, in
-    /// epochs (batches) per shard: a Misra–Gries membership change
-    /// republishes immediately only if at least this many epochs have
-    /// passed since the shard's last publication. `1` (the default)
-    /// preserves the publish-on-every-churn behaviour; larger values cap
-    /// the republish frequency under uniform streams, where MG membership
-    /// churns on every batch and would otherwise force a full snapshot
-    /// clone per batch. Suppressed publications fall back to the lazy
-    /// path (drain/idle/query-refresh), so the bounded-staleness contract
-    /// is unchanged; the suppressed count is surfaced as the
-    /// `republish_suppressed` observability counter.
-    pub membership_publish_interval: u64,
     /// Epoch-snapshot persistence; `None` (the default) keeps all state in
     /// memory. When set, a background flusher thread periodically cuts a
     /// consistent epoch across shards and appends it to the segment log at
@@ -105,7 +93,6 @@ impl Default for EngineConfig {
             cm_seed: 0x00C0_FFEE,
             window: None,
             window_panes: 8,
-            membership_publish_interval: 1,
             persistence: None,
             observability: None,
             fault: None,
@@ -170,14 +157,6 @@ impl EngineConfig {
         self
     }
 
-    /// Caps membership-triggered republication to at most once per
-    /// `epochs` batches per shard (see
-    /// [`EngineConfig::membership_publish_interval`]).
-    pub fn membership_publish_interval(mut self, epochs: u64) -> Self {
-        self.membership_publish_interval = epochs;
-        self
-    }
-
     /// Enables epoch-snapshot persistence with the given configuration.
     pub fn persistence(mut self, persistence: PersistenceConfig) -> Self {
         self.persistence = Some(persistence);
@@ -227,10 +206,6 @@ impl EngineConfig {
             "queue capacity must be at least 1"
         );
         self.routing.validate(self.shards);
-        assert!(
-            self.membership_publish_interval >= 1,
-            "membership publish interval must be at least 1 epoch"
-        );
         assert!(
             self.epsilon > 0.0 && self.epsilon < self.phi && self.phi < 1.0,
             "heavy hitters require 0 < epsilon < phi < 1"

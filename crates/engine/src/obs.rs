@@ -153,10 +153,6 @@ pub(crate) struct EngineObs {
     pub publish_epoch_gap: AtomicLogHistogram,
     /// Publications by [`PublishReason`].
     republish: [AtomicU64; PUBLISH_REASONS],
-    /// Membership-triggered publications *suppressed* by the
-    /// [`crate::EngineConfig::membership_publish_interval`] rate limit
-    /// (the change fell through to the lazy drain/idle/refresh paths).
-    membership_suppressed: AtomicU64,
     /// Query latency by [`QueryKind`].
     queries: [AtomicLogHistogram; QUERY_KINDS],
     /// Exclusive ingest-fence acquisition + cut duration (boundary and
@@ -184,7 +180,6 @@ impl EngineObs {
             publish_staleness: AtomicLogHistogram::new(),
             publish_epoch_gap: AtomicLogHistogram::new(),
             republish: std::array::from_fn(|_| AtomicU64::new(0)),
-            membership_suppressed: AtomicU64::new(0),
             queries: std::array::from_fn(|_| AtomicLogHistogram::new()),
             fence_exclusive_wait: AtomicLogHistogram::new(),
             persist_append: AtomicLogHistogram::new(),
@@ -206,12 +201,6 @@ impl EngineObs {
     /// Counts one publication for `reason`.
     pub(crate) fn count_republish(&self, reason: PublishReason) {
         self.republish[reason as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one membership change suppressed by the publication rate
-    /// limit.
-    pub(crate) fn count_membership_suppressed(&self) {
-        self.membership_suppressed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one query's latency, measured from `start_ns`.
@@ -299,11 +288,6 @@ impl EngineObs {
                 count.load(Ordering::Relaxed),
             );
         }
-        counter(
-            "republish_suppressed",
-            "membership publications suppressed by the rate limit",
-            self.membership_suppressed.load(Ordering::Relaxed),
-        );
         counter(
             "pool_hit",
             "buffer-pool checkouts served with recycled capacity",
@@ -439,9 +423,6 @@ mod tests {
         assert_eq!(report.percentiles("enqueue_wait").unwrap().count, 1);
         assert_eq!(report.counter("republish_membership"), Some(1));
         assert_eq!(report.counter("republish_idle"), Some(0));
-        obs.count_membership_suppressed();
-        let suppressed = obs.report(PoolCounters::default(), 0, 0, 0);
-        assert_eq!(suppressed.counter("republish_suppressed"), Some(1));
         assert_eq!(report.counter("pool_miss"), Some(2));
         assert_eq!(report.counter("fence_exclusive"), Some(3));
         assert_eq!(report.counter("work_units"), Some(42));

@@ -32,12 +32,7 @@
 //! * **immediately** when the Misra–Gries *entry set membership* changed
 //!   (an item entered or left the summary — heavy-hitter dashboards see
 //!   churn at once), when a window boundary seals, and before a drain
-//!   barrier is acknowledged. Membership-triggered publication is
-//!   rate-limited by [`EngineConfig::membership_publish_interval`]
-//!   (default 1 = every churn): under a *uniform* stream the membership
-//!   churns on every batch, and the limit caps the republish frequency —
-//!   a suppressed change is counted (`republish_suppressed`) and handed
-//!   to the lazy paths below;
+//!   barrier is acknowledged;
 //! * **on demand** when a query observed a stale snapshot: the shared
 //!   `live_epoch` counter (batches the worker has finished) runs ahead of
 //!   the published snapshot's `epoch`; a reader that sees the gap sets the
@@ -331,13 +326,6 @@ pub(crate) struct ShardWorker {
     /// True when the operator state has advanced past the published
     /// snapshot.
     dirty: bool,
-    /// Minimum epochs between membership-triggered publications (see
-    /// [`EngineConfig::membership_publish_interval`]).
-    membership_interval: u64,
-    /// Epoch of the last publication *of any reason* — the base of the
-    /// membership rate limit (any publication resets the budget, since
-    /// it already carried the membership change out).
-    last_any_publish_epoch: u64,
     lifted: Vec<(String, Box<dyn MinibatchOperator + Send>)>,
     shared: Arc<ShardShared>,
     /// Observability recorders, when enabled (see the `obs` module).
@@ -404,8 +392,6 @@ impl ShardWorker {
             pool,
             published_entries,
             dirty: false,
-            membership_interval: config.membership_publish_interval,
-            last_any_publish_epoch: epoch,
             lifted,
             shared,
             obs,
@@ -427,8 +413,7 @@ impl ShardWorker {
     ///   minibatches and cuts alike — also survive: the supervisor keeps
     ///   the receiver.
     /// * **Lost**: the effects of minibatches processed *after* the last
-    ///   publication (at most `membership_publish_interval` batches plus
-    ///   the in-flight one), the open (unsealed) window pane, and any
+    ///   publication, the open (unsealed) window pane, and any
     ///   lifted operators' state (they are owned by the panicked worker
     ///   and cannot be reconstructed — the restarted shard runs without
     ///   them).
@@ -481,8 +466,6 @@ impl ShardWorker {
             pool,
             published_entries,
             dirty: false,
-            membership_interval: config.membership_publish_interval,
-            last_any_publish_epoch: snapshot.epoch,
             lifted: Vec::new(),
             shared,
             obs,
@@ -654,26 +637,12 @@ impl ShardWorker {
         // publish at once so heavy-hitter churn is never deferred.
         let membership_changed =
             cutoff > 0 || self.heavy_hitters.estimator().num_counters() != self.published_entries;
-        // Rate limit: under a uniform stream MG membership churns on every
-        // batch, which would clone a full snapshot per batch. A change
-        // inside the interval is *suppressed* — counted, then handed to
-        // the lazy path (dirty/refresh), whose drain/idle/query-refresh
-        // publications keep the bounded-staleness contract intact.
-        let membership_due =
-            self.epoch.saturating_sub(self.last_any_publish_epoch) >= self.membership_interval;
-        if membership_changed && membership_due {
+        if membership_changed {
             self.publish_snapshot(PublishReason::Membership);
+        } else if self.shared.refresh.swap(false, Ordering::AcqRel) {
+            self.publish_snapshot(PublishReason::QueryRefresh);
         } else {
-            if membership_changed {
-                if let Some(obs) = &self.obs {
-                    obs.count_membership_suppressed();
-                }
-            }
-            if self.shared.refresh.swap(false, Ordering::AcqRel) {
-                self.publish_snapshot(PublishReason::QueryRefresh);
-            } else {
-                self.dirty = true;
-            }
+            self.dirty = true;
         }
         // Hand the buffer's capacity back to the producers.
         self.pool.give_back(self.shard, minibatch);
@@ -694,7 +663,6 @@ impl ShardWorker {
         let hh_entries = self.heavy_hitters.estimator().tracked_items_sorted();
         self.published_entries = hh_entries.len();
         self.dirty = false;
-        self.last_any_publish_epoch = self.epoch;
         self.shared.snapshot.set(Arc::new(ShardSnapshot {
             shard: self.shard,
             epoch: self.epoch,

@@ -204,8 +204,8 @@ impl MgSummary {
     /// The table is sized once for `2S` counters and the two scratch
     /// vectors grow to the widest batch seen, so after warm-up an augment
     /// performs **zero** heap allocations. This is the per-minibatch core
-    /// of the engine's ingest hot path (asserted by E13's
-    /// counting-allocator audit).
+    /// of the engine's ingest hot path (asserted by the counting-allocator
+    /// audit in `tests/tests/hotpath_alloc.rs`).
     pub fn augment(&mut self, histogram: &[HistogramEntry]) -> u64 {
         // Step 1: add the entries that are tracked; park the rest.
         self.parked.clear();
@@ -460,10 +460,11 @@ mod tests {
 
     #[test]
     fn augment_never_grows_the_table_and_warms_its_scratch_once() {
-        // The allocation-free steady state E13 audits with a counting
-        // allocator. The table is sized once, for 2S counters: whatever
-        // `p` is, it only ever holds survivors, and the tombstones their
-        // eviction leaves are reclaimed in place. (`HashMap::capacity()`
+        // The allocation-free steady state `tests/tests/hotpath_alloc.rs`
+        // audits with a counting allocator. The table is sized once, for 2S
+        // counters: whatever `p` is, it only ever holds survivors, and the
+        // tombstones their eviction leaves are reclaimed in place.
+        // (`HashMap::capacity()`
         // is items + free slots: it dips as tombstones accumulate and
         // would at least double if the table were ever reallocated.)
         let mut s = MgSummary::new(8);

@@ -9,8 +9,8 @@
 //! cost is proportional to (bucket size × distinct items in the bucket) —
 //! `O(µ)` in expectation by the balls-and-bins argument.
 //!
-//! [`build_hist_hashmap`] is a fold/reduce hash-map alternative used as the
-//! ablation point called out in DESIGN.md §5.
+//! [`build_hist_hashmap`] is a fold/reduce hash-map alternative, the
+//! ablation point against Theorem 2.3's construction (`benches/hist_ablation`).
 
 use rayon::prelude::*;
 

@@ -74,8 +74,9 @@ pub fn phi_cutoff(values: &[u64], s: usize) -> u64 {
 /// The parallel [`phi_cutoff`] pays `O(n)` transient allocations per call
 /// for its packed partitions — fine for the query path, but the per-batch
 /// Misra–Gries augment sits on the engine's ingest hot path, whose
-/// steady-state zero-allocation contract E13 audits with a counting
-/// allocator. Same result, same `O(n)` expected work, sequential depth.
+/// steady-state zero-allocation contract `tests/tests/hotpath_alloc.rs`
+/// audits with a counting allocator. Same result, same `O(n)` expected
+/// work, sequential depth.
 pub fn phi_cutoff_in_place(values: &mut [u64], s: usize) -> u64 {
     if values.len() <= s {
         return 0;

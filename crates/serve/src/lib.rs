@@ -24,8 +24,8 @@
 //! 2. **Explicit backpressure** — a full engine answers
 //!    [`Response::Busy`]; the server buffers at most one request and one
 //!    response frame per connection, so its memory is bounded by the
-//!    connection cap (asserted by E15 via
-//!    [`ServeMetrics::peak_inflight_bytes`]).
+//!    connection cap (asserted on [`ServeMetrics::peak_inflight_bytes`]
+//!    by `serve_smoke::tiny_queue_engine_sheds_load_with_busy`).
 //! 3. **Queries never block on ingest** — they read published epoch
 //!    snapshots, exactly like in-process [`psfa_engine::EngineHandle`]
 //!    queries.

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates nothing empirically and cites network-monitoring
 //! workloads only as motivation; these generators provide the corresponding
-//! synthetic inputs (documented as a substitution in DESIGN.md §3). All
-//! generators are deterministic functions of their seed.
+//! synthetic inputs (a substitution: the paper, PAPER.md, names no dataset).
+//! All generators are deterministic functions of their seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,7 +180,7 @@ impl StreamGenerator for AdversarialChurnGenerator {
 /// A synthetic packet-flow trace: flow identifiers whose sizes follow a
 /// heavy-tailed (Pareto-like) distribution, emitted in interleaved runs —
 /// the stand-in for the network traces of \[EV03, CH10\] that motivate the
-/// paper (see DESIGN.md §3).
+/// paper (its §1).
 #[derive(Debug, Clone)]
 pub struct PacketTraceGenerator {
     active_flows: Vec<(u64, u64)>, // (flow id, remaining packets)

@@ -12,7 +12,7 @@
 //!   adversarial churn, synthetic packet-flow traces, and binary streams of
 //!   configurable density). The paper has no published dataset; these
 //!   generators stand in for the network-monitoring workloads its
-//!   introduction motivates (see DESIGN.md §3).
+//!   introduction (§1) motivates.
 //! * [`zipf`] — a seeded Zipf(α) sampler used by the generators.
 //! * [`pipeline`] — a small driver that feeds minibatches from a generator
 //!   into one or more operators and records per-operator throughput, the

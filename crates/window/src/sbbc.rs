@@ -136,8 +136,8 @@ impl Sbbc {
     ///
     /// The paper trims once the block sequence reaches `2σ + 1` entries; we
     /// retain up to `2σ + 2` so that an overflowed query certifies
-    /// `m ≥ σ·λ` exactly (see DESIGN.md): the kept blocks alone witness
-    /// `γ(2σ + 2) − 2γ = σλ` ones inside the covered suffix.
+    /// `m ≥ σ·λ` exactly (Theorem 3.4's overflow case): the kept blocks
+    /// alone witness `γ(2σ + 2) − 2γ = σλ` ones inside the covered suffix.
     fn capacity(&self) -> u64 {
         2 * self.sigma + 2
     }

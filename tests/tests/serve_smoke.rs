@@ -5,9 +5,10 @@
 //! * Answers served over the wire carry the same one-sided `ε·m` guarantee
 //!   as in-process queries: a concurrent-client run must match a
 //!   single-thread exact reference within `ε·m`.
-//! * A tiny-queue engine must shed load with explicit `Busy` responses, and
+//! * A tiny-queue engine must shed load with explicit `Busy` responses,
 //!   every `Busy` must be clean — the engine's final item count is exactly
-//!   the acknowledged batches.
+//!   the acknowledged batches — and the server's peak in-flight bytes stay
+//!   within `max_connections × MAX_FRAME_LEN × 2`.
 //! * Graceful shutdown answers in-flight requests, closes connections, and
 //!   leaves the engine fully usable.
 
@@ -144,7 +145,9 @@ fn tiny_queue_engine_sheds_load_with_busy() {
     )
     .lift(sleepy)
     .spawn();
-    let server = Server::spawn(engine.handle(), ServeConfig::default()).expect("server");
+    let config = ServeConfig::default();
+    let inflight_cap = (config.max_connections * MAX_FRAME_LEN * 2) as u64;
+    let server = Server::spawn(engine.handle(), config).expect("server");
     let mut client = Client::connect(server.local_addr()).expect("client");
 
     let batch: Vec<u64> = (0..2_000u64).collect();
@@ -164,6 +167,13 @@ fn tiny_queue_engine_sheds_load_with_busy() {
 
     let metrics = server.shutdown();
     assert_eq!(metrics.busy_responses, busy);
+    // Shedding, not buffering: one request and one response frame per
+    // connection is all the server ever held.
+    assert!(
+        metrics.peak_inflight_bytes > 0 && metrics.peak_inflight_bytes <= inflight_cap,
+        "peak in-flight bytes {} outside (0, {inflight_cap}]",
+        metrics.peak_inflight_bytes
+    );
     engine.drain().unwrap();
     let report = engine.shutdown().unwrap();
     // Busy is clean: exactly the acknowledged batches reached the engine.
