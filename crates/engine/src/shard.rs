@@ -5,10 +5,11 @@
 //! rest of the per-batch path either. The hot path is **lock-free and, at
 //! steady state, allocation-free**:
 //!
-//! * the per-minibatch histogram is built into reusable scratch
-//!   ([`psfa_primitives::build_hist_into`]) and shared by the heavy-hitter
-//!   tracker, the open window pane, and the Count-Min sketch — one pass,
-//!   zero allocations;
+//! * the per-minibatch histogram is one probe-and-add pass over the items
+//!   through a reused index table ([`psfa_primitives::build_hist_into`]:
+//!   one key mix, one probe, one add per item) and is shared by the
+//!   heavy-hitter tracker, the open window pane, and the Count-Min sketch
+//!   — zero allocations;
 //! * the Count-Min sketch is a [`psfa_sketch::AtomicCountMin`]: the worker
 //!   — its only writer — adds with a relaxed load and store per counter
 //!   and point queries read concurrently with no mutex (the one-sided

@@ -3,7 +3,8 @@
 //! | consumer | needs | gets |
 //! |---|---|---|
 //! | Count-Min / row `i` (Section 6) | a **pairwise-independent** map into `0..w`: the `Pr[h(x) = h(y)] ≤ 1/w` collision bound is all the `ε·m` analysis uses | [`MultiplyAddShiftHash`] — one 128-bit multiply-add, no division |
-//! | `buildHist` (Theorem 2.3) | an `O(log µ)`-wise independent map into `0..µ/log µ` so the balls-and-bins bound on distinct keys per bucket goes through | [`PolynomialHash`] with `k = 8`, reseeded per minibatch |
+//! | parallel `buildHist` (Theorem 2.3, `µ > SEQ_THRESHOLD`) | an `O(log µ)`-wise independent map into `0..O(µ)`: the family bounds the *largest* bucket, which only the parallel algorithm's **depth** needs — the `O(µ)` expected work holds for any evenly spreading map | [`PolynomialHash`] with `k = 8`, seeded per minibatch |
+//! | the sequential histogram kernel (`build_hist_into`, one per shard worker) | no depth to bound, so no independence guarantee — a seeded even spread over its probe table that an adversary who cannot see the seed cannot defeat | the key mix ([`KeyMixBuildHasher`]'s folded multiply), keyed per `HistScratch` |
 //! | Count-Sketch buckets and signs | pairwise independence | [`PolynomialHash`] with `k = 2` |
 //! | in-memory tables keyed by item id (`MgSummary`) | no independence guarantee — only an even spread that an adversary who cannot see the seed cannot defeat | [`KeyMixBuildHasher`], seeded per table instance |
 //!
@@ -21,7 +22,7 @@
 //!   multiply-adds plus two `%` (key and range) per evaluation.
 //! * [`KeyMixBuildHasher`] — a [`std::hash::BuildHasher`] for `u64`-keyed
 //!   hash tables: one folded 64×64→128 multiply per key instead of SipHash's
-//!   rounds.
+//!   rounds. The histogram kernel calls the same mix directly.
 //!
 //! The two families are deterministic functions of their seed, so sketches
 //! can be re-derived from a stored seed and experiments are reproducible.
@@ -125,6 +126,14 @@ impl KeyMixBuildHasher {
     }
 }
 
+/// The folded product `hi ^ lo` of the 64×64→128 multiply `a · b`: every
+/// bit of the result depends on every bit of both factors.
+#[inline]
+pub(crate) fn fold_multiply(a: u64, b: u64) -> u64 {
+    let product = a as u128 * b as u128;
+    (product >> 64) as u64 ^ product as u64
+}
+
 impl Default for KeyMixBuildHasher {
     fn default() -> Self {
         Self::new()
@@ -156,8 +165,7 @@ pub struct KeyMixHasher {
 impl Hasher for KeyMixHasher {
     #[inline]
     fn write_u64(&mut self, word: u64) {
-        let product = (self.state ^ word) as u128 * self.multiplier as u128;
-        self.state = (product >> 64) as u64 ^ product as u64;
+        self.state = fold_multiply(self.state ^ word, self.multiplier);
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -199,28 +207,6 @@ impl PolynomialHash {
     pub fn from_seed(k: usize, range: u64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         Self::new(k, range, &mut rng)
-    }
-
-    /// Re-derives this instance in place, exactly as
-    /// [`PolynomialHash::from_seed`] with the same arguments would, reusing
-    /// the coefficient buffer — allocation-free once its capacity reaches
-    /// `k`. For per-batch reseeding on hot paths (`build_hist_into`).
-    ///
-    /// # Panics
-    /// Panics if `k == 0` or `range == 0`.
-    pub fn reseed(&mut self, k: usize, range: u64, seed: u64) {
-        assert!(k >= 1, "PolynomialHash: k must be at least 1");
-        assert!(range >= 1, "PolynomialHash: range must be at least 1");
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.coeffs.clear();
-        self.coeffs
-            .extend((0..k).map(|_| rng.gen_range(0..MERSENNE_61)));
-        self.range = range;
-    }
-
-    /// Default family used by `buildHist`: 8-wise independence.
-    pub fn for_histogram<R: RngCore>(range: u64, rng: &mut R) -> Self {
-        Self::new(8, range, rng)
     }
 }
 

@@ -1,20 +1,29 @@
-//! Linear-work parallel histogram construction (`buildHist`, Theorem 2.3).
+//! Histogram construction: the paper's parallel `buildHist` (Theorem 2.3)
+//! and the sequential probe-and-add kernel the shard workers run.
 //!
-//! Given a minibatch of item identifiers, `buildHist` returns the distinct
-//! items together with their frequencies in `O(µ)` expected work and
-//! polylogarithmic depth. Following the paper's proof, items are first
-//! hashed into a range `R = O(µ)` with an `O(log µ)`-wise independent family,
-//! grouped by hash value using the linear-work integer sort (Theorem 2.2),
-//! and each bucket is then collapsed with the `collectBin` routine, whose
-//! cost is proportional to (bucket size × distinct items in the bucket) —
-//! `O(µ)` in expectation by the balls-and-bins argument.
+//! Given a minibatch of item identifiers, both return the distinct items
+//! together with their frequencies in `O(µ)` expected work.
 //!
-//! [`build_hist_hashmap`] is a fold/reduce hash-map alternative, the
-//! ablation point against Theorem 2.3's construction (`benches/hist_ablation`).
+//! * [`build_hist`] above [`SEQ_THRESHOLD`] is Theorem 2.3's construction,
+//!   which also has polylogarithmic **depth**: items are hashed into a range
+//!   `R = O(µ)` with an `O(log µ)`-wise independent family, grouped by hash
+//!   value using the linear-work integer sort (Theorem 2.2), and each
+//!   bucket is collapsed with the `collectBin` routine, whose cost is
+//!   proportional to (bucket size × distinct items in the bucket) — `O(µ)`
+//!   in expectation by the balls-and-bins argument. The independence is
+//!   there to bound the *largest* bucket, i.e. the depth.
+//! * [`build_hist_into`] is the kernel for one thread — a shard worker, or
+//!   `build_hist` at or below the threshold. With no depth to bound it pays
+//!   for none of that machinery: one pass over the items, and per item one
+//!   key mix, one linear probe into an index table and one `count += 1`.
+//!   Rows come out in first-occurrence order.
+
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 use rayon::prelude::*;
 
-use crate::hash::{HashFamily, PolynomialHash};
+use crate::hash::{fold_multiply, HashFamily, PolynomialHash};
 use crate::intsort::sort_indices_by_key;
 use crate::SEQ_THRESHOLD;
 
@@ -29,16 +38,17 @@ pub struct HistogramEntry {
 
 /// Builds the frequency histogram of `items` (Theorem 2.3).
 ///
-/// The output lists each distinct item exactly once, in unspecified order.
-/// `seed` drives the internal hash function; any value gives a correct
-/// histogram, the seed only matters for reproducibility of the bucket layout.
+/// The output lists each distinct item exactly once; the order is
+/// unspecified above [`SEQ_THRESHOLD`] items and first-occurrence order at
+/// or below it, where the call is one [`build_hist_into`]. `seed` drives
+/// the internal hash function; any value gives a correct histogram, the
+/// seed only matters for reproducibility of the bucket layout.
 pub fn build_hist(items: &[u64], seed: u64) -> Vec<HistogramEntry> {
     let mu = items.len();
-    if mu == 0 {
-        return Vec::new();
-    }
     if mu <= SEQ_THRESHOLD {
-        return sequential_hist(items);
+        let mut out = Vec::new();
+        build_hist_into(items, seed, &mut HistScratch::new(), &mut out);
+        return out;
     }
 
     // Hash into a range R = O(µ) (next power of two, at least 16).
@@ -92,178 +102,161 @@ fn collect_bin(items: &[u64], bucket: &[u32]) -> Vec<HistogramEntry> {
     entries
 }
 
-/// Sequential histogram for small inputs.
-///
-/// The map is sized by a distinct-count guess, not the raw length: a large
-/// heavily skewed batch hitting this path (e.g. driven directly by a caller
-/// with `SEQ_THRESHOLD`-sized batches of one hot key) holds only a handful
-/// of distinct items, and `with_capacity(items.len())` would allocate — and
-/// immediately waste — a table for the worst case. The map grows on demand
-/// for genuinely distinct-heavy inputs.
-fn sequential_hist(items: &[u64]) -> Vec<HistogramEntry> {
-    let mut map = std::collections::HashMap::with_capacity(items.len().min(1024));
-    for &x in items {
-        *map.entry(x).or_insert(0u64) += 1;
-    }
-    map.into_iter()
-        .map(|(item, count)| HistogramEntry { item, count })
-        .collect()
+/// Smallest probe table [`build_hist_into`] uses.
+const MIN_TABLE: usize = 16;
+
+/// The kernel's slot hash, before masking to the table: the key mix of
+/// [`crate::hash::KeyMixBuildHasher`] — one folded 64×64→128 multiply of
+/// `key ^ item` — with a fixed multiplier where that one draws its own. A
+/// random multiplier is now and then one that piles an arithmetic
+/// progression of keys into a few probe runs; this constant (wyhash's)
+/// spreads every stride the structured-key test tries, and the secret an
+/// adversary lacks is `key`.
+#[inline]
+fn slot_hash(key: u64, item: u64) -> usize {
+    fold_multiply(key ^ item, 0x2D35_8DCC_AA6C_78A5) as usize
 }
 
-/// Reusable scratch buffers for [`build_hist_into`]: the hash values, the
-/// counting-sort bucket table, the sorted permutation, and the small-batch
-/// hash map. After a warm-up batch of each size class, repeated calls
-/// perform **zero heap allocations** — the buffers only ever grow.
-#[derive(Debug, Default)]
+/// Reusable state of [`build_hist_into`]: the probe table and the key of
+/// its hash. The table only ever grows, so after a warm-up batch of each
+/// size class repeated calls perform **zero heap allocations**.
+#[derive(Debug)]
 pub struct HistScratch {
-    /// Per-item hash values (large-batch path).
-    hashes: Vec<u64>,
-    /// Counting-sort bucket counters / running offsets, one per hash value.
-    buckets: Vec<u32>,
-    /// Item indices grouped by hash value.
-    perm: Vec<u32>,
-    /// Small-batch accumulator (`µ ≤ SEQ_THRESHOLD`); `clear` keeps its
-    /// table, so steady-state small batches allocate nothing either.
-    map: std::collections::HashMap<u64, u64>,
-    /// The histogram hash function, reseeded in place per batch
-    /// ([`PolynomialHash::reseed`]) so its coefficient buffer is reused.
-    hasher: Option<PolynomialHash>,
+    /// Open-addressing index table, a power of two long: `0` is an empty
+    /// slot, any other value is `1 +` the key's row in the output. Only the
+    /// prefix a batch sized for itself is meaningful (and cleared) in it.
+    table: Vec<u32>,
+    /// Keys the slot hash. Drawn from the process's random keys, so item
+    /// identifiers crafted by someone who sees only the per-batch `seed`
+    /// (the engine's is a public constant) cannot be aimed at one probe run.
+    key: u64,
+    /// Distinct keys of the previous batch: the next batch's table size.
+    distinct: usize,
+}
+
+// Slots probed and slots cleared by the kernel on this thread.
+#[cfg(test)]
+thread_local! {
+    static PROBED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static CLEARED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl HistScratch {
-    /// Creates empty scratch; buffers are sized lazily by the first batches.
+    /// Creates empty scratch; the table is sized lazily by the first batches.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            table: Vec::new(),
+            key: RandomState::new().hash_one(0u64),
+            distinct: 0,
+        }
+    }
+
+    /// Makes `table[..len]` the empty table of this batch and files the rows
+    /// already in `out` into it. `len` is a power of two above `2·out.len()`.
+    fn rebuild(&mut self, len: usize, key: u64, out: &[HistogramEntry]) {
+        if self.table.len() < len {
+            self.table.resize(len, 0);
+        }
+        let table = &mut self.table[..len];
+        table.fill(0);
+        #[cfg(test)]
+        CLEARED.set(CLEARED.get() + len as u64);
+        let mask = len - 1;
+        for (row, entry) in out.iter().enumerate() {
+            let mut slot = slot_hash(key, entry.item) & mask;
+            while table[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            table[slot] = row as u32 + 1;
+        }
     }
 }
 
-/// Allocation-free variant of [`build_hist`]: writes the histogram of
-/// `items` into `out` (cleared first), drawing every intermediate buffer
-/// from `scratch`.
+impl Default for HistScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Allocation-free sequential histogram: writes the histogram of `items`
+/// into `out` (cleared first), one row per distinct item in
+/// **first-occurrence order** — the same `out` whatever `seed` and whichever
+/// `scratch` — using `scratch`'s probe table.
 ///
-/// Produces the same multiset of [`HistogramEntry`] rows as [`build_hist`]
-/// (entry *order* is unspecified for both). Unlike `build_hist` it is
-/// deliberately sequential: it exists for per-shard ingest hot paths — the
-/// sharded engine already runs one worker per core, so intra-batch
-/// parallelism inside a shard would only fight the other shards for cores,
-/// while the fresh `Vec`s of the parallel version (`hashes`, the sort, the
-/// bucket outputs) dominate its constant factor. Work is `O(µ)` expected,
-/// by the same hash-group-collect structure as Theorem 2.3: items are
-/// hashed into a range `R = O(µ)`, grouped with a counting sort over the
-/// reused bucket table, and each group collapsed with the `collectBin`
-/// scan.
+/// Produces the same multiset of [`HistogramEntry`] rows as [`build_hist`].
+/// It is deliberately sequential: it exists for per-shard ingest hot paths —
+/// the sharded engine already runs one worker per core, so intra-batch
+/// parallelism inside a shard would only fight the other shards for cores.
+///
+/// One pass, `O(µ)` expected work: each item is mixed once (one folded
+/// multiply, keyed by `scratch`'s random key xor `seed`), probed linearly
+/// into a table of row indices, and either bumps its row's count or appends
+/// a row. The table is kept at most half full — it starts sized for
+/// `min(µ, distinct keys of the previous batch)` and doubles, re-filed from
+/// `out`, whenever the distinct keys reach half of it — so clearing it
+/// costs `O(µ)` of *this* batch however large an earlier one was.
+///
+/// # Panics
+/// Panics if `items.len() >= u32::MAX as usize` (rows are `u32` indices).
 pub fn build_hist_into(
     items: &[u64],
     seed: u64,
     scratch: &mut HistScratch,
     out: &mut Vec<HistogramEntry>,
 ) {
+    assert!(
+        items.len() < u32::MAX as usize,
+        "build_hist_into: a batch must hold fewer than 2^32 - 1 items"
+    );
     out.clear();
-    let mu = items.len();
-    if mu == 0 {
-        return;
-    }
-    if mu <= SEQ_THRESHOLD {
-        scratch.map.clear();
-        for &x in items {
-            *scratch.map.entry(x).or_insert(0u64) += 1;
+    let key = scratch.key ^ seed;
+    let expected = items.len().min(scratch.distinct);
+    let mut len = (2 * expected).next_power_of_two().max(MIN_TABLE);
+    let mut done = 0;
+    loop {
+        scratch.rebuild(len, key, out);
+        done += probe_and_add(&mut scratch.table[..len], key, &items[done..], out);
+        if done == items.len() {
+            break;
         }
-        out.extend(
-            scratch
-                .map
-                .iter()
-                .map(|(&item, &count)| HistogramEntry { item, count }),
-        );
-        return;
+        len *= 2;
     }
-
-    // Hash into a range R = O(µ), exactly as `build_hist`.
-    let range = (mu as u64).next_power_of_two().max(16) as usize;
-    let hasher = match &mut scratch.hasher {
-        Some(hasher) => {
-            hasher.reseed(8, range as u64, seed);
-            &*hasher
-        }
-        slot @ None => slot.insert(PolynomialHash::from_seed(8, range as u64, seed)),
-    };
-    scratch.hashes.clear();
-    scratch.hashes.extend(items.iter().map(|&x| hasher.hash(x)));
-
-    // Group identical hash values with a counting sort over the reused
-    // bucket table (grow-only; zeroing it is O(R) = O(µ) per batch).
-    if scratch.buckets.len() < range {
-        scratch.buckets.resize(range, 0);
-    }
-    let buckets = &mut scratch.buckets[..range];
-    buckets.fill(0);
-    for &h in &scratch.hashes {
-        buckets[h as usize] += 1;
-    }
-    // Exclusive prefix sums turn counts into running write offsets.
-    let mut running = 0u32;
-    for b in buckets.iter_mut() {
-        let count = *b;
-        *b = running;
-        running += count;
-    }
-    scratch.perm.clear();
-    scratch.perm.resize(mu, 0);
-    for (idx, &h) in scratch.hashes.iter().enumerate() {
-        let slot = &mut buckets[h as usize];
-        scratch.perm[*slot as usize] = idx as u32;
-        *slot += 1;
-    }
-
-    // collectBin per hash group, appending directly into `out`: within one
-    // group, duplicates are folded with a linear scan over the group's own
-    // tail of `out` (few distinct items per bucket w.h.p., Theorem 2.3).
-    let mut i = 0usize;
-    while i < mu {
-        let group_hash = scratch.hashes[scratch.perm[i] as usize];
-        let group_start = out.len();
-        while i < mu && scratch.hashes[scratch.perm[i] as usize] == group_hash {
-            let item = items[scratch.perm[i] as usize];
-            match out[group_start..].iter_mut().find(|e| e.item == item) {
-                Some(e) => e.count += 1,
-                None => out.push(HistogramEntry { item, count: 1 }),
-            }
-            i += 1;
-        }
-    }
+    scratch.distinct = out.len();
 }
 
-/// Fold/reduce hash-map histogram (ablation baseline for `build_hist`).
-///
-/// Each rayon worker folds its share of the input into a private `HashMap`
-/// and the per-worker maps are merged pairwise. The merge step is a
-/// potential sequential bottleneck for very large numbers of distinct items —
-/// exactly the effect the ablation experiment measures.
-pub fn build_hist_hashmap(items: &[u64]) -> Vec<HistogramEntry> {
-    use std::collections::HashMap;
-    let map = items
-        .par_iter()
-        .fold(HashMap::new, |mut acc: HashMap<u64, u64>, &x| {
-            *acc.entry(x).or_insert(0) += 1;
-            acc
-        })
-        .reduce(HashMap::new, |a, b| {
-            if a.len() < b.len() {
-                return merge_into(b, a);
+/// Counts `items` into `out` through `table` until one of them needs a new
+/// row while the table is half full; returns how many items were counted.
+fn probe_and_add(
+    table: &mut [u32],
+    key: u64,
+    items: &[u64],
+    out: &mut Vec<HistogramEntry>,
+) -> usize {
+    let mask = table.len() - 1;
+    for (done, &item) in items.iter().enumerate() {
+        let mut slot = slot_hash(key, item) & mask;
+        loop {
+            #[cfg(test)]
+            PROBED.set(PROBED.get() + 1);
+            match table[slot] {
+                0 if 2 * out.len() > mask => return done,
+                0 => {
+                    out.push(HistogramEntry { item, count: 1 });
+                    table[slot] = out.len() as u32;
+                    break;
+                }
+                row => {
+                    let entry = &mut out[row as usize - 1];
+                    if entry.item == item {
+                        entry.count += 1;
+                        break;
+                    }
+                    slot = (slot + 1) & mask;
+                }
             }
-            merge_into(a, b)
-        });
-    fn merge_into(
-        mut big: std::collections::HashMap<u64, u64>,
-        small: std::collections::HashMap<u64, u64>,
-    ) -> std::collections::HashMap<u64, u64> {
-        for (k, v) in small {
-            *big.entry(k).or_insert(0) += v;
         }
-        big
     }
-    map.into_iter()
-        .map(|(item, count)| HistogramEntry { item, count })
-        .collect()
+    items.len()
 }
 
 #[cfg(test)]
@@ -294,10 +287,18 @@ mod tests {
         assert_eq!(total, items.len() as u64, "histogram total must equal µ");
     }
 
+    /// The distinct items of `items` in first-occurrence order.
+    fn first_occurrences(items: &[u64]) -> Vec<u64> {
+        let mut seen = std::collections::HashSet::new();
+        items.iter().copied().filter(|&x| seen.insert(x)).collect()
+    }
+
     #[test]
     fn empty_input() {
         assert!(build_hist(&[], 0).is_empty());
-        assert!(build_hist_hashmap(&[]).is_empty());
+        let mut out = vec![HistogramEntry { item: 1, count: 1 }];
+        build_hist_into(&[], 0, &mut HistScratch::new(), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -356,15 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_variant_matches_reference() {
-        let items: Vec<u64> = (0..50_000u64).map(|i| (i * 2654435761) % 3000).collect();
-        check_against_reference(&items, &build_hist_hashmap(&items));
-    }
-
-    #[test]
     fn scratch_variant_matches_reference_across_reuse() {
-        // One scratch reused across wildly different batch shapes: small
-        // (sequential path), large uniform, large skewed, all distinct.
+        // One scratch reused across wildly different batch shapes, growing
+        // and shrinking: tiny, large uniform, large skewed, all distinct
+        // (the table doubles mid-batch), empty, one key — and the edge keys.
         let mut scratch = HistScratch::new();
         let mut out = Vec::new();
         let workloads: Vec<Vec<u64>> = vec![
@@ -382,11 +378,69 @@ mod tests {
             (0..30_000u64).map(|i| i * 1_000_003).collect(),
             Vec::new(),
             vec![42u64; 50_000],
+            vec![u64::MAX, 0, 1, u64::MAX, 0, u64::MAX - 1],
         ];
+        // A second scratch has its own random key and sees other seeds: the
+        // rows and their order may depend on neither.
+        let mut other = HistScratch::new();
+        let mut other_out = Vec::new();
         for (round, items) in workloads.iter().enumerate() {
             build_hist_into(items, round as u64 * 31 + 7, &mut scratch, &mut out);
             check_against_reference(items, &out);
+            let order: Vec<u64> = out.iter().map(|e| e.item).collect();
+            assert_eq!(order, first_occurrences(items), "round {round}");
+            build_hist_into(items, !(round as u64), &mut other, &mut other_out);
+            assert_eq!(out, other_out, "round {round}");
         }
+    }
+
+    #[test]
+    fn structured_keys_probe_a_constant_number_of_slots() {
+        // Key sets a weak slot hash piles into a few probe runs: every
+        // power-of-two stride (sequential keys and multiples of the table
+        // length among them), some odd ones, and keys that differ only in
+        // the top byte. Uniformly random slots cost about 1.5 probes here.
+        let n = 1u64 << 14;
+        let strides = (0..50).map(|k| 1u64 << k);
+        let strides = strides.chain([3, 10, 1000, 0xFFFF, (1 << 32) + 1]);
+        let mut key_sets: Vec<(String, Vec<u64>)> = strides
+            .map(|stride| {
+                let keys = (0..n).map(|i| i * stride).collect();
+                (format!("stride {stride}"), keys)
+            })
+            .collect();
+        let top_byte = (0..n).map(|i| (i % 256) << 56 | 0x00C0_FFEE).collect();
+        key_sets.push(("top byte".into(), top_byte));
+        let mut scratch = HistScratch::new();
+        let mut out = Vec::new();
+        for (name, keys) in &key_sets {
+            // Twice: the second batch starts with the table at its final
+            // size, the steady state of a shard worker.
+            for seed in [3, 4] {
+                PROBED.set(0);
+                build_hist_into(keys, seed, &mut scratch, &mut out);
+                check_against_reference(keys, &out);
+            }
+            let probes = PROBED.get() as f64 / keys.len() as f64;
+            assert!(probes < 3.0, "{name}: {probes:.2} probes per item");
+        }
+    }
+
+    #[test]
+    fn a_small_batch_after_a_huge_one_clears_only_its_own_table() {
+        let mut scratch = HistScratch::new();
+        let mut out = Vec::new();
+        let huge: Vec<u64> = (0..1u64 << 20).collect();
+        CLEARED.set(0);
+        build_hist_into(&huge, 1, &mut scratch, &mut out);
+        assert_eq!(out.len(), huge.len());
+        assert!(CLEARED.get() >= 2 << 20, "the huge batch grew the table");
+        let small: Vec<u64> = (0..100u64).map(|i| i * 7919).collect();
+        CLEARED.set(0);
+        build_hist_into(&small, 2, &mut scratch, &mut out);
+        check_against_reference(&small, &out);
+        let cleared = CLEARED.get();
+        assert!(cleared <= 512, "a 100-item batch cleared {cleared} slots");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`select`] — expected linear-work parallel rank selection, used to
 //!   compute the pruning cut-off `ϕ` of Lemma 5.3 / Algorithm 2.
 //! * [`histogram`] — the linear-work histogram `buildHist` of Theorem 2.3,
-//!   plus a fold/reduce hash-map variant used for ablation.
+//!   and the sequential probe-and-add kernel the shard workers run.
 //! * [`css`] — compacted stream segments (CSS) of Lemma 2.1: an encoding of
 //!   a binary stream segment that records only the positions of the 1 bits.
 //! * [`hash`] — seeded pairwise- and k-wise-independent hash families used
@@ -61,7 +61,7 @@ pub use codec::{put_header, ByteReader, ByteWriter, CodecError};
 pub use css::CompactedSegment;
 pub use fault::FaultPlan;
 pub use hash::{HashFamily, KeyMixBuildHasher, MultiplyAddShiftHash, PolynomialHash};
-pub use histogram::{build_hist, build_hist_hashmap, build_hist_into, HistScratch, HistogramEntry};
+pub use histogram::{build_hist, build_hist_into, HistScratch, HistogramEntry};
 pub use instrument::WorkMeter;
 pub use intsort::{int_sort_by_key, int_sort_pairs};
 pub use pack::{pack, pack_indices, pack_map};

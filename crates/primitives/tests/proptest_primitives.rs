@@ -6,8 +6,8 @@ use std::collections::HashMap;
 
 use psfa_primitives::intsort::sort_indices_by_key;
 use psfa_primitives::{
-    build_hist, build_hist_hashmap, kth_smallest, pack, pack_indices, phi_cutoff,
-    phi_cutoff_in_place, scan_exclusive, scan_inclusive, CompactedSegment,
+    build_hist, build_hist_into, kth_smallest, pack, pack_indices, phi_cutoff, phi_cutoff_in_place,
+    scan_exclusive, scan_inclusive, CompactedSegment, HistScratch,
 };
 
 proptest! {
@@ -100,15 +100,51 @@ proptest! {
     }
 
     #[test]
-    fn build_hist_matches_hashmap(items in prop::collection::vec(0u64..300, 0..6000)) {
+    fn build_hist_matches_hashmap(
+        // Few distinct keys, many, and the two edge keys; lengths on both
+        // sides of `SEQ_THRESHOLD`.
+        items in prop::collection::vec(
+            prop_oneof![0u64..300, any::<u64>(), Just(0u64), Just(u64::MAX)],
+            0..6000,
+        ),
+        seed in any::<u64>(),
+    ) {
         let mut want: HashMap<u64, u64> = HashMap::new();
+        let mut order = Vec::new();
         for &x in &items {
-            *want.entry(x).or_insert(0) += 1;
+            let count = want.entry(x).or_insert(0);
+            if *count == 0 {
+                order.push(x);
+            }
+            *count += 1;
         }
-        for hist in [build_hist(&items, 42), build_hist_hashmap(&items)] {
-            prop_assert_eq!(hist.len(), want.len());
-            for e in &hist {
-                prop_assert_eq!(want.get(&e.item).copied(), Some(e.count));
+        let hist = build_hist(&items, seed);
+        prop_assert_eq!(hist.len(), want.len());
+        for e in &hist {
+            prop_assert_eq!(want.get(&e.item).copied(), Some(e.count));
+        }
+
+        // The kernel: one scratch across a growing then shrinking run of
+        // batches (a fresh table doubles mid-batch, a warm one is sized by
+        // the previous batch), a second scratch with its own random key and
+        // another seed. Rows are exact, in first-occurrence order, and the
+        // same from both.
+        let (mut scratch, mut other) = (HistScratch::new(), HistScratch::new());
+        let (mut out, mut other_out) = (Vec::new(), Vec::new());
+        let n = items.len();
+        for end in [n / 7, n / 2, n, n / 3, n / 50, n] {
+            let batch = &items[..end];
+            build_hist_into(batch, seed, &mut scratch, &mut out);
+            build_hist_into(batch, !seed, &mut other, &mut other_out);
+            prop_assert_eq!(&out, &other_out);
+            let mut seen: HashMap<u64, u64> = HashMap::new();
+            for &x in batch {
+                *seen.entry(x).or_insert(0) += 1;
+            }
+            let rows = order.iter().filter(|x| seen.contains_key(x));
+            prop_assert!(out.iter().map(|e| &e.item).eq(rows));
+            for e in &out {
+                prop_assert_eq!(seen.get(&e.item).copied(), Some(e.count));
             }
         }
     }

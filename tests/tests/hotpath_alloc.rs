@@ -1,9 +1,12 @@
 //! Allocation audit of the recycled ingest hot path: after warm-up, one
 //! minibatch through `BufferPool::checkout` → `HashRouter::partition_into`
-//! → `build_hist_into` → `InfiniteHeavyHitters::process_histogram` →
-//! `BufferPool::give_back` must perform **zero** heap allocations (the MG
-//! table is sized once for `2S` counters, the cut-off selection runs in
-//! place, and every buffer is reused).
+//! → the whole of `ShardWorker::ingest`'s body (`build_hist_into` →
+//! `InfiniteHeavyHitters::process_histogram` →
+//! `PaneWindow::process_histogram` → `AtomicCountMin::ingest_histogram`) →
+//! `BufferPool::give_back` must perform **zero** heap allocations (the
+//! histogram's probe table only grows and a shorter batch clears a prefix
+//! of it, the MG tables are sized once for `2S` counters, the cut-off
+//! selection runs in place, and every buffer is reused).
 //!
 //! One `#[test]` in its own binary: the counting `#[global_allocator]`
 //! below is process-wide, and it counts only on the thread that raised
@@ -64,12 +67,19 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
     let mut scratch = HistScratch::new();
     let mut hist = Vec::new();
     let mut hh = InfiniteHeavyHitters::new(0.01, 0.001);
+    let mut window = PaneWindow::new(0.001, 8);
+    let count_min = AtomicCountMin::new(0.0005, 0.01, 0x00C0_FFEE);
     let mut seed = 0x5eed_1357u64;
-    // Allocations made by one pass of every batch through the cycle.
-    let mut pass = || {
+    // Allocations made by one pass of every batch through the cycle, batch
+    // `short` cut to a third of its length.
+    let mut pass = |short: Option<usize>| {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         AUDITED.set(true);
-        for batch in &batches {
+        for (index, batch) in batches.iter().enumerate() {
+            let batch = match short {
+                Some(short) if short == index => &batch[..batch.len() / 3],
+                _ => &batch[..],
+            };
             let mut parts = pool.checkout();
             router.partition_into(batch, &mut parts);
             let sub = std::mem::take(&mut parts[0]);
@@ -77,19 +87,21 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
             seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
             build_hist_into(&sub, seed, &mut scratch, &mut hist);
             hh.process_histogram(&hist, sub.len() as u64);
+            window.process_histogram(&hist, sub.len() as u64);
+            count_min.ingest_histogram(&hist);
             pool.give_back(0, sub);
         }
         AUDITED.set(false);
         ALLOCATIONS.load(Ordering::Relaxed) - before
     };
 
-    let warm_up = pass();
+    let warm_up = pass(None);
     assert!(
         warm_up > 0,
         "the counting allocator is not installed: sizing the buffers must allocate"
     );
     assert_eq!(
-        pass(),
+        pass(Some(5)),
         0,
         "the recycled hot path must not allocate at steady state"
     );
