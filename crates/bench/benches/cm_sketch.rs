@@ -1,10 +1,12 @@
 //! E6 bench: Count-Min sketch — parallel minibatch ingestion (Theorem 6.1)
-//! vs classic per-element updates, plus query cost.
+//! vs classic per-element updates, plus query cost, plus the update the
+//! engine's shard workers run (`AtomicCountMin::ingest_histogram`).
 
 mod common;
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use psfa::prelude::*;
+use psfa::primitives::HistogramEntry;
 use psfa_bench::zipf_minibatches;
 
 fn bench_cm(c: &mut Criterion) {
@@ -48,6 +50,21 @@ fn bench_cm(c: &mut Criterion) {
             item = (item + 1) % 1000;
             cm.query(item)
         })
+    });
+    // What a shard worker does per sub-batch on `ingest_flat_window`: the
+    // repo benchmark's `(ε, δ)` (5437 × 5 counters), one histogram of 8,192
+    // distinct keys spread over the key space, added to a sketch that stays
+    // warm between iterations.
+    let hist: Vec<HistogramEntry> = (0..8192u64)
+        .map(|i| HistogramEntry {
+            item: i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            count: 1 + i % 3,
+        })
+        .collect();
+    group.throughput(Throughput::Elements(hist.len() as u64));
+    group.bench_function("atomic_ingest_histogram_8192_distinct", |b| {
+        let cm = AtomicCountMin::new(0.0005, 0.01, 1);
+        b.iter(|| cm.ingest_histogram(&hist))
     });
     group.finish();
 }

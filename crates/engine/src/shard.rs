@@ -11,10 +11,12 @@
 //!   heavy-hitter tracker, the open window pane, and the Count-Min sketch
 //!   — zero allocations;
 //! * the Count-Min sketch is a [`psfa_sketch::AtomicCountMin`]: the worker
-//!   — its only writer — adds with a relaxed load and store per counter
-//!   and point queries read concurrently with no mutex (the one-sided
-//!   overestimate survives relaxed ordering — see that module's docs for
-//!   the single-writer contract);
+//!   — its only writer — adds a histogram through one kernel compiled for
+//!   the sketch's depth (per distinct key, `d` independent two-multiply
+//!   row hashes, then `d` relaxed load + store pairs) and point queries
+//!   read concurrently with no mutex (the one-sided overestimate survives
+//!   relaxed ordering — see that module's docs for the single-writer
+//!   contract);
 //! * finished sub-batch buffers are returned to the engine's
 //!   [`psfa_stream::BufferPool`] return lanes, so producers reuse their
 //!   capacity instead of allocating per batch;

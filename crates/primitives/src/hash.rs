@@ -2,7 +2,7 @@
 //!
 //! | consumer | needs | gets |
 //! |---|---|---|
-//! | Count-Min / row `i` (Section 6) | a **pairwise-independent** map into `0..w`: the `Pr[h(x) = h(y)] ≤ 1/w` collision bound is all the `ε·m` analysis uses | [`MultiplyAddShiftHash`] — one 128-bit multiply-add, no division |
+//! | Count-Min / row `i` (Section 6) | a map into `0..w` under which two distinct keys share a column with probability about `1/w`, drawn **independently per row**: the collision bound is all the `ε·m` analysis uses of a row, and the independence of the rows is what turns it into `δ = e^{−d}` | [`PairMultiplyShiftHash`], seeded per row — `Pr[h(x) = h(y)] ≤ (1/w)(1 + w·2⁻³²)²`; two 64-bit multiplies, no division |
 //! | parallel `buildHist` (Theorem 2.3, `µ > SEQ_THRESHOLD`) | an `O(log µ)`-wise independent map into `0..O(µ)`: the family bounds the *largest* bucket, which only the parallel algorithm's **depth** needs — the `O(µ)` expected work holds for any evenly spreading map | [`PolynomialHash`] with `k = 8`, seeded per minibatch |
 //! | the sequential histogram kernel (`build_hist_into`, one per shard worker) | no depth to bound, so no independence guarantee — a seeded even spread over its probe table that an adversary who cannot see the seed cannot defeat | the key mix ([`KeyMixBuildHasher`]'s folded multiply), keyed per `HistScratch` |
 //! | Count-Sketch buckets and signs | pairwise independence | [`PolynomialHash`] with `k = 2` |
@@ -10,13 +10,15 @@
 //!
 //! Three constructions:
 //!
-//! * [`MultiplyAddShiftHash`] — Dietzfelbinger's multiply-add-shift scheme
-//!   with 128-bit parameters: `(a·x + b) mod 2^128`, top 64 bits. For 64-bit
-//!   keys this is *strongly universal* (pairwise independent) over 64-bit
-//!   outputs; the output is then reduced into an arbitrary range `w` by
-//!   taking the high word of `h·w` (multiply-high), which keeps every bucket
-//!   within `w/2^64` of uniform. One 128-bit multiply-add and one
-//!   multiply-high — no modular reduction, no division.
+//! * [`PairMultiplyShiftHash`] — Thorup's pair-multiply-shift scheme
+//!   (*High Speed Hashing for Integers and Strings*, §3.5) on the key's two
+//!   32-bit halves: `(((a₁ + x_hi)·(a₂ + x_lo) + b) mod 2^64) >> 32` with
+//!   `a₁`, `a₂`, `b` 64-bit. Because `64 ≥ 32 + 32 − 1`, the 32-bit value is
+//!   *strongly universal* (pairwise independent and uniform) at **one**
+//!   64-bit multiply. It is reduced into a range `w ≤ 2^32` by `(h·w) >> 32`,
+//!   which puts at most `⌈2^32/w⌉` of the `2^32` values in any bucket, so
+//!   two distinct keys collide with probability at most
+//!   `(1/w)(1 + w·2⁻³²)²` — a factor 1.0000025 over `1/w` at `w = 5437`.
 //! * [`PolynomialHash`] — degree-(k−1) polynomial hashing over the Mersenne
 //!   prime `2^61 − 1`, giving a k-wise independent family at `k` modular
 //!   multiply-adds plus two `%` (key and range) per evaluation.
@@ -44,27 +46,35 @@ pub trait HashFamily: Send + Sync {
     fn range(&self) -> u64;
 }
 
-/// Pairwise-independent multiply-add-shift hashing into an arbitrary range,
-/// division-free (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiplyAddShiftHash {
-    a: u128,
-    b: u128,
+/// Pair-multiply-shift hashing of a 64-bit key into a range of at most
+/// `2^32`: one 64-bit multiply for a strongly universal 32-bit value, one
+/// more to reduce it (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairMultiplyShiftHash {
+    a_hi: u64,
+    a_lo: u64,
+    b: u64,
     range: u64,
 }
 
-impl MultiplyAddShiftHash {
+impl PairMultiplyShiftHash {
+    /// The largest range the 32-bit hash value can be reduced into.
+    pub const MAX_RANGE: u64 = 1 << 32;
+
     /// Creates a hash function into `0..range` with parameters drawn from
     /// `rng`.
     ///
     /// # Panics
-    /// Panics if `range == 0`.
+    /// Panics unless `1 ≤ range ≤ 2^32`.
     pub fn new<R: RngCore>(range: u64, rng: &mut R) -> Self {
-        assert!(range >= 1, "MultiplyAddShiftHash: range must be at least 1");
-        let mut wide = || (rng.next_u64() as u128) << 64 | rng.next_u64() as u128;
+        assert!(
+            (1..=Self::MAX_RANGE).contains(&range),
+            "PairMultiplyShiftHash: range must be in 1..=2^32"
+        );
         Self {
-            a: wide(),
-            b: wide(),
+            a_hi: rng.next_u64(),
+            a_lo: rng.next_u64(),
+            b: rng.next_u64(),
             range,
         }
     }
@@ -75,19 +85,25 @@ impl MultiplyAddShiftHash {
         Self::new(range, &mut rng)
     }
 
-    /// The pairwise-independent 64-bit value before range reduction: the
-    /// top half of `(a·key + b) mod 2^128`.
+    /// The strongly universal 32-bit value before range reduction: the top
+    /// half of `((a_hi + x_hi)·(a_lo + x_lo) + b) mod 2^64`.
     #[inline]
     fn mix(&self, key: u64) -> u64 {
-        (self.a.wrapping_mul(key as u128).wrapping_add(self.b) >> 64) as u64
+        let (hi, lo) = (key >> 32, key & 0xFFFF_FFFF);
+        self.a_hi
+            .wrapping_add(hi)
+            .wrapping_mul(self.a_lo.wrapping_add(lo))
+            .wrapping_add(self.b)
+            >> 32
     }
 }
 
-impl HashFamily for MultiplyAddShiftHash {
+impl HashFamily for PairMultiplyShiftHash {
     #[inline]
     fn hash(&self, key: u64) -> u64 {
-        // Multiply-high range reduction: ⌊mix · range / 2^64⌋ < range.
-        ((self.mix(key) as u128 * self.range as u128) >> 64) as u64
+        // Multiply-high range reduction: ⌊mix · range / 2^32⌋ < range, and
+        // the product of a 32-bit value with `range ≤ 2^32` fits 64 bits.
+        (self.mix(key) * self.range) >> 32
     }
 
     fn range(&self) -> u64 {
@@ -246,34 +262,46 @@ impl HashFamily for PolynomialHash {
 mod tests {
     use super::*;
 
+    // `multiply_add_shift_*`: pair-multiply-shift is a multiply, an add and
+    // a shift on the key's halves, held to the checks (and test names) of
+    // the 128-bit multiply-add-shift family it replaced.
+
     #[test]
     fn multiply_add_shift_in_range_and_deterministic() {
-        // A non-power-of-two range, as Count-Min's `⌈e/ε⌉` widths are.
-        let h = MultiplyAddShiftHash::from_seed(5437, 42);
-        let same = MultiplyAddShiftHash::from_seed(5437, 42);
-        let other = MultiplyAddShiftHash::from_seed(5437, 43);
-        assert_eq!(h.range(), 5437);
-        assert_eq!(h, same);
-        for key in (0..1_000_000u64)
-            .step_by(97)
-            .chain([u64::MAX, u64::MAX - 1])
-        {
-            assert!(h.hash(key) < 5437);
-            assert_eq!(h.hash(key), same.hash(key));
+        // Range 1 maps everything to 0; 5437 is a non-power-of-two range,
+        // as Count-Min's `⌈e/ε⌉` widths are; 2^32 − 1 is the widest sketch
+        // the codec can write.
+        for range in [1u64, 5437, (1 << 32) - 1] {
+            let h = PairMultiplyShiftHash::from_seed(range, 42);
+            let same = PairMultiplyShiftHash::from_seed(range, 42);
+            let other = PairMultiplyShiftHash::from_seed(range, 43);
+            assert_eq!(h.range(), range);
+            assert_eq!(h, same);
+            for key in (0..1_000_000u64).step_by(97).chain([
+                u64::MAX,
+                u64::MAX - 1,
+                1 << 32,
+                u64::MAX << 32,
+            ]) {
+                assert!(h.hash(key) < range);
+                assert_eq!(h.hash(key), same.hash(key));
+            }
+            assert!(range == 1 || (0..100).any(|k| h.hash(k) != other.hash(k)));
         }
-        assert!((0..100).any(|k| h.hash(k) != other.hash(k)));
-        // Range 1 is legal and maps everything to 0.
-        assert_eq!(MultiplyAddShiftHash::from_seed(1, 7).hash(12345), 0);
+        // The full 32-bit value is a legal range too.
+        let full = PairMultiplyShiftHash::from_seed(PairMultiplyShiftHash::MAX_RANGE, 7);
+        assert!((0..1000u64).any(|k| full.hash(k) >= 1 << 31));
     }
 
     #[test]
     fn multiply_add_shift_spreads_structured_keys_evenly() {
         // Sequential and strided keys — the inputs a plain multiply-shift
-        // without the add handles worst — land within a small factor of the
-        // uniform load in every bucket.
+        // without the add handles worst, and strides that move only the low
+        // half, only the high half, or both — land within a small factor of
+        // the uniform load in every bucket.
         let range = 128u64;
-        let h = MultiplyAddShiftHash::from_seed(range, 11);
-        for stride in [1u64, 1 << 20, 1 << 40] {
+        let h = PairMultiplyShiftHash::from_seed(range, 11);
+        for stride in [1u64, 1 << 20, 1 << 32, 1 << 40, (1 << 32) + 1] {
             let mut buckets = vec![0u64; range as usize];
             let keys = 64_000u64;
             for i in 0..keys {
@@ -294,18 +322,29 @@ mod tests {
         // Pairwise independence, observed: over many independently seeded
         // functions a fixed pair of distinct keys collides with probability
         // 1/range (here 1/64: 20 000 draws, expectation 312.5, σ ≈ 17.5).
+        // After three arbitrary pairs, the ones a hash of the key's halves
+        // could be weak on: keys differing only in the high half, only in
+        // the low half, and with the halves swapped.
         let range = 64u64;
         let draws = 20_000u64;
-        for (x, y) in [(0u64, 1u64), (7, 7 + (1 << 32)), (u64::MAX, 12345)] {
+        for (x, y) in [
+            (0u64, 1u64),
+            (7, 7 + (1 << 32)),
+            (u64::MAX, 12345),
+            (5 << 32, u64::MAX << 32),
+            (0xABCD_0000_1234, 0xABCD_0000_1235),
+            (0x0000_0001_0000_0002, 0x0000_0002_0000_0001),
+            (0xFFFF_FFFF_0000_0000, 0x0000_0000_FFFF_FFFF),
+        ] {
             let collisions = (0..draws)
                 .filter(|&seed| {
-                    let h = MultiplyAddShiftHash::from_seed(range, seed);
+                    let h = PairMultiplyShiftHash::from_seed(range, seed);
                     h.hash(x) == h.hash(y)
                 })
                 .count() as u64;
             assert!(
                 (200..=430).contains(&collisions),
-                "pair ({x}, {y}) collided {collisions} times in {draws} draws"
+                "pair ({x:#x}, {y:#x}) collided {collisions} times in {draws} draws"
             );
         }
     }
@@ -313,7 +352,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "range")]
     fn multiply_add_shift_rejects_zero_range() {
-        let _ = MultiplyAddShiftHash::from_seed(0, 1);
+        let _ = PairMultiplyShiftHash::from_seed(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "range")]
+    fn pair_multiply_shift_rejects_a_range_past_32_bits() {
+        let _ = PairMultiplyShiftHash::from_seed((1 << 32) + 1, 1);
     }
 
     #[test]

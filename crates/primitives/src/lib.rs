@@ -60,7 +60,7 @@ pub use arc_cell::ArcCell;
 pub use codec::{put_header, ByteReader, ByteWriter, CodecError};
 pub use css::CompactedSegment;
 pub use fault::FaultPlan;
-pub use hash::{HashFamily, KeyMixBuildHasher, MultiplyAddShiftHash, PolynomialHash};
+pub use hash::{HashFamily, KeyMixBuildHasher, PairMultiplyShiftHash, PolynomialHash};
 pub use histogram::{build_hist, build_hist_into, HistScratch, HistogramEntry};
 pub use instrument::WorkMeter;
 pub use intsort::{int_sort_by_key, int_sort_pairs};

@@ -8,7 +8,10 @@
 //!
 //! * the writer adds a histogram count with a **relaxed load followed by a
 //!   relaxed store** of the sum — two plain moves on every mainstream
-//!   target, not a locked read-modify-write;
+//!   target, not a locked read-modify-write — from one ingest kernel
+//!   compiled per depth (`add_histogram`), which hashes a histogram
+//!   entry into all of its rows at once over the flat row-major
+//!   `d × w` matrix;
 //! * readers take **relaxed** loads and the row-wise minimum, with no
 //!   synchronisation against the writer at all.
 //!
@@ -60,9 +63,9 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use psfa_primitives::{HashFamily, HistogramEntry, MultiplyAddShiftHash};
+use psfa_primitives::{HistogramEntry, PairMultiplyShiftHash};
 
-use crate::count_min::CountMinSketch;
+use crate::count_min::{column, CountMinSketch};
 use crate::parallel::ParallelCountMin;
 
 /// A Count-Min sketch whose counters are relaxed atomics: **one** writer
@@ -81,7 +84,7 @@ pub struct AtomicCountMin {
     width: usize,
     /// Row-major `depth × width` counter matrix.
     counters: Vec<AtomicU64>,
-    hashes: Vec<MultiplyAddShiftHash>,
+    hashes: Vec<PairMultiplyShiftHash>,
     /// Total mass added (`m`); incremented after the counter adds, so it
     /// trails them — a reader never sees a total ahead of the counters.
     total: AtomicU64,
@@ -114,9 +117,6 @@ impl AtomicCountMin {
             .iter()
             .flat_map(|row| row.iter().map(|&c| AtomicU64::new(c)))
             .collect();
-        let hashes = (0..inner.depth())
-            .map(|row| inner.row_hash(row).clone())
-            .collect();
         Self {
             epsilon: inner.epsilon(),
             delta: inner.delta(),
@@ -124,7 +124,7 @@ impl AtomicCountMin {
             hist_seed: sketch.histogram_seed(),
             width: inner.width(),
             counters,
-            hashes,
+            hashes: inner.row_hashes().to_vec(),
             total: AtomicU64::new(inner.total()),
             #[cfg(debug_assertions)]
             writing: AtomicBool::new(false),
@@ -152,7 +152,7 @@ impl AtomicCountMin {
     }
 
     /// Each row's hash function with its `width` counters.
-    fn rows(&self) -> impl Iterator<Item = (&MultiplyAddShiftHash, &[AtomicU64])> {
+    fn rows(&self) -> impl Iterator<Item = (&PairMultiplyShiftHash, &[AtomicU64])> {
         self.hashes
             .iter()
             .zip(self.counters.chunks_exact(self.width))
@@ -175,14 +175,25 @@ impl AtomicCountMin {
             !self.writing.swap(true, Ordering::Acquire),
             "AtomicCountMin: overlapping writers break the single-writer contract"
         );
-        let mut added = 0u64;
-        for entry in hist {
-            added += entry.count;
-            for (hash, row) in self.rows() {
-                add(&row[hash.hash(entry.item) as usize], entry.count);
+        // One kernel, monomorphised on the number of rows it covers and
+        // chosen once per call; a sketch deeper than the largest
+        // specialisation runs the same kernel over successive row groups.
+        let groups = self.hashes.chunks(MAX_GROUP);
+        let group_counters = self.counters.chunks(MAX_GROUP * self.width);
+        for (hashes, counters) in groups.zip(group_counters) {
+            match hashes.len() {
+                1 => add_histogram::<1>(hashes, counters, hist),
+                2 => add_histogram::<2>(hashes, counters, hist),
+                3 => add_histogram::<3>(hashes, counters, hist),
+                4 => add_histogram::<4>(hashes, counters, hist),
+                5 => add_histogram::<5>(hashes, counters, hist),
+                6 => add_histogram::<6>(hashes, counters, hist),
+                7 => add_histogram::<7>(hashes, counters, hist),
+                MAX_GROUP => add_histogram::<MAX_GROUP>(hashes, counters, hist),
+                _ => unreachable!("chunks(MAX_GROUP) yields 1..=MAX_GROUP rows"),
             }
         }
-        add(&self.total, added);
+        add(&self.total, hist.iter().map(|entry| entry.count).sum());
         #[cfg(debug_assertions)]
         self.writing.store(false, Ordering::Release);
     }
@@ -192,7 +203,7 @@ impl AtomicCountMin {
     /// and never more than `f + ε·m` (w.h.p.) over the whole stream.
     pub fn query(&self, item: u64) -> u64 {
         self.rows()
-            .map(|(hash, row)| row[hash.hash(item) as usize].load(Ordering::Relaxed))
+            .map(|(hash, row)| row[column(hash, item)].load(Ordering::Relaxed))
             .min()
             .unwrap_or(0)
     }
@@ -216,6 +227,32 @@ impl AtomicCountMin {
     /// The hash seed the rows were derived from.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+}
+
+/// The largest number of rows one [`add_histogram`] instance covers.
+const MAX_GROUP: usize = 8;
+
+/// The ingest kernel: adds `hist` to the `D` rows `counters` holds (row
+/// major, `D × width`), row `i` hashed by `hashes[i]`. With `D` a constant
+/// the row loops unroll, the hash parameters stay in registers, and the
+/// `D` columns of one entry are `D` independent multiply chains the CPU
+/// overlaps. Entry-major order: a histogram entry's `D` adds are issued
+/// together and each row's counters are visited in hash order.
+fn add_histogram<const D: usize>(
+    hashes: &[PairMultiplyShiftHash],
+    counters: &[AtomicU64],
+    hist: &[HistogramEntry],
+) {
+    let hashes: [PairMultiplyShiftHash; D] = std::array::from_fn(|row| hashes[row]);
+    let width = counters.len() / D;
+    let rows: [&[AtomicU64]; D] =
+        std::array::from_fn(|row| &counters[row * width..(row + 1) * width]);
+    for entry in hist {
+        let columns: [usize; D] = std::array::from_fn(|row| column(&hashes[row], entry.item));
+        for (row, &at) in rows.iter().zip(&columns) {
+            add(&row[at], entry.count);
+        }
     }
 }
 
@@ -265,6 +302,64 @@ mod tests {
         }
         // The snapshot is byte-equal state: same counters, same params.
         assert_eq!(atomic.to_parallel(), plain);
+    }
+
+    #[test]
+    fn kernel_matches_per_entry_updates_at_every_depth() {
+        // Depths 1..=8 each have their own instance of the kernel; depth 9
+        // runs the 8-row one and then the 1-row one. Whatever the depth,
+        // the matrix must equal per-entry `CountMinSketch::update`s counter
+        // for counter. Three widths: the benchmark's, one narrower than the
+        // histogram (every column is hit several times per call), and the
+        // narrowest there is.
+        let mut state = 3u64;
+        let mut random = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let spread: Vec<HistogramEntry> = (0..700)
+            .map(|_| HistogramEntry {
+                item: random(),
+                count: 1 + random() % 5,
+            })
+            .collect();
+        // Edge histograms: entries that add nothing, and one key repeated
+        // back to back (each add must see the one before it).
+        let zeros: Vec<HistogramEntry> = (0..40u64)
+            .map(|item| HistogramEntry {
+                item,
+                count: item % 2,
+            })
+            .collect();
+        let repeated = vec![HistogramEntry { item: 77, count: 3 }; 50];
+        for depth in 1..=9usize {
+            let delta = (0.5 - depth as f64).exp();
+            for epsilon in [0.0005, 0.02, 0.99] {
+                let atomic = AtomicCountMin::new(epsilon, delta, 19);
+                let mut plain = CountMinSketch::new(epsilon, delta, 19);
+                assert_eq!(plain.depth(), depth);
+                for hist in [&spread, &zeros, &repeated, &spread] {
+                    atomic.ingest_histogram(hist);
+                    for entry in hist.iter() {
+                        plain.update(entry.item, entry.count);
+                    }
+                }
+                assert_eq!(
+                    atomic.to_parallel(),
+                    ParallelCountMin::from_sketch_with_seed(plain, 19),
+                    "depth {depth}, epsilon {epsilon}"
+                );
+                assert_eq!(atomic.query(77), atomic.to_parallel().query(77));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2^32")]
+    fn epsilon_too_small_for_a_32_bit_width_is_rejected() {
+        let _ = AtomicCountMin::new(6e-10, 0.5, 0);
     }
 
     #[test]

@@ -1,21 +1,30 @@
 //! Sequential Count-Min sketch (Cormode–Muthukrishnan), the baseline the
 //! parallel minibatch version of Section 6 builds on.
 //!
-//! Row `i` places an item with a pairwise-independent
-//! [`MultiplyAddShiftHash`] into `0..w` — all the `ε·m` analysis asks of a
-//! row is `Pr[h(x) = h(y)] ≤ 1/w` — so an update or a query costs one
-//! 128-bit multiply-add and one multiply-high per row, with no division.
+//! Row `i` places an item into `0..w` with its own, independently seeded
+//! [`PairMultiplyShiftHash`], so an update or a query costs two 64-bit
+//! multiplies per row and no division. The `ε·m` analysis asks two things
+//! of the rows. Within a row, two distinct keys must share a column with
+//! probability about `1/w`: this family gives
+//! `Pr[h(x) = h(y)] ≤ (1/w)(1 + w·2⁻³²)²`, so a row's expected overestimate
+//! is `m/w` times that factor — 1.0000025 at the benchmark's `w = 5437`,
+//! never more than 4 at the widest sketch [`CountMinSketch::new`] accepts —
+//! and `w = ⌈e/ε⌉` keeps it at `ε·m/e`. Across rows, the `d` functions must
+//! be independent, which is what turns one row's Markov bound `1/e` into
+//! `δ = e^{−d}`: every row draws its own three 64-bit parameters.
 
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
-use psfa_primitives::{HashFamily, MultiplyAddShiftHash};
+use psfa_primitives::{HashFamily, PairMultiplyShiftHash};
 
 /// Type tag for encoded Count-Min sketches (see `psfa_primitives::codec`).
 const TAG: u8 = 0x07;
-/// Version 2: rows hash with [`MultiplyAddShiftHash`]. Version 1 derived a
-/// degree-1 polynomial over `2^61 − 1` from the same seed, so its counters
-/// sit in different columns and must not be read by this code: decoding a
-/// version-1 sketch fails with [`CodecError::UnsupportedVersion`].
-const VERSION: u8 = 2;
+/// Version 3: rows hash with [`PairMultiplyShiftHash`]. Version 1 derived a
+/// degree-1 polynomial over `2^61 − 1` from the same seed and version 2 a
+/// 128-bit multiply-add-shift, so their counters sit in different columns
+/// and must not be read by this code: decoding either fails with
+/// [`CodecError::UnsupportedVersion`]. The bytes after the version byte
+/// have not changed since version 1.
+const VERSION: u8 = 3;
 
 /// A Count-Min sketch: `d = ⌈ln(1/δ)⌉` rows of `w = ⌈e/ε⌉` counters.
 ///
@@ -33,9 +42,17 @@ pub struct CountMinSketch {
     depth: usize,
     /// Row-major counter array, `depth` rows of `width` counters.
     rows: Vec<Vec<u64>>,
-    hashes: Vec<MultiplyAddShiftHash>,
+    hashes: Vec<PairMultiplyShiftHash>,
     /// Total mass added so far (`m`).
     total: u64,
+}
+
+/// The column `hash` assigns to `item`: the one function every Count-Min in
+/// this crate — this sketch, [`crate::ParallelCountMin`] through it, and
+/// [`crate::AtomicCountMin`]'s kernel — takes its columns from.
+#[inline]
+pub(crate) fn column(hash: &PairMultiplyShiftHash, item: u64) -> usize {
+    hash.hash(item) as usize
 }
 
 impl PartialEq for CountMinSketch {
@@ -55,14 +72,23 @@ impl CountMinSketch {
     /// deterministically from `seed`.
     ///
     /// # Panics
-    /// Panics unless `0 < ε < 1` and `0 < δ < 1`.
+    /// Panics unless `0 < ε < 1` and `0 < δ < 1`, and if `ε` is so small
+    /// that the width `⌈e/ε⌉` exceeds [`u32::MAX`] (`ε` below about
+    /// `e·2⁻³² ≈ 6.33e-10`): the codec writes the width as a `u32` and the
+    /// row hash reduces a 32-bit value.
     pub fn new(epsilon: f64, delta: f64, seed: u64) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
+        // The float→int cast saturates, so a tiny epsilon cannot wrap past
+        // the check.
         let width = (std::f64::consts::E / epsilon).ceil() as usize;
+        assert!(
+            width as u64 <= u64::from(u32::MAX),
+            "epsilon too small: the width ⌈e/ε⌉ must be at most 2^32 − 1 (ε ≥ e·2⁻³² ≈ 6.33e-10)"
+        );
         let depth = (1.0 / delta).ln().ceil().max(1.0) as usize;
         let hashes = (0..depth)
-            .map(|i| MultiplyAddShiftHash::from_seed(width as u64, seed ^ (0x9E37 + i as u64)))
+            .map(|i| PairMultiplyShiftHash::from_seed(width as u64, seed ^ (0x9E37 + i as u64)))
             .collect();
         Self {
             epsilon,
@@ -113,13 +139,13 @@ impl CountMinSketch {
 
     /// Column used by row `row` for `item` (exposed for the parallel updater).
     pub(crate) fn column(&self, row: usize, item: u64) -> usize {
-        self.hashes[row].hash(item) as usize
+        column(&self.hashes[row], item)
     }
 
-    /// The hash function of row `row` (exposed for the atomic concurrent
-    /// sketch, which shares this sketch's exact hashing).
-    pub(crate) fn row_hash(&self, row: usize) -> &MultiplyAddShiftHash {
-        &self.hashes[row]
+    /// The row hash functions, in row order (exposed for the atomic
+    /// concurrent sketch, which shares this sketch's exact hashing).
+    pub(crate) fn row_hashes(&self) -> &[PairMultiplyShiftHash] {
+        &self.hashes
     }
 
     /// Rebuilds a sketch from raw parts: the `(ε, δ, seed)` triple plus a
@@ -442,17 +468,20 @@ mod tests {
 
     #[test]
     fn decode_rejects_sketches_written_under_the_version_1_row_hash() {
-        // Same layout, different columns: a version-1 sketch must fail
-        // typed instead of being decoded into counters this hash misreads.
+        // Same layout, different columns: a sketch written under either
+        // earlier row hash (versions 1 and 2) must fail typed instead of
+        // being decoded into counters this hash misreads.
         let mut sketch = CountMinSketch::new(0.01, 0.05, 77);
         sketch.update(5, 9);
         let mut bytes = sketch.encode();
         assert_eq!(bytes[1], VERSION, "layout: tag(1) + version(1)");
-        bytes[1] = 1;
-        assert_eq!(
-            CountMinSketch::decode(&bytes),
-            Err(CodecError::UnsupportedVersion { found: 1 })
-        );
+        for old in 1..VERSION {
+            bytes[1] = old;
+            assert_eq!(
+                CountMinSketch::decode(&bytes),
+                Err(CodecError::UnsupportedVersion { found: old })
+            );
+        }
     }
 
     #[test]
@@ -472,5 +501,24 @@ mod tests {
         let mut bytes = sketch.encode();
         bytes[10..18].copy_from_slice(&1e-300f64.to_bits().to_le_bytes());
         assert!(CountMinSketch::decode(&bytes).is_err());
+        // An epsilon just under the limit `new` enforces implies a width no
+        // `u32` field can hold, so the same cross-check rejects it — typed,
+        // without reaching `new`'s panic.
+        let mut bytes = sketch.encode();
+        bytes[2..10].copy_from_slice(&6e-10f64.to_bits().to_le_bytes());
+        bytes[34..38].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            CountMinSketch::decode(&bytes),
+            Err(CodecError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "2^32")]
+    fn epsilon_too_small_for_a_32_bit_width_is_rejected() {
+        // ⌈e / 6e-10⌉ ≈ 4.53e9 > u32::MAX: `encode_into` would truncate the
+        // width and the row hash cannot reach past 2^32 columns. The check
+        // comes before the counter matrix is allocated.
+        let _ = CountMinSketch::new(6e-10, 0.5, 0);
     }
 }

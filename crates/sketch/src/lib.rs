@@ -7,9 +7,10 @@
 //! in related work).
 //!
 //! * [`count_min`] — the classic sequential Count-Min sketch of Cormode and
-//!   Muthukrishnan: `d = ⌈ln(1/δ)⌉` rows of `w = ⌈e/ε⌉` counters with
-//!   pairwise-independent row hashes; point queries overestimate the true
-//!   frequency by at most `εm` with probability `1 − δ`.
+//!   Muthukrishnan: `d = ⌈ln(1/δ)⌉` rows of `w = ⌈e/ε⌉` counters, each row
+//!   with its own independently seeded pair-multiply-shift hash; point
+//!   queries overestimate the true frequency by at most `εm` with
+//!   probability `1 − δ`.
 //! * [`parallel`] — the paper's minibatch update: build the minibatch
 //!   histogram with `buildHist`, then for every row group the histogram
 //!   entries by target column with the linear-work integer sort and apply

@@ -61,11 +61,12 @@ thread_local! {
 
 /// The skew detector: a Space-Saving summary (Metwally et al.) in two flat
 /// arrays. The capacity is a few dozen slots — `4 / hot_fraction`, 32 for
-/// two shards — so finding a key and finding the minimum are linear scans
-/// over a couple of cache lines, with no hashing and no allocation after
-/// construction. The eviction victim is the *first* slot holding the
-/// minimum count, so the same sample sequence always yields the same
-/// summary (and the same promotions).
+/// two shards — so finding a key is one linear pass over a couple of cache
+/// lines, with no hashing and no allocation after construction. The
+/// eviction victim is the *first* slot holding the minimum count, so the
+/// same sample sequence always yields the same summary (and the same
+/// promotions); it is cached and moved on only when its own count grows,
+/// which makes a sample `O(1)` beyond the key pass.
 ///
 /// Guarantee, as for any Space-Saving summary of `S` slots over `m`
 /// samples: `f ≤ count ≤ f + m/S` for every tracked key, and every key
@@ -75,6 +76,9 @@ struct HotKeyDetector {
     capacity: usize,
     keys: Vec<u64>,
     counts: Vec<u64>,
+    /// Once all `capacity` slots are in use: the first slot holding the
+    /// minimum count. Unused (and stale) while the summary is filling.
+    victim: usize,
     samples: u64,
 }
 
@@ -84,30 +88,56 @@ impl HotKeyDetector {
             capacity,
             keys: Vec::with_capacity(capacity),
             counts: Vec::with_capacity(capacity),
+            victim: 0,
             samples: 0,
         }
     }
 
     fn update(&mut self, key: u64) {
         self.samples += 1;
-        // One pass finds the key or, failing that, the first slot holding
-        // the minimum count: ties break by slot index.
-        let (mut victim, mut min) = (0, u64::MAX);
-        for (slot, (&tracked, count)) in self.keys.iter().zip(&mut self.counts).enumerate() {
+        // Tracked keys are distinct, so at most one slot matches and the
+        // pass needs no early exit: without one it is a run of compares
+        // and conditional moves, not a mispredicted branch per sample.
+        let mut hit = usize::MAX;
+        for (slot, &tracked) in self.keys.iter().enumerate() {
             if tracked == key {
-                *count += 1;
-                return;
-            }
-            if *count < min {
-                (victim, min) = (slot, *count);
+                hit = slot;
             }
         }
-        if self.keys.len() < self.capacity {
+        if hit != usize::MAX {
+            self.increment(hit);
+        } else if self.keys.len() < self.capacity {
             self.keys.push(key);
             self.counts.push(1);
+            if self.keys.len() == self.capacity {
+                // `min_by_key` keeps the first of equal minima.
+                self.victim = (0..self.capacity)
+                    .min_by_key(|&slot| self.counts[slot])
+                    .expect("capacity is non-zero");
+            }
         } else {
-            self.keys[victim] = key;
-            self.counts[victim] += 1;
+            self.keys[self.victim] = key;
+            self.increment(self.victim);
+        }
+    }
+
+    /// Adds one to `slot`'s count and, if that slot was the victim, moves
+    /// the victim on. Every slot before the old victim holds a larger count
+    /// than the old minimum, so the first slot at the minimum is now the
+    /// first *later* slot still at the old one, or — when none is left —
+    /// the first slot at the new minimum, one higher.
+    fn increment(&mut self, slot: usize) {
+        let old = self.counts[slot];
+        self.counts[slot] = old + 1;
+        if slot == self.victim && self.keys.len() == self.capacity {
+            self.victim = match self.counts[slot + 1..].iter().position(|&c| c == old) {
+                Some(later) => slot + 1 + later,
+                None => self
+                    .counts
+                    .iter()
+                    .position(|&c| c == old + 1)
+                    .expect("the slot just incremented holds it"),
+            };
         }
     }
 
@@ -258,7 +288,10 @@ pub struct SkewAwareRouter {
     shards: usize,
     hot_capacity: usize,
     hot_fraction: f64,
-    min_items: u64,
+    /// No key is promoted before the tracker has seen this many *samples*
+    /// (one item in `sample_stride`), so a share is never judged on a
+    /// handful of them.
+    min_samples: u64,
     /// Every `sample_stride`-th item is fed to the tracker: a key with
     /// traffic share `p` has share `p` in the stride sample too, so
     /// detection is unaffected while the per-batch tracking cost (including
@@ -274,7 +307,8 @@ pub struct SkewAwareRouter {
     /// against it with one atomic load per batch (see [`HOT_CACHE`]).
     promotion_epoch: AtomicU64,
     /// Per-producer thread-local caching of the hot set (on by default);
-    /// disable to measure the uncached `RwLock` + `Arc`-clone path.
+    /// off, the uncached `RwLock` + `Arc`-clone path the cache is tested
+    /// against.
     cache_hot_set: bool,
     /// Round-robin cursor shared by all producers for hot-key occurrences.
     cursor: AtomicUsize,
@@ -336,7 +370,7 @@ impl SkewAwareRouter {
             shards,
             hot_capacity,
             hot_fraction,
-            min_items: 512,
+            min_samples: 512,
             sample_stride: 8,
             tracker: Mutex::new(HotKeyDetector::new((1.0 / tracker_epsilon).ceil() as usize)),
             hot: RwLock::new(Arc::new(Vec::new())),
@@ -348,9 +382,10 @@ impl SkewAwareRouter {
     }
 
     /// Enables or disables the per-producer thread-local hot-set cache
-    /// (enabled by default). Disabling restores the PR 2 behaviour — one
-    /// `RwLock` read plus one `Arc` clone per partitioned batch — and exists
-    /// so `benches/routing.rs` can measure exactly what the cache removes.
+    /// (enabled by default). Disabled, every partitioned batch takes one
+    /// `RwLock` read plus one `Arc` clone of the shared set instead: the
+    /// plain path that `cached_and_uncached_routing_agree` holds the cache
+    /// to, partition for partition.
     pub fn hot_set_caching(mut self, enabled: bool) -> Self {
         self.cache_hot_set = enabled;
         self
@@ -412,7 +447,7 @@ impl SkewAwareRouter {
             tracker.update(item);
         }
         let m = tracker.samples;
-        if m < self.min_items {
+        if m < self.min_samples {
             return;
         }
         let threshold = self.hot_fraction * m as f64;
@@ -486,14 +521,22 @@ impl Router for SkewAwareRouter {
             // (cold items burn no slot), which only shifts the next batch's
             // round-robin phase — the deal within a batch stays exact.
             let mut cursor = self.cursor.fetch_add(minibatch.len(), Ordering::Relaxed);
-            for &item in minibatch {
-                let shard = if hot.binary_search(&item).is_ok() {
-                    cursor += 1;
-                    cursor % self.shards
-                } else {
-                    shard_of(item, self.shards)
-                };
-                parts[shard].push(item);
+            if hot.is_empty() {
+                // Every engine until its first promotion, and for ever on
+                // traffic without a hot key: nothing to probe per item.
+                for &item in minibatch {
+                    parts[shard_of(item, self.shards)].push(item);
+                }
+            } else {
+                for &item in minibatch {
+                    let shard = if hot.binary_search(&item).is_ok() {
+                        cursor += 1;
+                        cursor % self.shards
+                    } else {
+                        shard_of(item, self.shards)
+                    };
+                    parts[shard].push(item);
+                }
             }
             self.observe(minibatch, hot);
         })
@@ -749,6 +792,74 @@ mod tests {
                 f <= m / 16 || tracked.contains_key(&key),
                 "missed key {key}"
             );
+        }
+    }
+
+    /// The detector as it was before the victim was cached — one early-exit
+    /// scan that finds the key or else the first slot at the minimum count
+    /// — kept as the reference the O(1) `update` is held to.
+    fn reference_update(detector: &mut HotKeyDetector, key: u64) {
+        detector.samples += 1;
+        let (mut victim, mut min) = (0, u64::MAX);
+        for (slot, (&tracked, count)) in detector.keys.iter().zip(&mut detector.counts).enumerate()
+        {
+            if tracked == key {
+                *count += 1;
+                return;
+            }
+            if *count < min {
+                (victim, min) = (slot, *count);
+            }
+        }
+        if detector.keys.len() < detector.capacity {
+            detector.keys.push(key);
+            detector.counts.push(1);
+        } else {
+            detector.keys[victim] = key;
+            detector.counts[victim] += 1;
+        }
+    }
+
+    #[test]
+    fn detector_matches_the_single_scan_reference_after_every_sample() {
+        // Same slots, same counts, same victim — so the same promotions —
+        // on streams that miss every time (all distinct), hit every time
+        // (all equal), bounce one slot's count (two keys alternating) and
+        // mix the three (random over a few and over many keys).
+        let mut state = 0x5EED_u64;
+        let mut random = |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % modulus
+        };
+        let streams: Vec<(&str, Vec<u64>)> = vec![
+            ("all distinct", (0..3_000u64).map(|i| i * 7 + 1).collect()),
+            ("all equal", vec![42; 3_000]),
+            (
+                "two keys alternating",
+                (0..3_000u64).map(|i| i % 2).collect(),
+            ),
+            ("random, few keys", (0..3_000).map(|_| random(40)).collect()),
+            (
+                "random, many keys",
+                (0..3_000).map(|_| random(5_000)).collect(),
+            ),
+        ];
+        for capacity in [1usize, 2, 32] {
+            for (name, stream) in &streams {
+                let mut detector = HotKeyDetector::new(capacity);
+                let mut reference = HotKeyDetector::new(capacity);
+                for (at, &key) in stream.iter().enumerate() {
+                    detector.update(key);
+                    reference_update(&mut reference, key);
+                    assert!(
+                        detector.keys == reference.keys && detector.counts == reference.counts,
+                        "capacity {capacity}, {name}: diverged at sample {at}"
+                    );
+                }
+                assert_eq!(detector.samples, reference.samples);
+            }
         }
     }
 

@@ -325,59 +325,79 @@ fn recovery_cuts_a_boundary_the_persisted_cut_left_due() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A store written before Count-Min rows switched hash (sketch codec
-/// version 1) holds counters in columns this code would misread. Such a
-/// record must surface as a typed error from `load` and from `recover` —
-/// never as a sketch that silently answers wrong.
+/// A store written before Count-Min rows last switched hash (sketch codec
+/// versions 1 and 2) holds counters in columns this code would misread.
+/// Such a record must surface as a typed error from `load` and from
+/// `recover` — never as a sketch that silently answers wrong — and the
+/// failed recovery must leave the log as it found it: a record of another
+/// version is not a torn tail to be truncated away.
 #[test]
 fn recover_rejects_a_record_holding_a_version_1_count_min() {
-    let dir = tmpdir("old-cm-version");
     let (cm_epsilon, cm_delta, cm_seed) = (0.01, 0.05, 5u64);
-    let config = EngineConfig::with_shards(2)
-        .heavy_hitters(0.05, 0.01)
-        .count_min(cm_epsilon, cm_delta, cm_seed)
-        .persistence(PersistenceConfig::new(&dir).interval_batches(u64::MAX / 2));
-    let engine = Engine::spawn(config.clone());
-    let handle = engine.handle();
-    handle
-        .ingest(&(0..4_000u64).map(|i| i % 97).collect::<Vec<_>>())
-        .unwrap();
-    engine.drain().unwrap();
-    handle.snapshot_now().unwrap();
-    engine.kill();
-
-    // Rewrite the one record as an old writer would have stamped it: each
-    // shard's sketch starts `[0x08, ver, hist seed, 0x07, ver]`; set the
-    // inner (Count-Min) version byte to 1 and re-checksum the frame.
-    let segment = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "psfalog"))
-        .expect("segment file exists");
-    let mut bytes = std::fs::read(&segment).unwrap();
     let marker = ParallelCountMin::new(cm_epsilon, cm_delta, cm_seed).encode()[..12].to_vec();
-    let (frame, payload) = (12usize, 20usize); // segment header, then [len][crc]
-    let mut patched = 0;
-    for at in payload..bytes.len() - marker.len() {
-        if bytes[at..at + marker.len()] == marker[..] {
-            bytes[at + marker.len() - 1] = 1;
-            patched += 1;
-        }
-    }
-    assert_eq!(patched, 2, "one sketch header per shard");
-    let crc = psfa::store::crc32(&bytes[payload..]);
-    bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&segment, &bytes).unwrap();
+    let current = *marker.last().expect("the Count-Min version byte");
+    for old in 1..current {
+        let dir = tmpdir(&format!("old-cm-version-{old}"));
+        let config = EngineConfig::with_shards(2)
+            .heavy_hitters(0.05, 0.01)
+            .count_min(cm_epsilon, cm_delta, cm_seed)
+            .persistence(PersistenceConfig::new(&dir).interval_batches(u64::MAX / 2));
+        let engine = Engine::spawn(config.clone());
+        let handle = engine.handle();
+        handle
+            .ingest(&(0..4_000u64).map(|i| i % 97).collect::<Vec<_>>())
+            .unwrap();
+        engine.drain().unwrap();
+        handle.snapshot_now().unwrap();
+        engine.kill();
 
-    let old_version = |e: &StoreError| {
-        matches!(
-            e,
-            StoreError::Codec(psfa::primitives::CodecError::UnsupportedVersion { found: 1 })
-        )
-    };
-    let store = SnapshotStore::open(&dir, 8, 4).expect("the log itself is intact");
-    assert!(store.load(1).is_err_and(|e| old_version(&e)));
-    drop(store);
-    assert!(Engine::recover(&dir, config).is_err_and(|e| old_version(&e)));
-    std::fs::remove_dir_all(&dir).unwrap();
+        // Rewrite the one record as an old writer would have stamped it:
+        // each shard's sketch starts `[0x08, ver, hist seed, 0x07, ver]`;
+        // set the inner (Count-Min) version byte and re-checksum the frame.
+        let segments = || {
+            let mut files: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "psfalog"))
+                .map(|p| {
+                    let bytes = std::fs::read(&p).unwrap();
+                    (p, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let (segment, mut bytes) = segments().pop().expect("segment file exists");
+        let (frame, payload) = (12usize, 20usize); // segment header, then [len][crc]
+        let mut patched = 0;
+        for at in payload..bytes.len() - marker.len() {
+            if bytes[at..at + marker.len()] == marker[..] {
+                bytes[at + marker.len() - 1] = old;
+                patched += 1;
+            }
+        }
+        assert_eq!(patched, 2, "one sketch header per shard");
+        let crc = psfa::store::crc32(&bytes[payload..]);
+        bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&segment, &bytes).unwrap();
+        let before = segments();
+
+        let old_version = |e: &StoreError| {
+            matches!(
+                e,
+                StoreError::Codec(psfa::primitives::CodecError::UnsupportedVersion { found })
+                    if *found == old
+            )
+        };
+        let store = SnapshotStore::open(&dir, 8, 4).expect("the log itself is intact");
+        assert!(store.load(1).is_err_and(|e| old_version(&e)));
+        drop(store);
+        assert!(Engine::recover(&dir, config).is_err_and(|e| old_version(&e)));
+        assert_eq!(
+            segments(),
+            before,
+            "a failed recover must not rewrite the log"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
