@@ -1411,7 +1411,7 @@ impl EngineHandle {
             .shared
             .iter()
             .enumerate()
-            .map(|(shard, s)| s.stats.snapshot(shard))
+            .map(|(shard, s)| s.stats.snapshot(shard, s.snapshot_lag()))
             .collect();
         let window = self.window_fence.as_ref().map(|windows| {
             let boundaries = windows.boundaries();
@@ -1473,7 +1473,21 @@ impl EngineHandle {
     /// exposition format (see [`psfa_obs::ObsReport::prometheus_text`]).
     /// `None` when observability is off.
     pub fn prometheus_text(&self) -> Option<String> {
-        self.metrics().obs.map(|report| report.prometheus_text())
+        let metrics = self.metrics();
+        let mut text = metrics.obs?.prometheus_text();
+        // The one per-shard gauge: how far each published snapshot trails
+        // its worker right now (see `ShardMetrics::snapshot_lag`).
+        text.push_str(
+            "# HELP psfa_snapshot_lag_batches minibatches processed beyond the shard's published snapshot\n\
+             # TYPE psfa_snapshot_lag_batches gauge\n",
+        );
+        for s in &metrics.shards {
+            text.push_str(&format!(
+                "psfa_snapshot_lag_batches{{shard=\"{}\"}} {}\n",
+                s.shard, s.snapshot_lag
+            ));
+        }
+        Some(text)
     }
 
     // ---- persistence & time travel ------------------------------------
@@ -2103,7 +2117,7 @@ mod tests {
         assert!(report.percentiles("batch_service").unwrap().count >= 8);
         // Workers published at least once per shard, tagged with a reason.
         assert!(report.percentiles("publish_staleness").unwrap().count >= 4);
-        let republished: u64 = ["membership", "boundary", "drain", "idle", "query_refresh"]
+        let republished: u64 = ["cadence", "boundary", "drain", "idle", "query_refresh"]
             .iter()
             .map(|r| report.counter(&format!("republish_{r}")).unwrap())
             .sum();
@@ -2138,6 +2152,8 @@ mod tests {
         let text = handle.prometheus_text().expect("exporter present");
         assert!(text.contains("enqueue_wait"));
         assert!(text.contains("quantile=\"0.99\""));
+        // Drained: every shard's published snapshot is exactly current.
+        assert!(text.contains("psfa_snapshot_lag_batches{shard=\"0\"} 0\n"));
 
         engine.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2235,6 +2251,7 @@ mod tests {
         assert_eq!(handle.try_ingest(&[]), Ok(()), "empty batch is a no-op");
     }
 
+    /// The name predates the cadence rule: a lone batch is published by going idle or by the drain.
     #[test]
     fn membership_change_is_published_immediately() {
         let engine = Engine::spawn(
@@ -2243,11 +2260,15 @@ mod tests {
                 .observe(),
         );
         let handle = engine.handle();
-        // First batch: membership goes empty → nonempty, published at once.
         handle.ingest(&[7, 7, 7]).unwrap();
         engine.drain().unwrap();
+        assert_eq!(handle.estimate(7), 3);
+        assert_eq!(handle.epochs(), vec![1]);
         let report = handle.metrics().obs.expect("obs report present");
-        assert!(report.counter("republish_membership").unwrap() >= 1);
+        assert_eq!(report.counter("republish_cadence"), Some(0));
+        let settled =
+            report.counter("republish_idle").unwrap() + report.counter("republish_drain").unwrap();
+        assert!(settled >= 1);
         engine.shutdown().unwrap();
     }
 }

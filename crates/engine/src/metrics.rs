@@ -88,7 +88,9 @@ impl ShardStats {
             .saturating_sub(batches_processed)
     }
 
-    pub(crate) fn snapshot(&self, shard: usize) -> ShardMetrics {
+    /// `snapshot_lag` comes from the caller: the epochs it compares live
+    /// beside these counters in `ShardShared`, not in them.
+    pub(crate) fn snapshot(&self, shard: usize, snapshot_lag: u64) -> ShardMetrics {
         // Processed before enqueued throughout, so no derived depth ever
         // goes negative.
         let queue_depth = self.queue_depth();
@@ -105,6 +107,7 @@ impl ShardStats {
             batches_processed,
             queue_depth,
             window_seq,
+            snapshot_lag,
             health: ShardHealth::from_code(self.health.load(Ordering::Acquire)),
             restarts: self.restarts.load(Ordering::Acquire),
         }
@@ -137,6 +140,12 @@ pub struct ShardMetrics {
     /// Newest window boundary this shard has sealed (`0` before the first
     /// boundary or without a window).
     pub window_seq: u64,
+    /// Minibatches the worker has processed beyond its published query
+    /// snapshot — how stale an answer from this shard can be right now, in
+    /// batches. Never more than the publication cadence (16) while the
+    /// worker runs, at most one once a query has observed the gap, `0`
+    /// when the queue is dry or after `drain()`.
+    pub snapshot_lag: u64,
     /// Supervision state of the shard's worker.
     pub health: ShardHealth,
     /// Times the supervisor has restarted this shard's worker.
@@ -272,18 +281,19 @@ impl EngineMetrics {
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<6} {:>14} {:>14} {:>10} {:>10} {:>8}\n",
-            "shard", "items in", "items done", "batches", "done", "queued"
+            "{:<6} {:>14} {:>14} {:>10} {:>10} {:>8} {:>9}\n",
+            "shard", "items in", "items done", "batches", "done", "queued", "snap lag"
         ));
         for s in &self.shards {
             out.push_str(&format!(
-                "{:<6} {:>14} {:>14} {:>10} {:>10} {:>8}\n",
+                "{:<6} {:>14} {:>14} {:>10} {:>10} {:>8} {:>9}\n",
                 s.shard,
                 s.items_enqueued,
                 s.items_processed,
                 s.batches_enqueued,
                 s.batches_processed,
-                s.queue_depth
+                s.queue_depth,
+                s.snapshot_lag
             ));
         }
         out.push_str(&format!(
@@ -341,9 +351,10 @@ mod tests {
         stats.batches_processed.store(4, Ordering::Release);
         stats.items_enqueued.store(700, Ordering::Release);
         stats.items_processed.store(400, Ordering::Release);
-        let m = stats.snapshot(2);
+        let m = stats.snapshot(2, 5);
         assert_eq!(m.shard, 2);
         assert_eq!(m.queue_depth, 3);
+        assert_eq!(m.snapshot_lag, 5);
     }
 
     #[test]
@@ -357,6 +368,7 @@ mod tests {
                 batches_processed: 9,
                 queue_depth: 1,
                 window_seq: 4,
+                snapshot_lag: 0,
                 health: ShardHealth::Live,
                 restarts: 0,
             },
@@ -368,6 +380,7 @@ mod tests {
                 batches_processed: 3,
                 queue_depth: 2,
                 window_seq: 3,
+                snapshot_lag: 7,
                 health: ShardHealth::Quarantined,
                 restarts: 1,
             },
@@ -400,6 +413,7 @@ mod tests {
         assert!((m.load_imbalance().unwrap() - 1.5).abs() < 1e-12);
         let table = m.to_table();
         assert!(table.contains("queued"));
+        assert!(table.contains("snap lag"));
         assert!(table.contains("router hash"));
         // The fix for the omitted window-fence stats: boundary count and
         // shard lag must be visible in the rendered table.

@@ -101,9 +101,9 @@ impl ObsConfig {
 /// report's `republish_*` family).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PublishReason {
-    /// The Misra–Gries entry-set membership changed (an item entered or
-    /// left the summary): published immediately so dashboards see churn.
-    Membership = 0,
+    /// The publication cadence came due: `PUBLISH_EVERY` batches since
+    /// the last publication with no reader asking (see `shard.rs`).
+    Cadence = 0,
     /// A window boundary sealed a pane.
     Boundary = 1,
     /// A drain barrier (or worker exit) flushed pending state.
@@ -116,7 +116,7 @@ pub(crate) enum PublishReason {
 
 pub(crate) const PUBLISH_REASONS: usize = 5;
 const REASON_NAMES: [&str; PUBLISH_REASONS] =
-    ["membership", "boundary", "drain", "idle", "query_refresh"];
+    ["cadence", "boundary", "drain", "idle", "query_refresh"];
 
 /// Query kinds timed individually (each indexes one latency histogram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -406,7 +406,7 @@ mod tests {
         obs.enqueue_wait.record(100);
         obs.batch_service(0).record(1_000);
         obs.batch_service(1).record(3_000);
-        obs.count_republish(PublishReason::Membership);
+        obs.count_republish(PublishReason::Cadence);
         obs.record_query(QueryKind::HeavyHitters, 0);
         let report = obs.report(
             PoolCounters {
@@ -421,7 +421,7 @@ mod tests {
         // Per-shard service histograms merged: both samples in one section.
         assert_eq!(report.percentiles("batch_service").unwrap().count, 2);
         assert_eq!(report.percentiles("enqueue_wait").unwrap().count, 1);
-        assert_eq!(report.counter("republish_membership"), Some(1));
+        assert_eq!(report.counter("republish_cadence"), Some(1));
         assert_eq!(report.counter("republish_idle"), Some(0));
         assert_eq!(report.counter("pool_miss"), Some(2));
         assert_eq!(report.counter("fence_exclusive"), Some(3));
@@ -430,7 +430,7 @@ mod tests {
         // Every section renders into both output formats.
         let text = report.prometheus_text();
         assert!(text.contains("psfa_batch_service_ns"));
-        assert!(text.contains("psfa_republish_membership_total"));
+        assert!(text.contains("psfa_republish_cadence_total"));
     }
 
     #[test]

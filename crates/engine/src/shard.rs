@@ -26,30 +26,28 @@
 //!
 //! ## Lazy epoch-versioned snapshot publication
 //!
-//! A [`ShardSnapshot`] freezes the `O(1/ε)` query surface, so publishing
-//! one costs an `O(1/ε)` clone. Doing that after *every* minibatch (the
-//! pre-PR-5 behaviour) made the clone the largest per-batch cost at small
-//! ε. The worker now publishes when it matters and skips the clone when it
-//! cannot:
+//! A [`ShardSnapshot`] freezes the `O(1/ε)` query surface; publishing one
+//! is `O(S log S)` for `S = O(1/ε)` entries (collect, sort, allocate), on
+//! top of the paper's `O(S + p)` per minibatch. So publication stays **off
+//! the batch path** and happens:
 //!
-//! * **immediately** when the Misra–Gries *entry set membership* changed
-//!   (an item entered or left the summary — heavy-hitter dashboards see
-//!   churn at once), when a window boundary seals, and before a drain
-//!   barrier is acknowledged;
-//! * **on demand** when a query observed a stale snapshot: the shared
-//!   `live_epoch` counter (batches the worker has finished) runs ahead of
-//!   the published snapshot's `epoch`; a reader that sees the gap sets the
-//!   `refresh` flag, and the worker republishes on its next batch — one
-//!   relaxed flag check per batch, bounded staleness of one batch for any
-//!   active reader;
-//! * **when the queue runs dry**: before blocking on an empty queue the
-//!   worker publishes anything pending, so an idle (or drained) shard's
-//!   snapshot is always exactly current.
+//! * **on demand**: `live_epoch` (batches the worker has finished) runs
+//!   ahead of the published snapshot's `epoch`; a reader that sees the gap
+//!   sets `refresh`, and the worker publishes on its next batch;
+//! * **on cadence**: on every [`PUBLISH_EVERY`]th batch since the last
+//!   publication, whatever the stream looks like;
+//! * **when the queue runs dry**, before the worker blocks on it;
+//! * **at every cut**: a window boundary publishes the window it sealed, a
+//!   drain barrier (or worker exit) publishes before acknowledging.
 //!
-//! Between publications a reader sees the summaries as of a slightly
-//! earlier epoch — exactly the guarantee the minibatch model already gives
-//! between batches, and every published snapshot is internally consistent
-//! at its epoch.
+//! The staleness contract, in batches of this shard: a published snapshot
+//! trails its worker by **at most `PUBLISH_EVERY`**, by **at most one** for
+//! a reader that has read since the last publication, and by **nothing**
+//! when the queue is dry or after `drain()`
+//! ([`crate::ShardMetrics::snapshot_lag`] reports the gap). Every snapshot
+//! is internally consistent at its epoch: a reader sees the summaries as of
+//! an earlier minibatch boundary, as the minibatch model already promises
+//! between batches.
 //!
 //! ## Memory-ordering contract
 //!
@@ -69,9 +67,12 @@
 //!   nothing: an RMW's ordering cannot make *other* data visible earlier,
 //!   and the publication `Release` already fences everything a reader can
 //!   act on);
-//! * `live_epoch` and `refresh` are relaxed/`AcqRel`-swap respectively;
-//!   both are advisory — a missed refresh request is re-raised by the next
-//!   stale read, a premature one costs one extra publication;
+//! * `refresh` is an `AcqRel` swap and advisory — a missed request is
+//!   re-raised by the next stale read, a premature one costs one extra
+//!   publication. `live_epoch` is a `Release` store that queries read
+//!   relaxed (advisory too); [`ShardShared::snapshot_lag`] reads it with
+//!   `Acquire` *before* the snapshot, so the lag it reports never
+//!   overstates the contract above;
 //! * `window_seq` keeps its `Release` store after the sealed window is
 //!   published, so a reader that sees the new boundary number also finds
 //!   the sealed window in the snapshot.
@@ -103,6 +104,11 @@ use psfa_stream::{BufferPool, MinibatchOperator};
 use crate::config::EngineConfig;
 use crate::metrics::ShardStats;
 use crate::obs::{EngineObs, PublishReason};
+
+/// Publication cadence: a worker publishes on its `PUBLISH_EVERY`th batch
+/// since the last publication even when no reader asked — the bound on
+/// snapshot lag and on restart loss, at `O(S log S) / 16` per batch.
+const PUBLISH_EVERY: u64 = 16;
 
 /// Sealed windows kept per shard snapshot: enough boundary history for a
 /// query to find one boundary that *every* shard has already sealed even
@@ -151,8 +157,8 @@ pub(crate) enum ShardCommand {
 /// shard had processed when the snapshot was published; it is strictly
 /// increasing, so callers can detect progress between reads. Publication is
 /// lazy (see the module docs), so the newest snapshot may trail the
-/// worker by a bounded number of batches; the engine's snapshot loads
-/// request a refresh when they observe the gap.
+/// worker by a bounded number of batches (at most 16; at most one once a
+/// read has observed the gap and requested a refresh; none after a drain).
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     /// Owning shard index.
@@ -285,6 +291,14 @@ impl ShardShared {
         }
         snapshot
     }
+
+    /// Batches processed beyond the published snapshot. Raises no refresh:
+    /// watching the lag must not change it.
+    pub(crate) fn snapshot_lag(&self) -> u64 {
+        // `Acquire` epoch first, snapshot second: see the module docs.
+        let live = self.live_epoch.load(Ordering::Acquire);
+        live.saturating_sub(self.snapshot.get().epoch)
+    }
 }
 
 /// Final operator state a shard worker hands back at shutdown.
@@ -323,12 +337,6 @@ pub(crate) struct ShardWorker {
     hist: Vec<HistogramEntry>,
     /// Buffer recycling back to the producers (see [`BufferPool`]).
     pool: Arc<BufferPool>,
-    /// Number of MG entries in the last published snapshot: the cheap
-    /// membership-change test for immediate republication.
-    published_entries: usize,
-    /// True when the operator state has advanced past the published
-    /// snapshot.
-    dirty: bool,
     lifted: Vec<(String, Box<dyn MinibatchOperator + Send>)>,
     shared: Arc<ShardShared>,
     /// Observability recorders, when enabled (see the `obs` module).
@@ -339,7 +347,7 @@ pub(crate) struct ShardWorker {
     /// Clock reading at the last snapshot publication (staleness base;
     /// `0` until the worker starts with observability enabled).
     last_publish_ns: u64,
-    /// Epoch of the last snapshot publication (epoch-gap base).
+    /// Epoch of the last snapshot publication (cadence and epoch-gap base).
     last_publish_epoch: u64,
 }
 
@@ -381,7 +389,6 @@ impl ShardWorker {
             .map(Arc::new)
             .into_iter()
             .collect();
-        let published_entries = heavy_hitters.estimator().num_counters();
         Self {
             shard,
             epoch,
@@ -393,8 +400,6 @@ impl ShardWorker {
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
             pool,
-            published_entries,
-            dirty: false,
             lifted,
             shared,
             obs,
@@ -415,8 +420,9 @@ impl ShardWorker {
     ///   [`ShardShared`] and was never torn down). Queued commands —
     ///   minibatches and cuts alike — also survive: the supervisor keeps
     ///   the receiver.
-    /// * **Lost**: the effects of minibatches processed *after* the last
-    ///   publication, the open (unsealed) window pane, and any
+    /// * **Lost**: the panicking minibatch and those processed *after* the
+    ///   last publication (at most [`PUBLISH_EVERY`]` − 1`; none if the
+    ///   queue had run dry), the open (unsealed) window pane, and any
     ///   lifted operators' state (they are owned by the panicked worker
     ///   and cannot be reconstructed — the restarted shard runs without
     ///   them).
@@ -450,7 +456,6 @@ impl ShardWorker {
         });
         let window_history: VecDeque<Arc<SealedWindow>> =
             snapshot.windows.iter().cloned().collect();
-        let published_entries = snapshot.hh_entries.len();
         // Roll the progress counter back to the snapshot: post-snapshot
         // batches are the documented restart loss, and leaving the old
         // value would make queries wait for a refresh that counts epochs
@@ -467,8 +472,6 @@ impl ShardWorker {
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
             pool,
-            published_entries,
-            dirty: false,
             lifted: Vec::new(),
             shared,
             obs,
@@ -581,8 +584,8 @@ impl ShardWorker {
 
     /// The per-minibatch hot path: one histogram pass into reused scratch,
     /// shared by every summary; lock-free Count-Min adds; lazy publication;
-    /// buffer recycling. Steady state (stable MG membership, warm
-    /// buffers, no stale reader): **zero** heap allocations and **zero**
+    /// buffer recycling. Steady state (warm buffers, no stale reader, off
+    /// the publication cadence): **zero** heap allocations and **zero**
     /// lock acquisitions.
     fn ingest(&mut self, minibatch: Vec<u64>) {
         // Fault injection (tests only; one `Option` branch when unset):
@@ -613,7 +616,7 @@ impl ShardWorker {
             &mut self.hist,
         );
         let len = minibatch.len() as u64;
-        let cutoff = self.heavy_hitters.process_histogram(&self.hist, len);
+        self.heavy_hitters.process_histogram(&self.hist, len);
         if let Some(window) = &mut self.window {
             window.process_histogram(&self.hist, len);
         }
@@ -623,9 +626,9 @@ impl ShardWorker {
         }
         self.epoch += 1;
         self.items += len;
-        // Progress counters (relaxed; see the module-level ordering
-        // contract), then the publication decision.
-        self.shared.live_epoch.store(self.epoch, Ordering::Relaxed);
+        // Progress counters (see the module-level ordering contract),
+        // then the publication decision.
+        self.shared.live_epoch.store(self.epoch, Ordering::Release);
         self.shared
             .stats
             .items_processed
@@ -634,18 +637,12 @@ impl ShardWorker {
             .stats
             .batches_processed
             .fetch_add(1, Ordering::Relaxed);
-        // Membership may change two ways: the entry count moved, or the
-        // augment applied a non-zero cut-off (which can evict one item
-        // while another enters, leaving the count unchanged). Either way,
-        // publish at once so heavy-hitter churn is never deferred.
-        let membership_changed =
-            cutoff > 0 || self.heavy_hitters.estimator().num_counters() != self.published_entries;
-        if membership_changed {
-            self.publish_snapshot(PublishReason::Membership);
-        } else if self.shared.refresh.swap(false, Ordering::AcqRel) {
+        // Publish for a reader that saw the gap, or on the cadence; all
+        // else waits for the idle, drain or boundary publication.
+        if self.shared.refresh.swap(false, Ordering::AcqRel) {
             self.publish_snapshot(PublishReason::QueryRefresh);
-        } else {
-            self.dirty = true;
+        } else if self.epoch - self.last_publish_epoch >= PUBLISH_EVERY {
+            self.publish_snapshot(PublishReason::Cadence);
         }
         // Hand the buffer's capacity back to the producers.
         self.pool.give_back(self.shard, minibatch);
@@ -656,32 +653,31 @@ impl ShardWorker {
         }
     }
 
+    /// Publishes if the operator state has advanced past the snapshot.
     fn publish_if_dirty(&mut self, reason: PublishReason) {
-        if self.dirty {
+        if self.epoch > self.last_publish_epoch {
             self.publish_snapshot(reason);
         }
     }
 
     fn publish_snapshot(&mut self, reason: PublishReason) {
-        let hh_entries = self.heavy_hitters.estimator().tracked_items_sorted();
-        self.published_entries = hh_entries.len();
-        self.dirty = false;
         self.shared.snapshot.set(Arc::new(ShardSnapshot {
             shard: self.shard,
             epoch: self.epoch,
             stream_len: self.items,
-            hh_entries,
+            hh_entries: self.heavy_hitters.estimator().tracked_items_sorted(),
             windows: self.window_history.iter().cloned().collect(),
         }));
+        let epoch_gap = self.epoch - self.last_publish_epoch;
+        self.last_publish_epoch = self.epoch;
         // Stall accounting: how long (and how many epochs) the previous
         // snapshot stayed current, and why this publication happened. All
         // relaxed — the data-plane `Release` above is the visibility edge.
-        if let Some(obs) = self.obs.clone() {
+        if let Some(obs) = &self.obs {
             let now = obs.now_ns();
             obs.publish_staleness
                 .record(now.saturating_sub(self.last_publish_ns));
-            obs.publish_epoch_gap
-                .record(self.epoch.saturating_sub(self.last_publish_epoch));
+            obs.publish_epoch_gap.record(epoch_gap);
             obs.count_republish(reason);
             obs.trace.push(
                 now,
@@ -691,7 +687,6 @@ impl ShardWorker {
                 reason as u64,
             );
             self.last_publish_ns = now;
-            self.last_publish_epoch = self.epoch;
         }
     }
 }
@@ -711,19 +706,21 @@ mod tests {
         Arc::new(BufferPool::new(1, 4))
     }
 
+    /// A fresh shard-0 worker with no lifted operators.
+    fn test_worker(
+        config: &EngineConfig,
+        shared: &Arc<ShardShared>,
+        obs: Option<Arc<EngineObs>>,
+    ) -> ShardWorker {
+        let (shared, pool) = (shared.clone(), test_pool());
+        ShardWorker::new(0, config, Vec::new(), shared, pool, None, obs)
+    }
+
     #[test]
     fn worker_processes_batches_and_publishes_snapshots() {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = ShardWorker::new(
-            0,
-            &config,
-            Vec::new(),
-            shared.clone(),
-            test_pool(),
-            None,
-            None,
-        );
+        let worker = test_worker(&config, &shared, None);
         let (tx, rx) = sync_channel(8);
         tx.send(ShardCommand::Batch(vec![7; 100])).unwrap();
         tx.send(ShardCommand::Batch(vec![7, 8, 9])).unwrap();
@@ -757,15 +754,7 @@ mod tests {
     fn barrier_acknowledges_after_prior_batches() {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = ShardWorker::new(
-            0,
-            &config,
-            Vec::new(),
-            shared.clone(),
-            test_pool(),
-            None,
-            None,
-        );
+        let worker = test_worker(&config, &shared, None);
         let (tx, rx) = sync_channel(4);
         let (ack_tx, ack_rx) = sync_channel(1);
         tx.send(ShardCommand::Batch(vec![1; 50])).unwrap();
@@ -779,37 +768,108 @@ mod tests {
 
     #[test]
     fn lazy_publication_republishes_on_a_stale_read() {
-        // Same-membership batches defer publication; a stale read requests
-        // a refresh that the next batch serves.
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = ShardWorker::new(
-            0,
-            &config,
-            Vec::new(),
-            shared.clone(),
-            test_pool(),
-            None,
-            None,
-        );
-        let (tx, rx) = sync_channel(16);
-        let handle = std::thread::spawn(move || worker.run(&rx));
-        // First batch: membership changes (empty → {7}), published at once.
-        // Keep the queue saturated enough that the worker cannot go idle
-        // between our sends... simpler: send everything, then drain via
-        // barrier, and assert the final snapshot is exact despite the
-        // middle batches never forcing a membership change.
-        for _ in 0..10 {
-            tx.send(ShardCommand::Batch(vec![7; 100])).unwrap();
+        let mut worker = test_worker(&config, &shared, None);
+        // One batch, no reader, off the cadence: publication is deferred.
+        worker.ingest(vec![7; 100]);
+        assert_eq!(shared.snapshot.get().epoch, 0);
+        assert_eq!(shared.snapshot_lag(), 1);
+        // A query's load sees the gap and asks for a refresh …
+        assert_eq!(shared.load_snapshot().epoch, 0);
+        assert!(shared.refresh.load(Ordering::Acquire));
+        // … which the very next batch serves, and clears.
+        worker.ingest(vec![7; 100]);
+        let snap = shared.snapshot.get();
+        assert_eq!((snap.epoch, snap.estimate(7)), (2, 200));
+        assert!(!shared.refresh.load(Ordering::Acquire));
+        assert_eq!(shared.snapshot_lag(), 0);
+    }
+
+    /// A churning stream for one shard: `count` batches of 200 distinct
+    /// keys each, none repeated, so every batch of a full `S = 100`
+    /// summary applies a non-zero cut-off (what used to publish per batch).
+    fn churning_batches(count: u64) -> Vec<Vec<u64>> {
+        (0..count)
+            .map(|b| (b * 200..(b + 1) * 200).collect())
+            .collect()
+    }
+
+    #[test]
+    fn cadence_publishes_every_publish_every_batches_without_a_reader() {
+        let config = test_config();
+        let obs = Arc::new(EngineObs::new(&crate::ObsConfig::default(), 1));
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let worker = test_worker(&config, &shared, Some(obs.clone()));
+        let batches = 3 * PUBLISH_EVERY + 5;
+        // Queue pre-filled, worker run inline: it never finds the queue
+        // dry, so only the cadence and the final drain can publish.
+        let (tx, rx) = sync_channel(batches as usize + 1);
+        for batch in churning_batches(batches) {
+            tx.send(ShardCommand::Batch(batch)).unwrap();
         }
-        let (ack_tx, ack_rx) = sync_channel(1);
-        tx.send(ShardCommand::Barrier { ack: ack_tx }).unwrap();
-        ack_rx.recv().unwrap();
-        let snap = shared.load_snapshot();
-        assert_eq!(snap.epoch, 10);
-        assert_eq!(snap.estimate(7), 1000);
-        drop(tx);
-        handle.join().unwrap();
+        tx.send(ShardCommand::Shutdown).unwrap();
+        worker.run(&rx);
+
+        let publications: Vec<(u64, u64)> = obs
+            .trace
+            .drain()
+            .iter()
+            .filter(|e| e.kind == TraceKind::EpochPublish)
+            .map(|e| (e.a, e.b))
+            .collect();
+        let cadence = PublishReason::Cadence as u64;
+        assert_eq!(
+            publications,
+            vec![
+                (PUBLISH_EVERY, cadence),
+                (2 * PUBLISH_EVERY, cadence),
+                (3 * PUBLISH_EVERY, cadence),
+                (batches, PublishReason::Drain as u64),
+            ]
+        );
+        let report = obs.report(Default::default(), 0, 0, 0);
+        assert_eq!(report.counter("republish_cadence"), Some(3));
+        assert_eq!(report.counter("republish_drain"), Some(1));
+        assert!(report.percentiles("publish_epoch_gap").unwrap().max <= PUBLISH_EVERY);
+        assert_eq!(shared.snapshot.get().epoch, batches);
+        assert_eq!(shared.snapshot_lag(), 0);
+    }
+
+    #[test]
+    fn reseed_after_a_panic_loses_less_than_one_cadence() {
+        let panic_at = 2 * PUBLISH_EVERY + 7;
+        let config = test_config().fault_injection(FaultPlan::new().with_worker_panic(0, panic_at));
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let worker = test_worker(&config, &shared, None);
+        let offered = churning_batches(panic_at + 3);
+        let (tx, rx) = sync_channel(offered.len() + 1);
+        for batch in &offered {
+            tx.send(ShardCommand::Batch(batch.clone())).unwrap();
+        }
+        tx.send(ShardCommand::Shutdown).unwrap();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(&rx)));
+        assert!(outcome.is_err(), "the planned panic must fire");
+
+        // No reader ever raised `refresh`: the newest snapshot is the last
+        // cadence publication, so the loss is the 6 batches processed
+        // since plus the panicking one — inside the bound.
+        let reborn = ShardWorker::reseed(0, &config, shared.clone(), test_pool(), None);
+        assert_eq!(reborn.epoch, 2 * PUBLISH_EVERY);
+        assert!(panic_at - reborn.epoch <= PUBLISH_EVERY);
+        assert_eq!(shared.snapshot_lag(), 0, "live epoch rolls back with it");
+
+        // The reborn worker finishes the surviving queue; every estimate
+        // stays one-sided against the offered stream (each key once).
+        let fin = reborn.run(&rx);
+        assert_eq!(fin.items, (2 * PUBLISH_EVERY + 3) * 200);
+        let snap = shared.snapshot.get();
+        assert_eq!(snap.epoch, 2 * PUBLISH_EVERY + 3);
+        let offered_keys = offered.len() as u64 * 200;
+        assert!(snap
+            .hh_entries
+            .iter()
+            .all(|&(key, estimate)| key < offered_keys && estimate <= 1));
     }
 
     #[test]

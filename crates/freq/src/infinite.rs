@@ -145,9 +145,7 @@ impl ParallelFrequencyEstimator {
     ///
     /// Returns the `MGaugment` cut-off `ϕ` that was applied: `0` means no
     /// counter was decremented — in particular, no tracked item can have
-    /// been evicted, which is how the engine's lazy snapshot publication
-    /// detects membership churn (a non-zero cut-off may have swapped one
-    /// item for another without changing the entry count).
+    /// been evicted.
     pub fn process_histogram(&mut self, histogram: &[HistogramEntry], items: u64) -> u64 {
         debug_assert_eq!(
             histogram.iter().map(|e| e.count).sum::<u64>(),

@@ -195,7 +195,7 @@ fn engine_metrics_invariants_hold_under_concurrent_ingest() {
         let waits = report.percentiles("enqueue_wait").unwrap();
         assert!(waits.count >= last_enqueue_count, "histogram lost samples");
         last_enqueue_count = waits.count;
-        let republished: u64 = ["membership", "boundary", "drain", "idle", "query_refresh"]
+        let republished: u64 = ["cadence", "boundary", "drain", "idle", "query_refresh"]
             .iter()
             .map(|r| report.counter(&format!("republish_{r}")).unwrap())
             .sum();
@@ -204,6 +204,12 @@ fn engine_metrics_invariants_hold_under_concurrent_ingest() {
             "republish count went backwards"
         );
         last_republished = republished;
+        // The staleness contract, read off the running system: no shard's
+        // snapshot trails its worker by more than the publication cadence
+        // (`PUBLISH_EVERY` = 16 in `shard.rs`).
+        for shard in &metrics.shards {
+            assert!(shard.snapshot_lag <= 16, "snapshot lag: {shard:?}");
+        }
         // Queries must stay answerable while under fire.
         let _ = handle.estimate(1);
         let _ = handle.heavy_hitters();
@@ -225,7 +231,12 @@ fn engine_metrics_invariants_hold_under_concurrent_ingest() {
 
     // After the drain the aligned window exists and all kinds respond.
     assert!(handle.global_window().is_some());
-    let report = handle.metrics().obs.unwrap();
+    let metrics = handle.metrics();
+    assert!(
+        metrics.shards.iter().all(|s| s.snapshot_lag == 0),
+        "a drained engine's snapshots are exactly current"
+    );
+    let report = metrics.obs.unwrap();
     assert!(report.percentiles("batch_service").unwrap().count > 0);
     assert!(report.percentiles("publish_staleness").unwrap().count > 0);
     engine.shutdown().unwrap();
