@@ -10,7 +10,6 @@
 //! * [`misra_gries`] — the classic per-element Misra–Gries algorithm
 //!   \[MG82, DLOM02, KSP03\] (Algorithm 1 in the paper).
 //! * [`space_saving`] — Space-Saving \[MAE06\].
-//! * [`lossy_counting`] — Lossy Counting \[MM02\].
 //! * [`dgim`] — the exponential-histogram basic-counting baseline of Datar,
 //!   Gionis, Indyk and Motwani \[DGIM02\].
 //! * [`exact_window`] — an exact (memory-hungry) sliding-window frequency
@@ -23,14 +22,12 @@
 
 pub mod dgim;
 pub mod exact_window;
-pub mod lossy_counting;
 pub mod mergeable;
 pub mod misra_gries;
 pub mod space_saving;
 
 pub use dgim::DgimCounter;
 pub use exact_window::ExactSlidingWindow;
-pub use lossy_counting::LossyCounting;
 pub use mergeable::IndependentMgSummaries;
 pub use misra_gries::SequentialMisraGries;
 pub use space_saving::SpaceSaving;

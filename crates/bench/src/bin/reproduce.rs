@@ -809,11 +809,12 @@ fn e17_fault_tolerance(quick: bool) {
             let mut total = 0u64;
             let mut degraded = 0u64;
             while !stop_ref.load(Ordering::Acquire) {
-                let heavy = qh.heavy_hitters_checked();
-                let point = qh.estimate_checked(1);
+                // Each answer, then the annotation that covers it.
+                let _ = qh.heavy_hitters();
+                degraded += u64::from(qh.degradation().is_some());
+                let _ = qh.estimate(1);
+                degraded += u64::from(qh.degradation().is_some());
                 total += 2;
-                degraded += u64::from(heavy.degraded.is_some());
-                degraded += u64::from(point.degraded.is_some());
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
             (total, degraded)
@@ -864,8 +865,8 @@ fn e17_fault_tolerance(quick: bool) {
     // The documented post-recovery contract: estimates never exceed the
     // exact offered count (loss only shrinks counts, never invents them),
     // and any item heavier than φ·m_eff + lost must still be reported.
-    let answer = handle.heavy_hitters_checked();
-    for hh in &answer.value {
+    let answer = handle.heavy_hitters();
+    for hh in &answer {
         let truth = exact.get(&hh.item).copied().unwrap_or(0);
         assert!(
             hh.estimate <= truth,
@@ -878,7 +879,7 @@ fn e17_fault_tolerance(quick: bool) {
     for (&item, &truth) in &exact {
         if truth >= coverage_floor {
             assert!(
-                answer.value.iter().any(|hh| hh.item == item),
+                answer.iter().any(|hh| hh.item == item),
                 "E17: item {item} (count {truth} ≥ floor {coverage_floor}) missing after recovery"
             );
         }

@@ -7,20 +7,15 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use psfa_freq::{
-    merge_sum, GlobalWindow, HeavyHitter, InfiniteHeavyHitters, ParallelFrequencyEstimator,
-};
+use psfa_freq::{merge_sum, GlobalWindow, HeavyHitter, ParallelFrequencyEstimator};
 use psfa_obs::{TraceEvent, TraceKind, NO_SHARD};
 use psfa_sketch::ParallelCountMin;
 use psfa_store::{EpochRecord, EpochView, PersistenceConfig, SnapshotStore, StoreError};
-use psfa_stream::{
-    BufferPool, IngestFence, MinibatchOperator, Placement, Router, WindowFence, WindowFenceState,
-};
+use psfa_stream::{BufferPool, IngestFence, Placement, Router, WindowFence, WindowFenceState};
 
 use crate::config::EngineConfig;
 use crate::metrics::{EngineMetrics, ShardHealth, WindowMetrics};
 use crate::obs::{EngineObs, QueryKind, Reporter};
-use crate::operator::ShardedOperator;
 use crate::persist::{Flusher, PersistWindow, Persister};
 use crate::shard::{ShardCommand, ShardFinal, ShardShared, ShardSnapshot, ShardWorker};
 
@@ -175,7 +170,7 @@ impl From<Refused> for TryIngestError {
 /// `shard.rs`), and only a shard that keeps dying past
 /// [`EngineConfig::worker_restart_limit`] is marked dead. Queries keep
 /// answering from dead shards' last snapshots (see
-/// [`EngineHandle::heavy_hitters_checked`]).
+/// [`EngineHandle::degradation`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShutdownError {
     /// Shards whose workers died permanently, ascending.
@@ -194,9 +189,10 @@ impl fmt::Display for ShutdownError {
 
 impl std::error::Error for ShutdownError {}
 
-/// Staleness annotation attached to a query answer when some shards are
-/// quarantined or dead: those shards contributed their last *published*
-/// snapshot instead of live state.
+/// Staleness annotation for a query answer, read from
+/// [`EngineHandle::degradation`] when some shards are quarantined or dead:
+/// those shards contributed their last *published* snapshot instead of
+/// live state.
 ///
 /// The answer itself remains one-sided — snapshot estimates never exceed
 /// true frequencies — but it may additionally miss the unpublished tail of
@@ -211,68 +207,113 @@ pub struct Degraded {
     pub epoch_lag: u64,
 }
 
-/// A query answer plus an optional [`Degraded`] annotation — the
-/// non-breaking fault-aware wrapper returned by the `*_checked` query
-/// variants. `degraded` is `None` when every shard was live.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Answered<T> {
-    /// The merged answer (same semantics as the unchecked query).
-    pub value: T,
-    /// Present when some shards answered from stale snapshots.
-    pub degraded: Option<Degraded>,
-}
-
-/// Builder collecting lifted operators before the workers start.
-pub struct EngineBuilder {
+/// The shard worker supervisor: runs the worker under `catch_unwind` and
+/// restarts it from the shard's last published snapshot after a panic.
+///
+/// The supervisor — not the worker — owns the command `Receiver`, so a
+/// panic never disconnects the channel: producers keep their backpressure
+/// semantics (`Busy`, blocking sends) instead of seeing `Closed`, queued
+/// commands — minibatches and cuts alike — survive the restart, and the
+/// reborn worker resumes the same queue. The shard's health is published through
+/// [`crate::ShardHealth`] in the shared stats: `Quarantined` while down
+/// ([`EngineHandle::degradation`] names the shard meanwhile), back to `Live`
+/// after the reseed, and `Dead` once the restart budget
+/// ([`EngineConfig::worker_restart_limit`]) is exhausted — at which point
+/// the original panic is resumed so [`Engine::shutdown`] reports the shard
+/// in a typed [`ShutdownError`] instead of aborting.
+fn supervise(
+    shard: usize,
     config: EngineConfig,
-    lifted: Vec<Vec<(String, Box<dyn MinibatchOperator + Send>)>>,
-    /// Persisted epoch the engine resumes from ([`Engine::recover`]).
-    recovered: Option<EpochRecord>,
-    /// Store already opened (and validated) by [`Engine::recover`], so the
-    /// spawned engine appends to the same log it recovered from.
-    preopened_store: Option<SnapshotStore>,
+    shared: Arc<ShardShared>,
+    pool: Arc<BufferPool>,
+    obs: Option<Arc<EngineObs>>,
+    first: ShardWorker,
+    queue: std::sync::mpsc::Receiver<ShardCommand>,
+) -> ShardFinal {
+    use std::sync::atomic::Ordering;
+    let mut worker = first;
+    loop {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(&queue)));
+        let payload = match outcome {
+            Ok(fin) => return fin,
+            Err(payload) => payload,
+        };
+        shared.stats.set_health(ShardHealth::Quarantined);
+        let restarts = shared.stats.restarts.load(Ordering::Relaxed);
+        let published_epoch = shared.snapshot.get().epoch;
+        if let Some(obs) = &obs {
+            obs.trace.push(
+                obs.now_ns(),
+                TraceKind::ShardQuarantined,
+                shard as u32,
+                restarts,
+                published_epoch,
+            );
+        }
+        if restarts >= config.worker_restart_limit {
+            shared.stats.set_health(ShardHealth::Dead);
+            // Joining this thread now observes the original panic; the
+            // engine surfaces it as a typed `ShutdownError`.
+            std::panic::resume_unwind(payload);
+        }
+        // Test hook: hold the quarantine open so degraded queries are
+        // reliably observable (no-op without a fault plan).
+        if let Some(delay) = config.fault.as_ref().and_then(|f| f.restart_delay()) {
+            std::thread::sleep(delay);
+        }
+        worker = ShardWorker::reseed(shard, &config, shared.clone(), pool.clone(), obs.clone());
+        shared.stats.restarts.fetch_add(1, Ordering::Relaxed);
+        shared.stats.set_health(ShardHealth::Live);
+        if let Some(obs) = &obs {
+            obs.trace.push(
+                obs.now_ns(),
+                TraceKind::WorkerRestart,
+                shard as u32,
+                restarts + 1,
+                published_epoch,
+            );
+        }
+    }
 }
 
-impl EngineBuilder {
-    fn new(config: EngineConfig) -> Self {
-        config.validate();
-        let lifted = (0..config.shards).map(|_| Vec::new()).collect();
-        Self {
-            config,
-            lifted,
-            recovered: None,
-            preopened_store: None,
-        }
-    }
+/// A multi-threaded sharded ingestion engine.
+///
+/// Construction spawns one worker thread per shard; [`Engine::handle`] hands
+/// out cloneable [`EngineHandle`]s for concurrent producers and queriers;
+/// [`Engine::shutdown`] drains gracefully and returns the final per-shard
+/// operator state.
+pub struct Engine {
+    handle: EngineHandle,
+    workers: Vec<JoinHandle<ShardFinal>>,
+    flusher: Option<Flusher>,
+    reporter: Option<Reporter>,
+}
 
-    /// Lifts a [`ShardedOperator`] into the engine: one instance is built
-    /// per shard and sees exactly the minibatches routed to that shard.
-    pub fn lift<S: ShardedOperator>(mut self, mut sharded: S) -> Self {
-        let name = sharded.name();
-        for (shard, ops) in self.lifted.iter_mut().enumerate() {
-            ops.push((name.clone(), Box::new(sharded.build_shard(shard)) as Box<_>));
-        }
-        self
-    }
-
+impl Engine {
     /// Spawns the shard workers and returns the running engine.
     ///
     /// # Panics
     /// Panics if the configured persistence directory cannot be opened; use
-    /// [`EngineBuilder::try_spawn`] to handle that gracefully.
-    pub fn spawn(self) -> Engine {
-        self.try_spawn().expect("failed to open the snapshot store")
+    /// [`Engine::try_spawn`] to handle that gracefully.
+    pub fn spawn(config: EngineConfig) -> Engine {
+        Engine::try_spawn(config).expect("failed to open the snapshot store")
     }
 
     /// Spawns the shard workers, reporting persistence failures as a typed
     /// error instead of panicking.
-    pub fn try_spawn(self) -> Result<Engine, StoreError> {
-        let EngineBuilder {
-            config,
-            lifted,
-            recovered,
-            preopened_store,
-        } = self;
+    pub fn try_spawn(config: EngineConfig) -> Result<Engine, StoreError> {
+        Engine::start(config, None)
+    }
+
+    /// Starts the workers, fresh or — from [`Engine::recover`] — resuming
+    /// the persisted epoch `recovered.0`, appending to the already opened
+    /// (and validated) store `recovered.1` it was loaded from.
+    fn start(
+        config: EngineConfig,
+        recovered: Option<(EpochRecord, SnapshotStore)>,
+    ) -> Result<Engine, StoreError> {
+        config.validate();
+        let (recovered, preopened_store) = recovered.unzip();
         let router: Arc<dyn Router> = config.routing.build(config.shards);
         if let Some(record) = &recovered {
             // Restore the persisted hot set so replicated-key placements —
@@ -297,12 +338,11 @@ impl EngineBuilder {
             .map(|oc| Arc::new(EngineObs::new(oc, config.shards)));
         let mut senders = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
-        for (shard, ops) in lifted.into_iter().enumerate() {
+        for shard in 0..config.shards {
             let (tx, rx) = sync_channel(config.queue_capacity);
             let worker = ShardWorker::new(
                 shard,
                 &config,
-                ops,
                 shared[shard].clone(),
                 pool.clone(),
                 recovered_shard(shard),
@@ -430,101 +470,6 @@ impl EngineBuilder {
             reporter,
         })
     }
-}
-
-/// The shard worker supervisor: runs the worker under `catch_unwind` and
-/// restarts it from the shard's last published snapshot after a panic.
-///
-/// The supervisor — not the worker — owns the command `Receiver`, so a
-/// panic never disconnects the channel: producers keep their backpressure
-/// semantics (`Busy`, blocking sends) instead of seeing `Closed`, queued
-/// commands — minibatches and cuts alike — survive the restart, and the
-/// reborn worker resumes the same queue. The shard's health is published through
-/// [`crate::ShardHealth`] in the shared stats: `Quarantined` while down
-/// (queries annotate answers via the `*_checked` variants), back to `Live`
-/// after the reseed, and `Dead` once the restart budget
-/// ([`EngineConfig::worker_restart_limit`]) is exhausted — at which point
-/// the original panic is resumed so [`Engine::shutdown`] reports the shard
-/// in a typed [`ShutdownError`] instead of aborting.
-fn supervise(
-    shard: usize,
-    config: EngineConfig,
-    shared: Arc<ShardShared>,
-    pool: Arc<BufferPool>,
-    obs: Option<Arc<EngineObs>>,
-    first: ShardWorker,
-    queue: std::sync::mpsc::Receiver<ShardCommand>,
-) -> ShardFinal {
-    use std::sync::atomic::Ordering;
-    let mut worker = first;
-    loop {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(&queue)));
-        let payload = match outcome {
-            Ok(fin) => return fin,
-            Err(payload) => payload,
-        };
-        shared.stats.set_health(ShardHealth::Quarantined);
-        let restarts = shared.stats.restarts.load(Ordering::Relaxed);
-        let published_epoch = shared.snapshot.get().epoch;
-        if let Some(obs) = &obs {
-            obs.trace.push(
-                obs.now_ns(),
-                TraceKind::ShardQuarantined,
-                shard as u32,
-                restarts,
-                published_epoch,
-            );
-        }
-        if restarts >= config.worker_restart_limit {
-            shared.stats.set_health(ShardHealth::Dead);
-            // Joining this thread now observes the original panic; the
-            // engine surfaces it as a typed `ShutdownError`.
-            std::panic::resume_unwind(payload);
-        }
-        // Test hook: hold the quarantine open so degraded queries are
-        // reliably observable (no-op without a fault plan).
-        if let Some(delay) = config.fault.as_ref().and_then(|f| f.restart_delay()) {
-            std::thread::sleep(delay);
-        }
-        worker = ShardWorker::reseed(shard, &config, shared.clone(), pool.clone(), obs.clone());
-        shared.stats.restarts.fetch_add(1, Ordering::Relaxed);
-        shared.stats.set_health(ShardHealth::Live);
-        if let Some(obs) = &obs {
-            obs.trace.push(
-                obs.now_ns(),
-                TraceKind::WorkerRestart,
-                shard as u32,
-                restarts + 1,
-                published_epoch,
-            );
-        }
-    }
-}
-
-/// A multi-threaded sharded ingestion engine.
-///
-/// Construction spawns one worker thread per shard; [`Engine::handle`] hands
-/// out cloneable [`EngineHandle`]s for concurrent producers and queriers;
-/// [`Engine::shutdown`] drains gracefully and returns the final per-shard
-/// operator state.
-pub struct Engine {
-    handle: EngineHandle,
-    workers: Vec<JoinHandle<ShardFinal>>,
-    flusher: Option<Flusher>,
-    reporter: Option<Reporter>,
-}
-
-impl Engine {
-    /// Spawns an engine with the given configuration and no lifted
-    /// operators.
-    pub fn spawn(config: EngineConfig) -> Engine {
-        Engine::builder(config).spawn()
-    }
-
-    /// Starts building an engine (add lifted operators, then `spawn`).
-    pub fn builder(config: EngineConfig) -> EngineBuilder {
-        EngineBuilder::new(config)
-    }
 
     /// Recovers an engine from the snapshot store at `dir`: loads the
     /// latest consistent persisted epoch, replays it into fresh shard
@@ -548,8 +493,7 @@ impl Engine {
     /// routing policy; mismatches are reported as
     /// [`StoreError::ShardCountMismatch`] /
     /// [`StoreError::ConfigMismatch`]. `config.persistence` may carry
-    /// tuning knobs; its directory is overridden by `dir`. Lifted operators
-    /// are not persisted — recovered engines start with none.
+    /// tuning knobs; its directory is overridden by `dir`.
     pub fn recover(dir: impl AsRef<Path>, mut config: EngineConfig) -> Result<Engine, StoreError> {
         let pcfg = match config.persistence.take() {
             Some(mut pcfg) => {
@@ -616,10 +560,7 @@ impl Engine {
             }
         }
         config.persistence = Some(pcfg);
-        let mut builder = EngineBuilder::new(config);
-        builder.recovered = Some(record);
-        builder.preopened_store = Some(store);
-        let engine = builder.try_spawn()?;
+        let engine = Engine::start(config, Some((record, store)))?;
         // A persist cut can land between a boundary-crossing batch and its
         // `Boundary` marker: the record then holds a clock on (or past) a
         // boundary that no shard has sealed. The resumed fence would cut it
@@ -1164,8 +1105,10 @@ impl EngineHandle {
 
     /// Current staleness annotation: `Some` when any shard is quarantined
     /// or dead (its contribution to merged answers is its last published
-    /// snapshot), `None` when every shard is live. The `*_checked` query
-    /// variants attach this to their answers.
+    /// snapshot), `None` when every shard is live. Read it *after* the
+    /// answer it annotates: a shard that went stale while the query ran is
+    /// then reported, never missed. The answer stays one-sided either way
+    /// — snapshot estimates never exceed true frequencies.
     pub fn degradation(&self) -> Option<Degraded> {
         use std::sync::atomic::Ordering;
         let mut stale_shards = Vec::new();
@@ -1185,43 +1128,6 @@ impl EngineHandle {
                 stale_shards,
                 epoch_lag,
             })
-        }
-    }
-
-    /// [`EngineHandle::heavy_hitters`] with a staleness annotation:
-    /// quarantined or dead shards contribute their last published snapshot
-    /// (still one-sided — snapshot estimates never exceed true
-    /// frequencies), and the wrapper reports which shards were stale and
-    /// by how many batches. The plain query keeps its signature; use this
-    /// variant when the caller needs to distinguish full-fidelity answers
-    /// from degraded-but-bounded ones.
-    pub fn heavy_hitters_checked(&self) -> Answered<Vec<HeavyHitter>> {
-        let value = self.heavy_hitters();
-        Answered {
-            value,
-            degraded: self.degradation(),
-        }
-    }
-
-    /// [`EngineHandle::estimate`] with a staleness annotation (see
-    /// [`EngineHandle::heavy_hitters_checked`]).
-    pub fn estimate_checked(&self, item: u64) -> Answered<u64> {
-        let value = self.estimate(item);
-        Answered {
-            value,
-            degraded: self.degradation(),
-        }
-    }
-
-    /// [`EngineHandle::cm_estimate`] with a staleness annotation (see
-    /// [`EngineHandle::heavy_hitters_checked`]). Count-Min sketches live
-    /// outside the workers and keep every add up to the panic, so a stale
-    /// shard's overestimate bound is unaffected.
-    pub fn cm_estimate_checked(&self, item: u64) -> Answered<u64> {
-        let value = self.cm_estimate(item);
-        Answered {
-            value,
-            degraded: self.degradation(),
         }
     }
 
@@ -1556,11 +1462,6 @@ impl EngineReport {
             merged.merge(shard.heavy_hitters.estimator());
         }
         merged
-    }
-
-    /// Consumes the report and returns the per-shard heavy-hitter trackers.
-    pub fn into_heavy_hitters(self) -> Vec<InfiniteHeavyHitters> {
-        self.shards.into_iter().map(|s| s.heavy_hitters).collect()
     }
 }
 
@@ -1899,6 +1800,20 @@ mod tests {
     }
 
     #[test]
+    fn try_spawn_reports_an_unopenable_store_as_a_typed_error() {
+        // A persistence directory *under a regular file* can never be
+        // created: the typed path returns the store's error instead of
+        // panicking (the workers already spawned exit when their senders
+        // drop with the failed start).
+        let dir = tmpdir("try-spawn");
+        let file = dir.join("not-a-directory");
+        std::fs::write(&file, b"x").unwrap();
+        let result = Engine::try_spawn(config().persist_to(file.join("store")));
+        assert!(matches!(result, Err(StoreError::Io(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn snapshot_kill_recover_roundtrip() {
         let dir = tmpdir("recover");
         let config = config().persistence(manual_persistence(&dir));
@@ -2174,41 +2089,27 @@ mod tests {
 
     #[test]
     fn busy_is_a_clean_rejection_while_the_worker_is_stalled() {
-        // One shard, capacity 1, and a lifted operator that parks the
-        // worker inside its first batch until released: the queue depth is
-        // pinned at capacity, so every non-blocking offer must be shed
+        // One shard, capacity 1, and a worker that holds every batch for
+        // `HOLD` before touching it: `queue_depth = enqueued − processed`
+        // stays pinned at capacity from the first accept until the hold
+        // ends, so every non-blocking offer in between must be shed
         // without touching the enqueue counters.
-        let (entered_tx, entered_rx) = sync_channel::<()>(1);
-        let (release_tx, release_rx) = sync_channel::<()>(1);
-        let mut ends = Some((entered_tx, release_rx));
-        let engine = Engine::builder(
+        const HOLD: std::time::Duration = std::time::Duration::from_millis(400);
+        let engine = Engine::spawn(
             EngineConfig::with_shards(1)
                 .queue_capacity(1)
-                .heavy_hitters(0.05, 0.01),
-        )
-        .lift(("stall".to_string(), move |_shard: usize| {
-            let (entered, release) = ends.take().expect("one shard, one operator");
-            let mut stalled = false;
-            ("stall".to_string(), move |_batch: &[u64]| {
-                if !stalled {
-                    stalled = true;
-                    entered.send(()).unwrap();
-                    release.recv().unwrap();
-                }
-            })
-        }))
-        .spawn();
+                .heavy_hitters(0.05, 0.01)
+                .fault_injection(crate::FaultPlan::new().with_worker_delay(0, HOLD)),
+        );
         let handle = engine.handle();
         let mut producer = handle.producer();
 
         handle.try_ingest(&[1, 2, 3]).unwrap();
-        entered_rx.recv().unwrap();
         assert_eq!(handle.try_ingest(&[4; 10]), Err(TryIngestError::Busy));
         assert_eq!(producer.try_ingest(&[5; 10]), Err(TryIngestError::Busy));
         let m = handle.metrics();
         assert_eq!((m.items_enqueued(), m.shards[0].batches_enqueued), (3, 1));
 
-        release_tx.send(()).unwrap();
         engine.drain().unwrap();
         assert_eq!(handle.total_items(), 3, "shed batches left no trace");
         // Room again: both endpoints are admitted through the same core.

@@ -21,7 +21,6 @@
 //!  shard workers 0..N   each owns: InfiniteHeavyHitters   (φ, ε)
 //!      │                           PaneWindow             (global window)
 //!      │                           ParallelCountMin       (shared seed)
-//!      │                           lifted MinibatchOperators
 //!      ▼
 //!  per-shard epoch snapshots  ──►  EngineHandle queries
 //!      (Arc swap per batch)        estimate / heavy_hitters / cm_estimate
@@ -118,19 +117,17 @@ mod config;
 mod engine;
 mod metrics;
 mod obs;
-mod operator;
 mod persist;
 mod producer;
 mod shard;
 
 pub use config::EngineConfig;
 pub use engine::{
-    Answered, Degraded, Engine, EngineBuilder, EngineClosed, EngineHandle, EngineReport,
-    IngestError, ShutdownError, TryIngestError,
+    Degraded, Engine, EngineClosed, EngineHandle, EngineReport, IngestError, ShutdownError,
+    TryIngestError,
 };
 pub use metrics::{EngineMetrics, ShardHealth, ShardMetrics, StoreMetrics, WindowMetrics};
 pub use obs::ObsConfig;
-pub use operator::{EngineOperator, ShardedOperator};
 pub use producer::Producer;
 pub use shard::{ShardFinal, ShardSnapshot};
 

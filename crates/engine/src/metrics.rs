@@ -231,8 +231,8 @@ impl EngineMetrics {
 
     /// Shards whose workers are not live (quarantined or dead), in shard
     /// order. Queries over these shards answer from their last published
-    /// snapshot (see the `Degraded` annotation on the `*_checked`
-    /// queries).
+    /// snapshot (`EngineHandle::degradation` reports the `Degraded`
+    /// annotation).
     pub fn quarantined_shards(&self) -> Vec<usize> {
         self.shards
             .iter()

@@ -71,12 +71,4 @@ impl Producer {
         }
         self.handle.admit(minibatch, &mut self.parts, admission)
     }
-
-    /// Read-your-writes barrier: returns once everything accepted so far
-    /// (by this producer or anyone else) is processed and published — an
-    /// [`EngineHandle::drain`] whose dead-shard report is dropped (callers
-    /// that need it call `drain` themselves).
-    pub fn flush(&mut self) {
-        let _ = self.handle.drain();
-    }
 }

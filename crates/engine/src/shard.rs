@@ -99,7 +99,7 @@ use psfa_primitives::{
 };
 use psfa_sketch::AtomicCountMin;
 use psfa_store::ShardState;
-use psfa_stream::{BufferPool, MinibatchOperator};
+use psfa_stream::BufferPool;
 
 use crate::config::EngineConfig;
 use crate::metrics::ShardStats;
@@ -312,8 +312,6 @@ pub struct ShardFinal {
     /// The shard's pane state of the global sliding window, when
     /// configured.
     pub window: Option<PaneWindow>,
-    /// Lifted operators, labelled, in registration order.
-    pub lifted: Vec<(String, Box<dyn MinibatchOperator + Send>)>,
 }
 
 /// The worker loop: owned operators plus the shared query surface.
@@ -337,7 +335,6 @@ pub(crate) struct ShardWorker {
     hist: Vec<HistogramEntry>,
     /// Buffer recycling back to the producers (see [`BufferPool`]).
     pool: Arc<BufferPool>,
-    lifted: Vec<(String, Box<dyn MinibatchOperator + Send>)>,
     shared: Arc<ShardShared>,
     /// Observability recorders, when enabled (see the `obs` module).
     obs: Option<Arc<EngineObs>>,
@@ -358,7 +355,6 @@ impl ShardWorker {
     pub(crate) fn new(
         shard: usize,
         config: &EngineConfig,
-        lifted: Vec<(String, Box<dyn MinibatchOperator + Send>)>,
         shared: Arc<ShardShared>,
         pool: Arc<BufferPool>,
         recovered: Option<&ShardState>,
@@ -400,7 +396,6 @@ impl ShardWorker {
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
             pool,
-            lifted,
             shared,
             obs,
             fault: config.fault.clone(),
@@ -422,10 +417,7 @@ impl ShardWorker {
     ///   the receiver.
     /// * **Lost**: the panicking minibatch and those processed *after* the
     ///   last publication (at most [`PUBLISH_EVERY`]` − 1`; none if the
-    ///   queue had run dry), the open (unsealed) window pane, and any
-    ///   lifted operators' state (they are owned by the panicked worker
-    ///   and cannot be reconstructed — the restarted shard runs without
-    ///   them).
+    ///   queue had run dry) and the open (unsealed) window pane.
     ///
     /// The Count-Min sketch retains the post-snapshot adds, so its
     /// one-sided *over*estimate is unaffected; `live_epoch` rolls back to
@@ -472,7 +464,6 @@ impl ShardWorker {
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
             pool,
-            lifted: Vec::new(),
             shared,
             obs,
             fault: config.fault.clone(),
@@ -555,7 +546,6 @@ impl ShardWorker {
             items: self.items,
             heavy_hitters: self.heavy_hitters,
             window: self.window,
-            lifted: self.lifted,
         }
     }
 
@@ -589,10 +579,14 @@ impl ShardWorker {
     /// lock acquisitions.
     fn ingest(&mut self, minibatch: Vec<u64>) {
         // Fault injection (tests only; one `Option` branch when unset):
-        // a scheduled panic fires before any state mutates, so the loss
-        // after recovery is exactly the documented set — this batch plus
-        // the unpublished tail.
+        // a scheduled delay or panic fires before any state mutates, so a
+        // held batch still counts as queued, and the loss after recovery
+        // is exactly the documented set — this batch plus the unpublished
+        // tail.
         if let Some(fault) = &self.fault {
+            if let Some(delay) = fault.worker_delay(self.shard) {
+                std::thread::sleep(delay);
+            }
             if fault.worker_panic_due(self.shard, self.epoch + 1) {
                 panic!(
                     "injected worker panic (fault plan): shard {} at batch {}",
@@ -621,9 +615,6 @@ impl ShardWorker {
             window.process_histogram(&self.hist, len);
         }
         self.shared.count_min.ingest_histogram(&self.hist);
-        for (_, op) in &mut self.lifted {
-            op.process(&minibatch);
-        }
         self.epoch += 1;
         self.items += len;
         // Progress counters (see the module-level ordering contract),
@@ -706,14 +697,14 @@ mod tests {
         Arc::new(BufferPool::new(1, 4))
     }
 
-    /// A fresh shard-0 worker with no lifted operators.
+    /// A fresh shard-0 worker.
     fn test_worker(
         config: &EngineConfig,
         shared: &Arc<ShardShared>,
         obs: Option<Arc<EngineObs>>,
     ) -> ShardWorker {
         let (shared, pool) = (shared.clone(), test_pool());
-        ShardWorker::new(0, config, Vec::new(), shared, pool, None, obs)
+        ShardWorker::new(0, config, shared, pool, None, obs)
     }
 
     #[test]
@@ -877,7 +868,7 @@ mod tests {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
         let pool = test_pool();
-        let worker = ShardWorker::new(0, &config, Vec::new(), shared, pool.clone(), None, None);
+        let worker = ShardWorker::new(0, &config, shared, pool.clone(), None, None);
         let (tx, rx) = sync_channel(4);
         tx.send(ShardCommand::Batch(Vec::with_capacity(64)))
             .unwrap();
@@ -885,29 +876,5 @@ mod tests {
         worker.run(&rx);
         assert_eq!(pool.lane_depth(0), 1, "worker must recycle the buffer");
         assert!(pool.checkout()[0].capacity() >= 64);
-    }
-
-    #[test]
-    fn lifted_operators_see_every_batch() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let config = test_config();
-        let shared = Arc::new(ShardShared::new(0, &config, None));
-        let count = Arc::new(AtomicU64::new(0));
-        let c = count.clone();
-        let lifted: Vec<(String, Box<dyn MinibatchOperator + Send>)> = vec![(
-            "counter".to_string(),
-            Box::new(("counter".to_string(), move |b: &[u64]| {
-                c.fetch_add(b.len() as u64, Ordering::Relaxed);
-            })),
-        )];
-        let worker = ShardWorker::new(0, &config, lifted, shared, test_pool(), None, None);
-        let (tx, rx) = sync_channel(4);
-        tx.send(ShardCommand::Batch(vec![1, 2, 3])).unwrap();
-        tx.send(ShardCommand::Batch(vec![4; 10])).unwrap();
-        drop(tx);
-        let fin = worker.run(&rx);
-        assert_eq!(count.load(Ordering::Relaxed), 13);
-        assert_eq!(fin.lifted.len(), 1);
-        assert_eq!(fin.lifted[0].0, "counter");
     }
 }

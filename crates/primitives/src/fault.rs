@@ -2,8 +2,8 @@
 //!
 //! Production fault tolerance is untestable without a way to *cause*
 //! faults on demand. A [`FaultPlan`] is a declarative schedule of typed
-//! fault points — worker panics, store write errors, connection drops —
-//! that the engine, persister, and serving layer consult at their
+//! fault points — worker panics and delays, store write errors, connection
+//! drops — that the engine, persister, and serving layer consult at their
 //! respective fault sites. The plan is threaded as
 //! an `Option<Arc<FaultPlan>>` exactly like the observability config
 //! introduced earlier: when unset the fault sites compile down to a single
@@ -15,10 +15,11 @@
 //! Every fault point names its trigger explicitly (shard + batch ordinal,
 //! append ordinal, frame count), so a given plan produces the same fault
 //! sequence on every run — which is what makes the recovery tests
-//! reproducible. Each point fires **at most once** (an atomic fired flag),
-//! so a worker restarted from a snapshot that replays past the trigger
-//! ordinal does not re-trip the same fault forever. [`FaultPlan::from_seed`]
-//! derives a whole schedule from one `u64` for property tests.
+//! reproducible. Each scheduled point (panic, write error) fires **at most
+//! once** (an atomic fired flag), so a worker restarted from a snapshot that
+//! replays past the trigger ordinal does not re-trip the same fault forever.
+//! [`FaultPlan::from_seed`] derives a whole schedule from one `u64` for
+//! property tests.
 
 use std::fmt;
 use std::io;
@@ -55,6 +56,9 @@ pub struct FaultPlan {
     /// Supervisor-side: hold a quarantined shard this long before the
     /// restart (widens the observable degraded-query window for tests).
     restart_delay: Option<Duration>,
+    /// Worker-side: one shard sleeps this long before every minibatch it
+    /// ingests (a slow consumer, for backpressure tests).
+    worker_delay: Option<(usize, Duration)>,
     /// Monotone count of store appends attempted (the ordinal clock for
     /// [`FaultPlan::store_write_error`]).
     appends: AtomicU64,
@@ -67,6 +71,7 @@ impl fmt::Debug for FaultPlan {
             .field("store_write_errors", &self.store_write_errors.len())
             .field("drop_after_frames", &self.drop_after_frames)
             .field("restart_delay", &self.restart_delay)
+            .field("worker_delay", &self.worker_delay)
             .finish_non_exhaustive()
     }
 }
@@ -109,6 +114,15 @@ impl FaultPlan {
     /// the window in which queries observe the degraded state.
     pub fn with_restart_delay(mut self, delay: Duration) -> Self {
         self.restart_delay = Some(delay);
+        self
+    }
+
+    /// Makes `shard`'s worker sleep for `delay` before every minibatch it
+    /// ingests: a deterministic slow consumer, so its queue fills and
+    /// producers meet backpressure. Unlike the one-shot points it applies
+    /// to every batch, restarts included.
+    pub fn with_worker_delay(mut self, shard: usize, delay: Duration) -> Self {
+        self.worker_delay = Some((shard, delay));
         self
     }
 
@@ -183,6 +197,14 @@ impl FaultPlan {
     pub fn restart_delay(&self) -> Option<Duration> {
         self.restart_delay
     }
+
+    /// Per-minibatch hold for `shard`'s worker, if scheduled for it. The
+    /// worker sleeps at the top of its ingest path, before any state
+    /// mutates, so the batch counts as queued for the whole delay.
+    pub fn worker_delay(&self, shard: usize) -> Option<Duration> {
+        self.worker_delay
+            .and_then(|(slow, delay)| (slow == shard).then_some(delay))
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +228,17 @@ mod tests {
         assert!(plan.store_write_error().is_none()); // append #0
         assert!(plan.store_write_error().is_some()); // append #1
         assert!(plan.store_write_error().is_none()); // append #2
+    }
+
+    #[test]
+    fn worker_delay_is_shard_scoped() {
+        let delay = Duration::from_millis(3);
+        let plan = FaultPlan::new().with_worker_delay(1, delay);
+        assert_eq!(plan.worker_delay(1), Some(delay));
+        // Applies to every batch, not once.
+        assert_eq!(plan.worker_delay(1), Some(delay));
+        assert_eq!(plan.worker_delay(0), None);
+        assert_eq!(FaultPlan::new().worker_delay(1), None);
     }
 
     #[test]

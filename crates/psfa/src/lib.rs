@@ -7,9 +7,7 @@
 //! The paper's algorithms process a high-velocity stream in **minibatches**:
 //! each minibatch is ingested with linear work and polylogarithmic depth,
 //! updating a single shared summary (no per-processor summaries, no merge
-//! step). This umbrella crate re-exports the full public API and adds
-//! pipeline adapters so any aggregate can run inside the discretized-stream
-//! driver of [`psfa_stream`].
+//! step). This umbrella crate re-exports the full public API.
 //!
 //! ## Quick example
 //!
@@ -38,7 +36,7 @@
 //! | [`psfa_freq`] | §5 | parallel Misra–Gries, sliding-window frequency estimation (basic / space- / work-efficient), heavy hitters, mergeable summaries, cross-shard pane windows |
 //! | [`psfa_sketch`] | §6 | Count-Min sketch (sequential + parallel minibatch + mergeable), Count-Sketch |
 //! | [`psfa_baselines`] | §1, §5.4 | sequential comparators and the independent-data-structure approach |
-//! | [`psfa_stream`] | §1 | minibatch model, workload generators, pipeline driver, routing layer (hash + skew-aware hot-key splitting), epoch + window fencing |
+//! | [`psfa_stream`] | §1 | minibatch model, workload generators, routing layer (hash + skew-aware hot-key splitting), epoch + window fencing |
 //! | [`psfa_engine`] | beyond the paper | sharded multi-threaded ingestion engine with pluggable routing, live cross-shard queries, and globally consistent sliding windows (`Engine`, `EngineHandle`) |
 //! | [`psfa_store`] | beyond the paper | epoch-snapshot persistence: checksummed append-only segment log, crash recovery (`Engine::recover`), time-travel queries (`heavy_hitters_at`) |
 //! | [`psfa_obs`] | beyond the paper | lock-free observability: mergeable latency histograms, stall accounting, bounded event tracing, Prometheus text export |
@@ -58,18 +56,15 @@ pub use psfa_store as store;
 pub use psfa_stream as stream;
 pub use psfa_window as window;
 
-pub mod operators;
-
 /// One-stop import for applications.
 pub mod prelude {
     pub use psfa_baselines::{
-        DgimCounter, ExactSlidingWindow, IndependentMgSummaries, LossyCounting,
-        SequentialMisraGries, SpaceSaving,
+        DgimCounter, ExactSlidingWindow, IndependentMgSummaries, SequentialMisraGries, SpaceSaving,
     };
     pub use psfa_engine::{
-        Answered, Degraded, Engine, EngineConfig, EngineHandle, EngineMetrics, EngineOperator,
-        EngineReport, FaultPlan, IngestError, ObsConfig, Producer, ShardHealth, ShardedOperator,
-        ShutdownError, StoreMetrics, TryIngestError, WindowMetrics,
+        Degraded, Engine, EngineConfig, EngineHandle, EngineMetrics, EngineReport, FaultPlan,
+        IngestError, ObsConfig, Producer, ShardHealth, ShutdownError, StoreMetrics, TryIngestError,
+        WindowMetrics,
     };
     pub use psfa_freq::{
         GlobalWindow, HeavyHitter, InfiniteHeavyHitters, MgSummary, PaneWindow,
@@ -91,12 +86,9 @@ pub mod prelude {
         WindowState,
     };
     pub use psfa_stream::{
-        partition_by_key, shard_of, AdversarialChurnGenerator, BinaryStreamGenerator, BufferPool,
-        BurstyGenerator, HashRouter, IngestFence, MinibatchOperator, PacketTraceGenerator,
-        Pipeline, PipelineReport, Placement, Router, RoutingPolicy, SkewAwareRouter,
-        SplitGenerator, StreamGenerator, UniformGenerator, WindowFence, ZipfGenerator,
+        shard_of, AdversarialChurnGenerator, BinaryStreamGenerator, BufferPool, BurstyGenerator,
+        HashRouter, IngestFence, PacketTraceGenerator, Placement, Router, RoutingPolicy,
+        SkewAwareRouter, StreamGenerator, UniformGenerator, WindowFence, ZipfGenerator,
     };
     pub use psfa_window::{BasicCounter, Pane, PaneRing, QueryResult, Sbbc, WindowedSum};
-
-    pub use crate::operators::{FrequencyOperator, HeavyHitterOperator, SketchOperator};
 }

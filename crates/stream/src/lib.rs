@@ -14,11 +14,8 @@
 //!   generators stand in for the network-monitoring workloads its
 //!   introduction (§1) motivates.
 //! * [`zipf`] — a seeded Zipf(α) sampler used by the generators.
-//! * [`pipeline`] — a small driver that feeds minibatches from a generator
-//!   into one or more operators and records per-operator throughput, the
-//!   harness used by the examples and the experiment binaries.
-//! * [`split`] — key-space splitting of minibatch streams across shards,
-//!   the routing layer under the sharded ingestion engine (`psfa-engine`).
+//! * [`split`] — the key → shard hash ([`shard_of`]) under the sharded
+//!   ingestion engine (`psfa-engine`).
 //! * [`pool`] — recycling of routed sub-batch buffers between producers and
 //!   shard workers ([`BufferPool`]), so the steady-state ingest path
 //!   allocates nothing.
@@ -30,7 +27,6 @@
 //!   barriers for cross-shard sliding windows.
 //! * [`lane`] — a bounded SPSC ring of sub-batch buffers; no longer on the
 //!   engine's ingest path, kept for the benchmark's layer replay.
-//! * [`metrics`] — throughput/latency accounting.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -38,8 +34,6 @@
 pub mod fence;
 pub mod generators;
 pub mod lane;
-pub mod metrics;
-pub mod pipeline;
 pub mod pool;
 pub mod router;
 pub mod split;
@@ -51,9 +45,7 @@ pub use generators::{
     StreamGenerator, UniformGenerator, ZipfGenerator,
 };
 pub use lane::IngestLane;
-pub use metrics::ThroughputMeter;
-pub use pipeline::{MinibatchOperator, Pipeline, PipelineReport};
 pub use pool::{BufferPool, PoolCounters};
 pub use router::{HashRouter, Placement, Router, RoutingPolicy, SkewAwareRouter};
-pub use split::{partition_by_key, shard_of, SplitGenerator};
+pub use split::shard_of;
 pub use zipf::ZipfSampler;

@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::split::{partition_by_key, shard_of};
+use crate::split::shard_of;
 
 /// Process-unique ids for [`SkewAwareRouter`] instances, keying the
 /// per-thread hot-set cache below.
@@ -172,24 +172,26 @@ pub trait Router: Send + Sync {
     /// The number of shards this router routes across.
     fn shards(&self) -> usize;
 
-    /// Splits one minibatch into `shards()` per-shard sub-batches. Every
-    /// item occurrence lands in exactly one sub-batch, and item order within
-    /// a sub-batch preserves stream order. May update internal skew state.
-    fn partition(&self, minibatch: &[u64]) -> Vec<Vec<u64>>;
-
-    /// Allocation-free variant of [`Router::partition`]: routes into
-    /// caller-provided buffers (one per shard, cleared first) instead of
-    /// allocating fresh `Vec`s. The ingest hot path draws `parts` from a
-    /// [`crate::BufferPool`], so steady-state routing performs no heap
-    /// allocation at all. The default implementation delegates to
-    /// `partition` (allocating); both built-in routers override it.
+    /// Splits one minibatch into caller-provided buffers, one per shard
+    /// (cleared first). Every item occurrence lands in exactly one
+    /// sub-batch, and item order within a sub-batch preserves stream order.
+    /// May update internal skew state. The ingest hot path draws `parts`
+    /// from a [`crate::BufferPool`], so steady-state routing performs no
+    /// heap allocation at all.
     ///
     /// # Panics
     /// Implementations may panic if `parts.len() != self.shards()`.
-    fn partition_into(&self, minibatch: &[u64], parts: &mut [Vec<u64>]) {
-        for (slot, part) in parts.iter_mut().zip(self.partition(minibatch)) {
-            *slot = part;
-        }
+    fn partition_into(&self, minibatch: &[u64], parts: &mut [Vec<u64>]);
+
+    /// Allocating convenience over [`Router::partition_into`]: splits one
+    /// minibatch into `shards()` fresh per-shard sub-batches.
+    fn partition(&self, minibatch: &[u64]) -> Vec<Vec<u64>> {
+        let shards = self.shards();
+        let mut parts: Vec<Vec<u64>> = (0..shards)
+            .map(|_| Vec::with_capacity(minibatch.len() / shards + 1))
+            .collect();
+        self.partition_into(minibatch, &mut parts);
+        parts
     }
 
     /// The shards on which `key`'s count mass may reside. Queries use this
@@ -241,10 +243,6 @@ impl Router for HashRouter {
 
     fn shards(&self) -> usize {
         self.shards
-    }
-
-    fn partition(&self, minibatch: &[u64]) -> Vec<Vec<u64>> {
-        partition_by_key(minibatch, self.shards)
     }
 
     fn partition_into(&self, minibatch: &[u64], parts: &mut [Vec<u64>]) {
@@ -501,14 +499,6 @@ impl Router for SkewAwareRouter {
         self.shards
     }
 
-    fn partition(&self, minibatch: &[u64]) -> Vec<Vec<u64>> {
-        let mut parts: Vec<Vec<u64>> = (0..self.shards)
-            .map(|_| Vec::with_capacity(minibatch.len() / self.shards + 1))
-            .collect();
-        self.partition_into(minibatch, &mut parts);
-        parts
-    }
-
     fn partition_into(&self, minibatch: &[u64], parts: &mut [Vec<u64>]) {
         assert_eq!(parts.len(), self.shards, "partition_into: wrong part count");
         self.with_hot(|hot| {
@@ -671,7 +661,11 @@ mod tests {
         let router = HashRouter::new(8);
         let mut generator = ZipfGenerator::new(10_000, 1.2, 5);
         let batch = generator.next_minibatch(10_000);
-        assert_eq!(router.partition(&batch), partition_by_key(&batch, 8));
+        // Each part is exactly its shard's keys, in stream order.
+        for (shard, part) in router.partition(&batch).iter().enumerate() {
+            let owned = batch.iter().copied().filter(|&k| shard_of(k, 8) == shard);
+            assert_eq!(*part, owned.collect::<Vec<u64>>());
+        }
         assert_eq!(router.shards(), 8);
         assert_eq!(router.name(), "hash");
         assert!(router.hot_keys().is_empty());

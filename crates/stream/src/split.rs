@@ -1,19 +1,13 @@
 //! Key-space splitting of minibatch streams across shards.
 //!
-//! [`shard_of`] and [`partition_by_key`] are the *hash* assignment: each key
-//! owned by exactly one shard, a pure function of the key. They remain the
-//! default policy, but routing is now pluggable — see [`crate::router`] for
-//! the [`Router`] trait and the skew-aware hot-key-splitting implementation;
-//! [`SplitGenerator`] routes through any `Arc<dyn Router>`.
+//! [`shard_of`] is the *hash* assignment: each key owned by exactly one
+//! shard, a pure function of the key. It is the default policy; routing is
+//! pluggable — see [`crate::router`] for the [`Router`](crate::router::Router)
+//! trait and the skew-aware hot-key-splitting implementation.
 //!
 //! The routing hash is deliberately *independent* of the seeded hash
 //! families in `psfa-primitives`: operators inside a shard must not see a
 //! key distribution correlated with their own hash functions.
-
-use std::sync::Arc;
-
-use crate::generators::StreamGenerator;
-use crate::router::{HashRouter, Router};
 
 /// Multiplier of the SplitMix64/Fibonacci mixing step used for routing.
 const ROUTE_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -37,64 +31,11 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     (((z as u128) * (shards as u128)) >> 64) as usize
 }
 
-/// Splits one minibatch into `shards` per-shard sub-batches by key
-/// ownership. Item order within each sub-batch preserves stream order.
-pub fn partition_by_key(minibatch: &[u64], shards: usize) -> Vec<Vec<u64>> {
-    assert!(shards > 0, "partition_by_key: shards must be non-zero");
-    let mut parts: Vec<Vec<u64>> = (0..shards)
-        .map(|_| Vec::with_capacity(minibatch.len() / shards + 1))
-        .collect();
-    for &item in minibatch {
-        parts[shard_of(item, shards)].push(item);
-    }
-    parts
-}
-
-/// Adapts one generator into a per-shard view: every call to
-/// [`SplitGenerator::next_minibatches`] draws one minibatch from the
-/// underlying generator and splits it through a [`Router`], so `shards`
-/// downstream consumers each see exactly the sub-stream routed to them.
-pub struct SplitGenerator<'a> {
-    inner: &'a mut dyn StreamGenerator,
-    router: Arc<dyn Router>,
-}
-
-impl<'a> SplitGenerator<'a> {
-    /// Wraps `inner`, splitting its output across `shards` shards by key
-    /// ownership (hash routing — the historical behaviour).
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn new(inner: &'a mut dyn StreamGenerator, shards: usize) -> Self {
-        Self::with_router(inner, Arc::new(HashRouter::new(shards)))
-    }
-
-    /// Wraps `inner`, splitting its output through an explicit router (e.g.
-    /// a [`crate::router::SkewAwareRouter`] shared with the consumer side).
-    pub fn with_router(inner: &'a mut dyn StreamGenerator, router: Arc<dyn Router>) -> Self {
-        Self { inner, router }
-    }
-
-    /// The number of shards the stream is split into.
-    pub fn shards(&self) -> usize {
-        self.router.shards()
-    }
-
-    /// The router splitting the stream.
-    pub fn router(&self) -> &Arc<dyn Router> {
-        &self.router
-    }
-
-    /// Draws one minibatch of `size` items and returns its per-shard split.
-    pub fn next_minibatches(&mut self, size: usize) -> Vec<Vec<u64>> {
-        self.router.partition(&self.inner.next_minibatch(size))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{StreamGenerator, ZipfGenerator};
+    use crate::router::{HashRouter, Router};
 
     #[test]
     fn routing_is_deterministic_and_in_range() {
@@ -111,7 +52,7 @@ mod tests {
     fn partition_preserves_all_items_and_ownership() {
         let mut generator = ZipfGenerator::new(50_000, 1.1, 7);
         let batch = generator.next_minibatch(20_000);
-        let parts = partition_by_key(&batch, 8);
+        let parts = HashRouter::new(8).partition(&batch);
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), batch.len());
         for (shard, part) in parts.iter().enumerate() {
             for &item in part {
@@ -124,35 +65,11 @@ mod tests {
     fn partition_is_reasonably_balanced_on_uniform_keys() {
         // Distinct keys (not occurrences) should spread evenly.
         let keys: Vec<u64> = (0..64_000u64).collect();
-        let parts = partition_by_key(&keys, 8);
+        let parts = HashRouter::new(8).partition(&keys);
         for part in &parts {
             let share = part.len() as f64 / keys.len() as f64;
             assert!((0.10..0.15).contains(&share), "unbalanced shard: {share}");
         }
-    }
-
-    #[test]
-    fn split_generator_matches_manual_partition() {
-        let mut a = ZipfGenerator::new(1000, 1.2, 3);
-        let mut b = ZipfGenerator::new(1000, 1.2, 3);
-        let batch = a.next_minibatch(5000);
-        let want = partition_by_key(&batch, 4);
-        let mut split = SplitGenerator::new(&mut b, 4);
-        assert_eq!(split.next_minibatches(5000), want);
-        assert_eq!(split.shards(), 4);
-    }
-
-    #[test]
-    fn split_generator_accepts_a_custom_router() {
-        use crate::router::{Router, SkewAwareRouter};
-        let router: Arc<dyn Router> = Arc::new(SkewAwareRouter::new(4));
-        let mut generator = ZipfGenerator::new(1000, 1.2, 3);
-        let mut split = SplitGenerator::with_router(&mut generator, router.clone());
-        let parts = split.next_minibatches(5000);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 5000);
-        assert_eq!(split.shards(), 4);
-        assert_eq!(split.router().name(), "skew-aware");
     }
 
     #[test]

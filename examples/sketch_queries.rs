@@ -1,6 +1,7 @@
 //! Count-Min sketch point queries (Section 6) compared against Count-Sketch
-//! and the exact answer, on a skewed stream processed in minibatches — and
-//! all three aggregates driven side by side through the pipeline API.
+//! and the exact answer, on a skewed stream processed in minibatches — with
+//! a Misra–Gries heavy-hitter tracker fed side by side from the same
+//! minibatches (the multi-operator architecture of Figure 1).
 //!
 //! Run with:
 //! ```text
@@ -17,31 +18,17 @@ fn main() {
     let batch_size = 20_000;
     let batches = 50;
 
-    // Drive the Count-Min operator (plus companions) through the pipeline to
-    // show the multi-operator minibatch architecture of Figure 1.
-    let mut pipeline = Pipeline::new();
-    pipeline.add_operator(SketchOperator::new(
-        "parallel count-min",
-        ParallelCountMin::new(epsilon, delta, 99),
-    ));
-    pipeline.add_operator(HeavyHitterOperator::new(
-        "misra-gries heavy hitters",
-        InfiniteHeavyHitters::new(0.01, 0.001),
-    ));
-    let mut generator = ZipfGenerator::new(1_000_000, 1.1, 5);
-    let report = pipeline.run(&mut generator, batches, batch_size);
-    println!("pipeline throughput:\n{}", report.to_table());
-
-    // Re-run the same stream standalone to compare CM, Count-Sketch and the
-    // exact frequencies on the most frequent items.
+    // Every operator sees every minibatch; queries see the prefix.
     let mut generator = ZipfGenerator::new(1_000_000, 1.1, 5);
     let mut cm = ParallelCountMin::new(epsilon, delta, 99);
     let mut cs = CountSketch::new(0.01, delta, 17);
+    let mut hh = InfiniteHeavyHitters::new(0.01, 0.001);
     let mut exact: HashMap<u64, u64> = HashMap::new();
     for _ in 0..batches {
         let minibatch = generator.next_minibatch(batch_size);
         cm.process_minibatch(&minibatch);
         cs.process_minibatch(&minibatch);
+        hh.process_minibatch(&minibatch);
         for &x in &minibatch {
             *exact.entry(x).or_insert(0) += 1;
         }
@@ -72,4 +59,7 @@ fn main() {
         cm.sketch().depth(),
         cm.sketch().width()
     );
+    let heavy = hh.query();
+    println!("1%-heavy hitters tracked alongside: {}", heavy.len());
+    assert!(heavy.iter().all(|h| h.estimate <= exact[&h.item]));
 }

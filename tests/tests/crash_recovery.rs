@@ -10,7 +10,12 @@
 //! * time travel is exact: `heavy_hitters_at(E)` and `estimate_at(·, E)`
 //!   reproduce the answers the live engine gave at the moment epoch `E`
 //!   was cut, even after the recovered engine has moved on;
+//! * the *global* sliding window comes back as the same aligned window
+//!   (boundary and item count) the live engine had at the cut;
+//! * compaction bounds the on-disk history while the engine runs;
 //! * the recovered engine keeps ingesting and persisting.
+//!
+//! Every store lives in a throwaway directory under `TMPDIR`.
 
 use std::collections::HashMap;
 

@@ -176,34 +176,6 @@ fn windowed_counting_and_sum_against_baseline() {
 }
 
 #[test]
-fn pipeline_drives_all_aggregate_operators() {
-    let mut pipeline = Pipeline::new();
-    pipeline.add_operator(FrequencyOperator::new(
-        "sliding-work",
-        SlidingFreqWorkEfficient::new(0.01, 100_000),
-    ));
-    pipeline.add_operator(FrequencyOperator::new(
-        "sliding-space",
-        SlidingFreqSpaceEfficient::new(0.01, 100_000),
-    ));
-    pipeline.add_operator(HeavyHitterOperator::new(
-        "infinite-hh",
-        InfiniteHeavyHitters::new(0.02, 0.005),
-    ));
-    pipeline.add_operator(SketchOperator::new(
-        "cm",
-        ParallelCountMin::new(0.001, 0.01, 5),
-    ));
-    let mut generator = PacketTraceGenerator::new(128, 13);
-    let report = pipeline.run(&mut generator, 20, 5000);
-    assert_eq!(report.operators.len(), 4);
-    for op in &report.operators {
-        assert_eq!(op.items, 100_000);
-        assert!(op.items_per_second > 0.0);
-    }
-}
-
-#[test]
 fn independent_structures_use_more_memory_than_shared() {
     // Section 5.4: the shared-structure estimator keeps O(1/ε) counters while
     // the independent approach keeps Θ(p/ε) across its workers.

@@ -1,7 +1,7 @@
-//! The sharded engine must be *equivalent* to the single-threaded pipeline:
-//! same input stream, same (φ, ε), same guarantees. These tests drive both
-//! paths on one Zipf workload and compare them to each other and to exact
-//! counts, then exercise queries racing live ingestion.
+//! The sharded engine must be *equivalent* to the single-threaded
+//! per-minibatch loop: same input stream, same (φ, ε), same guarantees. These
+//! tests drive both paths on one Zipf workload and compare them to each other
+//! and to exact counts, then exercise queries racing live ingestion.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,13 +35,13 @@ fn sharded_ingestion_matches_single_threaded_pipeline_within_epsilon() {
     let truth = exact_counts(&batches);
     let m: u64 = truth.values().sum();
 
-    // Single-threaded reference: the pipeline driver with the paper's
-    // operators.
-    let mut single_hh = HeavyHitterOperator::new("hh", InfiniteHeavyHitters::new(PHI, EPSILON));
-    let mut single_cm = SketchOperator::new("cm", ParallelCountMin::new(0.001, 0.01, 7));
+    // Single-threaded reference: the paper's operators, one minibatch at
+    // a time.
+    let mut single_hh = InfiniteHeavyHitters::new(PHI, EPSILON);
+    let mut single_cm = ParallelCountMin::new(0.001, 0.01, 7);
     for batch in &batches {
-        single_hh.process(batch);
-        single_cm.process(batch);
+        single_hh.process_minibatch(batch);
+        single_cm.process_minibatch(batch);
     }
 
     // Sharded engine on the same input.
@@ -62,7 +62,7 @@ fn sharded_ingestion_matches_single_threaded_pipeline_within_epsilon() {
     let slack = (EPSILON * m as f64).ceil() as u64;
     for (&item, &f) in &truth {
         let sharded = handle.estimate(item);
-        let single = single_hh.tracker().estimator().estimate(item);
+        let single = single_hh.estimator().estimate(item);
         assert!(sharded <= f, "sharded estimate {sharded} above truth {f}");
         assert!(
             sharded + slack >= f,
@@ -76,7 +76,7 @@ fn sharded_ingestion_matches_single_threaded_pipeline_within_epsilon() {
 
     // Heavy hitters: identical completeness/soundness bands around φ.
     let sharded_hh: Vec<u64> = handle.heavy_hitters().iter().map(|h| h.item).collect();
-    let single_set: Vec<u64> = single_hh.tracker().query().iter().map(|h| h.item).collect();
+    let single_set: Vec<u64> = single_hh.query().iter().map(|h| h.item).collect();
     for (&item, &f) in &truth {
         if f as f64 >= PHI * m as f64 {
             assert!(
@@ -85,7 +85,7 @@ fn sharded_ingestion_matches_single_threaded_pipeline_within_epsilon() {
             );
             assert!(
                 single_set.contains(&item),
-                "pipeline missed heavy hitter {item}"
+                "single-threaded reference missed heavy hitter {item}"
             );
         }
         if (f as f64) < (PHI - EPSILON) * m as f64 {
@@ -96,11 +96,8 @@ fn sharded_ingestion_matches_single_threaded_pipeline_within_epsilon() {
     // Count-Min: merged shard sketches equal the single sketch exactly
     // (same seed, partitioned input).
     let merged = handle.merged_count_min();
-    assert_eq!(merged.total(), single_cm.sketch().total());
-    assert_eq!(
-        merged.sketch().counters(),
-        single_cm.sketch().sketch().counters()
-    );
+    assert_eq!(merged.total(), single_cm.total());
+    assert_eq!(merged.sketch().counters(), single_cm.sketch().counters());
 
     // The post-shutdown merged estimator also covers the whole stream.
     let report = engine.shutdown().unwrap();
@@ -116,7 +113,7 @@ fn sharded_ingestion_matches_single_threaded_pipeline_within_epsilon() {
 /// The acceptance test for skew-aware routing: on a Zipf(1.5) stream (whose
 /// head key alone carries ~38% of all traffic) the skew-aware router must
 /// measurably level per-shard load versus hash routing, while every answer
-/// stays within the configured ε of the single-threaded pipeline.
+/// stays within the configured ε of the single-threaded reference.
 #[test]
 fn skew_aware_router_levels_load_and_matches_single_thread() {
     let mut generator = ZipfGenerator::new(100_000, 1.5, 4242);
@@ -342,39 +339,18 @@ fn queries_answer_while_ingestion_is_in_flight() {
 }
 
 #[test]
-fn lifted_operators_partition_the_stream() {
-    // Lift the sequential exact window tracker into the engine: per-shard
-    // instances see disjoint keys whose union is the full stream.
-    struct ExactOp(ExactSlidingWindow);
-    impl MinibatchOperator for ExactOp {
-        fn process(&mut self, minibatch: &[u64]) {
-            self.0.process_minibatch(minibatch);
-        }
-        fn name(&self) -> String {
-            "exact".into()
-        }
-    }
-
+fn hash_routing_partitions_the_stream() {
+    // Per-shard summaries see disjoint keys whose union is the full stream.
     let batches = zipf_batches(10, 2_000, 7);
     let truth = exact_counts(&batches);
-    let engine = Engine::builder(EngineConfig::with_shards(4).heavy_hitters(0.05, 0.01))
-        .lift(("exact".to_string(), |_shard: usize| {
-            ExactOp(ExactSlidingWindow::new(1 << 20))
-        }))
-        .spawn();
+    let engine = Engine::spawn(EngineConfig::with_shards(4).heavy_hitters(0.05, 0.01));
     let handle = engine.handle();
     for batch in &batches {
         handle.ingest(batch).unwrap();
     }
     let report = engine.shutdown().unwrap();
-
-    // One lifted instance per shard, correctly labelled.
     assert_eq!(report.shards.len(), 4);
-    for fin in &report.shards {
-        assert_eq!(fin.lifted.len(), 1);
-        assert_eq!(fin.lifted[0].0, "exact");
-        assert_eq!(fin.lifted[0].1.name(), "exact");
-    }
+
     // Each key's estimate lives on its owning shard and nowhere else, and
     // shard stream lengths partition the input.
     for (&item, &count) in &truth {

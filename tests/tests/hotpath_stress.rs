@@ -10,8 +10,9 @@
 //! * the Count-Min sketch **never reads below** what any observed snapshot
 //!   reflects (the publication `Release`/`Acquire` edge), and after a drain
 //!   it is overestimate-only against an exact reference;
-//! * a `snapshot_now` cut **mid-stress** round-trips: recovery from it
-//!   reproduces the persisted answers exactly.
+//! * a `snapshot_now` cut **mid-stress** (one `Persist` command per shard
+//!   FIFO) covers exactly the batches accepted before it and round-trips:
+//!   recovery from it reproduces the persisted answers exactly.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

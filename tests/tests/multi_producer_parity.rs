@@ -67,6 +67,7 @@ fn run_parity(routing: RoutingPolicy, producers: usize) {
     let handle = engine.handle();
 
     std::thread::scope(|scope| {
+        let handle = &handle;
         for k in 0..producers {
             let mut producer = handle.producer();
             let slice: Vec<&Vec<u64>> = batches.iter().skip(k).step_by(producers).collect();
@@ -74,7 +75,7 @@ fn run_parity(routing: RoutingPolicy, producers: usize) {
                 for batch in slice {
                     producer.ingest(batch).expect("engine closed mid-stream");
                 }
-                producer.flush();
+                handle.drain().unwrap();
             });
         }
     });

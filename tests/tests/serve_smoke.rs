@@ -11,10 +11,13 @@
 //!   within `max_connections × MAX_FRAME_LEN × 2`.
 //! * Graceful shutdown answers in-flight requests, closes connections, and
 //!   leaves the engine fully usable.
+//! * A `RetryingClient` rides out injected connection drops: it reconnects,
+//!   and a retried ingest is never counted twice.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use psfa::prelude::*;
 
@@ -133,18 +136,13 @@ fn concurrent_clients_match_the_single_thread_reference() {
 fn tiny_queue_engine_sheds_load_with_busy() {
     // One shard, capacity-1 queue, and a worker that sleeps per batch: the
     // server must answer Busy rather than buffer.
-    let sleepy = ("sleepy".to_string(), |_shard: usize| {
-        ("sleepy".to_string(), |_minibatch: &[u64]| {
-            std::thread::sleep(std::time::Duration::from_millis(3))
-        })
-    });
-    let engine = Engine::builder(
+    let slow_worker = FaultPlan::new().with_worker_delay(0, Duration::from_millis(3));
+    let engine = Engine::spawn(
         EngineConfig::with_shards(1)
             .queue_capacity(1)
-            .heavy_hitters(0.05, 0.01),
-    )
-    .lift(sleepy)
-    .spawn();
+            .heavy_hitters(0.05, 0.01)
+            .fault_injection(slow_worker),
+    );
     let config = ServeConfig::default();
     let inflight_cap = (config.max_connections * MAX_FRAME_LEN * 2) as u64;
     let server = Server::spawn(engine.handle(), config).expect("server");
@@ -178,6 +176,35 @@ fn tiny_queue_engine_sheds_load_with_busy() {
     let report = engine.shutdown().unwrap();
     // Busy is clean: exactly the acknowledged batches reached the engine.
     assert_eq!(report.total_items(), accepted * batch.len() as u64);
+}
+
+#[test]
+fn retrying_client_survives_injected_connection_drops() {
+    // Every connection serves three frames and swallows the fourth without
+    // a response, like a mid-flight partition.
+    let engine = Engine::spawn(EngineConfig::with_shards(2).heavy_hitters(0.05, 0.01));
+    let config =
+        ServeConfig::default().fault_injection(FaultPlan::new().with_connection_drop_after(3));
+    let server = Server::spawn(engine.handle(), config).expect("server");
+    let policy = RetryPolicy::default().base_delay(Duration::from_millis(1));
+    let mut client = RetryingClient::connect(server.local_addr(), policy).expect("client");
+
+    let batches = zipf_batches(12, 1_000, 3);
+    for batch in &batches {
+        let accepted = client
+            .ingest(batch)
+            .expect("ingest must ride out the drops");
+        assert_eq!(accepted, batch.len() as u64);
+    }
+    assert!(client.reconnects() > 0, "dropped streams force reconnects");
+
+    let metrics = server.shutdown();
+    assert!(metrics.injected_drops > 0);
+    engine.drain().unwrap();
+    // A swallowed request was never applied, so its retry is the only
+    // application: the count is exact, not "at least".
+    assert_eq!(engine.handle().total_items(), 12_000);
+    engine.shutdown().unwrap();
 }
 
 #[test]
