@@ -17,7 +17,7 @@ fn bench_cm(c: &mut Criterion) {
             BenchmarkId::new("parallel_minibatch_20k", format!("eps{eps}")),
             &eps,
             |b, _| {
-                let warmed = ParallelCountMin::new(eps, delta, 1);
+                let warmed = AtomicCountMin::new(eps, delta, 1);
                 b.iter_batched(
                     || warmed.clone(),
                     |mut cm| cm.process_minibatch(batch),
@@ -29,7 +29,7 @@ fn bench_cm(c: &mut Criterion) {
             BenchmarkId::new("sequential_elements_20k", format!("eps{eps}")),
             &eps,
             |b, _| {
-                let warmed = CountMinSketch::new(eps, delta, 1);
+                let warmed = AtomicCountMin::new(eps, delta, 1);
                 b.iter_batched(
                     || warmed.clone(),
                     |mut cm| {
@@ -43,7 +43,7 @@ fn bench_cm(c: &mut Criterion) {
         );
     }
     group.bench_function("point_query", |b| {
-        let mut cm = ParallelCountMin::new(1e-4, 0.004, 1);
+        let mut cm = AtomicCountMin::new(1e-4, 0.004, 1);
         cm.process_minibatch(batch);
         let mut item = 0u64;
         b.iter(|| {

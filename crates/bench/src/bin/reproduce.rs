@@ -479,7 +479,7 @@ fn e6_count_min(quick: bool) {
         }
         let m = total as f64;
 
-        let mut par = ParallelCountMin::new(eps, delta, 3);
+        let mut par = AtomicCountMin::new(eps, delta, 3);
         let (_, par_secs) = timed(|| {
             for b in &batches {
                 par.process_minibatch(b);
@@ -497,11 +497,11 @@ fn e6_count_min(quick: bool) {
                 "parallel-cm".into(),
                 format!("{:.2}", m / par_secs / 1e6),
                 format!("{violations}/{}", truth.len()),
-                par.sketch().num_counters().to_string(),
+                par.num_counters().to_string(),
             ])
         );
 
-        let mut seq = CountMinSketch::new(eps, delta, 3);
+        let mut seq = AtomicCountMin::new(eps, delta, 3);
         let (_, seq_secs) = timed(|| {
             for b in &batches {
                 for &x in b {

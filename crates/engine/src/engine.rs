@@ -7,17 +7,21 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use psfa_freq::{merge_sum, GlobalWindow, HeavyHitter, ParallelFrequencyEstimator};
+use psfa_freq::{
+    heavy_hitter_report, merge_sum, GlobalWindow, HeavyHitter, ParallelFrequencyEstimator,
+};
 use psfa_obs::{TraceEvent, TraceKind, NO_SHARD};
-use psfa_sketch::ParallelCountMin;
-use psfa_store::{EpochRecord, EpochView, PersistenceConfig, SnapshotStore, StoreError};
+use psfa_sketch::AtomicCountMin;
+use psfa_store::{
+    EpochRecord, EpochView, PersistenceConfig, ShardState, SnapshotStore, StoreError,
+};
 use psfa_stream::{BufferPool, IngestFence, Placement, Router, WindowFence, WindowFenceState};
 
 use crate::config::EngineConfig;
 use crate::metrics::{EngineMetrics, ShardHealth, WindowMetrics};
 use crate::obs::{EngineObs, QueryKind, Reporter};
 use crate::persist::{Flusher, PersistWindow, Persister};
-use crate::shard::{ShardCommand, ShardFinal, ShardShared, ShardSnapshot, ShardWorker};
+use crate::shard::{ShardCommand, ShardShared, ShardSnapshot, ShardWorker};
 
 /// How many trailing trace events an [`psfa_obs::ObsReport`] embeds (a
 /// non-destructive peek; [`EngineHandle::trace_events`] drains the full
@@ -229,7 +233,7 @@ fn supervise(
     obs: Option<Arc<EngineObs>>,
     first: ShardWorker,
     queue: std::sync::mpsc::Receiver<ShardCommand>,
-) -> ShardFinal {
+) -> ShardState {
     use std::sync::atomic::Ordering;
     let mut worker = first;
     loop {
@@ -284,7 +288,7 @@ fn supervise(
 /// operator state.
 pub struct Engine {
     handle: EngineHandle,
-    workers: Vec<JoinHandle<ShardFinal>>,
+    workers: Vec<JoinHandle<ShardState>>,
     flusher: Option<Flusher>,
     reporter: Option<Reporter>,
 }
@@ -524,12 +528,11 @@ impl Engine {
             }
         }
         for state in &record.shards {
-            let sketch = state.count_min.sketch();
-            if sketch.seed() != config.cm_seed {
+            if state.count_min.seed() != config.cm_seed {
                 return Err(StoreError::ConfigMismatch("count-min seed differs"));
             }
-            if sketch.epsilon().to_bits() != config.cm_epsilon.to_bits()
-                || sketch.delta().to_bits() != config.cm_delta.to_bits()
+            if state.count_min.epsilon().to_bits() != config.cm_epsilon.to_bits()
+                || state.count_min.delta().to_bits() != config.cm_delta.to_bits()
             {
                 return Err(StoreError::ConfigMismatch("count-min epsilon/delta differ"));
             }
@@ -1278,7 +1281,6 @@ impl EngineHandle {
         self.timed(QueryKind::HeavyHitters, || {
             let snapshots = self.snapshots();
             let m: u64 = snapshots.iter().map(|s| s.stream_len).sum();
-            let threshold = ((self.phi - self.epsilon) * m as f64).max(0.0);
             let mut merged: Vec<(u64, u64)> = Vec::new();
             for snapshot in &snapshots {
                 if merged.is_empty() {
@@ -1287,23 +1289,17 @@ impl EngineHandle {
                     merged = merge_sum(&merged, &snapshot.hh_entries);
                 }
             }
-            let mut out: Vec<HeavyHitter> = merged
-                .into_iter()
-                .filter(|&(_, est)| est as f64 >= threshold)
-                .map(|(item, estimate)| HeavyHitter { item, estimate })
-                .collect();
-            out.sort_unstable_by(|a, b| b.estimate.cmp(&a.estimate).then(a.item.cmp(&b.item)));
-            out
+            heavy_hitter_report(merged, self.phi, self.epsilon, m)
         })
     }
 
     /// Merges every shard's Count-Min sketch into one global sketch of the
     /// full stream (all shards share hash seeds, so the merge is exact).
-    /// Lock-free: each shard's atomic sketch is snapshotted in place.
-    pub fn merged_count_min(&self) -> ParallelCountMin {
-        let mut merged = self.shared[0].count_min.to_parallel();
+    /// Lock-free: each shard's sketch is read in place under relaxed loads.
+    pub fn merged_count_min(&self) -> AtomicCountMin {
+        let mut merged = self.shared[0].count_min.clone();
         for shared in &self.shared[1..] {
-            merged.merge(&shared.count_min.to_parallel());
+            merged.merge(&shared.count_min);
         }
         merged
     }
@@ -1444,7 +1440,7 @@ impl EngineHandle {
 pub struct EngineReport {
     epsilon: f64,
     /// Per-shard final operator state, in shard order.
-    pub shards: Vec<ShardFinal>,
+    pub shards: Vec<ShardState>,
 }
 
 impl EngineReport {

@@ -20,7 +20,7 @@
 //!      ▼
 //!  shard workers 0..N   each owns: InfiniteHeavyHitters   (φ, ε)
 //!      │                           PaneWindow             (global window)
-//!      │                           ParallelCountMin       (shared seed)
+//!      │                           AtomicCountMin         (shared seed)
 //!      ▼
 //!  per-shard epoch snapshots  ──►  EngineHandle queries
 //!      (Arc swap per batch)        estimate / heavy_hitters / cm_estimate
@@ -48,7 +48,7 @@
 //!   overestimate). These are exactly the guarantees of the single-summary
 //!   algorithm (Theorem 5.2 and the Section 5 reduction).
 //! * The per-shard **Count-Min** sketches share one hash seed, so they are
-//!   counter-wise mergeable ([`psfa_sketch::CountMinSketch::merge`]) into a
+//!   counter-wise mergeable ([`psfa_sketch::AtomicCountMin::merge`]) into a
 //!   sketch of the full stream; point queries take the owning shard's upper
 //!   bound (error `ε_cm · m_s`), or for replicated keys the sum of per-shard
 //!   upper bounds (error `ε_cm · m`).
@@ -129,7 +129,7 @@ pub use engine::{
 pub use metrics::{EngineMetrics, ShardHealth, ShardMetrics, StoreMetrics, WindowMetrics};
 pub use obs::ObsConfig;
 pub use producer::Producer;
-pub use shard::{ShardFinal, ShardSnapshot};
+pub use shard::ShardSnapshot;
 
 // Routing and window fencing live in `psfa_stream`; re-exported here
 // because the engine's config and query semantics are expressed in terms

@@ -260,7 +260,7 @@ impl ShardShared {
                         .into_iter()
                         .collect(),
                 },
-                AtomicCountMin::from_parallel(&state.count_min),
+                state.count_min.clone(),
             ),
         };
         let stats = ShardStats::default();
@@ -299,19 +299,6 @@ impl ShardShared {
         let live = self.live_epoch.load(Ordering::Acquire);
         live.saturating_sub(self.snapshot.get().epoch)
     }
-}
-
-/// Final operator state a shard worker hands back at shutdown.
-pub struct ShardFinal {
-    /// Shard index.
-    pub shard: usize,
-    /// Items this shard processed.
-    pub items: u64,
-    /// The shard's infinite-window heavy-hitter tracker.
-    pub heavy_hitters: InfiniteHeavyHitters,
-    /// The shard's pane state of the global sliding window, when
-    /// configured.
-    pub window: Option<PaneWindow>,
 }
 
 /// The worker loop: owned operators plus the shared query surface.
@@ -476,7 +463,7 @@ impl ShardWorker {
     /// and returns the final operator state. Takes the receiver by
     /// reference so a supervisor can keep the channel alive across a
     /// panic and hand the same queue to a reseeded worker.
-    pub(crate) fn run(mut self, queue: &Receiver<ShardCommand>) -> ShardFinal {
+    pub(crate) fn run(mut self, queue: &Receiver<ShardCommand>) -> ShardState {
         if let Some(obs) = self.obs.clone() {
             let now = obs.now_ns();
             self.last_publish_ns = now;
@@ -510,21 +497,12 @@ impl ShardWorker {
                 }
                 ShardCommand::Boundary { seq } => self.seal_boundary(seq),
                 ShardCommand::Persist { reply } => {
-                    // Hand back a clone of the operator state as of this
-                    // cut; encoding and disk I/O happen on the flusher
-                    // thread, off the ingest hot path. The atomic Count-Min
-                    // snapshot is exact here: the worker is the only writer
-                    // and reads its own adds. A failed send means the
-                    // persister gave up (e.g. the engine is being torn
-                    // down) — not the worker's problem.
-                    let _ = reply.send(ShardState {
-                        shard: self.shard as u32,
-                        epoch: self.epoch,
-                        items: self.items,
-                        heavy_hitters: self.heavy_hitters.clone(),
-                        window: self.window.clone(),
-                        count_min: self.shared.count_min.to_parallel(),
-                    });
+                    // Hand back the operator state as of this cut; encoding
+                    // and disk I/O happen on the flusher thread, off the
+                    // ingest hot path. A failed send means the persister
+                    // gave up (e.g. the engine is being torn down) — not
+                    // the worker's problem.
+                    let _ = reply.send(self.state());
                 }
                 ShardCommand::Shutdown => break,
             }
@@ -541,11 +519,20 @@ impl ShardWorker {
                 0,
             );
         }
-        ShardFinal {
-            shard: self.shard,
+        self.state()
+    }
+
+    /// A copy of the full operator state: the reply to a persist cut and
+    /// the value the worker exits with. The Count-Min copy is exact here —
+    /// the worker is the sketch's only writer and reads its own adds.
+    fn state(&self) -> ShardState {
+        ShardState {
+            shard: self.shard as u32,
+            epoch: self.epoch,
             items: self.items,
-            heavy_hitters: self.heavy_hitters,
-            window: self.window,
+            heavy_hitters: self.heavy_hitters.clone(),
+            window: self.window.clone(),
+            count_min: self.shared.count_min.clone(),
         }
     }
 

@@ -24,6 +24,27 @@ pub struct HeavyHitter {
     pub estimate: u64,
 }
 
+/// The φ-heavy-hitter report of the Section 5 reduction over the
+/// `(item, estimate)` pairs of a summary of `n` items: every pair whose
+/// estimate reaches `(φ − ε)·n`, most frequent first, ties by item. With
+/// one-sided estimates `f − ε·n ≤ f̂ ≤ f`, every item with `f ≥ φn` is
+/// reported and no item with `f < (φ − ε)·n` is.
+pub fn heavy_hitter_report(
+    entries: impl IntoIterator<Item = (u64, u64)>,
+    phi: f64,
+    epsilon: f64,
+    n: u64,
+) -> Vec<HeavyHitter> {
+    let threshold = ((phi - epsilon) * n as f64).max(0.0);
+    let mut out: Vec<HeavyHitter> = entries
+        .into_iter()
+        .filter(|&(_, est)| est as f64 >= threshold)
+        .map(|(item, estimate)| HeavyHitter { item, estimate })
+        .collect();
+    out.sort_unstable_by(|a, b| b.estimate.cmp(&a.estimate).then(a.item.cmp(&b.item)));
+    out
+}
+
 /// Continuous φ-heavy-hitter tracking over an infinite window.
 ///
 /// Guarantees (for `0 < ε < φ < 1`): every item with frequency `≥ φN` is
@@ -110,11 +131,7 @@ impl InfiniteHeavyHitters {
 
     /// The current heavy hitters, most frequent first.
     pub fn query(&self) -> Vec<HeavyHitter> {
-        self.estimator
-            .heavy_hitters(self.phi)
-            .into_iter()
-            .map(|(item, estimate)| HeavyHitter { item, estimate })
-            .collect()
+        self.estimator.heavy_hitters(self.phi)
     }
 
     /// Merges another tracker over a disjoint or concatenated stream into
@@ -210,17 +227,12 @@ impl<E: SlidingFrequencyEstimator> SlidingHeavyHitters<E> {
     /// frequent first: all items with window frequency `≥ φn` are included
     /// and no item with window frequency `< (φ − ε)n` appears.
     pub fn query(&self) -> Vec<HeavyHitter> {
-        let threshold =
-            ((self.phi - self.estimator.epsilon()) * self.estimator.window() as f64).max(0.0);
-        let mut out: Vec<HeavyHitter> = self
-            .estimator
-            .tracked_items()
-            .into_iter()
-            .filter(|&(_, est)| est as f64 >= threshold)
-            .map(|(item, estimate)| HeavyHitter { item, estimate })
-            .collect();
-        out.sort_unstable_by(|a, b| b.estimate.cmp(&a.estimate).then(a.item.cmp(&b.item)));
-        out
+        heavy_hitter_report(
+            self.estimator.tracked_items(),
+            self.phi,
+            self.estimator.epsilon(),
+            self.estimator.window(),
+        )
     }
 }
 

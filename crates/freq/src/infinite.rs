@@ -11,6 +11,7 @@
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use psfa_primitives::{build_hist, HistogramEntry, WorkMeter};
 
+use crate::heavy_hitters::{heavy_hitter_report, HeavyHitter};
 use crate::summary::MgSummary;
 
 /// Type tag for encoded estimators (see `psfa_primitives::codec`).
@@ -259,16 +260,8 @@ impl ParallelFrequencyEstimator {
     /// hitter: all items with `f̂ₑ ≥ (φ − ε)·m` are returned. By the standard
     /// reduction (Section 5 intro) this output contains every item with
     /// `fₑ ≥ φm` and no item with `fₑ < (φ − ε)·m`.
-    pub fn heavy_hitters(&self, phi: f64) -> Vec<(u64, u64)> {
-        let threshold = ((phi - self.epsilon) * self.stream_len as f64).max(0.0);
-        let mut out: Vec<(u64, u64)> = self
-            .summary
-            .entries()
-            .into_iter()
-            .filter(|&(_, est)| est as f64 >= threshold)
-            .collect();
-        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+    pub fn heavy_hitters(&self, phi: f64) -> Vec<HeavyHitter> {
+        heavy_hitter_report(self.summary.entries(), phi, self.epsilon, self.stream_len)
     }
 }
 
@@ -364,7 +357,7 @@ mod tests {
             est.process_minibatch(&batch);
         }
         let m: u64 = truth.values().sum();
-        let reported: Vec<u64> = est.heavy_hitters(phi).into_iter().map(|(i, _)| i).collect();
+        let reported: Vec<u64> = est.heavy_hitters(phi).into_iter().map(|h| h.item).collect();
         // Every item with f >= φm must be reported.
         for (&item, &f) in &truth {
             if f as f64 >= phi * m as f64 {

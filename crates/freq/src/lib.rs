@@ -46,7 +46,9 @@ pub mod summary;
 pub(crate) mod test_support;
 pub mod windowed;
 
-pub use heavy_hitters::{HeavyHitter, InfiniteHeavyHitters, SlidingHeavyHitters};
+pub use heavy_hitters::{
+    heavy_hitter_report, HeavyHitter, InfiniteHeavyHitters, SlidingHeavyHitters,
+};
 pub use infinite::ParallelFrequencyEstimator;
 pub use sift::sift;
 pub use sliding_basic::SlidingFreqBasic;

@@ -81,7 +81,7 @@ use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use psfa_primitives::{build_hist, HistogramEntry};
 use psfa_window::{Pane, PaneRing};
 
-use crate::heavy_hitters::HeavyHitter;
+use crate::heavy_hitters::{heavy_hitter_report, HeavyHitter};
 use crate::summary::MgSummary;
 
 /// Type tag for encoded pane windows (see `psfa_primitives::codec`).
@@ -510,15 +510,7 @@ impl GlobalWindow {
     /// every item with window frequency `≥ φ·n_W` is reported, and no item
     /// with window frequency `< (φ − ε)·n_W` is.
     pub fn heavy_hitters(&self, phi: f64, epsilon: f64) -> Vec<HeavyHitter> {
-        let threshold = ((phi - epsilon) * self.items as f64).max(0.0);
-        let mut out: Vec<HeavyHitter> = self
-            .entries
-            .iter()
-            .filter(|&&(_, est)| est as f64 >= threshold)
-            .map(|&(item, estimate)| HeavyHitter { item, estimate })
-            .collect();
-        out.sort_unstable_by(|a, b| b.estimate.cmp(&a.estimate).then(a.item.cmp(&b.item)));
-        out
+        heavy_hitter_report(self.entries.iter().copied(), phi, epsilon, self.items)
     }
 }
 

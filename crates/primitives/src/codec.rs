@@ -1,6 +1,6 @@
 //! Canonical binary encoding substrate for the persistence layer.
 //!
-//! Every summary type in the workspace (`MgSummary`, `CountMinSketch`, the
+//! Every summary type in the workspace (`MgSummary`, `AtomicCountMin`, the
 //! sliding-window counters, …) exposes a canonical `encode`/`decode` pair
 //! built on the little-endian [`ByteWriter`]/[`ByteReader`] helpers here.
 //! The design goals, in order:
@@ -15,7 +15,9 @@
 //!    byte-level comparison and checksumming are meaningful.
 //! 3. **Self-description.** Every top-level type writes a one-byte tag and a
 //!    one-byte version, so a reader pointed at the wrong blob fails with
-//!    [`CodecError::BadTag`] instead of misinterpreting counters.
+//!    [`CodecError::BadTag`], and one pointed at another version of the
+//!    right type with [`CodecError::UnsupportedVersion`], instead of
+//!    misinterpreting counters.
 //!
 //! Checksums and file framing are *not* handled here — that is the segment
 //! log's job (`psfa-store`); this module is only about turning one summary
@@ -41,7 +43,7 @@ pub enum CodecError {
         /// Tag found in the input.
         found: u8,
     },
-    /// The encoding version is newer than this build understands.
+    /// The encoding version is not the one this build reads.
     UnsupportedVersion {
         /// Version found in the input.
         found: u8,
@@ -201,9 +203,11 @@ impl<'a> ByteReader<'a> {
         Ok(len)
     }
 
-    /// Reads and checks a type tag followed by a version byte; returns the
-    /// version if it is `<= max_version`.
-    pub fn expect_header(&mut self, tag: u8, max_version: u8) -> Result<u8, CodecError> {
+    /// Reads and checks a type tag followed by a version byte. The version
+    /// must be exactly `version`: no decoder reads an older layout, so any
+    /// other version — older or newer — is
+    /// [`CodecError::UnsupportedVersion`].
+    pub fn expect_header(&mut self, tag: u8, version: u8) -> Result<(), CodecError> {
         let found = self.get_u8()?;
         if found != tag {
             return Err(CodecError::BadTag {
@@ -211,11 +215,11 @@ impl<'a> ByteReader<'a> {
                 found,
             });
         }
-        let version = self.get_u8()?;
-        if version > max_version {
-            return Err(CodecError::UnsupportedVersion { found: version });
+        let found = self.get_u8()?;
+        if found != version {
+            return Err(CodecError::UnsupportedVersion { found });
         }
-        Ok(version)
+        Ok(())
     }
 
     /// Errors unless every byte has been consumed — catches trailing
@@ -251,7 +255,7 @@ mod tests {
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.expect_header(0x42, 1).unwrap(), 1);
+        r.expect_header(0x42, 1).unwrap();
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
@@ -288,11 +292,16 @@ mod tests {
                 found: 0x01
             })
         ));
+        // The version must match exactly: newer and older both fail.
+        for expected in [8, 10] {
+            let mut r = ByteReader::new(&bytes);
+            assert!(matches!(
+                r.expect_header(0x01, expected),
+                Err(CodecError::UnsupportedVersion { found: 9 })
+            ));
+        }
         let mut r = ByteReader::new(&bytes);
-        assert!(matches!(
-            r.expect_header(0x01, 8),
-            Err(CodecError::UnsupportedVersion { found: 9 })
-        ));
+        assert_eq!(r.expect_header(0x01, 9), Ok(()));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! | [`psfa_primitives`] | §2 | scans, packing, integer sort, selection, `buildHist`, CSS, hash families |
 //! | [`psfa_window`] | §3–§4 | γ-snapshots, SBBC, basic counting, windowed sum, pane rings |
 //! | [`psfa_freq`] | §5 | parallel Misra–Gries, sliding-window frequency estimation (basic / space- / work-efficient), heavy hitters, mergeable summaries, cross-shard pane windows |
-//! | [`psfa_sketch`] | §6 | Count-Min sketch (sequential + parallel minibatch + mergeable), Count-Sketch |
+//! | [`psfa_sketch`] | §6 | Count-Min sketch (one type: per-element and minibatch updates, lock-free queries, mergeable), Count-Sketch |
 //! | [`psfa_baselines`] | §1, §5.4 | sequential comparators and the independent-data-structure approach |
 //! | [`psfa_stream`] | §1 | minibatch model, workload generators, routing layer (hash + skew-aware hot-key splitting), epoch + window fencing |
 //! | [`psfa_engine`] | beyond the paper | sharded multi-threaded ingestion engine with pluggable routing, live cross-shard queries, and globally consistent sliding windows (`Engine`, `EngineHandle`) |
@@ -80,7 +80,7 @@ pub mod prelude {
         Client, ClientError, ErrorCode, FrameError, IngestOutcome, Request, Response, RetryPolicy,
         RetryingClient, ServeConfig, ServeMetrics, Server, MAX_FRAME_LEN,
     };
-    pub use psfa_sketch::{AtomicCountMin, CountMinSketch, CountSketch, ParallelCountMin};
+    pub use psfa_sketch::{AtomicCountMin, CountSketch};
     pub use psfa_store::{
         EpochRecord, EpochView, PersistenceConfig, ShardState, SnapshotStore, StoreError,
         WindowState,

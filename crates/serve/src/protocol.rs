@@ -36,7 +36,8 @@ pub const MAX_FRAME_LEN: usize = 4 << 20;
 pub const REQUEST_TAG: u8 = 0xA0;
 /// Payload type tag of a response frame.
 pub const RESPONSE_TAG: u8 = 0xA1;
-/// Newest protocol version this build speaks (both directions).
+/// The protocol version this build speaks (both directions); a payload of
+/// any other version fails to decode with `UnsupportedVersion`.
 pub const PROTOCOL_VERSION: u8 = 1;
 
 /// Framing/transport failure while reading or writing one frame.

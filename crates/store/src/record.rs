@@ -2,12 +2,15 @@
 
 use psfa_freq::{InfiniteHeavyHitters, PaneWindow};
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
-use psfa_sketch::ParallelCountMin;
+use psfa_sketch::AtomicCountMin;
 
 const EPOCH_TAG: u8 = 0x10;
 const EPOCH_VERSION: u8 = 2;
 const SHARD_TAG: u8 = 0x11;
-const SHARD_VERSION: u8 = 2;
+/// Version 3: the Count-Min sketch is written bare (tag `0x07`). Version 2
+/// wrapped it in a `0x08` header carrying a histogram seed; it decodes as
+/// [`CodecError::UnsupportedVersion`].
+const SHARD_VERSION: u8 = 3;
 
 /// Upper bound accepted for the persisted shard count — a sanity limit far
 /// above any real deployment, guarding decode against corrupted counts.
@@ -28,7 +31,7 @@ pub struct ShardState {
     /// runs a global window.
     pub window: Option<PaneWindow>,
     /// The shard's Count-Min sketch.
-    pub count_min: ParallelCountMin,
+    pub count_min: AtomicCountMin,
 }
 
 impl ShardState {
@@ -59,7 +62,7 @@ impl ShardState {
             1 => Some(PaneWindow::decode_from(r)?),
             _ => return Err(CodecError::Invalid("shard state: bad window flag")),
         };
-        let count_min = ParallelCountMin::decode_from(r)?;
+        let count_min = AtomicCountMin::decode_from(r)?;
         Ok(Self {
             shard,
             epoch,
@@ -274,7 +277,7 @@ mod tests {
         for shard in 0..3u32 {
             let mut hh = InfiniteHeavyHitters::new(0.05, 0.01);
             let mut window = PaneWindow::new(0.01, 4);
-            let mut cm = ParallelCountMin::new(0.01, 0.01, 42);
+            let mut cm = AtomicCountMin::new(0.01, 0.01, 42);
             let batch: Vec<u64> = (0..500u64).map(|i| i % (7 + shard as u64)).collect();
             hh.process_minibatch(&batch);
             window.process_minibatch(&batch);

@@ -25,6 +25,15 @@
 //! [`StoreError::Corrupt`]. Recovery therefore always lands on the latest
 //! *consistent* epoch: every frame before the tear was checksum-verified.
 //!
+//! Only a short frame header, a length past the end of the segment or a
+//! checksum mismatch can be a tear. A frame whose checksum verifies was
+//! written whole, so if its payload does not start as an epoch record this
+//! build reads (another `EPOCH_VERSION`, say), `open` fails with the typed
+//! [`StoreError::Codec`] wherever the frame sits and leaves the file alone:
+//! a version bump is never truncated away. The per-shard record version is
+//! checked only when an epoch is decoded, by
+//! [`SnapshotStore::load`], where that failure is already typed.
+//!
 //! ## Compaction
 //!
 //! The store retains at most `retain_epochs` epochs (the `K` of the
@@ -144,7 +153,8 @@ impl SnapshotStore {
 
     /// Scans one segment, indexing every checksum-valid frame. `tolerant`
     /// (newest segment only) stops at the first damaged frame instead of
-    /// erroring, treating it as a torn tail.
+    /// erroring, treating it as a torn tail; a checksum-valid frame that is
+    /// not an epoch record is an error either way.
     fn scan_segment(&mut self, id: u64, tolerant: bool) -> Result<(), StoreError> {
         let path = self.segment_path(id);
         let data = fs::read(&path)?;
@@ -202,16 +212,14 @@ impl SnapshotStore {
                 if crc32(payload) != crc {
                     break 'frame "checksum mismatch";
                 }
-                match EpochRecord::peek_epoch(payload) {
-                    Ok(epoch) => {
-                        pending.push((epoch, offset));
-                        meta.records += 1;
-                        offset += FRAME_HEADER_LEN + len;
-                        meta.valid_len = offset;
-                        continue 'scan;
-                    }
-                    Err(_) => break 'frame "frame payload is not an epoch record",
-                }
+                // A verified frame was written whole: if it does not read
+                // as an epoch record (another `EPOCH_VERSION`, say), that
+                // is an error, never a torn tail to truncate.
+                pending.push((EpochRecord::peek_epoch(payload)?, offset));
+                meta.records += 1;
+                offset += FRAME_HEADER_LEN + len;
+                meta.valid_len = offset;
+                continue 'scan;
             };
             if tolerant {
                 // Torn tail: keep everything verified so far; the next
@@ -426,7 +434,8 @@ mod tests {
     use super::*;
     use crate::record::ShardState;
     use psfa_freq::InfiniteHeavyHitters;
-    use psfa_sketch::ParallelCountMin;
+    use psfa_primitives::CodecError;
+    use psfa_sketch::AtomicCountMin;
 
     fn tmpdir(label: &str) -> PathBuf {
         crate::testutil::unique_temp_dir(&format!("store-{label}"))
@@ -441,7 +450,7 @@ mod tests {
                     .map(|i| if i % 2 == 0 { 0 } else { 1 + i % 13 })
                     .collect();
                 hh.process_minibatch(&batch);
-                let mut cm = ParallelCountMin::new(0.05, 0.05, 3);
+                let mut cm = AtomicCountMin::new(0.05, 0.05, 3);
                 cm.process_minibatch(&batch);
                 ShardState {
                     shard,
@@ -561,6 +570,36 @@ mod tests {
         let reopened = SnapshotStore::open(&dir, 8, 10).unwrap();
         assert_eq!(reopened.epochs(), vec![1, 2, 3]);
         assert!(fs::read(&path).unwrap().len() > intact);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checksum_valid_frame_of_another_version_is_not_a_torn_tail() {
+        // A record of an `EPOCH_VERSION` this build does not read, whole and
+        // checksum-valid at the tail of the newest segment: `open` must say
+        // so, not truncate it as a tear and resume from the epoch before.
+        let dir = tmpdir("version-tail");
+        let mut store = SnapshotStore::open(&dir, 8, 10).unwrap();
+        store.append(&record(1, 60)).unwrap();
+        store.append(&record(2, 60)).unwrap();
+        let (path, frame) = (store.segment_path(0), store.index[&2].offset as usize);
+        drop(store);
+        let mut data = fs::read(&path).unwrap();
+        let payload = frame + FRAME_HEADER_LEN as usize;
+        // Record layout: tag(1) + version(1); the frame runs to the end.
+        let newer = data[payload + 1] + 1;
+        data[payload + 1] = newer;
+        let crc = crc32(&data[payload..]);
+        data[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &data).unwrap();
+
+        match SnapshotStore::open(&dir, 8, 10) {
+            Err(StoreError::Codec(CodecError::UnsupportedVersion { found })) => {
+                assert_eq!(found, newer)
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+        assert_eq!(fs::read(&path).unwrap(), data, "the segment is untouched");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,9 +20,8 @@
 //! overestimate. Count-Min overestimates by at most `ε_cm·m` by the mirror
 //! argument.
 
-use psfa_freq::{GlobalWindow, HeavyHitter};
+use psfa_freq::{heavy_hitter_report, merge_sum, GlobalWindow, HeavyHitter};
 use psfa_stream::{shard_of, Placement};
-use std::collections::HashMap;
 
 use crate::record::EpochRecord;
 
@@ -144,24 +143,23 @@ impl EpochView {
 
     /// The φ-heavy hitters as of this epoch, most frequent first — the same
     /// computation the live engine performs on its snapshots (per-shard
-    /// summary entries summed by key, thresholded at `(φ − ε)·m`), so the
-    /// answer matches what the live engine reported at the cut exactly.
+    /// item-sorted summary entries summed by key with
+    /// [`psfa_freq::merge_sum`], thresholded at `(φ − ε)·m`), so the answer
+    /// matches what the live engine reported at the cut exactly.
     pub fn heavy_hitters(&self) -> Vec<HeavyHitter> {
-        let m = self.total_items();
-        let threshold = ((self.record.phi - self.record.epsilon) * m as f64).max(0.0);
-        let mut sums: HashMap<u64, u64> = HashMap::new();
-        for shard in &self.record.shards {
-            for (item, est) in shard.heavy_hitters.estimator().tracked_items() {
-                *sums.entry(item).or_insert(0) += est;
-            }
-        }
-        let mut out: Vec<HeavyHitter> = sums
-            .into_iter()
-            .filter(|&(_, est)| est as f64 >= threshold)
-            .map(|(item, estimate)| HeavyHitter { item, estimate })
-            .collect();
-        out.sort_unstable_by(|a, b| b.estimate.cmp(&a.estimate).then(a.item.cmp(&b.item)));
-        out
+        let summed = self
+            .record
+            .shards
+            .iter()
+            .map(|shard| shard.heavy_hitters.estimator().tracked_items_sorted())
+            .reduce(|sum, entries| merge_sum(&sum, &entries))
+            .unwrap_or_default();
+        heavy_hitter_report(
+            summed,
+            self.record.phi,
+            self.record.epsilon,
+            self.total_items(),
+        )
     }
 }
 
@@ -170,7 +168,7 @@ mod tests {
     use super::*;
     use crate::record::ShardState;
     use psfa_freq::InfiniteHeavyHitters;
-    use psfa_sketch::ParallelCountMin;
+    use psfa_sketch::AtomicCountMin;
 
     /// Builds a 2-shard view: hash-partitioned items, plus a hot key 1000
     /// whose occurrences were split across both shards.
@@ -179,7 +177,7 @@ mod tests {
         let mut shards = Vec::new();
         for shard in 0..2u32 {
             let mut hh = InfiniteHeavyHitters::new(0.1, 0.01);
-            let mut cm = ParallelCountMin::new(0.01, 0.01, 7);
+            let mut cm = AtomicCountMin::new(0.01, 0.01, 7);
             // Each shard saw its own occurrences of the hot key plus some
             // owner-routed traffic.
             let mut batch = vec![hot; 300];

@@ -20,7 +20,7 @@ fn main() {
 
     // Every operator sees every minibatch; queries see the prefix.
     let mut generator = ZipfGenerator::new(1_000_000, 1.1, 5);
-    let mut cm = ParallelCountMin::new(epsilon, delta, 99);
+    let mut cm = AtomicCountMin::new(epsilon, delta, 99);
     let mut cs = CountSketch::new(0.01, delta, 17);
     let mut hh = InfiniteHeavyHitters::new(0.01, 0.001);
     let mut exact: HashMap<u64, u64> = HashMap::new();
@@ -56,8 +56,8 @@ fn main() {
     }
     println!(
         "\nsketch dimensions: {} x {} counters",
-        cm.sketch().depth(),
-        cm.sketch().width()
+        cm.depth(),
+        cm.width()
     );
     let heavy = hh.query();
     println!("1%-heavy hitters tracked alongside: {}", heavy.len());

@@ -238,13 +238,12 @@ fn recovery_cuts_a_boundary_the_persisted_cut_left_due() {
     let k = 3u64;
     let router = HashRouter::new(shards);
     let mut generator = ZipfGenerator::new(5_000, 1.2, 77);
-    let mut states: Vec<(InfiniteHeavyHitters, PaneWindow, ParallelCountMin, u64, u64)> = (0
-        ..shards)
+    let mut states: Vec<(InfiniteHeavyHitters, PaneWindow, AtomicCountMin, u64, u64)> = (0..shards)
         .map(|_| {
             (
                 InfiniteHeavyHitters::new(phi, epsilon),
                 PaneWindow::new(epsilon, panes),
-                ParallelCountMin::new(cm_epsilon, cm_delta, cm_seed),
+                AtomicCountMin::new(cm_epsilon, cm_delta, cm_seed),
                 0,
                 0,
             )
@@ -331,18 +330,27 @@ fn recovery_cuts_a_boundary_the_persisted_cut_left_due() {
 }
 
 /// A store written before Count-Min rows last switched hash (sketch codec
-/// versions 1 and 2) holds counters in columns this code would misread.
-/// Such a record must surface as a typed error from `load` and from
-/// `recover` — never as a sketch that silently answers wrong — and the
-/// failed recovery must leave the log as it found it: a record of another
-/// version is not a torn tail to be truncated away.
+/// versions 1 and 2) holds counters in columns this code would misread, and
+/// one written before the sketch lost its `0x08` wrapper (shard record
+/// version 2) holds bytes this code would misparse. Such a record must
+/// surface as a typed `UnsupportedVersion` naming the old version from
+/// `load` and from `recover` — never as a sketch that silently answers
+/// wrong, nor as a tag mismatch that looks like corruption — and the failed
+/// recovery must leave the log as it found it: a record of another version
+/// is not a torn tail to be truncated away.
 #[test]
 fn recover_rejects_a_record_holding_a_version_1_count_min() {
     let (cm_epsilon, cm_delta, cm_seed) = (0.01, 0.05, 5u64);
-    let marker = ParallelCountMin::new(cm_epsilon, cm_delta, cm_seed).encode()[..12].to_vec();
-    let current = *marker.last().expect("the Count-Min version byte");
-    for old in 1..current {
-        let dir = tmpdir(&format!("old-cm-version-{old}"));
+    // Each marker starts with a tag and a version byte: the sketch's first
+    // 18 bytes (tag, version, ε, δ) occur once per shard; the shard record
+    // header (tag 0x11, version 3) followed by shard index 0 occurs once.
+    let sketch = AtomicCountMin::new(cm_epsilon, cm_delta, cm_seed).encode()[..18].to_vec();
+    let shard_record = vec![0x11, 3, 0, 0, 0, 0];
+    let inputs = (1..sketch[1])
+        .map(|old| (&sketch, 2, old))
+        .chain([(&shard_record, 1, 2)]);
+    for (marker, occurrences, old) in inputs {
+        let dir = tmpdir(&format!("old-version-{:#04x}-{old}", marker[0]));
         let config = EngineConfig::with_shards(2)
             .heavy_hitters(0.05, 0.01)
             .count_min(cm_epsilon, cm_delta, cm_seed)
@@ -357,8 +365,7 @@ fn recover_rejects_a_record_holding_a_version_1_count_min() {
         engine.kill();
 
         // Rewrite the one record as an old writer would have stamped it:
-        // each shard's sketch starts `[0x08, ver, hist seed, 0x07, ver]`;
-        // set the inner (Count-Min) version byte and re-checksum the frame.
+        // set the marker's version byte and re-checksum the frame.
         let segments = || {
             let mut files: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
                 .unwrap()
@@ -377,11 +384,11 @@ fn recover_rejects_a_record_holding_a_version_1_count_min() {
         let mut patched = 0;
         for at in payload..bytes.len() - marker.len() {
             if bytes[at..at + marker.len()] == marker[..] {
-                bytes[at + marker.len() - 1] = old;
+                bytes[at + 1] = old;
                 patched += 1;
             }
         }
-        assert_eq!(patched, 2, "one sketch header per shard");
+        assert_eq!(patched, occurrences, "marker {marker:02x?}");
         let crc = psfa::store::crc32(&bytes[payload..]);
         bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&segment, &bytes).unwrap();

@@ -20,7 +20,7 @@ fn window_counts(history: &[u64], n: u64) -> HashMap<u64, u64> {
 fn infinite_window_pipeline_matches_exact_counts() {
     let epsilon = 0.005;
     let mut estimator = ParallelFrequencyEstimator::new(epsilon);
-    let mut cm = ParallelCountMin::new(0.001, 0.01, 3);
+    let mut cm = AtomicCountMin::new(0.001, 0.01, 3);
     let mut generator = ZipfGenerator::new(50_000, 1.2, 77);
     let mut exact: HashMap<u64, u64> = HashMap::new();
 

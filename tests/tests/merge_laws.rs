@@ -2,7 +2,7 @@
 //! the skew-aware router's replicated keys) rely on summaries combining the
 //! same way regardless of which shard is merged first.
 //!
-//! * `CountMinSketch::merge` is counter-wise addition, so it must be
+//! * `AtomicCountMin::merge` is counter-wise addition, so it must be
 //!   **exactly** commutative and associative: any merge order of per-shard
 //!   sketches yields identical counters.
 //! * `MgSummary::merge` applies a cut-off after adding counters, so
@@ -39,8 +39,8 @@ fn mg_summary_of(stream: &[u64], capacity: usize) -> MgSummary {
     summary
 }
 
-fn cm_sketch_of(stream: &[u64], seed: u64) -> CountMinSketch {
-    let mut sketch = CountMinSketch::new(0.02, 0.1, seed);
+fn cm_sketch_of(stream: &[u64], seed: u64) -> AtomicCountMin {
+    let mut sketch = AtomicCountMin::new(0.02, 0.1, seed);
     for &x in stream {
         sketch.update(x, 1);
     }
@@ -159,7 +159,7 @@ proptest! {
         right.merge(&a);
 
         prop_assert_eq!(left.total(), right.total());
-        prop_assert_eq!(left.counters(), right.counters());
+        prop_assert_eq!(&left, &right);
 
         // And the merged sketch never underestimates the combined stream.
         let (truth, _) = exact_counts(&[&a_stream, &b_stream, &c_stream]);

@@ -98,12 +98,12 @@ proptest! {
         cm_seed in 0u64..1_000,
         batches in 1usize..12,
     ) {
-        let mut original = ParallelCountMin::new(0.01, 0.05, cm_seed);
+        let mut original = AtomicCountMin::new(0.01, 0.05, cm_seed);
         let stream = stream_of(seed, batches * 500, 3_000);
         for chunk in stream.chunks(500) {
             original.process_minibatch(chunk);
         }
-        let decoded = ParallelCountMin::decode(&original.encode()).expect("roundtrip");
+        let decoded = AtomicCountMin::decode(&original.encode()).expect("roundtrip");
         prop_assert_eq!(&decoded, &original);
         for item in 0..64u64 {
             prop_assert_eq!(decoded.query(item), original.query(item));
@@ -157,7 +157,7 @@ proptest! {
     ) {
         let mut hh = InfiniteHeavyHitters::new(0.05, 0.01);
         let mut sliding = SlidingFreqWorkEfficient::new(0.01, 4_000);
-        let mut cm = ParallelCountMin::new(0.02, 0.05, 9);
+        let mut cm = AtomicCountMin::new(0.02, 0.05, 9);
         let stream = stream_of(seed, 2_000, 800);
         for chunk in stream.chunks(400) {
             hh.process_minibatch(chunk);
@@ -174,7 +174,7 @@ proptest! {
         prop_assert!(SlidingFreqWorkEfficient::decode(&bytes[..cut]).is_err());
         let bytes = cm.encode();
         let cut = ((bytes.len() as f64) * frac) as usize;
-        prop_assert!(ParallelCountMin::decode(&bytes[..cut]).is_err());
+        prop_assert!(AtomicCountMin::decode(&bytes[..cut]).is_err());
     }
 
     #[test]
@@ -184,7 +184,7 @@ proptest! {
         flip in 1u64..256,
     ) {
         let mut hh = InfiniteHeavyHitters::new(0.05, 0.01);
-        let mut cm = ParallelCountMin::new(0.02, 0.05, 9);
+        let mut cm = AtomicCountMin::new(0.02, 0.05, 9);
         let stream = stream_of(seed, 1_500, 600);
         hh.process_minibatch(&stream);
         cm.process_minibatch(&stream);
@@ -195,7 +195,7 @@ proptest! {
             // Either a typed error or a different-but-valid value; the
             // segment log's CRC32 is what detects silent flips on disk.
             let _ = InfiniteHeavyHitters::decode(&copy);
-            let _ = ParallelCountMin::decode(&copy);
+            let _ = AtomicCountMin::decode(&copy);
         }
     }
 }

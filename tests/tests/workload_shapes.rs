@@ -68,7 +68,7 @@ fn bursty_stream_heavy_hitter_appears_and_then_expires_from_window() {
 #[test]
 fn packet_trace_elephants_dominate_count_min_queries() {
     let mut trace = PacketTraceGenerator::new(64, 5);
-    let mut cm = ParallelCountMin::new(0.0005, 0.01, 1);
+    let mut cm = AtomicCountMin::new(0.0005, 0.01, 1);
     let mut exact = std::collections::HashMap::new();
     for _ in 0..20 {
         let batch = trace.next_minibatch(10_000);
