@@ -18,12 +18,33 @@
 //! [`MgSummary::augment`] computes exactly that result without ever
 //! materialising the combined set in the table: histogram entries that are
 //! already tracked are added in place, the rest are *parked* in a side
-//! vector, `ϕ` is selected over the live counters plus the parked counts,
-//! and only parked entries that survive the cut are inserted. A batch of
-//! `p` distinct items therefore costs `p` table probes and `O(S)` table
-//! writes, not `p` inserts followed by `p` removals. It is the one
-//! implementation behind the infinite-window tracker, the open pane of
-//! [`crate::PaneWindow`] and [`MgSummary::merge`].
+//! vector, and only parked entries that survive the cut are inserted. A
+//! batch of `p` distinct items therefore costs `p` table probes and `O(S)`
+//! table writes, not `p` inserts followed by `p` removals.
+//!
+//! A batch wider than `S` does not even park its count-1 misses; it only
+//! counts them (`ones`). Every combined counter is at least 1 — live
+//! counters are never 0 and neither is a parked count — so with more than
+//! `S` positive histogram entries there are more than `S` combined
+//! counters and `ϕ ≥ 1`: a miss of count 1 cannot survive, and in the rank
+//! order it is one more value of 1, the smallest there is. Hence, with
+//! `kept` = live counters + parked counts:
+//!
+//! * `kept + ones ≤ S` ⇒ `ϕ = 0` (everything fits);
+//! * otherwise `kept > S` ⇒ `ϕ` is the (S+1)-th largest of the `kept`
+//!   values alone — appending values no larger than any of them leaves
+//!   the top `S + 1` unchanged;
+//! * otherwise the (S+1)-th largest is one of the ones ⇒ `ϕ = 1`.
+//!
+//! That is the `ϕ` and the survivor set of selecting over all combined
+//! counters, bit for bit. Zero-count entries can make a batch wider than
+//! `S` with no more than `S` positive values; then the first case holds and
+//! a cold second pass inserts the counted misses. Parked and selected work
+//! is therefore in proportion to the misses that can survive, not to `p`:
+//! on a batch of `p ≫ S` mostly-singleton keys the selection disappears.
+//!
+//! It is the one implementation behind the infinite-window tracker, the
+//! open pane of [`crate::PaneWindow`] and [`MgSummary::merge`].
 
 use std::collections::HashMap;
 
@@ -197,9 +218,13 @@ impl MgSummary {
     /// `histogram` must hold each item at most once — what `buildHist`
     /// produces, and what another summary's entries are. Runs in `O(S + p)`
     /// work where `p` is the number of histogram entries, `p` table probes
-    /// and `O(S)` table writes among it (see the module docs). Returns the
-    /// cut-off `ϕ` that was applied (`0` means no counter was decremented,
-    /// so no tracked item was evicted).
+    /// and `O(S)` table writes among it. `ϕ` is selected over the live
+    /// counters plus the parked counts; when the batch is wider than `S`,
+    /// untracked entries of count 1 are counted instead of parked, and `ϕ`
+    /// is `0`, `1` or that selection by the rule and proof in the module
+    /// docs — the same `ϕ` and survivors as selecting over every combined
+    /// counter. Returns the cut-off `ϕ` that was applied (`0` means no
+    /// counter was decremented, so no tracked item was evicted).
     ///
     /// The table is sized once for `2S` counters and the two scratch
     /// vectors grow to the widest batch seen, so after warm-up an augment
@@ -207,20 +232,35 @@ impl MgSummary {
     /// of the engine's ingest hot path (asserted by the counting-allocator
     /// audit in `tests/tests/hotpath_alloc.rs`).
     pub fn augment(&mut self, histogram: &[HistogramEntry]) -> u64 {
-        // Step 1: add the entries that are tracked; park the rest.
+        // Step 1: add the entries that are tracked; park the rest — except
+        // that a batch wider than S only counts its count-1 misses, which
+        // cannot survive the ϕ ≥ 1 such a batch brings (module docs).
+        let count_ones = histogram.len() > self.capacity;
+        let mut ones = 0usize;
         self.parked.clear();
         for e in histogram {
             match self.entries.get_mut(&e.item) {
                 Some(count) => *count += e.count,
+                None if count_ones && e.count == 1 => ones += 1,
                 None if e.count > 0 => self.parked.push(*e),
                 None => {}
             }
         }
 
-        // Step 2: the cut-off ϕ over the combined set — at most S of the
-        // live counters and parked counts exceed it (0 while all fit).
-        let phi = if self.entries.len() + self.parked.len() <= self.capacity {
+        // Step 2: the cut-off ϕ, the (S+1)-th largest of the live counters,
+        // the parked counts and `ones` values of 1 (0 while all fit).
+        let kept = self.entries.len() + self.parked.len();
+        let phi = if kept + ones <= self.capacity {
+            if ones > 0 {
+                // Only zero-count entries make a batch wider than S without
+                // more than S positive values: the counted misses all fit.
+                for e in histogram.iter().filter(|e| e.count == 1) {
+                    self.entries.entry(e.item).or_insert(1);
+                }
+            }
             0
+        } else if kept <= self.capacity {
+            1
         } else {
             self.scratch.clear();
             self.scratch.extend(self.entries.values().copied());
@@ -476,8 +516,9 @@ mod tests {
             let batch: Vec<(u64, u64)> = (0..50u64).map(|i| (offset + i, 1 + i)).collect();
             s.augment(&hist(&batch));
         }
+        // The one count-1 miss per batch is counted, not parked.
         let (scratch_cap, parked_cap) = (s.scratch.capacity(), s.parked.capacity());
-        assert!(scratch_cap >= 8 + 50 && parked_cap >= 50);
+        assert!(scratch_cap >= 8 + 49 && parked_cap >= 49);
         for round in 1..500u64 {
             // Fresh distinct items every round (maximal eviction churn),
             // same batch width.
@@ -512,6 +553,54 @@ mod tests {
         assert_eq!(entries, vec![(1, 5), (3, 1)]);
         // Zero-count entries never create a counter.
         assert_eq!(MgSummary::new(4).augment(&hist(&[(7, 0)])), 0);
+    }
+
+    #[test]
+    fn a_wide_batch_selects_over_the_larger_values_alone() {
+        // S = 2 holding {1: 10, 2: 4}; a batch of four (> S) brings 3: 7,
+        // 5: 4 and two singletons. Combined 10, 7, 4, 4, 1, 1 ⇒ ϕ = 4; the
+        // four values above the ones already rank it.
+        let mut s = MgSummary::new(2);
+        s.augment(&hist(&[(1, 10), (2, 4)]));
+        let phi = s.augment(&hist(&[(3, 7), (4, 1), (5, 4), (6, 1)]));
+        assert_eq!(phi, 4);
+        assert_eq!(s.parked.len(), 2, "the singletons were counted, not parked");
+        assert_eq!(s.entries_sorted(), vec![(1, 6), (3, 3)]);
+    }
+
+    #[test]
+    fn a_wide_batch_of_mostly_singletons_cuts_at_one() {
+        // S = 3 holding {1: 5}; a batch of five brings a hit on 1, 2: 3 and
+        // three singletons. Combined 6, 3, 1, 1, 1: only two values exceed
+        // 1, so the (S+1)-th largest is a singleton ⇒ ϕ = 1, no selection.
+        let mut s = MgSummary::new(3);
+        s.augment(&hist(&[(1, 5)]));
+        let phi = s.augment(&hist(&[(1, 1), (2, 3), (7, 1), (8, 1), (9, 1)]));
+        assert_eq!(phi, 1);
+        assert_eq!(s.parked.len(), 1);
+        assert_eq!(s.entries_sorted(), vec![(1, 5), (2, 2)]);
+        // All singletons, all misses: ϕ = 1 drains every counter by one.
+        let phi = s.augment(&hist(&[(20, 1), (21, 1), (22, 1), (23, 1)]));
+        assert_eq!(phi, 1);
+        assert!(s.parked.is_empty());
+        assert_eq!(s.entries_sorted(), vec![(1, 4), (2, 1)]);
+    }
+
+    #[test]
+    fn zero_counts_in_a_wide_batch_keep_every_counted_singleton() {
+        // S = 3 holding {5: 2}; the batch is five entries wide but two are
+        // zero counts, so the combined counters are 5: 3, 6: 2, 7: 1 — they
+        // fit, ϕ = 0, and the counted singleton 7 must still be inserted
+        // (while 5, tracked and hit by a 1, keeps its added count).
+        let mut s = MgSummary::new(3);
+        s.augment(&hist(&[(5, 2)]));
+        let phi = s.augment(&hist(&[(5, 1), (6, 2), (7, 1), (8, 0), (9, 0)]));
+        assert_eq!(phi, 0);
+        assert_eq!(s.entries_sorted(), vec![(5, 3), (6, 2), (7, 1)]);
+        // Singletons and zeros only, on an empty summary.
+        let mut s = MgSummary::new(3);
+        assert_eq!(s.augment(&hist(&[(1, 1), (2, 0), (3, 0), (4, 1)])), 0);
+        assert_eq!(s.entries_sorted(), vec![(1, 1), (4, 1)]);
     }
 
     #[test]

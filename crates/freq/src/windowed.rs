@@ -49,8 +49,12 @@
 //! merging — no hashing, no selection.
 //!
 //! The open pane costs what the tracker costs: per minibatch `p` table
-//! probes (`p` = distinct items), one selection over `S + p` values and
-//! `O(S)` table writes, and never more than `S` counters of state. A
+//! probes (`p` = distinct items), `O(S)` table writes, and at most one
+//! selection over the live counters and the misses that can survive — in
+//! a batch wider than `S` an untracked key seen once is only counted, and
+//! when no more than `S` values exceed 1 the cut is `ϕ = 1` with no
+//! selection at all (see [`MgSummary::augment`]) — and never more than `S`
+//! counters of state. A
 //! boundary costs an `O(S log S)` sort of the open summary plus an
 //! `O(k·S·log k)` merge of sorted pane entries — paid per `slide` items, not
 //! per minibatch.

@@ -41,22 +41,27 @@ fn reference_augment(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The probe-only `augment` returns the same `ϕ` and leaves the same
     /// entries as the reference after every batch: empty batches (`p = 0`),
     /// batches far wider than the summary (`p ≫ S`), ties at `ϕ` (counts
     /// from a range of 1..4) and keys already tracked (a small universe)
-    /// all included.
+    /// all included. Up to all of a batch's counts are 1 (`singleton_quarters`
+    /// of 4), so a batch wider than `S` reaches both the selection over the
+    /// values above 1 and the `ϕ = 1` cut; up to two thirds are 0, so the
+    /// width can overstate the positive entries and `ϕ = 0` hold regardless.
     #[test]
     fn augment_equals_materialise_select_retain(
         batches in prop::collection::vec(
-            prop::collection::vec((0u64..300, 1u64..40), 0..250),
+            prop::collection::vec((0u64..300, 0u64..480), 0..250),
             1..12,
         ),
         capacity in 1usize..24,
         universe in 8u64..300,
         count_range in 1u64..40,
+        singleton_quarters in 0u64..5,
+        zero_thirds in 0u64..3,
     ) {
         let mut summary = MgSummary::new(capacity);
         let mut reference: HashMap<u64, u64> = HashMap::new();
@@ -65,9 +70,15 @@ proptest! {
             let mut seen = std::collections::HashSet::new();
             let histogram: Vec<HistogramEntry> = batch
                 .iter()
-                .map(|&(item, count)| HistogramEntry {
+                .map(|&(item, raw)| HistogramEntry {
                     item: item % universe,
-                    count: 1 + count % count_range,
+                    count: if raw % 3 < zero_thirds {
+                        0
+                    } else if (raw / 3) % 4 < singleton_quarters {
+                        1
+                    } else {
+                        1 + (raw / 12) % count_range
+                    },
                 })
                 .filter(|e| seen.insert(e.item))
                 .collect();

@@ -293,6 +293,20 @@ mod tests {
         items.iter().copied().filter(|&x| seen.insert(x)).collect()
     }
 
+    /// The exact rows `build_hist_into` must emit for `items`, whatever its
+    /// seed and hash key: every distinct item with its count, in
+    /// first-occurrence order.
+    fn reference_rows(items: &[u64]) -> Vec<HistogramEntry> {
+        let counts = reference(items);
+        first_occurrences(items)
+            .into_iter()
+            .map(|item| HistogramEntry {
+                item,
+                count: counts[&item],
+            })
+            .collect()
+    }
+
     #[test]
     fn empty_input() {
         assert!(build_hist(&[], 0).is_empty());
@@ -411,18 +425,43 @@ mod tests {
             .collect();
         let top_byte = (0..n).map(|i| (i % 256) << 56 | 0x00C0_FFEE).collect();
         key_sets.push(("top byte".into(), top_byte));
-        let mut scratch = HistScratch::new();
+        // The probe count depends on the scratch's hash key, which `new()`
+        // draws at random; sixteen fixed splitmix64 outputs instead make
+        // every run check the same keys.
+        let mut state = 0u64;
+        let hash_keys: Vec<u64> = (0..16)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+            .collect();
         let mut out = Vec::new();
-        for (name, keys) in &key_sets {
-            // Twice: the second batch starts with the table at its final
-            // size, the steady state of a shard worker.
-            for seed in [3, 4] {
-                PROBED.set(0);
-                build_hist_into(keys, seed, &mut scratch, &mut out);
-                check_against_reference(keys, &out);
+        for (name, items) in &key_sets {
+            let want = reference_rows(items);
+            for &key in &hash_keys {
+                let mut scratch = HistScratch {
+                    key,
+                    ..HistScratch::new()
+                };
+                // Twice: the first batch starts from an empty table that
+                // doubles mid-batch; the second starts with the table at its
+                // final size, the steady state of a shard worker.
+                for seed in [3, 4] {
+                    PROBED.set(0);
+                    build_hist_into(items, seed, &mut scratch, &mut out);
+                    assert!(
+                        out == want,
+                        "{name}, key {key:#018x}, seed {seed}: rows differ from the reference"
+                    );
+                }
+                let probes = PROBED.get() as f64 / items.len() as f64;
+                assert!(
+                    probes < 3.0,
+                    "{name}, key {key:#018x}: {probes:.2} probes per item"
+                );
             }
-            let probes = PROBED.get() as f64 / keys.len() as f64;
-            assert!(probes < 3.0, "{name}: {probes:.2} probes per item");
         }
     }
 

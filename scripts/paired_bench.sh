@@ -12,10 +12,14 @@
 # default 1000) through that command with `--seconds 20 --trace 0 --out
 # <side>`, and prints per end-to-end metric each side's median and
 # quartiles, the change's wins, the ratio of medians and the parent's
-# IQR / median. Reads the repository only; writes only under SCRATCH.
+# IQR / median. With BENCH_JSON=<path> it also writes one record per side
+# per workload in the committed BENCH_<pr>.json schema: `items_per_sec` is
+# the side's median, `config` names the pairs and seeds and gives the
+# `items_per_s` quartiles and the `cpu_ns_per_item` median and quartiles.
+# Reads the repository only; writes only under SCRATCH and to BENCH_JSON.
 #
 # Environment: SCRATCH, PAIRS, SEED0, SECONDS_PER_RUN (default 20; shorter
-# runs are for trying the script out, never for a claim).
+# runs are for trying the script out, never for a claim), BENCH_JSON.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
@@ -73,6 +77,29 @@ value() { # file metric
 count() { # file top-level-key
     grep -o "\"$2\": [0-9]*" "$1" | head -n 1 | cut -d' ' -f2
 }
+# Sorted insertion and linearly interpolated quantiles, shared by the awk
+# programs below.
+stats_awk='
+    function quantile(v, n, q,    at, lo) {
+        at = (n - 1) * q; lo = int(at)
+        return lo + 1 < n ? v[lo + 1] + (at - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
+    }
+    function insert(v, n, x,    j) {
+        for (j = n; j > 0 && v[j] > x; j--) v[j + 1] = v[j]
+        v[j + 1] = x
+    }'
+# "median q1 q3" of one metric over one side's runs of a workload.
+side_quantiles() { # side workload metric
+    for i in $(seq 1 "$pairs"); do
+        value "$root/out/$1/result-$2-t0-s$((seed0 + i)).json" "$3"
+    done | awk "$stats_awk"'
+        NF { insert(v, n++, $1) }
+        END {
+            if (n) printf "%.17g %.17g %.17g\n",
+                quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75)
+        }'
+}
+records=()
 
 for workload in "${workloads[@]}"; do
     echo
@@ -97,15 +124,7 @@ for workload in "${workloads[@]}"; do
             p=$(value "$root/out/parent/result-$workload-t0-s$seed.json" "$metric")
             c=$(value "$root/out/change/result-$workload-t0-s$seed.json" "$metric")
             if [ -n "$p" ] && [ -n "$c" ]; then echo "$p $c"; fi
-        done | awk -v metric="$metric" -v better="${entry##*:}" '
-            function quantile(v, n, q,    at, lo) {
-                at = (n - 1) * q; lo = int(at)
-                return lo + 1 < n ? v[lo + 1] + (at - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
-            }
-            function insert(v, n, x,    j) {
-                for (j = n; j > 0 && v[j] > x; j--) v[j + 1] = v[j]
-                v[j + 1] = x
-            }
+        done | awk -v metric="$metric" -v better="${entry##*:}" "$stats_awk"'
             {
                 insert(par, NR - 1, $1); insert(chg, NR - 1, $2)
                 if (better == "lower" ? $2 < $1 : $2 > $1) wins++
@@ -119,6 +138,24 @@ for workload in "${workloads[@]}"; do
                     pm ? cm / pm : 0, pm ? (p3 - p1) / pm : 0
             }'
     done
+    for side in parent change; do
+        read -r rate_med rate_q1 rate_q3 <<<"$(side_quantiles "$side" "$workload" items_per_s)"
+        read -r cpu_med cpu_q1 cpu_q3 <<<"$(side_quantiles "$side" "$workload" cpu_ns_per_item)"
+        records+=("$(printf '  {"experiment": "%s", "config": "%s, median of %d pairs (seeds %d-%d, --seconds %s --trace 0), IQR %.0f-%.0f; cpu_ns_per_item median %.2f IQR %.2f-%.2f", "items_per_sec": %.0f}' \
+            "$workload" "$side" "$pairs" $((seed0 + 1)) $((seed0 + pairs)) "$seconds" \
+            "$rate_q1" "$rate_q3" "$cpu_med" "$cpu_q1" "$cpu_q3" "$rate_med")")
+    done
 done
 echo
 echo "result files: $root/out/{parent,change}"
+if [ -n "${BENCH_JSON:-}" ]; then
+    {
+        echo "["
+        last=$((${#records[@]} - 1))
+        for i in "${!records[@]}"; do
+            if [ "$i" -lt "$last" ]; then echo "${records[$i]},"; else echo "${records[$i]}"; fi
+        done
+        echo "]"
+    } >"$BENCH_JSON"
+    echo "trajectory records: $BENCH_JSON"
+fi
