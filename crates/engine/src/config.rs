@@ -175,8 +175,7 @@ impl EngineConfig {
         self
     }
 
-    /// Enables observability with default knobs (1024-event trace ring, no
-    /// periodic reporter).
+    /// Enables observability with default knobs (1024-event trace ring).
     pub fn observe(self) -> Self {
         self.observability(ObsConfig::default())
     }

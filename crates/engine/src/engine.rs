@@ -19,7 +19,7 @@ use psfa_stream::{BufferPool, IngestFence, Placement, Router, WindowFence, Windo
 
 use crate::config::EngineConfig;
 use crate::metrics::{EngineMetrics, ShardHealth, WindowMetrics};
-use crate::obs::{EngineObs, QueryKind, Reporter};
+use crate::obs::{EngineObs, QueryKind};
 use crate::persist::{Flusher, PersistWindow, Persister};
 use crate::shard::{ShardCommand, ShardShared, ShardSnapshot, ShardWorker};
 
@@ -290,7 +290,6 @@ pub struct Engine {
     handle: EngineHandle,
     workers: Vec<JoinHandle<ShardState>>,
     flusher: Option<Flusher>,
-    reporter: Option<Reporter>,
 }
 
 impl Engine {
@@ -451,27 +450,10 @@ impl Engine {
             window_panes: config.window_panes,
             queue_capacity: config.queue_capacity,
         };
-        // The periodic reporter renders the full ObsReport table off a
-        // cloned handle; it only exists when both observability and a
-        // report interval are configured.
-        let reporter = config
-            .observability
-            .as_ref()
-            .and_then(|oc| oc.report_interval)
-            .map(|interval| {
-                let handle = handle.clone();
-                Reporter::spawn(interval, move || {
-                    handle
-                        .metrics()
-                        .obs
-                        .map_or_else(String::new, |report| report.to_table())
-                })
-            });
         Ok(Engine {
             handle,
             workers,
             flusher,
-            reporter,
         })
     }
 
@@ -603,11 +585,6 @@ impl Engine {
     /// instead of propagating the panic to the caller; its last published
     /// snapshot remains queryable through outstanding handles.
     pub fn shutdown(mut self) -> Result<EngineReport, ShutdownError> {
-        // Stop the reporter first: it queries through the handle, and there
-        // is no point rendering tables against a draining engine.
-        if let Some(mut reporter) = self.reporter.take() {
-            reporter.stop();
-        }
         // Closing the fence waits for every in-flight enqueue (which holds
         // the fence's shared side across its sends) to finish, and makes
         // later enqueues fail fast. Everything successfully sent is
@@ -653,9 +630,6 @@ impl Engine {
     /// the latest consistent epoch. Intended for crash-recovery tests and
     /// chaos drills.
     pub fn kill(mut self) {
-        if let Some(mut reporter) = self.reporter.take() {
-            reporter.stop();
-        }
         self.handle.fence.close();
         if let Some(flusher) = self.flusher.take() {
             flusher.abort();
@@ -674,9 +648,6 @@ impl Drop for Engine {
     /// behaves like a crash towards the store: the flusher is stopped
     /// without a final snapshot.
     fn drop(&mut self) {
-        if let Some(mut reporter) = self.reporter.take() {
-            reporter.stop();
-        }
         if let Some(flusher) = self.flusher.take() {
             flusher.abort();
         }

@@ -34,10 +34,8 @@
 //! instrumented hot path within noise of the uninstrumented one (E14
 //! asserts `≥ 0.97×`).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use psfa_obs::{
     AtomicLogHistogram, Clock, MonotonicClock, ObsCounter, ObsReport, ObsSection, Percentiles,
@@ -55,11 +53,6 @@ pub struct ObsConfig {
     /// Capacity of the control-plane trace ring (rounded up to a power of
     /// two, minimum 8). Old events are overwritten, never blocking.
     pub trace_capacity: usize,
-    /// When set, a background reporter thread renders the report table to
-    /// stderr every interval (the percentile-trajectory view); `None` (the
-    /// default) leaves reporting to explicit [`crate::EngineHandle::metrics`]
-    /// / [`crate::EngineHandle::prometheus_text`] calls.
-    pub report_interval: Option<Duration>,
     /// Clock used for every timestamp; defaults to the process-monotonic
     /// [`MonotonicClock`]. Swap in a [`psfa_obs::ManualClock`] to test
     /// timing-dependent behaviour deterministically.
@@ -70,7 +63,6 @@ impl Default for ObsConfig {
     fn default() -> Self {
         Self {
             trace_capacity: 1024,
-            report_interval: None,
             clock: None,
         }
     }
@@ -80,12 +72,6 @@ impl ObsConfig {
     /// Sets the trace-ring capacity.
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables the periodic stderr reporter.
-    pub fn report_every(mut self, interval: Duration) -> Self {
-        self.report_interval = Some(interval);
         self
     }
 
@@ -341,61 +327,6 @@ impl std::fmt::Debug for EngineObs {
     }
 }
 
-/// Handle to the background reporter thread (the percentile-trajectory
-/// view): renders the engine's report to stderr every interval. Same
-/// poll-thread pattern as the persistence `Flusher`.
-pub(crate) struct Reporter {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Reporter {
-    /// Spawns the reporter; `render` produces one report table per tick.
-    pub(crate) fn spawn(interval: Duration, render: impl Fn() -> String + Send + 'static) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        // Poll in small slices so `stop` never waits out a long interval.
-        let slice = interval
-            .min(Duration::from_millis(20))
-            .max(Duration::from_millis(1));
-        let thread = std::thread::Builder::new()
-            .name("psfa-obs-reporter".to_string())
-            .spawn(move || {
-                let mut elapsed = Duration::ZERO;
-                loop {
-                    if stop_flag.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep(slice);
-                    elapsed += slice;
-                    if elapsed >= interval {
-                        elapsed = Duration::ZERO;
-                        eprintln!("psfa-obs report\n{}", render());
-                    }
-                }
-            })
-            .expect("failed to spawn obs reporter thread");
-        Self {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stops the reporter and joins its thread (idempotent).
-    pub(crate) fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for Reporter {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,19 +379,5 @@ mod tests {
         // One-sided bucket error: the recorded 5000ns lands in a bucket
         // whose upper bound is within 2^-5 relative.
         assert!(p.p50 >= 5_000 && p.p50 <= 5_000 + (5_000 >> 5) + 1);
-    }
-
-    #[test]
-    fn reporter_stops_cleanly() {
-        let ticks = Arc::new(AtomicU64::new(0));
-        let t = ticks.clone();
-        let mut reporter = Reporter::spawn(Duration::from_millis(1), move || {
-            t.fetch_add(1, Ordering::Relaxed);
-            String::from("tick")
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        reporter.stop();
-        reporter.stop(); // idempotent
-        assert!(ticks.load(Ordering::Relaxed) > 0, "reporter never ticked");
     }
 }

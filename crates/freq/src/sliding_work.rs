@@ -21,24 +21,14 @@
 
 use std::collections::HashMap;
 
-use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use psfa_primitives::{build_hist, phi_cutoff, CompactedSegment, WorkMeter};
 use psfa_window::Sbbc;
 use rayon::prelude::*;
-
-/// Type tag for encoded sliding-window estimators (see
-/// `psfa_primitives::codec`).
-const TAG: u8 = 0x06;
-const VERSION: u8 = 1;
 
 use crate::sift::sift;
 use crate::SlidingFrequencyEstimator;
 
 /// Work-efficient sliding-window frequency estimator (Theorem 5.4).
-///
-/// Equality compares the persistent state (parameters, per-item counters,
-/// histogram seed); an attached [`WorkMeter`] is instrumentation and is
-/// ignored.
 #[derive(Debug, Clone)]
 pub struct SlidingFreqWorkEfficient {
     epsilon: f64,
@@ -50,17 +40,6 @@ pub struct SlidingFreqWorkEfficient {
     counters: HashMap<u64, Sbbc>,
     seed: u64,
     meter: Option<WorkMeter>,
-}
-
-impl PartialEq for SlidingFreqWorkEfficient {
-    fn eq(&self, other: &Self) -> bool {
-        self.epsilon.to_bits() == other.epsilon.to_bits()
-            && self.n == other.n
-            && self.s == other.s
-            && self.lambda == other.lambda
-            && self.seed == other.seed
-            && self.counters == other.counters
-    }
 }
 
 impl SlidingFreqWorkEfficient {
@@ -135,96 +114,6 @@ impl SlidingFreqWorkEfficient {
             .filter_map(|(item, value)| if value > phi { Some(item) } else { None })
             .collect();
         (survivors, phi)
-    }
-
-    /// Canonical binary encoding, appended to `w`. Counters are written in
-    /// ascending item order (deterministic bytes); the histogram seed is
-    /// included, so a decoded estimator continues the stream exactly as the
-    /// original would have. Attached [`WorkMeter`]s are not persisted.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        put_header(w, TAG, VERSION);
-        w.put_f64(self.epsilon);
-        w.put_u64(self.n);
-        w.put_u64(self.seed);
-        let mut items: Vec<u64> = self.counters.keys().copied().collect();
-        items.sort_unstable();
-        w.put_u32(items.len() as u32);
-        for item in items {
-            w.put_u64(item);
-            self.counters[&item].encode_into(w);
-        }
-    }
-
-    /// Canonical binary encoding as an owned buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Decodes an estimator previously written by
-    /// [`SlidingFreqWorkEfficient::encode_into`], validating the constructor
-    /// invariants and every per-item counter (never panics on corrupted
-    /// input).
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        r.expect_header(TAG, VERSION)?;
-        let epsilon = r.get_f64()?;
-        let n = r.get_u64()?;
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(CodecError::Invalid(
-                "sliding estimator: epsilon not in (0, 1)",
-            ));
-        }
-        if epsilon * (n as f64) < 16.0 {
-            return Err(CodecError::Invalid(
-                "sliding estimator: epsilon * n below 16",
-            ));
-        }
-        let seed = r.get_u64()?;
-        let s = (8.0 / epsilon).ceil() as usize;
-        let lambda = ((((epsilon * n as f64) / 4.0) as u64) & !1).max(2);
-        let len = r.get_len(8)?;
-        if len > s {
-            return Err(CodecError::Invalid(
-                "sliding estimator: more counters than the pruning capacity",
-            ));
-        }
-        let mut counters = HashMap::with_capacity(len);
-        let mut prev: Option<u64> = None;
-        for _ in 0..len {
-            let item = r.get_u64()?;
-            if prev.is_some_and(|p| p >= item) {
-                return Err(CodecError::Invalid(
-                    "sliding estimator: counters must be strictly ascending",
-                ));
-            }
-            prev = Some(item);
-            let counter = Sbbc::decode_from(r)?;
-            if counter.lambda() != lambda || counter.window() != n {
-                return Err(CodecError::Invalid(
-                    "sliding estimator: counter parameters inconsistent with (epsilon, n)",
-                ));
-            }
-            counters.insert(item, counter);
-        }
-        Ok(Self {
-            epsilon,
-            n,
-            s,
-            lambda,
-            counters,
-            seed,
-            meter: None,
-        })
-    }
-
-    /// Decodes an estimator from a standalone buffer produced by
-    /// [`SlidingFreqWorkEfficient::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let out = Self::decode_from(&mut r)?;
-        r.expect_end()?;
-        Ok(out)
     }
 }
 

@@ -92,11 +92,6 @@ use crate::summary::MgSummary;
 const TAG: u8 = 0x09;
 const VERSION: u8 = 1;
 
-/// Windows encoded before the open pane became an [`MgSummary`] carry up
-/// to `4S + 1` open counters (the old accumulator pruned lazily, past `4S`).
-/// Decoding still accepts that many and cuts them to `S`.
-const LEGACY_OPEN_FACTOR: usize = 4;
-
 /// One sealed pane's summary: at most `S` `(item, estimate)` entries,
 /// ascending by item. One-sided for the pane's items.
 type PaneEntries = Vec<(u64, u64)>;
@@ -318,9 +313,8 @@ impl PaneWindow {
 
     /// Decodes a window previously written by [`PaneWindow::encode_into`],
     /// validating every structural invariant (never panics on corrupted
-    /// input). An open pane of more than `S` counters — written before the
-    /// open pane was cut per batch — is cut to `S` with the `MGaugment`
-    /// rule, which keeps it one-sided within `ε·open_items`.
+    /// input): like every sealed pane, the open pane holds at most
+    /// `S = ⌈1/ε⌉` counters.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         r.expect_header(TAG, VERSION)?;
         let epsilon = r.get_f64()?;
@@ -334,13 +328,9 @@ impl PaneWindow {
         }
         let open_items = r.get_u64()?;
         let open_len = r.get_len(16)?;
-        if open_len
-            > LEGACY_OPEN_FACTOR
-                .saturating_mul(capacity)
-                .saturating_add(1)
-        {
+        if open_len > capacity {
             return Err(CodecError::Invalid(
-                "pane window: open pane larger than any encoder writes",
+                "pane window: open pane holds more counters than the summary capacity",
             ));
         }
         let mut open_counts = Vec::with_capacity(open_len);
@@ -666,45 +656,29 @@ mod tests {
     }
 
     #[test]
-    fn decode_cuts_a_legacy_open_pane_of_up_to_4s_plus_1_counters_to_s() {
-        // What a store written before the open pane was cut per batch can
-        // hold: 4S + 1 = 41 exact open counters for ε = 0.1 (S = 10).
-        let epsilon = 0.1;
-        let legacy_open: Vec<(u64, u64)> = (0..41u64).map(|i| (100 + i, 1 + i)).collect();
-        let open_items: u64 = legacy_open.iter().map(|&(_, c)| c).sum();
-        let encode = |open: &[(u64, u64)]| {
+    fn decode_accepts_an_open_pane_of_s_counters_and_refuses_s_plus_1() {
+        // ε = 0.1 ⇒ S = 10 open counters at most.
+        let encode = |open_len: u64| {
             let mut w = ByteWriter::new();
             put_header(&mut w, TAG, VERSION);
-            w.put_f64(epsilon);
+            w.put_f64(0.1);
             w.put_u32(2);
-            w.put_u64(open_items);
-            w.put_u32(open.len() as u32);
-            for &(item, count) in open {
+            w.put_u64(open_len);
+            w.put_u32(open_len as u32);
+            for item in 0..open_len {
                 w.put_u64(item);
-                w.put_u64(count);
+                w.put_u64(1);
             }
             w.put_u32(0); // no sealed panes
             w.into_bytes()
         };
-        let mut decoded = PaneWindow::decode(&encode(&legacy_open)).expect("legacy open pane");
-        assert_eq!(decoded.open_items(), open_items);
-        assert_eq!(decoded.open.len(), 10, "cut to S on load");
-        // The 11th largest counter is 31: one cut-off, so every counter is
-        // below its exact value by at most ϕ = 31 ≤ ε·open_items = 86.
-        let slack = (epsilon * open_items as f64).floor() as u64;
-        for &(item, f) in &legacy_open {
-            let est = decoded.open.estimate(item);
-            assert!(est <= f && est + slack >= f, "item {item}: {est} vs {f}");
-        }
-        assert_eq!(decoded.open.estimate(140), 41 - 31);
-        // It re-encodes in the current form and keeps working.
-        let reencoded = PaneWindow::decode(&decoded.encode()).expect("current form");
-        assert_eq!(reencoded, decoded);
-        decoded.process_minibatch(&[140; 5]);
-        assert_eq!(decoded.seal().estimate(140), 15);
-        // One counter more than any encoder ever wrote is refused.
-        let too_many: Vec<(u64, u64)> = (0..42u64).map(|i| (100 + i, 1)).collect();
-        assert!(PaneWindow::decode(&encode(&too_many)).is_err());
+        let decoded = PaneWindow::decode(&encode(10)).expect("S counters");
+        assert_eq!(decoded.open.len(), 10);
+        assert_eq!(decoded.encode(), encode(10));
+        assert!(matches!(
+            PaneWindow::decode(&encode(11)),
+            Err(CodecError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -41,14 +41,7 @@
 //! per-shard histograms can be recorded independently and combined at query
 //! time in any order — the same per-substream-then-merge pattern the engine
 //! applies to Misra–Gries summaries, now applied to its own telemetry.
-//!
-//! Snapshots round-trip through the workspace codec
-//! ([`HistogramSnapshot::encode`]/[`HistogramSnapshot::decode`]) as a
-//! sparse `(bucket, count)` list with the usual tag+version header and
-//! length validation, so persisted benchmark artefacts can carry exact
-//! distributions.
 
-use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution: `2^SUB_BITS` sub-buckets per octave.
@@ -65,10 +58,6 @@ pub const SUB: u64 = 1 << SUB_BITS;
 /// Octave 0/1 are the identity range `0..64`; octaves `2..=59` each add
 /// [`SUB`] buckets: `64 + 58·32 = 1920`.
 pub const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
-
-/// Codec tag for an encoded [`HistogramSnapshot`].
-const HIST_TAG: u8 = 0x4C; // 'L' for log histogram
-const HIST_VERSION: u8 = 1;
 
 /// Maps a value to its bucket index (total order preserving).
 #[inline]
@@ -202,8 +191,8 @@ impl AtomicLogHistogram {
     }
 }
 
-/// An immutable copy of a histogram's buckets: the mergeable, encodable,
-/// queryable form (see the module docs for merge laws and error bounds).
+/// An immutable copy of a histogram's buckets: the mergeable, queryable
+/// form (see the module docs for merge laws and error bounds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     counts: Vec<u64>,
@@ -284,64 +273,6 @@ impl HistogramSnapshot {
             p999: self.percentile(0.999),
             max,
         }
-    }
-
-    /// Encodes as a sparse `(bucket, count)` list with the workspace codec
-    /// conventions (tag + version header, `u32` lengths). Exact: decoding
-    /// reproduces every bucket count bit-for-bit.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        put_header(&mut w, HIST_TAG, HIST_VERSION);
-        w.put_u8(SUB_BITS as u8);
-        let nonzero: Vec<(usize, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect();
-        w.put_u32(nonzero.len() as u32);
-        for (idx, count) in nonzero {
-            w.put_u32(idx as u32);
-            w.put_u64(count);
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes an [`encode`](Self::encode)d snapshot. Never panics on
-    /// corrupt input: bad tags, versions, lengths, out-of-range or
-    /// out-of-order bucket indices all surface as [`CodecError`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        r.expect_header(HIST_TAG, HIST_VERSION)?;
-        let sub_bits = r.get_u8()?;
-        if u32::from(sub_bits) != SUB_BITS {
-            return Err(CodecError::Invalid("histogram sub-bucket resolution"));
-        }
-        let len = r.get_len(12)?; // 4 (index) + 8 (count) bytes per entry
-        let mut snapshot = Self::empty();
-        let mut prev: Option<u32> = None;
-        for _ in 0..len {
-            let idx = r.get_u32()?;
-            if idx as usize >= NUM_BUCKETS {
-                return Err(CodecError::Invalid("histogram bucket index out of range"));
-            }
-            if prev.is_some_and(|p| idx <= p) {
-                return Err(CodecError::Invalid(
-                    "histogram bucket indices not ascending",
-                ));
-            }
-            prev = Some(idx);
-            let count = r.get_u64()?;
-            if count == 0 {
-                return Err(CodecError::Invalid(
-                    "histogram sparse entry with zero count",
-                ));
-            }
-            snapshot.counts[idx as usize] = count;
-        }
-        r.expect_end()?;
-        Ok(snapshot)
     }
 }
 
@@ -429,24 +360,5 @@ mod tests {
         let snap = a.snapshot();
         assert_eq!(snap.count(), 3);
         assert_eq!(snap.bucket_count(bucket_index(5)), 2);
-    }
-
-    #[test]
-    fn codec_rejects_corruption() {
-        let h = AtomicLogHistogram::new();
-        h.record_n(42, 7);
-        h.record_n(9_999, 3);
-        let bytes = h.snapshot().encode();
-        assert_eq!(HistogramSnapshot::decode(&bytes).unwrap(), h.snapshot());
-        // Truncations and tag flips error, never panic.
-        for cut in 0..bytes.len() {
-            assert!(HistogramSnapshot::decode(&bytes[..cut]).is_err());
-        }
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(HistogramSnapshot::decode(&bad).is_err());
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(HistogramSnapshot::decode(&trailing).is_err());
     }
 }

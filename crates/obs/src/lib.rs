@@ -20,9 +20,8 @@
 //! * **plain-text surfacing** ([`ObsReport`]): percentile tables and a
 //!   zero-dependency Prometheus text exporter.
 //!
-//! The crate depends only on `psfa-primitives` (for the canonical codec,
-//! so histograms persist alongside every other summary). The engine crate
-//! owns *what* is measured; this crate owns *how*.
+//! The crate depends on nothing. The engine crate owns *what* is measured;
+//! this crate owns *how*.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

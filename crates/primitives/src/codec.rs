@@ -1,8 +1,22 @@
-//! Canonical binary encoding substrate for the persistence layer.
+//! Canonical binary encoding substrate for the persistence layer and the
+//! wire protocol.
 //!
-//! Every summary type in the workspace (`MgSummary`, `AtomicCountMin`, the
-//! sliding-window counters, …) exposes a canonical `encode`/`decode` pair
-//! built on the little-endian [`ByteWriter`]/[`ByteReader`] helpers here.
+//! A type gets a byte format only if something reads it back. Nine do, each
+//! a canonical `encode`/`decode` pair built on the little-endian
+//! [`ByteWriter`]/[`ByteReader`] helpers here:
+//!
+//! | tag | format | decoded by |
+//! |---|---|---|
+//! | `0x03` | `MgSummary` | `ParallelFrequencyEstimator` |
+//! | `0x04` | `ParallelFrequencyEstimator` | `InfiniteHeavyHitters` |
+//! | `0x05` | `InfiniteHeavyHitters` | `ShardState` |
+//! | `0x07` | `AtomicCountMin` | `ShardState` |
+//! | `0x09` | `PaneWindow` | `ShardState` |
+//! | `0x10` | `EpochRecord` | `SnapshotStore` (`psfa-store`) |
+//! | `0x11` | `ShardState` | `EpochRecord` |
+//! | `0xA0` | `Request` | `psfa-serve`'s server |
+//! | `0xA1` | `Response` | `psfa-serve`'s client |
+//!
 //! The design goals, in order:
 //!
 //! 1. **Never panic on untrusted bytes.** `decode` must return a typed

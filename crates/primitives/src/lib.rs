@@ -28,8 +28,9 @@
 //!   work-efficiency experiments (E8) to measure *work* independently of
 //!   wall-clock time.
 //! * [`codec`] — the little-endian byte reader/writer and typed error used
-//!   by every summary's canonical `encode`/`decode` pair (the persistence
-//!   substrate of `psfa-store`).
+//!   by the canonical `encode`/`decode` pair of every format something
+//!   reads back: the persisted summaries and record of `psfa-store`, and
+//!   the wire frames of `psfa-serve`.
 //! * [`arc_cell`] — atomic-pointer publication of shared immutable values
 //!   (`ArcCell`), the lock-free snapshot slot under the engine's query
 //!   surface.

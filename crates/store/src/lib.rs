@@ -29,10 +29,10 @@
 //!   tail of the newest segment is silently dropped (that is the defined
 //!   crash behaviour, see [`store`]).
 //! * **Accuracy survives the disk**: serialisation is exact
-//!   (`decode(encode(s)) == s` for every summary type), a persisted epoch
-//!   is a consistent cut, and the mergeable-summaries argument then gives a
-//!   recovered or historical query the same one-sided `ε·m` bound as the
-//!   live engine — see [`view`] for the accounting.
+//!   (`decode(encode(s)) == s` for every persisted summary), a persisted
+//!   epoch is a consistent cut, and the mergeable-summaries argument then
+//!   gives a recovered or historical query the same one-sided `ε·m` bound
+//!   as the live engine — see [`view`] for the accounting.
 //! * **Bounded space**: compaction keeps at most `K` epochs and deletes
 //!   fully dead segment files.
 //!

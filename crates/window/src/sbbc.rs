@@ -19,14 +19,9 @@
 //!   used by the sliding-window frequency-estimation algorithms to mimic
 //!   Misra–Gries decrements.
 
-use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use psfa_primitives::CompactedSegment;
 
 use crate::snapshot::GammaSnapshot;
-
-/// Type tag for encoded SBBCs (see `psfa_primitives::codec`).
-const TAG: u8 = 0x02;
-const VERSION: u8 = 1;
 
 /// Result of querying an [`Sbbc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,72 +193,6 @@ impl Sbbc {
     /// `decrement`). Saturates at zero.
     pub fn decrement(&mut self, count: u64) {
         self.snapshot.decrement(count);
-    }
-
-    /// Canonical binary encoding, appended to `w` (consumed by the
-    /// sliding-window estimators' `encode` and ultimately by `psfa-store`).
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        put_header(w, TAG, VERSION);
-        w.put_u64(self.sigma);
-        w.put_u64(self.lambda);
-        w.put_u64(self.n);
-        w.put_u64(self.t);
-        w.put_u64(self.r);
-        self.snapshot.encode_into(w);
-    }
-
-    /// Canonical binary encoding as an owned buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Decodes a counter previously written by [`Sbbc::encode_into`],
-    /// validating every constructor invariant (never panics on corrupted
-    /// input).
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        r.expect_header(TAG, VERSION)?;
-        let sigma = r.get_u64()?;
-        let lambda = r.get_u64()?;
-        let n = r.get_u64()?;
-        let t = r.get_u64()?;
-        let rr = r.get_u64()?;
-        if sigma == 0 {
-            return Err(CodecError::Invalid("sbbc: sigma must be >= 1"));
-        }
-        if lambda < 2 || !lambda.is_multiple_of(2) {
-            return Err(CodecError::Invalid("sbbc: lambda must be even and >= 2"));
-        }
-        if n == 0 {
-            return Err(CodecError::Invalid("sbbc: window must be >= 1"));
-        }
-        if rr > n {
-            return Err(CodecError::Invalid("sbbc: coverage r must not exceed n"));
-        }
-        let snapshot = GammaSnapshot::decode_from(r)?;
-        if snapshot.gamma() != lambda / 2 {
-            return Err(CodecError::Invalid(
-                "sbbc: snapshot gamma must equal lambda/2",
-            ));
-        }
-        Ok(Self {
-            sigma,
-            lambda,
-            n,
-            t,
-            r: rr,
-            snapshot,
-        })
-    }
-
-    /// Decodes a counter from a standalone buffer produced by
-    /// [`Sbbc::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let out = Self::decode_from(&mut r)?;
-        r.expect_end()?;
-        Ok(out)
     }
 }
 
@@ -456,49 +385,6 @@ mod tests {
         let v = sbbc.value().unwrap();
         sbbc.advance(&CompactedSegment::zeros(0));
         assert_eq!(sbbc.value().unwrap(), v);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_preserves_state_and_behaviour() {
-        let mut rng = Lcg(11);
-        let mut sbbc = Sbbc::new(6, 8, 3_000).assume_zero_history();
-        for _ in 0..25 {
-            let piece: Vec<bool> = (0..400).map(|_| rng.bit(3)).collect();
-            sbbc.advance(&CompactedSegment::from_bits(&piece));
-        }
-        sbbc.decrement(17);
-        let decoded = Sbbc::decode(&sbbc.encode()).expect("roundtrip");
-        assert_eq!(decoded, sbbc);
-        // Behavioural equality: both continue identically.
-        let mut a = sbbc.clone();
-        let mut b = decoded;
-        let piece: Vec<bool> = (0..500).map(|_| rng.bit(2)).collect();
-        a.advance(&CompactedSegment::from_bits(&piece));
-        b.advance(&CompactedSegment::from_bits(&piece));
-        assert_eq!(a, b);
-        assert_eq!(a.query(), b.query());
-    }
-
-    #[test]
-    fn decode_rejects_truncation_and_corruption_without_panic() {
-        let mut sbbc = Sbbc::unbounded(4, 1_000);
-        sbbc.advance(&CompactedSegment::from_bits(&[true; 64]));
-        let bytes = sbbc.encode();
-        // Every truncation point must be a typed error, not a panic.
-        for cut in 0..bytes.len() {
-            assert!(Sbbc::decode(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // Flipping any single byte must never panic (it may still decode to
-        // some other valid counter, e.g. a different t).
-        for i in 0..bytes.len() {
-            let mut copy = bytes.clone();
-            copy[i] ^= 0xFF;
-            let _ = Sbbc::decode(&copy);
-        }
-        // A zeroed lambda is structurally invalid.
-        let mut copy = bytes.clone();
-        copy[10..18].fill(0); // lambda field (tag, version, sigma, then lambda)
-        assert!(Sbbc::decode(&copy).is_err());
     }
 
     #[test]

@@ -14,12 +14,7 @@
 
 use std::collections::VecDeque;
 
-use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use psfa_primitives::CompactedSegment;
-
-/// Type tag for encoded γ-snapshots (see `psfa_primitives::codec`).
-const TAG: u8 = 0x01;
-const VERSION: u8 = 1;
 
 /// A γ-snapshot: sampled block ids plus the trailing-ones counter `ℓ`.
 ///
@@ -164,45 +159,6 @@ impl GammaSnapshot {
             dropped = self.blocks.pop_front();
         }
         dropped
-    }
-
-    /// Canonical binary encoding, appended to `w` (used by [`crate::Sbbc`]'s
-    /// encoding; see `psfa_primitives::codec` for the conventions).
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        put_header(w, TAG, VERSION);
-        w.put_u64(self.gamma);
-        w.put_u64(self.ell);
-        w.put_u32(self.blocks.len() as u32);
-        for &block in &self.blocks {
-            w.put_u64(block);
-        }
-    }
-
-    /// Decodes a snapshot previously written by
-    /// [`GammaSnapshot::encode_into`], validating every structural
-    /// invariant (never panics on corrupted input).
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        r.expect_header(TAG, VERSION)?;
-        let gamma = r.get_u64()?;
-        if gamma == 0 {
-            return Err(CodecError::Invalid("gamma-snapshot: gamma must be >= 1"));
-        }
-        let ell = r.get_u64()?;
-        if ell >= gamma {
-            return Err(CodecError::Invalid("gamma-snapshot: ell must be < gamma"));
-        }
-        let len = r.get_len(8)?;
-        let mut blocks = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            let block = r.get_u64()?;
-            if block == 0 || blocks.back().is_some_and(|&b| b >= block) {
-                return Err(CodecError::Invalid(
-                    "gamma-snapshot: block ids must be strictly increasing and 1-indexed",
-                ));
-            }
-            blocks.push_back(block);
-        }
-        Ok(Self { gamma, blocks, ell })
     }
 
     /// Reference (sequential, non-streaming) construction of the γ-snapshot of

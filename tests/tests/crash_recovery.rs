@@ -18,10 +18,11 @@
 //! Every store lives in a throwaway directory under `TMPDIR`.
 
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 
 use psfa::prelude::*;
 
-fn tmpdir(label: &str) -> std::path::PathBuf {
+fn tmpdir(label: &str) -> PathBuf {
     psfa::store::testutil::unique_temp_dir(&format!("crash-{label}"))
 }
 
@@ -329,6 +330,41 @@ fn recovery_cuts_a_boundary_the_persisted_cut_left_due() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The store's segment files with their bytes, oldest first.
+fn segments(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "psfalog"))
+        .map(|p| {
+            let bytes = std::fs::read(&p).unwrap();
+            (p, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Rewrites the one record of `segment` as an older writer would have
+/// stamped it: every occurrence of `marker` (a tag, a version byte, then
+/// context) gets version `old`, and the frame is re-checksummed so the log
+/// stays intact. Returns the number of occurrences rewritten.
+fn restamp(segment: &Path, marker: &[u8], old: u8) -> usize {
+    let mut bytes = std::fs::read(segment).unwrap();
+    let (frame, payload) = (12usize, 20usize); // segment header, then [len][crc]
+    let mut patched = 0;
+    for at in payload..bytes.len() - marker.len() {
+        if bytes[at..at + marker.len()] == marker[..] {
+            bytes[at + 1] = old;
+            patched += 1;
+        }
+    }
+    let crc = psfa::store::crc32(&bytes[payload..]);
+    bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(segment, &bytes).unwrap();
+    patched
+}
+
 /// A store written before Count-Min rows last switched hash (sketch codec
 /// versions 1 and 2) holds counters in columns this code would misread, and
 /// one written before the sketch lost its `0x08` wrapper (shard record
@@ -364,35 +400,13 @@ fn recover_rejects_a_record_holding_a_version_1_count_min() {
         handle.snapshot_now().unwrap();
         engine.kill();
 
-        // Rewrite the one record as an old writer would have stamped it:
-        // set the marker's version byte and re-checksum the frame.
-        let segments = || {
-            let mut files: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .filter(|p| p.extension().is_some_and(|e| e == "psfalog"))
-                .map(|p| {
-                    let bytes = std::fs::read(&p).unwrap();
-                    (p, bytes)
-                })
-                .collect();
-            files.sort();
-            files
-        };
-        let (segment, mut bytes) = segments().pop().expect("segment file exists");
-        let (frame, payload) = (12usize, 20usize); // segment header, then [len][crc]
-        let mut patched = 0;
-        for at in payload..bytes.len() - marker.len() {
-            if bytes[at..at + marker.len()] == marker[..] {
-                bytes[at + 1] = old;
-                patched += 1;
-            }
-        }
-        assert_eq!(patched, occurrences, "marker {marker:02x?}");
-        let crc = psfa::store::crc32(&bytes[payload..]);
-        bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
-        std::fs::write(&segment, &bytes).unwrap();
-        let before = segments();
+        let (segment, _) = segments(&dir).pop().expect("segment file exists");
+        assert_eq!(
+            restamp(&segment, marker, old),
+            occurrences,
+            "marker {marker:02x?}"
+        );
+        let before = segments(&dir);
 
         let old_version = |e: &StoreError| {
             matches!(
@@ -406,10 +420,77 @@ fn recover_rejects_a_record_holding_a_version_1_count_min() {
         drop(store);
         assert!(Engine::recover(&dir, config).is_err_and(|e| old_version(&e)));
         assert_eq!(
-            segments(),
+            segments(&dir),
             before,
             "a failed recover must not rewrite the log"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A store whose segments hold records of two shard-record versions: an
+/// older segment's record stamped `SHARD_VERSION` 2 (checksum-valid) and a
+/// newer segment's current one. The log opens whole, the old epoch fails
+/// typed without its segment being touched, the newest epoch loads and
+/// recovers, and retention of one epoch reclaims the old segment.
+#[test]
+fn a_store_mixing_shard_record_versions_recovers_from_the_newest_epoch() {
+    let dir = tmpdir("mixed-versions");
+    let config = EngineConfig::with_shards(2)
+        .heavy_hitters(0.05, 0.01)
+        .count_min(0.01, 0.05, 5)
+        .persistence(
+            PersistenceConfig::new(&dir)
+                .interval_batches(u64::MAX / 2)
+                .segment_max_records(1),
+        );
+    let engine = Engine::spawn(config.clone());
+    let handle = engine.handle();
+    let stream: Vec<u64> = (0..8_000u64).map(|i| i % 97).collect();
+    for half in stream.chunks(4_000) {
+        handle.ingest(half).unwrap();
+        engine.drain().unwrap();
+        handle.snapshot_now().unwrap();
+    }
+    let live_hh = handle.heavy_hitters();
+    let live_cm: Vec<u64> = (0..97).map(|k| handle.cm_estimate(k)).collect();
+    engine.kill();
+
+    let files = segments(&dir);
+    assert_eq!(files.len(), 2, "one record per segment");
+    let old_segment = &files[0].0;
+    assert_eq!(restamp(old_segment, &[0x11, 3, 0, 0, 0, 0], 2), 1);
+    let old_bytes = std::fs::read(old_segment).unwrap();
+
+    let store = SnapshotStore::open(&dir, 8, 1).expect("both segments are intact");
+    assert_eq!(store.epochs(), vec![1, 2]);
+    assert!(matches!(
+        store.load(1),
+        Err(StoreError::Codec(
+            psfa::primitives::CodecError::UnsupportedVersion { found: 2 }
+        ))
+    ));
+    assert_eq!(store.load(2).expect("current record").total_items(), 8_000);
+    drop(store);
+    assert_eq!(std::fs::read(old_segment).unwrap(), old_bytes);
+
+    let recovered = Engine::recover(&dir, config).expect("recover from the newest epoch");
+    let handle = recovered.handle();
+    assert_eq!(handle.total_items(), 8_000);
+    assert_eq!(handle.heavy_hitters(), live_hh);
+    let cm: Vec<u64> = (0..97).map(|k| handle.cm_estimate(k)).collect();
+    assert_eq!(cm, live_cm);
+    recovered.kill();
+    assert_eq!(
+        std::fs::read(old_segment).unwrap(),
+        old_bytes,
+        "recovery leaves the old segment alone"
+    );
+
+    let mut store = SnapshotStore::open(&dir, 1, 1).unwrap();
+    assert_eq!(store.epochs(), vec![2]);
+    assert_eq!(store.compact().unwrap(), 1, "the old segment is reclaimed");
+    assert!(!old_segment.exists());
+    assert!(store.load(2).is_ok());
+    std::fs::remove_dir_all(&dir).unwrap();
 }

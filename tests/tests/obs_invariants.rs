@@ -2,9 +2,8 @@
 //! the same algebraic and concurrency laws as the data plane it watches.
 //!
 //! * [`AtomicLogHistogram`] snapshots merge **exactly** commutatively and
-//!   associatively (bucket-wise addition), and the canonical codec
-//!   round-trips every distribution — the mergeable-summaries contract
-//!   applied to latency histograms.
+//!   associatively (bucket-wise addition) — the mergeable-summaries
+//!   contract applied to latency histograms.
 //! * Percentiles are **one-sided**: never below the true quantile, above
 //!   it by at most one log-bucket (`2^-5` relative, exact below 32).
 //! * [`TraceRing`] never tears: under many concurrent writers every
@@ -40,12 +39,12 @@ proptest! {
     ) {
         let (a, b, c) = (snapshot_of(&xs), snapshot_of(&ys), snapshot_of(&zs));
 
-        // Commutative: a + b == b + a, byte-for-byte.
+        // Commutative: a + b == b + a, bucket for bucket.
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        prop_assert_eq!(ab.encode(), ba.encode());
+        prop_assert_eq!(&ab, &ba);
 
         // Associative: (a + b) + c == a + (b + c).
         let mut ab_c = ab;
@@ -54,26 +53,14 @@ proptest! {
         bc.merge(&c);
         let mut a_bc = a.clone();
         a_bc.merge(&bc);
-        prop_assert_eq!(ab_c.encode(), a_bc.encode());
+        prop_assert_eq!(&ab_c, &a_bc);
 
         // Merging equals recording the concatenation in one histogram.
         let mut all = Vec::new();
         all.extend_from_slice(&xs);
         all.extend_from_slice(&ys);
         all.extend_from_slice(&zs);
-        prop_assert_eq!(a_bc.encode(), snapshot_of(&all).encode());
-    }
-
-    #[test]
-    fn histogram_codec_round_trips(
-        values in prop::collection::vec(0u64..u64::MAX, 0..300),
-    ) {
-        let snap = snapshot_of(&values);
-        let decoded = HistogramSnapshot::decode(&snap.encode()).expect("decode");
-        prop_assert_eq!(decoded.encode(), snap.encode());
-        prop_assert_eq!(decoded.count(), values.len() as u64);
-        let (p, q) = (snap.percentiles(), decoded.percentiles());
-        prop_assert_eq!((p.p50, p.p90, p.p99, p.p999), (q.p50, q.p90, q.p99, q.p999));
+        prop_assert_eq!(a_bc, snapshot_of(&all));
     }
 
     #[test]
