@@ -131,6 +131,16 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends a run of little-endian `u64`s with one resize (no length
+    /// prefix; the byte-for-byte equivalent of `put_u64` on each).
+    pub fn put_u64s(&mut self, vs: &[u64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * vs.len(), 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Appends an `f64` as its IEEE-754 bit pattern (exact round-trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -141,6 +151,14 @@ impl ByteWriter {
         debug_assert!(bytes.len() <= u32::MAX as usize);
         self.put_u32(bytes.len() as u32);
         self.buf.extend_from_slice(bytes);
+    }
+}
+
+impl From<Vec<u8>> for ByteWriter {
+    /// A writer that appends after `buf`'s contents, in its allocation —
+    /// for sizing a writer up front or reusing one buffer across encodes.
+    fn from(buf: Vec<u8>) -> Self {
+        Self { buf }
     }
 }
 
@@ -189,6 +207,15 @@ impl<'a> ByteReader<'a> {
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+
+    /// Reads a run of `n` little-endian `u64`s with one bounds check. The
+    /// bytes are checked to be present before the result is allocated.
+    pub fn get_u64s(&mut self, n: usize) -> Result<Vec<u64>, CodecError> {
+        let b = self.take(n.saturating_mul(8))?;
+        Ok(b.chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect())
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -276,6 +303,33 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), 0.125);
         assert_eq!(r.get_bytes().unwrap(), b"hello");
         r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn bulk_u64_runs_match_the_scalar_layout() {
+        let values = [0, 1, u64::MAX, 0x0102_0304_0506_0708, 42];
+        let mut scalar = ByteWriter::new();
+        scalar.put_u8(9);
+        for &v in &values {
+            scalar.put_u64(v);
+        }
+        let mut bulk = ByteWriter::from(vec![9]);
+        bulk.put_u64s(&values);
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, scalar.into_bytes());
+
+        let mut r = ByteReader::new(&bytes[1..]);
+        assert_eq!(r.get_u64s(values.len()).unwrap(), values);
+        r.expect_end().unwrap();
+        // A run longer than the bytes present, or one whose byte count
+        // overflows, is refused before anything is allocated.
+        for n in [values.len() + 1, usize::MAX] {
+            let mut r = ByteReader::new(&bytes[1..]);
+            assert!(matches!(
+                r.get_u64s(n),
+                Err(CodecError::UnexpectedEof { remaining: 40, .. })
+            ));
+        }
     }
 
     #[test]

@@ -11,12 +11,17 @@ use std::time::Duration;
 
 use psfa_freq::HeavyHitter;
 
-use crate::protocol::{read_frame, write_frame, ErrorCode, FrameError, Request, Response};
+use crate::protocol::{
+    check_ingest_len, read_frame, write_ingest_frame, write_request_frame, ErrorCode, FrameError,
+    Request, Response,
+};
 
 /// Client-side failure of one request.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Transport or framing failed; the connection is no longer usable.
+    /// Transport or framing failed; the connection is no longer usable —
+    /// except after an outgoing [`FrameError::Oversize`], which is refused
+    /// before a byte is written.
     Frame(FrameError),
     /// The server answered with a typed [`Response::Error`].
     Server {
@@ -79,6 +84,9 @@ pub enum IngestOutcome {
 /// A blocking connection to a [`crate::Server`].
 pub struct Client {
     stream: TcpStream,
+    /// Outgoing frame, length prefix included; reused across requests.
+    frame: Vec<u8>,
+    /// Incoming response payload; reused across requests.
     buf: Vec<u8>,
 }
 
@@ -86,28 +94,34 @@ impl Client {
     /// Connects (with Nagle disabled — requests are small and
     /// latency-sensitive).
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client {
-            stream,
-            buf: Vec::new(),
-        })
+        Client::over(TcpStream::connect(addr)?)
     }
 
     /// Like [`Client::connect`] with a connect timeout.
     pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        Client::over(TcpStream::connect_timeout(&addr, timeout)?)
+    }
+
+    fn over(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true)?;
         Ok(Client {
             stream,
+            frame: Vec::new(),
             buf: Vec::new(),
         })
     }
 
     /// Sends one request and reads its response. Generic entry point —
-    /// the typed wrappers below are usually more convenient.
+    /// the typed wrappers below are usually more convenient. A request
+    /// too large for one frame is refused with [`FrameError::Oversize`]
+    /// before a byte is written; the connection stays usable.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &request.encode()).map_err(FrameError::Io)?;
+        write_request_frame(&mut self.stream, &mut self.frame, request)?;
+        self.response()
+    }
+
+    /// Reads the response to the request just written.
+    fn response(&mut self) -> Result<Response, ClientError> {
         let len = read_frame(&mut self.stream, &mut self.buf)?.ok_or_else(|| {
             ClientError::Frame(FrameError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -119,10 +133,7 @@ impl Client {
 
     /// Calls and unwraps a typed server error into [`ClientError::Server`].
     fn call_ok(&mut self, request: &Request) -> Result<Response, ClientError> {
-        match self.call(request)? {
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            response => Ok(response),
-        }
+        server_error(self.call(request)?)
     }
 
     /// Liveness probe.
@@ -133,10 +144,16 @@ impl Client {
         }
     }
 
-    /// Ingests one minibatch; [`IngestOutcome::Busy`] is the engine's
-    /// backpressure, not an error.
+    /// Ingests one minibatch, encoded straight from `items`;
+    /// [`IngestOutcome::Busy`] is the engine's backpressure, not an error.
+    /// A batch of more than `(MAX_FRAME_LEN − 7) / 8` items does not fit
+    /// in one frame and is refused with [`FrameError::Oversize`] before a
+    /// byte is written; the connection stays usable.
+    ///
+    /// [`MAX_FRAME_LEN`]: crate::MAX_FRAME_LEN
     pub fn ingest(&mut self, items: &[u64]) -> Result<IngestOutcome, ClientError> {
-        match self.call_ok(&Request::IngestBatch(items.to_vec()))? {
+        write_ingest_frame(&mut self.stream, &mut self.frame, items)?;
+        match server_error(self.response()?)? {
             Response::IngestAck { items } => Ok(IngestOutcome::Accepted(items)),
             Response::Busy => Ok(IngestOutcome::Busy),
             _ => Err(ClientError::Unexpected("expected IngestAck or Busy")),
@@ -189,6 +206,14 @@ impl Client {
             Response::MetricsText(text) => Ok(text),
             _ => Err(ClientError::Unexpected("expected MetricsText")),
         }
+    }
+}
+
+/// Unwraps a typed server error into [`ClientError::Server`].
+fn server_error(response: Response) -> Result<Response, ClientError> {
+    match response {
+        Response::Error { code, message } => Err(ClientError::Server { code, message }),
+        response => Ok(response),
     }
 }
 
@@ -273,6 +298,9 @@ impl RetryPolicy {
 /// Whether one attempt's failure is worth another connection/attempt.
 fn retryable(error: &ClientError) -> bool {
     match error {
+        // A frame too large to send (or announced too large by the peer)
+        // is just as large on the next attempt.
+        ClientError::Frame(FrameError::Oversize { .. }) => false,
         // Transport failures (connection drop, reset, EOF mid-frame)
         // are exactly what reconnect-and-retry is for.
         ClientError::Frame(_) => true,
@@ -392,8 +420,11 @@ impl RetryingClient {
     }
 
     /// Ingests one minibatch, retrying [`Response::Busy`] backpressure and
-    /// broken streams. Returns the accepted item count.
+    /// broken streams. Returns the accepted item count. A batch too large
+    /// for one frame is refused as [`Client::ingest`] refuses it, with no
+    /// attempt, retry or reconnect.
     pub fn ingest(&mut self, items: &[u64]) -> Result<u64, ClientError> {
+        check_ingest_len(items.len())?;
         self.retrying(|client| {
             Ok(match client.ingest(items)? {
                 IngestOutcome::Accepted(n) => Some(n),

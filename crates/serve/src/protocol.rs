@@ -21,6 +21,17 @@
 //! Item batches ride as `u32` count + that many `u64`s, validated against
 //! the bytes actually present ([`ByteReader::get_len`]); text rides as
 //! `u32`-length-prefixed UTF-8.
+//!
+//! ## The ingest frame path
+//!
+//! An ingest batch's items are copied in bulk, once per hop: encoding is
+//! one `resize` and a pass of 8-byte stores ([`ByteWriter::put_u64s`])
+//! into a writer sized exactly for the frame, decoding one bounds check
+//! and a pass of 8-byte loads ([`ByteReader::get_u64s`]). [`crate::Client`]
+//! encodes straight from the caller's borrowed slice into one frame
+//! buffer it reuses per connection, length prefix included. Every frame —
+//! prefix and payload — leaves in one `write_all`, so under `TCP_NODELAY`
+//! no 4-byte segment runs ahead of its payload.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -28,8 +39,9 @@ use std::io::{self, Read, Write};
 use psfa_freq::HeavyHitter;
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 
-/// Hard ceiling on a frame's payload size (4 MiB — room for a 512k-item
-/// ingest batch). Both sides refuse larger frames before allocating.
+/// Hard ceiling on a frame's payload size (4 MiB — room for an ingest
+/// batch of `(MAX_FRAME_LEN − 7) / 8` = 524,287 items). Both sides refuse
+/// larger frames: the reader before allocating, the client before writing.
 pub const MAX_FRAME_LEN: usize = 4 << 20;
 
 /// Payload type tag of a request frame.
@@ -114,20 +126,50 @@ const REQ_SLIDING_ESTIMATE: u8 = 5;
 const REQ_SLIDING_HEAVY_HITTERS: u8 = 6;
 const REQ_METRICS: u8 = 7;
 
+/// Bytes of a frame's length prefix.
+const PREFIX_LEN: usize = 4;
+/// Bytes ahead of every payload's body: tag, version, kind.
+const KIND_LEN: usize = 3;
+
+/// Payload length of an ingest request for `items` items: the kind
+/// header, the `u32` count, then the items.
+fn ingest_len(items: usize) -> usize {
+    KIND_LEN + 4 + 8 * items
+}
+
+/// Encodes an ingest request body for `items` — the one layout behind both
+/// [`Request::encode`] and [`crate::Client::ingest`].
+fn put_ingest_body(w: &mut ByteWriter, items: &[u64]) {
+    w.put_u8(REQ_INGEST);
+    w.put_u32(items.len() as u32);
+    w.put_u64s(items);
+}
+
 impl Request {
     /// Encodes the request as one frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::from(Vec::with_capacity(self.encoded_len()));
         put_header(&mut w, REQUEST_TAG, PROTOCOL_VERSION);
+        self.put_body(&mut w);
+        w.into_bytes()
+    }
+
+    /// Exactly the length of [`Request::encode`]'s output.
+    fn encoded_len(&self) -> usize {
+        match self {
+            Request::IngestBatch(items) => ingest_len(items.len()),
+            Request::Estimate(_) | Request::CmEstimate(_) | Request::SlidingEstimate(_) => {
+                KIND_LEN + 8
+            }
+            _ => KIND_LEN,
+        }
+    }
+
+    /// The payload after the tag and version: the kind byte, then the body.
+    fn put_body(&self, w: &mut ByteWriter) {
         match self {
             Request::Ping => w.put_u8(REQ_PING),
-            Request::IngestBatch(items) => {
-                w.put_u8(REQ_INGEST);
-                w.put_u32(items.len() as u32);
-                for &item in items {
-                    w.put_u64(item);
-                }
-            }
+            Request::IngestBatch(items) => put_ingest_body(w, items),
             Request::Estimate(item) => {
                 w.put_u8(REQ_ESTIMATE);
                 w.put_u64(*item);
@@ -144,7 +186,6 @@ impl Request {
             Request::SlidingHeavyHitters => w.put_u8(REQ_SLIDING_HEAVY_HITTERS),
             Request::Metrics => w.put_u8(REQ_METRICS),
         }
-        w.into_bytes()
     }
 
     /// Decodes one frame payload. Truncation, a wrong tag, an unknown
@@ -156,11 +197,7 @@ impl Request {
             REQ_PING => Request::Ping,
             REQ_INGEST => {
                 let len = r.get_len(8)?;
-                let mut items = Vec::with_capacity(len);
-                for _ in 0..len {
-                    items.push(r.get_u64()?);
-                }
-                Request::IngestBatch(items)
+                Request::IngestBatch(r.get_u64s(len)?)
             }
             REQ_ESTIMATE => Request::Estimate(r.get_u64()?),
             REQ_CM_ESTIMATE => Request::CmEstimate(r.get_u64()?),
@@ -321,7 +358,7 @@ fn utf8(r: &mut ByteReader<'_>) -> Result<String, CodecError> {
         .map_err(|_| CodecError::Invalid("text field is not UTF-8"))
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) in one write.
 ///
 /// # Panics
 /// Panics if `payload` exceeds [`MAX_FRAME_LEN`] — a frame that large can
@@ -331,8 +368,76 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         payload.len() <= MAX_FRAME_LEN,
         "outgoing frame exceeds MAX_FRAME_LEN"
     );
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    start_frame(&mut frame, payload.len());
+    frame.extend_from_slice(payload);
+    send(w, &frame)
+}
+
+/// Writes one request frame in one write, built in `frame` (a buffer the
+/// caller reuses across frames). An oversize request is refused with
+/// [`FrameError::Oversize`] before a byte is encoded or written.
+pub(crate) fn write_request_frame(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    request: &Request,
+) -> Result<(), FrameError> {
+    write_request(w, frame, request.encoded_len(), |out| request.put_body(out))
+}
+
+/// [`write_request_frame`] for an ingest of the borrowed `items`, encoded
+/// straight from the slice.
+pub(crate) fn write_ingest_frame(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    items: &[u64],
+) -> Result<(), FrameError> {
+    write_request(w, frame, ingest_len(items.len()), |out| {
+        put_ingest_body(out, items)
+    })
+}
+
+/// Refuses an ingest of `items` items that cannot fit in one frame.
+pub(crate) fn check_ingest_len(items: usize) -> Result<(), FrameError> {
+    check_len(ingest_len(items))
+}
+
+fn check_len(len: usize) -> Result<(), FrameError> {
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversize { len });
+    }
+    Ok(())
+}
+
+/// Builds a request frame with a `len`-byte payload in `frame` — prefix,
+/// tag and version, then what `body` writes — and sends it.
+fn write_request(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    len: usize,
+    body: impl FnOnce(&mut ByteWriter),
+) -> Result<(), FrameError> {
+    check_len(len)?;
+    start_frame(frame, len);
+    let mut out = ByteWriter::from(std::mem::take(frame));
+    put_header(&mut out, REQUEST_TAG, PROTOCOL_VERSION);
+    body(&mut out);
+    *frame = out.into_bytes();
+    debug_assert_eq!(frame.len(), PREFIX_LEN + len, "payload length mismatch");
+    Ok(send(w, frame)?)
+}
+
+/// Clears `frame` and writes the length prefix of a `len`-byte payload,
+/// with room reserved for the payload.
+fn start_frame(frame: &mut Vec<u8>, len: usize) {
+    frame.clear();
+    frame.reserve(PREFIX_LEN + len);
+    frame.extend_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// The one frame writer: the whole frame in one `write_all`.
+fn send(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    w.write_all(frame)?;
     w.flush()
 }
 
@@ -420,6 +525,91 @@ mod tests {
         for resp in all_responses() {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        for req in all_requests() {
+            assert_eq!(req.encoded_len(), req.encode().len(), "{req:?}");
+        }
+    }
+
+    /// A `Write` that records the length of every `write` call.
+    #[derive(Default)]
+    struct Recorder {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        let payloads = all_requests()
+            .iter()
+            .map(Request::encode)
+            .chain(all_responses().iter().map(Response::encode))
+            .collect::<Vec<_>>();
+        for payload in payloads {
+            let mut wire = Recorder::default();
+            write_frame(&mut wire, &payload).unwrap();
+            assert_eq!(wire.writes, [4 + payload.len()]);
+        }
+        // The client's frames, built in one reused buffer: one write each,
+        // byte-identical to `write_frame` of the encoded request.
+        let mut frame = Vec::new();
+        let items: Vec<u64> = (0..8192).map(|i| i * 0x9E37_79B9).collect();
+        for req in all_requests()
+            .into_iter()
+            .chain([Request::IngestBatch(items.clone())])
+        {
+            let mut expected = Vec::new();
+            write_frame(&mut expected, &req.encode()).unwrap();
+            let mut wire = Recorder::default();
+            write_request_frame(&mut wire, &mut frame, &req).unwrap();
+            assert_eq!(wire.writes, [expected.len()]);
+            assert_eq!(wire.bytes, expected);
+            if let Request::IngestBatch(items) = &req {
+                let mut wire = Recorder::default();
+                write_ingest_frame(&mut wire, &mut frame, items).unwrap();
+                assert_eq!(wire.writes, [expected.len()]);
+                assert_eq!(wire.bytes, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn oversize_request_is_refused_before_a_byte_is_written() {
+        let most = (MAX_FRAME_LEN - 7) / 8;
+        let mut frame = Vec::new();
+        let mut wire = Recorder::default();
+        write_ingest_frame(&mut wire, &mut frame, &vec![1; most]).unwrap();
+        assert_eq!(wire.bytes.len(), 4 + 7 + 8 * most);
+
+        let mut wire = Recorder::default();
+        let batch = Request::IngestBatch(vec![1; most + 1]);
+        for result in [
+            write_ingest_frame(&mut wire, &mut frame, &vec![1; most + 1]),
+            write_request_frame(&mut wire, &mut frame, &batch),
+        ] {
+            assert!(matches!(
+                result,
+                Err(FrameError::Oversize { len }) if len == 7 + 8 * (most + 1)
+            ));
+        }
+        assert!(check_ingest_len(most).is_ok());
+        assert!(check_ingest_len(most + 1).is_err());
+        assert!(wire.writes.is_empty());
     }
 
     #[test]

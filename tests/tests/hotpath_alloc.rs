@@ -8,21 +8,27 @@
 //! of it, the MG tables are sized once for `2S` counters, the cut-off
 //! selection runs in place, and every buffer is reused).
 //!
-//! One `#[test]` in its own binary: the counting `#[global_allocator]`
-//! below is process-wide, and it counts only on the thread that raised
-//! `AUDITED`, so the test harness's own threads cannot disturb the count.
+//!
+//! The same holds for the client side of the wire: after warm-up,
+//! `Client::ingest` of an 8,192-item frame into a loopback `Server` — the
+//! encode straight from the borrowed slice into the connection's reused
+//! frame buffer, the one write, the response read and decode — performs
+//! **zero** heap allocations on the calling thread.
+//!
+//! The counting `#[global_allocator]` below is process-wide, but it counts
+//! only on a thread that raised its own `AUDITED`, into that thread's own
+//! counter, so the tests (and the server's threads) cannot disturb each
+//! other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use psfa::prelude::*;
 use psfa::primitives::build_hist_into;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static AUDITED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
@@ -30,14 +36,23 @@ struct CountingAllocator;
 impl CountingAllocator {
     fn count(&self) {
         if AUDITED.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         }
     }
 }
 
+/// Heap allocations `f` makes on the calling thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.get();
+    AUDITED.set(true);
+    let _ = std::hint::black_box(f());
+    AUDITED.set(false);
+    ALLOCATIONS.get() - before
+}
+
 // SAFETY: every operation is delegated to `System` unchanged; the counter
-// is a side effect only (`AUDITED` is const-initialised and has no
-// destructor, so reading it never allocates).
+// is a side effect only (`AUDITED` and `ALLOCATIONS` are const-initialised
+// and have no destructor, so touching them never allocates).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count();
@@ -73,26 +88,24 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
     // Allocations made by one pass of every batch through the cycle, batch
     // `short` cut to a third of its length.
     let mut pass = |short: Option<usize>| {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        AUDITED.set(true);
-        for (index, batch) in batches.iter().enumerate() {
-            let batch = match short {
-                Some(short) if short == index => &batch[..batch.len() / 3],
-                _ => &batch[..],
-            };
-            let mut parts = pool.checkout();
-            router.partition_into(batch, &mut parts);
-            let sub = std::mem::take(&mut parts[0]);
-            pool.checkin(parts);
-            seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-            build_hist_into(&sub, seed, &mut scratch, &mut hist);
-            hh.process_histogram(&hist, sub.len() as u64);
-            window.process_histogram(&hist, sub.len() as u64);
-            count_min.ingest_histogram(&hist);
-            pool.give_back(0, sub);
-        }
-        AUDITED.set(false);
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        allocations_in(|| {
+            for (index, batch) in batches.iter().enumerate() {
+                let batch = match short {
+                    Some(short) if short == index => &batch[..batch.len() / 3],
+                    _ => &batch[..],
+                };
+                let mut parts = pool.checkout();
+                router.partition_into(batch, &mut parts);
+                let sub = std::mem::take(&mut parts[0]);
+                pool.checkin(parts);
+                seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+                build_hist_into(&sub, seed, &mut scratch, &mut hist);
+                hh.process_histogram(&hist, sub.len() as u64);
+                window.process_histogram(&hist, sub.len() as u64);
+                count_min.ingest_histogram(&hist);
+                pool.give_back(0, sub);
+            }
+        })
     };
 
     let warm_up = pass(None);
@@ -105,4 +118,33 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
         0,
         "the recycled hot path must not allocate at steady state"
     );
+}
+
+#[test]
+fn client_ingest_allocates_nothing_at_steady_state() {
+    let engine = Engine::spawn(EngineConfig::with_shards(2).heavy_hitters(0.01, 0.001));
+    let server = Server::spawn(engine.handle(), ServeConfig::default()).expect("server");
+    let mut client = Client::connect(server.local_addr()).expect("client");
+    let mut generator = ZipfGenerator::new(100_000, 1.2, 62);
+    let frames: Vec<Vec<u64>> = (0..16).map(|_| generator.next_minibatch(8_192)).collect();
+    let mut ingest_all = || {
+        for frame in &frames {
+            // Busy is backpressure, not an error: either answer is a full
+            // round trip over the connection's reused buffers.
+            client.ingest(frame).expect("ingest over loopback");
+        }
+    };
+
+    let warm_up = allocations_in(&mut ingest_all);
+    assert!(
+        warm_up > 0,
+        "the counting allocator is not installed: sizing the frame buffer must allocate"
+    );
+    assert_eq!(
+        allocations_in(&mut ingest_all),
+        0,
+        "Client::ingest must not allocate at steady state"
+    );
+    server.shutdown();
+    engine.shutdown().unwrap();
 }

@@ -12,7 +12,13 @@
 //!    structurally valid message — it never panics and never drives an
 //!    allocation from a corrupt length field;
 //! 4. the frame layer rejects oversized length prefixes *before*
-//!    allocating a receive buffer.
+//!    allocating a receive buffer;
+//! 5. the ingest request's bytes are pinned — exact bytes for a short
+//!    batch, length and FNV-1a hash for a full 8,192-item frame, and a
+//!    hand-built layout for every length below 600 — so a faster encoder
+//!    cannot move the wire format (`PROTOCOL_VERSION` 1);
+//! 6. hostile ingest bodies (a count the bytes cannot hold, trailing
+//!    bytes, a body that is not whole items) fail typed.
 
 use proptest::prelude::*;
 
@@ -68,8 +74,86 @@ fn response_strategy() -> impl Strategy<Value = Response> {
     ]
 }
 
+/// The ingest payload laid out by hand: tag, version, kind, `u32` LE
+/// count, then each item as a `u64` LE.
+fn ingest_layout(items: &[u64]) -> Vec<u8> {
+    let mut bytes = vec![0xA0, 1, 1];
+    bytes.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for item in items {
+        bytes.extend_from_slice(&item.to_le_bytes());
+    }
+    bytes
+}
+
+#[test]
+fn ingest_bytes_are_pinned() {
+    let bytes = Request::IngestBatch(vec![1, 2, 3, u64::MAX]).encode();
+    #[rustfmt::skip]
+    let expected: [u8; 39] = [
+        0xA0, 1, 1, 4, 0, 0, 0,
+        1, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0, 0, 0, 0, 0,
+        0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    ];
+    assert_eq!(bytes, expected);
+}
+
+#[test]
+fn full_ingest_frame_is_pinned() {
+    // 8,192 splitmix64 draws from a fixed seed: the benchmark's frame size.
+    let mut state = 0x2901u64;
+    let items: Vec<u64> = (0..8192)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+        .collect();
+    let bytes = Request::IngestBatch(items).encode();
+    let fnv1a = bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    assert_eq!(bytes.len(), 65_543);
+    assert_eq!(fnv1a, 0xB74C_BBEA_92DB_AB69);
+}
+
+#[test]
+fn hostile_ingest_bodies_fail_typed() {
+    let body = |count: u32, body_bytes: usize| {
+        let mut bytes = vec![0xA0, 1, 1];
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend((0..body_bytes).map(|i| i as u8));
+        Request::decode(&bytes)
+    };
+    // More items claimed than the body holds.
+    assert!(matches!(body(4, 24), Err(CodecError::UnexpectedEof { .. })));
+    assert!(matches!(
+        body(u32::MAX, 24),
+        Err(CodecError::UnexpectedEof { .. })
+    ));
+    // Fewer items claimed than the body holds: trailing bytes.
+    assert!(matches!(body(2, 24), Err(CodecError::Invalid(_))));
+    // A body that is not whole items, under- and over-claimed.
+    assert!(matches!(body(2, 20), Err(CodecError::Invalid(_))));
+    assert!(matches!(body(3, 20), Err(CodecError::UnexpectedEof { .. })));
+    assert!(matches!(body(0, 3), Err(CodecError::Invalid(_))));
+    // The well-formed neighbour decodes.
+    assert!(matches!(body(3, 24), Ok(Request::IngestBatch(items)) if items.len() == 3));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn ingest_encoding_matches_the_hand_built_layout(
+        items in prop::collection::vec(any::<u64>(), 0..600),
+    ) {
+        let encoded = Request::IngestBatch(items.clone()).encode();
+        prop_assert_eq!(encoded, ingest_layout(&items));
+    }
 
     #[test]
     fn requests_round_trip(request in request_strategy()) {

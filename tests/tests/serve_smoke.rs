@@ -13,6 +13,9 @@
 //!   leaves the engine fully usable.
 //! * A `RetryingClient` rides out injected connection drops: it reconnects,
 //!   and a retried ingest is never counted twice.
+//! * A batch too large for one frame is refused typed before a byte is
+//!   written: the connection stays usable, and a `RetryingClient` neither
+//!   retries nor reconnects.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -204,6 +207,52 @@ fn retrying_client_survives_injected_connection_drops() {
     // A swallowed request was never applied, so its retry is the only
     // application: the count is exact, not "at least".
     assert_eq!(engine.handle().total_items(), 12_000);
+    engine.shutdown().unwrap();
+}
+
+#[test]
+fn oversize_ingest_is_refused_typed_and_the_connection_survives() {
+    let engine = Engine::spawn(EngineConfig::with_shards(2).heavy_hitters(0.05, 0.01));
+    let server = Server::spawn(engine.handle(), ServeConfig::default()).expect("server");
+    let addr = server.local_addr();
+    // tag · version · kind · u32 count, then 8 bytes per item.
+    let most = (MAX_FRAME_LEN - 7) / 8;
+    assert_eq!(most, 524_287);
+    let batch: Vec<u64> = (0..most as u64 + 1).map(|i| i % 1_000).collect();
+
+    let mut client = Client::connect(addr).expect("client");
+    assert_eq!(
+        client.ingest(&batch[..most]).expect("the largest frame"),
+        IngestOutcome::Accepted(most as u64)
+    );
+    match client.ingest(&batch) {
+        Err(ClientError::Frame(FrameError::Oversize { len })) => {
+            assert_eq!(len, 7 + 8 * (most + 1))
+        }
+        other => panic!("expected a typed Oversize refusal, got {other:?}"),
+    }
+    // Nothing was written, so the same connection carries on.
+    assert_eq!(
+        client
+            .ingest(&[7, 7, 3])
+            .expect("small batch after the refusal"),
+        IngestOutcome::Accepted(3)
+    );
+
+    let mut retrying = RetryingClient::connect(addr, RetryPolicy::default()).expect("client");
+    assert!(matches!(
+        retrying.ingest(&batch),
+        Err(ClientError::Frame(FrameError::Oversize { .. }))
+    ));
+    assert_eq!(retrying.reconnects(), 0);
+    assert_eq!(retrying.busy_retries(), 0);
+    assert_eq!(retrying.ingest(&[7]).expect("small batch"), 1);
+    assert_eq!(retrying.reconnects(), 0);
+
+    let metrics = server.shutdown();
+    assert_eq!(metrics.frame_errors, 0);
+    engine.drain().unwrap();
+    assert_eq!(engine.handle().total_items(), most as u64 + 4);
     engine.shutdown().unwrap();
 }
 
