@@ -25,8 +25,12 @@ use crate::obs::ObsConfig;
 pub struct EngineConfig {
     /// Number of shard workers (and worker threads).
     pub shards: usize,
-    /// Bounded per-shard queue capacity, in minibatches. When a queue is
-    /// full, [`crate::EngineHandle::ingest`] blocks — backpressure.
+    /// Bounded per-shard queue capacity, in routed sub-batches (one per
+    /// ingested minibatch that touches the shard). When a queue is full,
+    /// [`crate::EngineHandle::ingest`] blocks — backpressure — and
+    /// [`crate::EngineHandle::try_ingest`] answers `Busy`. The worker folds
+    /// the sub-batches already queued into one minibatch, so a deeper queue
+    /// also allows deeper minibatches (at most 16 sub-batches each).
     pub queue_capacity: usize,
     /// How minibatches are routed across shards.
     pub routing: RoutingPolicy,
@@ -110,7 +114,7 @@ impl EngineConfig {
         }
     }
 
-    /// Sets the per-shard queue capacity (in minibatches).
+    /// Sets the per-shard queue capacity (in routed sub-batches).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self

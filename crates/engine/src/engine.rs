@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use psfa_freq::{
-    heavy_hitter_report, merge_sum, GlobalWindow, HeavyHitter, ParallelFrequencyEstimator,
+    heavy_hitter_report_across, GlobalWindow, HeavyHitter, ParallelFrequencyEstimator,
 };
 use psfa_obs::{TraceEvent, TraceKind, NO_SHARD};
 use psfa_sketch::AtomicCountMin;
@@ -18,7 +18,7 @@ use psfa_store::{
 use psfa_stream::{BufferPool, IngestFence, Placement, Router, WindowFence, WindowFenceState};
 
 use crate::config::EngineConfig;
-use crate::metrics::{EngineMetrics, ShardHealth, WindowMetrics};
+use crate::metrics::{EngineMetrics, ShardHealth, ShardMetrics, WindowMetrics};
 use crate::obs::{EngineObs, QueryKind};
 use crate::persist::{Flusher, PersistWindow, Persister};
 use crate::shard::{ShardCommand, ShardShared, ShardSnapshot, ShardWorker};
@@ -214,18 +214,20 @@ pub struct Degraded {
 /// The shard worker supervisor: runs the worker under `catch_unwind` and
 /// restarts it from the shard's last published snapshot after a panic.
 ///
-/// The supervisor — not the worker — owns the command `Receiver`, so a
-/// panic never disconnects the channel: producers keep their backpressure
-/// semantics (`Busy`, blocking sends) instead of seeing `Closed`, queued
-/// commands — minibatches and cuts alike — survive the restart, and the
-/// reborn worker resumes the same queue. The shard's health is published through
-/// [`crate::ShardHealth`] in the shared stats: `Quarantined` while down
+/// The supervisor — not the worker — owns the command `Receiver` and its
+/// one-slot lookahead (the command that ended the worker's last folded
+/// minibatch), so a panic never disconnects the channel: producers keep
+/// their backpressure semantics (`Busy`, blocking sends) instead of seeing
+/// `Closed`, queued and held commands — minibatches and cuts alike —
+/// survive the restart, and the reborn worker resumes the same queue. The
+/// shard's health is published through [`crate::ShardHealth`] in the
+/// shared stats: `Quarantined` while down
 /// ([`EngineHandle::degradation`] names the shard meanwhile), back to `Live`
 /// after the reseed, and `Dead` once the restart budget
 /// ([`EngineConfig::worker_restart_limit`]) is exhausted — at which point
 /// the original panic is resumed so [`Engine::shutdown`] reports the shard
 /// in a typed [`ShutdownError`] instead of aborting.
-fn supervise(
+pub(crate) fn supervise(
     shard: usize,
     config: EngineConfig,
     shared: Arc<ShardShared>,
@@ -236,8 +238,11 @@ fn supervise(
 ) -> ShardState {
     use std::sync::atomic::Ordering;
     let mut worker = first;
+    let mut held = None;
     loop {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(&queue)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            worker.resume(&queue, &mut held)
+        }));
         let payload = match outcome {
             Ok(fin) => return fin,
             Err(payload) => payload,
@@ -331,7 +336,12 @@ impl Engine {
         );
         // Sub-batch buffers circulate producers → workers → producers; a
         // lane never needs to park more buffers than can be in flight on
-        // one queue (capacity) plus a checkout in progress.
+        // one queue (capacity) plus a checkout in progress. The bound is
+        // also what a lane retains — buffers a contended checkout
+        // allocated anew fill it — so it is not raised for folding: a lane
+        // that has taken back a folded group of `g` keeps `g − 1` more
+        // (`BufferPool::give_back_all`), and a shard that never folds
+        // holds what it did before folding existed.
         let pool = Arc::new(BufferPool::new(config.shards, config.queue_capacity + 2));
         // Observability is opt-in: `None` here compiles every instrumentation
         // point in the hot paths down to an untaken branch.
@@ -701,7 +711,7 @@ pub struct EngineHandle {
     epsilon: f64,
     window: Option<u64>,
     window_panes: usize,
-    /// Per-shard queue capacity in minibatches — the admission threshold
+    /// Per-shard channel capacity in sub-batches — the admission threshold
     /// of [`Admission::Shed`].
     queue_capacity: usize,
 }
@@ -818,12 +828,14 @@ impl EngineHandle {
         };
         self.router.partition_into(minibatch, parts);
         self.trace_hot_promotions();
-        // Shedding admits only if every target shard has queue room *now*,
-        // before any send, so `Busy` is a clean rejection.
+        // Shedding admits only if every target shard's channel has room
+        // *now*, before any send, so `Busy` is a clean rejection. The
+        // batches a worker has already taken off its channel (the
+        // minibatch it is applying) take no room there.
         if admission == Admission::Shed
             && parts.iter().enumerate().any(|(shard, part)| {
                 !part.is_empty()
-                    && self.shared[shard].stats.queue_depth() >= self.queue_capacity as u64
+                    && self.shared[shard].stats.channel_depth() >= self.queue_capacity as u64
             })
         {
             return Err(Refused::Busy);
@@ -1236,14 +1248,16 @@ impl EngineHandle {
         })
     }
 
-    /// Live φ-heavy hitters of the full stream, merged across shards from
+    /// Live φ-heavy hitters of the full stream, summed across shards from
     /// the current snapshots, most frequent first.
     ///
     /// Per-shard summary entries are **summed by key** before thresholding,
     /// so a hot key split across shards by the skew-aware router is judged
-    /// by its global estimate, not its largest fragment. Snapshots keep
-    /// their entries sorted by item, so the merge is a linear sorted merge
-    /// ([`psfa_freq::merge_sum`]) — no hashing. Guarantees over the
+    /// by its global estimate, not its largest fragment. No shard's entries
+    /// are merged: a key whose sum reaches the threshold holds at least
+    /// `1/shards` of it on some shard, so only such keys are summed, by one
+    /// binary search per item-sorted snapshot
+    /// ([`psfa_freq::heavy_hitter_report_across`]). Guarantees over the
     /// observed prefix of `m` items: every item with true frequency `≥ φm`
     /// is reported (its summed estimate is at least `f − ε·m ≥ (φ − ε)m`);
     /// no item with true frequency `< (φ − ε)m` is reported (summed
@@ -1252,15 +1266,8 @@ impl EngineHandle {
         self.timed(QueryKind::HeavyHitters, || {
             let snapshots = self.snapshots();
             let m: u64 = snapshots.iter().map(|s| s.stream_len).sum();
-            let mut merged: Vec<(u64, u64)> = Vec::new();
-            for snapshot in &snapshots {
-                if merged.is_empty() {
-                    merged = snapshot.hh_entries.clone();
-                } else if !snapshot.hh_entries.is_empty() {
-                    merged = merge_sum(&merged, &snapshot.hh_entries);
-                }
-            }
-            heavy_hitter_report(merged, self.phi, self.epsilon, m)
+            let entries: Vec<&[(u64, u64)]> = snapshots.iter().map(|s| &s.hh_entries[..]).collect();
+            heavy_hitter_report_across(&entries, self.phi, self.epsilon, m)
         })
     }
 
@@ -1348,18 +1355,35 @@ impl EngineHandle {
     pub fn prometheus_text(&self) -> Option<String> {
         let metrics = self.metrics();
         let mut text = metrics.obs?.prometheus_text();
-        // The one per-shard gauge: how far each published snapshot trails
-        // its worker right now (see `ShardMetrics::snapshot_lag`).
-        text.push_str(
-            "# HELP psfa_snapshot_lag_batches minibatches processed beyond the shard's published snapshot\n\
-             # TYPE psfa_snapshot_lag_batches gauge\n",
+        let mut per_shard =
+            |name: &str, kind: &str, help: &str, value: fn(&ShardMetrics) -> u64| {
+                text.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+                for s in &metrics.shards {
+                    text.push_str(&format!("{name}{{shard=\"{}\"}} {}\n", s.shard, value(s)));
+                }
+            };
+        // How far each published snapshot trails its worker right now (see
+        // `ShardMetrics::snapshot_lag`).
+        per_shard(
+            "psfa_snapshot_lag_batches",
+            "gauge",
+            "routed sub-batches processed beyond the shard's published snapshot",
+            |s| s.snapshot_lag,
         );
-        for s in &metrics.shards {
-            text.push_str(&format!(
-                "psfa_snapshot_lag_batches{{shard=\"{}\"}} {}\n",
-                s.shard, s.snapshot_lag
-            ));
-        }
+        // Batches against the minibatches they were folded into: the ratio
+        // is each shard's running fold factor.
+        per_shard(
+            "psfa_batches_processed_total",
+            "counter",
+            "routed sub-batches the shard's worker has processed",
+            |s| s.batches_processed,
+        );
+        per_shard(
+            "psfa_minibatches_processed_total",
+            "counter",
+            "minibatches the shard's worker has applied, each one or more folded sub-batches",
+            |s| s.minibatches_processed,
+        );
         Some(text)
     }
 
@@ -2036,6 +2060,20 @@ mod tests {
         assert!(text.contains("quantile=\"0.99\""));
         // Drained: every shard's published snapshot is exactly current.
         assert!(text.contains("psfa_snapshot_lag_batches{shard=\"0\"} 0\n"));
+        // Each shard's fold factor: sub-batches and the minibatches they
+        // were applied as.
+        let m = handle.metrics();
+        for s in &m.shards {
+            assert!(s.minibatches_processed <= s.batches_processed);
+            assert!(text.contains(&format!(
+                "psfa_batches_processed_total{{shard=\"{}\"}} {}\n",
+                s.shard, s.batches_processed
+            )));
+            assert!(text.contains(&format!(
+                "psfa_minibatches_processed_total{{shard=\"{}\"}} {}\n",
+                s.shard, s.minibatches_processed
+            )));
+        }
 
         engine.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2057,10 +2095,10 @@ mod tests {
     #[test]
     fn busy_is_a_clean_rejection_while_the_worker_is_stalled() {
         // One shard, capacity 1, and a worker that holds every batch for
-        // `HOLD` before touching it: `queue_depth = enqueued − processed`
-        // stays pinned at capacity from the first accept until the hold
-        // ends, so every non-blocking offer in between must be shed
-        // without touching the enqueue counters.
+        // `HOLD` before taking it off the channel: the channel's occupancy
+        // (`enqueued − dequeued`) stays pinned at capacity from the first
+        // accept until the hold ends, so every non-blocking offer in
+        // between must be shed without touching the enqueue counters.
         const HOLD: std::time::Duration = std::time::Duration::from_millis(400);
         let engine = Engine::spawn(
             EngineConfig::with_shards(1)
@@ -2085,6 +2123,43 @@ mod tests {
         assert_eq!(handle.total_items(), 13);
         engine.shutdown().unwrap();
         assert_eq!(producer.try_ingest(&[1]), Err(TryIngestError::Closed));
+    }
+
+    #[test]
+    fn a_worker_holding_a_folded_group_leaves_its_channel_room() {
+        // One shard, capacity 2, and a worker that holds every batch for
+        // `HOLD` as it takes it off the channel — folded ones included.
+        const HOLD: std::time::Duration = std::time::Duration::from_millis(500);
+        let engine = Engine::spawn(
+            EngineConfig::with_shards(1)
+                .queue_capacity(2)
+                .heavy_hitters(0.05, 0.01)
+                .fault_injection(crate::FaultPlan::new().with_worker_delay(0, HOLD)),
+        );
+        let handle = engine.handle();
+        let skewed = [1, 1, 1, 1, 2, 2];
+        // The first batch builds the histogram that shows the input
+        // compresses; from then on the worker folds what is queued.
+        handle.try_ingest(&skewed).unwrap();
+        engine.drain().unwrap();
+        handle.try_ingest(&skewed).unwrap();
+        handle.try_ingest(&skewed).unwrap();
+        let stats = &handle.shared[0].stats;
+        let dequeued = || {
+            stats
+                .batches_dequeued
+                .load(std::sync::atomic::Ordering::Acquire)
+        };
+        while dequeued() < 2 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        // The worker holds batch 2 in its group while it takes batch 3: two
+        // batches are in flight, none is on the channel, and counting the
+        // held ones as queued would shed this one.
+        assert_eq!(handle.try_ingest(&skewed), Ok(()));
+        engine.drain().unwrap();
+        assert_eq!(handle.total_items(), 4 * skewed.len() as u64);
+        engine.shutdown().unwrap();
     }
 
     #[test]

@@ -65,7 +65,13 @@ pub(crate) struct ShardStats {
     pub items_enqueued: AtomicU64,
     pub items_processed: AtomicU64,
     pub batches_enqueued: AtomicU64,
+    /// Batches the worker has taken off the channel (processed, folded
+    /// into the minibatch being applied, or lost to a panic).
+    pub batches_dequeued: AtomicU64,
     pub batches_processed: AtomicU64,
+    /// Minibatches the worker has applied: each is one or more queued
+    /// batches folded together.
+    pub minibatches_processed: AtomicU64,
     /// Newest window boundary this shard has sealed (`0` before the first
     /// or without a window).
     pub window_seq: AtomicU64,
@@ -78,14 +84,25 @@ pub(crate) struct ShardStats {
 }
 
 impl ShardStats {
-    /// Minibatches queued or in flight. Reads processed before enqueued,
-    /// so a racing worker can only make the depth over-report — it never
-    /// goes negative and never under-reports room taken.
+    /// Batches queued or in flight: enqueued and not yet processed. Reads
+    /// processed before enqueued, so a racing worker can only make the
+    /// depth over-report — it never goes negative.
     pub(crate) fn queue_depth(&self) -> u64 {
         let batches_processed = self.batches_processed.load(Ordering::Acquire);
         self.batches_enqueued
             .load(Ordering::Acquire)
             .saturating_sub(batches_processed)
+    }
+
+    /// Batches still on the channel: enqueued and not yet taken off it by
+    /// the worker — what the channel's capacity bounds, and so what
+    /// shedding admission compares with it. Reads dequeued before enqueued,
+    /// so it never under-reports room taken.
+    pub(crate) fn channel_depth(&self) -> u64 {
+        let batches_dequeued = self.batches_dequeued.load(Ordering::Acquire);
+        self.batches_enqueued
+            .load(Ordering::Acquire)
+            .saturating_sub(batches_dequeued)
     }
 
     /// `snapshot_lag` comes from the caller: the epochs it compares live
@@ -95,6 +112,7 @@ impl ShardStats {
         // goes negative.
         let queue_depth = self.queue_depth();
         let batches_processed = self.batches_processed.load(Ordering::Acquire);
+        let minibatches_processed = self.minibatches_processed.load(Ordering::Acquire);
         let items_processed = self.items_processed.load(Ordering::Acquire);
         let batches_enqueued = self.batches_enqueued.load(Ordering::Acquire);
         let items_enqueued = self.items_enqueued.load(Ordering::Acquire);
@@ -105,6 +123,7 @@ impl ShardStats {
             items_processed,
             batches_enqueued,
             batches_processed,
+            minibatches_processed,
             queue_depth,
             window_seq,
             snapshot_lag,
@@ -131,20 +150,29 @@ pub struct ShardMetrics {
     pub items_enqueued: u64,
     /// Items the worker has finished processing.
     pub items_processed: u64,
-    /// Minibatches handed to this shard's queue so far.
+    /// Routed sub-batches handed to this shard's queue so far.
     pub batches_enqueued: u64,
-    /// Minibatches the worker has finished processing.
+    /// Sub-batches the worker has finished processing.
     pub batches_processed: u64,
-    /// Minibatches currently queued or in flight.
+    /// Minibatches the worker has applied. The worker folds the
+    /// sub-batches already queued behind the one it takes into one
+    /// minibatch, so `batches_processed / minibatches_processed` is the
+    /// running fold factor.
+    pub minibatches_processed: u64,
+    /// Sub-batches enqueued and not yet processed: those still on the
+    /// channel plus those the worker has taken off it and not finished
+    /// (the minibatch it is applying). Shedding admission
+    /// (`EngineHandle::try_ingest`) does not read this: it compares only
+    /// the sub-batches still on the channel with the queue capacity.
     pub queue_depth: u64,
     /// Newest window boundary this shard has sealed (`0` before the first
     /// boundary or without a window).
     pub window_seq: u64,
-    /// Minibatches the worker has processed beyond its published query
+    /// Sub-batches the worker has processed beyond its published query
     /// snapshot — how stale an answer from this shard can be right now, in
     /// batches. Never more than the publication cadence (16) while the
-    /// worker runs, at most one once a query has observed the gap, `0`
-    /// when the queue is dry or after `drain()`.
+    /// worker runs, at most one minibatch once a query has observed the
+    /// gap, `0` when the queue is dry or after `drain()`.
     pub snapshot_lag: u64,
     /// Supervision state of the shard's worker.
     pub health: ShardHealth,
@@ -351,9 +379,13 @@ mod tests {
         stats.batches_processed.store(4, Ordering::Release);
         stats.items_enqueued.store(700, Ordering::Release);
         stats.items_processed.store(400, Ordering::Release);
+        stats.batches_dequeued.store(6, Ordering::Release);
+        stats.minibatches_processed.store(2, Ordering::Release);
         let m = stats.snapshot(2, 5);
         assert_eq!(m.shard, 2);
         assert_eq!(m.queue_depth, 3);
+        assert_eq!(stats.channel_depth(), 1);
+        assert_eq!(m.minibatches_processed, 2);
         assert_eq!(m.snapshot_lag, 5);
     }
 
@@ -366,6 +398,7 @@ mod tests {
                 items_processed: 90,
                 batches_enqueued: 10,
                 batches_processed: 9,
+                minibatches_processed: 3,
                 queue_depth: 1,
                 window_seq: 4,
                 snapshot_lag: 0,
@@ -378,6 +411,7 @@ mod tests {
                 items_processed: 30,
                 batches_enqueued: 5,
                 batches_processed: 3,
+                minibatches_processed: 3,
                 queue_depth: 2,
                 window_seq: 3,
                 snapshot_lag: 7,

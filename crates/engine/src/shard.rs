@@ -2,14 +2,26 @@
 //!
 //! Each shard owns its operator set outright — there is no locking on the
 //! heavy-hitter or sliding-window update path, and since PR 5 none on the
-//! rest of the per-batch path either. The hot path is **lock-free and, at
-//! steady state, allocation-free**:
+//! rest of the per-batch path either. The hot path is **lock-free but for
+//! one buffer give-back per minibatch and, at steady state,
+//! allocation-free**:
 //!
+//! * **a minibatch is as deep as the queue**: the worker takes one routed
+//!   sub-batch and folds behind it every sub-batch already waiting on its
+//!   channel — never waiting for more — so the paper's `O(ε⁻¹ + µ)` per
+//!   minibatch (Lemma 5.3) pays the `O(S)` cut once per group, and a
+//!   skewed group has fewer distinct keys per item than its parts. Folding
+//!   stops at an empty queue, at any other command (a cut always ends a
+//!   minibatch, so panes stay exact), at the next cadence point, when a
+//!   reader is waiting, and at a batch with a fault-plan panic due; it only
+//!   happens while the input compresses — the last histogram had at most
+//!   half as many rows as items — so all-distinct traffic runs one
+//!   sub-batch per minibatch exactly as before;
 //! * the per-minibatch histogram is one probe-and-add pass over the items
-//!   through a reused index table ([`psfa_primitives::build_hist_into`]:
-//!   one key mix, one probe, one add per item) and is shared by the
-//!   heavy-hitter tracker, the open window pane, and the Count-Min sketch
-//!   — zero allocations;
+//!   of every folded sub-batch through a reused index table
+//!   ([`psfa_primitives::build_hist_runs`]: one key mix, one probe, one
+//!   add per item) and is shared by the heavy-hitter tracker, the open
+//!   window pane, and the Count-Min sketch — zero allocations;
 //! * the Count-Min sketch is a [`psfa_sketch::AtomicCountMin`]: the worker
 //!   — its only writer — adds a histogram through one kernel compiled for
 //!   the sketch's depth (per distinct key, `d` independent two-multiply
@@ -17,12 +29,19 @@
 //!   read concurrently with no mutex (the one-sided overestimate survives
 //!   relaxed ordering — see that module's docs for the single-writer
 //!   contract);
-//! * finished sub-batch buffers are returned to the engine's
-//!   [`psfa_stream::BufferPool`] return lanes, so producers reuse their
-//!   capacity instead of allocating per batch;
+//! * finished sub-batch buffers go back to the engine's
+//!   [`psfa_stream::BufferPool`] return lane under one lock per minibatch,
+//!   so producers reuse their capacity instead of allocating per batch;
 //! * query snapshots are published through an
 //!   [`psfa_primitives::ArcCell`] — a pointer swap, not an `RwLock` write —
 //!   and **lazily**: see below.
+//!
+//! **Answers depend on the grouping.** Every summary sees exactly the
+//! items it saw before folding; only where minibatch boundaries fall
+//! changes, and that depends on queue timing. Lemma 5.3 and Theorem 5.2
+//! hold for any partition of the stream into minibatches, so every answer
+//! stays inside its `ε·m` (or `ε·n_W`) bound — but two runs over the same
+//! stream are not bit-identical, and tests compare against the bounds.
 //!
 //! ## Lazy epoch-versioned snapshot publication
 //!
@@ -33,21 +52,24 @@
 //!
 //! * **on demand**: `live_epoch` (batches the worker has finished) runs
 //!   ahead of the published snapshot's `epoch`; a reader that sees the gap
-//!   sets `refresh`, and the worker publishes on its next batch;
-//! * **on cadence**: on every [`PUBLISH_EVERY`]th batch since the last
-//!   publication, whatever the stream looks like;
+//!   sets `refresh`, which stops any fold, and the worker publishes at the
+//!   end of its current minibatch;
+//! * **on cadence**: once [`PUBLISH_EVERY`] batches have been applied
+//!   since the last publication, whatever the stream looks like — a fold
+//!   never runs past that point;
 //! * **when the queue runs dry**, before the worker blocks on it;
 //! * **at every cut**: a window boundary publishes the window it sealed, a
 //!   drain barrier (or worker exit) publishes before acknowledging.
 //!
-//! The staleness contract, in batches of this shard: a published snapshot
-//! trails its worker by **at most `PUBLISH_EVERY`**, by **at most one** for
-//! a reader that has read since the last publication, and by **nothing**
-//! when the queue is dry or after `drain()`
-//! ([`crate::ShardMetrics::snapshot_lag`] reports the gap). Every snapshot
-//! is internally consistent at its epoch: a reader sees the summaries as of
-//! an earlier minibatch boundary, as the minibatch model already promises
-//! between batches.
+//! The staleness contract counts routed sub-batches ("batches") of this
+//! shard, whatever the grouping: a published snapshot trails its worker by
+//! **at most `PUBLISH_EVERY` batches**, by **at most one minibatch** (the
+//! one being applied when it asked) for a reader that has read since the
+//! last publication, and by **nothing** when the queue is dry or after
+//! `drain()` ([`crate::ShardMetrics::snapshot_lag`] reports the gap in
+//! batches). Every snapshot is internally consistent at its epoch: a reader
+//! sees the summaries as of an earlier minibatch boundary, as the minibatch
+//! model already promises between batches.
 //!
 //! ## Memory-ordering contract
 //!
@@ -61,7 +83,8 @@
 //! or before the snapshot's epoch. Everything else is deliberately weak:
 //!
 //! * [`crate::metrics::ShardStats`] counters (`items_processed`,
-//!   `batches_processed`, enqueue counters) are **relaxed** `fetch_add`s —
+//!   `batches_processed`, `batches_dequeued`, `minibatches_processed`,
+//!   enqueue counters) are **relaxed** `fetch_add`s —
 //!   they are monotone progress hints read with `Acquire` by metrics, and
 //!   need no stronger ordering of their own (the previous `AcqRel` bought
 //!   nothing: an RMW's ordering cannot make *other* data visible earlier,
@@ -85,7 +108,10 @@
 //! boundary, drain barrier, persistence snapshot) needs no mechanism of
 //! its own: the cutter enqueues one command per shard while holding the
 //! ingest fence exclusively, and by the time a worker dequeues it, it has
-//! processed exactly the minibatches accepted before the cut.
+//! processed exactly the minibatches accepted before the cut. A cut met
+//! while folding waits in a one-slot lookahead that the supervisor owns
+//! (so it survives a worker panic) and is served right after the folded
+//! minibatch, before anything still on the channel.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,7 +121,7 @@ use std::sync::Arc;
 use psfa_freq::{InfiniteHeavyHitters, PaneWindow, SealedWindow};
 use psfa_obs::TraceKind;
 use psfa_primitives::{
-    build_hist_into, ArcCell, FaultPlan, HistScratch, HistogramEntry, WorkMeter,
+    build_hist_runs, ArcCell, FaultPlan, HistScratch, HistogramEntry, WorkMeter,
 };
 use psfa_sketch::AtomicCountMin;
 use psfa_store::ShardState;
@@ -105,10 +131,13 @@ use crate::config::EngineConfig;
 use crate::metrics::ShardStats;
 use crate::obs::{EngineObs, PublishReason};
 
-/// Publication cadence: a worker publishes on its `PUBLISH_EVERY`th batch
-/// since the last publication even when no reader asked — the bound on
-/// snapshot lag and on restart loss, at `O(S log S) / 16` per batch.
-const PUBLISH_EVERY: u64 = 16;
+/// Publication cadence: a worker publishes once `PUBLISH_EVERY` batches
+/// have been applied since the last publication even when no reader asked
+/// — the bound on snapshot lag and on restart loss, at `O(S log S) / 16`
+/// per batch. A folded minibatch never takes the worker past the next
+/// cadence point, so the bound counts routed sub-batches whatever the
+/// grouping.
+pub(crate) const PUBLISH_EVERY: u64 = 16;
 
 /// Sealed windows kept per shard snapshot: enough boundary history for a
 /// query to find one boundary that *every* shard has already sealed even
@@ -153,17 +182,18 @@ pub(crate) enum ShardCommand {
 ///
 /// Snapshots freeze the *query surfaces* (Misra–Gries entries, stream
 /// length, the sealed windows of recent boundaries) — `O(1/ε)` data — not
-/// the raw operator state. `epoch` equals the number of minibatches the
-/// shard had processed when the snapshot was published; it is strictly
-/// increasing, so callers can detect progress between reads. Publication is
-/// lazy (see the module docs), so the newest snapshot may trail the
-/// worker by a bounded number of batches (at most 16; at most one once a
+/// the raw operator state. `epoch` equals the number of routed sub-batches
+/// ("batches") the shard had processed when the snapshot was published,
+/// however they were folded into minibatches; it is strictly increasing,
+/// so callers can detect progress between reads. Publication is lazy (see
+/// the module docs), so the newest snapshot may trail the worker by a
+/// bounded number of batches (at most 16; at most one minibatch once a
 /// read has observed the gap and requested a refresh; none after a drain).
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     /// Owning shard index.
     pub shard: usize,
-    /// Minibatches processed when this snapshot was taken.
+    /// Batches processed when this snapshot was taken.
     pub epoch: u64,
     /// Items processed by this shard (its `m_s`).
     pub stream_len: u64,
@@ -219,7 +249,7 @@ pub(crate) struct ShardShared {
     /// The shard's live Count-Min sketch: the worker adds, queries read —
     /// concurrently, without a lock.
     pub count_min: AtomicCountMin,
-    /// Minibatches the worker has fully processed (may run ahead of the
+    /// Batches the worker has fully processed (may run ahead of the
     /// published snapshot's `epoch`; the gap is what triggers `refresh`).
     /// Starts at the recovered epoch after a crash recovery, unlike the
     /// per-process stats counters.
@@ -316,10 +346,17 @@ pub(crate) struct ShardWorker {
     /// heavy-hitter tracker, the open window pane, and the Count-Min
     /// sketch.
     hist_seed: u64,
-    /// Reusable histogram scratch + output: the per-batch histogram pass
-    /// allocates nothing after warm-up.
+    /// Reusable histogram scratch + output: the per-minibatch histogram
+    /// pass allocates nothing after warm-up.
     hist_scratch: HistScratch,
     hist: Vec<HistogramEntry>,
+    /// The sub-batches folded into the minibatch being applied (empty
+    /// between minibatches; the outer `Vec` keeps its capacity).
+    group: Vec<Vec<u64>>,
+    /// Whether the last histogram had at most half as many rows as items —
+    /// the input compresses, so folding queued sub-batches pays. `false`
+    /// until the worker has built one.
+    compresses: bool,
     /// Buffer recycling back to the producers (see [`BufferPool`]).
     pool: Arc<BufferPool>,
     shared: Arc<ShardShared>,
@@ -382,6 +419,8 @@ impl ShardWorker {
             hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
+            group: Vec::new(),
+            compresses: false,
             pool,
             shared,
             obs,
@@ -402,9 +441,11 @@ impl ShardWorker {
     ///   [`ShardShared`] and was never torn down). Queued commands —
     ///   minibatches and cuts alike — also survive: the supervisor keeps
     ///   the receiver.
-    /// * **Lost**: the panicking minibatch and those processed *after* the
-    ///   last publication (at most [`PUBLISH_EVERY`]` − 1`; none if the
-    ///   queue had run dry) and the open (unsealed) window pane.
+    /// * **Lost**: the panicking batch and those processed *after* the
+    ///   last publication (at most [`PUBLISH_EVERY`]` − 1`, however they
+    ///   were folded; none if the queue had run dry) and the open
+    ///   (unsealed) window pane. A command the supervisor holds in the
+    ///   lookahead slot survives like a queued one.
     ///
     /// The Count-Min sketch retains the post-snapshot adds, so its
     /// one-sided *over*estimate is unaffected; `live_epoch` rolls back to
@@ -450,6 +491,8 @@ impl ShardWorker {
             hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
+            group: Vec::new(),
+            compresses: false,
             pool,
             shared,
             obs,
@@ -459,11 +502,23 @@ impl ShardWorker {
         }
     }
 
+    /// [`ShardWorker::resume`] with a lookahead slot of its own.
+    #[cfg(test)]
+    pub(crate) fn run(self, queue: &Receiver<ShardCommand>) -> ShardState {
+        self.resume(queue, &mut None)
+    }
+
     /// Runs until [`ShardCommand::Shutdown`] (or every sender is dropped)
-    /// and returns the final operator state. Takes the receiver by
-    /// reference so a supervisor can keep the channel alive across a
-    /// panic and hand the same queue to a reseeded worker.
-    pub(crate) fn run(mut self, queue: &Receiver<ShardCommand>) -> ShardState {
+    /// and returns the final operator state. `held` is the one-slot
+    /// lookahead of the queue: the command that ended the last folded
+    /// minibatch, served before anything still on the queue. Both belong to
+    /// the caller, so a supervisor keeps them across a panic and hands them
+    /// to a reseeded worker.
+    pub(crate) fn resume(
+        mut self,
+        queue: &Receiver<ShardCommand>,
+        held: &mut Option<ShardCommand>,
+    ) -> ShardState {
         if let Some(obs) = self.obs.clone() {
             let now = obs.now_ns();
             self.last_publish_ns = now;
@@ -474,7 +529,7 @@ impl ShardWorker {
             // Drain-then-block: once the queue runs dry, publish anything
             // pending so idle shards always expose an exact snapshot, then
             // wait for the next command.
-            let command = match queue.try_recv() {
+            let command = match held.take().map_or_else(|| queue.try_recv(), Ok) {
                 Ok(command) => command,
                 Err(TryRecvError::Empty) => {
                     self.publish_if_dirty(PublishReason::Idle);
@@ -486,7 +541,7 @@ impl ShardWorker {
                 Err(TryRecvError::Disconnected) => break,
             };
             match command {
-                ShardCommand::Batch(minibatch) => self.ingest(minibatch),
+                ShardCommand::Batch(first) => self.ingest(first, queue, held),
                 ShardCommand::Barrier { ack } => {
                     // FIFO queue ⇒ everything enqueued before the barrier is
                     // already processed. Publish so a drained caller reads
@@ -559,62 +614,129 @@ impl ShardWorker {
         self.shared.stats.window_seq.store(seq, Ordering::Release);
     }
 
-    /// The per-minibatch hot path: one histogram pass into reused scratch,
-    /// shared by every summary; lock-free Count-Min adds; lazy publication;
-    /// buffer recycling. Steady state (warm buffers, no stale reader, off
-    /// the publication cadence): **zero** heap allocations and **zero**
-    /// lock acquisitions.
-    fn ingest(&mut self, minibatch: Vec<u64>) {
-        // Fault injection (tests only; one `Option` branch when unset):
-        // a scheduled delay or panic fires before any state mutates, so a
-        // held batch still counts as queued, and the loss after recovery
-        // is exactly the documented set — this batch plus the unpublished
-        // tail.
-        if let Some(fault) = &self.fault {
+    /// The per-minibatch hot path. Takes `first` and folds behind it every
+    /// sub-batch already queued (see [`ShardWorker::fold_queued`]), then
+    /// applies the group as one minibatch: one histogram pass into reused
+    /// scratch, shared by every summary; lock-free Count-Min adds; lazy
+    /// publication; buffer recycling. Steady state (warm buffers, no stale
+    /// reader, off the publication cadence): **zero** heap allocations and
+    /// **zero** lock acquisitions but the one lane lock of the give-back.
+    fn ingest(
+        &mut self,
+        first: Vec<u64>,
+        queue: &Receiver<ShardCommand>,
+        held: &mut Option<ShardCommand>,
+    ) {
+        if self.panic_due_on_dequeue(self.epoch + 1) {
+            self.injected_panic(self.epoch + 1);
+        }
+        self.group.push(first);
+        let panic_next = self.compresses && self.fold_queued(queue, held);
+        self.apply_group();
+        if panic_next {
+            // The batch after the group, as numbered before it was folded.
+            self.injected_panic(self.epoch + 1);
+        }
+    }
+
+    /// Moves every sub-batch already waiting on `queue` into the group,
+    /// never waiting for more. Stops at the first of: an empty queue; any
+    /// other command (parked in `held` and served next, so a cut always
+    /// ends a minibatch); the next cadence point (the group never takes
+    /// `epoch` past `last_publish_epoch + PUBLISH_EVERY`); a reader waiting
+    /// on `refresh`; a batch with a fault-plan panic due — returns `true`
+    /// for that one, which the caller panics on once the group is applied.
+    fn fold_queued(
+        &mut self,
+        queue: &Receiver<ShardCommand>,
+        held: &mut Option<ShardCommand>,
+    ) -> bool {
+        while self.epoch + (self.group.len() as u64) < self.last_publish_epoch + PUBLISH_EVERY
+            && !self.shared.refresh.load(Ordering::Relaxed)
+        {
+            match queue.try_recv() {
+                Ok(ShardCommand::Batch(next)) => {
+                    if self.panic_due_on_dequeue(self.epoch + self.group.len() as u64 + 1) {
+                        return true;
+                    }
+                    self.group.push(next);
+                }
+                Ok(command) => {
+                    *held = Some(command);
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        false
+    }
+
+    /// Accounts for the worker taking batch number `batch` off its queue.
+    /// Fault injection (tests only; one `Option` branch when unset) fires
+    /// first: a scheduled delay holds the batch while it still counts as
+    /// queued, and a scheduled panic is reported — consumed, so each batch
+    /// is checked exactly once — for the caller to fire before the batch
+    /// touches any state. The loss after recovery is then exactly the
+    /// documented set: that batch plus the unpublished tail.
+    fn panic_due_on_dequeue(&self, batch: u64) -> bool {
+        let panic_due = self.fault.as_ref().is_some_and(|fault| {
             if let Some(delay) = fault.worker_delay(self.shard) {
                 std::thread::sleep(delay);
             }
-            if fault.worker_panic_due(self.shard, self.epoch + 1) {
-                panic!(
-                    "injected worker panic (fault plan): shard {} at batch {}",
-                    self.shard,
-                    self.epoch + 1
-                );
-            }
-        }
+            fault.worker_panic_due(self.shard, batch)
+        });
+        self.shared
+            .stats
+            .batches_dequeued
+            .fetch_add(1, Ordering::Relaxed);
+        panic_due
+    }
+
+    fn injected_panic(&self, batch: u64) -> ! {
+        panic!(
+            "injected worker panic (fault plan): shard {} at batch {batch}",
+            self.shard
+        );
+    }
+
+    /// Applies the folded group as one minibatch and hands its buffers
+    /// back to the producers.
+    fn apply_group(&mut self) {
         // Telemetry stays relaxed and off the common path: with
         // observability disabled this reads no clock at all; enabled, it
-        // costs two clock reads and one relaxed RMW per *batch*.
+        // costs two clock reads and one relaxed RMW per *minibatch*.
         let service_start = self.obs.as_ref().map(|obs| obs.now_ns());
         self.hist_seed = self
             .hist_seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(1);
-        build_hist_into(
-            &minibatch,
+        build_hist_runs(
+            &self.group,
             self.hist_seed,
             &mut self.hist_scratch,
             &mut self.hist,
         );
-        let len = minibatch.len() as u64;
+        #[cfg(test)]
+        tests::panic_if_due_in_apply();
+        let batches = self.group.len() as u64;
+        let len: u64 = self.group.iter().map(|batch| batch.len() as u64).sum();
+        self.compresses = 2 * self.hist.len() as u64 <= len;
         self.heavy_hitters.process_histogram(&self.hist, len);
         if let Some(window) = &mut self.window {
             window.process_histogram(&self.hist, len);
         }
         self.shared.count_min.ingest_histogram(&self.hist);
-        self.epoch += 1;
+        self.epoch += batches;
         self.items += len;
         // Progress counters (see the module-level ordering contract),
         // then the publication decision.
         self.shared.live_epoch.store(self.epoch, Ordering::Release);
-        self.shared
-            .stats
-            .items_processed
-            .fetch_add(len, Ordering::Relaxed);
-        self.shared
-            .stats
+        let stats = &self.shared.stats;
+        stats.items_processed.fetch_add(len, Ordering::Relaxed);
+        stats
             .batches_processed
-            .fetch_add(1, Ordering::Relaxed);
+            .fetch_add(batches, Ordering::Relaxed);
+        stats.minibatches_processed.fetch_add(1, Ordering::Relaxed);
         // Publish for a reader that saw the gap, or on the cadence; all
         // else waits for the idle, drain or boundary publication.
         if self.shared.refresh.swap(false, Ordering::AcqRel) {
@@ -622,8 +744,8 @@ impl ShardWorker {
         } else if self.epoch - self.last_publish_epoch >= PUBLISH_EVERY {
             self.publish_snapshot(PublishReason::Cadence);
         }
-        // Hand the buffer's capacity back to the producers.
-        self.pool.give_back(self.shard, minibatch);
+        // Hand the buffers' capacity back to the producers.
+        self.pool.give_back_all(self.shard, self.group.drain(..));
         if let Some(obs) = &self.obs {
             let start = service_start.unwrap_or(0);
             obs.batch_service(self.shard)
@@ -672,7 +794,28 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::mpsc::sync_channel;
+
+    thread_local! {
+        /// Minibatches this thread may still apply before the next one
+        /// panics halfway through `apply_group`, after its histogram is
+        /// built (`0`: none panics).
+        static APPLY_PANIC_COUNTDOWN: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The apply-time fault hook: fires once, on the minibatch the test
+    /// counted down to.
+    pub(super) fn panic_if_due_in_apply() {
+        let due = APPLY_PANIC_COUNTDOWN.with(|left| {
+            let n = left.get();
+            left.set(n.saturating_sub(1));
+            n == 1
+        });
+        if due {
+            panic!("test panic while applying a minibatch");
+        }
+    }
 
     fn test_config() -> EngineConfig {
         EngineConfig::with_shards(1)
@@ -749,15 +892,16 @@ mod tests {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
         let mut worker = test_worker(&config, &shared, None);
+        let (_tx, empty) = sync_channel(1);
         // One batch, no reader, off the cadence: publication is deferred.
-        worker.ingest(vec![7; 100]);
+        worker.ingest(vec![7; 100], &empty, &mut None);
         assert_eq!(shared.snapshot.get().epoch, 0);
         assert_eq!(shared.snapshot_lag(), 1);
         // A query's load sees the gap and asks for a refresh …
         assert_eq!(shared.load_snapshot().epoch, 0);
         assert!(shared.refresh.load(Ordering::Acquire));
         // … which the very next batch serves, and clears.
-        worker.ingest(vec![7; 100]);
+        worker.ingest(vec![7; 100], &empty, &mut None);
         let snap = shared.snapshot.get();
         assert_eq!((snap.epoch, snap.estimate(7)), (2, 200));
         assert!(!shared.refresh.load(Ordering::Acquire));
@@ -863,5 +1007,225 @@ mod tests {
         worker.run(&rx);
         assert_eq!(pool.lane_depth(0), 1, "worker must recycle the buffer");
         assert!(pool.checkout()[0].capacity() >= 64);
+    }
+
+    /// `count` skewed batches of 60 items over 6 keys: every histogram has
+    /// a tenth as many rows as items, so a worker folds whatever is queued
+    /// once it has built one. Six keys fit every summary of the test
+    /// config exactly, whatever the grouping.
+    fn skewed_batches(count: u64) -> Vec<Vec<u64>> {
+        (0..count)
+            .map(|b| (0..60).map(|i| (b + i * i) % 6).collect())
+            .collect()
+    }
+
+    fn fold_counts(shared: &ShardShared) -> (u64, u64) {
+        let stats = &shared.stats;
+        (
+            stats.batches_processed.load(Ordering::Acquire),
+            stats.minibatches_processed.load(Ordering::Acquire),
+        )
+    }
+
+    #[test]
+    fn a_cut_queued_mid_run_ends_the_fold_and_is_served_next_in_order() {
+        let config = test_config();
+        let batches = skewed_batches(9);
+        let (ack_tx, ack_rx) = sync_channel(1);
+        let (state_tx, state_rx) = sync_channel(1);
+        let mut commands: Vec<ShardCommand> = Vec::new();
+        for (at, batch) in batches.iter().enumerate() {
+            commands.push(ShardCommand::Batch(batch.clone()));
+            match at {
+                3 => commands.push(ShardCommand::Boundary { seq: 1 }),
+                6 => commands.push(ShardCommand::Barrier {
+                    ack: ack_tx.clone(),
+                }),
+                7 => commands.push(ShardCommand::Persist {
+                    reply: state_tx.clone(),
+                }),
+                _ => {}
+            }
+        }
+
+        // Folded: the whole stream pre-filled, the worker run inline.
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let (tx, rx) = sync_channel(commands.len() + 1);
+        for command in commands {
+            tx.send(command).unwrap();
+        }
+        tx.send(ShardCommand::Shutdown).unwrap();
+        let folded = test_worker(&config, &shared, None).run(&rx);
+        // Batch 1 alone (no histogram yet), 2–4 up to the boundary, 5–7 up
+        // to the barrier, 8 up to the persist cut, then 9.
+        assert_eq!(fold_counts(&shared), (9, 5));
+        ack_rx.try_recv().expect("the barrier was acknowledged");
+        let cut = state_rx.try_recv().expect("the persist cut was answered");
+        assert_eq!((cut.epoch, cut.items), (8, 8 * 60));
+
+        // Unfolded: one batch at a time, each waited for.
+        let unfolded_shared = Arc::new(ShardShared::new(0, &config, None));
+        let (tx, rx) = sync_channel(2);
+        let worker = test_worker(&config, &unfolded_shared, None);
+        let runner = std::thread::spawn(move || worker.run(&rx));
+        let (ack_tx, ack_rx) = sync_channel(1);
+        for (at, batch) in batches.iter().enumerate() {
+            tx.send(ShardCommand::Batch(batch.clone())).unwrap();
+            if at == 3 {
+                tx.send(ShardCommand::Boundary { seq: 1 }).unwrap();
+            }
+            tx.send(ShardCommand::Barrier {
+                ack: ack_tx.clone(),
+            })
+            .unwrap();
+            ack_rx.recv().unwrap();
+        }
+        tx.send(ShardCommand::Shutdown).unwrap();
+        let unfolded = runner.join().unwrap();
+        assert_eq!(fold_counts(&unfolded_shared), (9, 9));
+
+        let sealed = |shared: &ShardShared| shared.snapshot.get().window_at(1).cloned();
+        let pane = sealed(&shared).expect("boundary 1 sealed");
+        assert_eq!(pane.items, 4 * 60);
+        assert_eq!(Some(pane), sealed(&unfolded_shared));
+        assert_eq!(folded.window, unfolded.window);
+        assert_eq!(
+            folded.heavy_hitters.estimator().tracked_items_sorted(),
+            unfolded.heavy_hitters.estimator().tracked_items_sorted()
+        );
+    }
+
+    #[test]
+    fn folding_never_crosses_a_cadence_point() {
+        let config = test_config();
+        let obs = Arc::new(EngineObs::new(&crate::ObsConfig::default(), 1));
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let worker = test_worker(&config, &shared, Some(obs.clone()));
+        let batches = 3 * PUBLISH_EVERY + 5;
+        let (tx, rx) = sync_channel(batches as usize + 1);
+        for batch in skewed_batches(batches) {
+            tx.send(ShardCommand::Batch(batch)).unwrap();
+        }
+        tx.send(ShardCommand::Shutdown).unwrap();
+        worker.run(&rx);
+
+        let publications: Vec<u64> = obs
+            .trace
+            .drain()
+            .iter()
+            .filter(|e| e.kind == TraceKind::EpochPublish)
+            .map(|e| e.a)
+            .collect();
+        let cadence = [PUBLISH_EVERY, 2 * PUBLISH_EVERY, 3 * PUBLISH_EVERY, batches];
+        assert_eq!(publications, cadence, "the same epochs as unfolded");
+        // Batch 1 alone, then one fold up to each cadence point, then the
+        // five left.
+        assert_eq!(fold_counts(&shared), (batches, 5));
+        let report = obs.report(Default::default(), 0, 0, 0);
+        assert_eq!(report.percentiles("batch_service").unwrap().count, 5);
+    }
+
+    #[test]
+    fn a_panic_due_inside_a_queued_run_fires_after_the_batches_before_it() {
+        let panic_at = 2 * PUBLISH_EVERY + 7;
+        let config = test_config().fault_injection(FaultPlan::new().with_worker_panic(0, panic_at));
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let worker = test_worker(&config, &shared, None);
+        let offered = skewed_batches(panic_at + 3);
+        let (tx, rx) = sync_channel(offered.len() + 1);
+        for batch in &offered {
+            tx.send(ShardCommand::Batch(batch.clone())).unwrap();
+        }
+        tx.send(ShardCommand::Shutdown).unwrap();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(&rx)));
+        assert!(outcome.is_err(), "the planned panic must fire");
+        // Every batch before `panic_at` was applied, folded as 1, 2–16,
+        // 17–32, then 33 up to the panicking batch.
+        assert_eq!(fold_counts(&shared), (panic_at - 1, 4));
+        assert_eq!(shared.live_epoch.load(Ordering::Acquire), panic_at - 1);
+
+        // The loss is the unpublished tail (33 up to the panic) plus the
+        // panicking batch itself.
+        let reborn = ShardWorker::reseed(0, &config, shared.clone(), test_pool(), None);
+        assert_eq!(reborn.epoch, 2 * PUBLISH_EVERY);
+        assert_eq!(
+            panic_at - reborn.epoch,
+            (panic_at - 1 - 2 * PUBLISH_EVERY) + 1
+        );
+        let fin = reborn.run(&rx);
+        assert_eq!(fin.epoch, 2 * PUBLISH_EVERY + 3);
+        assert_eq!(fin.items, (2 * PUBLISH_EVERY + 3) * 60);
+    }
+
+    #[test]
+    fn input_that_does_not_compress_never_folds() {
+        let config = test_config();
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let worker = test_worker(&config, &shared, None);
+        let batches = 2 * PUBLISH_EVERY;
+        let (tx, rx) = sync_channel(batches as usize + 1);
+        for batch in churning_batches(batches) {
+            tx.send(ShardCommand::Batch(batch)).unwrap();
+        }
+        tx.send(ShardCommand::Shutdown).unwrap();
+        worker.run(&rx);
+        assert_eq!(fold_counts(&shared), (batches, batches));
+    }
+
+    #[test]
+    fn a_barrier_queued_behind_a_panicking_batch_is_acknowledged_through_supervise() {
+        let config = test_config().fault_injection(FaultPlan::new().with_worker_panic(0, 3));
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let pool = test_pool();
+        let worker = ShardWorker::new(0, &config, shared.clone(), pool.clone(), None, None);
+        let (tx, rx) = sync_channel(8);
+        let (ack_tx, ack_rx) = sync_channel(1);
+        for batch in skewed_batches(3) {
+            tx.send(ShardCommand::Batch(batch)).unwrap();
+        }
+        tx.send(ShardCommand::Barrier { ack: ack_tx }).unwrap();
+        tx.send(ShardCommand::Batch(vec![5; 60])).unwrap();
+        tx.send(ShardCommand::Shutdown).unwrap();
+        let fin = crate::engine::supervise(0, config, shared.clone(), pool, None, worker, rx);
+        ack_rx
+            .try_recv()
+            .expect("the reseeded worker acknowledged the barrier");
+        assert_eq!(shared.stats.restarts.load(Ordering::Acquire), 1);
+        // The queue never ran dry before the panic, so nothing was
+        // published and the reseed starts from epoch 0: batches 1–2 and the
+        // panicking batch 3 are the loss, the batch behind the barrier is
+        // all that counts.
+        assert_eq!((fin.epoch, fin.items), (1, 60));
+    }
+
+    #[test]
+    fn a_cut_held_when_the_worker_panics_is_served_by_the_reseeded_worker() {
+        let config = test_config();
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let pool = test_pool();
+        let worker = ShardWorker::new(0, &config, shared.clone(), pool.clone(), None, None);
+        let (tx, rx) = sync_channel(8);
+        let (state_tx, state_rx) = sync_channel(1);
+        for batch in skewed_batches(3) {
+            tx.send(ShardCommand::Batch(batch)).unwrap();
+        }
+        tx.send(ShardCommand::Persist { reply: state_tx }).unwrap();
+        tx.send(ShardCommand::Batch(vec![5; 60])).unwrap();
+        tx.send(ShardCommand::Shutdown).unwrap();
+        // Batch 1 is applied alone (no histogram yet); batches 2–3 fold up
+        // to the persist cut, which waits in the lookahead while their
+        // minibatch panics halfway through being applied.
+        APPLY_PANIC_COUNTDOWN.with(|left| left.set(2));
+        let fin = crate::engine::supervise(0, config, shared.clone(), pool, None, worker, rx);
+        assert_eq!(shared.stats.restarts.load(Ordering::Acquire), 1);
+        // Nothing was published before the panic, so the reseeded worker
+        // starts from epoch 0 — and answers the held cut there, before the
+        // batch queued behind it. Had the cut been served before the panic
+        // or left on the channel, it would read epoch 1 or 3.
+        let cut = state_rx
+            .try_recv()
+            .expect("the reseeded worker answered the held persist cut");
+        assert_eq!((cut.epoch, cut.items), (0, 0));
+        assert_eq!((fin.epoch, fin.items), (1, 60));
     }
 }

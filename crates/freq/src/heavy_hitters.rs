@@ -45,6 +45,49 @@ pub fn heavy_hitter_report(
     out
 }
 
+/// [`heavy_hitter_report`] over the key-wise sums of several shards'
+/// item-sorted `(item, estimate)` entries — `n` items in all — without
+/// merging them: identical to `heavy_hitter_report` over the
+/// [`crate::merge_sum`] of every shard.
+///
+/// A key whose sum reaches the threshold `(φ − ε)·n` holds at least
+/// `1/shards` of it on some shard, so only keys with `estimate · shards`
+/// at the threshold on some shard are candidates. Each candidate is summed
+/// by one binary search per shard: `O(c · shards · log S)` for `c`
+/// candidates, against a merge's `O(shards² · S)` rows copied.
+pub fn heavy_hitter_report_across<E: AsRef<[(u64, u64)]>>(
+    shards: &[E],
+    phi: f64,
+    epsilon: f64,
+    n: u64,
+) -> Vec<HeavyHitter> {
+    let threshold = ((phi - epsilon) * n as f64).max(0.0);
+    let fan_in = shards.len() as u64;
+    // Integer product, then one rounding: `sum ≤ fan_in · max estimate`
+    // holds exactly, and rounding to `f64` keeps the order.
+    let mut candidates: Vec<u64> = shards
+        .iter()
+        .flat_map(|entries| entries.as_ref())
+        .filter(|&&(_, est)| est.saturating_mul(fan_in) as f64 >= threshold)
+        .map(|&(item, _)| item)
+        .collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    let summed = candidates.into_iter().map(|item| {
+        let estimate = shards
+            .iter()
+            .map(|entries| {
+                let entries = entries.as_ref();
+                entries
+                    .binary_search_by_key(&item, |&(i, _)| i)
+                    .map_or(0, |at| entries[at].1)
+            })
+            .sum();
+        (item, estimate)
+    });
+    heavy_hitter_report(summed, phi, epsilon, n)
+}
+
 /// Continuous φ-heavy-hitter tracking over an infinite window.
 ///
 /// Guarantees (for `0 < ε < φ < 1`): every item with frequency `≥ φN` is
@@ -242,6 +285,51 @@ mod tests {
     use crate::sliding_work::SlidingFreqWorkEfficient;
     use crate::test_support::SlidingDriver;
     use std::collections::HashMap;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The merge-free cross-shard report equals the report over the
+        /// merged entries: 1–8 shards of item-sorted entries over a small
+        /// key space (so keys repeat across shards), empty shards, `n = 0`,
+        /// and thresholds drawn from the entries' own sums so that some
+        /// land exactly on one.
+        #[test]
+        fn report_across_shards_equals_the_merged_report(
+            raw in proptest::prop::collection::vec(
+                proptest::prop::collection::vec((0u64..40, 0u64..50), 0..30),
+                1..9,
+            ),
+            phi_pick in 0usize..64,
+            n_pick in 0u64..4,
+        ) {
+            let shards: Vec<Vec<(u64, u64)>> = raw
+                .iter()
+                .map(|entries| {
+                    let mut sorted: Vec<(u64, u64)> = entries.clone();
+                    sorted.sort_unstable_by_key(|&(item, _)| item);
+                    sorted.dedup_by_key(|&mut (item, _)| item);
+                    sorted
+                })
+                .collect();
+            let merged = shards
+                .iter()
+                .fold(Vec::new(), |acc, entries| crate::merge_sum(&acc, entries));
+            // n = 0 or a power of two, and ε = 0 with φ = sum / n for a
+            // sum of the merged entries: the threshold is that sum exactly.
+            let n = if n_pick == 0 { 0 } else { 1 << (6 + n_pick) };
+            let sums: Vec<u64> = merged.iter().map(|&(_, est)| est).collect();
+            let (phi, epsilon) = match sums.get(phi_pick % sums.len().max(1)) {
+                Some(&sum) if n > 0 && phi_pick < 48 => (sum as f64 / n as f64, 0.0),
+                _ => (0.1 + phi_pick as f64 / 100.0, 0.05),
+            };
+            let across = heavy_hitter_report_across(&shards, phi, epsilon, n);
+            proptest::prop_assert_eq!(
+                across,
+                heavy_hitter_report(merged.iter().copied(), phi, epsilon, n)
+            );
+        }
+    }
 
     #[test]
     fn infinite_window_heavy_hitters_are_correct() {

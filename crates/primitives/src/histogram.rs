@@ -16,7 +16,8 @@
 //!   `build_hist` at or below the threshold. With no depth to bound it pays
 //!   for none of that machinery: one pass over the items, and per item one
 //!   key mix, one linear probe into an index table and one `count += 1`.
-//!   Rows come out in first-occurrence order.
+//!   Rows come out in first-occurrence order. [`build_hist_runs`] is the
+//!   same pass over several runs counted as one stream.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -181,7 +182,8 @@ impl Default for HistScratch {
 /// Allocation-free sequential histogram: writes the histogram of `items`
 /// into `out` (cleared first), one row per distinct item in
 /// **first-occurrence order** — the same `out` whatever `seed` and whichever
-/// `scratch` — using `scratch`'s probe table.
+/// `scratch` — using `scratch`'s probe table. The one-run case of
+/// [`build_hist_runs`].
 ///
 /// Produces the same multiset of [`HistogramEntry`] rows as [`build_hist`].
 /// It is deliberately sequential: it exists for per-shard ingest hot paths —
@@ -204,22 +206,44 @@ pub fn build_hist_into(
     scratch: &mut HistScratch,
     out: &mut Vec<HistogramEntry>,
 ) {
+    build_hist_runs(&[items], seed, scratch, out);
+}
+
+/// [`build_hist_into`] over the concatenation of `runs`, without
+/// concatenating them: the runs are counted in order through one table, so
+/// `out` is exactly the histogram of the concatenated stream, rows in its
+/// first-occurrence order. A shard worker folds the sub-batches queued
+/// behind the one it took into one minibatch this way.
+///
+/// # Panics
+/// Panics if the runs hold `u32::MAX` items or more in total.
+pub fn build_hist_runs<R: AsRef<[u64]>>(
+    runs: &[R],
+    seed: u64,
+    scratch: &mut HistScratch,
+    out: &mut Vec<HistogramEntry>,
+) {
+    let total: usize = runs.iter().map(|run| run.as_ref().len()).sum();
     assert!(
-        items.len() < u32::MAX as usize,
-        "build_hist_into: a batch must hold fewer than 2^32 - 1 items"
+        total < u32::MAX as usize,
+        "build_hist_runs: a minibatch must hold fewer than 2^32 - 1 items"
     );
     out.clear();
     let key = scratch.key ^ seed;
-    let expected = items.len().min(scratch.distinct);
+    let expected = total.min(scratch.distinct);
     let mut len = (2 * expected).next_power_of_two().max(MIN_TABLE);
-    let mut done = 0;
-    loop {
-        scratch.rebuild(len, key, out);
-        done += probe_and_add(&mut scratch.table[..len], key, &items[done..], out);
-        if done == items.len() {
-            break;
+    scratch.rebuild(len, key, out);
+    for run in runs {
+        let mut items = run.as_ref();
+        loop {
+            let done = probe_and_add(&mut scratch.table[..len], key, items, out);
+            items = &items[done..];
+            if items.is_empty() {
+                break;
+            }
+            len *= 2;
+            scratch.rebuild(len, key, out);
         }
-        len *= 2;
     }
     scratch.distinct = out.len();
 }
@@ -494,6 +518,44 @@ mod tests {
             a.sort_unstable_by_key(|e| e.item);
             b.sort_unstable_by_key(|e| e.item);
             assert_eq!(a, b, "seed {seed}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Folding sub-batches: the runs of any split of a stream count to
+        /// exactly the rows of the concatenated stream, in its
+        /// first-occurrence order — whether the table starts cold, warm
+        /// from a small batch, or warm from a wide one.
+        #[test]
+        fn runs_of_any_split_match_the_concatenation(
+            alphabet in proptest::prop_oneof![
+                proptest::Just(4u64),
+                proptest::Just(300u64),
+                proptest::Just(u64::MAX),
+            ],
+            draws in proptest::prop::collection::vec(proptest::any::<u64>(), 0..3000),
+            cuts in proptest::prop::collection::vec(0usize..3001, 0..20),
+            warm in 0u64..3,
+        ) {
+            let stream: Vec<u64> = draws.iter().map(|d| d % alphabet).collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(stream.len())).collect();
+            bounds.sort_unstable();
+            let runs: Vec<&[u64]> = std::iter::once(0)
+                .chain(bounds.iter().copied())
+                .zip(bounds.iter().copied().chain(std::iter::once(stream.len())))
+                .map(|(from, to)| &stream[from..to])
+                .collect();
+            let mut scratch = HistScratch::new();
+            let mut out = Vec::new();
+            let warm_up: Vec<u64> = (0..warm * 2000).collect();
+            build_hist_into(&warm_up, 5, &mut scratch, &mut out);
+            build_hist_runs(&runs, 9, &mut scratch, &mut out);
+            let mut whole = Vec::new();
+            build_hist_into(&stream, 9, &mut HistScratch::new(), &mut whole);
+            proptest::prop_assert_eq!(&out, &whole);
+            proptest::prop_assert_eq!(out, reference_rows(&stream));
         }
     }
 }

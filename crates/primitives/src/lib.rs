@@ -62,7 +62,7 @@ pub use codec::{put_header, ByteReader, ByteWriter, CodecError};
 pub use css::CompactedSegment;
 pub use fault::FaultPlan;
 pub use hash::{HashFamily, KeyMixBuildHasher, PairMultiplyShiftHash, PolynomialHash};
-pub use histogram::{build_hist, build_hist_into, HistScratch, HistogramEntry};
+pub use histogram::{build_hist, build_hist_into, build_hist_runs, HistScratch, HistogramEntry};
 pub use instrument::WorkMeter;
 pub use intsort::{int_sort_by_key, int_sort_pairs};
 pub use pack::{pack, pack_indices, pack_map};

@@ -10,9 +10,11 @@
 //!   buffers, one per shard), route into it, send the non-empty buffers to
 //!   the workers, and [`BufferPool::checkin`] the container;
 //! * each worker, after ingesting a sub-batch, clears the buffer and
-//!   [`BufferPool::give_back`]s it to its shard's **return lane**; the next
-//!   `checkout` refills container slots from the lanes, so buffer capacity
-//!   circulates producer → worker → producer instead of allocator → heap.
+//!   [`BufferPool::give_back_all`]s it — with the other sub-batches of a
+//!   folded minibatch, under one lock — to its shard's **return lane**;
+//!   the next `checkout` refills container slots from the lanes, so buffer
+//!   capacity circulates producer → worker → producer instead of
+//!   allocator → heap.
 //!
 //! Every pool operation uses `try_lock` and **never blocks**: under
 //! momentary contention a checkout simply hands out a fresh (empty) buffer
@@ -32,7 +34,7 @@
 //! // ... the worker finishes the batch:
 //! let mut done = routed;
 //! done.clear();
-//! pool.give_back(0, done); // capacity returns to shard 0's lane
+//! pool.give_back_all(0, [done]); // capacity returns to shard 0's lane
 //! assert!(pool.checkout()[0].capacity() >= 3);
 //! ```
 
@@ -57,15 +59,27 @@ pub struct PoolCounters {
     pub drops: u64,
 }
 
+/// One shard's return lane.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Cleared buffers, popped by the next checkout.
+    buffers: Vec<Vec<u64>>,
+    /// The most buffers one give-back has returned here — the width of the
+    /// widest folded minibatch; the lane retains one less than that past
+    /// the pool's bound.
+    widest: usize,
+}
+
 /// Recycles routed sub-batch buffers between producers and shard workers
 /// (see the module docs).
 #[derive(Debug)]
 pub struct BufferPool {
     /// Per-shard return lanes of cleared buffers, filled by workers.
-    lanes: Vec<Mutex<Vec<Vec<u64>>>>,
+    lanes: Vec<Mutex<Lane>>,
     /// Recycled parts containers (the outer `Vec` of per-shard buffers).
     containers: Mutex<Vec<Vec<Vec<u64>>>>,
-    /// Maximum buffers retained per lane; give-backs beyond it are dropped.
+    /// Buffers retained per lane, past which give-backs are dropped (plus
+    /// the lane's `widest − 1`; see [`BufferPool::give_back_all`]).
     lane_capacity: usize,
     /// Checkout slots refilled with recycled capacity (relaxed telemetry).
     hits: AtomicU64,
@@ -78,9 +92,10 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Creates a pool for `shards` shards retaining at most `lane_capacity`
-    /// buffers per shard lane (a sensible value is the engine's per-shard
-    /// queue capacity plus a small slack — more buffers than that can never
-    /// be in flight at once).
+    /// buffers per shard lane, plus one less than the widest group given
+    /// back to it (a sensible value is the engine's per-shard queue
+    /// capacity plus a small slack — more buffers than that can never be in
+    /// flight at once).
     ///
     /// # Panics
     /// Panics if `shards == 0` or `lane_capacity == 0`.
@@ -91,7 +106,7 @@ impl BufferPool {
             "BufferPool: lane capacity must be non-zero"
         );
         Self {
-            lanes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            lanes: (0..shards).map(|_| Mutex::default()).collect(),
             containers: Mutex::new(Vec::new()),
             lane_capacity,
             hits: AtomicU64::new(0),
@@ -118,7 +133,7 @@ impl BufferPool {
             debug_assert!(part.is_empty(), "checked-in container held items");
             if part.capacity() == 0 {
                 if let Ok(mut lane) = self.lanes[shard].try_lock() {
-                    if let Some(buf) = lane.pop() {
+                    if let Some(buf) = lane.buffers.pop() {
                         *part = buf;
                     }
                 }
@@ -164,7 +179,7 @@ impl BufferPool {
         let recycled = self.lanes[shard]
             .try_lock()
             .ok()
-            .and_then(|mut lane| lane.pop());
+            .and_then(|mut lane| lane.buffers.pop());
         match recycled {
             Some(buf) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -177,30 +192,49 @@ impl BufferPool {
         }
     }
 
-    /// Returns one finished sub-batch buffer to `shard`'s lane (worker
-    /// side). The buffer's contents are discarded; its capacity is what
-    /// circulates. Never blocks — on contention or a full lane the buffer
-    /// is simply dropped.
+    /// Returns finished sub-batch buffers — the buffers of a folded
+    /// minibatch, or just one — to `shard`'s lane (worker side), under one
+    /// lane lock. The buffers' contents are discarded; their capacity is
+    /// what circulates. A lane retains at most the pool's bound plus one
+    /// less than the most buffers a single give-back has returned to it:
+    /// a shard that folds keeps room for its widest group, one that never
+    /// folds no more than the bound. Never blocks — on contention every
+    /// buffer is dropped, and past a full lane the rest.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
-    pub fn give_back(&self, shard: usize, mut buffer: Vec<u64>) {
-        buffer.clear();
-        if buffer.capacity() == 0 {
-            return;
-        }
-        if let Ok(mut lane) = self.lanes[shard].try_lock() {
-            if lane.len() < self.lane_capacity {
-                lane.push(buffer);
-                return;
+    pub fn give_back_all<I>(&self, shard: usize, buffers: I)
+    where
+        I: IntoIterator<Item = Vec<u64>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let buffers = buffers.into_iter();
+        let mut lane = self.lanes[shard].try_lock().ok();
+        let bound = lane.as_mut().map_or(0, |lane| {
+            lane.widest = lane.widest.max(buffers.len());
+            self.lane_capacity + lane.widest.saturating_sub(1)
+        });
+        let mut dropped = 0;
+        for mut buffer in buffers {
+            buffer.clear();
+            if buffer.capacity() == 0 {
+                continue;
+            }
+            match &mut lane {
+                Some(lane) if lane.buffers.len() < bound => lane.buffers.push(buffer),
+                _ => dropped += 1,
             }
         }
-        self.drops.fetch_add(1, Ordering::Relaxed);
+        if dropped > 0 {
+            self.drops.fetch_add(dropped, Ordering::Relaxed);
+        }
     }
 
     /// Buffers currently parked in `shard`'s return lane (tests, metrics).
     pub fn lane_depth(&self, shard: usize) -> usize {
-        self.lanes[shard].try_lock().map_or(0, |lane| lane.len())
+        self.lanes[shard]
+            .try_lock()
+            .map_or(0, |lane| lane.buffers.len())
     }
 
     /// Snapshot of the hit/miss/drop counters (relaxed reads; exact for
@@ -226,7 +260,7 @@ mod tests {
         parts[1].extend(0..100u64);
         let sent = std::mem::take(&mut parts[1]);
         pool.checkin(parts);
-        pool.give_back(1, sent);
+        pool.give_back_all(1, [sent]);
         assert_eq!(pool.lane_depth(1), 1);
         let refreshed = pool.checkout();
         assert!(refreshed[1].capacity() >= 100, "lane buffer was reused");
@@ -238,16 +272,48 @@ mod tests {
     fn lanes_are_bounded() {
         let pool = BufferPool::new(1, 2);
         for _ in 0..5 {
-            pool.give_back(0, Vec::with_capacity(8));
+            pool.give_back_all(0, [Vec::with_capacity(8)]);
         }
         assert_eq!(pool.lane_depth(0), 2);
         assert_eq!(pool.counters().drops, 3);
         // Capacity-less buffers are not worth parking (and not a "drop" —
         // there was no capacity to lose).
         let pool = BufferPool::new(1, 2);
-        pool.give_back(0, Vec::new());
+        pool.give_back_all(0, [Vec::new()]);
         assert_eq!(pool.lane_depth(0), 0);
         assert_eq!(pool.counters().drops, 0);
+    }
+
+    #[test]
+    fn a_lane_keeps_room_for_the_widest_group_given_back() {
+        let pool = BufferPool::new(1, 2);
+        for _ in 0..3 {
+            pool.give_back_all(0, [Vec::with_capacity(8)]);
+        }
+        assert_eq!((pool.lane_depth(0), pool.counters().drops), (2, 1));
+        // A group of four on a full lane widens it to 2 + 3, so its three
+        // buffers with capacity are parked (the capacity-less one is no
+        // drop) ...
+        let group = vec![
+            Vec::with_capacity(8),
+            Vec::new(),
+            vec![1, 2, 3],
+            Vec::with_capacity(8),
+        ];
+        pool.give_back_all(0, group);
+        assert_eq!((pool.lane_depth(0), pool.counters().drops), (5, 1));
+        // ... and stays that wide: a narrower group finds it full, and
+        // single give-backs refill it to 5 once checkouts have drained it.
+        let group: Vec<Vec<u64>> = (0..3).map(|_| Vec::with_capacity(8)).collect();
+        pool.give_back_all(0, group);
+        assert_eq!((pool.lane_depth(0), pool.counters().drops), (5, 4));
+        for _ in 0..3 {
+            assert!(pool.checkout()[0].is_empty(), "parked buffers are cleared");
+        }
+        for _ in 0..4 {
+            pool.give_back_all(0, [Vec::with_capacity(8)]);
+        }
+        assert_eq!((pool.lane_depth(0), pool.counters().drops), (5, 5));
     }
 
     #[test]
@@ -266,7 +332,7 @@ mod tests {
         parts[0].extend(0..64u64);
         let sent = std::mem::take(&mut parts[0]);
         pool.checkin(parts);
-        pool.give_back(0, sent);
+        pool.give_back_all(0, [sent]);
         // Warm checkout: shard 0 recycles, shard 1 still misses.
         let parts = pool.checkout();
         let counters = pool.counters();
@@ -278,7 +344,7 @@ mod tests {
     fn take_refills_producer_owned_scratch() {
         let pool = BufferPool::new(2, 4);
         assert_eq!(pool.take(0), None); // cold lane: a miss
-        pool.give_back(0, Vec::with_capacity(64));
+        pool.give_back_all(0, [Vec::with_capacity(64)]);
         let buf = pool.take(0).expect("lane buffer was reused");
         assert!(buf.capacity() >= 64);
         assert_eq!(pool.lane_depth(0), 0);
@@ -311,7 +377,7 @@ mod tests {
                     parts[shard].extend(0..32u64);
                     let sent = std::mem::take(&mut parts[shard]);
                     pool.checkin(parts);
-                    pool.give_back(shard, sent);
+                    pool.give_back_all(shard, [sent]);
                 }
             }));
         }

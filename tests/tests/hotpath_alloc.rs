@@ -1,13 +1,14 @@
-//! Allocation audit of the recycled ingest hot path: after warm-up, one
-//! minibatch through `BufferPool::checkout` → `HashRouter::partition_into`
-//! → the whole of `ShardWorker::ingest`'s body (`build_hist_into` →
-//! `InfiniteHeavyHitters::process_histogram` →
+//! Allocation audit of the recycled ingest hot path: after warm-up, a
+//! stream of minibatches through `BufferPool::checkout` →
+//! `HashRouter::partition_into` → a bounded queue, then drained from it the
+//! way a shard worker does — the sub-batches already queued folded into one
+//! minibatch, and for each the whole of the worker's per-minibatch body
+//! (`build_hist_runs` → `InfiniteHeavyHitters::process_histogram` →
 //! `PaneWindow::process_histogram` → `AtomicCountMin::ingest_histogram`) →
-//! `BufferPool::give_back` must perform **zero** heap allocations (the
-//! histogram's probe table only grows and a shorter batch clears a prefix
-//! of it, the MG tables are sized once for `2S` counters, the cut-off
-//! selection runs in place, and every buffer is reused).
-//!
+//! `BufferPool::give_back_all` — must perform **zero** heap allocations
+//! (the histogram's probe table only grows and a shorter minibatch clears
+//! a prefix of it, the MG tables are sized once for `2S` counters, the
+//! cut-off selection runs in place, and every buffer is reused).
 //!
 //! The same holds for the client side of the wire: after warm-up,
 //! `Client::ingest` of an 8,192-item frame into a loopback `Server` — the
@@ -24,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use psfa::prelude::*;
-use psfa::primitives::build_hist_into;
+use psfa::primitives::build_hist_runs;
 
 thread_local! {
     static AUDITED: Cell<bool> = const { Cell::new(false) };
@@ -74,11 +75,19 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 #[test]
 fn recycled_hot_path_allocates_nothing_at_steady_state() {
+    /// Sub-batches a minibatch folds at most: the engine's publication
+    /// cadence (`PUBLISH_EVERY` = 16), so the deepest fold it can make is
+    /// audited — twice per pass, then a shallower tail of 8.
+    const FOLD: usize = 16;
     let mut generator = ZipfGenerator::new(100_000, 1.5, 61);
-    let batches: Vec<Vec<u64>> = (0..12).map(|_| generator.next_minibatch(20_000)).collect();
+    let batches: Vec<Vec<u64>> = (0..2 * FOLD + 8)
+        .map(|_| generator.next_minibatch(20_000))
+        .collect();
 
-    let pool = BufferPool::new(1, 4);
+    let pool = BufferPool::new(1, batches.len() + 2);
     let router = HashRouter::new(1);
+    let (queue, worker_side) = std::sync::mpsc::sync_channel::<Vec<u64>>(batches.len());
+    let mut group: Vec<Vec<u64>> = Vec::new();
     let mut scratch = HistScratch::new();
     let mut hist = Vec::new();
     let mut hh = InfiniteHeavyHitters::new(0.01, 0.001);
@@ -86,7 +95,8 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
     let count_min = AtomicCountMin::new(0.0005, 0.01, 0x00C0_FFEE);
     let mut seed = 0x5eed_1357u64;
     // Allocations made by one pass of every batch through the cycle, batch
-    // `short` cut to a third of its length.
+    // `short` cut to a third of its length: all of them routed and queued
+    // first, then folded off the queue `FOLD` at a time.
     let mut pass = |short: Option<usize>| {
         allocations_in(|| {
             for (index, batch) in batches.iter().enumerate() {
@@ -96,14 +106,24 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
                 };
                 let mut parts = pool.checkout();
                 router.partition_into(batch, &mut parts);
-                let sub = std::mem::take(&mut parts[0]);
+                queue.try_send(std::mem::take(&mut parts[0])).unwrap();
                 pool.checkin(parts);
+            }
+            while let Ok(first) = worker_side.try_recv() {
+                group.push(first);
+                while group.len() < FOLD {
+                    match worker_side.try_recv() {
+                        Ok(next) => group.push(next),
+                        Err(_) => break,
+                    }
+                }
                 seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                build_hist_into(&sub, seed, &mut scratch, &mut hist);
-                hh.process_histogram(&hist, sub.len() as u64);
-                window.process_histogram(&hist, sub.len() as u64);
+                build_hist_runs(&group, seed, &mut scratch, &mut hist);
+                let items: u64 = group.iter().map(|sub| sub.len() as u64).sum();
+                hh.process_histogram(&hist, items);
+                window.process_histogram(&hist, items);
                 count_min.ingest_histogram(&hist);
-                pool.give_back(0, sub);
+                pool.give_back_all(0, group.drain(..));
             }
         })
     };
@@ -116,7 +136,7 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
     assert_eq!(
         pass(Some(5)),
         0,
-        "the recycled hot path must not allocate at steady state"
+        "the recycled, folded hot path must not allocate at steady state"
     );
 }
 
