@@ -15,7 +15,9 @@ use psfa_sketch::AtomicCountMin;
 use psfa_store::{
     EpochRecord, EpochView, PersistenceConfig, ShardState, SnapshotStore, StoreError,
 };
-use psfa_stream::{BufferPool, IngestFence, Placement, Router, WindowFence, WindowFenceState};
+use psfa_stream::{
+    BufferPool, IngestFence, Placement, Router, RoutingPolicy, WindowFence, WindowFenceState,
+};
 
 use crate::config::EngineConfig;
 use crate::metrics::{EngineMetrics, ShardHealth, ShardMetrics, WindowMetrics};
@@ -322,7 +324,7 @@ impl Engine {
     ) -> Result<Engine, StoreError> {
         config.validate();
         let (recovered, preopened_store) = recovered.unzip();
-        let router: Arc<dyn Router> = config.routing.build(config.shards);
+        let router = config.routing.build(config.shards);
         if let Some(record) = &recovered {
             // Restore the persisted hot set so replicated-key placements —
             // and therefore query-time summing — survive the restart.
@@ -532,26 +534,19 @@ impl Engine {
         // A snapshot with split (replicated) keys needs a router that will
         // honour *all* the promotions: under plain hash routing `placement`
         // would report `Owner` for keys whose mass is spread across shards,
-        // and a skew router whose hot capacity is below the persisted hot
-        // set would silently truncate it — either way point queries on the
-        // dropped keys would lose most of their count.
+        // and a skew router with fewer hot slots (`4 · shards`) than the
+        // persisted hot set would silently truncate it — either way point
+        // queries on the dropped keys would lose most of their count.
         if !record.hot_keys.is_empty() {
-            match &config.routing {
-                psfa_stream::RoutingPolicy::Hash => {
-                    return Err(StoreError::ConfigMismatch(
-                        "snapshot has split hot keys but the config routes by hash",
-                    ));
-                }
-                psfa_stream::RoutingPolicy::SkewAware { hot_capacity, .. } => {
-                    let capacity = hot_capacity.unwrap_or_else(|| {
-                        psfa_stream::SkewAwareRouter::default_hot_capacity(config.shards)
-                    });
-                    if record.hot_keys.len() > capacity {
-                        return Err(StoreError::ConfigMismatch(
-                            "persisted hot keys exceed the configured hot_capacity",
-                        ));
-                    }
-                }
+            if config.routing == RoutingPolicy::Hash {
+                return Err(StoreError::ConfigMismatch(
+                    "snapshot has split hot keys but the config routes by hash",
+                ));
+            }
+            if record.hot_keys.len() > config.routing.hot_capacity(config.shards) {
+                return Err(StoreError::ConfigMismatch(
+                    "persisted hot keys exceed the router's hot capacity",
+                ));
             }
         }
         config.persistence = Some(pcfg);
@@ -685,7 +680,7 @@ impl Drop for Engine {
 pub struct EngineHandle {
     senders: Arc<Vec<SyncSender<ShardCommand>>>,
     shared: Arc<Vec<Arc<ShardShared>>>,
-    router: Arc<dyn Router>,
+    router: Arc<Router>,
     /// Recycles routed sub-batch buffers between producers and workers, so
     /// steady-state ingestion allocates nothing (see [`BufferPool`]).
     pub(crate) pool: Arc<BufferPool>,
@@ -1125,7 +1120,7 @@ impl EngineHandle {
     }
 
     /// The active router (for inspection; e.g. its current hot-key set).
-    pub fn router(&self) -> &Arc<dyn Router> {
+    pub fn router(&self) -> &Arc<Router> {
         &self.router
     }
 
@@ -1956,7 +1951,7 @@ mod tests {
         handle.snapshot_now().unwrap();
         engine.kill();
 
-        let hash_config = config.clone().routing(psfa_stream::RoutingPolicy::Hash);
+        let hash_config = config.clone().routing(RoutingPolicy::Hash);
         assert!(matches!(
             Engine::recover(&dir, hash_config),
             Err(StoreError::ConfigMismatch(_))

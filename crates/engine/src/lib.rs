@@ -9,7 +9,7 @@
 //!  producers (any thread: a cloned EngineHandle, or a per-thread Producer)
 //!      │  ingest(&[u64])  — items tick the WindowFence's logical clock
 //!      ▼
-//!  pluggable router (psfa_stream::Router)
+//!  router (psfa_stream::Router)
 //!      │  hash: each key owned by one shard (default)
 //!      │  skew-aware: hot keys split round-robin across all shards
 //!      │  ONE bounded FIFO channel per shard carries every minibatch
@@ -138,9 +138,7 @@ pub use psfa_freq::{GlobalWindow, SealedWindow};
 // Fault injection lives in `psfa-primitives`; re-exported so
 // `EngineConfig::fault_injection` can be used without a direct dependency.
 pub use psfa_primitives::FaultPlan;
-pub use psfa_stream::{
-    HashRouter, IngestFence, Placement, Router, RoutingPolicy, SkewAwareRouter, WindowFence,
-};
+pub use psfa_stream::{IngestFence, Placement, Router, RoutingPolicy, WindowFence};
 
 // Persistence lives in `psfa-store`; the engine-facing pieces are
 // re-exported so `EngineConfig::persistence` and `Engine::recover` can be

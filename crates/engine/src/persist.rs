@@ -61,7 +61,7 @@ pub(crate) struct Persister {
     store: Mutex<SnapshotStore>,
     fence: Arc<IngestFence>,
     senders: Arc<Vec<SyncSender<ShardCommand>>>,
-    router: Arc<dyn Router>,
+    router: Arc<Router>,
     phi: f64,
     epsilon: f64,
     window: Option<PersistWindow>,
@@ -84,7 +84,7 @@ impl Persister {
         store: SnapshotStore,
         fence: Arc<IngestFence>,
         senders: Arc<Vec<SyncSender<ShardCommand>>>,
-        router: Arc<dyn Router>,
+        router: Arc<Router>,
         phi: f64,
         epsilon: f64,
         window: Option<PersistWindow>,
@@ -152,9 +152,7 @@ impl Persister {
                             .map_err(|_| ())
                     })
                     .collect::<Result<Vec<_>, ()>>()?;
-                let mut hot_keys = self.router.hot_keys();
-                hot_keys.sort_unstable();
-                hot_keys.dedup();
+                let hot_keys = self.router.hot_keys();
                 // Boundary markers are themselves enqueued under exclusive
                 // cuts, so from inside this cut every shard's FIFO holds
                 // exactly `boundaries` markers before our Persist marker:

@@ -37,7 +37,7 @@
 //! | [`psfa_sketch`] | §6 | Count-Min sketch (one type: per-element and minibatch updates, lock-free queries, mergeable), Count-Sketch |
 //! | [`psfa_baselines`] | §1, §5.4 | sequential comparators and the independent-data-structure approach |
 //! | [`psfa_stream`] | §1 | minibatch model, workload generators, routing layer (hash + skew-aware hot-key splitting), epoch + window fencing |
-//! | [`psfa_engine`] | beyond the paper | sharded multi-threaded ingestion engine with pluggable routing, live cross-shard queries, and globally consistent sliding windows (`Engine`, `EngineHandle`) |
+//! | [`psfa_engine`] | beyond the paper | sharded multi-threaded ingestion engine with hash or skew-aware routing, live cross-shard queries, and globally consistent sliding windows (`Engine`, `EngineHandle`) |
 //! | [`psfa_store`] | beyond the paper | epoch-snapshot persistence: checksummed append-only segment log, crash recovery (`Engine::recover`), time-travel queries (`heavy_hitters_at`) |
 //! | [`psfa_obs`] | beyond the paper | lock-free observability: mergeable latency histograms, stall accounting, bounded event tracing, Prometheus text export |
 //! | [`psfa_serve`] | beyond the paper | network serving front end: length-prefixed binary protocol over `std::net`, capped thread-per-connection server with explicit `Busy` backpressure, blocking client (`Server`, `Client`) |
@@ -87,8 +87,8 @@ pub mod prelude {
     };
     pub use psfa_stream::{
         shard_of, AdversarialChurnGenerator, BinaryStreamGenerator, BufferPool, BurstyGenerator,
-        HashRouter, IngestFence, PacketTraceGenerator, Placement, Router, RoutingPolicy,
-        SkewAwareRouter, StreamGenerator, UniformGenerator, WindowFence, ZipfGenerator,
+        IngestFence, PacketTraceGenerator, Placement, Router, RoutingPolicy, StreamGenerator,
+        UniformGenerator, WindowFence, ZipfGenerator,
     };
     pub use psfa_window::{BasicCounter, Pane, PaneRing, QueryResult, Sbbc, WindowedSum};
 }

@@ -27,7 +27,7 @@
 //! [`WindowFence`] layers a **logical item clock** on the same ordering
 //! primitive, turning the cut mechanism into *window-aligned barriers*: the
 //! foundation of cross-shard sliding windows. Every accepted item draws a
-//! position from a shared atomic ticket ([`WindowFence::record`], called
+//! position from a shared atomic ticket ([`WindowFence::claim`], called
 //! while the [`IngestGuard`] is held, so positions and queue order agree);
 //! whenever the ticket crosses a multiple of the configured `slide`,
 //! [`WindowFence::poll_cut`] takes one exclusive cut and invokes the caller
@@ -50,7 +50,7 @@
 //! for _ in 0..5 {
 //!     let guard = fence.enter().expect("open");
 //!     // ... enqueue the minibatch's per-shard sub-batches here ...
-//!     windows.record(&guard, 600); // 600 items accepted under this guard
+//!     windows.claim(&guard, 600); // 600 items accepted under this guard
 //!     drop(guard);
 //!     windows.poll_cut(|seq| boundaries.push(seq));
 //! }
@@ -126,11 +126,6 @@ impl IngestFence {
     pub fn close(&self) {
         self.state.write().expect("ingest fence poisoned").closed = true;
     }
-
-    /// True once [`IngestFence::close`] has completed.
-    pub fn is_closed(&self) -> bool {
-        self.state.read().expect("ingest fence poisoned").closed
-    }
 }
 
 /// The state of a [`WindowFence`] at one instant: the logical clock and the
@@ -179,9 +174,9 @@ impl BatchClaim {
 /// A logical item clock that cuts shard-consistent *window boundaries*
 /// every `slide` items, built on an [`IngestFence`] (see the module docs).
 ///
-/// Producers call [`WindowFence::record`] with the number of items they
+/// Producers call [`WindowFence::claim`] with the number of items they
 /// accepted **while holding their [`IngestGuard`]**, then
-/// [`WindowFence::poll_cut`] after releasing it. The fast path of
+/// [`WindowFence::poll_cut`] after releasing it (when the claim is due). The fast path of
 /// `poll_cut` is two atomic loads; only the producer that observes the
 /// clock crossing a boundary pays for the exclusive cut.
 #[derive(Debug)]
@@ -257,21 +252,15 @@ impl WindowFence {
         self.boundaries.load(Ordering::Acquire)
     }
 
-    /// Advances the logical clock by `items` positions. The caller must
-    /// hold the [`IngestGuard`] it used for the enqueues being counted —
-    /// passing it in is the proof — so that a concurrent cut orders either
-    /// strictly before both the enqueues and the clock advance, or
-    /// strictly after both.
-    pub fn record(&self, proof: &IngestGuard<'_>, items: u64) {
-        let _ = self.claim(proof, items);
-    }
-
-    /// Claims `items` consecutive logical positions in **one** fetch-add —
-    /// the batched-ticket fast path. Returns the claimed range and whether
-    /// the claimant *may* have crossed a pane boundary and must call
-    /// [`WindowFence::poll_cut`] after dropping its guard.
+    /// Advances the logical clock by `items` positions, claimed in **one**
+    /// fetch-add. The caller must hold the [`IngestGuard`] it used for the
+    /// enqueues being counted — passing it in is the proof — so that a
+    /// concurrent cut orders either strictly before both the enqueues and
+    /// the clock advance, or strictly after both. Returns the claimed range
+    /// and whether the claimant *may* have crossed a pane boundary and must
+    /// call [`WindowFence::poll_cut`] after dropping its guard.
     ///
-    /// Compared with [`WindowFence::record`] + an unconditional poll, a
+    /// Compared with an unconditional poll after every claim, a
     /// non-crossing producer touches the shared ticket cache line exactly
     /// once (the fetch-add it must pay anyway) plus one load of the
     /// read-mostly `next_boundary` line — it never re-reads the contended
@@ -302,7 +291,7 @@ impl WindowFence {
     /// shard. Returns the number of boundaries cut (usually 0: the fast
     /// path is two atomic loads and no locking).
     ///
-    /// Call *after* releasing the guard passed to [`WindowFence::record`];
+    /// Call *after* releasing the guard passed to [`WindowFence::claim`];
     /// polling while holding it would deadlock (the cut waits for every
     /// outstanding guard). Racing producers may both observe the crossing —
     /// the re-check under the exclusive side cuts each boundary exactly
@@ -354,10 +343,9 @@ mod tests {
     fn enter_refused_after_close() {
         let fence = IngestFence::new();
         assert!(fence.enter().is_some());
-        assert!(!fence.is_closed());
         fence.close();
         assert!(fence.enter().is_none());
-        assert!(fence.is_closed());
+        assert!(fence.enter().is_none(), "closing is for good");
     }
 
     #[test]
@@ -407,12 +395,12 @@ mod tests {
         let mut seqs = Vec::new();
         // 70 items: no boundary yet.
         let guard = fence.enter().unwrap();
-        windows.record(&guard, 70);
+        windows.claim(&guard, 70);
         drop(guard);
         assert_eq!(windows.poll_cut(|s| seqs.push(s)), 0);
         // A giant batch crosses three boundaries at once.
         let guard = fence.enter().unwrap();
-        windows.record(&guard, 290);
+        windows.claim(&guard, 290);
         drop(guard);
         assert_eq!(windows.poll_cut(|s| seqs.push(s)), 3);
         assert_eq!(seqs, vec![1, 2, 3]);
@@ -435,7 +423,7 @@ mod tests {
             producers.push(std::thread::spawn(move || {
                 for _ in 0..500 {
                     let guard = fence.enter().expect("open");
-                    windows.record(&guard, 16);
+                    windows.claim(&guard, 16);
                     drop(guard);
                     windows.poll_cut(|_| {
                         cuts.fetch_add(1, Ordering::SeqCst);
@@ -533,7 +521,7 @@ mod tests {
         let fence = Arc::new(IngestFence::new());
         let windows = WindowFence::new(fence.clone(), 50);
         let guard = fence.enter().unwrap();
-        windows.record(&guard, 120);
+        windows.claim(&guard, 120);
         drop(guard);
         windows.poll_cut(|_| {});
         let state = windows.state();
@@ -549,7 +537,7 @@ mod tests {
         let fence2 = Arc::new(IngestFence::new());
         let resumed = WindowFence::resume(fence2.clone(), 50, state);
         let guard = fence2.enter().unwrap();
-        resumed.record(&guard, 30);
+        resumed.claim(&guard, 30);
         drop(guard);
         let mut seqs = Vec::new();
         resumed.poll_cut(|s| seqs.push(s));

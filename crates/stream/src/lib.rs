@@ -19,8 +19,8 @@
 //! * [`pool`] — recycling of routed sub-batch buffers between producers and
 //!   shard workers ([`BufferPool`]), so the steady-state ingest path
 //!   allocates nothing.
-//! * [`router`] — pluggable routing policies over the split layer: hash
-//!   partitioning and skew-aware hot-key splitting.
+//! * [`router`] — the one [`Router`] over the split layer, under either
+//!   routing policy: hash partitioning or skew-aware hot-key splitting.
 //! * [`fence`] — epoch fencing: consistent cuts of a concurrently ingested
 //!   stream, the ordering primitive under snapshot persistence, plus the
 //!   [`WindowFence`] logical item clock that turns cuts into window-aligned
@@ -46,6 +46,6 @@ pub use generators::{
 };
 pub use lane::IngestLane;
 pub use pool::{BufferPool, PoolCounters};
-pub use router::{HashRouter, Placement, Router, RoutingPolicy, SkewAwareRouter};
+pub use router::{Placement, Router, RoutingPolicy};
 pub use split::shard_of;
 pub use zipf::ZipfSampler;

@@ -1,23 +1,23 @@
-//! Pluggable minibatch routing: how item occurrences are assigned to shards.
+//! Minibatch routing: how item occurrences are assigned to shards.
 //!
-//! PR 1's engine hard-coded hash routing ([`crate::split::shard_of`]), which
-//! partitions the *key space* evenly but not the *traffic*: under Zipf-skewed
-//! streams every occurrence of a hot key lands on one shard, and worst-case
-//! shard load — not the hardware — bounds throughput. This module makes
-//! routing a first-class abstraction:
+//! Hash routing ([`crate::split::shard_of`]) partitions the *key space*
+//! evenly but not the *traffic*: under Zipf-skewed streams every occurrence
+//! of a hot key lands on one shard, and worst-case shard load — not the
+//! hardware — bounds throughput. One [`Router`] serves both policies a
+//! [`RoutingPolicy`] names:
 //!
-//! * [`Router`] — the trait: split a minibatch into per-shard sub-batches and
-//!   answer, for any key, *where its count mass may live* ([`Placement`]).
-//! * [`HashRouter`] — stateless hash partitioning; every key is owned by
-//!   exactly one shard (PR 1's behaviour, still the default).
-//! * [`SkewAwareRouter`] — detects hot keys online with a small array-based
+//! * **skew-aware** — hot keys are detected online by a small array-based
 //!   Space-Saving tracker kept off the data path (as in QPOPSS and Parallel
-//!   Space Saving) and spreads each hot key's occurrences round-robin
+//!   Space Saving), and each hot key's occurrences are spread round-robin
 //!   across *all* shards; queries must then sum the key's per-shard counts
-//!   ([`Placement::Replicated`]).
-//! * [`RoutingPolicy`] — plain-data configuration that builds a router, so
-//!   engine configs stay `Clone`/`Debug` while handles share one
-//!   `Arc<dyn Router>`.
+//!   ([`Placement::Replicated`]);
+//! * **hash** — the same router with no hot slots: it never samples, never
+//!   promotes, and every key is owned by its [`shard_of`] shard.
+//!
+//! The skew-aware rule is fixed, a function of the shard count alone: a key
+//! is promoted once its estimated share of the sampled traffic reaches a
+//! quarter of a shard's fair share, `0.25 / shards`; at most `4 · shards`
+//! keys are ever promoted; and promotion is sticky.
 //!
 //! ## Why splitting preserves the paper's one-sided bounds
 //!
@@ -31,37 +31,24 @@
 //! `ε_cm·m`. This is the mergeable-summaries argument of
 //! `psfa_freq::MgSummary::merge` applied at query time.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::split::shard_of;
 
-/// Process-unique ids for [`SkewAwareRouter`] instances, keying the
-/// per-thread hot-set cache below.
-static NEXT_ROUTER_ID: AtomicU64 = AtomicU64::new(0);
+/// No key is promoted before the tracker has seen this many *samples*, so a
+/// share is never judged on a handful of them.
+const MIN_SAMPLES: u64 = 512;
 
-/// Per-thread cache slots are capped so a thread that churns through many
-/// routers (tests, benches) cannot grow its cache without bound.
-const HOT_CACHE_SLOTS: usize = 32;
-
-struct HotCacheSlot {
-    router: u64,
-    epoch: u64,
-    hot: Arc<Vec<u64>>,
-}
-
-thread_local! {
-    /// Per-producer cache of each router's hot set, validated against the
-    /// router's promotion epoch: the per-batch routing path reads the hot
-    /// set with **zero shared-memory writes** (no `RwLock` read, no `Arc`
-    /// refcount bump) until a promotion actually happens.
-    static HOT_CACHE: RefCell<Vec<HotCacheSlot>> = const { RefCell::new(Vec::new()) };
-}
+/// Every `SAMPLE_STRIDE`-th item is fed to the tracker: a key with traffic
+/// share `p` has share `p` in the stride sample too, so detection is
+/// unaffected while the per-batch tracking cost (including Space-Saving's
+/// `O(capacity)` scans) shrinks by the stride.
+const SAMPLE_STRIDE: usize = 8;
 
 /// The skew detector: a Space-Saving summary (Metwally et al.) in two flat
-/// arrays. The capacity is a few dozen slots — `4 / hot_fraction`, 32 for
-/// two shards — so finding a key is one linear pass over a couple of cache
+/// arrays. The capacity is a few dozen slots — `16 · shards`, 32 for two
+/// shards — so finding a key is one linear pass over a couple of cache
 /// lines, with no hashing and no allocation after construction. The
 /// eviction victim is the *first* slot holding the minimum count, so the
 /// same sample sequence always yields the same summary (and the same
@@ -159,119 +146,21 @@ pub enum Placement {
     Replicated,
 }
 
-/// A routing policy: splits minibatches across shards and reports where each
-/// key's counts live.
+/// Splits minibatches across shards and reports where each key's counts
+/// live, under hash or skew-aware routing (module docs).
 ///
-/// Implementations are shared between concurrent producers and queriers
-/// behind an `Arc<dyn Router>`, so all methods take `&self`; stateful
-/// routers (hot-key detection) use interior mutability.
-pub trait Router: Send + Sync {
-    /// Short policy name for metrics and experiment tables.
-    fn name(&self) -> &'static str;
-
-    /// The number of shards this router routes across.
-    fn shards(&self) -> usize;
-
-    /// Splits one minibatch into caller-provided buffers, one per shard
-    /// (cleared first). Every item occurrence lands in exactly one
-    /// sub-batch, and item order within a sub-batch preserves stream order.
-    /// May update internal skew state. The ingest hot path draws `parts`
-    /// from a [`crate::BufferPool`], so steady-state routing performs no
-    /// heap allocation at all.
-    ///
-    /// # Panics
-    /// Implementations may panic if `parts.len() != self.shards()`.
-    fn partition_into(&self, minibatch: &[u64], parts: &mut [Vec<u64>]);
-
-    /// Allocating convenience over [`Router::partition_into`]: splits one
-    /// minibatch into `shards()` fresh per-shard sub-batches.
-    fn partition(&self, minibatch: &[u64]) -> Vec<Vec<u64>> {
-        let shards = self.shards();
-        let mut parts: Vec<Vec<u64>> = (0..shards)
-            .map(|_| Vec::with_capacity(minibatch.len() / shards + 1))
-            .collect();
-        self.partition_into(minibatch, &mut parts);
-        parts
-    }
-
-    /// The shards on which `key`'s count mass may reside. Queries use this
-    /// to decide between an owner-only read and a cross-shard sum.
-    fn placement(&self, key: u64) -> Placement;
-
-    /// Keys currently split across shards (empty for static routing).
-    fn hot_keys(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Monotone count of hot-set changes (promotion events) so far; `0`
-    /// forever for static routers. Observability layers poll this cheaply
-    /// (one atomic load) to detect promotions without hooking the routing
-    /// path.
-    fn promotions(&self) -> u64 {
-        0
-    }
-
-    /// Pre-promotes `keys` to the split (replicated) set, if the policy
-    /// supports splitting. Used by crash recovery to restore a persisted hot
-    /// set, so replicated-key placements — and therefore query-time summing —
-    /// survive a restart. A no-op for static routers.
-    fn promote(&self, _keys: &[u64]) {}
-}
-
-/// Stateless hash routing: each key is owned by exactly one shard, the pure
-/// function [`shard_of`] of the key. PR 1's behaviour and the default.
-#[derive(Debug, Clone)]
-pub struct HashRouter {
-    shards: usize,
-}
-
-impl HashRouter {
-    /// Creates a hash router over `shards` shards.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "HashRouter: shards must be non-zero");
-        Self { shards }
-    }
-}
-
-impl Router for HashRouter {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn shards(&self) -> usize {
-        self.shards
-    }
-
-    fn partition_into(&self, minibatch: &[u64], parts: &mut [Vec<u64>]) {
-        assert_eq!(parts.len(), self.shards, "partition_into: wrong part count");
-        for part in parts.iter_mut() {
-            part.clear();
-        }
-        for &item in minibatch {
-            parts[shard_of(item, self.shards)].push(item);
-        }
-    }
-
-    fn placement(&self, key: u64) -> Placement {
-        Placement::Owner(shard_of(key, self.shards))
-    }
-}
-
-/// Skew-aware routing: hot keys are detected online and split round-robin
-/// across all shards; everything else routes by hash.
+/// Shared between concurrent producers and queriers behind an
+/// `Arc<Router>`, so all methods take `&self`.
 ///
-/// An array-based Space-Saving tracker observes a stride sample of every
-/// partitioned minibatch. Once a key's estimated traffic share reaches
-/// `hot_fraction` (of all items sampled so far), it is *promoted*:
-/// subsequent occurrences are dealt round-robin to
-/// all shards, levelling the per-shard load that hash routing concentrates
-/// on the key's home shard. Promotion is **sticky** — a promoted key is
-/// never demoted, so [`Router::placement`] can always answer from the
-/// current hot set without per-key routing history (dynamic demotion needs
-/// exactly that history and is left as a follow-on; see ROADMAP.md).
+/// Under skew-aware routing a stride sample of every partitioned minibatch
+/// feeds the tracker, and a key whose estimated share reaches
+/// `0.25 / shards` is *promoted*: its later occurrences are dealt
+/// round-robin to all shards, levelling the load that hash routing
+/// concentrates on the key's home shard. Promotion is **sticky** — a
+/// promoted key is never demoted, so [`Router::placement`] can always answer
+/// from the current hot set without per-key routing history (dynamic
+/// demotion needs exactly that history and is left as a follow-on; see
+/// ROADMAP.md).
 ///
 /// Promotion is a load-balancing decision, not a correctness one: whichever
 /// keys are (or are not) promoted, every occurrence lands on exactly one
@@ -280,34 +169,21 @@ impl Router for HashRouter {
 /// whose newest occurrences were already spread — the summed/owner estimate
 /// remains one-sided (it never overestimates) and catches up on the next
 /// read.
-pub struct SkewAwareRouter {
-    /// Process-unique id keying the per-thread hot-set cache.
-    id: u64,
+pub struct Router {
     shards: usize,
-    hot_capacity: usize,
-    hot_fraction: f64,
-    /// No key is promoted before the tracker has seen this many *samples*
-    /// (one item in `sample_stride`), so a share is never judged on a
-    /// handful of them.
-    min_samples: u64,
-    /// Every `sample_stride`-th item is fed to the tracker: a key with
-    /// traffic share `p` has share `p` in the stride sample too, so
-    /// detection is unaffected while the per-batch tracking cost (including
-    /// Space-Saving's `O(capacity)` scans) shrinks by the stride.
-    sample_stride: usize,
+    /// The sticky hot set: `hot[..hot_len]` are the promoted keys in
+    /// promotion order — `4 · shards` slots under skew-aware routing, none
+    /// under hash routing. Slots are stored only while the tracker lock is
+    /// held, and a slot below `hot_len` is never stored again.
+    hot: Box<[AtomicU64]>,
+    /// Stored with `Release` after the slots it newly covers, so a reader
+    /// that loads it with `Acquire` sees every slot below it.
+    hot_len: AtomicUsize,
+    /// The skew detector; holding its lock is what makes a thread the one
+    /// hot-set writer.
     tracker: Mutex<HotKeyDetector>,
-    /// Sticky, monotonically growing hot set, kept sorted: with at most
-    /// `hot_capacity` (tens of) entries, a binary search beats hashing on
-    /// the per-item routing path. Readers clone the `Arc` so the routing
-    /// loop never holds the lock.
-    hot: RwLock<Arc<Vec<u64>>>,
-    /// Bumped after every hot-set change; per-producer caches revalidate
-    /// against it with one atomic load per batch (see [`HOT_CACHE`]).
-    promotion_epoch: AtomicU64,
-    /// Per-producer thread-local caching of the hot set (on by default);
-    /// off, the uncached `RwLock` + `Arc`-clone path the cache is tested
-    /// against.
-    cache_hot_set: bool,
+    /// Bumped once per hot-set change, after the new length is published.
+    promotions: AtomicU64,
     /// Round-robin cursor shared by all producers for hot-key occurrences.
     cursor: AtomicUsize,
     /// Rotates the sampling offset so periodic streams cannot hide from the
@@ -315,328 +191,238 @@ pub struct SkewAwareRouter {
     batches: AtomicUsize,
 }
 
-impl SkewAwareRouter {
-    /// Fraction of observed traffic at which a key is promoted, when not set
-    /// explicitly: a quarter of a shard's fair share `1/shards`, so keys are
-    /// split well before they can dominate one shard.
-    pub fn default_hot_fraction(shards: usize) -> f64 {
-        0.25 / shards as f64
-    }
+/// Whether `key` is among the published hot slots `hot`.
+fn is_hot(hot: &[AtomicU64], key: u64) -> bool {
+    hot.iter().any(|slot| slot.load(Ordering::Relaxed) == key)
+}
 
-    /// Hot-key budget when not set explicitly: `4·shards`, comfortably more
-    /// keys than can each hold [`Self::default_hot_fraction`] of the traffic.
-    pub fn default_hot_capacity(shards: usize) -> usize {
-        4 * shards
-    }
-
-    /// Creates a skew-aware router with default parameters:
-    /// [`Self::default_hot_capacity`] hot keys at most, promotion at
-    /// [`Self::default_hot_fraction`].
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Self {
-        Self::with_params(
-            shards,
-            Self::default_hot_capacity(shards),
-            Self::default_hot_fraction(shards),
-        )
-    }
-
-    /// Creates a skew-aware router with an explicit hot-key budget and
-    /// promotion threshold.
-    ///
-    /// # Panics
-    /// Panics unless `shards > 0`, `hot_capacity > 0` and
-    /// `0 < hot_fraction < 1`.
-    pub fn with_params(shards: usize, hot_capacity: usize, hot_fraction: f64) -> Self {
-        assert!(shards > 0, "SkewAwareRouter: shards must be non-zero");
-        assert!(
-            hot_capacity > 0,
-            "SkewAwareRouter: hot capacity must be non-zero"
-        );
-        assert!(
-            hot_fraction > 0.0 && hot_fraction < 1.0,
-            "SkewAwareRouter: hot fraction must be in (0, 1)"
-        );
-        // Tracker error one quarter of the promotion threshold, so the
-        // overestimate of a Space-Saving entry cannot promote a key whose
-        // true share is far below `hot_fraction`.
-        let tracker_epsilon = (hot_fraction / 4.0).max(1e-6);
+impl Router {
+    /// A router over `shards` shards with `hot_capacity` hot slots (none
+    /// for hash routing).
+    fn new(shards: usize, hot_capacity: usize) -> Self {
+        assert!(shards > 0, "routing requires at least one shard");
         Self {
-            id: NEXT_ROUTER_ID.fetch_add(1, Ordering::Relaxed),
             shards,
-            hot_capacity,
-            hot_fraction,
-            min_samples: 512,
-            sample_stride: 8,
-            tracker: Mutex::new(HotKeyDetector::new((1.0 / tracker_epsilon).ceil() as usize)),
-            hot: RwLock::new(Arc::new(Vec::new())),
-            promotion_epoch: AtomicU64::new(0),
-            cache_hot_set: true,
+            hot: (0..hot_capacity).map(|_| AtomicU64::new(0)).collect(),
+            hot_len: AtomicUsize::new(0),
+            // `16 · shards` slots (none under hash routing): a Space-Saving
+            // overestimate of at most a quarter of the `0.25 / shards`
+            // promotion share, so no key is promoted on a true share far
+            // below it.
+            tracker: Mutex::new(HotKeyDetector::new(4 * hot_capacity)),
+            promotions: AtomicU64::new(0),
             cursor: AtomicUsize::new(0),
             batches: AtomicUsize::new(0),
         }
     }
 
-    /// Enables or disables the per-producer thread-local hot-set cache
-    /// (enabled by default). Disabled, every partitioned batch takes one
-    /// `RwLock` read plus one `Arc` clone of the shared set instead: the
-    /// plain path that `cached_and_uncached_routing_agree` holds the cache
-    /// to, partition for partition.
-    pub fn hot_set_caching(mut self, enabled: bool) -> Self {
-        self.cache_hot_set = enabled;
-        self
-    }
-
-    /// Runs `f` with the current hot set, served from the per-thread cache
-    /// when it is still at this router's promotion epoch. On the hit path
-    /// (every batch between promotions — i.e. almost all of them, since the
-    /// hot set is sticky and bounded) this performs a single relaxed-ish
-    /// atomic *load* and no shared-memory writes; only a promotion, or the
-    /// thread's first batch through this router, touches the `RwLock`.
-    fn with_hot<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
-        if !self.cache_hot_set {
-            let hot = self.hot_set();
-            return f(&hot);
-        }
-        let epoch = self.promotion_epoch.load(Ordering::Acquire);
-        HOT_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some(at) = cache.iter().position(|s| s.router == self.id) {
-                if cache[at].epoch != epoch {
-                    // A promotion happened: refresh from the shared set.
-                    // (Reading the epoch *before* the lock means a racing
-                    // promotion can only make the cached copy newer than its
-                    // recorded epoch — the next batch refreshes again, which
-                    // is safe; the hot set only ever grows.)
-                    cache[at].hot = self.hot_set();
-                    cache[at].epoch = epoch;
-                }
-                f(&cache[at].hot)
-            } else {
-                if cache.len() >= HOT_CACHE_SLOTS {
-                    // Evict the oldest slot; its router will simply re-cache.
-                    cache.remove(0);
-                }
-                cache.push(HotCacheSlot {
-                    router: self.id,
-                    epoch,
-                    hot: self.hot_set(),
-                });
-                let slot = cache.last().expect("just pushed");
-                f(&slot.hot)
-            }
-        })
-    }
-
-    /// Feeds a stride sample of one minibatch to the tracker and promotes
-    /// any key whose estimated traffic share reached `hot_fraction`.
-    fn observe(&self, minibatch: &[u64], hot: &[u64]) {
-        // Promotion is sticky, so once the hot set is full no observation
-        // can ever matter again — stop paying the tracker lock and the
-        // sampling work for the rest of the process lifetime.
-        if hot.len() >= self.hot_capacity {
-            return;
-        }
-        let offset = self.batches.fetch_add(1, Ordering::Relaxed) % self.sample_stride;
-        let mut tracker = self.tracker.lock().expect("skew tracker lock poisoned");
-        for &item in minibatch.iter().skip(offset).step_by(self.sample_stride) {
-            tracker.update(item);
-        }
-        let m = tracker.samples;
-        if m < self.min_samples {
-            return;
-        }
-        let threshold = self.hot_fraction * m as f64;
-        let promoted: Vec<u64> = tracker
-            .entries()
-            .filter(|&(key, est)| est as f64 >= threshold && hot.binary_search(&key).is_err())
-            .map(|(key, _)| key)
-            .collect();
-        drop(tracker);
-        if promoted.is_empty() {
-            return;
-        }
-        self.insert_hot(&promoted);
-    }
-
-    /// Inserts `keys` into the sorted hot set (up to `hot_capacity`) and
-    /// bumps the promotion epoch so per-producer caches refresh.
-    fn insert_hot(&self, keys: &[u64]) {
-        let mut guard = self.hot.write().expect("hot set lock poisoned");
-        let mut next: Vec<u64> = (**guard).clone();
-        let mut changed = false;
-        for &key in keys {
-            if next.len() >= self.hot_capacity {
-                break;
-            }
-            if let Err(at) = next.binary_search(&key) {
-                next.insert(at, key);
-                changed = true;
-            }
-        }
-        if changed {
-            *guard = Arc::new(next);
-            // Release-publish after the set is visible behind the lock; a
-            // cache that loads the new epoch will read the new set (or a
-            // newer one — the set only grows).
-            self.promotion_epoch.fetch_add(1, Ordering::Release);
+    /// Short policy name for metrics and experiment tables.
+    pub fn name(&self) -> &'static str {
+        if self.hot.is_empty() {
+            RoutingPolicy::Hash.name()
+        } else {
+            RoutingPolicy::SkewAware.name()
         }
     }
 
-    fn hot_set(&self) -> Arc<Vec<u64>> {
-        self.hot.read().expect("hot set lock poisoned").clone()
-    }
-}
-
-impl Router for SkewAwareRouter {
-    fn name(&self) -> &'static str {
-        "skew-aware"
-    }
-
-    fn shards(&self) -> usize {
+    /// The number of shards this router routes across.
+    pub fn shards(&self) -> usize {
         self.shards
     }
 
-    fn partition_into(&self, minibatch: &[u64], parts: &mut [Vec<u64>]) {
-        assert_eq!(parts.len(), self.shards, "partition_into: wrong part count");
-        self.with_hot(|hot| {
-            for part in parts.iter_mut() {
-                part.clear();
-            }
-            // One shared-cursor RMW per *batch*, not per hot occurrence: under
-            // heavy skew a per-item fetch_add would ping-pong one cache line
-            // between all producers. Reserving `len` slots up front over-counts
-            // (cold items burn no slot), which only shifts the next batch's
-            // round-robin phase — the deal within a batch stays exact.
-            let mut cursor = self.cursor.fetch_add(minibatch.len(), Ordering::Relaxed);
-            if hot.is_empty() {
-                // Every engine until its first promotion, and for ever on
-                // traffic without a hot key: nothing to probe per item.
-                for &item in minibatch {
-                    parts[shard_of(item, self.shards)].push(item);
-                }
-            } else {
-                for &item in minibatch {
-                    let shard = if hot.binary_search(&item).is_ok() {
-                        cursor += 1;
-                        cursor % self.shards
-                    } else {
-                        shard_of(item, self.shards)
-                    };
-                    parts[shard].push(item);
-                }
-            }
-            self.observe(minibatch, hot);
-        })
+    /// The published hot slots.
+    fn hot(&self) -> &[AtomicU64] {
+        &self.hot[..self.hot_len.load(Ordering::Acquire)]
     }
 
-    fn placement(&self, key: u64) -> Placement {
-        let replicated = self.with_hot(|hot| hot.binary_search(&key).is_ok());
-        if replicated {
+    /// Splits one minibatch into caller-provided buffers, one per shard
+    /// (cleared first). Every item occurrence lands in exactly one
+    /// sub-batch, and item order within a sub-batch preserves stream order.
+    /// The ingest hot path draws `parts` from a [`crate::BufferPool`], so
+    /// steady-state routing performs no heap allocation at all.
+    ///
+    /// # Panics
+    /// Panics if `parts.len() != self.shards()`.
+    pub fn partition_into(&self, minibatch: &[u64], parts: &mut [Vec<u64>]) {
+        // A local copy: the router holds atomics, so `self.shards` could
+        // not stay in a register across the pushes.
+        let shards = self.shards;
+        assert_eq!(parts.len(), shards, "partition_into: wrong part count");
+        for part in parts.iter_mut() {
+            part.clear();
+        }
+        let hot = self.hot();
+        if hot.is_empty() {
+            // Hash routing always, and skew-aware routing until its first
+            // promotion: nothing to probe per item.
+            for &item in minibatch {
+                parts[shard_of(item, shards)].push(item);
+            }
+        } else {
+            // One shared-cursor RMW per *batch*, not per hot occurrence:
+            // under heavy skew a per-item fetch_add would ping-pong one
+            // cache line between all producers. Reserving `len` slots up
+            // front over-counts (cold items burn no slot), which only
+            // shifts the next batch's round-robin phase — the deal within
+            // a batch stays exact.
+            let mut cursor = self.cursor.fetch_add(minibatch.len(), Ordering::Relaxed);
+            for &item in minibatch {
+                let shard = if is_hot(hot, item) {
+                    cursor += 1;
+                    cursor % shards
+                } else {
+                    shard_of(item, shards)
+                };
+                parts[shard].push(item);
+            }
+        }
+        self.observe(minibatch);
+    }
+
+    /// Allocating convenience over [`Router::partition_into`]: splits one
+    /// minibatch into `shards()` fresh per-shard sub-batches.
+    pub fn partition(&self, minibatch: &[u64]) -> Vec<Vec<u64>> {
+        let mut parts: Vec<Vec<u64>> = (0..self.shards)
+            .map(|_| Vec::with_capacity(minibatch.len() / self.shards + 1))
+            .collect();
+        self.partition_into(minibatch, &mut parts);
+        parts
+    }
+
+    /// Feeds a stride sample of one minibatch to the tracker and promotes
+    /// every key whose estimated traffic share reached `0.25 / shards`.
+    fn observe(&self, minibatch: &[u64]) {
+        // Promotion is sticky, so once the hot set is full — from the start
+        // under hash routing — no observation can ever matter again: skip
+        // the tracker lock and the sampling for good.
+        if self.hot_len.load(Ordering::Relaxed) >= self.hot.len() {
+            return;
+        }
+        let offset = self.batches.fetch_add(1, Ordering::Relaxed) % SAMPLE_STRIDE;
+        let mut tracker = self.tracker.lock().expect("skew tracker lock poisoned");
+        for &item in minibatch.iter().skip(offset).step_by(SAMPLE_STRIDE) {
+            tracker.update(item);
+        }
+        let m = tracker.samples;
+        if m < MIN_SAMPLES {
+            return;
+        }
+        let threshold = 0.25 / self.shards as f64 * m as f64;
+        let hot = tracker
+            .entries()
+            .filter(|&(_, est)| est as f64 >= threshold)
+            .map(|(key, _)| key);
+        self.append_hot(&tracker, hot);
+    }
+
+    /// Appends each of `keys` not hot yet while slots remain, then publishes
+    /// them with one `Release` store of the length. `_writer` is the locked
+    /// tracker: holding it makes this call the only hot-set writer.
+    fn append_hot(
+        &self,
+        _writer: &MutexGuard<'_, HotKeyDetector>,
+        keys: impl IntoIterator<Item = u64>,
+    ) {
+        let published = self.hot_len.load(Ordering::Relaxed);
+        let mut len = published;
+        for key in keys {
+            if len == self.hot.len() {
+                break;
+            }
+            if !is_hot(&self.hot[..len], key) {
+                self.hot[len].store(key, Ordering::Relaxed);
+                len += 1;
+            }
+        }
+        if len > published {
+            self.hot_len.store(len, Ordering::Release);
+            self.promotions.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// The shards on which `key`'s count mass may reside. Queries use this
+    /// to decide between an owner-only read and a cross-shard sum.
+    pub fn placement(&self, key: u64) -> Placement {
+        if is_hot(self.hot(), key) {
             Placement::Replicated
         } else {
             Placement::Owner(shard_of(key, self.shards))
         }
     }
 
-    fn hot_keys(&self) -> Vec<u64> {
-        (*self.hot_set()).clone()
+    /// Keys currently split across shards, sorted (empty under hash
+    /// routing).
+    pub fn hot_keys(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self
+            .hot()
+            .iter()
+            .map(|slot| slot.load(Ordering::Relaxed))
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
-    fn promotions(&self) -> u64 {
-        // The promotion epoch is bumped exactly once per hot-set change.
-        self.promotion_epoch.load(Ordering::Acquire)
+    /// Monotone count of hot-set changes (promotion events) so far; `0`
+    /// forever under hash routing. Observability layers poll this cheaply
+    /// (one atomic load) to detect promotions without hooking the routing
+    /// path.
+    pub fn promotions(&self) -> u64 {
+        self.promotions.load(Ordering::Acquire)
     }
 
-    fn promote(&self, keys: &[u64]) {
-        if keys.is_empty() {
-            return;
-        }
-        self.insert_hot(keys);
+    /// Promotes `keys` to the split (replicated) set while hot slots remain;
+    /// a no-op under hash routing. Used by crash recovery to restore a
+    /// persisted hot set, so replicated-key placements — and therefore
+    /// query-time summing — survive a restart.
+    pub fn promote(&self, keys: &[u64]) {
+        let tracker = self.tracker.lock().expect("skew tracker lock poisoned");
+        self.append_hot(&tracker, keys.iter().copied());
     }
 }
 
 /// Plain-data routing configuration: which [`Router`] an engine builds at
 /// spawn time. Keeps `EngineConfig` `Clone` + `Debug` while the running
-/// engine shares a single `Arc<dyn Router>` across handles.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// engine shares a single `Arc<Router>` across handles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingPolicy {
     /// Hash partitioning: each key owned by exactly one shard (default).
     #[default]
     Hash,
     /// Online hot-key detection with round-robin splitting of hot keys.
-    SkewAware {
-        /// Maximum number of keys ever promoted to hot; `None` picks
-        /// [`SkewAwareRouter::default_hot_capacity`] for the shard count.
-        hot_capacity: Option<usize>,
-        /// Traffic share at which a key is promoted; `None` picks
-        /// [`SkewAwareRouter::default_hot_fraction`] for the shard count.
-        hot_fraction: Option<f64>,
-    },
+    SkewAware,
 }
 
 impl RoutingPolicy {
-    /// Skew-aware routing with default parameters.
+    /// Skew-aware routing.
     pub fn skew_aware() -> Self {
-        RoutingPolicy::SkewAware {
-            hot_capacity: None,
-            hot_fraction: None,
-        }
+        RoutingPolicy::SkewAware
     }
 
     /// Short policy name for display.
     pub fn name(&self) -> &'static str {
         match self {
             RoutingPolicy::Hash => "hash",
-            RoutingPolicy::SkewAware { .. } => "skew-aware",
+            RoutingPolicy::SkewAware => "skew-aware",
         }
     }
 
-    /// Checks parameter ranges for the given shard count.
-    ///
-    /// # Panics
-    /// Panics on invalid parameters (a `hot_fraction` outside `(0, 1)`).
-    pub fn validate(&self, shards: usize) {
-        assert!(shards > 0, "routing requires at least one shard");
-        if let RoutingPolicy::SkewAware {
-            hot_capacity,
-            hot_fraction,
-        } = self
-        {
-            if let Some(capacity) = hot_capacity {
-                assert!(
-                    *capacity > 0,
-                    "skew-aware routing requires a non-zero hot_capacity"
-                );
-            }
-            if let Some(f) = hot_fraction {
-                assert!(
-                    *f > 0.0 && *f < 1.0,
-                    "skew-aware routing requires 0 < hot_fraction < 1"
-                );
-            }
+    /// The most keys this policy's router over `shards` shards ever
+    /// promotes: none under hash routing, `4 · shards` under skew-aware
+    /// routing — as many as can each hold the `0.25 / shards` promotion
+    /// share at once.
+    pub fn hot_capacity(&self, shards: usize) -> usize {
+        match self {
+            RoutingPolicy::Hash => 0,
+            RoutingPolicy::SkewAware => 4 * shards,
         }
     }
 
     /// Builds the router this policy describes.
     ///
     /// # Panics
-    /// Panics on invalid parameters (see [`RoutingPolicy::validate`]).
-    pub fn build(&self, shards: usize) -> Arc<dyn Router> {
-        self.validate(shards);
-        match *self {
-            RoutingPolicy::Hash => Arc::new(HashRouter::new(shards)),
-            RoutingPolicy::SkewAware {
-                hot_capacity,
-                hot_fraction,
-            } => Arc::new(SkewAwareRouter::with_params(
-                shards,
-                hot_capacity.unwrap_or_else(|| SkewAwareRouter::default_hot_capacity(shards)),
-                hot_fraction.unwrap_or_else(|| SkewAwareRouter::default_hot_fraction(shards)),
-            )),
-        }
+    /// Panics if `shards == 0`.
+    pub fn build(&self, shards: usize) -> Arc<Router> {
+        Arc::new(Router::new(shards, self.hot_capacity(shards)))
     }
 }
 
@@ -645,6 +431,7 @@ mod tests {
     use super::*;
     use crate::generators::{StreamGenerator, ZipfGenerator};
     use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
 
     fn shard_loads(parts: &[Vec<u64>]) -> Vec<usize> {
         parts.iter().map(Vec::len).collect()
@@ -658,7 +445,7 @@ mod tests {
 
     #[test]
     fn hash_router_matches_partition_by_key() {
-        let router = HashRouter::new(8);
+        let router = RoutingPolicy::Hash.build(8);
         let mut generator = ZipfGenerator::new(10_000, 1.2, 5);
         let batch = generator.next_minibatch(10_000);
         // Each part is exactly its shard's keys, in stream order.
@@ -677,8 +464,8 @@ mod tests {
     #[test]
     fn skew_router_promotes_hot_keys_and_levels_load() {
         let shards = 8;
-        let router = SkewAwareRouter::new(shards);
-        let hash = HashRouter::new(shards);
+        let router = RoutingPolicy::SkewAware.build(shards);
+        let hash = RoutingPolicy::Hash.build(shards);
         let mut generator = ZipfGenerator::new(100_000, 1.5, 13);
         let mut skew_loads = vec![0usize; shards];
         let mut hash_loads = vec![0usize; shards];
@@ -707,7 +494,9 @@ mod tests {
 
     #[test]
     fn skew_router_partition_loses_no_items() {
-        let router = SkewAwareRouter::with_params(4, 8, 0.05);
+        // Four shards: promotion at a 1/16 share, which several Zipf(1.4)
+        // head keys hold, so hot and cold keys are both in play.
+        let router = RoutingPolicy::SkewAware.build(4);
         let mut generator = ZipfGenerator::new(1_000, 1.4, 3);
         let mut sent: HashMap<u64, u64> = HashMap::new();
         let mut received: HashMap<u64, u64> = HashMap::new();
@@ -724,6 +513,7 @@ mod tests {
                 }
             }
         }
+        assert!(!router.hot_keys().is_empty(), "head keys must be promoted");
         assert_eq!(
             sent, received,
             "every occurrence lands on exactly one shard"
@@ -732,7 +522,7 @@ mod tests {
 
     #[test]
     fn cold_keys_stay_on_their_home_shard() {
-        let router = SkewAwareRouter::new(4);
+        let router = RoutingPolicy::SkewAware.build(4);
         // Feed a hot-key-dominated stream so promotion happens.
         let batch: Vec<u64> = (0..4_000u64)
             .map(|i| if i % 2 == 0 { 7 } else { i })
@@ -748,13 +538,19 @@ mod tests {
 
     #[test]
     fn hot_capacity_bounds_the_hot_set() {
-        let router = SkewAwareRouter::with_params(2, 3, 0.01);
-        // Ten equally hot keys; only three may be promoted.
-        let batch: Vec<u64> = (0..10_000u64).map(|i| i % 10).collect();
-        for _ in 0..5 {
-            router.partition(&batch);
+        // Four shards: promotion at a 1/16 share, 16 hot slots. Twenty keys
+        // each arrive alone in a batch of at least an eighth of all traffic
+        // so far — a share above 1/16 when observed — but only the first
+        // sixteen may be promoted.
+        let router = RoutingPolicy::SkewAware.build(4);
+        let mut items = 0usize;
+        for key in 0..20u64 {
+            let len = (items / 8).max(4_096).next_multiple_of(SAMPLE_STRIDE);
+            router.partition(&vec![key; len]);
+            items += len;
         }
-        assert!(router.hot_keys().len() <= 3);
+        assert_eq!(router.hot_keys(), (0..16u64).collect::<Vec<_>>());
+        assert_eq!(router.placement(19), Placement::Owner(shard_of(19, 4)));
     }
 
     #[test]
@@ -859,22 +655,25 @@ mod tests {
 
     #[test]
     fn identical_input_yields_identical_promotions_after_every_batch() {
-        // Twelve equally hot keys (1/16 of the traffic each, above the 5%
-        // threshold) compete for a hot set of four, over a tail of one-off
-        // keys that keeps the 80-slot detector evicting among tied
-        // minimum counts. Which four win is decided by tie-breaks alone —
-        // by slot index, so two routers always agree.
+        // Four shards: promotion at a 1/16 share, 16 hot slots. Each round
+        // brings five fresh keys at 3/16 of its traffic each, over a 1/16
+        // tail of one-off keys that keeps the 64-slot detector evicting
+        // among tied minimum counts; rounds double in length, so every
+        // round's keys cross the promotion share. Three rounds fill 15 hot
+        // slots, and which of the fourth round's five keys wins the last
+        // one is decided by tie-breaks alone — by slot index, so two
+        // routers always agree.
         let routers = [
-            SkewAwareRouter::with_params(4, 4, 0.05),
-            SkewAwareRouter::with_params(4, 4, 0.05),
+            RoutingPolicy::SkewAware.build(4),
+            RoutingPolicy::SkewAware.build(4),
         ];
         let mut tail = 1_000_000u64;
-        for round in 0..30u64 {
-            let batch: Vec<u64> = (0..2_000u64)
+        for round in 0..6u64 {
+            let batch: Vec<u64> = (0..4_096u64 << round)
                 .map(|i| {
-                    let slot = (i + round) % 16;
-                    if slot < 12 {
-                        slot
+                    let slot = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+                    if slot < 15 {
+                        100 * round + slot / 3
                     } else {
                         tail += 1;
                         tail
@@ -896,7 +695,7 @@ mod tests {
         }
         assert_eq!(
             routers[0].hot_keys().len(),
-            4,
+            16,
             "the hot set must have filled"
         );
         assert!(routers[0].promotions() >= 1);
@@ -904,53 +703,31 @@ mod tests {
 
     #[test]
     fn promote_warm_starts_the_hot_set() {
-        let router = SkewAwareRouter::new(4);
+        let router = RoutingPolicy::SkewAware.build(4);
         assert!(router.hot_keys().is_empty());
         router.promote(&[42, 7, 7, 99]);
         assert_eq!(router.hot_keys(), vec![7, 42, 99]);
+        assert_eq!(router.promotions(), 1, "one call, one hot-set change");
         assert_eq!(router.placement(42), Placement::Replicated);
         assert_eq!(router.placement(7), Placement::Replicated);
         // Hash routers ignore promotion.
-        let hash = HashRouter::new(4);
+        let hash = RoutingPolicy::Hash.build(4);
         hash.promote(&[42]);
         assert!(hash.hot_keys().is_empty());
+        assert_eq!(hash.promotions(), 0);
     }
 
     #[test]
     fn promote_respects_hot_capacity() {
-        let router = SkewAwareRouter::with_params(2, 3, 0.1);
-        router.promote(&(0..10u64).collect::<Vec<_>>());
-        assert_eq!(router.hot_keys().len(), 3);
+        // Two shards: 8 hot slots, filled first come, first served.
+        let router = RoutingPolicy::SkewAware.build(2);
+        router.promote(&(0..20u64).collect::<Vec<_>>());
+        assert_eq!(router.hot_keys(), (0..8u64).collect::<Vec<_>>());
     }
 
     #[test]
-    fn cached_and_uncached_routing_agree() {
-        // Same stream through a cached and an uncached router: identical
-        // partitions (both start from the same cursor phase), identical hot
-        // sets, identical placements.
-        let cached = SkewAwareRouter::new(4);
-        let uncached = SkewAwareRouter::new(4).hot_set_caching(false);
-        let mut generator = ZipfGenerator::new(50_000, 1.5, 17);
-        for _ in 0..15 {
-            let batch = generator.next_minibatch(3_000);
-            assert_eq!(cached.partition(&batch), uncached.partition(&batch));
-        }
-        assert_eq!(cached.hot_keys(), uncached.hot_keys());
-        assert!(
-            !cached.hot_keys().is_empty(),
-            "promotion must have happened"
-        );
-        for key in cached.hot_keys() {
-            assert_eq!(cached.placement(key), Placement::Replicated);
-            assert_eq!(uncached.placement(key), Placement::Replicated);
-        }
-    }
-
-    #[test]
-    fn cache_sees_promotions_made_by_other_threads() {
-        // Warm this thread's cache with the empty hot set, promote from
-        // another thread, and check this thread's next placement reflects it.
-        let router = Arc::new(SkewAwareRouter::new(4));
+    fn promotion_on_another_thread_is_visible_to_the_next_placement() {
+        let router = RoutingPolicy::SkewAware.build(4);
         assert_eq!(router.placement(1234), Placement::Owner(shard_of(1234, 4)));
         let other = router.clone();
         std::thread::spawn(move || other.promote(&[1234]))
@@ -960,37 +737,89 @@ mod tests {
     }
 
     #[test]
+    fn hot_set_publication_under_concurrency() {
+        // Four readers query and route through one skew-aware router while
+        // a writer promotes keys one `promote` call at a time, one key past
+        // the 16 hot slots. The readers' batches cannot promote anything
+        // themselves: a candidate key is at most one of a batch's 32
+        // samples and every other item is fresh, so no estimate nears the
+        // 1/16 share.
+        let shards = 4;
+        let router = RoutingPolicy::SkewAware.build(shards);
+        let keys: Vec<u64> = (0..=4 * shards as u64).map(|k| k * 7_919 + 3).collect();
+        let issued = AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        let hot_sets = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4u64)
+                .map(|reader| {
+                    let (router, keys, issued, done) = (&router, &keys, &issued, &done);
+                    scope.spawn(move || {
+                        let mut seen = vec![false; keys.len()];
+                        let mut parts = vec![Vec::new(); shards];
+                        let mut fresh = (reader + 1) << 40;
+                        loop {
+                            let last = done.load(Ordering::Acquire);
+                            for (k, &key) in keys.iter().enumerate() {
+                                match router.placement(key) {
+                                    Placement::Replicated => {
+                                        assert!(
+                                            k < issued.load(Ordering::Acquire),
+                                            "key {key} replicated before it was promoted"
+                                        );
+                                        seen[k] = true;
+                                    }
+                                    Placement::Owner(shard) => {
+                                        assert!(!seen[k], "key {key} went back to its owner");
+                                        assert_eq!(shard, shard_of(key, shards));
+                                    }
+                                }
+                            }
+                            let mut batch = keys.clone();
+                            batch.extend((0..240).map(|_| {
+                                fresh += 1;
+                                fresh
+                            }));
+                            router.partition_into(&batch, &mut parts);
+                            let mut routed = parts.concat();
+                            routed.sort_unstable();
+                            batch.sort_unstable();
+                            assert_eq!(routed, batch, "a partition lost or duplicated items");
+                            if last {
+                                return router.hot_keys();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for (k, &key) in keys.iter().enumerate() {
+                issued.store(k + 1, Ordering::Release);
+                router.promote(&[key]);
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Release);
+            readers
+                .into_iter()
+                .map(|reader| reader.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        let mut expected = keys[..4 * shards].to_vec();
+        expected.sort_unstable();
+        assert_eq!(router.hot_keys(), expected);
+        for hot in hot_sets {
+            assert_eq!(hot, expected);
+        }
+        assert_eq!(router.promotions(), 4 * shards as u64);
+    }
+
+    #[test]
     fn routing_policy_builds_the_right_router() {
         assert_eq!(RoutingPolicy::default(), RoutingPolicy::Hash);
-        assert_eq!(RoutingPolicy::Hash.build(4).name(), "hash");
+        let hash = RoutingPolicy::Hash.build(4);
+        assert_eq!(hash.name(), "hash");
+        assert_eq!(RoutingPolicy::Hash.hot_capacity(4), 0);
         let skew = RoutingPolicy::skew_aware().build(4);
         assert_eq!(skew.name(), "skew-aware");
         assert_eq!(skew.shards(), 4);
-        let explicit = RoutingPolicy::SkewAware {
-            hot_capacity: Some(2),
-            hot_fraction: Some(0.2),
-        }
-        .build(2);
-        assert_eq!(explicit.shards(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "hot_fraction")]
-    fn invalid_hot_fraction_rejected() {
-        RoutingPolicy::SkewAware {
-            hot_capacity: Some(4),
-            hot_fraction: Some(1.5),
-        }
-        .validate(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "hot_capacity")]
-    fn zero_hot_capacity_rejected() {
-        RoutingPolicy::SkewAware {
-            hot_capacity: Some(0),
-            hot_fraction: None,
-        }
-        .validate(2);
+        assert_eq!(RoutingPolicy::skew_aware().hot_capacity(4), 16);
     }
 }

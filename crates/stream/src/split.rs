@@ -1,9 +1,9 @@
 //! Key-space splitting of minibatch streams across shards.
 //!
 //! [`shard_of`] is the *hash* assignment: each key owned by exactly one
-//! shard, a pure function of the key. It is the default policy; routing is
-//! pluggable — see [`crate::router`] for the [`Router`](crate::router::Router)
-//! trait and the skew-aware hot-key-splitting implementation.
+//! shard, a pure function of the key. It is the default policy; the
+//! [`Router`](crate::router::Router) in [`crate::router`] applies it, and
+//! under skew-aware routing splits hot keys across all shards instead.
 //!
 //! The routing hash is deliberately *independent* of the seeded hash
 //! families in `psfa-primitives`: operators inside a shard must not see a
@@ -35,7 +35,7 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
 mod tests {
     use super::*;
     use crate::generators::{StreamGenerator, ZipfGenerator};
-    use crate::router::{HashRouter, Router};
+    use crate::router::RoutingPolicy;
 
     #[test]
     fn routing_is_deterministic_and_in_range() {
@@ -52,7 +52,7 @@ mod tests {
     fn partition_preserves_all_items_and_ownership() {
         let mut generator = ZipfGenerator::new(50_000, 1.1, 7);
         let batch = generator.next_minibatch(20_000);
-        let parts = HashRouter::new(8).partition(&batch);
+        let parts = RoutingPolicy::Hash.build(8).partition(&batch);
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), batch.len());
         for (shard, part) in parts.iter().enumerate() {
             for &item in part {
@@ -65,7 +65,7 @@ mod tests {
     fn partition_is_reasonably_balanced_on_uniform_keys() {
         // Distinct keys (not occurrences) should spread evenly.
         let keys: Vec<u64> = (0..64_000u64).collect();
-        let parts = HashRouter::new(8).partition(&keys);
+        let parts = RoutingPolicy::Hash.build(8).partition(&keys);
         for part in &parts {
             let share = part.len() as f64 / keys.len() as f64;
             assert!((0.10..0.15).contains(&share), "unbalanced shard: {share}");

@@ -44,7 +44,7 @@ fn main() {
             .queue_capacity(16)
             .heavy_hitters(phi, epsilon)
             .count_min(0.0005, 0.01, 42)
-            .routing(routing.clone()),
+            .routing(routing),
     );
     println!(
         "engine up: {shards} shards, {} routing, ingesting {total} items from {producers} producers\n",

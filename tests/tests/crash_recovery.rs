@@ -237,7 +237,7 @@ fn recovery_cuts_a_boundary_the_persisted_cut_left_due() {
 
     // Three panes' worth of traffic, hash-routed as the engine would.
     let k = 3u64;
-    let router = HashRouter::new(shards);
+    let router = RoutingPolicy::Hash.build(shards);
     let mut generator = ZipfGenerator::new(5_000, 1.2, 77);
     let mut states: Vec<(InfiniteHeavyHitters, PaneWindow, AtomicCountMin, u64, u64)> = (0..shards)
         .map(|_| {
@@ -363,6 +363,70 @@ fn restamp(segment: &Path, marker: &[u8], old: u8) -> usize {
     bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(segment, &bytes).unwrap();
     patched
+}
+
+/// A store holding one checksum-valid record whose hot set has `hot_keys`
+/// keys, written through the store's public API.
+fn store_with_hot_set(label: &str, shards: usize, hot_keys: u64) -> PathBuf {
+    let dir = tmpdir(label);
+    let record = EpochRecord {
+        epoch: 1,
+        phi: 0.05,
+        epsilon: 0.01,
+        window: None,
+        hot_keys: (0..hot_keys).collect(),
+        shards: (0..shards)
+            .map(|shard| ShardState {
+                shard: shard as u32,
+                epoch: 0,
+                items: 0,
+                heavy_hitters: InfiniteHeavyHitters::new(0.05, 0.01),
+                window: None,
+                count_min: AtomicCountMin::new(0.01, 0.05, 5),
+            })
+            .collect(),
+    };
+    let mut store = SnapshotStore::open(&dir, 8, 4).unwrap();
+    store.append(&record).unwrap();
+    dir
+}
+
+/// A skew-aware router holds at most `4 · shards` hot keys, so a persisted
+/// hot set one key larger cannot be restored: the key left out would be
+/// read from its owner alone while its mass is spread across shards.
+/// Recovery must refuse it with a typed `ConfigMismatch`, never panic, and
+/// leave the log byte for byte as it found it; a hot set that fits
+/// recovers with every key replicated.
+#[test]
+fn recover_refuses_a_hot_set_larger_than_the_router_holds() {
+    let shards = 2;
+    let capacity = 4 * shards as u64;
+    let config = EngineConfig::with_shards(shards)
+        .heavy_hitters(0.05, 0.01)
+        .count_min(0.01, 0.05, 5)
+        .skew_aware_routing();
+
+    let dir = store_with_hot_set("hot-set-oversized", shards, capacity + 1);
+    let before = segments(&dir);
+    assert!(matches!(
+        Engine::recover(&dir, config.clone()),
+        Err(StoreError::ConfigMismatch(_))
+    ));
+    assert_eq!(segments(&dir), before, "a refused recovery rewrote the log");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = store_with_hot_set("hot-set-full", shards, capacity);
+    let recovered = Engine::recover(&dir, config).expect("a full hot set fits");
+    let handle = recovered.handle();
+    assert_eq!(
+        handle.router().hot_keys(),
+        (0..capacity).collect::<Vec<_>>()
+    );
+    for key in 0..capacity {
+        assert_eq!(handle.placement(key), Placement::Replicated);
+    }
+    recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A store written before Count-Min rows last switched hash (sketch codec

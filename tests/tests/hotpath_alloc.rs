@@ -1,6 +1,7 @@
 //! Allocation audit of the recycled ingest hot path: after warm-up, a
 //! stream of minibatches through `BufferPool::checkout` →
-//! `HashRouter::partition_into` → a bounded queue, then drained from it the
+//! `Router::partition_into` (hash routing) → a bounded queue, then drained
+//! from it the
 //! way a shard worker does — the sub-batches already queued folded into one
 //! minibatch, and for each the whole of the worker's per-minibatch body
 //! (`build_hist_runs` → `InfiniteHeavyHitters::process_histogram` →
@@ -8,7 +9,10 @@
 //! `BufferPool::give_back_all` — must perform **zero** heap allocations
 //! (the histogram's probe table only grows and a shorter minibatch clears
 //! a prefix of it, the MG tables are sized once for `2S` counters, the
-//! cut-off selection runs in place, and every buffer is reused).
+//! cut-off selection runs in place, and every buffer is reused). The same
+//! pass also routes every minibatch through a skew-aware router whose hot
+//! set is already non-empty, and promotes one more key: the hot-set probe,
+//! the skew tracker's sampling and a promotion allocate nothing either.
 //!
 //! The same holds for the client side of the wire: after warm-up,
 //! `Client::ingest` of an 8,192-item frame into a loopback `Server` — the
@@ -85,7 +89,12 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
         .collect();
 
     let pool = BufferPool::new(1, batches.len() + 2);
-    let router = HashRouter::new(1);
+    let router = RoutingPolicy::Hash.build(1);
+    let skew = RoutingPolicy::SkewAware.build(2);
+    skew.promote(&[0]);
+    let mut promoted = 0u64;
+    // Sized for a whole batch per part, so no round-robin phase can grow them.
+    let mut skew_parts: Vec<Vec<u64>> = (0..2).map(|_| Vec::with_capacity(20_000)).collect();
     let (queue, worker_side) = std::sync::mpsc::sync_channel::<Vec<u64>>(batches.len());
     let mut group: Vec<Vec<u64>> = Vec::new();
     let mut scratch = HistScratch::new();
@@ -104,11 +113,14 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
                     Some(short) if short == index => &batch[..batch.len() / 3],
                     _ => &batch[..],
                 };
+                skew.partition_into(batch, &mut skew_parts);
                 let mut parts = pool.checkout();
                 router.partition_into(batch, &mut parts);
                 queue.try_send(std::mem::take(&mut parts[0])).unwrap();
                 pool.checkin(parts);
             }
+            promoted += 1;
+            skew.promote(&[1_000_000 + promoted]);
             while let Ok(first) = worker_side.try_recv() {
                 group.push(first);
                 while group.len() < FOLD {
@@ -137,6 +149,10 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
         pass(Some(5)),
         0,
         "the recycled, folded hot path must not allocate at steady state"
+    );
+    assert!(
+        skew.hot_keys().contains(&1_000_002),
+        "the audited pass promoted"
     );
 }
 

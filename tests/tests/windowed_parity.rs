@@ -28,7 +28,7 @@ fn run(routing: RoutingPolicy) {
             .heavy_hitters(PHI, EPSILON)
             .sliding_window(WINDOW)
             .window_panes(PANES)
-            .routing(routing.clone()),
+            .routing(routing),
     );
     let handle = engine.handle();
     let mut generator = ZipfGenerator::new(50_000, 1.5, 777);
