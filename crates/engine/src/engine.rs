@@ -666,7 +666,7 @@ impl Drop for Engine {
 /// Ingestion is split by the configured [`Router`]: under hash routing each
 /// key is owned by exactly one shard; under skew-aware routing a hot key's
 /// occurrences are spread across all shards and its per-shard counts are
-/// *summed* at query time. Queries merge per-shard [`ShardSnapshot`]s
+/// *summed* at query time. Queries combine per-shard [`ShardSnapshot`]s
 /// published under an epoch discipline: each snapshot is internally
 /// consistent at its shard's epoch, and epochs only move forward. A
 /// cross-shard query therefore sees, for every shard, *some* recently
@@ -1248,21 +1248,40 @@ impl EngineHandle {
     ///
     /// Per-shard summary entries are **summed by key** before thresholding,
     /// so a hot key split across shards by the skew-aware router is judged
-    /// by its global estimate, not its largest fragment. No shard's entries
-    /// are merged: a key whose sum reaches the threshold holds at least
-    /// `1/shards` of it on some shard, so only such keys are summed, by one
-    /// binary search per item-sorted snapshot
-    /// ([`psfa_freq::heavy_hitter_report_across`]). Guarantees over the
-    /// observed prefix of `m` items: every item with true frequency `≥ φm`
-    /// is reported (its summed estimate is at least `f − ε·m ≥ (φ − ε)m`);
-    /// no item with true frequency `< (φ − ε)m` is reported (summed
-    /// estimates never overestimate).
+    /// by its global estimate, not its largest fragment. Nothing is merged
+    /// and no shard's summary is scanned: a key whose sum reaches the
+    /// threshold holds at least `1/shards` of it on some shard, so it is on
+    /// that snapshot's `hh_candidates` — filtered once at publication
+    /// against the shard's own, no higher, threshold — and only the
+    /// candidates that pass the global test are summed
+    /// ([`psfa_freq::heavy_hitter_report_across`]). Each is summed **where
+    /// its placement says it can live**, as [`EngineHandle::estimate`]
+    /// does: an `Owner(s)` key from snapshot `s` alone, a `Replicated` key
+    /// over every snapshot. That sum equals the all-shard sum because hash
+    /// routing never promotes, skew-aware promotion is sticky, and the hot
+    /// set is persisted and recovered with each epoch — a key that is an
+    /// owner key now has only ever been routed to its owner; a key
+    /// promoted after the snapshots were loaded is summed over all shards.
+    /// Cost: `O(Σ c_s + c·log S)` for `Σ c_s` candidate entries, `c`
+    /// survivors and `S` entries per shard (times `shards` for a
+    /// replicated survivor) — the answer is identical to the report over
+    /// the merged summaries.
+    ///
+    /// Guarantees over the observed prefix of `m` items: every item with
+    /// true frequency `≥ φm` is reported (its summed estimate is at least
+    /// `f − ε·m ≥ (φ − ε)m`); no item with true frequency `< (φ − ε)m` is
+    /// reported (summed estimates never overestimate).
     pub fn heavy_hitters(&self) -> Vec<HeavyHitter> {
         self.timed(QueryKind::HeavyHitters, || {
             let snapshots = self.snapshots();
             let m: u64 = snapshots.iter().map(|s| s.stream_len).sum();
-            let entries: Vec<&[(u64, u64)]> = snapshots.iter().map(|s| &s.hh_entries[..]).collect();
-            heavy_hitter_report_across(&entries, self.phi, self.epsilon, m)
+            let candidates: Vec<&[(u64, u64)]> =
+                snapshots.iter().map(|s| &s.hh_candidates[..]).collect();
+            let sum = |item| match self.router.placement(item) {
+                Placement::Owner(shard) => snapshots[shard].estimate(item),
+                Placement::Replicated => snapshots.iter().map(|s| s.estimate(item)).sum(),
+            };
+            heavy_hitter_report_across(&candidates, sum, self.phi, self.epsilon, m)
         })
     }
 

@@ -46,8 +46,9 @@
 //! ## Lazy epoch-versioned snapshot publication
 //!
 //! A [`ShardSnapshot`] freezes the `O(1/ε)` query surface; publishing one
-//! is `O(S log S)` for `S = O(1/ε)` entries (collect, sort, allocate), on
-//! top of the paper's `O(S + p)` per minibatch. So publication stays **off
+//! is `O(S log S)` for `S = O(1/ε)` entries (collect, sort, allocate, and
+//! one `O(S)` pass for the heavy-hitter candidates), on top of the paper's
+//! `O(S + p)` per minibatch. So publication stays **off
 //! the batch path** and happens:
 //!
 //! * **on demand**: `live_epoch` (batches the worker has finished) runs
@@ -118,7 +119,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 
-use psfa_freq::{InfiniteHeavyHitters, PaneWindow, SealedWindow};
+use psfa_freq::{heavy_hitter_candidates, InfiniteHeavyHitters, PaneWindow, SealedWindow};
 use psfa_obs::TraceKind;
 use psfa_primitives::{
     build_hist_runs, ArcCell, FaultPlan, HistScratch, HistogramEntry, WorkMeter,
@@ -180,8 +181,9 @@ pub(crate) enum ShardCommand {
 
 /// Immutable view of one shard's summaries at one epoch.
 ///
-/// Snapshots freeze the *query surfaces* (Misra–Gries entries, stream
-/// length, the sealed windows of recent boundaries) — `O(1/ε)` data — not
+/// Snapshots freeze the *query surfaces* (Misra–Gries entries and their
+/// heavy-hitter candidates, stream length, the sealed windows of recent
+/// boundaries) — `O(1/ε)` data — not
 /// the raw operator state. `epoch` equals the number of routed sub-batches
 /// ("batches") the shard had processed when the snapshot was published,
 /// however they were folded into minibatches; it is strictly increasing,
@@ -202,6 +204,14 @@ pub struct ShardSnapshot {
     /// cross-shard merges are sorted merges); estimates are one-sided:
     /// `f − ε·m_s ≤ f̂ ≤ f`.
     pub hh_entries: Vec<(u64, u64)>,
+    /// The entries of `hh_entries` that may be φ-heavy hitters of the
+    /// whole stream, ascending by item: those with
+    /// `estimate · shards ≥ (φ − ε)·stream_len`
+    /// ([`psfa_freq::heavy_hitter_candidates`], filtered once at
+    /// publication). The cross-shard query's threshold over `m ≥ m_s`
+    /// items is no lower, so every key it reports holds at least
+    /// `1/shards` of its sum on some shard and is on that shard's list.
+    pub hh_candidates: Vec<(u64, u64)>,
     /// This shard's sealed views of the global sliding window at the most
     /// recent boundaries it has processed, oldest first (empty when the
     /// engine runs without a window or before the first boundary). Shared
@@ -217,6 +227,7 @@ impl ShardSnapshot {
             epoch: 0,
             stream_len: 0,
             hh_entries: Vec::new(),
+            hh_candidates: Vec::new(),
             windows: Vec::new(),
         }
     }
@@ -238,6 +249,32 @@ impl ShardSnapshot {
     /// This shard's sealed window at boundary `seq`, if still retained.
     pub fn window_at(&self, seq: u64) -> Option<&Arc<SealedWindow>> {
         self.windows.iter().find(|w| w.seq == seq)
+    }
+}
+
+/// The cross-shard φ-heavy-hitter query a snapshot's `hh_candidates` are
+/// filtered for: the engine's `φ`, `ε` and shard count (the query's
+/// fan-in).
+#[derive(Debug, Clone, Copy)]
+struct HhQuery {
+    phi: f64,
+    epsilon: f64,
+    shards: u64,
+}
+
+impl HhQuery {
+    fn of(config: &EngineConfig) -> Self {
+        Self {
+            phi: config.phi,
+            epsilon: config.epsilon,
+            shards: config.shards as u64,
+        }
+    }
+
+    /// The candidates among one shard's item-sorted `entries` over
+    /// `stream_len` items.
+    fn candidates(self, entries: &[(u64, u64)], stream_len: u64) -> Vec<(u64, u64)> {
+        heavy_hitter_candidates(entries, self.phi, self.epsilon, self.shards, stream_len)
     }
 }
 
@@ -276,12 +313,14 @@ impl ShardShared {
                 ShardSnapshot::empty(shard),
                 AtomicCountMin::new(config.cm_epsilon, config.cm_delta, config.cm_seed),
             ),
-            Some(state) => (
-                ShardSnapshot {
+            Some(state) => {
+                let hh_entries = state.heavy_hitters.estimator().tracked_items_sorted();
+                let snapshot = ShardSnapshot {
                     shard,
                     epoch: state.epoch,
                     stream_len: state.items,
-                    hh_entries: state.heavy_hitters.estimator().tracked_items_sorted(),
+                    hh_candidates: HhQuery::of(config).candidates(&hh_entries, state.items),
+                    hh_entries,
                     windows: state
                         .window
                         .as_ref()
@@ -289,9 +328,9 @@ impl ShardShared {
                         .map(Arc::new)
                         .into_iter()
                         .collect(),
-                },
-                state.count_min.clone(),
-            ),
+                };
+                (snapshot, state.count_min.clone())
+            }
         };
         let stats = ShardStats::default();
         stats
@@ -337,6 +376,8 @@ pub(crate) struct ShardWorker {
     epoch: u64,
     items: u64,
     heavy_hitters: InfiniteHeavyHitters,
+    /// What each published snapshot's `hh_candidates` are filtered for.
+    hh_query: HhQuery,
     /// Pane state of the global sliding window, when configured.
     window: Option<PaneWindow>,
     /// Sealed views of the last few boundaries, oldest first (see
@@ -414,6 +455,7 @@ impl ShardWorker {
             epoch,
             items,
             heavy_hitters,
+            hh_query: HhQuery::of(config),
             window,
             window_history,
             hist_seed: 0x5eed_0000 ^ shard as u64,
@@ -486,6 +528,7 @@ impl ShardWorker {
             epoch: snapshot.epoch,
             items: snapshot.stream_len,
             heavy_hitters,
+            hh_query: HhQuery::of(config),
             window,
             window_history,
             hist_seed: 0x5eed_0000 ^ shard as u64,
@@ -761,11 +804,13 @@ impl ShardWorker {
     }
 
     fn publish_snapshot(&mut self, reason: PublishReason) {
+        let hh_entries = self.heavy_hitters.estimator().tracked_items_sorted();
         self.shared.snapshot.set(Arc::new(ShardSnapshot {
             shard: self.shard,
             epoch: self.epoch,
             stream_len: self.items,
-            hh_entries: self.heavy_hitters.estimator().tracked_items_sorted(),
+            hh_candidates: self.hh_query.candidates(&hh_entries, self.items),
+            hh_entries,
             windows: self.window_history.iter().cloned().collect(),
         }));
         let epoch_gap = self.epoch - self.last_publish_epoch;

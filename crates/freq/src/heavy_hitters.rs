@@ -35,7 +35,7 @@ pub fn heavy_hitter_report(
     epsilon: f64,
     n: u64,
 ) -> Vec<HeavyHitter> {
-    let threshold = ((phi - epsilon) * n as f64).max(0.0);
+    let threshold = report_threshold(phi, epsilon, n);
     let mut out: Vec<HeavyHitter> = entries
         .into_iter()
         .filter(|&(_, est)| est as f64 >= threshold)
@@ -45,47 +45,82 @@ pub fn heavy_hitter_report(
     out
 }
 
-/// [`heavy_hitter_report`] over the key-wise sums of several shards'
-/// item-sorted `(item, estimate)` entries — `n` items in all — without
-/// merging them: identical to `heavy_hitter_report` over the
-/// [`crate::merge_sum`] of every shard.
+/// The report threshold `(φ − ε)·n`, floored at zero.
+fn report_threshold(phi: f64, epsilon: f64, n: u64) -> f64 {
+    ((phi - epsilon) * n as f64).max(0.0)
+}
+
+/// The pigeonhole test: whether an entry of `estimate` on one of `fan_in`
+/// summaries may belong to a key whose sum over all of them reaches
+/// `threshold`. Integer product, then one rounding: `sum ≤ fan_in · max
+/// estimate` holds exactly, and rounding to `f64` keeps the order.
+fn may_reach(estimate: u64, fan_in: u64, threshold: f64) -> bool {
+    estimate.saturating_mul(fan_in) as f64 >= threshold
+}
+
+/// The entries of one of `fan_in` summaries, over `n_s` items, that may
+/// still be φ-heavy hitters of their union: the item-ascending
+/// subsequence of the item-sorted `entries` with
+/// `estimate · fan_in ≥ (φ − ε)·n_s`.
+///
+/// **A superset of the query's candidates.** [`heavy_hitter_report_across`]
+/// keeps an entry when `estimate · fan_in ≥ (φ − ε)·n` over the union's
+/// `n = Σ n_s ≥ n_s` items. Converting `n_s ≤ n` to `f64` keeps the order,
+/// and so does multiplying by a non-negative `φ − ε` and rounding (both
+/// thresholds are `0` otherwise), so the local threshold is at most the
+/// global one: every entry the query keeps
+/// is on this list. A shard can therefore filter at publication time, once
+/// per snapshot, and the query only scans what survived.
+pub fn heavy_hitter_candidates(
+    entries: &[(u64, u64)],
+    phi: f64,
+    epsilon: f64,
+    fan_in: u64,
+    n_s: u64,
+) -> Vec<(u64, u64)> {
+    let threshold = report_threshold(phi, epsilon, n_s);
+    entries
+        .iter()
+        .copied()
+        .filter(|&(_, est)| may_reach(est, fan_in, threshold))
+        .collect()
+}
+
+/// [`heavy_hitter_report`] over the key-wise sums of several summaries —
+/// `n` items in all — without merging them: identical to
+/// `heavy_hitter_report` over the [`crate::merge_sum`] of every summary,
+/// given one candidate list per summary (its entries, or any subsequence
+/// of them that holds what [`heavy_hitter_candidates`] keeps for it) and a
+/// `sum` that returns a key's summed estimate.
 ///
 /// A key whose sum reaches the threshold `(φ − ε)·n` holds at least
-/// `1/shards` of it on some shard, so only keys with `estimate · shards`
-/// at the threshold on some shard are candidates. Each candidate is summed
-/// by one binary search per shard: `O(c · shards · log S)` for `c`
-/// candidates, against a merge's `O(shards² · S)` rows copied.
+/// `1/fan_in` of it on some summary, `fan_in = candidates.len()`, so only
+/// candidates with `estimate · fan_in` at the threshold can be reported.
+/// Those are sorted, deduplicated and summed once each: `O(Σ c_s + c·k)`
+/// for `Σ c_s` candidate entries, `c` survivors and a `k`-step `sum`.
 pub fn heavy_hitter_report_across<E: AsRef<[(u64, u64)]>>(
-    shards: &[E],
+    candidates: &[E],
+    mut sum: impl FnMut(u64) -> u64,
     phi: f64,
     epsilon: f64,
     n: u64,
 ) -> Vec<HeavyHitter> {
-    let threshold = ((phi - epsilon) * n as f64).max(0.0);
-    let fan_in = shards.len() as u64;
-    // Integer product, then one rounding: `sum ≤ fan_in · max estimate`
-    // holds exactly, and rounding to `f64` keeps the order.
-    let mut candidates: Vec<u64> = shards
+    let threshold = report_threshold(phi, epsilon, n);
+    let fan_in = candidates.len() as u64;
+    let mut items: Vec<u64> = candidates
         .iter()
         .flat_map(|entries| entries.as_ref())
-        .filter(|&&(_, est)| est.saturating_mul(fan_in) as f64 >= threshold)
+        .filter(|&&(_, est)| may_reach(est, fan_in, threshold))
         .map(|&(item, _)| item)
         .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-    let summed = candidates.into_iter().map(|item| {
-        let estimate = shards
-            .iter()
-            .map(|entries| {
-                let entries = entries.as_ref();
-                entries
-                    .binary_search_by_key(&item, |&(i, _)| i)
-                    .map_or(0, |at| entries[at].1)
-            })
-            .sum();
-        (item, estimate)
-    });
-    heavy_hitter_report(summed, phi, epsilon, n)
+    items.sort_unstable();
+    items.dedup();
+    heavy_hitter_report(
+        items.into_iter().map(|item| (item, sum(item))),
+        phi,
+        epsilon,
+        n,
+    )
 }
 
 /// Continuous φ-heavy-hitter tracking over an infinite window.
@@ -290,22 +325,24 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// The merge-free cross-shard report equals the report over the
-        /// merged entries: 1–8 shards of item-sorted entries over a small
-        /// key space (so keys repeat across shards), empty shards, `n = 0`,
-        /// and thresholds drawn from the entries' own sums so that some
-        /// land exactly on one.
+        /// merged entries when each shard's candidates are filtered at its
+        /// own stream length: 1–8 shards of item-sorted entries over a
+        /// small key space (so keys repeat across shards), empty shards,
+        /// `n = 0`, uneven `n_s` (some zero), and thresholds that land
+        /// exactly on a merged sum — `(φ − ε)·n` — or on `fan_in` times
+        /// one shard's entry — `(φ − ε)·n / fan_in`.
         #[test]
         fn report_across_shards_equals_the_merged_report(
             raw in proptest::prop::collection::vec(
-                proptest::prop::collection::vec((0u64..40, 0u64..50), 0..30),
+                (proptest::prop::collection::vec((0u64..40, 0u64..50), 0..30), 0u64..4),
                 1..9,
             ),
-            phi_pick in 0usize..64,
+            phi_pick in 0usize..96,
             n_pick in 0u64..4,
         ) {
             let shards: Vec<Vec<(u64, u64)>> = raw
                 .iter()
-                .map(|entries| {
+                .map(|(entries, _)| {
                     let mut sorted: Vec<(u64, u64)> = entries.clone();
                     sorted.sort_unstable_by_key(|&(item, _)| item);
                     sorted.dedup_by_key(|&mut (item, _)| item);
@@ -315,19 +352,88 @@ mod tests {
             let merged = shards
                 .iter()
                 .fold(Vec::new(), |acc, entries| crate::merge_sum(&acc, entries));
-            // n = 0 or a power of two, and ε = 0 with φ = sum / n for a
-            // sum of the merged entries: the threshold is that sum exactly.
+            // n = 0 or a power of two, split over the shards by weight
+            // (the remainder, or all of it when every weight is 0, on
+            // shard 0).
             let n = if n_pick == 0 { 0 } else { 1 << (6 + n_pick) };
+            let weight: u64 = raw.iter().map(|&(_, w)| w).sum();
+            let mut n_s: Vec<u64> = raw
+                .iter()
+                .map(|&(_, w)| (n * w).checked_div(weight).unwrap_or(0))
+                .collect();
+            n_s[0] += n - n_s.iter().sum::<u64>();
+            // With ε = 0 and φ = t / n the threshold is `t` exactly: a
+            // merged sum, or fan_in times one shard's entry.
+            let fan_in = shards.len() as u64;
             let sums: Vec<u64> = merged.iter().map(|&(_, est)| est).collect();
-            let (phi, epsilon) = match sums.get(phi_pick % sums.len().max(1)) {
-                Some(&sum) if n > 0 && phi_pick < 48 => (sum as f64 / n as f64, 0.0),
-                _ => (0.1 + phi_pick as f64 / 100.0, 0.05),
+            let parts: Vec<u64> = shards.iter().flatten().map(|&(_, est)| est * fan_in).collect();
+            let exact = match phi_pick {
+                0..=39 => sums.get(phi_pick % sums.len().max(1)),
+                40..=79 => parts.get(phi_pick % parts.len().max(1)),
+                _ => None,
             };
-            let across = heavy_hitter_report_across(&shards, phi, epsilon, n);
+            let (phi, epsilon) = match exact {
+                Some(&t) if n > 0 => (t as f64 / n as f64, 0.0),
+                _ => (0.1 + (phi_pick % 64) as f64 / 100.0, 0.05),
+            };
+            let candidates: Vec<Vec<(u64, u64)>> = shards
+                .iter()
+                .zip(&n_s)
+                .map(|(entries, &n_s)| heavy_hitter_candidates(entries, phi, epsilon, fan_in, n_s))
+                .collect();
+            for (entries, list) in shards.iter().zip(&candidates) {
+                proptest::prop_assert!(list.iter().all(|entry| entries.contains(entry)));
+                proptest::prop_assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
+            }
+            let sum = |item: u64| -> u64 {
+                shards
+                    .iter()
+                    .map(|entries| {
+                        entries
+                            .binary_search_by_key(&item, |&(i, _)| i)
+                            .map_or(0, |at| entries[at].1)
+                    })
+                    .sum()
+            };
             proptest::prop_assert_eq!(
-                across,
+                heavy_hitter_report_across(&candidates, sum, phi, epsilon, n),
                 heavy_hitter_report(merged.iter().copied(), phi, epsilon, n)
             );
+        }
+    }
+
+    /// The publication-time filter runs at a shard's `n_s ≤ n`, so it must
+    /// keep every entry the query-time test keeps at `n` — including the
+    /// smallest estimate that passes after rounding, at stream lengths
+    /// where `f64` no longer holds every integer.
+    #[test]
+    fn candidates_at_a_shorter_stream_keep_every_entry_the_global_test_keeps() {
+        let lengths = [1u64, 7, 1_000, (1 << 53) + 1, (1 << 60) + 12_345, u64::MAX];
+        for (phi, epsilon) in [(0.1, 0.01), (0.3, 0.1), (0.02, 0.004), (1.0 / 3.0, 0.001)] {
+            for n in lengths {
+                for fan_in in 1..=8u64 {
+                    let threshold = report_threshold(phi, epsilon, n);
+                    // The smallest estimate the global test keeps.
+                    let mut est = (threshold / fan_in as f64) as u64;
+                    while est > 0 && may_reach(est - 1, fan_in, threshold) {
+                        est -= 1;
+                    }
+                    while !may_reach(est, fan_in, threshold) {
+                        est += 1;
+                    }
+                    for n_s in [0, 1, n / 3, n / 2, n - 1, n] {
+                        assert_eq!(
+                            heavy_hitter_candidates(&[(9, est)], phi, epsilon, fan_in, n_s),
+                            vec![(9, est)],
+                            "φ {phi} ε {epsilon} n {n} n_s {n_s} fan_in {fan_in}"
+                        );
+                    }
+                    if est > 0 {
+                        let below = [(9, est - 1)];
+                        assert!(heavy_hitter_candidates(&below, phi, epsilon, fan_in, n).is_empty());
+                    }
+                }
+            }
         }
     }
 

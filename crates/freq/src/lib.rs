@@ -47,8 +47,8 @@ pub(crate) mod test_support;
 pub mod windowed;
 
 pub use heavy_hitters::{
-    heavy_hitter_report, heavy_hitter_report_across, HeavyHitter, InfiniteHeavyHitters,
-    SlidingHeavyHitters,
+    heavy_hitter_candidates, heavy_hitter_report, heavy_hitter_report_across, HeavyHitter,
+    InfiniteHeavyHitters, SlidingHeavyHitters,
 };
 pub use infinite::ParallelFrequencyEstimator;
 pub use sift::sift;

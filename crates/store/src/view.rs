@@ -20,7 +20,7 @@
 //! overestimate. Count-Min overestimates by at most `ε_cm·m` by the mirror
 //! argument.
 
-use psfa_freq::{heavy_hitter_report, merge_sum, GlobalWindow, HeavyHitter};
+use psfa_freq::{heavy_hitter_candidates, heavy_hitter_report_across, GlobalWindow, HeavyHitter};
 use psfa_stream::{shard_of, Placement};
 
 use crate::record::EpochRecord;
@@ -142,22 +142,30 @@ impl EpochView {
     }
 
     /// The φ-heavy hitters as of this epoch, most frequent first — the same
-    /// computation the live engine performs on its snapshots (per-shard
-    /// item-sorted summary entries summed by key with
-    /// [`psfa_freq::merge_sum`], thresholded at `(φ − ε)·m`), so the answer
-    /// matches what the live engine reported at the cut exactly.
+    /// computation the live engine performs on its snapshots: each shard's
+    /// candidates ([`psfa_freq::heavy_hitter_candidates`], here filtered
+    /// from the decoded entries), the global pigeonhole test, and each
+    /// survivor summed where its [`EpochView::placement`] at the cut says
+    /// it can live, thresholded at `(φ − ε)·m`
+    /// ([`psfa_freq::heavy_hitter_report_across`]) — so the answer matches
+    /// what the live engine reported at the cut exactly.
     pub fn heavy_hitters(&self) -> Vec<HeavyHitter> {
-        let summed = self
+        let (phi, epsilon) = (self.record.phi, self.record.epsilon);
+        let fan_in = self.shards() as u64;
+        let candidates: Vec<Vec<(u64, u64)>> = self
             .record
             .shards
             .iter()
-            .map(|shard| shard.heavy_hitters.estimator().tracked_items_sorted())
-            .reduce(|sum, entries| merge_sum(&sum, &entries))
-            .unwrap_or_default();
-        heavy_hitter_report(
-            summed,
-            self.record.phi,
-            self.record.epsilon,
+            .map(|shard| {
+                let entries = shard.heavy_hitters.estimator().tracked_items_sorted();
+                heavy_hitter_candidates(&entries, phi, epsilon, fan_in, shard.items)
+            })
+            .collect();
+        heavy_hitter_report_across(
+            &candidates,
+            |key| self.estimate(key),
+            phi,
+            epsilon,
             self.total_items(),
         )
     }

@@ -272,8 +272,12 @@ fn queries_answer_while_ingestion_is_in_flight() {
                 // Zipf(1.3)'s head item is always heavy once data flows.
                 if total > 20_000 {
                     assert!(!hh.is_empty(), "no heavy hitters at m = {total}");
-                    assert!(handle.estimate(hh[0].item) > 0);
-                    assert!(handle.cm_estimate(hh[0].item) >= handle.estimate(hh[0].item));
+                    // Snapshot first, sketch second: the sketch holds every
+                    // batch of any snapshot read before it, not of one
+                    // published after it.
+                    let est = handle.estimate(hh[0].item);
+                    assert!(est > 0);
+                    assert!(handle.cm_estimate(hh[0].item) >= est);
                 }
                 // The sliding surface answers concurrently; before the
                 // first boundary it reports "no aligned window" rather
@@ -374,4 +378,162 @@ fn hash_routing_partitions_the_stream() {
     }
     let total: u64 = report.shards.iter().map(|s| s.items).sum();
     assert_eq!(total, truth.values().sum::<u64>());
+}
+
+/// The merge oracle for `heavy_hitters()`: the report over the key-wise
+/// sum of every shard's published entries.
+fn merged_report(handle: &EngineHandle) -> Vec<HeavyHitter> {
+    let snapshots = handle.snapshots();
+    let m: u64 = snapshots.iter().map(|s| s.stream_len).sum();
+    let merged = snapshots.iter().fold(Vec::new(), |acc, s| {
+        psfa::freq::merge_sum(&acc, &s.hh_entries)
+    });
+    psfa::freq::heavy_hitter_report(merged, PHI, EPSILON, m)
+}
+
+/// After a drain, `heavy_hitters()` — candidates from each snapshot, each
+/// survivor summed where its placement says it lives — equals the merge
+/// oracle, and reports something.
+fn assert_heavy_hitters_match_the_merge(handle: &EngineHandle, case: &str) {
+    let reported = handle.heavy_hitters();
+    assert!(!reported.is_empty(), "{case}: no heavy hitters to compare");
+    assert_eq!(reported, merged_report(handle), "{case}");
+}
+
+/// A batch of `len` items in which every `every`-th is `key` and the rest
+/// are distinct keys from `base` on.
+fn spiked_batch(key: u64, every: u64, len: u64, base: u64) -> Vec<u64> {
+    (0..len)
+        .map(|i| if i % every == 0 { key } else { base + i })
+        .collect()
+}
+
+#[test]
+fn heavy_hitters_equal_the_merge_oracle_under_hash_routing() {
+    let engine = Engine::spawn(EngineConfig::with_shards(4).heavy_hitters(PHI, EPSILON));
+    let handle = engine.handle();
+    for batch in zipf_batches(30, 4_000, 37) {
+        handle.ingest(&batch).unwrap();
+    }
+    engine.drain().unwrap();
+    assert_heavy_hitters_match_the_merge(&handle, "hash routing");
+    engine.shutdown().unwrap();
+}
+
+/// A key promoted mid-stream has its pre-promotion mass on its owner only
+/// and its later mass on every shard; the placement sum must still equal
+/// the merge. Promotion is sticky: once the flash crowd cools the key
+/// stays `Replicated` — the placement sum relies on it.
+#[test]
+fn heavy_hitters_equal_the_merge_oracle_across_a_promotion_and_a_cooldown() {
+    const HOT: u64 = 7;
+    let engine = Engine::spawn(
+        EngineConfig::with_shards(4)
+            .heavy_hitters(PHI, EPSILON)
+            .skew_aware_routing(),
+    );
+    let handle = engine.handle();
+    let owner = shard_of(HOT, 4);
+    // ~3% of the traffic (every 33rd item, so the router's stride-8
+    // sample sees the same share): a heavy hitter, below the 6.25%
+    // promotion share.
+    for b in 0..20u64 {
+        handle
+            .ingest(&spiked_batch(HOT, 33, 4_000, 1_000_000 * (b + 1)))
+            .unwrap();
+    }
+    engine.drain().unwrap();
+    assert_eq!(handle.placement(HOT), Placement::Owner(owner));
+    for snapshot in handle.snapshots() {
+        assert_eq!(
+            snapshot.estimate(HOT) > 0,
+            snapshot.shard == owner,
+            "before promotion the key lives on its owner only"
+        );
+    }
+    assert_heavy_hitters_match_the_merge(&handle, "before promotion");
+
+    // A flash crowd: a third of every batch.
+    for b in 20..40u64 {
+        handle
+            .ingest(&spiked_batch(HOT, 3, 4_000, 1_000_000 * (b + 1)))
+            .unwrap();
+    }
+    engine.drain().unwrap();
+    assert_eq!(handle.placement(HOT), Placement::Replicated);
+    for snapshot in handle.snapshots() {
+        assert!(snapshot.estimate(HOT) > 0, "promoted mass on every shard");
+    }
+    assert_heavy_hitters_match_the_merge(&handle, "after promotion");
+
+    // The crowd cools: the key drops out of the traffic, and stays split.
+    for b in 40..80u64 {
+        let cool: Vec<u64> = (0..4_000).map(|i| 1_000_000 * (b + 1) + i).collect();
+        handle.ingest(&cool).unwrap();
+    }
+    engine.drain().unwrap();
+    assert_eq!(
+        handle.placement(HOT),
+        Placement::Replicated,
+        "promotion is sticky"
+    );
+    assert_heavy_hitters_match_the_merge(&handle, "after the crowd cooled");
+    engine.shutdown().unwrap();
+}
+
+/// A worker panic reseeds the shard from its last published snapshot
+/// (candidates included); answers after the restart still equal the merge.
+#[test]
+fn heavy_hitters_equal_the_merge_oracle_after_a_reseed() {
+    let engine = Engine::spawn(
+        EngineConfig::with_shards(4)
+            .heavy_hitters(PHI, EPSILON)
+            .fault_injection(FaultPlan::new().with_worker_panic(1, 6)),
+    );
+    let handle = engine.handle();
+    for batch in zipf_batches(30, 4_000, 41) {
+        handle.ingest(&batch).unwrap();
+    }
+    engine.drain().unwrap();
+    assert_eq!(handle.metrics().worker_restarts(), 1);
+    assert_heavy_hitters_match_the_merge(&handle, "after a reseed");
+    engine.shutdown().unwrap();
+}
+
+/// A recovered engine publishes candidates for the persisted state before
+/// its first batch, and keeps the persisted hot set: answers equal the
+/// merge right after `Engine::recover` and after more traffic.
+#[test]
+fn heavy_hitters_equal_the_merge_oracle_after_recovery() {
+    const HOT: u64 = 11;
+    let dir = psfa::store::testutil::unique_temp_dir("parity-recover");
+    let config = EngineConfig::with_shards(4)
+        .heavy_hitters(PHI, EPSILON)
+        .skew_aware_routing()
+        .persistence(PersistenceConfig::new(&dir).interval_batches(u64::MAX / 2));
+    let engine = Engine::spawn(config.clone());
+    let handle = engine.handle();
+    for b in 0..20u64 {
+        handle
+            .ingest(&spiked_batch(HOT, 3, 4_000, 1_000_000 * (b + 1)))
+            .unwrap();
+    }
+    engine.drain().unwrap();
+    assert_eq!(handle.placement(HOT), Placement::Replicated);
+    let live = handle.heavy_hitters();
+    handle.snapshot_now().unwrap();
+    engine.kill();
+
+    let recovered = Engine::recover(&dir, config).unwrap();
+    let handle = recovered.handle();
+    assert_eq!(handle.heavy_hitters(), live);
+    assert_heavy_hitters_match_the_merge(&handle, "right after recovery");
+    for batch in zipf_batches(10, 4_000, 43) {
+        handle.ingest(&batch).unwrap();
+    }
+    recovered.drain().unwrap();
+    assert_eq!(handle.placement(HOT), Placement::Replicated);
+    assert_heavy_hitters_match_the_merge(&handle, "recovered, then more traffic");
+    recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,8 +5,10 @@
 //! publication and relaxed-atomic Count-Min against torn reads:
 //!
 //! * per-shard snapshot **epochs are monotone** across reads, and every
-//!   snapshot is internally consistent (entries sorted, `stream_len`
-//!   matching the epoch's progression);
+//!   snapshot is internally consistent (entries sorted, heavy-hitter
+//!   candidates exactly the entries passing the local test at the
+//!   snapshot's `stream_len`, `stream_len` matching the epoch's
+//!   progression);
 //! * the Count-Min sketch **never reads below** what any observed snapshot
 //!   reflects (the publication `Release`/`Acquire` edge), and after a drain
 //!   it is overestimate-only against an exact reference;
@@ -88,6 +90,20 @@ fn concurrent_queries_during_ingest_never_tear() {
                     assert!(
                         snapshot.hh_entries.windows(2).all(|w| w[0].0 < w[1].0),
                         "shard {shard} snapshot entries not strictly item-sorted"
+                    );
+                    // Candidates: the entries passing the local pigeonhole
+                    // test at this snapshot's stream length — a filter of
+                    // the sorted entries, so an item-ascending subsequence.
+                    let local = ((PHI - EPSILON) * snapshot.stream_len as f64).max(0.0);
+                    let passing: Vec<(u64, u64)> = snapshot
+                        .hh_entries
+                        .iter()
+                        .copied()
+                        .filter(|&(_, est)| (est * SHARDS as u64) as f64 >= local)
+                        .collect();
+                    assert_eq!(
+                        snapshot.hh_candidates, passing,
+                        "shard {shard} candidates are not the passing entries"
                     );
                     assert!(
                         (snapshot.epoch == 0) == (snapshot.stream_len == 0),
