@@ -7,8 +7,6 @@ use psfa_primitives::FaultPlan;
 use psfa_store::PersistenceConfig;
 use psfa_stream::RoutingPolicy;
 
-use crate::obs::ObsConfig;
-
 /// Configuration of a sharded ingestion engine.
 ///
 /// The accuracy parameters mirror the single-threaded operators: each shard
@@ -62,11 +60,12 @@ pub struct EngineConfig {
     /// consistent epoch across shards and appends it to the segment log at
     /// `persistence.dir` — see `psfa-store` and [`crate::Engine::recover`].
     pub persistence: Option<PersistenceConfig>,
-    /// Observability: latency histograms, stall accounting, and the
-    /// control-plane trace ring (see [`ObsConfig`] and the `obs` module
-    /// docs). `None` (the default) compiles the instrumentation out of the
-    /// hot path entirely — no clock reads, no histogram writes.
-    pub observability: Option<ObsConfig>,
+    /// Observability: latency histograms, stall accounting, and a
+    /// 1,024-event control-plane trace ring (see the `obs` module docs).
+    /// `None` (the default) compiles the instrumentation out of the hot
+    /// path entirely — no clock reads, no histogram writes; `Some(())`,
+    /// set by [`EngineConfig::observe`], turns it on.
+    pub observability: Option<()>,
     /// Deterministic fault injection (see [`psfa_primitives::fault`]).
     /// `None` (the default) compiles every fault site down to a single
     /// `Option` branch — the same zero-cost-when-off pattern as
@@ -173,15 +172,10 @@ impl EngineConfig {
         self.persistence(PersistenceConfig::new(dir))
     }
 
-    /// Enables observability with the given configuration.
-    pub fn observability(mut self, obs: ObsConfig) -> Self {
-        self.observability = Some(obs);
+    /// Enables observability (see [`EngineConfig::observability`]).
+    pub fn observe(mut self) -> Self {
+        self.observability = Some(());
         self
-    }
-
-    /// Enables observability with default knobs (1024-event trace ring).
-    pub fn observe(self) -> Self {
-        self.observability(ObsConfig::default())
     }
 
     /// Arms deterministic fault injection with the given plan (see

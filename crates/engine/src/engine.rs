@@ -349,8 +349,7 @@ impl Engine {
         // point in the hot paths down to an untaken branch.
         let obs = config
             .observability
-            .as_ref()
-            .map(|oc| Arc::new(EngineObs::new(oc, config.shards)));
+            .map(|()| Arc::new(EngineObs::new(config.shards)));
         let mut senders = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
@@ -698,7 +697,7 @@ pub struct EngineHandle {
     /// entry point offered it); the flusher's `interval_batches` counts
     /// against this.
     accepted_batches: Arc<std::sync::atomic::AtomicU64>,
-    /// Observability recorders, when [`crate::ObsConfig`] is set. All
+    /// Observability recorders, when [`EngineConfig::observe`] is set. All
     /// recording is relaxed telemetry: it never adds ordering the data
     /// plane relies on (see the ordering contract in `shard.rs`).
     obs: Option<Arc<EngineObs>>,
@@ -1346,15 +1345,10 @@ impl EngineHandle {
         }
     }
 
-    /// True when the engine was configured with an [`crate::ObsConfig`].
-    pub fn observability_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Drains the bounded trace ring: every retained event since the last
     /// drain, oldest first. Under sustained load the ring overwrites its
-    /// oldest entries, so long-idle consumers see the most recent
-    /// `ObsConfig::trace_capacity` events (the drop count is reported in
+    /// oldest entries, so long-idle consumers see the most recent 1,024
+    /// events (the drop count is reported in
     /// the [`psfa_obs::ObsReport`] counters). Empty when observability is
     /// off.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
@@ -1403,11 +1397,6 @@ impl EngineHandle {
 
     // ---- persistence & time travel ------------------------------------
 
-    /// True when the engine was configured with a snapshot store.
-    pub fn persistence_enabled(&self) -> bool {
-        self.persister.is_some()
-    }
-
     fn persister(&self) -> Result<&Arc<Persister>, StoreError> {
         self.persister.as_ref().ok_or(StoreError::Disabled)
     }
@@ -1430,18 +1419,6 @@ impl EngineHandle {
     /// (see [`EpochView`] for the query surface and its `ε·m` bounds).
     pub fn view_at(&self, epoch: u64) -> Result<EpochView, StoreError> {
         self.persister()?.with_store(|s| s.view_at(epoch))
-    }
-
-    /// The φ-heavy hitters exactly as the live engine reported them at the
-    /// moment epoch `E` was cut.
-    pub fn heavy_hitters_at(&self, epoch: u64) -> Result<Vec<HeavyHitter>, StoreError> {
-        self.persister()?.with_store(|s| s.heavy_hitters_at(epoch))
-    }
-
-    /// One-sided point-frequency estimate for `item` as of persisted epoch
-    /// `E` (`f − ε·m_E ≤ f̂ ≤ f` over the items reflected in the epoch).
-    pub fn estimate_at(&self, item: u64, epoch: u64) -> Result<u64, StoreError> {
-        self.persister()?.with_store(|s| s.estimate_at(item, epoch))
     }
 }
 
@@ -1857,14 +1834,14 @@ mod tests {
             assert_eq!(handle2.estimate(k as u64), est);
         }
         // Time travel reproduces the live answer at the cut exactly.
-        assert_eq!(handle2.heavy_hitters_at(1).unwrap(), live_hh);
+        assert_eq!(handle2.view_at(1).unwrap().heavy_hitters(), live_hh);
         // The recovered engine keeps going and persists epoch 2.
         handle2.ingest(&generator.next_minibatch(1_000)).unwrap();
         recovered.drain().unwrap();
         assert_eq!(handle2.snapshot_now().unwrap(), 2);
         assert_eq!(handle2.persisted_epochs().unwrap(), vec![1, 2]);
         // Epoch 1's answer is unchanged by later epochs.
-        assert_eq!(handle2.heavy_hitters_at(1).unwrap(), live_hh);
+        assert_eq!(handle2.view_at(1).unwrap().heavy_hitters(), live_hh);
         let metrics = handle2.metrics();
         let store = metrics.store.expect("store metrics present");
         assert_eq!(store.last_epoch, 2);
@@ -1986,8 +1963,8 @@ mod tests {
     fn snapshot_now_without_persistence_is_disabled() {
         let engine = Engine::spawn(config());
         let handle = engine.handle();
-        assert!(!handle.persistence_enabled());
         assert!(matches!(handle.snapshot_now(), Err(StoreError::Disabled)));
+        assert!(matches!(handle.view_at(1), Err(StoreError::Disabled)));
         assert!(matches!(
             handle.persisted_epochs(),
             Err(StoreError::Disabled)
@@ -2016,7 +1993,6 @@ mod tests {
                 .observe(),
         );
         let handle = engine.handle();
-        assert!(handle.observability_enabled());
         let mut generator = ZipfGenerator::new(5_000, 1.2, 3);
         for _ in 0..8 {
             handle.ingest(&generator.next_minibatch(1_500)).unwrap();
@@ -2097,7 +2073,6 @@ mod tests {
     fn observability_off_by_default() {
         let engine = Engine::spawn(config());
         let handle = engine.handle();
-        assert!(!handle.observability_enabled());
         handle.ingest(&[1, 2, 3]).unwrap();
         engine.drain().unwrap();
         assert!(handle.metrics().obs.is_none());

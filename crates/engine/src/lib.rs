@@ -127,7 +127,6 @@ pub use engine::{
     TryIngestError,
 };
 pub use metrics::{EngineMetrics, ShardHealth, ShardMetrics, StoreMetrics, WindowMetrics};
-pub use obs::ObsConfig;
 pub use producer::Producer;
 pub use shard::ShardSnapshot;
 
@@ -149,6 +148,5 @@ pub use psfa_store::{EpochView, PersistenceConfig, SnapshotStore, StoreError, Wi
 // `EngineMetrics::obs` and `EngineHandle::trace_events` are re-exported so
 // callers can consume reports without a direct `psfa-obs` dependency.
 pub use psfa_obs::{
-    Clock, HistogramSnapshot, ManualClock, MonotonicClock, ObsCounter, ObsReport, ObsSection,
-    Percentiles, TraceEvent, TraceKind,
+    HistogramSnapshot, ObsCounter, ObsReport, ObsSection, Percentiles, TraceEvent, TraceKind,
 };

@@ -237,7 +237,7 @@ pub struct EngineMetrics {
     /// overflow/reset semantics), in shard order.
     pub work_units: Vec<u64>,
     /// Full latency/staleness report, when the engine was configured with
-    /// [`crate::ObsConfig`].
+    /// [`crate::EngineConfig::observe`].
     pub obs: Option<ObsReport>,
 }
 

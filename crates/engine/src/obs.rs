@@ -35,52 +35,15 @@
 //! asserts `≥ 0.97×`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use psfa_obs::{
-    AtomicLogHistogram, Clock, MonotonicClock, ObsCounter, ObsReport, ObsSection, Percentiles,
-    TraceRing,
+    AtomicLogHistogram, MonotonicClock, ObsCounter, ObsReport, ObsSection, Percentiles, TraceRing,
 };
 use psfa_stream::PoolCounters;
 
-/// Observability configuration (see [`crate::EngineConfig::observability`]).
-///
-/// Disabled by default: an engine without an `ObsConfig` takes **zero**
-/// clock reads and performs no histogram or trace writes anywhere on the
-/// ingest, worker, or query paths.
-#[derive(Debug, Clone)]
-pub struct ObsConfig {
-    /// Capacity of the control-plane trace ring (rounded up to a power of
-    /// two, minimum 8). Old events are overwritten, never blocking.
-    pub trace_capacity: usize,
-    /// Clock used for every timestamp; defaults to the process-monotonic
-    /// [`MonotonicClock`]. Swap in a [`psfa_obs::ManualClock`] to test
-    /// timing-dependent behaviour deterministically.
-    pub clock: Option<Arc<dyn Clock>>,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self {
-            trace_capacity: 1024,
-            clock: None,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// Sets the trace-ring capacity.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Overrides the clock (testing).
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-}
+/// Events the control-plane trace ring keeps; older ones are overwritten,
+/// never blocking a writer.
+const TRACE_CAPACITY: usize = 1024;
 
 /// Why a shard republished its query snapshot — the stall accounting of
 /// the lazy publication path (each variant indexes a counter in the
@@ -128,7 +91,7 @@ const QUERY_NAMES: [&str; QUERY_KINDS] = [
 /// and query handles. All methods are lock-free; see the module docs for
 /// the ordering contract.
 pub(crate) struct EngineObs {
-    clock: Arc<dyn Clock>,
+    clock: MonotonicClock,
     /// Producer wait for shard-queue space, per send (`0` ⇒ no wait).
     pub enqueue_wait: AtomicLogHistogram,
     /// Per-shard batch service time; merged bucket-wise at report time.
@@ -155,12 +118,9 @@ pub(crate) struct EngineObs {
 }
 
 impl EngineObs {
-    pub(crate) fn new(config: &ObsConfig, shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         Self {
-            clock: config
-                .clock
-                .clone()
-                .unwrap_or_else(|| Arc::new(MonotonicClock::new())),
+            clock: MonotonicClock::new(),
             enqueue_wait: AtomicLogHistogram::new(),
             batch_service: (0..shards).map(|_| AtomicLogHistogram::new()).collect(),
             publish_staleness: AtomicLogHistogram::new(),
@@ -169,12 +129,12 @@ impl EngineObs {
             queries: std::array::from_fn(|_| AtomicLogHistogram::new()),
             fence_exclusive_wait: AtomicLogHistogram::new(),
             persist_append: AtomicLogHistogram::new(),
-            trace: TraceRing::new(config.trace_capacity),
+            trace: TraceRing::new(TRACE_CAPACITY),
             promotions_seen: AtomicU64::new(0),
         }
     }
 
-    /// Current time on the configured clock.
+    /// Current time on the process-monotonic clock.
     pub(crate) fn now_ns(&self) -> u64 {
         self.clock.now_ns()
     }
@@ -333,7 +293,7 @@ mod tests {
 
     #[test]
     fn report_names_every_recorder() {
-        let obs = EngineObs::new(&ObsConfig::default(), 2);
+        let obs = EngineObs::new(2);
         obs.enqueue_wait.record(100);
         obs.batch_service(0).record(1_000);
         obs.batch_service(1).record(3_000);
@@ -362,22 +322,5 @@ mod tests {
         let text = report.prometheus_text();
         assert!(text.contains("psfa_batch_service_ns"));
         assert!(text.contains("psfa_republish_cadence_total"));
-    }
-
-    #[test]
-    fn manual_clock_drives_query_timing() {
-        let clock = Arc::new(psfa_obs::ManualClock::new());
-        let obs = EngineObs::new(&ObsConfig::default().clock(clock.clone()), 1);
-        let start = obs.now_ns();
-        clock.advance(5_000);
-        obs.record_query(QueryKind::Estimate, start);
-        let p = obs
-            .report(PoolCounters::default(), 0, 0, 0)
-            .percentiles("query_estimate")
-            .unwrap();
-        assert_eq!(p.count, 1);
-        // One-sided bucket error: the recorded 5000ns lands in a bucket
-        // whose upper bound is within 2^-5 relative.
-        assert!(p.p50 >= 5_000 && p.p50 <= 5_000 + (5_000 >> 5) + 1);
     }
 }

@@ -127,6 +127,7 @@ use psfa_primitives::{
 use psfa_sketch::AtomicCountMin;
 use psfa_store::ShardState;
 use psfa_stream::BufferPool;
+use psfa_window::PaneRing;
 
 use crate::config::EngineConfig;
 use crate::metrics::ShardStats;
@@ -144,6 +145,9 @@ pub(crate) const PUBLISH_EVERY: u64 = 16;
 /// query to find one boundary that *every* shard has already sealed even
 /// while shards lag each other by a few queued markers.
 const WINDOW_HISTORY: usize = 8;
+
+/// A window's sealed panes, as [`PaneWindow::sealed_panes`] shares them.
+type SealedPanes = PaneRing<Arc<[(u64, u64)]>>;
 
 /// Commands accepted by a shard worker, in queue order (see "One FIFO per
 /// shard" in the module docs).
@@ -218,6 +222,13 @@ pub struct ShardSnapshot {
     /// `Arc`s: sealed windows are immutable and only change at boundaries,
     /// so re-publishing a snapshot per batch costs pointer bumps.
     pub windows: Vec<Arc<SealedWindow>>,
+    /// The shard's sealed panes at this epoch (`None` without a window or
+    /// before the first boundary): what a reseeded worker resumes its
+    /// window from. The ring only changes at a boundary, so the worker
+    /// copies it once per seal (`k` pointer bumps and one `VecDeque`; the
+    /// pane entries are shared) and every publication in between shares
+    /// that copy for one pointer bump.
+    pub(crate) panes: Option<Arc<SealedPanes>>,
 }
 
 impl ShardSnapshot {
@@ -229,6 +240,7 @@ impl ShardSnapshot {
             hh_entries: Vec::new(),
             hh_candidates: Vec::new(),
             windows: Vec::new(),
+            panes: None,
         }
     }
 
@@ -328,6 +340,10 @@ impl ShardShared {
                         .map(Arc::new)
                         .into_iter()
                         .collect(),
+                    panes: state
+                        .window
+                        .as_ref()
+                        .map(|w| Arc::new(w.sealed_panes().clone())),
                 };
                 (snapshot, state.count_min.clone())
             }
@@ -383,6 +399,9 @@ pub(crate) struct ShardWorker {
     /// Sealed views of the last few boundaries, oldest first (see
     /// [`WINDOW_HISTORY`]).
     window_history: VecDeque<Arc<SealedWindow>>,
+    /// The window's sealed panes as of the last boundary, shared by every
+    /// snapshot published until the next one ([`ShardSnapshot::panes`]).
+    sealed_panes: Option<Arc<SealedPanes>>,
     /// Seed for the per-minibatch histogram shared between the
     /// heavy-hitter tracker, the open window pane, and the Count-Min
     /// sketch.
@@ -450,6 +469,7 @@ impl ShardWorker {
             .map(Arc::new)
             .into_iter()
             .collect();
+        let sealed_panes = shared.snapshot.get().panes.clone();
         Self {
             shard,
             epoch,
@@ -458,6 +478,7 @@ impl ShardWorker {
             hh_query: HhQuery::of(config),
             window,
             window_history,
+            sealed_panes,
             hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
@@ -479,21 +500,23 @@ impl ShardWorker {
     /// * **Survives**: everything up to the snapshot's epoch — the MG
     ///   entries (rebuilt one-sided via
     ///   [`InfiniteHeavyHitters::from_entries`]), the sealed window
-    ///   history, and the shard's Count-Min sketch (it lives in
-    ///   [`ShardShared`] and was never torn down). Queued commands —
-    ///   minibatches and cuts alike — also survive: the supervisor keeps
-    ///   the receiver.
+    ///   history, the sealed panes (the window resumes from the snapshot's
+    ///   ring via [`PaneWindow::resume`], so the next `k − 1` sealed
+    ///   windows still cover the panes sealed before the restart, and the
+    ///   boundary numbering continues), and the shard's Count-Min sketch
+    ///   (it lives in [`ShardShared`] and was never torn down). Queued
+    ///   commands — minibatches and cuts alike — also survive: the
+    ///   supervisor keeps the receiver.
     /// * **Lost**: the panicking batch and those processed *after* the
     ///   last publication (at most [`PUBLISH_EVERY`]` − 1`, however they
     ///   were folded; none if the queue had run dry) and the open
-    ///   (unsealed) window pane. A command the supervisor holds in the
-    ///   lookahead slot survives like a queued one.
+    ///   (unsealed) window pane: no snapshot carries it. A command the
+    ///   supervisor holds in the lookahead slot survives like a queued one.
     ///
     /// The Count-Min sketch retains the post-snapshot adds, so its
     /// one-sided *over*estimate is unaffected; `live_epoch` rolls back to
     /// the snapshot's epoch so the lazy-publication protocol resumes
-    /// consistently. The boundary fence numbering continues via
-    /// [`PaneWindow::resume_after`].
+    /// consistently.
     pub(crate) fn reseed(
         shard: usize,
         config: &EngineConfig,
@@ -509,12 +532,14 @@ impl ShardWorker {
             snapshot.stream_len,
         )
         .with_meter(shared.work.clone());
+        // No published ring means no boundary was sealed yet.
         let window = config.window.map(|_| {
-            PaneWindow::resume_after(
-                config.epsilon,
-                config.window_panes,
-                snapshot.latest_window_seq(),
-            )
+            let ring = snapshot
+                .panes
+                .as_deref()
+                .cloned()
+                .unwrap_or_else(|| PaneRing::new(config.window_panes));
+            PaneWindow::resume(config.epsilon, ring)
         });
         let window_history: VecDeque<Arc<SealedWindow>> =
             snapshot.windows.iter().cloned().collect();
@@ -531,6 +556,7 @@ impl ShardWorker {
             hh_query: HhQuery::of(config),
             window,
             window_history,
+            sealed_panes: snapshot.panes.clone(),
             hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
@@ -651,6 +677,7 @@ impl ShardWorker {
         while self.window_history.len() > WINDOW_HISTORY {
             self.window_history.pop_front();
         }
+        self.sealed_panes = Some(Arc::new(window.sealed_panes().clone()));
         self.publish_snapshot(PublishReason::Boundary);
         // The seq counter last: a reader that sees the new boundary also
         // finds the sealed window in the published snapshot.
@@ -812,6 +839,7 @@ impl ShardWorker {
             hh_candidates: self.hh_query.candidates(&hh_entries, self.items),
             hh_entries,
             windows: self.window_history.iter().cloned().collect(),
+            panes: self.sealed_panes.clone(),
         }));
         let epoch_gap = self.epoch - self.last_publish_epoch;
         self.last_publish_epoch = self.epoch;
@@ -965,7 +993,7 @@ mod tests {
     #[test]
     fn cadence_publishes_every_publish_every_batches_without_a_reader() {
         let config = test_config();
-        let obs = Arc::new(EngineObs::new(&crate::ObsConfig::default(), 1));
+        let obs = Arc::new(EngineObs::new(1));
         let shared = Arc::new(ShardShared::new(0, &config, None));
         let worker = test_worker(&config, &shared, Some(obs.clone()));
         let batches = 3 * PUBLISH_EVERY + 5;
@@ -1037,6 +1065,36 @@ mod tests {
             .hh_entries
             .iter()
             .all(|&(key, estimate)| key < offered_keys && estimate <= 1));
+    }
+
+    #[test]
+    fn a_reseeded_worker_keeps_the_sealed_panes_of_its_last_snapshot() {
+        let config = EngineConfig::with_shards(1)
+            .heavy_hitters(0.1, 0.01)
+            .sliding_window(400)
+            .window_panes(4);
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        // Four panes of 100 × key 7, drained and published at boundary 4.
+        let (tx, rx) = sync_channel(9);
+        for seq in 1..=4 {
+            tx.send(ShardCommand::Batch(vec![7; 100])).unwrap();
+            tx.send(ShardCommand::Boundary { seq }).unwrap();
+        }
+        tx.send(ShardCommand::Shutdown).unwrap();
+        test_worker(&config, &shared, None).run(&rx);
+        assert_eq!(shared.snapshot.get().latest_window_seq(), 4);
+
+        // One more pane after the reseed: the window at boundary 5 covers
+        // panes 2–5, three of them sealed before the restart.
+        let reborn = ShardWorker::reseed(0, &config, shared.clone(), test_pool(), None);
+        let (tx, rx) = sync_channel(3);
+        tx.send(ShardCommand::Batch(vec![7; 100])).unwrap();
+        tx.send(ShardCommand::Boundary { seq: 5 }).unwrap();
+        tx.send(ShardCommand::Shutdown).unwrap();
+        reborn.run(&rx);
+        let window = shared.snapshot.get().window_at(5).cloned();
+        let window = window.expect("boundary 5 sealed");
+        assert_eq!((window.items, window.estimate(7)), (400, 400));
     }
 
     #[test]
@@ -1143,7 +1201,7 @@ mod tests {
     #[test]
     fn folding_never_crosses_a_cadence_point() {
         let config = test_config();
-        let obs = Arc::new(EngineObs::new(&crate::ObsConfig::default(), 1));
+        let obs = Arc::new(EngineObs::new(1));
         let shared = Arc::new(ShardShared::new(0, &config, None));
         let worker = test_worker(&config, &shared, Some(obs.clone()));
         let batches = 3 * PUBLISH_EVERY + 5;

@@ -12,8 +12,9 @@
 //!   `psfa_stream::WindowFence` (every pane covers the same set of
 //!   accepted minibatches on every shard);
 //! * each shard keeps a [`PaneWindow`]: one `ε`-accurate Misra–Gries
-//!   summary (stored as sorted `(item, estimate)` entries) per sealed pane
-//!   in a bounded [`psfa_window::PaneRing`], plus one more
+//!   summary (stored as shared, immutable sorted `(item, estimate)`
+//!   entries) per sealed pane in a bounded [`psfa_window::PaneRing`], plus
+//!   one more
 //!   [`MgSummary`] for the open pane's traffic so far. Sealing at a
 //!   boundary sums the last `k` pane summaries per key into a
 //!   [`SealedWindow`] — the shard's view of the boundary-aligned window;
@@ -81,6 +82,8 @@
 //! assert!(GlobalWindow::merge([&a2, &b3]).is_none());
 //! ```
 
+use std::sync::Arc;
+
 use psfa_primitives::codec::{put_header, ByteReader, ByteWriter, CodecError};
 use psfa_primitives::{build_hist, HistogramEntry};
 use psfa_window::{Pane, PaneRing};
@@ -93,8 +96,9 @@ const TAG: u8 = 0x09;
 const VERSION: u8 = 1;
 
 /// One sealed pane's summary: at most `S` `(item, estimate)` entries,
-/// ascending by item. One-sided for the pane's items.
-type PaneEntries = Vec<(u64, u64)>;
+/// ascending by item. One-sided for the pane's items. A sealed pane never
+/// changes, so copies of the ring share its entries.
+type PaneEntries = Arc<[(u64, u64)]>;
 
 /// Sums two `(item, value)` runs sorted ascending by item into one sorted
 /// run, adding the values of keys present in both (a linear sorted merge).
@@ -157,26 +161,33 @@ impl PaneWindow {
     /// # Panics
     /// Panics if `epsilon` is not in `(0, 1)` or `panes == 0`.
     pub fn new(epsilon: f64, panes: usize) -> Self {
-        Self::resume_after(epsilon, panes, 0)
+        Self::resume(epsilon, PaneRing::new(panes))
     }
 
-    /// Creates an empty window whose boundary numbering continues after
-    /// sequence `seq` (the next seal produces boundary `seq + 1`). A
-    /// supervisor restarting a shard worker uses this so the rebuilt
-    /// window stays aligned with the engine-wide boundary fence; the
-    /// previously sealed panes live on in the shard's published snapshot
-    /// history, not in the rebuilt ring.
+    /// Creates a window over the sealed panes of `ring` with an empty open
+    /// pane: the next seal produces boundary `ring.sealed_seq() + 1`. A
+    /// supervisor restarting a shard worker passes the ring its last
+    /// published snapshot carries ([`PaneWindow::sealed_panes`]), so the
+    /// rebuilt window keeps both the sealed panes and the engine-wide
+    /// boundary numbering.
     ///
     /// # Panics
-    /// Panics if `epsilon` is not in `(0, 1)` or `panes == 0`.
-    pub fn resume_after(epsilon: f64, panes: usize, seq: u64) -> Self {
+    /// Panics if `epsilon` is not in `(0, 1)`.
+    pub fn resume(epsilon: f64, ring: PaneRing<Arc<[(u64, u64)]>>) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
         Self {
             epsilon,
-            ring: PaneRing::resume_after(panes, seq),
+            ring,
             open_items: 0,
             open: MgSummary::new((1.0 / epsilon).ceil() as usize),
         }
+    }
+
+    /// The sealed panes, oldest first. Cloning the ring allocates one
+    /// `VecDeque` and bumps one pointer per pane: sealed entries are
+    /// shared, never copied.
+    pub fn sealed_panes(&self) -> &PaneRing<Arc<[(u64, u64)]>> {
+        &self.ring
     }
 
     /// The per-summary error parameter ε.
@@ -239,7 +250,7 @@ impl PaneWindow {
     /// `O(S log S + k·S·log k)` work — off the per-item hot path, paid once
     /// per boundary.
     pub fn seal(&mut self) -> SealedWindow {
-        let entries: PaneEntries = self.open.entries_sorted();
+        let entries: PaneEntries = self.open.entries_sorted().into();
         self.open.clear();
         self.ring.seal(self.open_items, entries);
         self.open_items = 0;
@@ -255,22 +266,15 @@ impl PaneWindow {
     /// before the first boundary. Pure sorted-vector merging, as a
     /// balanced merge tree over the pane runs: `O(k·S·log k)`.
     pub fn sealed_window(&self) -> Option<SealedWindow> {
-        let mut runs: Vec<PaneEntries> = self.ring.panes().map(|p| p.summary.clone()).collect();
-        if runs.is_empty() {
+        let panes: Vec<&[(u64, u64)]> = self.ring.panes().map(|p| &p.summary[..]).collect();
+        if panes.is_empty() {
             return None;
         }
         // Merge pairs level by level so every entry is copied O(log k)
         // times, not once per remaining pane.
+        let mut runs = merge_level(&panes);
         while runs.len() > 1 {
-            let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut pairs = runs.into_iter();
-            while let Some(a) = pairs.next() {
-                match pairs.next() {
-                    Some(b) => next.push(merge_sum(&a, &b)),
-                    None => next.push(a),
-                }
-            }
-            runs = next;
+            runs = merge_level(&runs);
         }
         Some(SealedWindow {
             seq: self.ring.sealed_seq(),
@@ -297,7 +301,7 @@ impl PaneWindow {
             w.put_u64(pane.seq);
             w.put_u64(pane.items);
             w.put_u32(pane.summary.len() as u32);
-            for &(item, estimate) in &pane.summary {
+            for &(item, estimate) in pane.summary.iter() {
                 w.put_u64(item);
                 w.put_u64(estimate);
             }
@@ -374,7 +378,7 @@ impl PaneWindow {
                     "pane window: pane holds more entries than the summary capacity",
                 ));
             }
-            let mut summary: PaneEntries = Vec::with_capacity(entry_count);
+            let mut summary = Vec::with_capacity(entry_count);
             let mut prev_item: Option<u64> = None;
             for _ in 0..entry_count {
                 let item = r.get_u64()?;
@@ -393,7 +397,7 @@ impl PaneWindow {
             sealed.push(Pane {
                 seq,
                 items,
-                summary,
+                summary: summary.into(),
             });
         }
         let ring = PaneRing::restore(panes, sealed).ok_or(CodecError::Invalid(
@@ -415,6 +419,18 @@ impl PaneWindow {
         r.expect_end()?;
         Ok(out)
     }
+}
+
+/// One level of a balanced merge tree: `runs` summed pairwise, an odd run
+/// out copied as it is.
+fn merge_level(runs: &[impl AsRef<[(u64, u64)]>]) -> Vec<Vec<(u64, u64)>> {
+    runs.chunks(2)
+        .map(|pair| match pair {
+            [a, b] => merge_sum(a.as_ref(), b.as_ref()),
+            [a] => a.as_ref().to_vec(),
+            _ => unreachable!("chunks of two"),
+        })
+        .collect()
 }
 
 /// One shard's merged summary of the boundary-aligned window, frozen at a

@@ -1,23 +1,13 @@
-//! Time sources for the instrumentation layer.
+//! The time source of the instrumentation layer.
 //!
-//! Instrumented code paths take timestamps through the [`Clock`] trait so
-//! that (a) tests can drive time deterministically with a [`ManualClock`],
-//! and (b) the production [`MonotonicClock`] amortises the cost of
-//! `Instant::now` into a single `u64` nanosecond read against a
-//! process-wide anchor — cheap enough that the only *truly* hot paths
-//! (per-item ingest) still avoid it entirely by recording durations only
-//! around per-*batch* operations or slow paths (a full queue).
+//! [`MonotonicClock`] amortises the cost of `Instant::now` into a single
+//! `u64` nanosecond read against a process-wide anchor — cheap enough that
+//! the only *truly* hot paths (per-item ingest) still avoid it entirely by
+//! recording durations only around per-*batch* operations or slow paths (a
+//! full queue).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// A monotone nanosecond clock. `now_ns` must never decrease.
-pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// Nanoseconds since an arbitrary fixed origin (process start for the
-    /// production clock). Only differences are meaningful.
-    fn now_ns(&self) -> u64;
-}
 
 /// Process-wide monotone anchor so every clock instance shares one origin
 /// and `now_ns` fits comfortably in `u64` (584 years of nanoseconds).
@@ -26,7 +16,7 @@ fn anchor() -> Instant {
     *ANCHOR.get_or_init(Instant::now)
 }
 
-/// The production clock: `Instant` elapsed-nanoseconds against a
+/// A monotone nanosecond clock: `Instant` elapsed-nanoseconds against a
 /// process-wide origin.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MonotonicClock;
@@ -37,36 +27,11 @@ impl MonotonicClock {
         let _ = anchor();
         MonotonicClock
     }
-}
 
-impl Clock for MonotonicClock {
-    fn now_ns(&self) -> u64 {
+    /// Nanoseconds since the process-wide origin; never decreases. Only
+    /// differences are meaningful.
+    pub fn now_ns(&self) -> u64 {
         anchor().elapsed().as_nanos() as u64
-    }
-}
-
-/// A hand-cranked clock for deterministic tests: time only moves when
-/// [`advance`](ManualClock::advance) is called.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    /// Starts at `t = 0`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Moves time forward by `delta_ns` and returns the new time.
-    pub fn advance(&self, delta_ns: u64) -> u64 {
-        self.now.fetch_add(delta_ns, Ordering::Relaxed) + delta_ns
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
     }
 }
 
@@ -83,14 +48,5 @@ mod tests {
             assert!(now >= prev);
             prev = now;
         }
-    }
-
-    #[test]
-    fn manual_clock_is_hand_cranked() {
-        let clock = ManualClock::new();
-        assert_eq!(clock.now_ns(), 0);
-        assert_eq!(clock.advance(5), 5);
-        assert_eq!(clock.advance(10), 15);
-        assert_eq!(clock.now_ns(), 15);
     }
 }

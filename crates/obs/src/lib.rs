@@ -31,7 +31,7 @@ pub mod histogram;
 pub mod report;
 pub mod trace;
 
-pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use clock::MonotonicClock;
 pub use histogram::{
     bucket_high, bucket_index, bucket_low, AtomicLogHistogram, HistogramSnapshot, Percentiles,
     NUM_BUCKETS, SUB, SUB_BITS,

@@ -5,7 +5,6 @@
 //! | Count-Min / row `i` (Section 6) | a map into `0..w` under which two distinct keys share a column with probability about `1/w`, drawn **independently per row**: the collision bound is all the `ε·m` analysis uses of a row, and the independence of the rows is what turns it into `δ = e^{−d}` | [`PairMultiplyShiftHash`], seeded per row — `Pr[h(x) = h(y)] ≤ (1/w)(1 + w·2⁻³²)²`; two 64-bit multiplies, no division |
 //! | parallel `buildHist` (Theorem 2.3, `µ > SEQ_THRESHOLD`) | an `O(log µ)`-wise independent map into `0..O(µ)`: the family bounds the *largest* bucket, which only the parallel algorithm's **depth** needs — the `O(µ)` expected work holds for any evenly spreading map | [`PolynomialHash`] with `k = 8`, seeded per minibatch |
 //! | the sequential histogram kernel (`build_hist_into`, one per shard worker) | no depth to bound, so no independence guarantee — a seeded even spread over its probe table that an adversary who cannot see the seed cannot defeat | the key mix ([`KeyMixBuildHasher`]'s folded multiply), keyed per `HistScratch` |
-//! | Count-Sketch buckets and signs | pairwise independence | [`PolynomialHash`] with `k = 2` |
 //! | in-memory tables keyed by item id (`MgSummary`) | no independence guarantee — only an even spread that an adversary who cannot see the seed cannot defeat | [`KeyMixBuildHasher`], seeded per table instance |
 //!
 //! Three constructions:

@@ -34,11 +34,11 @@
 //! | [`psfa_primitives`] | §2 | scans, packing, integer sort, selection, `buildHist`, CSS, hash families |
 //! | [`psfa_window`] | §3–§4 | γ-snapshots, SBBC, basic counting, windowed sum, pane rings |
 //! | [`psfa_freq`] | §5 | parallel Misra–Gries, sliding-window frequency estimation (basic / space- / work-efficient), heavy hitters, mergeable summaries, cross-shard pane windows |
-//! | [`psfa_sketch`] | §6 | Count-Min sketch (one type: per-element and minibatch updates, lock-free queries, mergeable), Count-Sketch |
+//! | [`psfa_sketch`] | §6 | Count-Min sketch (one type: per-element and minibatch updates, lock-free queries, mergeable) |
 //! | [`psfa_baselines`] | §1, §5.4 | sequential comparators and the independent-data-structure approach |
 //! | [`psfa_stream`] | §1 | minibatch model, workload generators, routing layer (hash + skew-aware hot-key splitting), epoch + window fencing |
 //! | [`psfa_engine`] | beyond the paper | sharded multi-threaded ingestion engine with hash or skew-aware routing, live cross-shard queries, and globally consistent sliding windows (`Engine`, `EngineHandle`) |
-//! | [`psfa_store`] | beyond the paper | epoch-snapshot persistence: checksummed append-only segment log, crash recovery (`Engine::recover`), time-travel queries (`heavy_hitters_at`) |
+//! | [`psfa_store`] | beyond the paper | epoch-snapshot persistence: checksummed append-only segment log, crash recovery (`Engine::recover`), time-travel queries (`view_at`) |
 //! | [`psfa_obs`] | beyond the paper | lock-free observability: mergeable latency histograms, stall accounting, bounded event tracing, Prometheus text export |
 //! | [`psfa_serve`] | beyond the paper | network serving front end: length-prefixed binary protocol over `std::net`, capped thread-per-connection server with explicit `Busy` backpressure, blocking client (`Server`, `Client`) |
 
@@ -63,7 +63,7 @@ pub mod prelude {
     };
     pub use psfa_engine::{
         Degraded, Engine, EngineConfig, EngineHandle, EngineMetrics, EngineReport, FaultPlan,
-        IngestError, ObsConfig, Producer, ShardHealth, ShutdownError, StoreMetrics, TryIngestError,
+        IngestError, Producer, ShardHealth, ShutdownError, StoreMetrics, TryIngestError,
         WindowMetrics,
     };
     pub use psfa_freq::{
@@ -72,15 +72,15 @@ pub mod prelude {
         SlidingFreqWorkEfficient, SlidingFrequencyEstimator, SlidingHeavyHitters,
     };
     pub use psfa_obs::{
-        AtomicLogHistogram, Clock, HistogramSnapshot, ManualClock, MonotonicClock, ObsCounter,
-        ObsReport, ObsSection, Percentiles, TraceEvent, TraceKind, TraceRing,
+        AtomicLogHistogram, HistogramSnapshot, MonotonicClock, ObsCounter, ObsReport, ObsSection,
+        Percentiles, TraceEvent, TraceKind, TraceRing,
     };
     pub use psfa_primitives::{ArcCell, CompactedSegment, HistScratch, WorkMeter};
     pub use psfa_serve::{
         Client, ClientError, ErrorCode, FrameError, IngestOutcome, Request, Response, RetryPolicy,
-        RetryingClient, ServeConfig, ServeMetrics, Server, MAX_FRAME_LEN,
+        ServeConfig, ServeMetrics, Server, MAX_FRAME_LEN,
     };
-    pub use psfa_sketch::{AtomicCountMin, CountSketch};
+    pub use psfa_sketch::AtomicCountMin;
     pub use psfa_store::{
         EpochRecord, EpochView, PersistenceConfig, ShardState, SnapshotStore, StoreError,
         WindowState,

@@ -33,9 +33,9 @@ pub enum ClientError {
     /// The server answered with a response kind the request cannot
     /// produce (a protocol bug, not a transport fault).
     Unexpected(&'static str),
-    /// A [`RetryingClient`] exhausted its retry budget with every attempt
-    /// refused as [`Response::Busy`] — sustained engine backpressure, not
-    /// a fault.
+    /// A client with a retry policy exhausted its retry budget with every
+    /// attempt refused as [`Response::Busy`] — sustained engine
+    /// backpressure, not a fault.
     RetriesExhausted {
         /// Attempts made before giving up.
         attempts: u32,
@@ -77,68 +77,146 @@ pub enum IngestOutcome {
     /// The batch was accepted; `items` were enqueued.
     Accepted(u64),
     /// The engine's queues were full; nothing was enqueued. Retry later
-    /// or spread load across more connections.
+    /// or spread load across more connections. A client with a retry
+    /// policy never returns it: it backs off and retries instead.
     Busy,
 }
 
 /// A blocking connection to a [`crate::Server`].
+///
+/// ```no_run
+/// use psfa_serve::{Client, RetryPolicy};
+/// # let addr = "127.0.0.1:0".parse().unwrap();
+/// let mut client = Client::connect(addr).unwrap().retry(RetryPolicy::default());
+/// client.ingest(&[7, 7, 3]).unwrap(); // retries Busy + reconnects on drops
+/// let heavy = client.heavy_hitters().unwrap();
+/// ```
 pub struct Client {
+    addr: SocketAddr,
     stream: TcpStream,
     /// Outgoing frame, length prefix included; reused across requests.
     frame: Vec<u8>,
     /// Incoming response payload; reused across requests.
     buf: Vec<u8>,
+    /// Set by [`Client::retry`]; `None` makes every call one attempt.
+    policy: Option<RetryPolicy>,
+    /// Jitter state of the policy's backoff (xorshift64*, never zero).
+    rng: u64,
+    /// The next attempt reconnects first (only ever set under a policy).
+    broken: bool,
+    reconnects: u64,
+    busy_retries: u64,
 }
 
 impl Client {
     /// Connects (with Nagle disabled — requests are small and
     /// latency-sensitive).
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
-        Client::over(TcpStream::connect(addr)?)
-    }
-
-    /// Like [`Client::connect`] with a connect timeout.
-    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
-        Client::over(TcpStream::connect_timeout(&addr, timeout)?)
-    }
-
-    fn over(stream: TcpStream) -> io::Result<Client> {
-        stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            addr,
+            stream: open(addr)?,
             frame: Vec::new(),
             buf: Vec::new(),
+            policy: None,
+            rng: 0,
+            broken: false,
+            reconnects: 0,
+            busy_retries: 0,
         })
     }
 
-    /// Sends one request and reads its response. Generic entry point —
-    /// the typed wrappers below are usually more convenient. A request
-    /// too large for one frame is refused with [`FrameError::Oversize`]
-    /// before a byte is written; the connection stays usable.
-    pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_request_frame(&mut self.stream, &mut self.frame, request)?;
-        self.response()
+    /// Runs every later call under `policy`: [`Response::Busy`], transport
+    /// errors and [`ErrorCode::DeadlineExceeded`] back off and retry, and a
+    /// broken stream reconnects before the next attempt. Replaces
+    /// hand-rolled `loop { match ingest { Busy => sleep } }` blocks.
+    pub fn retry(mut self, policy: RetryPolicy) -> Client {
+        self.policy = Some(policy);
+        // Zero would lock xorshift at zero forever; any nonzero constant
+        // restores a full-period stream.
+        self.rng = if policy.seed == 0 {
+            0x9E37_79B9_7F4A_7C15
+        } else {
+            policy.seed
+        };
+        self
     }
 
-    /// Reads the response to the request just written.
-    fn response(&mut self) -> Result<Response, ClientError> {
+    /// Broken-stream reconnections so far; `0` without a retry policy.
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects
+    }
+
+    /// Attempts that backed off on `Busy`; `0` without a retry policy.
+    pub fn busy_retries(&self) -> u64 {
+        self.busy_retries
+    }
+
+    /// Sends one request (written by `send`) and reads its response: one
+    /// attempt, or as many as the retry policy allows. A typed server error
+    /// comes back as [`ClientError::Server`].
+    fn exchange(
+        &mut self,
+        send: impl Fn(&mut TcpStream, &mut Vec<u8>) -> Result<(), FrameError>,
+    ) -> Result<Response, ClientError> {
+        let Some(policy) = self.policy else {
+            return self.attempt(&send);
+        };
+        let mut last: Option<ClientError> = None;
+        for attempt in 0..=policy.max_retries {
+            match self.attempt(&send) {
+                Ok(Response::Busy) => {
+                    self.busy_retries += 1;
+                    last = None;
+                }
+                Ok(response) => return Ok(response),
+                Err(e) if retryable(&e) => last = Some(e),
+                Err(e) => return Err(e),
+            }
+            if attempt < policy.max_retries {
+                std::thread::sleep(policy.backoff(attempt, &mut self.rng));
+            }
+        }
+        Err(last.unwrap_or(ClientError::RetriesExhausted {
+            attempts: policy.max_retries + 1,
+        }))
+    }
+
+    /// One attempt. Under a policy the stream counts as broken until a
+    /// response has been read whole: after a transport error the frame
+    /// state is unknown, so the next attempt reconnects.
+    fn attempt(
+        &mut self,
+        send: &impl Fn(&mut TcpStream, &mut Vec<u8>) -> Result<(), FrameError>,
+    ) -> Result<Response, ClientError> {
+        if self.broken {
+            self.stream = open(self.addr)?;
+            self.broken = false;
+            self.reconnects += 1;
+        }
+        self.broken = self.policy.is_some();
+        send(&mut self.stream, &mut self.frame)?;
         let len = read_frame(&mut self.stream, &mut self.buf)?.ok_or_else(|| {
             ClientError::Frame(FrameError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection before responding",
             )))
         })?;
-        Ok(Response::decode(&self.buf[..len]).map_err(FrameError::Codec)?)
+        let response = Response::decode(&self.buf[..len]).map_err(FrameError::Codec)?;
+        self.broken = false;
+        match response {
+            Response::Error { code, message } => Err(ClientError::Server { code, message }),
+            response => Ok(response),
+        }
     }
 
-    /// Calls and unwraps a typed server error into [`ClientError::Server`].
-    fn call_ok(&mut self, request: &Request) -> Result<Response, ClientError> {
-        server_error(self.call(request)?)
+    /// Sends one typed request and reads its response.
+    fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.exchange(|stream, frame| write_request_frame(stream, frame, request))
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.call_ok(&Request::Ping)? {
+        match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
             _ => Err(ClientError::Unexpected("expected Pong")),
         }
@@ -148,12 +226,13 @@ impl Client {
     /// [`IngestOutcome::Busy`] is the engine's backpressure, not an error.
     /// A batch of more than `(MAX_FRAME_LEN − 7) / 8` items does not fit
     /// in one frame and is refused with [`FrameError::Oversize`] before a
-    /// byte is written; the connection stays usable.
+    /// byte is written — with no attempt, retry or reconnect; the
+    /// connection stays usable.
     ///
     /// [`MAX_FRAME_LEN`]: crate::MAX_FRAME_LEN
     pub fn ingest(&mut self, items: &[u64]) -> Result<IngestOutcome, ClientError> {
-        write_ingest_frame(&mut self.stream, &mut self.frame, items)?;
-        match server_error(self.response()?)? {
+        check_ingest_len(items.len())?;
+        match self.exchange(|stream, frame| write_ingest_frame(stream, frame, items))? {
             Response::IngestAck { items } => Ok(IngestOutcome::Accepted(items)),
             Response::Busy => Ok(IngestOutcome::Busy),
             _ => Err(ClientError::Unexpected("expected IngestAck or Busy")),
@@ -176,7 +255,7 @@ impl Client {
     }
 
     fn count(&mut self, request: &Request) -> Result<u64, ClientError> {
-        match self.call_ok(request)? {
+        match self.call(request)? {
             Response::Count(value) => Ok(value),
             _ => Err(ClientError::Unexpected("expected Count")),
         }
@@ -193,7 +272,7 @@ impl Client {
     }
 
     fn hitters(&mut self, request: &Request) -> Result<Vec<HeavyHitter>, ClientError> {
-        match self.call_ok(request)? {
+        match self.call(request)? {
             Response::HeavyHitters(entries) => Ok(entries),
             _ => Err(ClientError::Unexpected("expected HeavyHitters")),
         }
@@ -202,22 +281,21 @@ impl Client {
     /// Engine metrics in Prometheus text format (empty without
     /// observability configured on the engine).
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        match self.call_ok(&Request::Metrics)? {
+        match self.call(&Request::Metrics)? {
             Response::MetricsText(text) => Ok(text),
             _ => Err(ClientError::Unexpected("expected MetricsText")),
         }
     }
 }
 
-/// Unwraps a typed server error into [`ClientError::Server`].
-fn server_error(response: Response) -> Result<Response, ClientError> {
-    match response {
-        Response::Error { code, message } => Err(ClientError::Server { code, message }),
-        response => Ok(response),
-    }
+/// Connects with Nagle disabled.
+fn open(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
-/// Retry policy for [`RetryingClient`]: capped exponential backoff with
+/// Retry policy for [`Client::retry`]: capped exponential backoff with
 /// deterministic (seeded) equal-jitter.
 ///
 /// Attempt `k` sleeps `d/2 + U(0, d/2)` where `d = min(base·2ᵏ, max)` and
@@ -313,158 +391,5 @@ fn retryable(error: &ClientError) -> bool {
         // Shutdown / connection-limit / bad-request / protocol bugs do
         // not get better by retrying.
         _ => false,
-    }
-}
-
-/// A [`Client`] wrapper that retries transient failures: engine
-/// backpressure ([`Response::Busy`]), broken streams (reconnect), and
-/// server deadline misses — each under the capped, jittered backoff of a
-/// [`RetryPolicy`].
-///
-/// Replaces hand-rolled `loop { match ingest { Busy => sleep } }` blocks:
-///
-/// ```no_run
-/// use psfa_serve::{RetryPolicy, RetryingClient};
-/// # let addr = "127.0.0.1:0".parse().unwrap();
-/// let mut client = RetryingClient::connect(addr, RetryPolicy::default()).unwrap();
-/// client.ingest(&[7, 7, 3]).unwrap(); // retries Busy + reconnects on drops
-/// let heavy = client.heavy_hitters().unwrap();
-/// ```
-pub struct RetryingClient {
-    addr: SocketAddr,
-    policy: RetryPolicy,
-    rng: u64,
-    client: Option<Client>,
-    reconnects: u64,
-    busy_retries: u64,
-}
-
-impl RetryingClient {
-    /// Connects eagerly; later broken streams reconnect lazily under the
-    /// policy's backoff.
-    pub fn connect(addr: SocketAddr, policy: RetryPolicy) -> io::Result<RetryingClient> {
-        let client = Client::connect(addr)?;
-        Ok(RetryingClient {
-            addr,
-            policy,
-            // Zero would lock xorshift at zero forever; any nonzero
-            // constant restores a full-period stream.
-            rng: if policy.seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                policy.seed
-            },
-            client: Some(client),
-            reconnects: 0,
-            busy_retries: 0,
-        })
-    }
-
-    /// Reconnections performed so far (broken-stream recoveries).
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    /// Attempts that backed off on [`Response::Busy`].
-    pub fn busy_retries(&self) -> u64 {
-        self.busy_retries
-    }
-
-    /// Runs one attempt, reconnecting first if the previous attempt broke
-    /// the stream.
-    fn attempt<T>(
-        &mut self,
-        op: &mut impl FnMut(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let client = match self.client.as_mut() {
-            Some(client) => client,
-            None => {
-                let fresh = Client::connect(self.addr)?;
-                self.reconnects += 1;
-                self.client.insert(fresh)
-            }
-        };
-        let result = op(client);
-        if matches!(result, Err(ClientError::Frame(_))) {
-            // The stream is poisoned (partial frame state unknown);
-            // force a reconnect on the next attempt.
-            self.client = None;
-        }
-        result
-    }
-
-    /// Runs `op` under the retry policy. `op` returns `Ok(None)` to signal
-    /// a Busy response (retryable without being an error).
-    fn retrying<T>(
-        &mut self,
-        mut op: impl FnMut(&mut Client) -> Result<Option<T>, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut last: Option<ClientError> = None;
-        for attempt in 0..=self.policy.max_retries {
-            match self.attempt(&mut op) {
-                Ok(Some(value)) => return Ok(value),
-                Ok(None) => {
-                    self.busy_retries += 1;
-                    last = None;
-                }
-                Err(e) if retryable(&e) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-            if attempt < self.policy.max_retries {
-                std::thread::sleep(self.policy.backoff(attempt, &mut self.rng));
-            }
-        }
-        Err(last.unwrap_or(ClientError::RetriesExhausted {
-            attempts: self.policy.max_retries + 1,
-        }))
-    }
-
-    /// Ingests one minibatch, retrying [`Response::Busy`] backpressure and
-    /// broken streams. Returns the accepted item count. A batch too large
-    /// for one frame is refused as [`Client::ingest`] refuses it, with no
-    /// attempt, retry or reconnect.
-    pub fn ingest(&mut self, items: &[u64]) -> Result<u64, ClientError> {
-        check_ingest_len(items.len())?;
-        self.retrying(|client| {
-            Ok(match client.ingest(items)? {
-                IngestOutcome::Accepted(n) => Some(n),
-                IngestOutcome::Busy => None,
-            })
-        })
-    }
-
-    /// Liveness probe with retries.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.retrying(|client| client.ping().map(Some))
-    }
-
-    /// One-sided point-frequency estimate with retries.
-    pub fn estimate(&mut self, item: u64) -> Result<u64, ClientError> {
-        self.retrying(|client| client.estimate(item).map(Some))
-    }
-
-    /// Count-Min overestimate with retries.
-    pub fn cm_estimate(&mut self, item: u64) -> Result<u64, ClientError> {
-        self.retrying(|client| client.cm_estimate(item).map(Some))
-    }
-
-    /// Sliding-window point estimate with retries.
-    pub fn sliding_estimate(&mut self, item: u64) -> Result<u64, ClientError> {
-        self.retrying(|client| client.sliding_estimate(item).map(Some))
-    }
-
-    /// φ-heavy hitters of the whole stream with retries.
-    pub fn heavy_hitters(&mut self) -> Result<Vec<HeavyHitter>, ClientError> {
-        self.retrying(|client| client.heavy_hitters().map(Some))
-    }
-
-    /// φ-heavy hitters of the global sliding window with retries.
-    pub fn sliding_heavy_hitters(&mut self) -> Result<Vec<HeavyHitter>, ClientError> {
-        self.retrying(|client| client.sliding_heavy_hitters().map(Some))
-    }
-
-    /// Prometheus metrics text with retries.
-    pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        self.retrying(|client| client.metrics_text().map(Some))
     }
 }

@@ -52,6 +52,6 @@ pub mod protocol;
 mod client;
 mod server;
 
-pub use client::{Client, ClientError, IngestOutcome, RetryPolicy, RetryingClient};
+pub use client::{Client, ClientError, IngestOutcome, RetryPolicy};
 pub use protocol::{ErrorCode, FrameError, Request, Response, MAX_FRAME_LEN};
 pub use server::{ServeConfig, ServeMetrics, Server};

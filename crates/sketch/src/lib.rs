@@ -2,9 +2,7 @@
 //!
 //! Count-Min sketch with parallel minibatch ingestion — Section 6 of
 //! Tangwongsan, Tirthapura and Wu, *Parallel Streaming Frequency-Based
-//! Aggregates* (SPAA 2014) — plus a Count-Sketch implementation as the
-//! natural extension (the paper cites it among the sketch-based approaches
-//! in related work).
+//! Aggregates* (SPAA 2014).
 //!
 //! * [`count_min`] — the Count-Min sketch of Cormode and Muthukrishnan,
 //!   [`AtomicCountMin`]: `d = ⌈ln(1/δ)⌉` rows of `w = ⌈e/ε⌉` counters, each
@@ -18,14 +16,10 @@
 //!   so an ingesting shard worker and concurrent point queries never
 //!   contend on a lock (the one-sided overestimate bound survives relaxed
 //!   ordering; see the module docs for the argument).
-//! * [`count_sketch`] — Count-Sketch (Charikar–Chen–Farach-Colton) with the
-//!   same minibatch interface, providing unbiased estimates.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod count_min;
-pub mod count_sketch;
 
 pub use count_min::AtomicCountMin;
-pub use count_sketch::CountSketch;

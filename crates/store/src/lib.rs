@@ -5,8 +5,8 @@
 //! crate turns that into a durability story — periodic consistent cuts of a
 //! sharded engine's state spilled to an append-only, checksummed segment
 //! log, with crash recovery onto the latest consistent epoch and
-//! **time-travel queries** (`heavy_hitters_at(E)`, `estimate_at(key, E)`)
-//! over retained history.
+//! **time-travel queries** over retained history: `view_at(E)` answers
+//! every query kind ([`EpochView`]) as of epoch `E`.
 //!
 //! ```text
 //!  psfa-engine flusher thread            dir/

@@ -48,8 +48,6 @@ use std::fs::{self, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use psfa_freq::HeavyHitter;
-
 use crate::crc::crc32;
 use crate::error::StoreError;
 use crate::record::EpochRecord;
@@ -412,21 +410,6 @@ impl SnapshotStore {
     pub fn view_at(&self, epoch: u64) -> Result<EpochView, StoreError> {
         Ok(EpochView::new(self.load(epoch)?))
     }
-
-    /// A view of the newest retained epoch.
-    pub fn latest_view(&self) -> Result<EpochView, StoreError> {
-        self.view_at(self.latest_epoch().ok_or(StoreError::NoSnapshot)?)
-    }
-
-    /// The φ-heavy hitters as the live engine reported them at `epoch`.
-    pub fn heavy_hitters_at(&self, epoch: u64) -> Result<Vec<HeavyHitter>, StoreError> {
-        Ok(self.view_at(epoch)?.heavy_hitters())
-    }
-
-    /// One-sided point-frequency estimate for `key` as of `epoch`.
-    pub fn estimate_at(&self, key: u64, epoch: u64) -> Result<u64, StoreError> {
-        Ok(self.view_at(epoch)?.estimate(key))
-    }
 }
 
 #[cfg(test)]
@@ -643,11 +626,11 @@ mod tests {
         store.append(&record(1, 100)).unwrap();
         store.append(&record(2, 500)).unwrap();
         let v1 = store.view_at(1).unwrap();
-        let v2 = store.latest_view().unwrap();
+        let v2 = store.view_at(2).unwrap();
         assert_eq!(v1.total_items(), 200);
         assert_eq!(v2.total_items(), 1000);
-        assert!(store.estimate_at(0, 1).unwrap() < store.estimate_at(0, 2).unwrap());
-        assert!(!store.heavy_hitters_at(2).unwrap().is_empty());
+        assert!(v1.estimate(0) < v2.estimate(0));
+        assert!(!v2.heavy_hitters().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -70,24 +70,6 @@ impl<T> PaneRing<T> {
         }
     }
 
-    /// Creates an empty ring that continues numbering after boundary
-    /// `seq`: the next [`PaneRing::seal`] produces pane `seq + 1`. Used
-    /// when a restarted worker resumes from a snapshot whose pane
-    /// contents are tracked elsewhere but whose boundary fence keeps
-    /// counting — the sequence numbers must stay aligned with the
-    /// engine-wide fence even though the ring itself starts empty.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn resume_after(capacity: usize, seq: u64) -> Self {
-        assert!(capacity >= 1, "a pane ring needs at least one pane");
-        Self {
-            capacity,
-            panes: VecDeque::with_capacity(capacity),
-            sealed: seq,
-        }
-    }
-
     /// Rebuilds a ring from previously sealed panes (oldest first), e.g.
     /// decoded from a persisted snapshot. Returns `None` if the panes are
     /// not consecutively numbered, exceed `capacity`, or contain `seq 0`.

@@ -60,14 +60,16 @@ fn main() {
         }
     });
 
-    // The capture pipeline: stream the trace over the wire through the
-    // retrying client — explicit backpressure (`Busy`) and broken streams
-    // are absorbed by its capped, jittered backoff instead of a hand-rolled
-    // retry loop or unbounded client-side queueing.
+    // The capture pipeline: stream the trace over the wire through a client
+    // with a retry policy — explicit backpressure (`Busy`) and broken
+    // streams are absorbed by its capped, jittered backoff instead of a
+    // hand-rolled retry loop or unbounded client-side queueing.
     let policy = RetryPolicy::default()
         .base_delay(std::time::Duration::from_micros(200))
         .max_retries(64);
-    let mut capture = RetryingClient::connect(addr, policy).expect("capture connect");
+    let mut capture = Client::connect(addr)
+        .expect("capture connect")
+        .retry(policy);
     let mut trace = PacketTraceGenerator::new(256, 7);
     let mut truth: HashMap<u64, u64> = HashMap::new();
     for batch_idx in 0..batches {
@@ -75,8 +77,8 @@ fn main() {
         for &flow in &minibatch {
             *truth.entry(flow).or_insert(0) += 1;
         }
-        let items = capture.ingest(&minibatch).expect("ingest over the wire");
-        assert_eq!(items, minibatch.len() as u64);
+        let outcome = capture.ingest(&minibatch).expect("ingest over the wire");
+        assert_eq!(outcome, IngestOutcome::Accepted(minibatch.len() as u64));
 
         if (batch_idx + 1) % 20 == 0 {
             let reported = capture.heavy_hitters().expect("query over the wire");

@@ -115,21 +115,24 @@ fn main() {
     }
     recovered.drain().unwrap();
     let epoch2 = handle.snapshot_now().expect("snapshot");
-    let then = handle.heavy_hitters_at(epoch).expect("history");
-    let now = handle.heavy_hitters_at(epoch2).expect("history");
+    let (view_then, view_now) = (
+        handle.view_at(epoch).expect("history"),
+        handle.view_at(epoch2).expect("history"),
+    );
+    let (then, now) = (view_then.heavy_hitters(), view_now.heavy_hitters());
     println!(
         "  epochs retained: {:?}",
         handle.persisted_epochs().expect("epochs")
     );
     println!(
-        "  heavy_hitters_at({epoch})  = {} items over {} stream items (frozen)",
+        "  view_at({epoch}).heavy_hitters()  = {} items over {} stream items (frozen)",
         then.len(),
-        handle.view_at(epoch).expect("view").total_items()
+        view_then.total_items()
     );
     println!(
-        "  heavy_hitters_at({epoch2}) = {} items over {} stream items",
+        "  view_at({epoch2}).heavy_hitters() = {} items over {} stream items",
         now.len(),
-        handle.view_at(epoch2).expect("view").total_items()
+        view_now.total_items()
     );
     assert_eq!(then, live_hh, "epoch {epoch} is immutable history");
 

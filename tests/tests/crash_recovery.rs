@@ -7,7 +7,7 @@
 //!   always);
 //! * replicated-key placements survive recovery (the persisted hot set is
 //!   re-promoted), so split keys keep being summed at query time;
-//! * time travel is exact: `heavy_hitters_at(E)` and `estimate_at(·, E)`
+//! * time travel is exact: `view_at(E)`'s heavy hitters and estimates
 //!   reproduce the answers the live engine gave at the moment epoch `E`
 //!   was cut, even after the recovered engine has moved on;
 //! * the *global* sliding window comes back as the same aligned window
@@ -148,11 +148,11 @@ fn kill_and_recover_preserves_bounds_placements_and_history() {
     }
 
     // Time travel is exact — including the windowed surface.
-    assert_eq!(handle.heavy_hitters_at(epoch).unwrap(), live_hh);
-    for (&k, &est) in &live_estimates {
-        assert_eq!(handle.estimate_at(k, epoch).unwrap(), est);
-    }
     let view = handle.view_at(epoch).unwrap();
+    assert_eq!(view.heavy_hitters(), live_hh);
+    for (&k, &est) in &live_estimates {
+        assert_eq!(view.estimate(k), est);
+    }
     assert_eq!(view.sliding_heavy_hitters(), live_sliding_hh);
     assert_eq!(
         view.global_window().map(|w| (w.seq(), w.items())),
@@ -169,7 +169,7 @@ fn kill_and_recover_preserves_bounds_placements_and_history() {
     let epoch2 = handle.snapshot_now().unwrap();
     assert_eq!(epoch2, 2);
     assert_eq!(handle.persisted_epochs().unwrap(), vec![1, 2]);
-    assert_eq!(handle.heavy_hitters_at(epoch).unwrap(), live_hh);
+    assert_eq!(handle.view_at(epoch).unwrap().heavy_hitters(), live_hh);
     let view2 = handle.view_at(epoch2).unwrap();
     assert_eq!(view2.total_items(), m_snap + 10_000);
     assert!(view2.total_items() > handle.view_at(epoch).unwrap().total_items());
@@ -202,10 +202,7 @@ fn compaction_bounds_history_while_the_engine_runs() {
         assert_eq!(*epochs.last().unwrap(), round);
     }
     // Old epochs are gone — typed error, not a panic or a wrong answer.
-    assert!(matches!(
-        handle.heavy_hitters_at(1),
-        Err(StoreError::NoSuchEpoch(1))
-    ));
+    assert!(matches!(handle.view_at(1), Err(StoreError::NoSuchEpoch(1))));
     // Disk holds only the retained segments.
     let segments = std::fs::read_dir(&dir).unwrap().count();
     assert!(

@@ -209,7 +209,10 @@ fn concurrent_queries_during_ingest_never_tear() {
     );
 
     // --- the mid-stress snapshot round-trips through recovery -----------
-    let persisted_hh = handle.heavy_hitters_at(epoch).expect("historical query");
+    let persisted_hh = handle
+        .view_at(epoch)
+        .expect("historical query")
+        .heavy_hitters();
     engine.kill();
     let recovered = Engine::recover(&dir, config).expect("recovery from the stress snapshot");
     let handle2 = recovered.handle();
@@ -219,7 +222,10 @@ fn concurrent_queries_during_ingest_never_tear() {
     handle2.ingest(&zipf_batches(1, 2_000, 10)[0]).unwrap();
     recovered.drain().unwrap();
     assert_eq!(handle2.snapshot_now().unwrap(), epoch + 1);
-    assert_eq!(handle2.heavy_hitters_at(epoch).unwrap(), persisted_hh);
+    assert_eq!(
+        handle2.view_at(epoch).unwrap().heavy_hitters(),
+        persisted_hh
+    );
     recovered.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -11,11 +11,12 @@
 //!   within `max_connections × MAX_FRAME_LEN × 2`.
 //! * Graceful shutdown answers in-flight requests, closes connections, and
 //!   leaves the engine fully usable.
-//! * A `RetryingClient` rides out injected connection drops: it reconnects,
-//!   and a retried ingest is never counted twice.
+//! * A `Client` with a retry policy rides out injected connection drops: it
+//!   reconnects, and a retried ingest is never counted twice. Without a
+//!   policy the same drop is one typed `Frame` error and no reconnect.
 //! * A batch too large for one frame is refused typed before a byte is
-//!   written: the connection stays usable, and a `RetryingClient` neither
-//!   retries nor reconnects.
+//!   written: the connection stays usable, and a client with a retry
+//!   policy neither retries nor reconnects.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -190,14 +191,16 @@ fn retrying_client_survives_injected_connection_drops() {
         ServeConfig::default().fault_injection(FaultPlan::new().with_connection_drop_after(3));
     let server = Server::spawn(engine.handle(), config).expect("server");
     let policy = RetryPolicy::default().base_delay(Duration::from_millis(1));
-    let mut client = RetryingClient::connect(server.local_addr(), policy).expect("client");
+    let mut client = Client::connect(server.local_addr())
+        .expect("client")
+        .retry(policy);
 
     let batches = zipf_batches(12, 1_000, 3);
     for batch in &batches {
-        let accepted = client
+        let outcome = client
             .ingest(batch)
             .expect("ingest must ride out the drops");
-        assert_eq!(accepted, batch.len() as u64);
+        assert_eq!(outcome, IngestOutcome::Accepted(batch.len() as u64));
     }
     assert!(client.reconnects() > 0, "dropped streams force reconnects");
 
@@ -207,6 +210,30 @@ fn retrying_client_survives_injected_connection_drops() {
     // A swallowed request was never applied, so its retry is the only
     // application: the count is exact, not "at least".
     assert_eq!(engine.handle().total_items(), 12_000);
+    engine.shutdown().unwrap();
+}
+
+#[test]
+fn client_without_a_retry_policy_reports_a_dropped_stream_and_never_reconnects() {
+    let engine = Engine::spawn(EngineConfig::with_shards(2).heavy_hitters(0.05, 0.01));
+    let config =
+        ServeConfig::default().fault_injection(FaultPlan::new().with_connection_drop_after(3));
+    let server = Server::spawn(engine.handle(), config).expect("server");
+    let mut client = Client::connect(server.local_addr()).expect("client");
+    // Three frames are served; the fourth is swallowed and the stream
+    // closed, and the fifth goes to the same dead stream.
+    for frame in 0..5 {
+        let outcome = client.ingest(&[7; 100]);
+        if frame < 3 {
+            assert_eq!(outcome.expect("served"), IngestOutcome::Accepted(100));
+        } else {
+            assert!(matches!(outcome, Err(ClientError::Frame(_))), "{outcome:?}");
+        }
+    }
+    assert_eq!((client.reconnects(), client.busy_retries()), (0, 0));
+    assert_eq!(server.shutdown().connections_accepted, 1);
+    engine.drain().unwrap();
+    assert_eq!(engine.handle().total_items(), 300);
     engine.shutdown().unwrap();
 }
 
@@ -239,14 +266,19 @@ fn oversize_ingest_is_refused_typed_and_the_connection_survives() {
         IngestOutcome::Accepted(3)
     );
 
-    let mut retrying = RetryingClient::connect(addr, RetryPolicy::default()).expect("client");
+    let mut retrying = Client::connect(addr)
+        .expect("client")
+        .retry(RetryPolicy::default());
     assert!(matches!(
         retrying.ingest(&batch),
         Err(ClientError::Frame(FrameError::Oversize { .. }))
     ));
     assert_eq!(retrying.reconnects(), 0);
     assert_eq!(retrying.busy_retries(), 0);
-    assert_eq!(retrying.ingest(&[7]).expect("small batch"), 1);
+    assert_eq!(
+        retrying.ingest(&[7]).expect("small batch"),
+        IngestOutcome::Accepted(1)
+    );
     assert_eq!(retrying.reconnects(), 0);
 
     let metrics = server.shutdown();
