@@ -1,15 +1,23 @@
 //! E4 bench: infinite-window frequency estimation — the parallel shared
 //! Misra–Gries summary (Theorem 5.2) vs the sequential per-element baselines,
-//! plus the `MGaugment` kernel the engine's shard workers run and the
-//! engine's cross-shard heavy-hitter report.
+//! plus the `MGaugment` kernel the engine's shard workers run, the
+//! engine's cross-shard heavy-hitter report, and the point lookup its
+//! snapshots answer `estimate` with.
 
 mod common;
+/// The engine's snapshot index is crate-private; the bench compiles the
+/// same source file so it times exactly the code the engine runs.
+#[path = "../../engine/src/point_index.rs"]
+mod point_index;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use psfa::freq::{heavy_hitter_candidates, heavy_hitter_report, heavy_hitter_report_across};
 use psfa::prelude::*;
-use psfa::primitives::{build_hist, HistogramEntry};
+use psfa::primitives::{build_hist, HistogramEntry, KeyMixBuildHasher};
 use psfa_bench::zipf_minibatches;
+use std::hint::black_box;
+
+use point_index::PointIndex;
 
 fn bench_mg(c: &mut Criterion) {
     let mut group = c.benchmark_group("mg_infinite_window");
@@ -94,7 +102,8 @@ fn bench_augment(c: &mut Criterion) {
 /// of a hash-partitioned Zipf(1.2) stream, at 2 and 8 shards.
 /// `candidates` is the engine's query — the global pigeonhole test over
 /// each shard's published candidates, and each survivor summed where hash
-/// routing places it, one binary search on its owner; `merge_oracle` sums every shard's entries with
+/// routing places it, one lookup in its owner's point index;
+/// `merge_oracle` sums every shard's entries with
 /// `merge_sum` and reports over the sum. `publish_filter` is the
 /// publication-time cost the candidates move off the query: one
 /// `heavy_hitter_candidates` pass per shard.
@@ -127,11 +136,13 @@ fn bench_heavy_hitters_across(c: &mut Criterion) {
                 .collect()
         };
         let candidates = filter();
+        let indexes: Vec<PointIndex> = entries
+            .iter()
+            .map(|e| PointIndex::build(e, KeyMixBuildHasher::new()))
+            .collect();
         let sum = |item: u64| -> u64 {
-            let owner = &entries[shard_of(item, shards)];
-            owner
-                .binary_search_by_key(&item, |&(i, _)| i)
-                .map_or(0, |at| owner[at].1)
+            let owner = shard_of(item, shards);
+            indexes[owner].value(&entries[owner], item)
         };
         group.bench_function(BenchmarkId::new("candidates", shards), |b| {
             b.iter(|| heavy_hitter_report_across(&candidates, sum, PHI, EPSILON, m))
@@ -151,9 +162,56 @@ fn bench_heavy_hitters_across(c: &mut Criterion) {
     group.finish();
 }
 
+/// The engine's point query on one shard snapshot at the repo benchmark's
+/// `ε = 0.001`: the hashed index every snapshot carries against a binary
+/// search over the same item-sorted entries — `S ≈ 1,000` Misra–Gries
+/// entries of a Zipf(1.2) stream, probed at each tracked item and at as
+/// many untracked ones (Melem/s per lookup) — and `index_build`, the `O(S)`
+/// pass each publication pays for the index (Melem/s per entry).
+fn bench_point_query(c: &mut Criterion) {
+    let mut estimator = ParallelFrequencyEstimator::new(0.001);
+    for batch in zipf_minibatches(1_000_000, 1.2, 40, 50_000, 7) {
+        estimator.process_minibatch(&batch);
+    }
+    let entries = estimator.tracked_items_sorted();
+    let probes: Vec<u64> = entries
+        .iter()
+        .flat_map(|&(item, _)| [item, item | 1 << 63])
+        .collect();
+    let hasher = KeyMixBuildHasher::new();
+    let index = PointIndex::build(&entries, hasher.clone());
+    let mut group = c.benchmark_group("point_query");
+    group.throughput(Throughput::Elements(probes.len() as u64));
+    group.bench_function(BenchmarkId::new("index_lookup", entries.len()), |b| {
+        b.iter(|| {
+            probes
+                .iter()
+                .map(|&item| index.value(&entries, black_box(item)))
+                .sum::<u64>()
+        })
+    });
+    group.bench_function(BenchmarkId::new("binary_search", entries.len()), |b| {
+        b.iter(|| {
+            probes
+                .iter()
+                .map(|&item| {
+                    entries
+                        .binary_search_by_key(&black_box(item), |&(i, _)| i)
+                        .map_or(0, |at| entries[at].1)
+                })
+                .sum::<u64>()
+        })
+    });
+    group.throughput(Throughput::Elements(entries.len() as u64));
+    group.bench_function(BenchmarkId::new("index_build", entries.len()), |b| {
+        b.iter(|| PointIndex::build(black_box(&entries), hasher.clone()))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = common::config();
-    targets = bench_mg, bench_augment, bench_heavy_hitters_across
+    targets = bench_mg, bench_augment, bench_heavy_hitters_across, bench_point_query
 }
 criterion_main!(benches);

@@ -1124,14 +1124,20 @@ impl EngineHandle {
     }
 
     /// Total items reflected in the current snapshots (`m` of the observed
-    /// prefix).
+    /// prefix). Reads each snapshot in place: no allocation.
     pub fn total_items(&self) -> u64 {
-        self.snapshots().iter().map(|s| s.stream_len).sum()
+        self.shared
+            .iter()
+            .map(|s| s.with_snapshot(|snapshot| snapshot.stream_len))
+            .sum()
     }
 
     /// Per-shard epochs (minibatches processed) of the current snapshots.
     pub fn epochs(&self) -> Vec<u64> {
-        self.snapshots().iter().map(|s| s.epoch).collect()
+        self.shared
+            .iter()
+            .map(|s| s.with_snapshot(|snapshot| snapshot.epoch))
+            .collect()
     }
 
     /// Live point-frequency estimate for `item`: one-sided,
@@ -1141,14 +1147,15 @@ impl EngineHandle {
     /// replicated (hot) keys are summed across every shard's snapshot — each
     /// shard underestimates its substream by at most `ε·m_s`, so the sum
     /// underestimates by at most `ε·m` and never overestimates.
+    ///
+    /// Each snapshot is read in place, one shard at a time, and probed
+    /// through its hashed index ([`ShardSnapshot::estimate`]): `O(1)`
+    /// expected per shard, no reference-count traffic, no allocation.
     pub fn estimate(&self, item: u64) -> u64 {
+        let estimate = |shared: &ShardShared| shared.with_snapshot(|s| s.estimate(item));
         self.timed(QueryKind::Estimate, || match self.router.placement(item) {
-            Placement::Owner(shard) => self.shared[shard].load_snapshot().estimate(item),
-            Placement::Replicated => self
-                .shared
-                .iter()
-                .map(|s| s.load_snapshot().estimate(item))
-                .sum(),
+            Placement::Owner(shard) => estimate(&self.shared[shard]),
+            Placement::Replicated => self.shared.iter().map(|s| estimate(s)).sum(),
         })
     }
 
@@ -1261,10 +1268,10 @@ impl EngineHandle {
     /// set is persisted and recovered with each epoch — a key that is an
     /// owner key now has only ever been routed to its owner; a key
     /// promoted after the snapshots were loaded is summed over all shards.
-    /// Cost: `O(Σ c_s + c·log S)` for `Σ c_s` candidate entries, `c`
-    /// survivors and `S` entries per shard (times `shards` for a
-    /// replicated survivor) — the answer is identical to the report over
-    /// the merged summaries.
+    /// Cost: `O(Σ c_s + c)` expected for `Σ c_s` candidate entries and `c`
+    /// survivors, each summed through its snapshots' hashed index (times
+    /// `shards` for a replicated survivor) — the answer is identical to the
+    /// report over the merged summaries.
     ///
     /// Guarantees over the observed prefix of `m` items: every item with
     /// true frequency `≥ φm` is reported (its summed estimate is at least

@@ -118,6 +118,7 @@ mod engine;
 mod metrics;
 mod obs;
 mod persist;
+mod point_index;
 mod producer;
 mod shard;
 

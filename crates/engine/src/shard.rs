@@ -46,10 +46,11 @@
 //! ## Lazy epoch-versioned snapshot publication
 //!
 //! A [`ShardSnapshot`] freezes the `O(1/ε)` query surface; publishing one
-//! is `O(S log S)` for `S = O(1/ε)` entries (collect, sort, allocate, and
-//! one `O(S)` pass for the heavy-hitter candidates), on top of the paper's
-//! `O(S + p)` per minibatch. So publication stays **off
-//! the batch path** and happens:
+//! is the `O(S log S)` sort of `S = O(1/ε)` entries (collect, sort,
+//! allocate) plus two `O(S)` passes — the heavy-hitter candidates and the
+//! hashed point index that makes [`ShardSnapshot::estimate`] `O(1)`
+//! expected — on top of the paper's `O(S + p)` per minibatch. So
+//! publication stays **off the batch path** and happens:
 //!
 //! * **on demand**: `live_epoch` (batches the worker has finished) runs
 //!   ahead of the published snapshot's `epoch`; a reader that sees the gap
@@ -122,7 +123,7 @@ use std::sync::Arc;
 use psfa_freq::{heavy_hitter_candidates, InfiniteHeavyHitters, PaneWindow, SealedWindow};
 use psfa_obs::TraceKind;
 use psfa_primitives::{
-    build_hist_runs, ArcCell, FaultPlan, HistScratch, HistogramEntry, WorkMeter,
+    build_hist_runs, ArcCell, FaultPlan, HistScratch, HistogramEntry, KeyMixBuildHasher, WorkMeter,
 };
 use psfa_sketch::AtomicCountMin;
 use psfa_store::ShardState;
@@ -132,6 +133,7 @@ use psfa_window::PaneRing;
 use crate::config::EngineConfig;
 use crate::metrics::ShardStats;
 use crate::obs::{EngineObs, PublishReason};
+use crate::point_index::PointIndex;
 
 /// Publication cadence: a worker publishes once `PUBLISH_EVERY` batches
 /// have been applied since the last publication even when no reader asked
@@ -185,10 +187,10 @@ pub(crate) enum ShardCommand {
 
 /// Immutable view of one shard's summaries at one epoch.
 ///
-/// Snapshots freeze the *query surfaces* (Misra–Gries entries and their
-/// heavy-hitter candidates, stream length, the sealed windows of recent
-/// boundaries) — `O(1/ε)` data — not
-/// the raw operator state. `epoch` equals the number of routed sub-batches
+/// Snapshots freeze the *query surfaces* (Misra–Gries entries, a hashed
+/// point index over them, their heavy-hitter candidates, stream length,
+/// the sealed windows of recent boundaries) — `O(1/ε)` data — not the raw
+/// operator state. `epoch` equals the number of routed sub-batches
 /// ("batches") the shard had processed when the snapshot was published,
 /// however they were folded into minibatches; it is strictly increasing,
 /// so callers can detect progress between reads. Publication is lazy (see
@@ -204,8 +206,9 @@ pub struct ShardSnapshot {
     /// Items processed by this shard (its `m_s`).
     pub stream_len: u64,
     /// Misra–Gries `(item, estimate)` entries of the infinite-window
-    /// estimator, **ascending by item** (point lookups binary-search;
-    /// cross-shard merges are sorted merges); estimates are one-sided:
+    /// estimator, **ascending by item** (cross-shard merges are sorted
+    /// merges; point lookups go through the snapshot's hashed index, see
+    /// [`ShardSnapshot::estimate`]); estimates are one-sided:
     /// `f − ε·m_s ≤ f̂ ≤ f`.
     pub hh_entries: Vec<(u64, u64)>,
     /// The entries of `hh_entries` that may be φ-heavy hitters of the
@@ -229,6 +232,9 @@ pub struct ShardSnapshot {
     /// pane entries are shared) and every publication in between shares
     /// that copy for one pointer bump.
     pub(crate) panes: Option<Arc<SealedPanes>>,
+    /// Hashed positions of `hh_entries`, built with the snapshot: what
+    /// [`ShardSnapshot::estimate`] probes.
+    index: PointIndex,
 }
 
 impl ShardSnapshot {
@@ -241,15 +247,16 @@ impl ShardSnapshot {
             hh_candidates: Vec::new(),
             windows: Vec::new(),
             panes: None,
+            index: PointIndex::build(&[], KeyMixBuildHasher::new()),
         }
     }
 
-    /// The Misra–Gries estimate for `item` (`0` when untracked); a binary
-    /// search over the item-sorted entries.
+    /// The Misra–Gries estimate for `item` (`0` when untracked): one hashed
+    /// probe run in the snapshot's index over `hh_entries` — `O(1)`
+    /// expected, the same answer a binary search over the item-sorted
+    /// entries gives.
     pub fn estimate(&self, item: u64) -> u64 {
-        self.hh_entries
-            .binary_search_by_key(&item, |&(i, _)| i)
-            .map_or(0, |at| self.hh_entries[at].1)
+        self.index.value(&self.hh_entries, item)
     }
 
     /// The newest window boundary this shard has sealed (`0` before the
@@ -332,6 +339,7 @@ impl ShardShared {
                     epoch: state.epoch,
                     stream_len: state.items,
                     hh_candidates: HhQuery::of(config).candidates(&hh_entries, state.items),
+                    index: PointIndex::build(&hh_entries, KeyMixBuildHasher::new()),
                     hh_entries,
                     windows: state
                         .window
@@ -371,10 +379,27 @@ impl ShardShared {
     /// flight).
     pub(crate) fn load_snapshot(&self) -> Arc<ShardSnapshot> {
         let snapshot = self.snapshot.get();
-        if snapshot.epoch < self.live_epoch.load(Ordering::Relaxed) {
+        self.refresh_if_behind(snapshot.epoch);
+        snapshot
+    }
+
+    /// Runs `f` on the latest published snapshot in place
+    /// ([`ArcCell::with`]: no reference-count traffic, nothing allocated),
+    /// raising the refresh flag exactly as [`ShardShared::load_snapshot`]
+    /// does. For point reads only: the slot stays taken while `f` runs, so
+    /// `f` is short and reads no other shard's snapshot.
+    pub(crate) fn with_snapshot<R>(&self, f: impl FnOnce(&ShardSnapshot) -> R) -> R {
+        let (epoch, out) = self.snapshot.with(|snapshot| (snapshot.epoch, f(snapshot)));
+        self.refresh_if_behind(epoch);
+        out
+    }
+
+    /// Asks the worker to republish if it has processed batches beyond the
+    /// snapshot at `epoch` that a reader just read.
+    fn refresh_if_behind(&self, epoch: u64) {
+        if epoch < self.live_epoch.load(Ordering::Relaxed) {
             self.refresh.store(true, Ordering::Release);
         }
-        snapshot
     }
 
     /// Batches processed beyond the published snapshot. Raises no refresh:
@@ -402,6 +427,9 @@ pub(crate) struct ShardWorker {
     /// The window's sealed panes as of the last boundary, shared by every
     /// snapshot published until the next one ([`ShardSnapshot::panes`]).
     sealed_panes: Option<Arc<SealedPanes>>,
+    /// Keys the [`PointIndex`] of every snapshot this worker publishes;
+    /// drawn once per worker (fresh and reseeded alike).
+    index_hasher: KeyMixBuildHasher,
     /// Seed for the per-minibatch histogram shared between the
     /// heavy-hitter tracker, the open window pane, and the Count-Min
     /// sketch.
@@ -479,6 +507,7 @@ impl ShardWorker {
             window,
             window_history,
             sealed_panes,
+            index_hasher: KeyMixBuildHasher::new(),
             hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
@@ -557,6 +586,7 @@ impl ShardWorker {
             window,
             window_history,
             sealed_panes: snapshot.panes.clone(),
+            index_hasher: KeyMixBuildHasher::new(),
             hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
@@ -837,6 +867,7 @@ impl ShardWorker {
             epoch: self.epoch,
             stream_len: self.items,
             hh_candidates: self.hh_query.candidates(&hh_entries, self.items),
+            index: PointIndex::build(&hh_entries, self.index_hasher.clone()),
             hh_entries,
             windows: self.window_history.iter().cloned().collect(),
             panes: self.sealed_panes.clone(),
@@ -1095,6 +1126,60 @@ mod tests {
         let window = shared.snapshot.get().window_at(5).cloned();
         let window = window.expect("boundary 5 sealed");
         assert_eq!((window.items, window.estimate(7)), (400, 400));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The hashed index answers what a binary search over the
+        /// item-sorted entries answers: 0–2,100 entries whose items share
+        /// their low `shift` bits (all zero), sometimes with `0` and
+        /// `u64::MAX`, probed at every present item and at absent ones —
+        /// each item's neighbours in its low-bit class, `±1`, both
+        /// extremes and random keys.
+        #[test]
+        fn the_point_index_answers_what_the_binary_search_answers(
+            raw in proptest::prop::collection::vec(proptest::prelude::any::<u64>(), 0..2101),
+            shift in 0u32..48,
+            extremes in 0u8..4,
+            absent in proptest::prop::collection::vec(proptest::prelude::any::<u64>(), 0..64),
+        ) {
+            let mut items: Vec<u64> = raw.iter().map(|&r| r << shift).collect();
+            if extremes & 1 == 1 {
+                items.push(0);
+            }
+            if extremes & 2 == 2 {
+                items.push(u64::MAX);
+            }
+            items.sort_unstable();
+            items.dedup();
+            items.truncate(2100);
+            let entries: Vec<(u64, u64)> = items
+                .iter()
+                .enumerate()
+                .map(|(at, &item)| (item, 1 + at as u64))
+                .collect();
+            let snapshot = ShardSnapshot {
+                index: PointIndex::build(&entries, KeyMixBuildHasher::new()),
+                hh_entries: entries,
+                ..ShardSnapshot::empty(0)
+            };
+            let step = 1u64 << shift;
+            let probes = items
+                .iter()
+                .flat_map(|&item| {
+                    [item, item.wrapping_add(step), item.wrapping_sub(step), item ^ 1]
+                })
+                .chain(absent.iter().copied())
+                .chain([0, 1, u64::MAX, u64::MAX - 1]);
+            for item in probes {
+                let searched = snapshot
+                    .hh_entries
+                    .binary_search_by_key(&item, |&(i, _)| i)
+                    .map_or(0, |at| snapshot.hh_entries[at].1);
+                proptest::prop_assert_eq!(snapshot.estimate(item), searched, "item {}", item);
+            }
+        }
     }
 
     #[test]

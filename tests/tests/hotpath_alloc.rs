@@ -20,6 +20,13 @@
 //! frame buffer, the one write, the response read and decode — performs
 //! **zero** heap allocations on the calling thread.
 //!
+//! And for the engine's point reads: on a warm, drained engine,
+//! `EngineHandle::estimate` (an owner-routed key and a replicated hot key
+//! under skew-aware routing), `cm_estimate` and `total_items` — what a
+//! dashboard or the benchmark's freshness probe polls in a loop — perform
+//! **zero** heap allocations: each snapshot is read in place, never
+//! collected.
+//!
 //! The counting `#[global_allocator]` below is process-wide, but it counts
 //! only on a thread that raised its own `AUDITED`, into that thread's own
 //! counter, so the tests (and the server's threads) cannot disturb each
@@ -182,5 +189,56 @@ fn client_ingest_allocates_nothing_at_steady_state() {
         "Client::ingest must not allocate at steady state"
     );
     server.shutdown();
+    engine.shutdown().unwrap();
+}
+
+#[test]
+fn point_queries_allocate_nothing_on_a_warm_engine() {
+    let engine = Engine::spawn(
+        EngineConfig::with_shards(2)
+            .heavy_hitters(0.01, 0.001)
+            .skew_aware_routing(),
+    );
+    let handle = engine.handle();
+    let mut generator = ZipfGenerator::new(100_000, 1.2, 63);
+    let mut ingest = |batches: usize| {
+        for _ in 0..batches {
+            handle
+                .ingest(&generator.next_minibatch(8_192))
+                .expect("ingest");
+        }
+        engine.drain().expect("drain");
+    };
+    ingest(8);
+    // The heaviest key is promoted, then ingested on both shards.
+    let hot = handle.heavy_hitters()[0].item;
+    handle.router().promote(&[hot]);
+    ingest(8);
+    assert!(matches!(handle.placement(hot), Placement::Replicated));
+    let owned = (0..u64::MAX)
+        .find(|&key| key != hot && handle.estimate(key) > 0)
+        .expect("a tracked owner-routed key");
+    assert!(matches!(handle.placement(owned), Placement::Owner(_)));
+    assert!(handle.estimate(hot) > 0);
+
+    let audits: [(&str, &dyn Fn() -> u64); 4] = [
+        ("estimate of an owner-routed key", &|| {
+            handle.estimate(owned)
+        }),
+        ("estimate of a replicated key", &|| handle.estimate(hot)),
+        ("cm_estimate", &|| {
+            handle.cm_estimate(hot) + handle.cm_estimate(owned)
+        }),
+        ("total_items", &|| handle.total_items()),
+    ];
+    for (name, query) in audits {
+        // Warm first: any lazy first-call set-up is not the steady state.
+        query();
+        assert_eq!(
+            allocations_in(|| (0..64).map(|_| query()).sum::<u64>()),
+            0,
+            "{name} must not allocate on a warm engine"
+        );
+    }
     engine.shutdown().unwrap();
 }

@@ -8,7 +8,8 @@
 //!   snapshot is internally consistent (entries sorted, heavy-hitter
 //!   candidates exactly the entries passing the local test at the
 //!   snapshot's `stream_len`, `stream_len` matching the epoch's
-//!   progression);
+//!   progression, the hashed point lookup answering what a binary search
+//!   over the sorted entries answers);
 //! * the Count-Min sketch **never reads below** what any observed snapshot
 //!   reflects (the publication `Release`/`Acquire` edge), and after a drain
 //!   it is overestimate-only against an exact reference;
@@ -104,6 +105,26 @@ fn concurrent_queries_during_ingest_never_tear() {
                     assert_eq!(
                         snapshot.hh_candidates, passing,
                         "shard {shard} candidates are not the passing entries"
+                    );
+                    // The hashed point index answers what a binary search
+                    // over the sorted entries answers: at the probe keys
+                    // below and at every tracked item.
+                    let entries = &snapshot.hh_entries;
+                    for probe in (q * 17)..(q * 17 + 50) {
+                        let searched = entries
+                            .binary_search_by_key(&probe, |&(i, _)| i)
+                            .map_or(0, |at| entries[at].1);
+                        assert_eq!(
+                            snapshot.estimate(probe),
+                            searched,
+                            "shard {shard}: indexed and searched lookups of {probe} differ"
+                        );
+                    }
+                    assert!(
+                        entries
+                            .iter()
+                            .all(|&(item, est)| snapshot.estimate(item) == est),
+                        "shard {shard}: a tracked item's indexed lookup misses its entry"
                     );
                     assert!(
                         (snapshot.epoch == 0) == (snapshot.stream_len == 0),
