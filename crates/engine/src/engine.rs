@@ -7,22 +7,17 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use psfa_freq::{
-    heavy_hitter_report_across, GlobalWindow, HeavyHitter, ParallelFrequencyEstimator,
-};
+use psfa_freq::{GlobalWindow, HeavyHitter, ParallelFrequencyEstimator};
 use psfa_obs::{TraceEvent, TraceKind, NO_SHARD};
 use psfa_sketch::AtomicCountMin;
-use psfa_store::{
-    EpochRecord, EpochView, PersistenceConfig, ShardState, SnapshotStore, StoreError,
-};
-use psfa_stream::{
-    BufferPool, IngestFence, Placement, Router, RoutingPolicy, WindowFence, WindowFenceState,
-};
+use psfa_store::{EpochRecord, PersistenceConfig, ShardState, SnapshotStore, StoreError};
+use psfa_stream::{BufferPool, IngestFence, Placement, Router, WindowFence, WindowFenceState};
 
 use crate::config::EngineConfig;
 use crate::metrics::{EngineMetrics, ShardHealth, ShardMetrics, WindowMetrics};
 use crate::obs::{EngineObs, QueryKind};
-use crate::persist::{Flusher, PersistWindow, Persister};
+use crate::persist::{Flusher, Persister};
+use crate::query::{check_resumable, EpochView, QueryPlane};
 use crate::shard::{ShardCommand, ShardShared, ShardSnapshot, ShardWorker};
 
 /// How many trailing trace events an [`psfa_obs::ObsReport`] embeds (a
@@ -323,19 +318,13 @@ impl Engine {
         recovered: Option<(EpochRecord, SnapshotStore)>,
     ) -> Result<Engine, StoreError> {
         config.validate();
+        let config = Arc::new(config);
         let (recovered, preopened_store) = recovered.unzip();
-        let router = config.routing.build(config.shards);
-        if let Some(record) = &recovered {
-            // Restore the persisted hot set so replicated-key placements —
-            // and therefore query-time summing — survive the restart.
-            router.promote(&record.hot_keys);
-        }
+        // The persisted hot set is restored with the shards, so
+        // replicated-key placements — and therefore query-time summing —
+        // survive the restart.
+        let plane = QueryPlane::new(&config, recovered.as_ref());
         let recovered_shard = |shard: usize| recovered.as_ref().map(|r| &r.shards[shard]);
-        let shared: Arc<Vec<Arc<ShardShared>>> = Arc::new(
-            (0..config.shards)
-                .map(|shard| Arc::new(ShardShared::new(shard, &config, recovered_shard(shard))))
-                .collect(),
-        );
         // Sub-batch buffers circulate producers → workers → producers; a
         // lane never needs to park more buffers than can be in flight on
         // one queue (capacity) plus a checkout in progress. The bound is
@@ -357,13 +346,13 @@ impl Engine {
             let worker = ShardWorker::new(
                 shard,
                 &config,
-                shared[shard].clone(),
+                plane.shared[shard].clone(),
                 pool.clone(),
                 recovered_shard(shard),
                 obs.clone(),
             );
-            let supervisor_config = config.clone();
-            let supervisor_shared = shared[shard].clone();
+            let supervisor_config = EngineConfig::clone(&config);
+            let supervisor_shared = plane.shared[shard].clone();
             let supervisor_pool = pool.clone();
             let supervisor_obs = obs.clone();
             let join = std::thread::Builder::new()
@@ -420,20 +409,12 @@ impl Engine {
                 };
                 let persister = Arc::new(Persister::new(
                     store,
+                    config.clone(),
                     fence.clone(),
                     senders.clone(),
-                    router.clone(),
-                    config.phi,
-                    config.epsilon,
-                    config.window.map(|n| PersistWindow {
-                        size: n,
-                        panes: config.window_panes as u32,
-                        fence: window_fence
-                            .clone()
-                            .expect("window fence exists when a window is configured"),
-                    }),
+                    plane.router.clone(),
+                    window_fence.clone(),
                     obs.clone(),
-                    config.fault.clone(),
                 ));
                 flusher = Some(Flusher::spawn(
                     persister.clone(),
@@ -447,19 +428,14 @@ impl Engine {
 
         let handle = EngineHandle {
             senders,
-            shared,
-            router,
+            plane,
             pool,
             fence,
             window_fence,
             persister,
             accepted_batches,
             obs,
-            phi: config.phi,
-            epsilon: config.epsilon,
-            window: config.window,
-            window_panes: config.window_panes,
-            queue_capacity: config.queue_capacity,
+            config,
         };
         Ok(Engine {
             handle,
@@ -478,7 +454,7 @@ impl Engine {
     /// persisted prefix of `m` items with the same one-sided `ε·m` bound as
     /// the engine that wrote the snapshot: serialisation is exact and the
     /// persisted epoch is a consistent cut, so the mergeable-summaries
-    /// accounting is unchanged (see `psfa-store`). The window clock resumes
+    /// accounting is unchanged (see [`EpochView`]). The window clock resumes
     /// from the persisted cut; a boundary that cut left due (clock on the
     /// boundary, marker not yet sent) is cut and sealed before this
     /// returns, so `global_window()` is at `⌊m / slide⌋` from the first
@@ -502,52 +478,7 @@ impl Engine {
         let store = SnapshotStore::open(&pcfg.dir, pcfg.retain_epochs, pcfg.segment_max_records)?;
         let latest = store.latest_epoch().ok_or(StoreError::NoSnapshot)?;
         let record = store.load(latest)?;
-        if record.shards.len() != config.shards {
-            return Err(StoreError::ShardCountMismatch {
-                persisted: record.shards.len(),
-                configured: config.shards,
-            });
-        }
-        if record.phi != config.phi || record.epsilon != config.epsilon {
-            return Err(StoreError::ConfigMismatch("phi/epsilon differ"));
-        }
-        match (&record.window, config.window) {
-            (None, None) => {}
-            (Some(ws), Some(n)) if ws.size == n && ws.panes as usize == config.window_panes => {}
-            _ => {
-                return Err(StoreError::ConfigMismatch(
-                    "sliding-window size or pane count differs",
-                ));
-            }
-        }
-        for state in &record.shards {
-            if state.count_min.seed() != config.cm_seed {
-                return Err(StoreError::ConfigMismatch("count-min seed differs"));
-            }
-            if state.count_min.epsilon().to_bits() != config.cm_epsilon.to_bits()
-                || state.count_min.delta().to_bits() != config.cm_delta.to_bits()
-            {
-                return Err(StoreError::ConfigMismatch("count-min epsilon/delta differ"));
-            }
-        }
-        // A snapshot with split (replicated) keys needs a router that will
-        // honour *all* the promotions: under plain hash routing `placement`
-        // would report `Owner` for keys whose mass is spread across shards,
-        // and a skew router with fewer hot slots (`4 · shards`) than the
-        // persisted hot set would silently truncate it — either way point
-        // queries on the dropped keys would lose most of their count.
-        if !record.hot_keys.is_empty() {
-            if config.routing == RoutingPolicy::Hash {
-                return Err(StoreError::ConfigMismatch(
-                    "snapshot has split hot keys but the config routes by hash",
-                ));
-            }
-            if record.hot_keys.len() > config.routing.hot_capacity(config.shards) {
-                return Err(StoreError::ConfigMismatch(
-                    "persisted hot keys exceed the router's hot capacity",
-                ));
-            }
-        }
+        check_resumable(&record, &config)?;
         config.persistence = Some(pcfg);
         let engine = Engine::start(config, Some((record, store)))?;
         // A persist cut can land between a boundary-crossing batch and its
@@ -617,7 +548,7 @@ impl Engine {
         }
         if dead_shards.is_empty() {
             Ok(EngineReport {
-                epsilon: self.handle.epsilon,
+                epsilon: self.handle.config.epsilon,
                 shards,
             })
         } else {
@@ -678,8 +609,9 @@ impl Drop for Engine {
 #[derive(Clone)]
 pub struct EngineHandle {
     senders: Arc<Vec<SyncSender<ShardCommand>>>,
-    shared: Arc<Vec<Arc<ShardShared>>>,
-    router: Arc<Router>,
+    /// The shards' published state and the router: what every query reads
+    /// (see [`QueryPlane`]) and what ingestion routes and accounts into.
+    plane: QueryPlane,
     /// Recycles routed sub-batch buffers between producers and workers, so
     /// steady-state ingestion allocates nothing (see [`BufferPool`]).
     pub(crate) pool: Arc<BufferPool>,
@@ -701,13 +633,10 @@ pub struct EngineHandle {
     /// recording is relaxed telemetry: it never adds ordering the data
     /// plane relies on (see the ordering contract in `shard.rs`).
     obs: Option<Arc<EngineObs>>,
-    phi: f64,
-    epsilon: f64,
-    window: Option<u64>,
-    window_panes: usize,
-    /// Per-shard channel capacity in sub-batches — the admission threshold
-    /// of [`Admission::Shed`].
-    queue_capacity: usize,
+    /// The configuration the engine was started with: φ/ε, the window
+    /// shape, the admission threshold of [`Admission::Shed`]
+    /// (`queue_capacity`), and what a time-travel view is built from.
+    config: Arc<EngineConfig>,
 }
 
 impl EngineHandle {
@@ -718,27 +647,27 @@ impl EngineHandle {
 
     /// The engine's heavy-hitter threshold φ.
     pub fn phi(&self) -> f64 {
-        self.phi
+        self.config.phi
     }
 
     /// The engine's estimation error ε.
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        self.config.epsilon
     }
 
     /// The global sliding-window size `n_W`, when configured.
     pub fn window(&self) -> Option<u64> {
-        self.window
+        self.config.window
     }
 
     /// Number of panes the global window is divided into.
     pub fn window_panes(&self) -> usize {
-        self.window_panes
+        self.config.window_panes
     }
 
     /// The window slide in items (`n_W / panes`), when configured.
     pub fn window_slide(&self) -> Option<u64> {
-        self.window.map(|n| n / self.window_panes as u64)
+        self.window().map(|n| n / self.window_panes() as u64)
     }
 
     /// Routes one minibatch through the configured [`Router`] and enqueues
@@ -820,7 +749,7 @@ impl EngineHandle {
         let Some(guard) = self.fence.enter() else {
             return Err(Refused::Closed);
         };
-        self.router.partition_into(minibatch, parts);
+        self.plane.router.partition_into(minibatch, parts);
         self.trace_hot_promotions();
         // Shedding admits only if every target shard's channel has room
         // *now*, before any send, so `Busy` is a clean rejection. The
@@ -829,7 +758,8 @@ impl EngineHandle {
         if admission == Admission::Shed
             && parts.iter().enumerate().any(|(shard, part)| {
                 !part.is_empty()
-                    && self.shared[shard].stats.channel_depth() >= self.queue_capacity as u64
+                    && self.plane.shared[shard].stats.channel_depth()
+                        >= self.config.queue_capacity as u64
             })
         {
             return Err(Refused::Busy);
@@ -917,7 +847,8 @@ impl EngineHandle {
         let Some(obs) = &self.obs else {
             return;
         };
-        let promotions = self.router.promotions();
+        let router = &self.plane.router;
+        let promotions = router.promotions();
         if promotions > obs.promotions_seen.load(Ordering::Relaxed)
             && obs.promotions_seen.fetch_max(promotions, Ordering::Relaxed) < promotions
         {
@@ -926,7 +857,7 @@ impl EngineHandle {
                 TraceKind::HotPromote,
                 NO_SHARD,
                 promotions,
-                self.router.hot_keys().len() as u64,
+                router.hot_keys().len() as u64,
             );
         }
     }
@@ -967,7 +898,7 @@ impl EngineHandle {
         // makes `Admission::Shed` more conservative. Relaxed:
         // monotone progress hints (see the ordering contract in
         // `shard.rs`).
-        let stats = &self.shared[shard].stats;
+        let stats = &self.plane.shared[shard].stats;
         stats.items_enqueued.fetch_add(len, Ordering::Relaxed);
         stats.batches_enqueued.fetch_add(1, Ordering::Relaxed);
         let command = ShardCommand::Batch(part);
@@ -1035,12 +966,12 @@ impl EngineHandle {
             // A receive error means the worker exited: after a graceful
             // shutdown its queue was drained first (ack-equivalent), but a
             // permanently dead shard never processed the barrier.
-            if ack.recv().is_err() && self.shared[shard].stats.health() == ShardHealth::Dead {
+            if ack.recv().is_err() && self.plane.shared[shard].stats.health() == ShardHealth::Dead {
                 dead_shards.push(shard);
             }
         }
         // Shards whose channel was already disconnected at send time.
-        for (shard, shared) in self.shared.iter().enumerate() {
+        for (shard, shared) in self.plane.shared.iter().enumerate() {
             if shared.stats.health() == ShardHealth::Dead && !dead_shards.contains(&shard) {
                 dead_shards.push(shard);
             }
@@ -1080,7 +1011,7 @@ impl EngineHandle {
 
     /// Current snapshots of every shard (each at its own epoch).
     pub fn snapshots(&self) -> Vec<Arc<ShardSnapshot>> {
-        self.shared.iter().map(|s| s.load_snapshot()).collect()
+        self.plane.snapshots()
     }
 
     /// Current staleness annotation: `Some` when any shard is quarantined
@@ -1093,7 +1024,7 @@ impl EngineHandle {
         use std::sync::atomic::Ordering;
         let mut stale_shards = Vec::new();
         let mut epoch_lag = 0u64;
-        for (shard, shared) in self.shared.iter().enumerate() {
+        for (shard, shared) in self.plane.shared.iter().enumerate() {
             if shared.stats.health().is_stale() {
                 stale_shards.push(shard);
                 let published = shared.snapshot.get().epoch;
@@ -1115,26 +1046,24 @@ impl EngineHandle {
     /// a single owning shard, or replicated across all shards (hot keys
     /// under skew-aware routing).
     pub fn placement(&self, item: u64) -> Placement {
-        self.router.placement(item)
+        self.plane.router.placement(item)
     }
 
     /// The active router (for inspection; e.g. its current hot-key set).
     pub fn router(&self) -> &Arc<Router> {
-        &self.router
+        &self.plane.router
     }
 
     /// Total items reflected in the current snapshots (`m` of the observed
     /// prefix). Reads each snapshot in place: no allocation.
     pub fn total_items(&self) -> u64 {
-        self.shared
-            .iter()
-            .map(|s| s.with_snapshot(|snapshot| snapshot.stream_len))
-            .sum()
+        self.plane.total_items()
     }
 
     /// Per-shard epochs (minibatches processed) of the current snapshots.
     pub fn epochs(&self) -> Vec<u64> {
-        self.shared
+        self.plane
+            .shared
             .iter()
             .map(|s| s.with_snapshot(|snapshot| snapshot.epoch))
             .collect()
@@ -1152,11 +1081,7 @@ impl EngineHandle {
     /// through its hashed index ([`ShardSnapshot::estimate`]): `O(1)`
     /// expected per shard, no reference-count traffic, no allocation.
     pub fn estimate(&self, item: u64) -> u64 {
-        let estimate = |shared: &ShardShared| shared.with_snapshot(|s| s.estimate(item));
-        self.timed(QueryKind::Estimate, || match self.router.placement(item) {
-            Placement::Owner(shard) => estimate(&self.shared[shard]),
-            Placement::Replicated => self.shared.iter().map(|s| estimate(s)).sum(),
-        })
+        self.timed(QueryKind::Estimate, || self.plane.estimate(item))
     }
 
     /// The globally consistent sliding window at the latest boundary every
@@ -1173,26 +1098,7 @@ impl EngineHandle {
     /// items whether keys are hash-owned or split by the skew-aware
     /// router.
     pub fn global_window(&self) -> Option<GlobalWindow> {
-        GlobalWindow::merge(self.aligned_windows()?.iter().map(Arc::as_ref))
-    }
-
-    /// Every shard's sealed window at the newest boundary all of them have
-    /// sealed — what [`EngineHandle::global_window`] merges. `None` in the
-    /// cases listed there.
-    fn aligned_windows(&self) -> Option<Vec<Arc<psfa_freq::SealedWindow>>> {
-        self.window_fence.as_ref()?;
-        let snapshots = self.snapshots();
-        // The newest boundary *every* shard has sealed; each shard's
-        // snapshot keeps a few boundaries of history, so a slightly
-        // lagging shard does not force the query to fail.
-        let seq = snapshots.iter().map(|s| s.latest_window_seq()).min()?;
-        if seq == 0 {
-            return None;
-        }
-        snapshots
-            .iter()
-            .map(|s| s.window_at(seq).cloned())
-            .collect()
+        self.plane.global_window()
     }
 
     /// Live one-sided estimate of `item`'s frequency in the aligned global
@@ -1209,9 +1115,7 @@ impl EngineHandle {
     /// use the result — consecutive calls here may straddle a boundary.
     pub fn sliding_estimate(&self, item: u64) -> u64 {
         self.timed(QueryKind::SlidingEstimate, || {
-            self.aligned_windows().map_or(0, |windows| {
-                windows.iter().map(|window| window.estimate(item)).sum()
-            })
+            self.plane.sliding_estimate(item)
         })
     }
 
@@ -1222,8 +1126,7 @@ impl EngineHandle {
     /// when no aligned window is available yet.
     pub fn sliding_heavy_hitters(&self) -> Vec<HeavyHitter> {
         self.timed(QueryKind::SlidingHeavyHitters, || {
-            self.global_window()
-                .map_or_else(Vec::new, |w| w.heavy_hitters(self.phi, self.epsilon))
+            self.plane.sliding_heavy_hitters()
         })
     }
 
@@ -1240,13 +1143,7 @@ impl EngineHandle {
     /// published snapshot of that shard reflects (the publication
     /// `Release`/`Acquire` edge; see `shard.rs`).
     pub fn cm_estimate(&self, item: u64) -> u64 {
-        self.timed(QueryKind::CmEstimate, || {
-            let query_shard = |shard: usize| self.shared[shard].count_min.query(item);
-            match self.router.placement(item) {
-                Placement::Owner(shard) => query_shard(shard),
-                Placement::Replicated => (0..self.shards()).map(query_shard).sum(),
-            }
-        })
+        self.timed(QueryKind::CmEstimate, || self.plane.cm_estimate(item))
     }
 
     /// Live φ-heavy hitters of the full stream, summed across shards from
@@ -1278,25 +1175,16 @@ impl EngineHandle {
     /// `f − ε·m ≥ (φ − ε)m`); no item with true frequency `< (φ − ε)m` is
     /// reported (summed estimates never overestimate).
     pub fn heavy_hitters(&self) -> Vec<HeavyHitter> {
-        self.timed(QueryKind::HeavyHitters, || {
-            let snapshots = self.snapshots();
-            let m: u64 = snapshots.iter().map(|s| s.stream_len).sum();
-            let candidates: Vec<&[(u64, u64)]> =
-                snapshots.iter().map(|s| &s.hh_candidates[..]).collect();
-            let sum = |item| match self.router.placement(item) {
-                Placement::Owner(shard) => snapshots[shard].estimate(item),
-                Placement::Replicated => snapshots.iter().map(|s| s.estimate(item)).sum(),
-            };
-            heavy_hitter_report_across(&candidates, sum, self.phi, self.epsilon, m)
-        })
+        self.timed(QueryKind::HeavyHitters, || self.plane.heavy_hitters())
     }
 
     /// Merges every shard's Count-Min sketch into one global sketch of the
     /// full stream (all shards share hash seeds, so the merge is exact).
     /// Lock-free: each shard's sketch is read in place under relaxed loads.
     pub fn merged_count_min(&self) -> AtomicCountMin {
-        let mut merged = self.shared[0].count_min.clone();
-        for shared in &self.shared[1..] {
+        let shared = &self.plane.shared;
+        let mut merged = shared[0].count_min.clone();
+        for shared in &shared[1..] {
             merged.merge(&shared.count_min);
         }
         merged
@@ -1308,6 +1196,7 @@ impl EngineHandle {
     /// persistence is configured — the snapshot store's counters.
     pub fn metrics(&self) -> EngineMetrics {
         let shards: Vec<_> = self
+            .plane
             .shared
             .iter()
             .enumerate()
@@ -1317,7 +1206,7 @@ impl EngineHandle {
             let boundaries = windows.boundaries();
             WindowMetrics {
                 slide: windows.slide(),
-                panes: self.window_panes as u32,
+                panes: self.window_panes() as u32,
                 boundaries,
                 // How far the slowest shard's sealed window trails the
                 // fence: markers still sitting in its queue. Persistent
@@ -1331,7 +1220,7 @@ impl EngineHandle {
             }
         });
         let pool = self.pool.counters();
-        let work_units: Vec<u64> = self.shared.iter().map(|s| s.work.total()).collect();
+        let work_units: Vec<u64> = self.plane.shared.iter().map(|s| s.work.total()).collect();
         let obs = self.obs.as_ref().map(|obs| {
             obs.report(
                 pool,
@@ -1342,8 +1231,8 @@ impl EngineHandle {
         });
         EngineMetrics {
             shards,
-            router: self.router.name(),
-            hot_keys: self.router.hot_keys(),
+            router: self.plane.router.name(),
+            hot_keys: self.plane.router.hot_keys(),
             window,
             store: self.persister.as_ref().map(|p| p.metrics()),
             pool,
@@ -1422,10 +1311,14 @@ impl EngineHandle {
         Ok(self.persister()?.with_store(|s| s.epochs()))
     }
 
-    /// A time-travel view of the engine's state as of persisted epoch `E`
-    /// (see [`EpochView`] for the query surface and its `ε·m` bounds).
+    /// A time-travel view of the engine's state as of persisted epoch `E`:
+    /// the shard state [`Engine::recover`] would start from at `E`,
+    /// answered by the live query code (see [`EpochView`] for the surface
+    /// and its `ε·m` bounds). An epoch that does not fit this engine's
+    /// config is refused with the error a recovery from it would give.
     pub fn view_at(&self, epoch: u64) -> Result<EpochView, StoreError> {
-        self.persister()?.with_store(|s| s.view_at(epoch))
+        let record = self.persister()?.with_store(|s| s.load(epoch))?;
+        EpochView::new(&self.config, &record)
     }
 }
 
@@ -1457,7 +1350,7 @@ impl EngineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psfa_stream::{StreamGenerator, ZipfGenerator};
+    use psfa_stream::{RoutingPolicy, StreamGenerator, ZipfGenerator};
     use std::collections::HashMap;
 
     fn config() -> EngineConfig {
@@ -2140,7 +2033,7 @@ mod tests {
         engine.drain().unwrap();
         handle.try_ingest(&skewed).unwrap();
         handle.try_ingest(&skewed).unwrap();
-        let stats = &handle.shared[0].stats;
+        let stats = &handle.plane.shared[0].stats;
         let dequeued = || {
             stats
                 .batches_dequeued

@@ -120,6 +120,7 @@ mod obs;
 mod persist;
 mod point_index;
 mod producer;
+mod query;
 mod shard;
 
 pub use config::EngineConfig;
@@ -129,6 +130,7 @@ pub use engine::{
 };
 pub use metrics::{EngineMetrics, ShardHealth, ShardMetrics, StoreMetrics, WindowMetrics};
 pub use producer::Producer;
+pub use query::EpochView;
 pub use shard::ShardSnapshot;
 
 // Routing and window fencing live in `psfa_stream`; re-exported here
@@ -143,7 +145,7 @@ pub use psfa_stream::{IngestFence, Placement, Router, RoutingPolicy, WindowFence
 // Persistence lives in `psfa-store`; the engine-facing pieces are
 // re-exported so `EngineConfig::persistence` and `Engine::recover` can be
 // used without a direct `psfa-store` dependency.
-pub use psfa_store::{EpochView, PersistenceConfig, SnapshotStore, StoreError, WindowState};
+pub use psfa_store::{PersistenceConfig, SnapshotStore, StoreError, WindowState};
 
 // Observability mechanisms live in `psfa-obs`; the pieces surfaced by
 // `EngineMetrics::obs` and `EngineHandle::trace_events` are re-exported so

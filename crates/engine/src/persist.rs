@@ -28,26 +28,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use psfa_obs::{TraceKind, NO_SHARD};
-use psfa_primitives::FaultPlan;
 use psfa_store::{EpochRecord, ShardState, SnapshotStore, StoreError, WindowState};
 use psfa_stream::{IngestFence, Router, WindowFence};
 
+use crate::config::EngineConfig;
 use crate::metrics::StoreMetrics;
 use crate::obs::EngineObs;
 use crate::shard::ShardCommand;
-
-/// The window configuration a persisted epoch must capture: the geometry
-/// plus the live [`WindowFence`] whose clock is read from inside the
-/// snapshot's exclusive cut, so the persisted [`WindowState`] is exactly
-/// consistent with the per-shard pane rings collected at the same cut.
-pub(crate) struct PersistWindow {
-    /// Global window size `n_W`.
-    pub size: u64,
-    /// Number of panes.
-    pub panes: u32,
-    /// The engine's window fence.
-    pub fence: Arc<WindowFence>,
-}
 
 /// Shared snapshot machinery: cuts epochs, appends them to the store, and
 /// keeps the store metrics. Shared by the flusher thread and every
@@ -62,9 +49,15 @@ pub(crate) struct Persister {
     fence: Arc<IngestFence>,
     senders: Arc<Vec<SyncSender<ShardCommand>>>,
     router: Arc<Router>,
-    phi: f64,
-    epsilon: f64,
-    window: Option<PersistWindow>,
+    /// The engine's configuration: the φ/ε and window shape each record
+    /// carries, and the fault plan (scheduled store write errors surface
+    /// through [`Persister::snapshot_once`] as `StoreError::Io`).
+    config: Arc<EngineConfig>,
+    /// The window fence (when a window is configured), whose clock is read
+    /// from inside the snapshot's exclusive cut, so the persisted
+    /// [`WindowState`] is exactly consistent with the per-shard pane rings
+    /// collected at the same cut.
+    window_fence: Option<Arc<WindowFence>>,
     epochs_persisted: AtomicU64,
     bytes_written: AtomicU64,
     last_epoch: AtomicU64,
@@ -73,23 +66,17 @@ pub(crate) struct Persister {
     /// Observability recorders, when enabled: cut (fence-exclusive) and
     /// append (encode + fsync) durations, persist/flush trace events.
     obs: Option<Arc<EngineObs>>,
-    /// Fault-injection plan, when enabled: scheduled store write errors
-    /// surface through [`Persister::snapshot_once`] as `StoreError::Io`.
-    fault: Option<Arc<FaultPlan>>,
 }
 
 impl Persister {
-    #[allow(clippy::too_many_arguments)] // internal ctor mirroring the field list
     pub(crate) fn new(
         store: SnapshotStore,
+        config: Arc<EngineConfig>,
         fence: Arc<IngestFence>,
         senders: Arc<Vec<SyncSender<ShardCommand>>>,
         router: Arc<Router>,
-        phi: f64,
-        epsilon: f64,
-        window: Option<PersistWindow>,
+        window_fence: Option<Arc<WindowFence>>,
         obs: Option<Arc<EngineObs>>,
-        fault: Option<Arc<FaultPlan>>,
     ) -> Self {
         let last_epoch = store.latest_epoch().unwrap_or(0);
         let segments = store.segments() as u64;
@@ -99,16 +86,14 @@ impl Persister {
             fence,
             senders,
             router,
-            phi,
-            epsilon,
-            window,
+            config,
+            window_fence,
             epochs_persisted: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             last_epoch: AtomicU64::new(last_epoch),
             segments: AtomicU64::new(segments),
             flush_failures: AtomicU64::new(0),
             obs,
-            fault,
         }
     }
 
@@ -158,11 +143,11 @@ impl Persister {
                 // exactly `boundaries` markers before our Persist marker:
                 // the collected pane rings will be sealed at precisely
                 // this boundary.
-                let window = self.window.as_ref().map(|w| {
-                    let clock = w.fence.state();
+                let window = self.window_fence.as_ref().map(|fence| {
+                    let clock = fence.state();
                     WindowState {
-                        size: w.size,
-                        panes: w.panes,
+                        size: self.config.window.expect("a window fence has a window"),
+                        panes: self.config.window_panes as u32,
                         ticket: clock.ticket,
                         boundaries: clock.boundaries,
                     }
@@ -193,8 +178,8 @@ impl Persister {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let record = EpochRecord {
             epoch: store.next_epoch(),
-            phi: self.phi,
-            epsilon: self.epsilon,
+            phi: self.config.phi,
+            epsilon: self.config.epsilon,
             window,
             hot_keys,
             shards,
@@ -203,7 +188,7 @@ impl Persister {
         // Fault injection (tests only): a scheduled write error surfaces
         // exactly like a failing volume — typed, counted by the caller,
         // and never wedging the fence (it was released after phase 1).
-        if let Some(fault) = &self.fault {
+        if let Some(fault) = &self.config.fault {
             if let Some(err) = fault.store_write_error() {
                 return Err(StoreError::Io(err));
             }

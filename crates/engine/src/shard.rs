@@ -238,16 +238,34 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    pub(crate) fn empty(shard: usize) -> Self {
+    /// The one constructor: `hh_candidates` and the point index are derived
+    /// from the item-sorted `hh_entries` here, under `derivation`, so no
+    /// snapshot — fresh, recovered or published — carries either out of
+    /// step with its entries.
+    fn new(
+        shard: usize,
+        epoch: u64,
+        stream_len: u64,
+        hh_entries: Vec<(u64, u64)>,
+        windows: Vec<Arc<SealedWindow>>,
+        panes: Option<Arc<SealedPanes>>,
+        derivation: &Derivation,
+    ) -> Self {
+        let Derivation {
+            phi,
+            epsilon,
+            shards,
+            ..
+        } = *derivation;
         Self {
             shard,
-            epoch: 0,
-            stream_len: 0,
-            hh_entries: Vec::new(),
-            hh_candidates: Vec::new(),
-            windows: Vec::new(),
-            panes: None,
-            index: PointIndex::build(&[], KeyMixBuildHasher::new()),
+            epoch,
+            stream_len,
+            hh_candidates: heavy_hitter_candidates(&hh_entries, phi, epsilon, shards, stream_len),
+            index: PointIndex::build(&hh_entries, derivation.index_hasher.clone()),
+            hh_entries,
+            windows,
+            panes,
         }
     }
 
@@ -271,29 +289,27 @@ impl ShardSnapshot {
     }
 }
 
-/// The cross-shard φ-heavy-hitter query a snapshot's `hh_candidates` are
-/// filtered for: the engine's `φ`, `ε` and shard count (the query's
-/// fan-in).
-#[derive(Debug, Clone, Copy)]
-struct HhQuery {
+/// How a snapshot's derived fields follow from its entries: the
+/// cross-shard φ-heavy-hitter query its `hh_candidates` are filtered for
+/// (the engine's `φ`, `ε` and shard count — the query's fan-in) and the key
+/// of its [`PointIndex`].
+#[derive(Debug, Clone)]
+struct Derivation {
     phi: f64,
     epsilon: f64,
     shards: u64,
+    index_hasher: KeyMixBuildHasher,
 }
 
-impl HhQuery {
+impl Derivation {
+    /// For `config`, under a freshly drawn index key.
     fn of(config: &EngineConfig) -> Self {
         Self {
             phi: config.phi,
             epsilon: config.epsilon,
             shards: config.shards as u64,
+            index_hasher: KeyMixBuildHasher::new(),
         }
-    }
-
-    /// The candidates among one shard's item-sorted `entries` over
-    /// `stream_len` items.
-    fn candidates(self, entries: &[(u64, u64)], stream_len: u64) -> Vec<(u64, u64)> {
-        heavy_hitter_candidates(entries, self.phi, self.epsilon, self.shards, stream_len)
     }
 }
 
@@ -327,32 +343,27 @@ impl ShardShared {
     /// the persisted state immediately, with no race against the worker's
     /// first batch.
     pub(crate) fn new(shard: usize, config: &EngineConfig, recovered: Option<&ShardState>) -> Self {
+        let derivation = Derivation::of(config);
         let (snapshot, count_min) = match recovered {
             None => (
-                ShardSnapshot::empty(shard),
+                ShardSnapshot::new(shard, 0, 0, Vec::new(), Vec::new(), None, &derivation),
                 AtomicCountMin::new(config.cm_epsilon, config.cm_delta, config.cm_seed),
             ),
             Some(state) => {
-                let hh_entries = state.heavy_hitters.estimator().tracked_items_sorted();
-                let snapshot = ShardSnapshot {
+                let window = state.window.as_ref();
+                let snapshot = ShardSnapshot::new(
                     shard,
-                    epoch: state.epoch,
-                    stream_len: state.items,
-                    hh_candidates: HhQuery::of(config).candidates(&hh_entries, state.items),
-                    index: PointIndex::build(&hh_entries, KeyMixBuildHasher::new()),
-                    hh_entries,
-                    windows: state
-                        .window
-                        .as_ref()
+                    state.epoch,
+                    state.items,
+                    state.heavy_hitters.estimator().tracked_items_sorted(),
+                    window
                         .and_then(|w| w.sealed_window())
                         .map(Arc::new)
                         .into_iter()
                         .collect(),
-                    panes: state
-                        .window
-                        .as_ref()
-                        .map(|w| Arc::new(w.sealed_panes().clone())),
-                };
+                    window.map(|w| Arc::new(w.sealed_panes().clone())),
+                    &derivation,
+                );
                 (snapshot, state.count_min.clone())
             }
         };
@@ -417,8 +428,10 @@ pub(crate) struct ShardWorker {
     epoch: u64,
     items: u64,
     heavy_hitters: InfiniteHeavyHitters,
-    /// What each published snapshot's `hh_candidates` are filtered for.
-    hh_query: HhQuery,
+    /// What each published snapshot's `hh_candidates` are filtered for and
+    /// its [`PointIndex`] keyed by; the key is drawn once per worker (fresh
+    /// and reseeded alike).
+    derivation: Derivation,
     /// Pane state of the global sliding window, when configured.
     window: Option<PaneWindow>,
     /// Sealed views of the last few boundaries, oldest first (see
@@ -427,9 +440,6 @@ pub(crate) struct ShardWorker {
     /// The window's sealed panes as of the last boundary, shared by every
     /// snapshot published until the next one ([`ShardSnapshot::panes`]).
     sealed_panes: Option<Arc<SealedPanes>>,
-    /// Keys the [`PointIndex`] of every snapshot this worker publishes;
-    /// drawn once per worker (fresh and reseeded alike).
-    index_hasher: KeyMixBuildHasher,
     /// Seed for the per-minibatch histogram shared between the
     /// heavy-hitter tracker, the open window pane, and the Count-Min
     /// sketch.
@@ -463,7 +473,8 @@ pub(crate) struct ShardWorker {
 impl ShardWorker {
     /// Builds a worker, either fresh from the config or resuming from a
     /// recovered [`ShardState`] (whose Count-Min sketch lives in
-    /// [`ShardShared`], not here).
+    /// [`ShardShared`], not here). `shared` is what [`ShardShared::new`]
+    /// built from the same `recovered`, not yet published into.
     pub(crate) fn new(
         shard: usize,
         config: &EngineConfig,
@@ -472,54 +483,16 @@ impl ShardWorker {
         recovered: Option<&ShardState>,
         obs: Option<Arc<EngineObs>>,
     ) -> Self {
-        let (epoch, items, heavy_hitters, window) = match recovered {
+        let (heavy_hitters, window) = match recovered {
             None => (
-                0,
-                0,
                 InfiniteHeavyHitters::new(config.phi, config.epsilon),
                 config
                     .window
                     .map(|_| PaneWindow::new(config.epsilon, config.window_panes)),
             ),
-            Some(state) => (
-                state.epoch,
-                state.items,
-                state.heavy_hitters.clone(),
-                state.window.clone(),
-            ),
+            Some(state) => (state.heavy_hitters.clone(), state.window.clone()),
         };
-        // The tracker charges its summary-update work to the shard's shared
-        // meter (decode drops meters, so recovered trackers re-attach here).
-        let heavy_hitters = heavy_hitters.with_meter(shared.work.clone());
-        let window_history = window
-            .as_ref()
-            .and_then(|w| w.sealed_window())
-            .map(Arc::new)
-            .into_iter()
-            .collect();
-        let sealed_panes = shared.snapshot.get().panes.clone();
-        Self {
-            shard,
-            epoch,
-            items,
-            heavy_hitters,
-            hh_query: HhQuery::of(config),
-            window,
-            window_history,
-            sealed_panes,
-            index_hasher: KeyMixBuildHasher::new(),
-            hist_seed: 0x5eed_0000 ^ shard as u64,
-            hist_scratch: HistScratch::new(),
-            hist: Vec::new(),
-            group: Vec::new(),
-            compresses: false,
-            pool,
-            shared,
-            obs,
-            fault: config.fault.clone(),
-            last_publish_ns: 0,
-            last_publish_epoch: epoch,
-        }
+        Self::resume_published(shard, config, shared, pool, obs, heavy_hitters, window)
     }
 
     /// Rebuilds a worker from the shard's last *published* snapshot — the
@@ -559,8 +532,7 @@ impl ShardWorker {
             config.epsilon,
             &snapshot.hh_entries,
             snapshot.stream_len,
-        )
-        .with_meter(shared.work.clone());
+        );
         // No published ring means no boundary was sealed yet.
         let window = config.window.map(|_| {
             let ring = snapshot
@@ -570,23 +542,41 @@ impl ShardWorker {
                 .unwrap_or_else(|| PaneRing::new(config.window_panes));
             PaneWindow::resume(config.epsilon, ring)
         });
-        let window_history: VecDeque<Arc<SealedWindow>> =
-            snapshot.windows.iter().cloned().collect();
         // Roll the progress counter back to the snapshot: post-snapshot
         // batches are the documented restart loss, and leaving the old
         // value would make queries wait for a refresh that counts epochs
         // the reborn worker never saw.
         shared.live_epoch.store(snapshot.epoch, Ordering::Relaxed);
+        Self::resume_published(shard, config, shared, pool, obs, heavy_hitters, window)
+    }
+
+    /// The one field initialiser. A worker resumes from its shard's
+    /// published snapshot — epoch, stream length, sealed window history and
+    /// pane ring — with the tracker and window the caller passes: `new`
+    /// the fresh or recovered ones (the shard's first snapshot was built
+    /// from the same state), `reseed` those rebuilt from the snapshot.
+    fn resume_published(
+        shard: usize,
+        config: &EngineConfig,
+        shared: Arc<ShardShared>,
+        pool: Arc<BufferPool>,
+        obs: Option<Arc<EngineObs>>,
+        heavy_hitters: InfiniteHeavyHitters,
+        window: Option<PaneWindow>,
+    ) -> Self {
+        let snapshot = shared.snapshot.get();
         Self {
             shard,
             epoch: snapshot.epoch,
             items: snapshot.stream_len,
-            heavy_hitters,
-            hh_query: HhQuery::of(config),
+            // The tracker charges its summary-update work to the shard's
+            // shared meter (decode and reseed drop meters, so every
+            // tracker is attached here).
+            heavy_hitters: heavy_hitters.with_meter(shared.work.clone()),
+            derivation: Derivation::of(config),
             window,
-            window_history,
+            window_history: snapshot.windows.iter().cloned().collect(),
             sealed_panes: snapshot.panes.clone(),
-            index_hasher: KeyMixBuildHasher::new(),
             hist_seed: 0x5eed_0000 ^ shard as u64,
             hist_scratch: HistScratch::new(),
             hist: Vec::new(),
@@ -861,17 +851,15 @@ impl ShardWorker {
     }
 
     fn publish_snapshot(&mut self, reason: PublishReason) {
-        let hh_entries = self.heavy_hitters.estimator().tracked_items_sorted();
-        self.shared.snapshot.set(Arc::new(ShardSnapshot {
-            shard: self.shard,
-            epoch: self.epoch,
-            stream_len: self.items,
-            hh_candidates: self.hh_query.candidates(&hh_entries, self.items),
-            index: PointIndex::build(&hh_entries, self.index_hasher.clone()),
-            hh_entries,
-            windows: self.window_history.iter().cloned().collect(),
-            panes: self.sealed_panes.clone(),
-        }));
+        self.shared.snapshot.set(Arc::new(ShardSnapshot::new(
+            self.shard,
+            self.epoch,
+            self.items,
+            self.heavy_hitters.estimator().tracked_items_sorted(),
+            self.window_history.iter().cloned().collect(),
+            self.sealed_panes.clone(),
+            &self.derivation,
+        )));
         let epoch_gap = self.epoch - self.last_publish_epoch;
         self.last_publish_epoch = self.epoch;
         // Stall accounting: how long (and how many epochs) the previous
@@ -1159,11 +1147,8 @@ mod tests {
                 .enumerate()
                 .map(|(at, &item)| (item, 1 + at as u64))
                 .collect();
-            let snapshot = ShardSnapshot {
-                index: PointIndex::build(&entries, KeyMixBuildHasher::new()),
-                hh_entries: entries,
-                ..ShardSnapshot::empty(0)
-            };
+            let derivation = Derivation::of(&test_config());
+            let snapshot = ShardSnapshot::new(0, 0, 0, entries, Vec::new(), None, &derivation);
             let step = 1u64 << shift;
             let probes = items
                 .iter()

@@ -37,8 +37,8 @@
 //! | [`psfa_sketch`] | §6 | Count-Min sketch (one type: per-element and minibatch updates, lock-free queries, mergeable) |
 //! | [`psfa_baselines`] | §1, §5.4 | sequential comparators and the independent-data-structure approach |
 //! | [`psfa_stream`] | §1 | minibatch model, workload generators, routing layer (hash + skew-aware hot-key splitting), epoch + window fencing |
-//! | [`psfa_engine`] | beyond the paper | sharded multi-threaded ingestion engine with hash or skew-aware routing, live cross-shard queries, and globally consistent sliding windows (`Engine`, `EngineHandle`) |
-//! | [`psfa_store`] | beyond the paper | epoch-snapshot persistence: checksummed append-only segment log, crash recovery (`Engine::recover`), time-travel queries (`view_at`) |
+//! | [`psfa_engine`] | beyond the paper | sharded multi-threaded ingestion engine with hash or skew-aware routing, live cross-shard queries, globally consistent sliding windows, crash recovery (`Engine::recover`) and time-travel views (`view_at`, `EpochView`) through the same query code (`Engine`, `EngineHandle`) |
+//! | [`psfa_store`] | beyond the paper | epoch-snapshot persistence: the epoch record format and its checksummed append-only segment log |
 //! | [`psfa_obs`] | beyond the paper | lock-free observability: mergeable latency histograms, stall accounting, bounded event tracing, Prometheus text export |
 //! | [`psfa_serve`] | beyond the paper | network serving front end: length-prefixed binary protocol over `std::net`, capped thread-per-connection server with explicit `Busy` backpressure, blocking client (`Server`, `Client`) |
 
@@ -62,8 +62,8 @@ pub mod prelude {
         DgimCounter, ExactSlidingWindow, IndependentMgSummaries, SequentialMisraGries, SpaceSaving,
     };
     pub use psfa_engine::{
-        Degraded, Engine, EngineConfig, EngineHandle, EngineMetrics, EngineReport, FaultPlan,
-        IngestError, Producer, ShardHealth, ShutdownError, StoreMetrics, TryIngestError,
+        Degraded, Engine, EngineConfig, EngineHandle, EngineMetrics, EngineReport, EpochView,
+        FaultPlan, IngestError, Producer, ShardHealth, ShutdownError, StoreMetrics, TryIngestError,
         WindowMetrics,
     };
     pub use psfa_freq::{
@@ -82,8 +82,7 @@ pub mod prelude {
     };
     pub use psfa_sketch::AtomicCountMin;
     pub use psfa_store::{
-        EpochRecord, EpochView, PersistenceConfig, ShardState, SnapshotStore, StoreError,
-        WindowState,
+        EpochRecord, PersistenceConfig, ShardState, SnapshotStore, StoreError, WindowState,
     };
     pub use psfa_stream::{
         shard_of, AdversarialChurnGenerator, BinaryStreamGenerator, BufferPool, BurstyGenerator,

@@ -4,9 +4,12 @@
 //! mergeable summaries are trivially *serializable* summaries, and this
 //! crate turns that into a durability story — periodic consistent cuts of a
 //! sharded engine's state spilled to an append-only, checksummed segment
-//! log, with crash recovery onto the latest consistent epoch and
-//! **time-travel queries** over retained history: `view_at(E)` answers
-//! every query kind ([`EpochView`]) as of epoch `E`.
+//! log, from which an engine recovers onto the latest consistent epoch or
+//! loads any retained one for a time-travel view. The crate is the record
+//! format and the log only: it knows nothing of routing, and answering a
+//! query over a loaded [`EpochRecord`] is `psfa-engine`'s job
+//! (`EngineHandle::view_at`, through the same query code the live engine
+//! runs).
 //!
 //! ```text
 //!  psfa-engine flusher thread            dir/
@@ -19,7 +22,7 @@
 //!      │
 //!      ▼  SnapshotStore::append (fsync) · compact (retain K epochs)
 //!  recovery: Engine::recover(dir, config)  — replay latest epoch
-//!  history:  SnapshotStore::view_at(E)     — same ε·m bounds as live
+//!  history:  SnapshotStore::load(E)        — psfa-engine's EpochView
 //! ```
 //!
 //! ## Guarantees
@@ -32,7 +35,7 @@
 //!   (`decode(encode(s)) == s` for every persisted summary), a persisted
 //!   epoch is a consistent cut, and the mergeable-summaries argument then
 //!   gives a recovered or historical query the same one-sided `ε·m` bound
-//!   as the live engine — see [`view`] for the accounting.
+//!   as the live engine (the accounting is on `psfa_engine::EpochView`).
 //! * **Bounded space**: compaction keeps at most `K` epochs and deletes
 //!   fully dead segment files.
 //!
@@ -47,7 +50,6 @@ mod crc;
 mod error;
 mod record;
 pub mod store;
-pub mod view;
 
 /// Test and experiment support (not part of the stable API).
 #[doc(hidden)]
@@ -78,4 +80,3 @@ pub use crc::crc32;
 pub use error::StoreError;
 pub use record::{EpochRecord, ShardState, WindowState};
 pub use store::SnapshotStore;
-pub use view::EpochView;

@@ -51,7 +51,6 @@ use std::path::{Path, PathBuf};
 use crate::crc::crc32;
 use crate::error::StoreError;
 use crate::record::EpochRecord;
-use crate::view::EpochView;
 
 const MAGIC: &[u8; 8] = b"PSFALOG\0";
 const FORMAT_VERSION: u32 = 1;
@@ -405,11 +404,6 @@ impl SnapshotStore {
         }
         Ok(record)
     }
-
-    /// A time-travel view as of `epoch`.
-    pub fn view_at(&self, epoch: u64) -> Result<EpochView, StoreError> {
-        Ok(EpochView::new(self.load(epoch)?))
-    }
 }
 
 #[cfg(test)]
@@ -616,21 +610,6 @@ mod tests {
         data[mid] ^= 0x55;
         fs::write(&path, &data).unwrap();
         assert!(matches!(store.load(1), Err(StoreError::Corrupt { .. })));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn historical_queries_answer_from_the_right_epoch() {
-        let dir = tmpdir("history");
-        let mut store = SnapshotStore::open(&dir, 8, 4).unwrap();
-        store.append(&record(1, 100)).unwrap();
-        store.append(&record(2, 500)).unwrap();
-        let v1 = store.view_at(1).unwrap();
-        let v2 = store.view_at(2).unwrap();
-        assert_eq!(v1.total_items(), 200);
-        assert_eq!(v2.total_items(), 1000);
-        assert!(v1.estimate(0) < v2.estimate(0));
-        assert!(!v2.heavy_hitters().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,6 +12,9 @@
 //!   was cut, even after the recovered engine has moved on;
 //! * the *global* sliding window comes back as the same aligned window
 //!   (boundary and item count) the live engine had at the cut;
+//! * `view_at(E)` answers every query kind as `Engine::recover` at `E`
+//!   answers its first — also when `E` was cut while a shard was
+//!   quarantined, whose reseed loss the epoch then conserves exactly;
 //! * compaction bounds the on-disk history while the engine runs;
 //! * the recovered engine keeps ingesting and persisting.
 //!
@@ -19,6 +22,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use psfa::prelude::*;
 
@@ -83,6 +87,7 @@ fn kill_and_recover_preserves_bounds_placements_and_history() {
         .collect();
     let epoch = handle.snapshot_now().expect("snapshot");
     assert_eq!(epoch, 1);
+    let view = handle.view_at(epoch).unwrap();
 
     // More traffic lands after the snapshot, then the process "dies": no
     // final flush, so everything after epoch 1 is lost — as in a real
@@ -102,6 +107,8 @@ fn kill_and_recover_preserves_bounds_placements_and_history() {
         m_snap,
         "recovered engine = persisted prefix, post-snapshot items lost"
     );
+    // The view read before the crash answers as the recovered engine does.
+    assert_view_answers_as_recovery(&view, &handle, truth.keys().copied());
 
     // Accuracy: every recovered estimate within ε·m_snapshotted of the
     // single-threaded reference (exact counts), one-sided.
@@ -174,6 +181,127 @@ fn kill_and_recover_preserves_bounds_placements_and_history() {
     assert_eq!(view2.total_items(), m_snap + 10_000);
     assert!(view2.total_items() > handle.view_at(epoch).unwrap().total_items());
 
+    recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `view` — epoch `E` read from the engine that cut it — answers as
+/// `recovered`, an engine [`Engine::recover`] started from `E`, answers its
+/// first queries: every query kind, over every key of `keys`.
+fn assert_view_answers_as_recovery(
+    view: &EpochView,
+    recovered: &EngineHandle,
+    keys: impl IntoIterator<Item = u64>,
+) {
+    assert_eq!(view.total_items(), recovered.total_items());
+    assert_eq!(view.hot_keys(), recovered.router().hot_keys());
+    for key in keys {
+        assert_eq!(view.placement(key), recovered.placement(key), "key {key}");
+        assert_eq!(view.estimate(key), recovered.estimate(key), "key {key}");
+        assert_eq!(
+            view.cm_estimate(key),
+            recovered.cm_estimate(key),
+            "key {key}"
+        );
+        assert_eq!(
+            view.sliding_estimate(key),
+            recovered.sliding_estimate(key),
+            "key {key}"
+        );
+    }
+    assert_eq!(view.heavy_hitters(), recovered.heavy_hitters());
+    assert_eq!(
+        view.sliding_heavy_hitters(),
+        recovered.sliding_heavy_hitters()
+    );
+    let window = |w: GlobalWindow| (w.seq(), w.items());
+    assert_eq!(
+        view.global_window().map(window),
+        recovered.global_window().map(window)
+    );
+}
+
+/// The newest epoch is cut while shard 1 is quarantined: its worker
+/// panicked on dequeuing the sub-batch of minibatch 5 and the supervisor
+/// holds the restart for 300 ms. The cut's `Persist` command waits in
+/// shard 1's queue and is answered by the reseeded worker, so the epoch
+/// holds exactly the documented reseed loss — the panicking sub-batch,
+/// since every earlier minibatch was drained and so published — and
+/// recovery from it answers as its view does.
+#[test]
+fn an_epoch_cut_during_a_quarantine_recovers_what_its_view_answers() {
+    const HOT: u64 = 1 << 40;
+    let dir = tmpdir("quarantine-cut");
+    let config = EngineConfig::with_shards(2)
+        .heavy_hitters(0.05, 0.01)
+        .sliding_window(8_000)
+        .window_panes(4)
+        .skew_aware_routing()
+        .fault_injection(
+            FaultPlan::new()
+                .with_worker_panic(1, 5)
+                .with_restart_delay(Duration::from_millis(300)),
+        )
+        .persistence(PersistenceConfig::new(&dir).interval_batches(u64::MAX / 2));
+    let engine = Engine::spawn(config.clone());
+    let handle = engine.handle();
+    handle.router().promote(&[HOT]);
+    // 400 hot occurrences (dealt 200 per shard) and 600 cold keys, none of
+    // them frequent enough to be promoted.
+    let minibatch = |b: u64| -> Vec<u64> {
+        (0..1_000u64)
+            .map(|i| if i % 5 < 2 { HOT } else { (b * 600 + i) % 500 })
+            .collect()
+    };
+    let mut truth: HashMap<u64, u64> = HashMap::new();
+    for b in 1..=5 {
+        let batch = minibatch(b);
+        for &x in &batch {
+            *truth.entry(x).or_insert(0) += 1;
+        }
+        handle.ingest(&batch).unwrap();
+        if b < 5 {
+            engine.drain().unwrap();
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.degradation().is_none() {
+        assert!(Instant::now() < deadline, "shard 1 never quarantined");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(handle.degradation().unwrap().stale_shards, vec![1]);
+    let epoch = handle.snapshot_now().unwrap();
+    assert_eq!(handle.metrics().worker_restarts(), 1);
+    let view = handle.view_at(epoch).unwrap();
+    for b in 6..=7 {
+        handle.ingest(&minibatch(b)).unwrap();
+    }
+    engine.drain().unwrap();
+    engine.kill();
+
+    // Conservation: the epoch holds everything offered but shard 1's part
+    // of minibatch 5 — its owner keys and half the hot occurrences — and
+    // every estimate is one-sided within ε·m of what it holds.
+    let mut lost: HashMap<u64, u64> = HashMap::from([(HOT, 200)]);
+    for x in minibatch(5) {
+        if x != HOT && shard_of(x, 2) == 1 {
+            *lost.entry(x).or_insert(0) += 1;
+        }
+    }
+    let m = view.total_items();
+    assert_eq!(m, 5_000 - lost.values().sum::<u64>());
+    let slack = (0.01 * m as f64).ceil() as u64;
+    for (&key, &offered) in &truth {
+        let held = offered - lost.get(&key).copied().unwrap_or(0);
+        let est = view.estimate(key);
+        assert!(
+            est <= held && est + slack >= held,
+            "key {key}: {est} vs {held}"
+        );
+    }
+
+    let recovered = Engine::recover(&dir, config).unwrap();
+    assert_view_answers_as_recovery(&view, &recovered.handle(), truth.keys().copied());
     recovered.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -66,13 +66,20 @@ fn concurrent_queries_during_ingest_never_tear() {
         t
     };
     let total: u64 = batches.iter().map(|b| b.len() as u64).sum();
+    // Probe keys the summaries track — each querier a different 50 of the
+    // stream's 150 most frequent keys — and a few keys it never holds.
+    let mut by_count: Vec<(u64, u64)> = truth.iter().map(|(&k, &f)| (f, k)).collect();
+    by_count.sort_unstable_by(|a, b| b.cmp(a));
+    let absent = (1u64 << 40..).filter(|k| !truth.contains_key(k)).take(8);
 
     // --- query threads hammering the live surfaces ---------------------
     let stop = Arc::new(AtomicBool::new(false));
     let mut queriers = Vec::new();
-    for q in 0..3u64 {
+    for q in 0..3usize {
         let handle = handle.clone();
         let stop = stop.clone();
+        let top = by_count[q * 50..(q + 1) * 50].iter().map(|&(_, k)| k);
+        let probes: Vec<u64> = top.chain(absent.clone()).collect();
         queriers.push(std::thread::spawn(move || {
             let mut last_epochs = [0u64; SHARDS];
             let mut last_window_seq = 0u64;
@@ -110,7 +117,7 @@ fn concurrent_queries_during_ingest_never_tear() {
                     // over the sorted entries answers: at the probe keys
                     // below and at every tracked item.
                     let entries = &snapshot.hh_entries;
-                    for probe in (q * 17)..(q * 17 + 50) {
+                    for &probe in &probes {
                         let searched = entries
                             .binary_search_by_key(&probe, |&(i, _)| i)
                             .map_or(0, |at| entries[at].1);
@@ -136,7 +143,7 @@ fn concurrent_queries_during_ingest_never_tear() {
                 // The relaxed-atomic Count-Min can never read below a
                 // published Misra–Gries estimate: the sketch already holds
                 // every batch at or before the snapshot's epoch.
-                for probe in (q * 17)..(q * 17 + 50) {
+                for &probe in &probes {
                     let est = handle.estimate(probe);
                     let cm = handle.cm_estimate(probe);
                     assert!(
