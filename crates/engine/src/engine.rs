@@ -1,9 +1,10 @@
-//! The engine: shard spawning, routed ingestion, live cross-shard queries,
-//! drain and shutdown.
+//! The engine: its lifecycle (start, recover, stop), routed ingestion and
+//! the handle's query surface. Shard queues, cuts and workers live in the
+//! control plane (`control.rs`), cross-shard answers in the query plane
+//! (`query.rs`).
 
 use std::fmt;
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -11,31 +12,20 @@ use psfa_freq::{GlobalWindow, HeavyHitter, ParallelFrequencyEstimator};
 use psfa_obs::{TraceEvent, TraceKind, NO_SHARD};
 use psfa_sketch::AtomicCountMin;
 use psfa_store::{EpochRecord, PersistenceConfig, ShardState, SnapshotStore, StoreError};
-use psfa_stream::{BufferPool, IngestFence, Placement, Router, WindowFence, WindowFenceState};
+use psfa_stream::{BufferPool, Placement, Router};
 
 use crate::config::EngineConfig;
-use crate::metrics::{EngineMetrics, ShardHealth, ShardMetrics, WindowMetrics};
+use crate::control::ShardQueues;
+use crate::metrics::{EngineMetrics, ShardMetrics, WindowMetrics};
 use crate::obs::{EngineObs, QueryKind};
 use crate::persist::{Flusher, Persister};
 use crate::query::{check_resumable, EpochView, QueryPlane};
-use crate::shard::{ShardCommand, ShardShared, ShardSnapshot, ShardWorker};
+use crate::shard::ShardSnapshot;
 
 /// How many trailing trace events an [`psfa_obs::ObsReport`] embeds (a
 /// non-destructive peek; [`EngineHandle::trace_events`] drains the full
 /// ring).
 const RECENT_TRACE_EVENTS: usize = 32;
-
-/// Error returned when ingesting into an engine whose workers have exited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineClosed;
-
-impl fmt::Display for EngineClosed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "engine is shut down; ingestion channel closed")
-    }
-}
-
-impl std::error::Error for EngineClosed {}
 
 /// Error returned by [`EngineHandle::ingest`], reporting exactly how much of
 /// the minibatch was delivered before the failure.
@@ -60,13 +50,6 @@ pub struct IngestError {
 }
 
 impl IngestError {
-    fn rejected() -> Self {
-        Self {
-            parts_delivered: 0,
-            parts_total: 0,
-        }
-    }
-
     /// True if nothing was enqueued: the batch was refused as a whole and
     /// the stream state is exactly as if `ingest` was never called.
     pub fn is_clean_rejection(&self) -> bool {
@@ -111,20 +94,11 @@ pub enum TryIngestError {
 
 impl fmt::Display for TryIngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TryIngestError::Busy => {
-                write!(
-                    f,
-                    "shard queues are full; minibatch rejected (nothing was enqueued)"
-                )
-            }
-            TryIngestError::Closed => {
-                write!(
-                    f,
-                    "engine is shut down; minibatch rejected (nothing was enqueued)"
-                )
-            }
-        }
+        let why = match self {
+            TryIngestError::Busy => "shard queues are full",
+            TryIngestError::Closed => "engine is shut down",
+        };
+        write!(f, "{why}; minibatch rejected (nothing was enqueued)")
     }
 }
 
@@ -151,6 +125,18 @@ pub(crate) enum Refused {
     /// A target shard's channel is gone — its worker died permanently —
     /// possibly after some of the minibatch's sub-batches were enqueued.
     WorkerGone(IngestError),
+}
+
+impl From<Refused> for IngestError {
+    fn from(refused: Refused) -> Self {
+        match refused {
+            Refused::WorkerGone(partial) => partial,
+            Refused::Closed | Refused::Busy => IngestError {
+                parts_delivered: 0,
+                parts_total: 0,
+            },
+        }
+    }
 }
 
 impl From<Refused> for TryIngestError {
@@ -190,6 +176,18 @@ impl fmt::Display for ShutdownError {
 
 impl std::error::Error for ShutdownError {}
 
+impl ShutdownError {
+    /// `Err` naming `dead_shards` (ascending), unless there are none.
+    pub(crate) fn check(dead_shards: impl Iterator<Item = usize>) -> Result<(), Self> {
+        let dead_shards: Vec<usize> = dead_shards.collect();
+        if dead_shards.is_empty() {
+            Ok(())
+        } else {
+            Err(Self { dead_shards })
+        }
+    }
+}
+
 /// Staleness annotation for a query answer, read from
 /// [`EngineHandle::degradation`] when some shards are quarantined or dead:
 /// those shards contributed their last *published* snapshot instead of
@@ -206,80 +204,6 @@ pub struct Degraded {
     /// had at its last observed progress point — the answer's staleness in
     /// batches.
     pub epoch_lag: u64,
-}
-
-/// The shard worker supervisor: runs the worker under `catch_unwind` and
-/// restarts it from the shard's last published snapshot after a panic.
-///
-/// The supervisor — not the worker — owns the command `Receiver` and its
-/// one-slot lookahead (the command that ended the worker's last folded
-/// minibatch), so a panic never disconnects the channel: producers keep
-/// their backpressure semantics (`Busy`, blocking sends) instead of seeing
-/// `Closed`, queued and held commands — minibatches and cuts alike —
-/// survive the restart, and the reborn worker resumes the same queue. The
-/// shard's health is published through [`crate::ShardHealth`] in the
-/// shared stats: `Quarantined` while down
-/// ([`EngineHandle::degradation`] names the shard meanwhile), back to `Live`
-/// after the reseed, and `Dead` once the restart budget
-/// ([`EngineConfig::worker_restart_limit`]) is exhausted — at which point
-/// the original panic is resumed so [`Engine::shutdown`] reports the shard
-/// in a typed [`ShutdownError`] instead of aborting.
-pub(crate) fn supervise(
-    shard: usize,
-    config: EngineConfig,
-    shared: Arc<ShardShared>,
-    pool: Arc<BufferPool>,
-    obs: Option<Arc<EngineObs>>,
-    first: ShardWorker,
-    queue: std::sync::mpsc::Receiver<ShardCommand>,
-) -> ShardState {
-    use std::sync::atomic::Ordering;
-    let mut worker = first;
-    let mut held = None;
-    loop {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker.resume(&queue, &mut held)
-        }));
-        let payload = match outcome {
-            Ok(fin) => return fin,
-            Err(payload) => payload,
-        };
-        shared.stats.set_health(ShardHealth::Quarantined);
-        let restarts = shared.stats.restarts.load(Ordering::Relaxed);
-        let published_epoch = shared.snapshot.get().epoch;
-        if let Some(obs) = &obs {
-            obs.trace.push(
-                obs.now_ns(),
-                TraceKind::ShardQuarantined,
-                shard as u32,
-                restarts,
-                published_epoch,
-            );
-        }
-        if restarts >= config.worker_restart_limit {
-            shared.stats.set_health(ShardHealth::Dead);
-            // Joining this thread now observes the original panic; the
-            // engine surfaces it as a typed `ShutdownError`.
-            std::panic::resume_unwind(payload);
-        }
-        // Test hook: hold the quarantine open so degraded queries are
-        // reliably observable (no-op without a fault plan).
-        if let Some(delay) = config.fault.as_ref().and_then(|f| f.restart_delay()) {
-            std::thread::sleep(delay);
-        }
-        worker = ShardWorker::reseed(shard, &config, shared.clone(), pool.clone(), obs.clone());
-        shared.stats.restarts.fetch_add(1, Ordering::Relaxed);
-        shared.stats.set_health(ShardHealth::Live);
-        if let Some(obs) = &obs {
-            obs.trace.push(
-                obs.now_ns(),
-                TraceKind::WorkerRestart,
-                shard as u32,
-                restarts + 1,
-                published_epoch,
-            );
-        }
-    }
 }
 
 /// A multi-threaded sharded ingestion engine.
@@ -320,11 +244,20 @@ impl Engine {
         config.validate();
         let config = Arc::new(config);
         let (recovered, preopened_store) = recovered.unzip();
+        // Opened before any worker starts, so a store that fails to open
+        // leaves no thread behind.
+        let store = match (preopened_store, &config.persistence) {
+            (None, Some(p)) => Some(SnapshotStore::open(
+                &p.dir,
+                p.retain_epochs,
+                p.segment_max_records,
+            )?),
+            (store, _) => store,
+        };
         // The persisted hot set is restored with the shards, so
         // replicated-key placements — and therefore query-time summing —
         // survive the restart.
         let plane = QueryPlane::new(&config, recovered.as_ref());
-        let recovered_shard = |shard: usize| recovered.as_ref().map(|r| &r.shards[shard]);
         // Sub-batch buffers circulate producers → workers → producers; a
         // lane never needs to park more buffers than can be in flight on
         // one queue (capacity) plus a checkout in progress. The bound is
@@ -339,99 +272,18 @@ impl Engine {
         let obs = config
             .observability
             .map(|()| Arc::new(EngineObs::new(config.shards)));
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let (tx, rx) = sync_channel(config.queue_capacity);
-            let worker = ShardWorker::new(
-                shard,
-                &config,
-                plane.shared[shard].clone(),
-                pool.clone(),
-                recovered_shard(shard),
-                obs.clone(),
-            );
-            let supervisor_config = EngineConfig::clone(&config);
-            let supervisor_shared = plane.shared[shard].clone();
-            let supervisor_pool = pool.clone();
-            let supervisor_obs = obs.clone();
-            let join = std::thread::Builder::new()
-                .name(format!("psfa-shard-{shard}"))
-                .spawn(move || {
-                    supervise(
-                        shard,
-                        supervisor_config,
-                        supervisor_shared,
-                        supervisor_pool,
-                        supervisor_obs,
-                        worker,
-                        rx,
-                    )
-                })
-                .expect("failed to spawn shard worker thread");
-            senders.push(tx);
-            workers.push(join);
-        }
-        let senders = Arc::new(senders);
-        let fence = Arc::new(IngestFence::new());
+        let (queues, workers) =
+            ShardQueues::start(&config, &plane.shared, &pool, &obs, recovered.as_ref());
+        let queues = Arc::new(queues);
         let accepted_batches = Arc::new(std::sync::atomic::AtomicU64::new(0));
-
-        // The window fence shares the ingest fence, so pane boundaries cut
-        // shard-consistently; on recovery the logical clock resumes from
-        // the persisted cut so boundaries keep landing at the same
-        // positions.
-        let window_fence = config.window.map(|n| {
-            let slide = n / config.window_panes as u64;
-            match recovered.as_ref().and_then(|r| r.window.as_ref()) {
-                None => Arc::new(WindowFence::new(fence.clone(), slide)),
-                Some(ws) => Arc::new(WindowFence::resume(
-                    fence.clone(),
-                    slide,
-                    WindowFenceState {
-                        ticket: ws.ticket,
-                        boundaries: ws.boundaries,
-                    },
-                )),
-            }
-        });
-
-        let mut flusher = None;
-        let persister = match &config.persistence {
-            None => None,
-            Some(pcfg) => {
-                let store = match preopened_store {
-                    Some(store) => store,
-                    None => SnapshotStore::open(
-                        &pcfg.dir,
-                        pcfg.retain_epochs,
-                        pcfg.segment_max_records,
-                    )?,
-                };
-                let persister = Arc::new(Persister::new(
-                    store,
-                    config.clone(),
-                    fence.clone(),
-                    senders.clone(),
-                    plane.router.clone(),
-                    window_fence.clone(),
-                    obs.clone(),
-                ));
-                flusher = Some(Flusher::spawn(
-                    persister.clone(),
-                    accepted_batches.clone(),
-                    pcfg.interval_batches,
-                    pcfg.poll,
-                ));
-                Some(persister)
-            }
-        };
-
+        let persister = store
+            .map(|store| Arc::new(Persister::new(store, &config, &queues, &plane.router, &obs)));
+        let flusher = persister.clone().zip(config.persistence.as_ref());
+        let flusher = flusher.map(|(p, pcfg)| Flusher::spawn(p, accepted_batches.clone(), pcfg));
         let handle = EngineHandle {
-            senders,
+            queues,
             plane,
             pool,
-            fence,
-            window_fence,
             persister,
             accepted_batches,
             obs,
@@ -486,7 +338,7 @@ impl Engine {
         // boundary that no shard has sealed. The resumed fence would cut it
         // on the next ingest; cut it now and wait for the shards to seal,
         // so the first query already sees the window the prefix implies.
-        if engine.handle.cut_due_window_boundaries() > 0 {
+        if engine.handle.queues.seal_due_boundaries() > 0 {
             // A failed drain means a shard died at start-up; queries
             // report that themselves, and recovery has nothing to add.
             let _ = engine.drain();
@@ -520,40 +372,11 @@ impl Engine {
     /// instead of propagating the panic to the caller; its last published
     /// snapshot remains queryable through outstanding handles.
     pub fn shutdown(mut self) -> Result<EngineReport, ShutdownError> {
-        // Closing the fence waits for every in-flight enqueue (which holds
-        // the fence's shared side across its sends) to finish, and makes
-        // later enqueues fail fast. Everything successfully sent is
-        // therefore FIFO-ordered *before* the Shutdown commands below —
-        // workers process all of it before exiting.
-        self.handle.fence.close();
-        // Stop the flusher with one final snapshot (workers are still
-        // draining their queues, so the cut captures every accepted batch).
-        if let Some(flusher) = self.flusher.take() {
-            flusher.finish();
-        }
-        for sender in self.handle.senders.iter() {
-            // A send error means the worker already exited; shutdown
-            // proceeds to join either way.
-            let _ = sender.send(ShardCommand::Shutdown);
-        }
-        let mut shards = Vec::with_capacity(self.workers.len());
-        let mut dead_shards = Vec::new();
-        for (shard, worker) in std::mem::take(&mut self.workers).into_iter().enumerate() {
-            match worker.join() {
-                Ok(fin) => shards.push(fin),
-                // The supervisor resumed the panic after exhausting the
-                // restart budget: report the shard, never re-panic here.
-                Err(_) => dead_shards.push(shard),
-            }
-        }
-        if dead_shards.is_empty() {
-            Ok(EngineReport {
-                epsilon: self.handle.config.epsilon,
-                shards,
-            })
-        } else {
-            Err(ShutdownError { dead_shards })
-        }
+        let shards = self.stop(true)?;
+        Ok(EngineReport {
+            epsilon: self.handle.config.epsilon,
+            shards,
+        })
     }
 
     /// Stops the engine as if the process had been killed: worker threads
@@ -565,27 +388,34 @@ impl Engine {
     /// the latest consistent epoch. Intended for crash-recovery tests and
     /// chaos drills.
     pub fn kill(mut self) {
-        self.handle.fence.close();
-        if let Some(flusher) = self.flusher.take() {
-            flusher.abort();
+        let _ = self.stop(false);
+    }
+
+    /// The one stop routine behind [`Engine::shutdown`], [`Engine::kill`]
+    /// and `Drop`: closes the fence (every `ingest` that returned `Ok` is
+    /// ahead of the stop on every queue), stops the flusher — after one
+    /// final snapshot when `final_snapshot`, cut while the workers still
+    /// drain, so it captures every accepted minibatch — then stops and
+    /// joins the workers. A no-op once stopped.
+    fn stop(&mut self, final_snapshot: bool) -> Result<Vec<ShardState>, ShutdownError> {
+        if self.workers.is_empty() {
+            return Ok(Vec::new());
         }
-        for sender in self.handle.senders.iter() {
-            let _ = sender.send(ShardCommand::Shutdown);
-        }
-        for worker in std::mem::take(&mut self.workers) {
-            let _ = worker.join();
-        }
+        let flusher = self.flusher.take();
+        let workers = std::mem::take(&mut self.workers);
+        self.handle.queues.stop(workers, || {
+            if let Some(flusher) = flusher {
+                flusher.stop(final_snapshot);
+            }
+        })
     }
 }
 
 impl Drop for Engine {
     /// Dropping an engine without [`Engine::shutdown`] or [`Engine::kill`]
-    /// behaves like a crash towards the store: the flusher is stopped
-    /// without a final snapshot.
+    /// kills it: the workers stop and the flusher cuts no final snapshot.
     fn drop(&mut self) {
-        if let Some(flusher) = self.flusher.take() {
-            flusher.abort();
-        }
+        let _ = self.stop(false);
     }
 }
 
@@ -608,21 +438,15 @@ impl Drop for Engine {
 /// accounting of [`psfa_freq::MgSummary::merge`] applied at query time).
 #[derive(Clone)]
 pub struct EngineHandle {
-    senders: Arc<Vec<SyncSender<ShardCommand>>>,
+    /// The shard queues and every cut across them (see [`ShardQueues`]):
+    /// the only way a minibatch or a marker reaches a worker.
+    queues: Arc<ShardQueues>,
     /// The shards' published state and the router: what every query reads
     /// (see [`QueryPlane`]) and what ingestion routes and accounts into.
     plane: QueryPlane,
     /// Recycles routed sub-batch buffers between producers and workers, so
     /// steady-state ingestion allocates nothing (see [`BufferPool`]).
     pub(crate) pool: Arc<BufferPool>,
-    /// Orders whole minibatches against snapshot cuts and shutdown:
-    /// enqueues hold the fence's shared side across their sends, so a cut
-    /// (or [`Engine::shutdown`]) serialises strictly between minibatches.
-    fence: Arc<IngestFence>,
-    /// The global window's logical item clock, when a window is
-    /// configured: accepted items tick it (under the ingest guard), and
-    /// the producer that observes a `slide` crossing cuts the boundary.
-    window_fence: Option<Arc<WindowFence>>,
     /// Snapshot machinery, when persistence is configured.
     persister: Option<Arc<Persister>>,
     /// Minibatches accepted so far (one per admitted minibatch, whichever
@@ -642,7 +466,7 @@ pub struct EngineHandle {
 impl EngineHandle {
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.config.shards
     }
 
     /// The engine's heavy-hitter threshold φ.
@@ -684,10 +508,7 @@ impl EngineHandle {
     /// the caller can account for the partial application.
     pub fn ingest(&self, minibatch: &[u64]) -> Result<(), IngestError> {
         self.admit_pooled(minibatch, Admission::Wait)
-            .map_err(|refused| match refused {
-                Refused::WorkerGone(partial) => partial,
-                Refused::Closed | Refused::Busy => IngestError::rejected(),
-            })
+            .map_err(IngestError::from)
     }
 
     /// Non-blocking [`EngineHandle::ingest`]: routes the minibatch, then
@@ -727,16 +548,9 @@ impl EngineHandle {
     /// The one way a minibatch reaches the shard workers; every public
     /// ingest entry point ends here. Routes `minibatch` into `parts` (one
     /// scratch buffer per shard; sent buffers are left behind as empty
-    /// `Vec`s) and enqueues the non-empty sub-batches on their shards'
-    /// FIFOs.
-    ///
-    /// One fence guard spans the whole sequence, so a racing shutdown or
-    /// cut happens either entirely before this minibatch (refused / not
-    /// in the cut) or entirely after it (accepted, every part enqueued
-    /// and in the cut) — never between its per-shard parts. The window
-    /// clock ticks under the same guard; the batched claim flags whether
-    /// this minibatch crossed a boundary, and only then does the caller
-    /// pay for the exclusive cut (most minibatches skip it entirely).
+    /// `Vec`s) and enqueues the non-empty sub-batches under one fence
+    /// guard, so a racing stop or cut falls entirely before or entirely
+    /// after the minibatch — never between its per-shard parts.
     pub(crate) fn admit(
         &self,
         minibatch: &[u64],
@@ -746,7 +560,7 @@ impl EngineHandle {
         if minibatch.is_empty() {
             return Ok(());
         }
-        let Some(guard) = self.fence.enter() else {
+        let Some(guard) = self.queues.enter() else {
             return Err(Refused::Closed);
         };
         self.plane.router.partition_into(minibatch, parts);
@@ -770,7 +584,11 @@ impl EngineHandle {
             if slot.is_empty() {
                 continue;
             }
-            if self.send_part(shard, std::mem::take(slot)).is_err() {
+            if self
+                .queues
+                .send(&guard, shard, std::mem::take(slot))
+                .is_err()
+            {
                 return Err(Refused::WorkerGone(IngestError {
                     parts_delivered,
                     parts_total,
@@ -778,64 +596,11 @@ impl EngineHandle {
             }
             parts_delivered += 1;
         }
-        let boundary_due = match &self.window_fence {
-            Some(windows) => windows.claim(&guard, minibatch.len() as u64).due,
-            None => false,
-        };
+        // Counted under the guard, so a stop's final snapshot sees it.
         self.accepted_batches
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        drop(guard);
-        if boundary_due {
-            self.cut_due_window_boundaries();
-        }
+        self.queues.release(guard, minibatch.len() as u64);
         Ok(())
-    }
-
-    /// Cuts any window boundary the logical clock has crossed (two atomic
-    /// loads when none is due). Must not be called while holding an ingest
-    /// guard — the cut takes the fence exclusively. Returns the number of
-    /// boundaries cut.
-    fn cut_due_window_boundaries(&self) -> u64 {
-        let Some(windows) = &self.window_fence else {
-            return 0;
-        };
-        match &self.obs {
-            None => windows.poll_cut(|seq| self.send_boundary(seq)),
-            Some(obs) => {
-                // Boundary cuts take the fence exclusively; their duration
-                // is producer stall, recorded alongside snapshot cuts.
-                let start = obs.now_ns();
-                let cut = windows.poll_cut(|seq| {
-                    self.send_boundary(seq);
-                    let slide = windows.slide();
-                    obs.trace.push(
-                        obs.now_ns(),
-                        TraceKind::Boundary,
-                        NO_SHARD,
-                        seq * slide,
-                        seq,
-                    );
-                });
-                if cut > 0 {
-                    obs.fence_exclusive_wait
-                        .record(obs.now_ns().saturating_sub(start));
-                }
-                cut
-            }
-        }
-    }
-
-    /// Enqueues one boundary marker on every shard's queue. Runs inside
-    /// the window fence's exclusive cut
-    /// ([`psfa_stream::WindowFence::poll_cut`] holds the ingest fence
-    /// exclusively around the seal closure), so the marker lands at the
-    /// same stream position on every shard's FIFO.
-    fn send_boundary(&self, seq: u64) {
-        for sender in self.senders.iter() {
-            // A send error means that worker already exited; the
-            // surviving shards still seal so queries stay aligned.
-            let _ = sender.send(ShardCommand::Boundary { seq });
-        }
     }
 
     /// Emits a [`TraceKind::HotPromote`] event when the router's hot set
@@ -869,119 +634,21 @@ impl EngineHandle {
     /// quiet periods so `sliding_*` answers keep sliding forward. Returns
     /// `false` when no window is configured or the engine is shut down.
     pub fn advance_window_clock(&self, items: u64) -> bool {
-        let Some(windows) = &self.window_fence else {
-            return false;
-        };
-        let boundary_due = {
-            let Some(guard) = self.fence.enter() else {
-                return false;
-            };
-            windows.claim(&guard, items).due
-        };
-        if boundary_due {
-            self.cut_due_window_boundaries();
-        }
-        true
-    }
-
-    /// Sends one sub-batch (the only place a [`ShardCommand::Batch`] is
-    /// built); the caller must hold a fence guard.
-    fn send_part(&self, shard: usize, part: Vec<u64>) -> Result<(), EngineClosed> {
-        use std::sync::atomic::Ordering;
-        let len = part.len() as u64;
-        // Reserve the counters *before* the send: the instant the batch is
-        // on the queue the worker may process it and bump
-        // `items_processed`, and `items_enqueued >= items_processed` must
-        // hold for every concurrent observer (the metrics invariant tests
-        // sample it mid-flight). A blocked producer transiently
-        // over-reports queue depth by its in-flight batch, which only
-        // makes `Admission::Shed` more conservative. Relaxed:
-        // monotone progress hints (see the ordering contract in
-        // `shard.rs`).
-        let stats = &self.plane.shared[shard].stats;
-        stats.items_enqueued.fetch_add(len, Ordering::Relaxed);
-        stats.batches_enqueued.fetch_add(1, Ordering::Relaxed);
-        let command = ShardCommand::Batch(part);
-        let sent = match &self.obs {
-            None => self.senders[shard].send(command).map_err(|_| EngineClosed),
-            Some(obs) => {
-                // Backpressure accounting: an uncontended enqueue records a
-                // zero wait with no clock read; only the blocking path (the
-                // shard's queue was full) pays for timestamps.
-                match self.senders[shard].try_send(command) {
-                    Ok(()) => {
-                        obs.enqueue_wait.record(0);
-                        Ok(())
-                    }
-                    Err(TrySendError::Full(cmd)) => {
-                        let start = obs.now_ns();
-                        match self.senders[shard].send(cmd) {
-                            Ok(()) => {
-                                obs.enqueue_wait.record(obs.now_ns().saturating_sub(start));
-                                Ok(())
-                            }
-                            Err(_) => Err(EngineClosed),
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => Err(EngineClosed),
-                }
-            }
-        };
-        if sent.is_err() {
-            // The batch never reached the queue (the engine is shutting
-            // down): undo the reservation so no phantom depth survives.
-            stats.items_enqueued.fetch_sub(len, Ordering::Relaxed);
-            stats.batches_enqueued.fetch_sub(1, Ordering::Relaxed);
-        }
-        sent
+        self.queues.advance_window_clock(items)
     }
 
     /// Blocks until every minibatch accepted before this call is
-    /// processed.
+    /// processed: a barrier cut, acknowledged by each worker when it
+    /// dequeues its marker — by FIFO order, after everything accepted
+    /// before the cut. Draining stays valid through (and after) shutdown.
     ///
-    /// The barrier is a cut like any other: one command per shard, sent
-    /// under the exclusive fence, that each worker acknowledges when it
-    /// dequeues it — by FIFO order, after everything accepted before the
-    /// cut. `cut_with` works on a closed fence, so draining remains valid
-    /// through (and after) shutdown.
-    ///
-    /// A shard whose worker died permanently (marked [`ShardHealth::Dead`]
+    /// A shard whose worker died permanently (marked [`crate::ShardHealth::Dead`]
     /// after exhausting its restart budget) cannot acknowledge the
     /// barrier; such shards are reported in a typed [`ShutdownError`].
     /// Workers that exited through a *graceful* shutdown still count as
     /// drained — their queues were emptied before they left.
     pub fn drain(&self) -> Result<(), ShutdownError> {
-        let acks = self.fence.cut_with(|_cut| {
-            let mut acks = Vec::with_capacity(self.shards());
-            for (shard, sender) in self.senders.iter().enumerate() {
-                let (ack_tx, ack_rx) = sync_channel(1);
-                if sender.send(ShardCommand::Barrier { ack: ack_tx }).is_ok() {
-                    acks.push((shard, ack_rx));
-                }
-            }
-            acks
-        });
-        let mut dead_shards = Vec::new();
-        for (shard, ack) in acks {
-            // A receive error means the worker exited: after a graceful
-            // shutdown its queue was drained first (ack-equivalent), but a
-            // permanently dead shard never processed the barrier.
-            if ack.recv().is_err() && self.plane.shared[shard].stats.health() == ShardHealth::Dead {
-                dead_shards.push(shard);
-            }
-        }
-        // Shards whose channel was already disconnected at send time.
-        for (shard, shared) in self.plane.shared.iter().enumerate() {
-            if shared.stats.health() == ShardHealth::Dead && !dead_shards.contains(&shard) {
-                dead_shards.push(shard);
-            }
-        }
-        dead_shards.sort_unstable();
-        if dead_shards.is_empty() {
-            Ok(())
-        } else {
-            Err(ShutdownError { dead_shards })
-        }
+        self.queues.drain()
     }
 
     /// Runs a query body under the observability clock, recording its
@@ -1202,10 +869,9 @@ impl EngineHandle {
             .enumerate()
             .map(|(shard, s)| s.stats.snapshot(shard, s.snapshot_lag()))
             .collect();
-        let window = self.window_fence.as_ref().map(|windows| {
-            let boundaries = windows.boundaries();
+        let window = self.queues.boundaries().map(|boundaries| {
             WindowMetrics {
-                slide: windows.slide(),
+                slide: self.window_slide().expect("a window clock has a window"),
                 panes: self.window_panes() as u32,
                 boundaries,
                 // How far the slowest shard's sealed window trails the
@@ -1224,7 +890,7 @@ impl EngineHandle {
         let obs = self.obs.as_ref().map(|obs| {
             obs.report(
                 pool,
-                self.fence.cuts(),
+                self.queues.cuts(),
                 work_units.iter().sum(),
                 RECENT_TRACE_EVENTS,
             )
@@ -1685,8 +1351,7 @@ mod tests {
     fn try_spawn_reports_an_unopenable_store_as_a_typed_error() {
         // A persistence directory *under a regular file* can never be
         // created: the typed path returns the store's error instead of
-        // panicking (the workers already spawned exit when their senders
-        // drop with the failed start).
+        // panicking, before any worker is spawned.
         let dir = tmpdir("try-spawn");
         let file = dir.join("not-a-directory");
         std::fs::write(&file, b"x").unwrap();

@@ -7,22 +7,24 @@
 //!
 //! ```text
 //!  producers (any thread: a cloned EngineHandle, or a per-thread Producer)
-//!      │  ingest(&[u64])  — items tick the WindowFence's logical clock
+//!      │  ingest(&[u64])
 //!      ▼
 //!  router (psfa_stream::Router)
 //!      │  hash: each key owned by one shard (default)
 //!      │  skew-aware: hot keys split round-robin across all shards
-//!      │  ONE bounded FIFO channel per shard carries every minibatch
-//!      │  (backpressure when full) and every cut: each `slide` items a
-//!      │  window boundary marker is enqueued on EVERY shard from one
-//!      │  exclusive fence cut (same position on all); drain barriers and
-//!      │  persistence snapshots are cut the same way
+//!      ▼
+//!  control plane (ShardQueues) — the only sender of a shard command
+//!      │  ONE bounded FIFO per shard carries every sub-batch (backpressure
+//!      │  when full) and every cut; a cut takes the IngestFence
+//!      │  exclusively and enqueues one marker per shard (same position on
+//!      │  all): a window boundary each `slide` items of the WindowFence's
+//!      │  clock, a drain barrier, a persist cut, the stop
 //!      ▼
 //!  shard workers 0..N   each owns: InfiniteHeavyHitters   (φ, ε)
-//!      │                           PaneWindow             (global window)
+//!      │  (supervised)             PaneWindow             (global window)
 //!      │                           AtomicCountMin         (shared seed)
 //!      ▼
-//!  per-shard epoch snapshots  ──►  EngineHandle queries
+//!  per-shard epoch snapshots  ──►  EngineHandle queries (the query plane)
 //!      (Arc swap per batch)        estimate / heavy_hitters / cm_estimate
 //!      (sealed window per boundary) sliding_estimate / sliding_heavy_hitters
 //! ```
@@ -114,6 +116,7 @@
 #![warn(rust_2018_idioms)]
 
 mod config;
+mod control;
 mod engine;
 mod metrics;
 mod obs;
@@ -125,8 +128,7 @@ mod shard;
 
 pub use config::EngineConfig;
 pub use engine::{
-    Degraded, Engine, EngineClosed, EngineHandle, EngineReport, IngestError, ShutdownError,
-    TryIngestError,
+    Degraded, Engine, EngineHandle, EngineReport, IngestError, ShutdownError, TryIngestError,
 };
 pub use metrics::{EngineMetrics, ShardHealth, ShardMetrics, StoreMetrics, WindowMetrics};
 pub use producer::Producer;

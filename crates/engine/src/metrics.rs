@@ -198,7 +198,7 @@ pub struct WindowMetrics {
 
 /// Point-in-time metrics of the persistence subsystem (present only when
 /// the engine was configured with `EngineConfig::persistence`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
     /// Epochs persisted by this process (flusher cuts + `snapshot_now`).
     pub epochs_persisted: u64,

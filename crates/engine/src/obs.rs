@@ -278,15 +278,6 @@ impl EngineObs {
     }
 }
 
-impl std::fmt::Debug for EngineObs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineObs")
-            .field("shards", &self.batch_service.len())
-            .field("trace_capacity", &self.trace.capacity())
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,40 +1,38 @@
-//! The engine side of epoch-snapshot persistence: consistent cuts and the
-//! background flusher thread.
+//! The engine side of epoch-snapshot persistence: the persister that turns
+//! a consistent cut into a durable epoch, and the background flusher
+//! thread.
 //!
-//! A snapshot is cut in two phases, keeping disk work entirely off the
-//! ingest hot path:
+//! A snapshot keeps disk work entirely off the ingest hot path:
 //!
-//! 1. **Cut** (microseconds, under the [`IngestFence`]'s exclusive side):
-//!    enqueue a [`ShardCommand::Persist`] marker onto every shard's FIFO
-//!    queue. Because producers hold the fence's shared side across *all* of
-//!    a minibatch's per-shard enqueues, the marker lands at the same stream
-//!    position on every shard — after every sub-batch of each minibatch
-//!    accepted before the cut, before every sub-batch of each later one.
-//! 2. **Collect + write** (fence released, producers running): each worker
-//!    replies with a clone of its operator state when it reaches the
-//!    marker; the flusher thread encodes the clones, appends one
-//!    [`EpochRecord`] to the segment log, and compacts.
+//! 1. **Cut** (microseconds, producers excluded): the control plane's
+//!    persist cut ([`ShardQueues::persist_cut`]) places a marker at the
+//!    same stream position on every shard's queue — after every sub-batch
+//!    of each minibatch accepted before the cut, before every sub-batch of
+//!    each later one — and at that instant the persister reads the
+//!    router's hot set and the window clock.
+//! 2. **Collect + write** (producers running): each worker replies with a
+//!    clone of its operator state when it reaches the marker; the
+//!    persister encodes the clones, appends one [`EpochRecord`] to the
+//!    segment log, and compacts.
 //!
-//! The flusher thread polls the accepted-batch counters and cuts a new
+//! The flusher thread polls the accepted-batch counter and cuts a new
 //! epoch every `interval_batches` minibatches; a graceful shutdown performs
 //! one final cut so no accepted data is lost, while [`crate::Engine::kill`]
 //! skips it (simulating a crash: the disk keeps only what was flushed).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::mpsc::SyncSender;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use psfa_obs::{TraceKind, NO_SHARD};
-use psfa_store::{EpochRecord, ShardState, SnapshotStore, StoreError, WindowState};
-use psfa_stream::{IngestFence, Router, WindowFence};
+use psfa_store::{EpochRecord, PersistenceConfig, SnapshotStore, StoreError, WindowState};
+use psfa_stream::Router;
 
 use crate::config::EngineConfig;
+use crate::control::ShardQueues;
 use crate::metrics::StoreMetrics;
 use crate::obs::EngineObs;
-use crate::shard::ShardCommand;
 
 /// Shared snapshot machinery: cuts epochs, appends them to the store, and
 /// keeps the store metrics. Shared by the flusher thread and every
@@ -46,54 +44,41 @@ pub(crate) struct Persister {
     /// behind a cut that is still waiting for shard queues to drain.
     cut_lock: Mutex<()>,
     store: Mutex<SnapshotStore>,
-    fence: Arc<IngestFence>,
-    senders: Arc<Vec<SyncSender<ShardCommand>>>,
+    /// Where the persist cut is taken (see [`ShardQueues::persist_cut`]).
+    queues: Arc<ShardQueues>,
     router: Arc<Router>,
     /// The engine's configuration: the φ/ε and window shape each record
     /// carries, and the fault plan (scheduled store write errors surface
     /// through [`Persister::snapshot_once`] as `StoreError::Io`).
     config: Arc<EngineConfig>,
-    /// The window fence (when a window is configured), whose clock is read
-    /// from inside the snapshot's exclusive cut, so the persisted
-    /// [`WindowState`] is exactly consistent with the per-shard pane rings
-    /// collected at the same cut.
-    window_fence: Option<Arc<WindowFence>>,
-    epochs_persisted: AtomicU64,
-    bytes_written: AtomicU64,
-    last_epoch: AtomicU64,
-    segments: AtomicU64,
-    flush_failures: AtomicU64,
-    /// Observability recorders, when enabled: cut (fence-exclusive) and
-    /// append (encode + fsync) durations, persist/flush trace events.
+    /// The store counters, updated once per epoch or failed flush.
+    metrics: Mutex<StoreMetrics>,
+    /// Observability recorders, when enabled: append (encode + fsync)
+    /// durations, persist/flush trace events.
     obs: Option<Arc<EngineObs>>,
 }
 
 impl Persister {
     pub(crate) fn new(
         store: SnapshotStore,
-        config: Arc<EngineConfig>,
-        fence: Arc<IngestFence>,
-        senders: Arc<Vec<SyncSender<ShardCommand>>>,
-        router: Arc<Router>,
-        window_fence: Option<Arc<WindowFence>>,
-        obs: Option<Arc<EngineObs>>,
+        config: &Arc<EngineConfig>,
+        queues: &Arc<ShardQueues>,
+        router: &Arc<Router>,
+        obs: &Option<Arc<EngineObs>>,
     ) -> Self {
-        let last_epoch = store.latest_epoch().unwrap_or(0);
-        let segments = store.segments() as u64;
+        let metrics = StoreMetrics {
+            last_epoch: store.latest_epoch().unwrap_or(0),
+            segments: store.segments() as u64,
+            ..StoreMetrics::default()
+        };
         Self {
             cut_lock: Mutex::new(()),
             store: Mutex::new(store),
-            fence,
-            senders,
-            router,
-            config,
-            window_fence,
-            epochs_persisted: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            last_epoch: AtomicU64::new(last_epoch),
-            segments: AtomicU64::new(segments),
-            flush_failures: AtomicU64::new(0),
-            obs,
+            queues: queues.clone(),
+            router: router.clone(),
+            config: config.clone(),
+            metrics: Mutex::new(metrics),
+            obs: obs.clone(),
         }
     }
 
@@ -101,72 +86,30 @@ impl Persister {
     /// compacts. Returns the persisted epoch number. Fails with
     /// [`StoreError::Closed`] once the shard workers have exited.
     pub(crate) fn snapshot_once(&self) -> Result<u64, StoreError> {
-        // The cut lock is held across cut + collect + append so concurrent
-        // snapshots (flusher vs `snapshot_now`) serialise as a whole: cut
-        // order equals epoch order, and a later cut's (superset) state can
-        // never be appended under an earlier epoch number. The *store*
-        // lock is taken only around the append below, so historical
-        // queries never stall behind a cut waiting on shard queues.
-        // Poison recovery is safe: the cut lock guards no data (`()`),
-        // only mutual exclusion, and a cut that panicked mid-flight left
-        // at most an unanswered Persist reply channel behind — the next
-        // cut allocates fresh channels.
+        // Held across cut + collect + append, so a later cut's (superset)
+        // state is never appended under an earlier epoch number. Poison
+        // recovery is safe: the lock guards no data, and a cut that
+        // panicked left at most an unanswered reply channel behind.
         let _cut = self
             .cut_lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
 
-        // Phase 1 — the cut: enqueue a Persist marker on every shard while
-        // holding the fence exclusively (see the module docs for why this
-        // makes the cut consistent), and capture the hot-key set and the
-        // window fence's clock at the same instant — a promotion or a
-        // window boundary racing phase 2 must not leak into the record's
-        // "state at the cut". Send errors mean the workers exited.
-        let cut_start = self.obs.as_ref().map(|obs| obs.now_ns());
-        let (receivers, hot_keys, window) = self
-            .fence
-            .cut_with(|_cut| {
-                let receivers = self
-                    .senders
-                    .iter()
-                    .map(|sender| {
-                        let (tx, rx) = sync_channel(1);
-                        sender
-                            .send(ShardCommand::Persist { reply: tx })
-                            .map(|_| rx)
-                            .map_err(|_| ())
-                    })
-                    .collect::<Result<Vec<_>, ()>>()?;
-                let hot_keys = self.router.hot_keys();
-                // Boundary markers are themselves enqueued under exclusive
-                // cuts, so from inside this cut every shard's FIFO holds
-                // exactly `boundaries` markers before our Persist marker:
-                // the collected pane rings will be sealed at precisely
-                // this boundary.
-                let window = self.window_fence.as_ref().map(|fence| {
-                    let clock = fence.state();
-                    WindowState {
-                        size: self.config.window.expect("a window fence has a window"),
-                        panes: self.config.window_panes as u32,
-                        ticket: clock.ticket,
-                        boundaries: clock.boundaries,
-                    }
+        // The hot set and the window clock are read at the cut: a promotion
+        // or a boundary racing the collection must not leak into the
+        // record's "state at the cut".
+        let (shards, (hot_keys, window)) = self
+            .queues
+            .persist_cut(|clock| {
+                let window = clock.map(|clock| WindowState {
+                    size: self.config.window.expect("a window clock has a window"),
+                    panes: self.config.window_panes as u32,
+                    ticket: clock.ticket,
+                    boundaries: clock.boundaries,
                 });
-                Ok::<_, ()>((receivers, hot_keys, window))
+                (self.router.hot_keys(), window)
             })
-            .map_err(|_: ()| StoreError::Closed)?;
-        if let Some(obs) = &self.obs {
-            // The exclusive-fence window is the only moment producers are
-            // excluded; its duration is the persistence stall budget.
-            obs.fence_exclusive_wait
-                .record(obs.now_ns().saturating_sub(cut_start.unwrap_or(0)));
-        }
-
-        // Phase 2 — collect and write, with ingestion running again.
-        let mut shards: Vec<ShardState> = Vec::with_capacity(receivers.len());
-        for rx in receivers {
-            shards.push(rx.recv().map_err(|_| StoreError::Closed)?);
-        }
+            .map_err(|_| StoreError::Closed)?;
 
         // Poison recovery is safe: the log format is checksummed and
         // validated on every read, and a failed append leaves the store
@@ -187,7 +130,7 @@ impl Persister {
         let append_start = self.obs.as_ref().map(|obs| obs.now_ns());
         // Fault injection (tests only): a scheduled write error surfaces
         // exactly like a failing volume — typed, counted by the caller,
-        // and never wedging the fence (it was released after phase 1).
+        // and never wedging the fence (it was released after the cut).
         if let Some(fault) = &self.config.fault {
             if let Some(err) = fault.store_write_error() {
                 return Err(StoreError::Io(err));
@@ -205,10 +148,10 @@ impl Persister {
                 .push(now, TraceKind::EpochPersist, NO_SHARD, record.epoch, bytes);
         }
 
-        self.epochs_persisted.fetch_add(1, Ordering::AcqRel);
-        self.bytes_written.fetch_add(bytes, Ordering::AcqRel);
-        self.last_epoch.store(record.epoch, Ordering::Release);
-        self.segments.store(segments, Ordering::Release);
+        let mut metrics = self.lock_metrics();
+        metrics.epochs_persisted += 1;
+        metrics.bytes_written += bytes;
+        (metrics.last_epoch, metrics.segments) = (record.epoch, segments);
         Ok(record.epoch)
     }
 
@@ -217,7 +160,11 @@ impl Persister {
     /// ever wedging the fence — the flusher skips the interval and
     /// retries on the next one.
     pub(crate) fn note_flush_failure(&self) {
-        let failures = self.flush_failures.fetch_add(1, Ordering::AcqRel) + 1;
+        let failures = {
+            let mut metrics = self.lock_metrics();
+            metrics.flush_failures += 1;
+            metrics.flush_failures
+        };
         if let Some(obs) = &self.obs {
             obs.trace
                 .push(obs.now_ns(), TraceKind::FlushFailed, NO_SHARD, failures, 0);
@@ -237,38 +184,38 @@ impl Persister {
 
     /// Point-in-time store metrics.
     pub(crate) fn metrics(&self) -> StoreMetrics {
-        StoreMetrics {
-            epochs_persisted: self.epochs_persisted.load(Ordering::Acquire),
-            bytes_written: self.bytes_written.load(Ordering::Acquire),
-            last_epoch: self.last_epoch.load(Ordering::Acquire),
-            segments: self.segments.load(Ordering::Acquire),
-            flush_failures: self.flush_failures.load(Ordering::Acquire),
-        }
+        *self.lock_metrics()
+    }
+
+    /// Poison recovery is safe: the counters are plain numbers, each
+    /// update one assignment.
+    fn lock_metrics(&self) -> std::sync::MutexGuard<'_, StoreMetrics> {
+        self.metrics
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
 /// Handle to the background flusher thread.
 pub(crate) struct Flusher {
-    stop: Arc<AtomicBool>,
-    wants_final: Arc<AtomicBool>,
+    /// Carries the stop request: `true` asks for one final snapshot.
+    stop: Sender<bool>,
     thread: JoinHandle<()>,
 }
 
 impl Flusher {
-    /// Spawns the flusher: wakes every `poll`, cuts an epoch once
-    /// `interval_batches` minibatches have been accepted (the shared
+    /// Spawns the flusher: wakes every `config.poll`, cuts an epoch once
+    /// `config.interval_batches` minibatches have been accepted (the shared
     /// `accepted` counter, bumped once per accepted minibatch) since the
-    /// last cut, and — unless aborted — cuts a final epoch on the way out.
+    /// last cut, and — when asked to on stop — cuts a final epoch on the
+    /// way out.
     pub(crate) fn spawn(
         persister: Arc<Persister>,
         accepted: Arc<AtomicU64>,
-        interval_batches: u64,
-        poll: Duration,
+        config: &PersistenceConfig,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let wants_final = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let final_flag = wants_final.clone();
+        let (interval_batches, poll) = (config.interval_batches, config.poll);
+        let (stop, stopped) = channel();
         let thread = std::thread::Builder::new()
             .name("psfa-flusher".to_string())
             .spawn(move || {
@@ -281,21 +228,25 @@ impl Flusher {
                 let mut last_attempt = 0u64;
                 let mut last_success = 0u64;
                 loop {
-                    if stop_flag.load(Ordering::Acquire) {
-                        // Graceful shutdown: one final cut captures every
-                        // accepted minibatch (workers are still draining).
-                        // A failure here must not pass silently — it means
-                        // the tail of the stream is not durable; it is
-                        // counted and visible in the store metrics.
-                        if final_flag.load(Ordering::Acquire)
-                            && accepted.load(Ordering::Acquire) != last_success
-                            && persister.snapshot_once().is_err()
-                        {
-                            persister.note_flush_failure();
+                    match stopped.recv_timeout(poll) {
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => return,
+                        Ok(final_snapshot) => {
+                            // Graceful shutdown: one final cut captures
+                            // every accepted minibatch (workers are still
+                            // draining). A failure here must not pass
+                            // silently — it means the tail of the stream is
+                            // not durable; it is counted and visible in the
+                            // store metrics.
+                            if final_snapshot
+                                && accepted.load(Ordering::Acquire) != last_success
+                                && persister.snapshot_once().is_err()
+                            {
+                                persister.note_flush_failure();
+                            }
+                            return;
                         }
-                        return;
                     }
-                    std::thread::sleep(poll);
                     let batches = accepted.load(Ordering::Acquire);
                     if batches.saturating_sub(last_attempt) < interval_batches {
                         continue;
@@ -316,24 +267,14 @@ impl Flusher {
                 }
             })
             .expect("failed to spawn flusher thread");
-        Self {
-            stop,
-            wants_final,
-            thread,
-        }
+        Self { stop, thread }
     }
 
-    /// Stops the flusher after one final snapshot (graceful shutdown).
-    pub(crate) fn finish(self) {
-        self.wants_final.store(true, Ordering::Release);
-        self.stop.store(true, Ordering::Release);
-        let _ = self.thread.join();
-    }
-
-    /// Stops the flusher *without* a final snapshot (crash simulation /
-    /// abandoned engine): the disk keeps only what was already flushed.
-    pub(crate) fn abort(self) {
-        self.stop.store(true, Ordering::Release);
+    /// Stops the flusher, after one final snapshot when `final_snapshot`
+    /// (graceful shutdown); without it the disk keeps only what was
+    /// already flushed (crash simulation, abandoned engine).
+    pub(crate) fn stop(self, final_snapshot: bool) {
+        let _ = self.stop.send(final_snapshot);
         let _ = self.thread.join();
     }
 }

@@ -14,7 +14,7 @@
 //! persistence snapshots) cover producer traffic with no extra mechanism
 //! (see "One FIFO per shard" in the `shard` module docs).
 
-use crate::engine::{Admission, EngineClosed, EngineHandle, Refused, TryIngestError};
+use crate::engine::{Admission, EngineHandle, IngestError, Refused, TryIngestError};
 
 /// A per-thread ingest endpoint (see the module docs). Obtain one per
 /// producer thread via [`crate::EngineHandle::producer`]; the endpoint is
@@ -43,10 +43,11 @@ impl Producer {
     /// will be reflected in queries. An error from a graceful shutdown is
     /// a clean rejection (nothing was enqueued); as with
     /// [`EngineHandle::ingest`], only a shard worker dying mid-call can
-    /// leave the minibatch partially delivered.
-    pub fn ingest(&mut self, minibatch: &[u64]) -> Result<(), EngineClosed> {
+    /// leave the minibatch partially delivered, and the [`IngestError`]
+    /// says how much of it was.
+    pub fn ingest(&mut self, minibatch: &[u64]) -> Result<(), IngestError> {
         self.offer(minibatch, Admission::Wait)
-            .map_err(|_| EngineClosed)
+            .map_err(IngestError::from)
     }
 
     /// Non-blocking [`Producer::ingest`]: rejects with

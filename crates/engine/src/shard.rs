@@ -108,8 +108,9 @@
 //! channel, minibatches included — there is no other way in. The channel's
 //! total order is therefore the shard's stream order, and a cut (window
 //! boundary, drain barrier, persistence snapshot) needs no mechanism of
-//! its own: the cutter enqueues one command per shard while holding the
-//! ingest fence exclusively, and by the time a worker dequeues it, it has
+//! its own: the control plane (`crate::control::ShardQueues`, the only
+//! sender) enqueues one command per shard while holding the ingest fence
+//! exclusively, and by the time a worker dequeues it, it has
 //! processed exactly the minibatches accepted before the cut. A cut met
 //! while folding waits in a one-slot lookahead that the supervisor owns
 //! (so it survives a worker panic) and is served right after the folded
@@ -163,7 +164,7 @@ pub(crate) enum ShardCommand {
         /// Acknowledged once the checkpoint is reached.
         ack: SyncSender<()>,
     },
-    /// Window boundary `seq`: seal the open pane. The `WindowFence`
+    /// Window boundary `seq`: seal the open pane. The control plane
     /// enqueues this on every shard from inside an exclusive cut, so the
     /// marker sits at the same stream position on every shard's FIFO and
     /// the items between two markers (one pane) partition the global stream
@@ -173,10 +174,10 @@ pub(crate) enum ShardCommand {
         seq: u64,
     },
     /// Snapshot cut: reply with a clone of the full operator state. The
-    /// persister enqueues this on every shard while holding the ingest
-    /// fence exclusively, so the FIFO position — and therefore the state
-    /// handed back — reflects exactly the minibatches accepted before the
-    /// cut, on every shard.
+    /// control plane's persist cut enqueues this on every shard while
+    /// holding the ingest fence exclusively, so the FIFO position — and
+    /// therefore the state handed back — reflects exactly the minibatches
+    /// accepted before the cut, on every shard.
     Persist {
         /// Receives the operator state as of the cut.
         reply: SyncSender<ShardState>,
@@ -1359,7 +1360,7 @@ mod tests {
         tx.send(ShardCommand::Barrier { ack: ack_tx }).unwrap();
         tx.send(ShardCommand::Batch(vec![5; 60])).unwrap();
         tx.send(ShardCommand::Shutdown).unwrap();
-        let fin = crate::engine::supervise(0, config, shared.clone(), pool, None, worker, rx);
+        let fin = crate::control::supervise(0, &config, shared.clone(), pool, None, worker, rx);
         ack_rx
             .try_recv()
             .expect("the reseeded worker acknowledged the barrier");
@@ -1389,7 +1390,7 @@ mod tests {
         // to the persist cut, which waits in the lookahead while their
         // minibatch panics halfway through being applied.
         APPLY_PANIC_COUNTDOWN.with(|left| left.set(2));
-        let fin = crate::engine::supervise(0, config, shared.clone(), pool, None, worker, rx);
+        let fin = crate::control::supervise(0, &config, shared.clone(), pool, None, worker, rx);
         assert_eq!(shared.stats.restarts.load(Ordering::Acquire), 1);
         // Nothing was published before the panic, so the reseeded worker
         // starts from epoch 0 — and answers the held cut there, before the

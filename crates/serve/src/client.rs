@@ -125,9 +125,9 @@ impl Client {
         })
     }
 
-    /// Runs every later call under `policy`: [`Response::Busy`], transport
-    /// errors and [`ErrorCode::DeadlineExceeded`] back off and retry, and a
-    /// broken stream reconnects before the next attempt. Replaces
+    /// Runs every later call under `policy`: [`Response::Busy`] and
+    /// transport errors back off and retry, and a broken stream reconnects
+    /// before the next attempt. Replaces
     /// hand-rolled `loop { match ingest { Busy => sleep } }` blocks.
     pub fn retry(mut self, policy: RetryPolicy) -> Client {
         self.policy = Some(policy);
@@ -382,12 +382,6 @@ fn retryable(error: &ClientError) -> bool {
         // Transport failures (connection drop, reset, EOF mid-frame)
         // are exactly what reconnect-and-retry is for.
         ClientError::Frame(_) => true,
-        // A deadline miss means the server computed but discarded the
-        // answer; the request is designed to be retried.
-        ClientError::Server {
-            code: ErrorCode::DeadlineExceeded,
-            ..
-        } => true,
         // Shutdown / connection-limit / bad-request / protocol bugs do
         // not get better by retrying.
         _ => false,

@@ -29,6 +29,10 @@
 //! 3. **Queries never block on ingest** — they read published epoch
 //!    snapshots, exactly like in-process [`psfa_engine::EngineHandle`]
 //!    queries.
+//! 4. **A retried ingest is never counted twice** — there is no request
+//!    deadline (a blocking engine call cannot be cancelled, so a late
+//!    ingest is already applied and must not be answered as retryable),
+//!    and an injected connection drop lands before dispatch.
 //!
 //! ```no_run
 //! use psfa_engine::{Engine, EngineConfig};

@@ -223,14 +223,6 @@ pub enum ErrorCode {
     /// The request frame did not decode (the connection is closed after
     /// the error frame — framing state is unrecoverable).
     BadRequest = 2,
-    /// The request took longer than the server's configured per-request
-    /// deadline ([`crate::ServeConfig::request_deadline`]). The answer was
-    /// computed but discarded; the connection stays open and the request
-    /// is safe to retry (ingest requests may have been admitted — retrying
-    /// one can double-count, which the one-sided bounds tolerate as an
-    /// additive `+batch` error, so latency-sensitive clients should size
-    /// deadlines well above the ingest path's p99).
-    DeadlineExceeded = 3,
 }
 
 impl ErrorCode {
@@ -239,7 +231,6 @@ impl ErrorCode {
             0 => Ok(ErrorCode::Shutdown),
             1 => Ok(ErrorCode::ConnectionLimit),
             2 => Ok(ErrorCode::BadRequest),
-            3 => Ok(ErrorCode::DeadlineExceeded),
             _ => Err(CodecError::Invalid("unknown error code")),
         }
     }
@@ -511,8 +502,8 @@ mod tests {
                 message: "at capacity".to_string(),
             },
             Response::Error {
-                code: ErrorCode::DeadlineExceeded,
-                message: "request exceeded the 5ms deadline".to_string(),
+                code: ErrorCode::BadRequest,
+                message: "truncated frame".to_string(),
             },
         ]
     }

@@ -56,12 +56,6 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// How often blocked reads wake up to check for shutdown.
     pub poll_interval: Duration,
-    /// Per-request deadline. When a dispatched request takes longer than
-    /// this (e.g. an ingest stalled by engine backpressure or an injected
-    /// fault), its answer is replaced with an
-    /// [`ErrorCode::DeadlineExceeded`] error frame and the connection
-    /// stays open. `None` (the default) disables the check.
-    pub request_deadline: Option<Duration>,
     /// Fault-injection plan for availability testing: lets a seeded
     /// [`FaultPlan`] drop connections after a fixed number of served
     /// frames ([`FaultPlan::with_connection_drop_after`]). `None` (the
@@ -75,7 +69,6 @@ impl Default for ServeConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             max_connections: 64,
             poll_interval: Duration::from_millis(20),
-            request_deadline: None,
             fault: None,
         }
     }
@@ -92,12 +85,6 @@ impl ServeConfig {
     pub fn max_connections(mut self, cap: usize) -> Self {
         assert!(cap >= 1, "the server needs at least one connection slot");
         self.max_connections = cap;
-        self
-    }
-
-    /// Sets the per-request deadline (see [`ServeConfig::request_deadline`]).
-    pub fn request_deadline(mut self, deadline: Duration) -> Self {
-        self.request_deadline = Some(deadline);
         self
     }
 
@@ -132,10 +119,6 @@ pub struct ServeMetrics {
     /// contract promises: at most `max_connections × MAX_FRAME_LEN × 2`
     /// (one request and one response frame per connection).
     pub peak_inflight_bytes: u64,
-    /// Requests whose dispatch exceeded [`ServeConfig::request_deadline`]
-    /// (each replaced the computed answer with an
-    /// [`ErrorCode::DeadlineExceeded`] error frame).
-    pub deadline_exceeded: u64,
     /// Connections abruptly closed by the fault-injection plan
     /// ([`ServeConfig::fault`]); zero outside availability tests.
     pub injected_drops: u64,
@@ -154,7 +137,6 @@ struct ServerShared {
     ingested_items: AtomicU64,
     inflight_bytes: AtomicU64,
     peak_inflight_bytes: AtomicU64,
-    deadline_exceeded: AtomicU64,
     injected_drops: AtomicU64,
 }
 
@@ -214,7 +196,6 @@ impl Server {
             ingested_items: s.ingested_items.load(Ordering::Relaxed),
             inflight_bytes: s.inflight_bytes.load(Ordering::Relaxed),
             peak_inflight_bytes: s.peak_inflight_bytes.load(Ordering::Relaxed),
-            deadline_exceeded: s.deadline_exceeded.load(Ordering::Relaxed),
             injected_drops: s.injected_drops.load(Ordering::Relaxed),
         }
     }
@@ -301,8 +282,8 @@ fn refuse(mut stream: TcpStream, cap: usize) {
 }
 
 /// One connection's request→response loop, until the peer closes, a frame
-/// fails, or the server shuts down. Enforces the per-request deadline and
-/// honours an injected connection-drop fault.
+/// fails, or the server shuts down. Honours an injected connection-drop
+/// fault.
 fn serve_connection(
     mut stream: TcpStream,
     handle: EngineHandle,
@@ -339,8 +320,7 @@ fn serve_connection(
             }
         }
         shared.add_inflight(len as u64);
-        let started = Instant::now();
-        let (mut response, close_after) = match Request::decode(&buf[..len]) {
+        let (response, close_after) = match Request::decode(&buf[..len]) {
             Ok(request) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 (dispatch(request, &handle, shared), false)
@@ -356,19 +336,6 @@ fn serve_connection(
                 )
             }
         };
-        // Deadline check happens after dispatch: the work is already done
-        // (std's blocking engine calls cannot be cancelled mid-flight), so
-        // the deadline bounds what the *client* observes — a late answer
-        // is replaced by a typed, retryable error frame.
-        if let Some(deadline) = config.request_deadline {
-            if started.elapsed() > deadline {
-                shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                response = Response::Error {
-                    code: ErrorCode::DeadlineExceeded,
-                    message: format!("request exceeded the {deadline:?} deadline"),
-                };
-            }
-        }
         frames_served += 1;
         let payload = response.encode();
         shared.add_inflight(payload.len() as u64);

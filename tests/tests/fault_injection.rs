@@ -147,6 +147,47 @@ fn restart_budget_exhaustion_is_a_typed_death_not_an_abort() {
     }
 }
 
+/// A worker that died for good (restart budget 0) drops its queue, so a
+/// minibatch that routes to it is refused part-way: shard 0's part is sent
+/// first and stays enqueued, shard 1's send finds the queue gone. Both
+/// ingest paths — `EngineHandle::ingest` and a `Producer` — report exactly
+/// that as a partial delivery, never as a clean rejection.
+#[test]
+fn a_dead_worker_makes_ingest_a_reported_partial_delivery() {
+    let engine = Engine::spawn(
+        EngineConfig::with_shards(2)
+            .heavy_hitters(0.05, 0.01)
+            .worker_restart_limit(0)
+            .fault_injection(FaultPlan::new().with_worker_panic(1, 1)),
+    );
+    let handle = engine.handle();
+    // Enough distinct keys that every batch lands parts on both shards.
+    let batch: Vec<u64> = (0..64).collect();
+    let died = wait_for(
+        || {
+            let _ = handle.ingest(&batch);
+            handle.metrics().shards[1].health == ShardHealth::Dead
+        },
+        Duration::from_secs(10),
+    );
+    assert!(died, "an unrecoverable panic must mark its shard Dead");
+    // The barrier returns only once the dead worker's queue is dropped.
+    assert_eq!(handle.drain().unwrap_err().dead_shards, vec![1]);
+
+    let partial = IngestError {
+        parts_delivered: 1,
+        parts_total: 2,
+    };
+    assert_eq!(handle.ingest(&batch), Err(partial));
+    let mut producer = handle.producer();
+    assert_eq!(producer.ingest(&batch), Err(partial));
+    assert!(!partial.is_clean_rejection());
+    match engine.shutdown() {
+        Ok(_) => panic!("shutdown must surface the dead shard"),
+        Err(err) => assert_eq!(err.dead_shards, vec![1]),
+    }
+}
+
 /// A recoverable panic shows up as a quarantine window — visible through
 /// `degradation()` while the supervisor backs off, gone after the reseed —
 /// with the restart counted in metrics and both transitions traced.

@@ -149,3 +149,118 @@ fn producers_skew_aware_routing_matches_single_thread() {
         run_parity(RoutingPolicy::skew_aware(), producers);
     }
 }
+
+/// The control plane's consistent cuts, tested as one object: four
+/// producers ingest minibatches that each hold exactly one key owned by
+/// every shard, while one thread loops barrier (`drain`) and persist
+/// (`snapshot_now`) cuts and reads the aligned window. The window slide is
+/// a multiple of the shard count, so no minibatch straddles a boundary.
+/// A cut that split a minibatch, or a marker that landed at different
+/// positions on different shards, would leave two shards with different
+/// item counts at the same cut.
+#[test]
+fn cuts_land_between_whole_minibatches_on_every_shard() {
+    const PANES: u64 = 4;
+    const PER_PRODUCER: usize = 3_000;
+    let shards = SHARDS as u64;
+    let slide = 8 * shards;
+    let dir = psfa::store::testutil::unique_temp_dir("cuts-are-consistent");
+    let engine = Engine::spawn(
+        EngineConfig::with_shards(SHARDS)
+            .heavy_hitters(PHI, EPSILON)
+            .sliding_window(slide * PANES)
+            .window_panes(PANES as usize)
+            .persistence(
+                PersistenceConfig::new(&dir)
+                    .interval_batches(u64::MAX / 2)
+                    .retain_epochs(1_000),
+            ),
+    );
+    let handle = engine.handle();
+    // Eight keys per shard, each owned by that shard.
+    let mut owned: Vec<Vec<u64>> = vec![Vec::new(); SHARDS];
+    for key in 0u64.. {
+        if let Placement::Owner(shard) = handle.placement(key) {
+            if owned[shard].len() < 8 {
+                owned[shard].push(key);
+            }
+        }
+        if owned.iter().all(|keys| keys.len() == 8) {
+            break;
+        }
+    }
+
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (accepted, windows_read) = std::thread::scope(|scope| {
+        let cutter = scope.spawn(|| {
+            let mut windows_read = 0u64;
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                handle.drain().expect("no shard dies");
+                handle.snapshot_now().expect("the store accepts the cut");
+                // A boundary marker sits at one stream position on every
+                // shard, so each shard's pane ring at an aligned boundary
+                // holds the same whole minibatches: equal item counts.
+                // (Not `min(seq, panes) × slide`: a minibatch accepted
+                // between a crossing claim and its boundary cut lands in
+                // the earlier pane — see ROADMAP item 6.)
+                if let Some(window) = handle.global_window() {
+                    let per_shard: Vec<u64> = handle
+                        .snapshots()
+                        .iter()
+                        .filter_map(|s| s.window_at(window.seq()).map(|w| w.items))
+                        .collect();
+                    if per_shard.len() == SHARDS {
+                        assert!(
+                            per_shard.iter().all(|&n| n == per_shard[0]),
+                            "boundary {} was cut at different positions: {per_shard:?}",
+                            window.seq()
+                        );
+                        assert_eq!(per_shard.iter().sum::<u64>(), window.items());
+                        windows_read += 1;
+                    }
+                }
+            }
+            windows_read
+        });
+        let producers: Vec<_> = (0..4)
+            .map(|p| {
+                let (mut producer, owned) = (handle.producer(), &owned);
+                scope.spawn(move || {
+                    let mut accepted = 0u64;
+                    for i in 0..PER_PRODUCER {
+                        let batch: Vec<u64> = owned.iter().map(|keys| keys[(i + p) % 8]).collect();
+                        producer.ingest(&batch).expect("the engine is running");
+                        accepted += 1;
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        let accepted: u64 = producers.into_iter().map(|p| p.join().unwrap()).sum();
+        done.store(true, std::sync::atomic::Ordering::Release);
+        (accepted, cutter.join().unwrap())
+    });
+    assert!(windows_read > 0, "the cutter never read an aligned window");
+
+    handle.drain().expect("no shard dies");
+    assert_eq!(handle.total_items(), accepted * shards);
+    engine.shutdown().expect("no shard dies");
+
+    let store = SnapshotStore::open(&dir, 1_000, 4).expect("the store reopens");
+    let epochs = store.epochs();
+    assert!(epochs.len() > 1, "the cutter persisted no epoch");
+    for epoch in epochs {
+        let record = store.load(epoch).expect("a retained epoch loads");
+        let items: Vec<u64> = record.shards.iter().map(|s| s.items).collect();
+        assert!(
+            items.iter().all(|&n| n == items[0]),
+            "epoch {epoch} cut a minibatch: per-shard items {items:?}"
+        );
+        let clock = record.window.expect("a windowed engine persists its clock");
+        assert_eq!(
+            clock.ticket,
+            items.iter().sum::<u64>(),
+            "epoch {epoch}: the window clock was not read at the cut"
+        );
+    }
+}

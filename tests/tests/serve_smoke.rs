@@ -13,7 +13,9 @@
 //!   leaves the engine fully usable.
 //! * A `Client` with a retry policy rides out injected connection drops: it
 //!   reconnects, and a retried ingest is never counted twice. Without a
-//!   policy the same drop is one typed `Frame` error and no reconnect.
+//!   policy the same drop is one typed `Frame` error and no reconnect. The
+//!   server has no request deadline, so no answer to an applied ingest is
+//!   ever replaced by a retryable error.
 //! * A batch too large for one frame is refused typed before a byte is
 //!   written: the connection stays usable, and a client with a retry
 //!   policy neither retries nor reconnects.
