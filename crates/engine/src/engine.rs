@@ -1434,11 +1434,8 @@ mod tests {
     #[test]
     fn background_flusher_persists_on_interval() {
         let dir = tmpdir("flusher");
-        let config = config().persistence(
-            psfa_store::PersistenceConfig::new(&dir)
-                .interval_batches(2)
-                .poll(std::time::Duration::from_millis(1)),
-        );
+        let config =
+            config().persistence(psfa_store::PersistenceConfig::new(&dir).interval_batches(2));
         let engine = Engine::spawn(config);
         let handle = engine.handle();
         for _ in 0..10 {

@@ -102,8 +102,13 @@
 //!
 //! ## Consistency
 //!
-//! Each shard publishes an immutable [`ShardSnapshot`] after every
-//! minibatch; queries read the latest snapshots without stalling ingestion.
+//! Each shard publishes an immutable [`ShardSnapshot`] lazily, always at a
+//! minibatch boundary: once 16 routed sub-batches have been applied since
+//! the last publication, when a reader finds the snapshot behind the
+//! worker, when the queue runs dry, and at every drain barrier and window
+//! boundary (the rules and the staleness bound are in the `shard` module's
+//! docs).
+//! Queries read the latest snapshots without stalling ingestion.
 //! Cross-shard queries therefore observe a *recent prefix per shard* — the
 //! natural consistency of a discretized-stream system between minibatches —
 //! with epochs exposed via [`EngineHandle::epochs`] for callers that need to

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use psfa_obs::{TraceKind, NO_SHARD};
 use psfa_store::{EpochRecord, PersistenceConfig, SnapshotStore, StoreError, WindowState};
@@ -196,6 +197,11 @@ impl Persister {
     }
 }
 
+/// How often the flusher wakes to check the accepted-batch counter.
+/// Flushing is off the ingest hot path either way; this only bounds the
+/// delay between crossing the interval and the snapshot being cut.
+const FLUSHER_POLL: Duration = Duration::from_millis(2);
+
 /// Handle to the background flusher thread.
 pub(crate) struct Flusher {
     /// Carries the stop request: `true` asks for one final snapshot.
@@ -204,7 +210,7 @@ pub(crate) struct Flusher {
 }
 
 impl Flusher {
-    /// Spawns the flusher: wakes every `config.poll`, cuts an epoch once
+    /// Spawns the flusher: wakes every [`FLUSHER_POLL`], cuts an epoch once
     /// `config.interval_batches` minibatches have been accepted (the shared
     /// `accepted` counter, bumped once per accepted minibatch) since the
     /// last cut, and — when asked to on stop — cuts a final epoch on the
@@ -214,7 +220,7 @@ impl Flusher {
         accepted: Arc<AtomicU64>,
         config: &PersistenceConfig,
     ) -> Self {
-        let (interval_batches, poll) = (config.interval_batches, config.poll);
+        let interval_batches = config.interval_batches;
         let (stop, stopped) = channel();
         let thread = std::thread::Builder::new()
             .name("psfa-flusher".to_string())
@@ -228,7 +234,7 @@ impl Flusher {
                 let mut last_attempt = 0u64;
                 let mut last_success = 0u64;
                 loop {
-                    match stopped.recv_timeout(poll) {
+                    match stopped.recv_timeout(FLUSHER_POLL) {
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => return,
                         Ok(final_snapshot) => {

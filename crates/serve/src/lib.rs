@@ -15,12 +15,14 @@
 //!  psfa_engine::EngineHandle (cloneable; one clone per connection)
 //! ```
 //!
-//! Three design rules, inherited from the rest of the workspace:
+//! Four design rules, inherited from the rest of the workspace:
 //!
 //! 1. **Never panic on peer bytes** — every decode is length-validated
 //!    and returns a typed error ([`protocol::FrameError`]); a corrupt
 //!    length field cannot drive an allocation ([`protocol::MAX_FRAME_LEN`]
-//!    is checked first).
+//!    is checked first). The server reads every frame with
+//!    [`protocol::read_frame`], the one reader the protocol tests check;
+//!    shutdown wakes its blocked handlers by closing their read halves.
 //! 2. **Explicit backpressure** — a full engine answers
 //!    [`Response::Busy`]; the server buffers at most one request and one
 //!    response frame per connection, so its memory is bounded by the

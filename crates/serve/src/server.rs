@@ -28,21 +28,27 @@
 //! * **Connections** beyond the cap receive one
 //!   [`ErrorCode::ConnectionLimit`] error frame and are closed.
 //!
-//! Graceful [`Server::shutdown`] stops accepting, lets every in-flight
-//! request finish and its response flush, then joins all threads; batches
-//! already acked sit in the engine's queues and survive an
-//! `EngineHandle::drain`.
+//! ## Shutdown
+//!
+//! Handlers block in [`crate::protocol::read_frame`] on a plain socket —
+//! the same reader the protocol tests and the benchmark check. The accept
+//! loop keeps a clone of each connection beside its thread; graceful
+//! [`Server::shutdown`] stops accepting, closes every clone's read half
+//! and joins. A handler serves the frames already received, then reads a
+//! clean end of stream; a request already read is still answered and its
+//! response flushed (the write half stays open); a frame caught
+//! half-received fails at once as a frame error. Batches already acked sit in the engine's queues and
+//! survive an `EngineHandle::drain`.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use psfa_engine::{EngineHandle, FaultPlan, TryIngestError};
 
-use crate::protocol::{write_frame, ErrorCode, FrameError, Request, Response, MAX_FRAME_LEN};
+use crate::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -54,8 +60,6 @@ pub struct ServeConfig {
     /// with an [`ErrorCode::ConnectionLimit`] error frame. Also bounds
     /// server memory (`max_connections × MAX_FRAME_LEN` frame bytes).
     pub max_connections: usize,
-    /// How often blocked reads wake up to check for shutdown.
-    pub poll_interval: Duration,
     /// Fault-injection plan for availability testing: lets a seeded
     /// [`FaultPlan`] drop connections after a fixed number of served
     /// frames ([`FaultPlan::with_connection_drop_after`]). `None` (the
@@ -68,7 +72,6 @@ impl Default for ServeConfig {
         Self {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             max_connections: 64,
-            poll_interval: Duration::from_millis(20),
             fault: None,
         }
     }
@@ -230,7 +233,9 @@ fn accept_loop(
     config: ServeConfig,
     shared: Arc<ServerShared>,
 ) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    // Each handler beside a clone of its connection: shutdown closes the
+    // clone's read half to wake a handler blocked in `read_frame`.
+    let mut handlers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
     let mut next_id = 0u64;
     loop {
         let stream = match listener.accept() {
@@ -240,12 +245,16 @@ fn accept_loop(
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        handlers.retain(|h| !h.is_finished());
+        handlers.retain(|(_, h)| !h.is_finished());
         if shared.active_connections.load(Ordering::Acquire) >= config.max_connections {
             shared.connections_refused.fetch_add(1, Ordering::Relaxed);
             refuse(stream, config.max_connections);
             continue;
         }
+        // A connection shutdown could not wake is closed, never served.
+        let Ok(waker) = stream.try_clone() else {
+            continue;
+        };
         shared.active_connections.fetch_add(1, Ordering::AcqRel);
         shared.connections_accepted.fetch_add(1, Ordering::Relaxed);
         let conn_shared = shared.clone();
@@ -255,19 +264,26 @@ fn accept_loop(
         let spawned = std::thread::Builder::new()
             .name(format!("psfa-serve-conn-{next_id}"))
             .spawn(move || {
-                serve_connection(stream, conn_handle, &conn_config, &conn_shared);
+                serve_connection(&stream, conn_handle, &conn_config, &conn_shared);
+                // The accept loop's clone keeps the socket open until it
+                // is reaped, so close both halves here: a dropped or
+                // failed connection reaches the client as a close now.
+                let _ = stream.shutdown(Shutdown::Both);
                 conn_shared
                     .active_connections
                     .fetch_sub(1, Ordering::AcqRel);
             });
         match spawned {
-            Ok(h) => handlers.push(h),
+            Ok(h) => handlers.push((waker, h)),
             Err(_) => {
                 shared.active_connections.fetch_sub(1, Ordering::AcqRel);
             }
         }
     }
-    for h in handlers {
+    for (waker, _) in &handlers {
+        let _ = waker.shutdown(Shutdown::Read);
+    }
+    for (_, h) in handlers {
         let _ = h.join();
     }
 }
@@ -282,27 +298,23 @@ fn refuse(mut stream: TcpStream, cap: usize) {
 }
 
 /// One connection's request→response loop, until the peer closes, a frame
-/// fails, or the server shuts down. Honours an injected connection-drop
-/// fault.
+/// fails, or shutdown closes the read half. Honours an injected
+/// connection-drop fault.
 fn serve_connection(
-    mut stream: TcpStream,
+    mut stream: &TcpStream,
     handle: EngineHandle,
     config: &ServeConfig,
     shared: &ServerShared,
 ) {
-    let poll = config.poll_interval;
     let drop_after = config
         .fault
         .as_ref()
         .and_then(|fault| fault.connection_drop_after());
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(poll)).is_err() {
-        return;
-    }
     let mut buf = Vec::new();
     let mut frames_served = 0u64;
     loop {
-        let len = match read_frame_polled(&mut stream, &mut buf, poll, shared) {
+        let len = match read_frame(&mut stream, &mut buf) {
             Ok(Some(len)) => len,
             Ok(None) => return,
             Err(_) => {
@@ -378,80 +390,5 @@ fn dispatch(request: Request, handle: &EngineHandle, shared: &ServerShared) -> R
         Request::SlidingEstimate(item) => Response::Count(handle.sliding_estimate(item)),
         Request::SlidingHeavyHitters => Response::HeavyHitters(handle.sliding_heavy_hitters()),
         Request::Metrics => Response::MetricsText(handle.prometheus_text().unwrap_or_default()),
-    }
-}
-
-/// [`crate::protocol::read_frame`] over a socket with a read timeout, with
-/// partial-frame state kept across timeouts: timeouts between
-/// frames poll the stop flag (clean close when stopping); a timeout
-/// *inside* a frame keeps the partial bytes and retries, so slow writers
-/// are never corrupted by the poll. After a stop is observed mid-frame the
-/// peer gets a grace period to finish the frame, then the read fails.
-fn read_frame_polled(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    poll: Duration,
-    shared: &ServerShared,
-) -> Result<Option<usize>, FrameError> {
-    use std::io::Read;
-    let mut header = [0u8; 4];
-    let mut filled = 0usize;
-    let mut payload_len: Option<usize> = None;
-    let mut stop_deadline: Option<Instant> = None;
-    // Grace for a frame caught mid-flight by shutdown: ~25 poll ticks.
-    let grace = poll.saturating_mul(25).max(Duration::from_millis(100));
-    loop {
-        let mid_frame = filled > 0 || payload_len.is_some();
-        if shared.stop.load(Ordering::Acquire) {
-            if !mid_frame {
-                return Ok(None);
-            }
-            let deadline = *stop_deadline.get_or_insert_with(|| Instant::now() + grace);
-            if Instant::now() >= deadline {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "shutdown while a frame was in flight",
-                )));
-            }
-        }
-        let target: &mut [u8] = match payload_len {
-            None => &mut header[filled..],
-            Some(len) => &mut buf[filled..len],
-        };
-        if target.is_empty() {
-            // Zero-length payload frame: nothing more to read.
-            return Ok(Some(0));
-        }
-        match stream.read(target) {
-            Ok(0) if !mid_frame => return Ok(None),
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame",
-                )))
-            }
-            Ok(n) => {
-                filled += n;
-                if payload_len.is_none() && filled == header.len() {
-                    let len = u32::from_le_bytes(header) as usize;
-                    if len > MAX_FRAME_LEN {
-                        return Err(FrameError::Oversize { len });
-                    }
-                    buf.resize(len, 0);
-                    payload_len = Some(len);
-                    filled = 0;
-                }
-                if let Some(len) = payload_len {
-                    if filled == len {
-                        return Ok(Some(len));
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
     }
 }

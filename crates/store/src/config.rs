@@ -2,7 +2,6 @@
 //! `psfa-engine` and by [`crate::SnapshotStore`] directly.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// How (and how aggressively) an engine spills epoch snapshots to disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,10 +11,6 @@ pub struct PersistenceConfig {
     /// The background flusher cuts a new epoch once this many minibatches
     /// have been accepted since the previous one.
     pub interval_batches: u64,
-    /// How often the flusher thread wakes to check the interval. Flushing
-    /// happens off the ingest hot path either way; this only bounds the
-    /// latency between crossing the interval and the snapshot being cut.
-    pub poll: Duration,
     /// Maximum historical epochs retained per shard (the `K` of
     /// compaction); older epochs are dropped and fully dead segment files
     /// deleted.
@@ -29,12 +24,11 @@ pub struct PersistenceConfig {
 impl PersistenceConfig {
     /// Persistence into `dir` with default knobs: snapshot every 64
     /// accepted minibatches, retain 8 epochs, rotate segments every 4
-    /// records, poll every 2 ms.
+    /// records.
     pub fn new(dir: impl AsRef<Path>) -> Self {
         Self {
             dir: dir.as_ref().to_path_buf(),
             interval_batches: 64,
-            poll: Duration::from_millis(2),
             retain_epochs: 8,
             segment_max_records: 4,
         }
@@ -43,12 +37,6 @@ impl PersistenceConfig {
     /// Sets the flush interval in accepted minibatches.
     pub fn interval_batches(mut self, batches: u64) -> Self {
         self.interval_batches = batches;
-        self
-    }
-
-    /// Sets the flusher poll period.
-    pub fn poll(mut self, poll: Duration) -> Self {
-        self.poll = poll;
         self
     }
 
@@ -93,8 +81,7 @@ mod tests {
         let config = PersistenceConfig::new("/tmp/x")
             .interval_batches(16)
             .retain_epochs(3)
-            .segment_max_records(2)
-            .poll(Duration::from_millis(1));
+            .segment_max_records(2);
         config.validate();
         assert_eq!(config.dir, PathBuf::from("/tmp/x"));
         assert_eq!(config.interval_batches, 16);

@@ -253,11 +253,7 @@ fn injected_store_write_error_surfaces_and_does_not_wedge_the_fence() {
         EngineConfig::with_shards(2)
             .heavy_hitters(0.05, 0.01)
             .observe()
-            .persistence(
-                PersistenceConfig::new(&dir)
-                    .interval_batches(1)
-                    .poll(Duration::from_millis(1)),
-            )
+            .persistence(PersistenceConfig::new(&dir).interval_batches(1))
             .fault_injection(FaultPlan::new().with_store_write_error(0)),
     );
     let handle = engine.handle();

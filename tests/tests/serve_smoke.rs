@@ -19,11 +19,18 @@
 //! * A batch too large for one frame is refused typed before a byte is
 //!   written: the connection stays usable, and a client with a retry
 //!   policy neither retries nor reconnects.
+//! * Shutdown wakes every handler at once: an idle connection is closed
+//!   and a half-sent frame fails as one frame error, with no grace wait.
+//! * A header announcing more than `MAX_FRAME_LEN` bytes closes its
+//!   connection before any buffer grows, while other connections are
+//!   served.
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use psfa::prelude::*;
 
@@ -323,5 +330,79 @@ fn graceful_shutdown_answers_inflight_and_leaves_the_engine_usable() {
     let handle = engine.handle();
     assert_eq!(handle.total_items(), 30_000);
     assert!(!handle.heavy_hitters().is_empty());
+    engine.shutdown().unwrap();
+}
+
+#[test]
+fn shutdown_wakes_an_idle_connection_and_fails_a_half_sent_frame_at_once() {
+    let engine = Engine::spawn(EngineConfig::with_shards(2).heavy_hitters(0.05, 0.01));
+    let server = Server::spawn(engine.handle(), ServeConfig::default()).expect("server");
+    let addr = server.local_addr();
+
+    let mut idle = Client::connect(addr).expect("idle client");
+    idle.ping().expect("ping before shutdown");
+    // A header announcing 64 payload bytes, then only 10 of them.
+    let mut half = TcpStream::connect(addr).expect("raw stream");
+    half.write_all(&64u32.to_le_bytes()).unwrap();
+    half.write_all(&[0u8; 10]).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.metrics().connections_accepted < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the raw stream was never accepted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let started = Instant::now();
+    let metrics = server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown must not wait on an idle or half-sent connection: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(metrics.frame_errors, 1, "the half-sent frame fails");
+    assert_eq!(metrics.active_connections, 0);
+    assert!(idle.ping().is_err(), "the idle connection is closed");
+    drop(half);
+    engine.shutdown().unwrap();
+}
+
+#[test]
+fn a_hostile_length_closes_its_connection_before_any_buffer_grows() {
+    let engine = Engine::spawn(EngineConfig::with_shards(2).heavy_hitters(0.05, 0.01));
+    let server = Server::spawn(engine.handle(), ServeConfig::default()).expect("server");
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).expect("client");
+
+    let mut hostile = TcpStream::connect(addr).expect("raw stream");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    hostile
+        .write_all(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes())
+        .unwrap();
+    let mut reply = Vec::new();
+    hostile
+        .read_to_end(&mut reply)
+        .expect("the server closes the hostile connection");
+    assert!(reply.is_empty(), "no answer to an oversize header");
+    let metrics = server.metrics();
+    assert_eq!(metrics.frame_errors, 1);
+    assert_eq!(
+        metrics.peak_inflight_bytes, 0,
+        "nothing was read into a buffer"
+    );
+
+    // The well-formed connection opened before the hostile one is served.
+    assert_eq!(
+        client.ingest(&[7, 7, 3]).expect("ingest"),
+        IngestOutcome::Accepted(3)
+    );
+    engine.drain().unwrap();
+    assert_eq!(client.estimate(7).expect("estimate"), 2);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.frame_errors, 1);
+    assert_eq!(metrics.requests, 2);
     engine.shutdown().unwrap();
 }
