@@ -100,10 +100,12 @@ fn bench_augment(c: &mut Criterion) {
 /// The φ-heavy-hitter query across shards at the repo benchmark's
 /// `φ = 0.01`, `ε = 0.001`: each shard's summary holds `S = 1000` entries
 /// of a hash-partitioned Zipf(1.2) stream, at 2 and 8 shards.
-/// `candidates` is the engine's query — the global pigeonhole test over
-/// each shard's published candidates, and each survivor summed where hash
-/// routing places it, one lookup in its owner's point index;
-/// `merge_oracle` sums every shard's entries with
+/// `homed` is the engine's query — the global pigeonhole test over each
+/// shard's published candidates, each survivor reported from its owner's
+/// entry, since hash routing places every key on one shard; `candidates`
+/// treats every key as spread, so each survivor is deduplicated and
+/// summed, one lookup in its owner's point index (what a replicated key
+/// costs); `merge_oracle` sums every shard's entries with
 /// `merge_sum` and reports over the sum. `publish_filter` is the
 /// publication-time cost the candidates move off the query: one
 /// `heavy_hitter_candidates` pass per shard.
@@ -144,8 +146,13 @@ fn bench_heavy_hitters_across(c: &mut Criterion) {
             let owner = shard_of(item, shards);
             indexes[owner].value(&entries[owner], item)
         };
+        let lists = || candidates.iter().map(Vec::as_slice);
         group.bench_function(BenchmarkId::new("candidates", shards), |b| {
-            b.iter(|| heavy_hitter_report_across(&candidates, sum, PHI, EPSILON, m))
+            b.iter(|| heavy_hitter_report_across(lists(), |_| None, sum, PHI, EPSILON, m))
+        });
+        let home = |item: u64| Some(shard_of(item, shards));
+        group.bench_function(BenchmarkId::new("homed", shards), |b| {
+            b.iter(|| heavy_hitter_report_across(lists(), home, sum, PHI, EPSILON, m))
         });
         group.bench_function(BenchmarkId::new("merge_oracle", shards), |b| {
             b.iter(|| {

@@ -443,7 +443,7 @@ pub struct EngineHandle {
     queues: Arc<ShardQueues>,
     /// The shards' published state and the router: what every query reads
     /// (see [`QueryPlane`]) and what ingestion routes and accounts into.
-    plane: QueryPlane,
+    pub(crate) plane: QueryPlane,
     /// Recycles routed sub-batch buffers between producers and workers, so
     /// steady-state ingestion allocates nothing (see [`BufferPool`]).
     pub(crate) pool: Arc<BufferPool>,
@@ -823,19 +823,22 @@ impl EngineHandle {
     /// threshold holds at least `1/shards` of it on some shard, so it is on
     /// that snapshot's `hh_candidates` — filtered once at publication
     /// against the shard's own, no higher, threshold — and only the
-    /// candidates that pass the global test are summed
-    /// ([`psfa_freq::heavy_hitter_report_across`]). Each is summed **where
+    /// candidates that pass the global test are read
+    /// ([`psfa_freq::heavy_hitter_report_across`]). Each is read **where
     /// its placement says it can live**, as [`EngineHandle::estimate`]
-    /// does: an `Owner(s)` key from snapshot `s` alone, a `Replicated` key
-    /// over every snapshot. That sum equals the all-shard sum because hash
-    /// routing never promotes, skew-aware promotion is sticky, and the hot
-    /// set is persisted and recovered with each epoch — a key that is an
-    /// owner key now has only ever been routed to its owner; a key
+    /// does: an `Owner(s)` key's entry on snapshot `s` is its sum and is
+    /// reported as it stands, with no lookup (its entries on other
+    /// snapshots, were there any, are ignored); a `Replicated` key is
+    /// summed over every snapshot. That equals the all-shard sum because
+    /// hash routing never promotes, skew-aware promotion is sticky, and the
+    /// hot set is persisted and recovered with each epoch — a key that is
+    /// an owner key now has only ever been routed to its owner; a key
     /// promoted after the snapshots were loaded is summed over all shards.
-    /// Cost: `O(Σ c_s + c)` expected for `Σ c_s` candidate entries and `c`
-    /// survivors, each summed through its snapshots' hashed index (times
-    /// `shards` for a replicated survivor) — the answer is identical to the
-    /// report over the merged summaries.
+    /// Cost: `O(Σ c_s + r log r)` for `Σ c_s` candidate entries and `r`
+    /// reported keys, plus `shards` hashed-index probes per replicated
+    /// survivor; two allocations, and a third only when a replicated key
+    /// survives — the answer is identical to the report over the merged
+    /// summaries.
     ///
     /// Guarantees over the observed prefix of `m` items: every item with
     /// true frequency `≥ φm` is reported (its summed estimate is at least
@@ -1715,10 +1718,15 @@ mod tests {
 
     #[test]
     fn try_ingest_rejects_cleanly_when_full_and_when_closed() {
+        // One shard, capacity 1, and a worker that holds every batch for
+        // `HOLD` before taking it off the channel: the first offer fills
+        // the queue, so the next one is shed whatever the scheduling.
+        const HOLD: std::time::Duration = std::time::Duration::from_millis(400);
         let engine = Engine::spawn(
             EngineConfig::with_shards(1)
                 .queue_capacity(1)
-                .heavy_hitters(0.05, 0.01),
+                .heavy_hitters(0.05, 0.01)
+                .fault_injection(crate::FaultPlan::new().with_worker_delay(0, HOLD)),
         );
         let handle = engine.handle();
         let batch: Vec<u64> = vec![1; 50_000];

@@ -95,15 +95,25 @@ impl QueryPlane {
         self.owner_or_sum(item, |shard| self.shared[shard].count_min.query(item))
     }
 
-    /// Each snapshot's `hh_candidates`, the global test, and each survivor
-    /// summed where its placement says it can live.
+    /// Each snapshot's `hh_candidates` and the global test: a survivor
+    /// placed `Owner(s)` is reported from snapshot `s`'s entry as it
+    /// stands, a `Replicated` one is summed over every snapshot. Two
+    /// allocations — the snapshot list and the answer — plus one when a
+    /// replicated key survives.
     pub(crate) fn heavy_hitters(&self) -> Vec<HeavyHitter> {
         let snapshots = self.snapshots();
         let m: u64 = snapshots.iter().map(|s| s.stream_len).sum();
-        let candidates: Vec<&[(u64, u64)]> =
-            snapshots.iter().map(|s| &s.hh_candidates[..]).collect();
-        let sum = |item| self.owner_or_sum(item, |shard| snapshots[shard].estimate(item));
-        heavy_hitter_report_across(&candidates, sum, self.phi, self.epsilon, m)
+        heavy_hitter_report_across(
+            snapshots.iter().map(|s| &s.hh_candidates[..]),
+            |item| match self.router.placement(item) {
+                Placement::Owner(shard) => Some(shard),
+                Placement::Replicated => None,
+            },
+            |item| snapshots.iter().map(|s| s.estimate(item)).sum(),
+            self.phi,
+            self.epsilon,
+            m,
+        )
     }
 
     /// Every shard's sealed window at the newest boundary all of them have
@@ -353,6 +363,86 @@ mod tests {
             assert!(view.estimate(key) <= 1);
             assert!(view.cm_estimate(key) >= 1);
         }
+    }
+
+    /// The heavy-hitter computation before owner-placed candidates were
+    /// reported from their own entry: every snapshot's candidates that pass
+    /// the global pigeonhole test, sorted and deduplicated, each summed
+    /// where its placement says it can live, then reported.
+    fn summed_report(plane: &QueryPlane) -> Vec<HeavyHitter> {
+        let snapshots = plane.snapshots();
+        let m: u64 = snapshots.iter().map(|s| s.stream_len).sum();
+        let threshold = ((plane.phi - plane.epsilon) * m as f64).max(0.0);
+        let fan_in = snapshots.len() as u64;
+        let mut items: Vec<u64> = snapshots
+            .iter()
+            .flat_map(|s| &s.hh_candidates)
+            .filter(|&&(_, est)| est.saturating_mul(fan_in) as f64 >= threshold)
+            .map(|&(item, _)| item)
+            .collect();
+        items.sort_unstable();
+        items.dedup();
+        let sum = |item| plane.owner_or_sum(item, |shard| snapshots[shard].estimate(item));
+        psfa_freq::heavy_hitter_report(
+            items.into_iter().map(|item| (item, sum(item))),
+            plane.phi,
+            plane.epsilon,
+            m,
+        )
+    }
+
+    /// A key heavy on its owner shard, then promoted and spread over both,
+    /// beside owner-routed heavy keys: the live and the historical report
+    /// equal the summed reference before and after the promotion.
+    #[test]
+    fn heavy_hitters_equal_the_summed_report_across_a_promotion() {
+        let hot = 1000u64;
+        let (engine, dir) = spawn("promoted-mid-stream", 0.05, 0.01);
+        let handle = engine.handle();
+        // Per 1,000 items: the hot key 80 times, keys 1..=5 60 times each,
+        // and 620 keys seen once — below the router's own promotion share.
+        let mut fresh = 1_000_000u64;
+        let mut batch = || -> Vec<u64> {
+            let mut items = vec![hot; 80];
+            for key in 1..=5u64 {
+                items.extend(std::iter::repeat_n(key, 60));
+            }
+            items.extend(fresh..fresh + 620);
+            fresh += 620;
+            items
+        };
+        for _ in 0..20 {
+            handle.ingest(&batch()).unwrap();
+        }
+        engine.drain().unwrap();
+        assert!(matches!(handle.placement(hot), Placement::Owner(_)));
+        assert_eq!(handle.heavy_hitters(), summed_report(&handle.plane));
+
+        handle.router().promote(&[hot]);
+        for _ in 0..20 {
+            handle.ingest(&batch()).unwrap();
+        }
+        engine.drain().unwrap();
+        assert_eq!(handle.placement(hot), Placement::Replicated);
+        let snapshots = handle.plane.snapshots();
+        assert!(
+            snapshots.iter().all(|s| s.estimate(hot) > 0),
+            "the promoted key has mass on both shards"
+        );
+        let live = handle.heavy_hitters();
+        assert_eq!(live, summed_report(&handle.plane));
+        assert_eq!(live[0].item, hot);
+        let owned = live
+            .iter()
+            .filter(|h| matches!(handle.placement(h.item), Placement::Owner(_)))
+            .count();
+        assert!(owned >= 1, "owner-routed keys are reported too: {live:?}");
+
+        let view = handle.view_at(handle.snapshot_now().unwrap()).unwrap();
+        assert_eq!(view.heavy_hitters(), summed_report(&view.plane));
+        assert_eq!(view.heavy_hitters(), live);
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

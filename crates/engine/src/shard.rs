@@ -219,6 +219,9 @@ pub struct ShardSnapshot {
     /// publication). The cross-shard query's threshold over `m ≥ m_s`
     /// items is no lower, so every key it reports holds at least
     /// `1/shards` of its sum on some shard and is on that shard's list.
+    /// An entry for a key placed `Owner(shard)` is that key's whole sum,
+    /// so the query reports it from this list in `O(1)`, with no lookup;
+    /// only a replicated key is summed, through every snapshot's index.
     pub hh_candidates: Vec<(u64, u64)>,
     /// This shard's sealed views of the global sliding window at the most
     /// recent boundaries it has processed, oldest first (empty when the

@@ -41,8 +41,13 @@ pub fn heavy_hitter_report(
         .filter(|&(_, est)| est as f64 >= threshold)
         .map(|(item, estimate)| HeavyHitter { item, estimate })
         .collect();
-    out.sort_unstable_by(|a, b| b.estimate.cmp(&a.estimate).then(a.item.cmp(&b.item)));
+    sort_report(&mut out);
     out
+}
+
+/// Most frequent first, ties by item.
+fn sort_report(report: &mut [HeavyHitter]) {
+    report.sort_unstable_by(|a, b| b.estimate.cmp(&a.estimate).then(a.item.cmp(&b.item)));
 }
 
 /// The report threshold `(φ − ε)·n`, floored at zero.
@@ -89,38 +94,66 @@ pub fn heavy_hitter_candidates(
 /// [`heavy_hitter_report`] over the key-wise sums of several summaries —
 /// `n` items in all — without merging them: identical to
 /// `heavy_hitter_report` over the [`crate::merge_sum`] of every summary,
-/// given one candidate list per summary (its entries, or any subsequence
-/// of them that holds what [`heavy_hitter_candidates`] keeps for it) and a
-/// `sum` that returns a key's summed estimate.
+/// given one candidate list per summary, in summary order (its entries, or
+/// any subsequence of them that holds what [`heavy_hitter_candidates`]
+/// keeps for it), a `home` that places each key, and a `sum` that returns
+/// the summed estimate of a key `home` does not place.
+///
+/// `home(item) == Some(s)` says every occurrence of `item` is on summary
+/// `s`, so its entry there *is* its sum and no other summary holds one;
+/// `None` says its occurrences may be spread. `home` must give a key the
+/// same answer for the whole call.
 ///
 /// A key whose sum reaches the threshold `(φ − ε)·n` holds at least
-/// `1/fan_in` of it on some summary, `fan_in = candidates.len()`, so only
-/// candidates with `estimate · fan_in` at the threshold can be reported.
-/// Those are sorted, deduplicated and summed once each: `O(Σ c_s + c·k)`
-/// for `Σ c_s` candidate entries, `c` survivors and a `k`-step `sum`.
-pub fn heavy_hitter_report_across<E: AsRef<[(u64, u64)]>>(
-    candidates: &[E],
+/// `1/fan_in` of it on some summary, `fan_in` = the number of lists, so
+/// only candidates with `estimate · fan_in` at the threshold can be
+/// reported. A homed one is reported from its home's entry with no lookup;
+/// only spread ones are collected, deduplicated and summed once each.
+/// Cost: `O(Σ c_s + r log r + c'·k)` for `Σ c_s` candidate entries, `r`
+/// reported keys and `c'` spread survivors under a `k`-step `sum`. The
+/// answer is allocated once, and a scratch list only when a spread
+/// survivor exists.
+pub fn heavy_hitter_report_across<'a>(
+    candidates: impl IntoIterator<Item = &'a [(u64, u64)], IntoIter: ExactSizeIterator + Clone>,
+    mut home: impl FnMut(u64) -> Option<usize>,
     mut sum: impl FnMut(u64) -> u64,
     phi: f64,
     epsilon: f64,
     n: u64,
 ) -> Vec<HeavyHitter> {
     let threshold = report_threshold(phi, epsilon, n);
-    let fan_in = candidates.len() as u64;
-    let mut items: Vec<u64> = candidates
-        .iter()
-        .flat_map(|entries| entries.as_ref())
-        .filter(|&&(_, est)| may_reach(est, fan_in, threshold))
-        .map(|&(item, _)| item)
-        .collect();
-    items.sort_unstable();
-    items.dedup();
-    heavy_hitter_report(
-        items.into_iter().map(|item| (item, sum(item))),
-        phi,
-        epsilon,
-        n,
-    )
+    let lists = candidates.into_iter();
+    let fan_in = lists.len() as u64;
+    // Every reported key has a candidate entry, so this never grows.
+    let mut out = Vec::with_capacity(lists.clone().map(<[_]>::len).sum());
+    let mut spread = Vec::new();
+    for (summary, entries) in lists.enumerate() {
+        for &(item, estimate) in entries {
+            if !may_reach(estimate, fan_in, threshold) {
+                continue;
+            }
+            match home(item) {
+                Some(at) if at == summary && estimate as f64 >= threshold => {
+                    out.push(HeavyHitter { item, estimate });
+                }
+                Some(_) => {}
+                None => spread.push(item),
+            }
+        }
+    }
+    spread.sort_unstable();
+    spread.dedup();
+    out.extend(
+        spread
+            .into_iter()
+            .map(|item| HeavyHitter {
+                item,
+                estimate: sum(item),
+            })
+            .filter(|hit| hit.estimate as f64 >= threshold),
+    );
+    sort_report(&mut out);
+    out
 }
 
 /// Continuous φ-heavy-hitter tracking over an infinite window.
@@ -327,23 +360,36 @@ mod tests {
         /// The merge-free cross-shard report equals the report over the
         /// merged entries when each shard's candidates are filtered at its
         /// own stream length: 1–8 shards of item-sorted entries over a
-        /// small key space (so keys repeat across shards), empty shards,
-        /// `n = 0`, uneven `n_s` (some zero), and thresholds that land
-        /// exactly on a merged sum — `(φ − ε)·n` — or on `fan_in` times
-        /// one shard's entry — `(φ − ε)·n / fan_in`.
+        /// small key space, where a homed key has entries on its home
+        /// shard only and a spread key may repeat across shards, empty
+        /// shards, `n = 0`, uneven `n_s` (some zero), and thresholds that
+        /// land exactly on a merged sum — `(φ − ε)·n` — or on `fan_in`
+        /// times one shard's entry — `(φ − ε)·n / fan_in`.
         #[test]
         fn report_across_shards_equals_the_merged_report(
             raw in proptest::prop::collection::vec(
                 (proptest::prop::collection::vec((0u64..40, 0u64..50), 0..30), 0u64..4),
                 1..9,
             ),
+            homes in proptest::prop::collection::vec(0usize..16, 40..41),
             phi_pick in 0usize..96,
             n_pick in 0u64..4,
         ) {
+            let fan_in = raw.len() as u64;
+            // Key `k`'s home shard, or `None` (about half the keys) when
+            // it is spread.
+            let home = |item: u64| {
+                Some(homes[item as usize]).filter(|&h| h < 8).map(|h| h % raw.len())
+            };
             let shards: Vec<Vec<(u64, u64)>> = raw
                 .iter()
-                .map(|(entries, _)| {
-                    let mut sorted: Vec<(u64, u64)> = entries.clone();
+                .enumerate()
+                .map(|(shard, (entries, _))| {
+                    let mut sorted: Vec<(u64, u64)> = entries
+                        .iter()
+                        .copied()
+                        .filter(|&(item, _)| home(item).is_none_or(|h| h == shard))
+                        .collect();
                     sorted.sort_unstable_by_key(|&(item, _)| item);
                     sorted.dedup_by_key(|&mut (item, _)| item);
                     sorted
@@ -364,7 +410,6 @@ mod tests {
             n_s[0] += n - n_s.iter().sum::<u64>();
             // With ε = 0 and φ = t / n the threshold is `t` exactly: a
             // merged sum, or fan_in times one shard's entry.
-            let fan_in = shards.len() as u64;
             let sums: Vec<u64> = merged.iter().map(|&(_, est)| est).collect();
             let parts: Vec<u64> = shards.iter().flatten().map(|&(_, est)| est * fan_in).collect();
             let exact = match phi_pick {
@@ -395,8 +440,20 @@ mod tests {
                     })
                     .sum()
             };
+            // A homed key is never summed: its home's entry is its sum.
+            let sum = |item: u64| -> u64 {
+                assert!(home(item).is_none(), "homed key {item} summed");
+                sum(item)
+            };
             proptest::prop_assert_eq!(
-                heavy_hitter_report_across(&candidates, sum, phi, epsilon, n),
+                heavy_hitter_report_across(
+                    candidates.iter().map(Vec::as_slice),
+                    home,
+                    sum,
+                    phi,
+                    epsilon,
+                    n
+                ),
                 heavy_hitter_report(merged.iter().copied(), phi, epsilon, n)
             );
         }

@@ -25,7 +25,9 @@
 //! under skew-aware routing), `cm_estimate` and `total_items` — what a
 //! dashboard or the benchmark's freshness probe polls in a loop — perform
 //! **zero** heap allocations: each snapshot is read in place, never
-//! collected.
+//! collected. `heavy_hitters` on the same engine makes two allocations —
+//! the list of loaded snapshots and the answer — and one more only when a
+//! replicated key survives the global test, for the keys it sums.
 //!
 //! The counting `#[global_allocator]` below is process-wide, but it counts
 //! only on a thread that raised its own `AUDITED`, into that thread's own
@@ -192,29 +194,55 @@ fn client_ingest_allocates_nothing_at_steady_state() {
     engine.shutdown().unwrap();
 }
 
-#[test]
-fn point_queries_allocate_nothing_on_a_warm_engine() {
-    let engine = Engine::spawn(
-        EngineConfig::with_shards(2)
-            .heavy_hitters(0.01, 0.001)
-            .skew_aware_routing(),
-    );
-    let handle = engine.handle();
-    let mut generator = ZipfGenerator::new(100_000, 1.2, 63);
-    let mut ingest = |batches: usize| {
+/// A drained 2-shard engine over Zipf(1.2) traffic.
+struct WarmEngine {
+    engine: Engine,
+    handle: EngineHandle,
+    generator: ZipfGenerator,
+}
+
+impl WarmEngine {
+    /// Eight drained 8,192-item batches in, routed under `routing`.
+    fn new(routing: RoutingPolicy) -> Self {
+        let engine = Engine::spawn(
+            EngineConfig::with_shards(2)
+                .heavy_hitters(0.01, 0.001)
+                .routing(routing),
+        );
+        let handle = engine.handle();
+        let mut warm = Self {
+            engine,
+            handle,
+            generator: ZipfGenerator::new(100_000, 1.2, 63),
+        };
+        warm.ingest(8);
+        warm
+    }
+
+    fn ingest(&mut self, batches: usize) {
         for _ in 0..batches {
-            handle
-                .ingest(&generator.next_minibatch(8_192))
+            self.handle
+                .ingest(&self.generator.next_minibatch(8_192))
                 .expect("ingest");
         }
-        engine.drain().expect("drain");
-    };
-    ingest(8);
-    // The heaviest key is promoted, then ingested on both shards.
-    let hot = handle.heavy_hitters()[0].item;
-    handle.router().promote(&[hot]);
-    ingest(8);
-    assert!(matches!(handle.placement(hot), Placement::Replicated));
+        self.engine.drain().expect("drain");
+    }
+
+    /// Promotes the heaviest key, then ingests it on both shards.
+    fn promote_heaviest(&mut self) -> u64 {
+        let hot = self.handle.heavy_hitters()[0].item;
+        self.handle.router().promote(&[hot]);
+        self.ingest(8);
+        assert!(matches!(self.handle.placement(hot), Placement::Replicated));
+        hot
+    }
+}
+
+#[test]
+fn point_queries_allocate_nothing_on_a_warm_engine() {
+    let mut warm = WarmEngine::new(RoutingPolicy::SkewAware);
+    let hot = warm.promote_heaviest();
+    let handle = &warm.handle;
     let owned = (0..u64::MAX)
         .find(|&key| key != hot && handle.estimate(key) > 0)
         .expect("a tracked owner-routed key");
@@ -240,5 +268,41 @@ fn point_queries_allocate_nothing_on_a_warm_engine() {
             "{name} must not allocate on a warm engine"
         );
     }
-    engine.shutdown().unwrap();
+    warm.engine.shutdown().unwrap();
+}
+
+/// The most allocations any of 64 warm `heavy_hitters` calls makes.
+fn heavy_hitters_allocations(handle: &EngineHandle) -> u64 {
+    handle.heavy_hitters();
+    (0..64)
+        .map(|_| allocations_in(|| handle.heavy_hitters()))
+        .max()
+        .unwrap()
+}
+
+#[test]
+fn heavy_hitters_allocate_the_snapshot_list_and_the_answer() {
+    // Hash routing replicates no key, so every survivor is owner-placed.
+    let hashed = WarmEngine::new(RoutingPolicy::Hash);
+    assert!(hashed.handle.heavy_hitters().len() > 1);
+    let owner_only = heavy_hitters_allocations(&hashed.handle);
+    assert!(
+        owner_only <= 2,
+        "{owner_only} allocations per call with no replicated key"
+    );
+    hashed.engine.shutdown().unwrap();
+
+    let mut skewed = WarmEngine::new(RoutingPolicy::SkewAware);
+    let hot = skewed.promote_heaviest();
+    assert!(skewed
+        .handle
+        .heavy_hitters()
+        .iter()
+        .any(|hit| hit.item == hot));
+    let with_replicated = heavy_hitters_allocations(&skewed.handle);
+    assert!(
+        with_replicated <= 3,
+        "{with_replicated} allocations per call with a replicated key"
+    );
+    skewed.engine.shutdown().unwrap();
 }
