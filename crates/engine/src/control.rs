@@ -77,11 +77,10 @@ impl ShardQueues {
                 recovered.map(|r| &r.shards[shard]),
                 obs.clone(),
             );
-            let (config, shared) = (config.clone(), shard_shared.clone());
-            let (pool, obs) = (pool.clone(), obs.clone());
+            let config = config.clone();
             let join = std::thread::Builder::new()
                 .name(format!("psfa-shard-{shard}"))
-                .spawn(move || supervise(shard, &config, shared, pool, obs, worker, rx))
+                .spawn(move || supervise(&config, worker, rx))
                 .expect("failed to spawn shard worker thread");
             senders.push(tx);
             workers.push(join);
@@ -166,16 +165,6 @@ impl ShardQueues {
         if due {
             self.seal_due_boundaries();
         }
-    }
-
-    /// Advances the window clock by `items` without ingesting anything and
-    /// seals what becomes due; `false` without a window or once stopping.
-    pub(crate) fn advance_window_clock(&self, items: u64) -> bool {
-        let Some(guard) = self.enter().filter(|_| self.window.is_some()) else {
-            return false;
-        };
-        self.release(guard, items);
-        true
     }
 
     /// Cuts every window boundary the clock has crossed (two atomic loads
@@ -315,16 +304,17 @@ impl ShardQueues {
     }
 }
 
-/// The shard worker supervisor: runs the worker under `catch_unwind` and
-/// restarts it from the shard's last published snapshot after a panic.
+/// The shard worker supervisor: runs the worker under `catch_unwind` and,
+/// after a panic, reseeds the same worker in place from the shard's last
+/// published snapshot ([`ShardWorker::reseed`]) and resumes it.
 ///
 /// The supervisor — not the worker — owns the command `Receiver` and its
 /// one-slot lookahead (the command that ended the worker's last folded
 /// minibatch), so a panic never disconnects the channel: producers keep
 /// their backpressure semantics (`Busy`, blocking sends) instead of seeing
 /// `Closed`, queued and held commands — minibatches and cuts alike —
-/// survive the restart, and the reborn worker resumes the same queue. The
-/// shard's health is published through [`crate::ShardHealth`] in the
+/// survive the restart, and the reseeded worker resumes the same queue.
+/// The shard's health is published through [`crate::ShardHealth`] in the
 /// shared stats: `Quarantined` while down
 /// ([`crate::EngineHandle::degradation`] names the shard meanwhile), back
 /// to `Live` after the reseed, and `Dead` once the restart budget
@@ -332,15 +322,10 @@ impl ShardQueues {
 /// the original panic is resumed so [`crate::Engine::shutdown`] reports the
 /// shard in a typed [`ShutdownError`] instead of aborting.
 pub(crate) fn supervise(
-    shard: usize,
     config: &EngineConfig,
-    shared: Arc<ShardShared>,
-    pool: Arc<BufferPool>,
-    obs: Option<Arc<EngineObs>>,
-    first: ShardWorker,
+    mut worker: ShardWorker,
     queue: Receiver<ShardCommand>,
 ) -> ShardState {
-    let mut worker = first;
     let mut held = None;
     loop {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -350,18 +335,18 @@ pub(crate) fn supervise(
             Ok(fin) => return fin,
             Err(payload) => payload,
         };
+        let (shard, shared, obs) = (worker.shard, worker.shared.clone(), worker.obs.clone());
         shared.stats.set_health(ShardHealth::Quarantined);
         let restarts = shared.stats.restarts.load(Ordering::Relaxed);
         let published_epoch = shared.snapshot.get().epoch;
-        if let Some(obs) = &obs {
-            obs.trace.push(
-                obs.now_ns(),
-                TraceKind::ShardQuarantined,
-                shard as u32,
-                restarts,
-                published_epoch,
-            );
-        }
+        let trace = |kind, restarts| {
+            if let Some(obs) = &obs {
+                let at = obs.now_ns();
+                obs.trace
+                    .push(at, kind, shard as u32, restarts, published_epoch);
+            }
+        };
+        trace(TraceKind::ShardQuarantined, restarts);
         if restarts >= config.worker_restart_limit {
             shared.stats.set_health(ShardHealth::Dead);
             // Joining this thread now observes the original panic; the
@@ -373,17 +358,9 @@ pub(crate) fn supervise(
         if let Some(delay) = config.fault.as_ref().and_then(|f| f.restart_delay()) {
             std::thread::sleep(delay);
         }
-        worker = ShardWorker::reseed(shard, config, shared.clone(), pool.clone(), obs.clone());
+        worker.reseed();
         shared.stats.restarts.fetch_add(1, Ordering::Relaxed);
         shared.stats.set_health(ShardHealth::Live);
-        if let Some(obs) = &obs {
-            obs.trace.push(
-                obs.now_ns(),
-                TraceKind::WorkerRestart,
-                shard as u32,
-                restarts + 1,
-                published_epoch,
-            );
-        }
+        trace(TraceKind::WorkerRestart, restarts + 1);
     }
 }

@@ -627,16 +627,6 @@ impl EngineHandle {
         }
     }
 
-    /// Advances the global window's logical clock by `items` positions
-    /// *without* ingesting anything, cutting any boundary that becomes
-    /// due. This is the caller-supplied-timestamp hook: an external clock
-    /// (wall time, an upstream sequencer) can force panes to close during
-    /// quiet periods so `sliding_*` answers keep sliding forward. Returns
-    /// `false` when no window is configured or the engine is shut down.
-    pub fn advance_window_clock(&self, items: u64) -> bool {
-        self.queues.advance_window_clock(items)
-    }
-
     /// Blocks until every minibatch accepted before this call is
     /// processed: a barrier cut, acknowledged by each worker when it
     /// dequeues its marker — by FIFO order, after everything accepted
@@ -1197,28 +1187,6 @@ mod tests {
             assert_eq!(handle.sliding_estimate(item), window.estimate(item));
         }
         engine.shutdown().unwrap();
-    }
-
-    #[test]
-    fn window_clock_can_be_advanced_without_traffic() {
-        let engine = Engine::spawn(config().sliding_window(8_000).window_panes(4));
-        let handle = engine.handle();
-        handle.ingest(&vec![9u64; 1_000]).unwrap();
-        engine.drain().unwrap();
-        assert!(handle.global_window().is_none());
-        // An external clock pushes the window forward during a quiet spell:
-        // the open pane (the 1000 items) seals at the forced boundary.
-        assert!(handle.advance_window_clock(1_000));
-        engine.drain().unwrap();
-        assert_eq!(handle.sliding_estimate(9), 1_000);
-        // Three more boundaries slide the pane out of the 4-pane window.
-        for _ in 0..4 {
-            assert!(handle.advance_window_clock(2_000));
-        }
-        engine.drain().unwrap();
-        assert_eq!(handle.sliding_estimate(9), 0);
-        engine.shutdown().unwrap();
-        assert!(!handle.advance_window_clock(1), "closed engine refuses");
     }
 
     #[test]

@@ -123,6 +123,7 @@
 mod config;
 mod control;
 mod engine;
+mod kernel;
 mod metrics;
 mod obs;
 mod persist;
@@ -135,6 +136,7 @@ pub use config::EngineConfig;
 pub use engine::{
     Degraded, Engine, EngineHandle, EngineReport, IngestError, ShutdownError, TryIngestError,
 };
+pub use kernel::MinibatchKernel;
 pub use metrics::{EngineMetrics, ShardHealth, ShardMetrics, StoreMetrics, WindowMetrics};
 pub use producer::Producer;
 pub use query::EpochView;

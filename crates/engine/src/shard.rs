@@ -1,10 +1,9 @@
 //! Shard workers: the ingestion side of the engine.
 //!
 //! Each shard owns its operator set outright — there is no locking on the
-//! heavy-hitter or sliding-window update path, and since PR 5 none on the
-//! rest of the per-batch path either. The hot path is **lock-free but for
-//! one buffer give-back per minibatch and, at steady state,
-//! allocation-free**:
+//! heavy-hitter, sliding-window or Count-Min update path, nor anywhere else
+//! on the per-batch path. The hot path is **lock-free but for one buffer
+//! give-back per minibatch and, at steady state, allocation-free**:
 //!
 //! * **a minibatch is as deep as the queue**: the worker takes one routed
 //!   sub-batch and folds behind it every sub-batch already waiting on its
@@ -17,11 +16,11 @@
 //!   happens while the input compresses — the last histogram had at most
 //!   half as many rows as items — so all-distinct traffic runs one
 //!   sub-batch per minibatch exactly as before;
-//! * the per-minibatch histogram is one probe-and-add pass over the items
-//!   of every folded sub-batch through a reused index table
-//!   ([`psfa_primitives::build_hist_runs`]: one key mix, one probe, one
-//!   add per item) and is shared by the heavy-hitter tracker, the open
-//!   window pane, and the Count-Min sketch — zero allocations;
+//! * every minibatch goes through the shard's [`MinibatchKernel`]: one
+//!   probe-and-add histogram pass over every folded sub-batch
+//!   ([`psfa_primitives::build_hist_runs`]: one key mix, one probe, one add
+//!   per item), shared by the heavy-hitter tracker, the open window pane,
+//!   and the Count-Min sketch — zero allocations;
 //! * the Count-Min sketch is a [`psfa_sketch::AtomicCountMin`]: the worker
 //!   — its only writer — adds a histogram through one kernel compiled for
 //!   the sketch's depth (per distinct key, `d` independent two-multiply
@@ -88,10 +87,9 @@
 //!   `batches_processed`, `batches_dequeued`, `minibatches_processed`,
 //!   enqueue counters) are **relaxed** `fetch_add`s —
 //!   they are monotone progress hints read with `Acquire` by metrics, and
-//!   need no stronger ordering of their own (the previous `AcqRel` bought
-//!   nothing: an RMW's ordering cannot make *other* data visible earlier,
-//!   and the publication `Release` already fences everything a reader can
-//!   act on);
+//!   need no stronger ordering of their own (an RMW's ordering cannot make
+//!   *other* data visible earlier, and the publication `Release` already
+//!   fences everything a reader can act on);
 //! * `refresh` is an `AcqRel` swap and advisory — a missed request is
 //!   re-raised by the next stale read, a premature one costs one extra
 //!   publication. `live_epoch` is a `Release` store that queries read
@@ -123,15 +121,14 @@ use std::sync::Arc;
 
 use psfa_freq::{heavy_hitter_candidates, InfiniteHeavyHitters, PaneWindow, SealedWindow};
 use psfa_obs::TraceKind;
-use psfa_primitives::{
-    build_hist_runs, ArcCell, FaultPlan, HistScratch, HistogramEntry, KeyMixBuildHasher, WorkMeter,
-};
+use psfa_primitives::{ArcCell, FaultPlan, KeyMixBuildHasher, WorkMeter};
 use psfa_sketch::AtomicCountMin;
 use psfa_store::ShardState;
 use psfa_stream::BufferPool;
 use psfa_window::PaneRing;
 
 use crate::config::EngineConfig;
+use crate::kernel::MinibatchKernel;
 use crate::metrics::ShardStats;
 use crate::obs::{EngineObs, PublishReason};
 use crate::point_index::PointIndex;
@@ -428,13 +425,13 @@ impl ShardShared {
 
 /// The worker loop: owned operators plus the shared query surface.
 pub(crate) struct ShardWorker {
-    shard: usize,
+    pub(crate) shard: usize,
     epoch: u64,
     items: u64,
     heavy_hitters: InfiniteHeavyHitters,
     /// What each published snapshot's `hh_candidates` are filtered for and
-    /// its [`PointIndex`] keyed by; the key is drawn once per worker (fresh
-    /// and reseeded alike).
+    /// its [`PointIndex`] keyed by; the key is drawn once per worker and
+    /// kept across a reseed.
     derivation: Derivation,
     /// Pane state of the global sliding window, when configured.
     window: Option<PaneWindow>,
@@ -444,14 +441,9 @@ pub(crate) struct ShardWorker {
     /// The window's sealed panes as of the last boundary, shared by every
     /// snapshot published until the next one ([`ShardSnapshot::panes`]).
     sealed_panes: Option<Arc<SealedPanes>>,
-    /// Seed for the per-minibatch histogram shared between the
-    /// heavy-hitter tracker, the open window pane, and the Count-Min
-    /// sketch.
-    hist_seed: u64,
-    /// Reusable histogram scratch + output: the per-minibatch histogram
-    /// pass allocates nothing after warm-up.
-    hist_scratch: HistScratch,
-    hist: Vec<HistogramEntry>,
+    /// The per-minibatch body: one histogram shared by the heavy-hitter
+    /// tracker, the open window pane and the Count-Min sketch.
+    kernel: MinibatchKernel,
     /// The sub-batches folded into the minibatch being applied (empty
     /// between minibatches; the outer `Vec` keeps its capacity).
     group: Vec<Vec<u64>>,
@@ -461,9 +453,9 @@ pub(crate) struct ShardWorker {
     compresses: bool,
     /// Buffer recycling back to the producers (see [`BufferPool`]).
     pool: Arc<BufferPool>,
-    shared: Arc<ShardShared>,
+    pub(crate) shared: Arc<ShardShared>,
     /// Observability recorders, when enabled (see the `obs` module).
-    obs: Option<Arc<EngineObs>>,
+    pub(crate) obs: Option<Arc<EngineObs>>,
     /// Fault-injection plan, when enabled (see `psfa_primitives::fault`).
     /// One `Option` branch per batch when unset.
     fault: Option<Arc<FaultPlan>>,
@@ -478,7 +470,9 @@ impl ShardWorker {
     /// Builds a worker, either fresh from the config or resuming from a
     /// recovered [`ShardState`] (whose Count-Min sketch lives in
     /// [`ShardShared`], not here). `shared` is what [`ShardShared::new`]
-    /// built from the same `recovered`, not yet published into.
+    /// built from the same `recovered`, not yet published into: the worker
+    /// takes its epoch, stream length, sealed window history and pane ring
+    /// from that first snapshot.
     pub(crate) fn new(
         shard: usize,
         config: &EngineConfig,
@@ -496,12 +490,35 @@ impl ShardWorker {
             ),
             Some(state) => (state.heavy_hitters.clone(), state.window.clone()),
         };
-        Self::resume_published(shard, config, shared, pool, obs, heavy_hitters, window)
+        let snapshot = shared.snapshot.get();
+        Self {
+            shard,
+            epoch: snapshot.epoch,
+            items: snapshot.stream_len,
+            // The tracker charges its summary-update work to the shard's
+            // shared meter (decode and reseed drop meters, so every
+            // tracker is attached by the worker).
+            heavy_hitters: heavy_hitters.with_meter(shared.work.clone()),
+            derivation: Derivation::of(config),
+            window,
+            window_history: snapshot.windows.iter().cloned().collect(),
+            sealed_panes: snapshot.panes.clone(),
+            kernel: MinibatchKernel::new(shard),
+            group: Vec::new(),
+            compresses: false,
+            pool,
+            shared,
+            obs,
+            fault: config.fault.clone(),
+            last_publish_ns: 0,
+            last_publish_epoch: snapshot.epoch,
+        }
     }
 
-    /// Rebuilds a worker from the shard's last *published* snapshot — the
-    /// supervisor's reseed path after a worker panic. What survives and
-    /// what is lost is precise:
+    /// The supervisor's restart path: rebuilds, in place, everything a
+    /// panic out of [`ShardWorker::resume`] can leave half-written (the
+    /// operators, the kernel, the folded group, the publication
+    /// bookkeeping) from the shard's last *published* snapshot. Precisely:
     ///
     /// * **Survives**: everything up to the snapshot's epoch — the MG
     ///   entries (rebuilt one-sided via
@@ -523,92 +540,48 @@ impl ShardWorker {
     /// one-sided *over*estimate is unaffected; `live_epoch` rolls back to
     /// the snapshot's epoch so the lazy-publication protocol resumes
     /// consistently.
-    pub(crate) fn reseed(
-        shard: usize,
-        config: &EngineConfig,
-        shared: Arc<ShardShared>,
-        pool: Arc<BufferPool>,
-        obs: Option<Arc<EngineObs>>,
-    ) -> Self {
-        let snapshot = shared.snapshot.get();
-        let heavy_hitters = InfiniteHeavyHitters::from_entries(
-            config.phi,
-            config.epsilon,
+    pub(crate) fn reseed(&mut self) {
+        let snapshot = self.shared.snapshot.get();
+        let Derivation { phi, epsilon, .. } = self.derivation;
+        self.heavy_hitters = InfiniteHeavyHitters::from_entries(
+            phi,
+            epsilon,
             &snapshot.hh_entries,
             snapshot.stream_len,
-        );
-        // No published ring means no boundary was sealed yet.
-        let window = config.window.map(|_| {
+        )
+        .with_meter(self.shared.work.clone());
+        if let Some(window) = &mut self.window {
+            // No published ring means no boundary was sealed yet.
             let ring = snapshot
                 .panes
                 .as_deref()
                 .cloned()
-                .unwrap_or_else(|| PaneRing::new(config.window_panes));
-            PaneWindow::resume(config.epsilon, ring)
-        });
-        // Roll the progress counter back to the snapshot: post-snapshot
-        // batches are the documented restart loss, and leaving the old
-        // value would make queries wait for a refresh that counts epochs
-        // the reborn worker never saw.
-        shared.live_epoch.store(snapshot.epoch, Ordering::Relaxed);
-        Self::resume_published(shard, config, shared, pool, obs, heavy_hitters, window)
-    }
-
-    /// The one field initialiser. A worker resumes from its shard's
-    /// published snapshot — epoch, stream length, sealed window history and
-    /// pane ring — with the tracker and window the caller passes: `new`
-    /// the fresh or recovered ones (the shard's first snapshot was built
-    /// from the same state), `reseed` those rebuilt from the snapshot.
-    fn resume_published(
-        shard: usize,
-        config: &EngineConfig,
-        shared: Arc<ShardShared>,
-        pool: Arc<BufferPool>,
-        obs: Option<Arc<EngineObs>>,
-        heavy_hitters: InfiniteHeavyHitters,
-        window: Option<PaneWindow>,
-    ) -> Self {
-        let snapshot = shared.snapshot.get();
-        Self {
-            shard,
-            epoch: snapshot.epoch,
-            items: snapshot.stream_len,
-            // The tracker charges its summary-update work to the shard's
-            // shared meter (decode and reseed drop meters, so every
-            // tracker is attached here).
-            heavy_hitters: heavy_hitters.with_meter(shared.work.clone()),
-            derivation: Derivation::of(config),
-            window,
-            window_history: snapshot.windows.iter().cloned().collect(),
-            sealed_panes: snapshot.panes.clone(),
-            hist_seed: 0x5eed_0000 ^ shard as u64,
-            hist_scratch: HistScratch::new(),
-            hist: Vec::new(),
-            group: Vec::new(),
-            compresses: false,
-            pool,
-            shared,
-            obs,
-            fault: config.fault.clone(),
-            last_publish_ns: 0,
-            last_publish_epoch: snapshot.epoch,
+                .unwrap_or_else(|| PaneRing::new(window.panes()));
+            *window = PaneWindow::resume(epsilon, ring);
         }
-    }
-
-    /// [`ShardWorker::resume`] with a lookahead slot of its own.
-    #[cfg(test)]
-    pub(crate) fn run(self, queue: &Receiver<ShardCommand>) -> ShardState {
-        self.resume(queue, &mut None)
+        self.kernel = MinibatchKernel::new(self.shard);
+        self.group.clear();
+        self.compresses = false;
+        self.epoch = snapshot.epoch;
+        self.items = snapshot.stream_len;
+        self.window_history = snapshot.windows.iter().cloned().collect();
+        self.sealed_panes = snapshot.panes.clone();
+        self.last_publish_epoch = snapshot.epoch;
+        // Post-snapshot batches are the documented restart loss: queries
+        // must not wait for a refresh that counts them.
+        self.shared
+            .live_epoch
+            .store(snapshot.epoch, Ordering::Relaxed);
     }
 
     /// Runs until [`ShardCommand::Shutdown`] (or every sender is dropped)
     /// and returns the final operator state. `held` is the one-slot
     /// lookahead of the queue: the command that ended the last folded
     /// minibatch, served before anything still on the queue. Both belong to
-    /// the caller, so a supervisor keeps them across a panic and hands them
-    /// to a reseeded worker.
+    /// the caller, so a supervisor keeps them across a panic and resumes
+    /// the same worker on them once [`ShardWorker::reseed`] has rebuilt it.
     pub(crate) fn resume(
-        mut self,
+        &mut self,
         queue: &Receiver<ShardCommand>,
         held: &mut Option<ShardCommand>,
     ) -> ShardState {
@@ -793,33 +766,22 @@ impl ShardWorker {
         );
     }
 
-    /// Applies the folded group as one minibatch and hands its buffers
-    /// back to the producers.
+    /// Applies the folded group as one minibatch through the kernel; around
+    /// it, the progress counters, the publication decision, the buffer
+    /// give-back and the telemetry.
     fn apply_group(&mut self) {
         // Telemetry stays relaxed and off the common path: with
         // observability disabled this reads no clock at all; enabled, it
         // costs two clock reads and one relaxed RMW per *minibatch*.
         let service_start = self.obs.as_ref().map(|obs| obs.now_ns());
-        self.hist_seed = self
-            .hist_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1);
-        build_hist_runs(
+        let (len, rows) = self.kernel.apply(
             &self.group,
-            self.hist_seed,
-            &mut self.hist_scratch,
-            &mut self.hist,
+            &mut self.heavy_hitters,
+            self.window.as_mut(),
+            &self.shared.count_min,
         );
-        #[cfg(test)]
-        tests::panic_if_due_in_apply();
+        self.compresses = 2 * rows as u64 <= len;
         let batches = self.group.len() as u64;
-        let len: u64 = self.group.iter().map(|batch| batch.len() as u64).sum();
-        self.compresses = 2 * self.hist.len() as u64 <= len;
-        self.heavy_hitters.process_histogram(&self.hist, len);
-        if let Some(window) = &mut self.window {
-            window.process_histogram(&self.hist, len);
-        }
-        self.shared.count_min.ingest_histogram(&self.hist);
         self.epoch += batches;
         self.items += len;
         // Progress counters (see the module-level ordering contract),
@@ -888,21 +850,21 @@ impl ShardWorker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::Cell;
     use std::sync::mpsc::sync_channel;
 
     thread_local! {
         /// Minibatches this thread may still apply before the next one
-        /// panics halfway through `apply_group`, after its histogram is
-        /// built (`0`: none panics).
+        /// panics halfway through the kernel's `apply`, after its histogram
+        /// is built (`0`: none panics).
         static APPLY_PANIC_COUNTDOWN: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// The apply-time fault hook: fires once, on the minibatch the test
-    /// counted down to.
-    pub(super) fn panic_if_due_in_apply() {
+    /// The apply-time fault hook [`MinibatchKernel::apply`] calls: fires
+    /// once, on the minibatch the test counted down to.
+    pub(crate) fn panic_if_due_in_apply() {
         let due = APPLY_PANIC_COUNTDOWN.with(|left| {
             let n = left.get();
             left.set(n.saturating_sub(1));
@@ -937,14 +899,14 @@ mod tests {
     fn worker_processes_batches_and_publishes_snapshots() {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = test_worker(&config, &shared, None);
+        let mut worker = test_worker(&config, &shared, None);
         let (tx, rx) = sync_channel(8);
         tx.send(ShardCommand::Batch(vec![7; 100])).unwrap();
         tx.send(ShardCommand::Batch(vec![7, 8, 9])).unwrap();
         tx.send(ShardCommand::Boundary { seq: 1 }).unwrap();
         tx.send(ShardCommand::Batch(vec![9; 10])).unwrap();
         tx.send(ShardCommand::Shutdown).unwrap();
-        let fin = worker.run(&rx);
+        let fin = worker.resume(&rx, &mut None);
         assert_eq!(fin.items, 113);
         let snap = shared.load_snapshot();
         assert_eq!(snap.epoch, 3);
@@ -971,12 +933,12 @@ mod tests {
     fn barrier_acknowledges_after_prior_batches() {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = test_worker(&config, &shared, None);
+        let mut worker = test_worker(&config, &shared, None);
         let (tx, rx) = sync_channel(4);
         let (ack_tx, ack_rx) = sync_channel(1);
         tx.send(ShardCommand::Batch(vec![1; 50])).unwrap();
         tx.send(ShardCommand::Barrier { ack: ack_tx }).unwrap();
-        let handle = std::thread::spawn(move || worker.run(&rx));
+        let handle = std::thread::spawn(move || worker.resume(&rx, &mut None));
         ack_rx.recv().expect("barrier must be acknowledged");
         assert_eq!(shared.load_snapshot().stream_len, 50);
         drop(tx); // closing the queue ends the worker too
@@ -1018,7 +980,7 @@ mod tests {
         let config = test_config();
         let obs = Arc::new(EngineObs::new(1));
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = test_worker(&config, &shared, Some(obs.clone()));
+        let mut worker = test_worker(&config, &shared, Some(obs.clone()));
         let batches = 3 * PUBLISH_EVERY + 5;
         // Queue pre-filled, worker run inline: it never finds the queue
         // dry, so only the cadence and the final drain can publish.
@@ -1027,7 +989,7 @@ mod tests {
             tx.send(ShardCommand::Batch(batch)).unwrap();
         }
         tx.send(ShardCommand::Shutdown).unwrap();
-        worker.run(&rx);
+        worker.resume(&rx, &mut None);
 
         let publications: Vec<(u64, u64)> = obs
             .trace
@@ -1059,27 +1021,29 @@ mod tests {
         let panic_at = 2 * PUBLISH_EVERY + 7;
         let config = test_config().fault_injection(FaultPlan::new().with_worker_panic(0, panic_at));
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = test_worker(&config, &shared, None);
+        let mut worker = test_worker(&config, &shared, None);
         let offered = churning_batches(panic_at + 3);
         let (tx, rx) = sync_channel(offered.len() + 1);
         for batch in &offered {
             tx.send(ShardCommand::Batch(batch.clone())).unwrap();
         }
         tx.send(ShardCommand::Shutdown).unwrap();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(&rx)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            worker.resume(&rx, &mut None)
+        }));
         assert!(outcome.is_err(), "the planned panic must fire");
 
         // No reader ever raised `refresh`: the newest snapshot is the last
         // cadence publication, so the loss is the 6 batches processed
         // since plus the panicking one — inside the bound.
-        let reborn = ShardWorker::reseed(0, &config, shared.clone(), test_pool(), None);
-        assert_eq!(reborn.epoch, 2 * PUBLISH_EVERY);
-        assert!(panic_at - reborn.epoch <= PUBLISH_EVERY);
+        worker.reseed();
+        assert_eq!(worker.epoch, 2 * PUBLISH_EVERY);
+        assert!(panic_at - worker.epoch <= PUBLISH_EVERY);
         assert_eq!(shared.snapshot_lag(), 0, "live epoch rolls back with it");
 
-        // The reborn worker finishes the surviving queue; every estimate
+        // The reseeded worker finishes the surviving queue; every estimate
         // stays one-sided against the offered stream (each key once).
-        let fin = reborn.run(&rx);
+        let fin = worker.resume(&rx, &mut None);
         assert_eq!(fin.items, (2 * PUBLISH_EVERY + 3) * 200);
         let snap = shared.snapshot.get();
         assert_eq!(snap.epoch, 2 * PUBLISH_EVERY + 3);
@@ -1104,17 +1068,18 @@ mod tests {
             tx.send(ShardCommand::Boundary { seq }).unwrap();
         }
         tx.send(ShardCommand::Shutdown).unwrap();
-        test_worker(&config, &shared, None).run(&rx);
+        let mut worker = test_worker(&config, &shared, None);
+        worker.resume(&rx, &mut None);
         assert_eq!(shared.snapshot.get().latest_window_seq(), 4);
 
         // One more pane after the reseed: the window at boundary 5 covers
         // panes 2–5, three of them sealed before the restart.
-        let reborn = ShardWorker::reseed(0, &config, shared.clone(), test_pool(), None);
+        worker.reseed();
         let (tx, rx) = sync_channel(3);
         tx.send(ShardCommand::Batch(vec![7; 100])).unwrap();
         tx.send(ShardCommand::Boundary { seq: 5 }).unwrap();
         tx.send(ShardCommand::Shutdown).unwrap();
-        reborn.run(&rx);
+        worker.resume(&rx, &mut None);
         let window = shared.snapshot.get().window_at(5).cloned();
         let window = window.expect("boundary 5 sealed");
         assert_eq!((window.items, window.estimate(7)), (400, 400));
@@ -1176,12 +1141,12 @@ mod tests {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
         let pool = test_pool();
-        let worker = ShardWorker::new(0, &config, shared, pool.clone(), None, None);
+        let mut worker = ShardWorker::new(0, &config, shared, pool.clone(), None, None);
         let (tx, rx) = sync_channel(4);
         tx.send(ShardCommand::Batch(Vec::with_capacity(64)))
             .unwrap();
         tx.send(ShardCommand::Shutdown).unwrap();
-        worker.run(&rx);
+        worker.resume(&rx, &mut None);
         assert_eq!(pool.lane_depth(0), 1, "worker must recycle the buffer");
         assert!(pool.checkout()[0].capacity() >= 64);
     }
@@ -1232,7 +1197,7 @@ mod tests {
             tx.send(command).unwrap();
         }
         tx.send(ShardCommand::Shutdown).unwrap();
-        let folded = test_worker(&config, &shared, None).run(&rx);
+        let folded = test_worker(&config, &shared, None).resume(&rx, &mut None);
         // Batch 1 alone (no histogram yet), 2–4 up to the boundary, 5–7 up
         // to the barrier, 8 up to the persist cut, then 9.
         assert_eq!(fold_counts(&shared), (9, 5));
@@ -1243,8 +1208,8 @@ mod tests {
         // Unfolded: one batch at a time, each waited for.
         let unfolded_shared = Arc::new(ShardShared::new(0, &config, None));
         let (tx, rx) = sync_channel(2);
-        let worker = test_worker(&config, &unfolded_shared, None);
-        let runner = std::thread::spawn(move || worker.run(&rx));
+        let mut worker = test_worker(&config, &unfolded_shared, None);
+        let runner = std::thread::spawn(move || worker.resume(&rx, &mut None));
         let (ack_tx, ack_rx) = sync_channel(1);
         for (at, batch) in batches.iter().enumerate() {
             tx.send(ShardCommand::Batch(batch.clone())).unwrap();
@@ -1273,18 +1238,64 @@ mod tests {
     }
 
     #[test]
+    fn the_kernel_driven_inline_leaves_what_the_worker_leaves() {
+        let config = test_config();
+        // Overlapping runs of 250 keys in 600 items: every histogram
+        // compresses, so the worker folds, and a folded group overflows the
+        // summaries, so their cut-offs depend on the grouping.
+        let batches: Vec<Vec<u64>> = (0..9u64)
+            .map(|b| (0..600).map(|i| b * 200 + i % 250).collect())
+            .collect();
+        // The worker over a pre-filled queue folds batch 1 alone (no
+        // histogram yet), 2–4 up to the boundary, then 5–9.
+        let shared = Arc::new(ShardShared::new(0, &config, None));
+        let (tx, rx) = sync_channel(batches.len() + 2);
+        for (at, batch) in batches.iter().enumerate() {
+            tx.send(ShardCommand::Batch(batch.clone())).unwrap();
+            if at == 3 {
+                tx.send(ShardCommand::Boundary { seq: 1 }).unwrap();
+            }
+        }
+        tx.send(ShardCommand::Shutdown).unwrap();
+        let fin = test_worker(&config, &shared, None).resume(&rx, &mut None);
+        assert_eq!(fold_counts(&shared), (9, 3));
+
+        // The same grouping through the kernel: no channel, no thread.
+        let mut kernel = MinibatchKernel::new(0);
+        let mut heavy_hitters = InfiniteHeavyHitters::new(config.phi, config.epsilon);
+        let mut window = PaneWindow::new(config.epsilon, config.window_panes);
+        let count_min = AtomicCountMin::new(config.cm_epsilon, config.cm_delta, config.cm_seed);
+        let mut apply = |group: &[Vec<u64>], window: &mut PaneWindow| {
+            kernel.apply(group, &mut heavy_hitters, Some(window), &count_min)
+        };
+        assert_eq!(apply(&batches[..1], &mut window), (600, 250));
+        apply(&batches[1..4], &mut window);
+        let sealed = window.seal();
+        apply(&batches[4..], &mut window);
+
+        assert_eq!(
+            fin.heavy_hitters.estimator().tracked_items_sorted(),
+            heavy_hitters.estimator().tracked_items_sorted()
+        );
+        let published = shared.snapshot.get().window_at(1).cloned();
+        assert_eq!(published.as_deref(), Some(&sealed));
+        assert_eq!(fin.window, Some(window));
+        assert!(shared.count_min == count_min);
+    }
+
+    #[test]
     fn folding_never_crosses_a_cadence_point() {
         let config = test_config();
         let obs = Arc::new(EngineObs::new(1));
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = test_worker(&config, &shared, Some(obs.clone()));
+        let mut worker = test_worker(&config, &shared, Some(obs.clone()));
         let batches = 3 * PUBLISH_EVERY + 5;
         let (tx, rx) = sync_channel(batches as usize + 1);
         for batch in skewed_batches(batches) {
             tx.send(ShardCommand::Batch(batch)).unwrap();
         }
         tx.send(ShardCommand::Shutdown).unwrap();
-        worker.run(&rx);
+        worker.resume(&rx, &mut None);
 
         let publications: Vec<u64> = obs
             .trace
@@ -1307,14 +1318,16 @@ mod tests {
         let panic_at = 2 * PUBLISH_EVERY + 7;
         let config = test_config().fault_injection(FaultPlan::new().with_worker_panic(0, panic_at));
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = test_worker(&config, &shared, None);
+        let mut worker = test_worker(&config, &shared, None);
         let offered = skewed_batches(panic_at + 3);
         let (tx, rx) = sync_channel(offered.len() + 1);
         for batch in &offered {
             tx.send(ShardCommand::Batch(batch.clone())).unwrap();
         }
         tx.send(ShardCommand::Shutdown).unwrap();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(&rx)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            worker.resume(&rx, &mut None)
+        }));
         assert!(outcome.is_err(), "the planned panic must fire");
         // Every batch before `panic_at` was applied, folded as 1, 2–16,
         // 17–32, then 33 up to the panicking batch.
@@ -1323,13 +1336,13 @@ mod tests {
 
         // The loss is the unpublished tail (33 up to the panic) plus the
         // panicking batch itself.
-        let reborn = ShardWorker::reseed(0, &config, shared.clone(), test_pool(), None);
-        assert_eq!(reborn.epoch, 2 * PUBLISH_EVERY);
+        worker.reseed();
+        assert_eq!(worker.epoch, 2 * PUBLISH_EVERY);
         assert_eq!(
-            panic_at - reborn.epoch,
+            panic_at - worker.epoch,
             (panic_at - 1 - 2 * PUBLISH_EVERY) + 1
         );
-        let fin = reborn.run(&rx);
+        let fin = worker.resume(&rx, &mut None);
         assert_eq!(fin.epoch, 2 * PUBLISH_EVERY + 3);
         assert_eq!(fin.items, (2 * PUBLISH_EVERY + 3) * 60);
     }
@@ -1338,14 +1351,14 @@ mod tests {
     fn input_that_does_not_compress_never_folds() {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let worker = test_worker(&config, &shared, None);
+        let mut worker = test_worker(&config, &shared, None);
         let batches = 2 * PUBLISH_EVERY;
         let (tx, rx) = sync_channel(batches as usize + 1);
         for batch in churning_batches(batches) {
             tx.send(ShardCommand::Batch(batch)).unwrap();
         }
         tx.send(ShardCommand::Shutdown).unwrap();
-        worker.run(&rx);
+        worker.resume(&rx, &mut None);
         assert_eq!(fold_counts(&shared), (batches, batches));
     }
 
@@ -1353,8 +1366,7 @@ mod tests {
     fn a_barrier_queued_behind_a_panicking_batch_is_acknowledged_through_supervise() {
         let config = test_config().fault_injection(FaultPlan::new().with_worker_panic(0, 3));
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let pool = test_pool();
-        let worker = ShardWorker::new(0, &config, shared.clone(), pool.clone(), None, None);
+        let worker = test_worker(&config, &shared, None);
         let (tx, rx) = sync_channel(8);
         let (ack_tx, ack_rx) = sync_channel(1);
         for batch in skewed_batches(3) {
@@ -1363,7 +1375,7 @@ mod tests {
         tx.send(ShardCommand::Barrier { ack: ack_tx }).unwrap();
         tx.send(ShardCommand::Batch(vec![5; 60])).unwrap();
         tx.send(ShardCommand::Shutdown).unwrap();
-        let fin = crate::control::supervise(0, &config, shared.clone(), pool, None, worker, rx);
+        let fin = crate::control::supervise(&config, worker, rx);
         ack_rx
             .try_recv()
             .expect("the reseeded worker acknowledged the barrier");
@@ -1379,8 +1391,7 @@ mod tests {
     fn a_cut_held_when_the_worker_panics_is_served_by_the_reseeded_worker() {
         let config = test_config();
         let shared = Arc::new(ShardShared::new(0, &config, None));
-        let pool = test_pool();
-        let worker = ShardWorker::new(0, &config, shared.clone(), pool.clone(), None, None);
+        let worker = test_worker(&config, &shared, None);
         let (tx, rx) = sync_channel(8);
         let (state_tx, state_rx) = sync_channel(1);
         for batch in skewed_batches(3) {
@@ -1393,7 +1404,7 @@ mod tests {
         // to the persist cut, which waits in the lookahead while their
         // minibatch panics halfway through being applied.
         APPLY_PANIC_COUNTDOWN.with(|left| left.set(2));
-        let fin = crate::control::supervise(0, &config, shared.clone(), pool, None, worker, rx);
+        let fin = crate::control::supervise(&config, worker, rx);
         assert_eq!(shared.stats.restarts.load(Ordering::Acquire), 1);
         // Nothing was published before the panic, so the reseeded worker
         // starts from epoch 0 — and answers the held cut there, before the

@@ -41,9 +41,6 @@ pub enum TraceKind {
     EpochPublish,
     /// A persistence snapshot of epoch `a` was appended (`b` = bytes).
     EpochPersist,
-    /// A background flush attempt failed (`a` = total flush failures so
-    /// far; successes appear as [`TraceKind::EpochPersist`]).
-    Flush,
     /// The router's hot set changed (`a` = promotion epoch, `b` = hot-set
     /// size after the change).
     HotPromote,
@@ -69,7 +66,6 @@ impl TraceKind {
             TraceKind::Boundary => 0,
             TraceKind::EpochPublish => 1,
             TraceKind::EpochPersist => 2,
-            TraceKind::Flush => 3,
             TraceKind::HotPromote => 4,
             TraceKind::WorkerStart => 5,
             TraceKind::WorkerExit => 6,
@@ -84,7 +80,9 @@ impl TraceKind {
             0 => TraceKind::Boundary,
             1 => TraceKind::EpochPublish,
             2 => TraceKind::EpochPersist,
-            3 => TraceKind::Flush,
+            // 3 was a flush kind that nothing emitted; it stays unassigned
+            // so every other kind keeps its code.
+            3 => return None,
             4 => TraceKind::HotPromote,
             5 => TraceKind::WorkerStart,
             6 => TraceKind::WorkerExit,
@@ -101,7 +99,6 @@ impl TraceKind {
             TraceKind::Boundary => "boundary",
             TraceKind::EpochPublish => "epoch_publish",
             TraceKind::EpochPersist => "epoch_persist",
-            TraceKind::Flush => "flush",
             TraceKind::HotPromote => "hot_promote",
             TraceKind::WorkerStart => "worker_start",
             TraceKind::WorkerExit => "worker_exit",
@@ -317,7 +314,7 @@ mod tests {
     fn overwrites_oldest_when_full() {
         let ring = TraceRing::new(8);
         for i in 0..20u64 {
-            ring.push(i, TraceKind::Flush, NO_SHARD, i, 0);
+            ring.push(i, TraceKind::FlushFailed, NO_SHARD, i, 0);
         }
         let events = ring.drain();
         // Only the last `capacity` records survive.

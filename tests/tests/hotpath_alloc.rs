@@ -1,10 +1,10 @@
 //! Allocation audit of the recycled ingest hot path: after warm-up, a
 //! stream of minibatches through `BufferPool::checkout` →
 //! `Router::partition_into` (hash routing) → a bounded queue, then drained
-//! from it the
-//! way a shard worker does — the sub-batches already queued folded into one
-//! minibatch, and for each the whole of the worker's per-minibatch body
-//! (`build_hist_runs` → `InfiniteHeavyHitters::process_histogram` →
+//! from it the way a shard worker does — the sub-batches already queued
+//! folded into one minibatch, and for each the worker's own per-minibatch
+//! body, `MinibatchKernel::apply` (`build_hist_runs` →
+//! `InfiniteHeavyHitters::process_histogram` →
 //! `PaneWindow::process_histogram` → `AtomicCountMin::ingest_histogram`) →
 //! `BufferPool::give_back_all` — must perform **zero** heap allocations
 //! (the histogram's probe table only grows and a shorter minibatch clears
@@ -37,8 +37,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use psfa::engine::MinibatchKernel;
 use psfa::prelude::*;
-use psfa::primitives::build_hist_runs;
 
 thread_local! {
     static AUDITED: Cell<bool> = const { Cell::new(false) };
@@ -106,12 +106,10 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
     let mut skew_parts: Vec<Vec<u64>> = (0..2).map(|_| Vec::with_capacity(20_000)).collect();
     let (queue, worker_side) = std::sync::mpsc::sync_channel::<Vec<u64>>(batches.len());
     let mut group: Vec<Vec<u64>> = Vec::new();
-    let mut scratch = HistScratch::new();
-    let mut hist = Vec::new();
+    let mut kernel = MinibatchKernel::new(0);
     let mut hh = InfiniteHeavyHitters::new(0.01, 0.001);
     let mut window = PaneWindow::new(0.001, 8);
     let count_min = AtomicCountMin::new(0.0005, 0.01, 0x00C0_FFEE);
-    let mut seed = 0x5eed_1357u64;
     // Allocations made by one pass of every batch through the cycle, batch
     // `short` cut to a third of its length: all of them routed and queued
     // first, then folded off the queue `FOLD` at a time.
@@ -138,12 +136,7 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
                         Err(_) => break,
                     }
                 }
-                seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                build_hist_runs(&group, seed, &mut scratch, &mut hist);
-                let items: u64 = group.iter().map(|sub| sub.len() as u64).sum();
-                hh.process_histogram(&hist, items);
-                window.process_histogram(&hist, items);
-                count_min.ingest_histogram(&hist);
+                kernel.apply(&group, &mut hh, Some(&mut window), &count_min);
                 pool.give_back_all(0, group.drain(..));
             }
         })
