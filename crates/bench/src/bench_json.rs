@@ -1,230 +1,25 @@
-//! Machine-readable benchmark records for the repository's BENCH
-//! trajectory.
+//! The schema of the repository's `BENCH_<pr>.json` trajectory records.
 //!
-//! `reproduce --bench-json <path>` collects one record per measurement and
-//! writes them as a JSON array. Three record shapes are written:
+//! `BENCH_JSON=<path> scripts/paired_bench.sh` writes one throughput
+//! record per side per workload; the committed history also holds the
+//! shapes earlier experiment runs wrote. [`validate_file`] accepts four:
 //!
 //! * throughput — `{"experiment", "config", "items_per_sec"}` (every
-//!   committed `BENCH_<pr>.json` since PR 5);
+//!   committed `BENCH_<pr>.json`);
 //! * latency percentiles — `{"experiment", "config", "metric", "p50_ns",
-//!   "p90_ns", "p99_ns", "p999_ns"}` (added with the observability layer:
-//!   E14 records enqueue-wait and per-kind query latencies);
+//!   "p90_ns", "p99_ns", "p999_ns"}` (E14's enqueue-wait and per-kind
+//!   query latencies);
+//! * request latency — `{"experiment", "config", "metric", "requests",
+//!   "busy", "p50_ns", "p99_ns", "p999_ns"}` (the retired E15);
 //! * availability — `{"experiment", "config", "faults_injected",
 //!   "faults_recovered", "queries_total", "queries_degraded",
-//!   "unavail_p50_ns", "unavail_p99_ns", "unavail_max_ns"}` (added with
-//!   fault injection: E17 kills workers mid-stream and records the
-//!   per-fault unavailability window — quarantine to restart — plus how
-//!   many queries answered degraded while it was open).
+//!   "unavail_p50_ns", "unavail_p99_ns", "unavail_max_ns"}` (E17's
+//!   per-fault unavailability windows).
 //!
-//! A fourth shape is only *read*: request latency — `{"experiment",
-//! "config", "metric", "requests", "busy", "p50_ns", "p99_ns",
-//! "p999_ns"}`, which the retired E15 wrote into `BENCH_7..9.json`. Its
-//! writer is gone (`benchmark/`'s `serve_mixed` workload measures the
-//! front end now) but [`validate_file`] still accepts it, so the committed
-//! history stays valid byte for byte.
-//!
-//! The writer is hand-rolled (no serde in the offline build); experiment,
-//! config and metric strings are plain ASCII table labels, escaped for the
-//! JSON string characters that could occur. [`validate_file`] checks a
-//! committed file against the schema so CI catches a malformed or
-//! hand-mangled trajectory.
+//! CI runs it over every committed file, so a malformed or hand-mangled
+//! trajectory fails the build.
 
-use std::io::Write;
 use std::path::Path;
-use std::sync::Mutex;
-
-/// One benchmark record.
-#[derive(Debug, Clone)]
-pub enum Record {
-    /// One throughput measurement.
-    Throughput {
-        /// Experiment id, e.g. `"E14"`.
-        experiment: String,
-        /// Configuration label, e.g. `"engine x4 (new)"`.
-        config: String,
-        /// Measured ingest throughput.
-        items_per_sec: f64,
-    },
-    /// One latency distribution, as the standard percentile set in
-    /// nanoseconds (one-sided log-bucket upper bounds; see `psfa-obs`).
-    Latency {
-        /// Experiment id, e.g. `"E14"`.
-        experiment: String,
-        /// Configuration label, e.g. `"engine x4 + obs"`.
-        config: String,
-        /// Metric name, e.g. `"enqueue_wait"` or `"query_estimate"`.
-        metric: String,
-        /// Median, ns.
-        p50_ns: u64,
-        /// 90th percentile, ns.
-        p90_ns: u64,
-        /// 99th percentile, ns.
-        p99_ns: u64,
-        /// 99.9th percentile, ns.
-        p999_ns: u64,
-    },
-    /// One fault-injection availability measurement: the distribution of
-    /// per-fault unavailability windows (first degraded observation to
-    /// recovery) under concurrent ingest + query load.
-    Availability {
-        /// Experiment id, e.g. `"E17"`.
-        experiment: String,
-        /// Configuration label, e.g. `"engine x4, 2 worker kills"`.
-        config: String,
-        /// Faults the plan injected.
-        faults_injected: u64,
-        /// Faults the supervisor recovered (restarted workers).
-        faults_recovered: u64,
-        /// Queries issued while the faults were firing.
-        queries_total: u64,
-        /// Queries answered with a `Degraded` annotation.
-        queries_degraded: u64,
-        /// Median per-fault unavailability window, ns.
-        unavail_p50_ns: u64,
-        /// 99th-percentile unavailability window, ns.
-        unavail_p99_ns: u64,
-        /// Worst unavailability window, ns.
-        unavail_max_ns: u64,
-    },
-}
-
-static RECORDS: Mutex<Vec<Record>> = Mutex::new(Vec::new());
-
-fn push(record: Record) {
-    RECORDS
-        .lock()
-        .expect("bench-json record lock poisoned")
-        .push(record);
-}
-
-/// Appends one throughput record to the in-process collection.
-pub fn record(experiment: &str, config: &str, items_per_sec: f64) {
-    push(Record::Throughput {
-        experiment: experiment.to_string(),
-        config: config.to_string(),
-        items_per_sec,
-    });
-}
-
-/// Appends one latency-percentile record (nanoseconds) to the in-process
-/// collection.
-pub fn record_latency(
-    experiment: &str,
-    config: &str,
-    metric: &str,
-    (p50_ns, p90_ns, p99_ns, p999_ns): (u64, u64, u64, u64),
-) {
-    push(Record::Latency {
-        experiment: experiment.to_string(),
-        config: config.to_string(),
-        metric: metric.to_string(),
-        p50_ns,
-        p90_ns,
-        p99_ns,
-        p999_ns,
-    });
-}
-
-/// Appends one availability record from a fault-injection run. The first
-/// pair counts faults (injected, recovered), the second counts queries
-/// (total, degraded); the triple is the per-fault unavailability-window
-/// distribution in nanoseconds (p50, p99, max).
-pub fn record_availability(
-    experiment: &str,
-    config: &str,
-    (faults_injected, faults_recovered): (u64, u64),
-    (queries_total, queries_degraded): (u64, u64),
-    (unavail_p50_ns, unavail_p99_ns, unavail_max_ns): (u64, u64, u64),
-) {
-    push(Record::Availability {
-        experiment: experiment.to_string(),
-        config: config.to_string(),
-        faults_injected,
-        faults_recovered,
-        queries_total,
-        queries_degraded,
-        unavail_p50_ns,
-        unavail_p99_ns,
-        unavail_max_ns,
-    });
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Writes every collected record to `path` as a JSON array (pretty-printed
-/// one object per line) and returns how many were written.
-pub fn write_to(path: impl AsRef<Path>) -> std::io::Result<usize> {
-    let records = RECORDS
-        .lock()
-        .expect("bench-json record lock poisoned")
-        .clone();
-    let mut out = std::fs::File::create(path)?;
-    writeln!(out, "[")?;
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        match r {
-            Record::Throughput {
-                experiment,
-                config,
-                items_per_sec,
-            } => writeln!(
-                out,
-                "  {{\"experiment\": \"{}\", \"config\": \"{}\", \"items_per_sec\": {:.0}}}{comma}",
-                escape(experiment),
-                escape(config),
-                items_per_sec
-            )?,
-            Record::Latency {
-                experiment,
-                config,
-                metric,
-                p50_ns,
-                p90_ns,
-                p99_ns,
-                p999_ns,
-            } => writeln!(
-                out,
-                "  {{\"experiment\": \"{}\", \"config\": \"{}\", \"metric\": \"{}\", \
-                 \"p50_ns\": {p50_ns}, \"p90_ns\": {p90_ns}, \"p99_ns\": {p99_ns}, \
-                 \"p999_ns\": {p999_ns}}}{comma}",
-                escape(experiment),
-                escape(config),
-                escape(metric),
-            )?,
-            Record::Availability {
-                experiment,
-                config,
-                faults_injected,
-                faults_recovered,
-                queries_total,
-                queries_degraded,
-                unavail_p50_ns,
-                unavail_p99_ns,
-                unavail_max_ns,
-            } => writeln!(
-                out,
-                "  {{\"experiment\": \"{}\", \"config\": \"{}\", \
-                 \"faults_injected\": {faults_injected}, \"faults_recovered\": {faults_recovered}, \
-                 \"queries_total\": {queries_total}, \"queries_degraded\": {queries_degraded}, \
-                 \"unavail_p50_ns\": {unavail_p50_ns}, \"unavail_p99_ns\": {unavail_p99_ns}, \
-                 \"unavail_max_ns\": {unavail_max_ns}}}{comma}",
-                escape(experiment),
-                escape(config),
-            )?,
-        }
-    }
-    writeln!(out, "]")?;
-    Ok(records.len())
-}
 
 /// Validates a committed `BENCH_<pr>.json` file against the record schema:
 /// a JSON array, one object per line, each object exactly one of a
@@ -235,10 +30,8 @@ pub fn write_to(path: impl AsRef<Path>) -> std::io::Result<usize> {
 /// or an availability record (`experiment`, `config`, the four fault/query
 /// counters, and the three `unavail_*_ns` percentiles).
 /// Returns the number of valid records, or a description of the first
-/// malformed line. Matches exactly what [`write_to`] emits, plus the
-/// request-latency shape only the committed history holds — the point is
-/// to catch hand-edited or truncated committed files in CI, not to be a
-/// general JSON parser.
+/// malformed line. The point is to catch hand-edited or truncated
+/// committed files in CI, not to be a general JSON parser.
 pub fn validate_file(path: impl AsRef<Path>) -> Result<usize, String> {
     let path = path.as_ref();
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -322,41 +115,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_round_trip_as_json_lines() {
-        record("E14", "engine x4 \"new\"", 1234567.89);
-        record_latency(
-            "E14",
-            "engine x4 + obs",
-            "enqueue_wait",
-            (64, 128, 512, 2048),
-        );
-        record_availability(
-            "E17",
-            "engine x4, 2 worker kills",
-            (2, 2),
-            (5000, 41),
-            (1_500_000, 2_100_000, 2_100_000),
-        );
-        let dir = std::env::temp_dir().join(format!("psfa-bench-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.json");
-        let n = write_to(&path).unwrap();
-        assert!(n >= 3);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("[\n"));
-        assert!(text.contains("\"experiment\": \"E14\""));
-        assert!(text.contains("\\\"new\\\""));
-        assert!(text.contains("\"items_per_sec\": 1234568"));
-        assert!(text.contains("\"metric\": \"enqueue_wait\""));
-        assert!(text.contains("\"p999_ns\": 2048"));
-        assert!(text.contains("\"faults_injected\": 2, \"faults_recovered\": 2"));
-        assert!(text.contains("\"unavail_max_ns\": 2100000"));
-        // What the writer emits, the validator accepts.
-        assert_eq!(validate_file(&path).unwrap(), n);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn committed_bench_trajectories_validate() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut seen = 0usize;
@@ -399,8 +157,8 @@ mod tests {
             "[\n  {\"experiment\": \"E14\", \"config\": \"x\", \"metric\": \"m\"}\n]\n",
         );
         assert!(validate_file(p).is_err());
-        // Request-latency record: no writer emits the shape any more, but a
-        // line as committed in `BENCH_7..9.json` still validates …
+        // A request-latency record as committed in `BENCH_7..9.json`
+        // validates …
         let p = write(
             "r.json",
             "[\n  {\"experiment\": \"E15\", \"config\": \"serve x4 loopback\", \

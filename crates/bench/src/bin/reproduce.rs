@@ -12,27 +12,18 @@
 //! cargo run --release -p psfa-bench --bin reproduce            # all experiments
 //! cargo run --release -p psfa-bench --bin reproduce -- --exp e4
 //! cargo run --release -p psfa-bench --bin reproduce -- --quick # small batch counts
-//! cargo run --release -p psfa-bench --bin reproduce -- --bench-json BENCH.json
 //! ```
 //!
 //! `--exp <name>` with a name not in `EXPERIMENTS` exits non-zero and
 //! lists the known names. `--quick` divides every experiment's batch count
 //! by 8 (minimum 3) so a full sweep finishes in seconds — for CI smoke runs
 //! and local iteration; recorded numbers should come from a full run.
-//! `--bench-json <path>` additionally writes the measurements as
-//! machine-readable records — one `{experiment, config, items_per_sec}`
-//! object per throughput measurement, one `{experiment, config, metric,
-//! p50_ns, …, p999_ns}` object per latency distribution, and one
-//! `{experiment, config, faults_*, queries_*, unavail_*_ns}` object per
-//! fault-injection availability run (the shapes of the committed
-//! `BENCH_<pr>.json` history).
 
 use std::collections::HashMap;
 
 use psfa::prelude::*;
 use psfa_bench::{
-    bench_json, binary_minibatches, exact_window_counts, header, row, threads, timed,
-    zipf_minibatches,
+    binary_minibatches, exact_window_counts, header, row, threads, timed, zipf_minibatches,
 };
 
 /// An experiment's `--exp` name and its body (taking `quick`).
@@ -100,11 +91,6 @@ fn main() {
     );
     for (_, run) in selected {
         run(quick);
-    }
-    if let Some(path) = value_of("--bench-json") {
-        let written = bench_json::write_to(path)
-            .unwrap_or_else(|e| panic!("failed to write bench json to {path}: {e}"));
-        println!("wrote {written} bench records to {path}");
     }
 }
 
@@ -644,7 +630,7 @@ fn e8_work_optimality(quick: bool) {
 /// Part (b) hammers an instrumented engine with queries while ingesting and
 /// harvests the resulting latency distributions — producer enqueue wait,
 /// per-shard batch service, snapshot staleness, and per-kind query latency —
-/// into the bench-json trajectory as percentile records.
+/// and prints their percentiles.
 fn e14_observability(quick: bool) {
     println!("== E14: observability — same-binary toggle overhead + latency percentiles ==");
     let batches = zipf_minibatches(100_000, 1.3, scaled(48, quick).max(12), 20_000, 67);
@@ -678,7 +664,6 @@ fn e14_observability(quick: bool) {
     }
     println!("{}", header(&["config", "Mitems/s", "relative"]));
     for (config, tput) in [("engine x4", base), ("engine x4 + obs", instrumented)] {
-        bench_json::record("E14", config, tput);
         println!(
             "{}",
             row(&[
@@ -734,12 +719,6 @@ fn e14_observability(quick: bool) {
             .percentiles(metric)
             .unwrap_or_else(|| panic!("E14: unknown obs section {metric}"));
         assert!(p.count > 0, "E14: no samples recorded for {metric}");
-        bench_json::record_latency(
-            "E14",
-            "engine x4 + obs",
-            metric,
-            (p.p50, p.p90, p.p99, p.p999),
-        );
         println!(
             "{}",
             row(&[
@@ -924,13 +903,6 @@ fn e17_fault_tolerance(quick: bool) {
         "E17: every fault must trace its unavailability window"
     );
 
-    bench_json::record_availability(
-        "E17",
-        &format!("engine x{shards}, {} worker kills", kills.len()),
-        (kills.len() as u64, restarts),
-        (queries_total, queries_degraded),
-        (pct(0.50), pct(0.99), pct(1.0)),
-    );
     engine
         .shutdown()
         .expect("E17: recovered engine must shut down cleanly");

@@ -15,7 +15,7 @@
 //! [`supervise`], which owns each queue's receiving end so a panicking
 //! worker never disconnects its producers.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,6 +40,10 @@ pub(crate) struct QueueGone;
 /// handle, producer and the persister.
 pub(crate) struct ShardQueues {
     senders: Vec<SyncSender<ShardCommand>>,
+    /// `queue_capacity`: the shedding threshold of [`ShardQueues::has_room`].
+    capacity: usize,
+    /// Minibatches accepted so far (the flusher's interval counts them).
+    accepted: AtomicU64,
     fence: Arc<IngestFence>,
     /// The global window's logical item clock, when a window is
     /// configured: accepted items tick it under the ingest guard, and the
@@ -95,6 +99,8 @@ impl ShardQueues {
         });
         let queues = Self {
             senders,
+            capacity: config.queue_capacity,
+            accepted: AtomicU64::new(0),
             fence,
             window,
             shared: shared.clone(),
@@ -108,6 +114,18 @@ impl ShardQueues {
     /// minibatch, then hand it to [`ShardQueues::release`].
     pub(crate) fn enter(&self) -> Option<IngestGuard<'_>> {
         self.fence.enter()
+    }
+
+    /// Whether `shard` can take a sub-batch now: its channel holds fewer
+    /// than `queue_capacity` batches (the ones its worker is applying take
+    /// no room); [`QueueGone`] once its worker is dead. Advisory: a racing
+    /// producer can take the slot before the send lands.
+    pub(crate) fn has_room(&self, shard: usize) -> Result<bool, QueueGone> {
+        let stats = &self.shared[shard].stats;
+        if stats.health() == ShardHealth::Dead {
+            return Err(QueueGone);
+        }
+        Ok(stats.channel_depth() < self.capacity as u64)
     }
 
     /// Enqueues one routed sub-batch on `shard`'s queue (the only place a
@@ -152,11 +170,13 @@ impl ShardQueues {
         Ok(())
     }
 
-    /// Ends one minibatch: ticks the window clock by its `items` under
-    /// `guard`, releases the guard, and only then — when the claim says a
-    /// boundary may be due — takes the exclusive boundary cut (most
-    /// minibatches skip it entirely).
+    /// Ends one accepted minibatch: counts it and ticks the window clock by
+    /// its `items` under `guard` (so a stop's final snapshot sees both),
+    /// releases the guard, and only then — when the claim says a boundary
+    /// may be due — takes the exclusive boundary cut (most minibatches skip
+    /// it entirely).
     pub(crate) fn release(&self, guard: IngestGuard<'_>, items: u64) {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
         let due = self
             .window
             .as_ref()
@@ -267,6 +287,11 @@ impl ShardQueues {
         let joined: Vec<_> = workers.into_iter().map(JoinHandle::join).collect();
         ShutdownError::check((0..joined.len()).filter(|&shard| joined[shard].is_err()))?;
         Ok(joined.into_iter().flatten().collect())
+    }
+
+    /// Minibatches accepted so far, whichever endpoint offered them.
+    pub(crate) fn accepted(&self) -> u64 {
+        self.accepted.load(Ordering::Acquire)
     }
 
     /// Exclusive cuts taken so far (boundaries, barriers, persists).

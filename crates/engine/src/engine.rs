@@ -1,7 +1,7 @@
-//! The engine: its lifecycle (start, recover, stop), routed ingestion and
-//! the handle's query surface. Shard queues, cuts and workers live in the
-//! control plane (`control.rs`), cross-shard answers in the query plane
-//! (`query.rs`).
+//! The engine: its lifecycle (start, recover, stop) and the handle's query
+//! surface. Routed ingestion lives in the ingest plane (`ingest.rs`), shard
+//! queues, cuts and workers in the control plane (`control.rs`),
+//! cross-shard answers in the query plane (`query.rs`).
 
 use std::fmt;
 use std::path::Path;
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use psfa_freq::{GlobalWindow, HeavyHitter, ParallelFrequencyEstimator};
-use psfa_obs::{TraceEvent, TraceKind, NO_SHARD};
+use psfa_obs::TraceEvent;
 use psfa_sketch::AtomicCountMin;
 use psfa_store::{EpochRecord, PersistenceConfig, ShardState, SnapshotStore, StoreError};
 use psfa_stream::{BufferPool, Placement, Router};
@@ -26,127 +26,6 @@ use crate::shard::ShardSnapshot;
 /// non-destructive peek; [`EngineHandle::trace_events`] drains the full
 /// ring).
 const RECENT_TRACE_EVENTS: usize = 32;
-
-/// Error returned by [`EngineHandle::ingest`], reporting exactly how much of
-/// the minibatch was delivered before the failure.
-///
-/// `ingest` splits a minibatch into per-shard sub-batches and enqueues them
-/// one shard at a time, so a failure is **not** automatically all-or-nothing:
-///
-/// * A *graceful* shutdown ([`Engine::shutdown`]) serialises behind the whole
-///   `ingest` call, so it can only reject a batch up-front —
-///   `parts_delivered == 0` and nothing was enqueued (clean rejection).
-/// * If a shard *worker died* (panicked) mid-call, the sub-batches sent to
-///   other shards before the failure are already enqueued and will be (or
-///   were) processed; `parts_delivered` counts them so callers can account
-///   for the partially applied batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestError {
-    /// Non-empty per-shard sub-batches enqueued before the failure.
-    pub parts_delivered: usize,
-    /// Non-empty per-shard sub-batches the minibatch was split into
-    /// (`0` when the batch was rejected before being split).
-    pub parts_total: usize,
-}
-
-impl IngestError {
-    /// True if nothing was enqueued: the batch was refused as a whole and
-    /// the stream state is exactly as if `ingest` was never called.
-    pub fn is_clean_rejection(&self) -> bool {
-        self.parts_delivered == 0
-    }
-}
-
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `parts_total == 0` is the up-front rejection path (the batch was
-        // never split); a worker death mid-call has `parts_total > 0` even
-        // when it struck before the first part was delivered.
-        if self.parts_total == 0 {
-            write!(
-                f,
-                "engine is shut down; minibatch rejected (none of it was enqueued)"
-            )
-        } else {
-            write!(
-                f,
-                "engine worker died mid-ingest: {}/{} per-shard sub-batches were already enqueued",
-                self.parts_delivered, self.parts_total
-            )
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
-
-/// Error returned by [`EngineHandle::try_ingest`]. Both variants are clean
-/// rejections: nothing was enqueued and the stream state is exactly as if
-/// the call never happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryIngestError {
-    /// At least one target shard's queue was at capacity. The caller
-    /// should shed, retry later, or fall back to the blocking
-    /// [`EngineHandle::ingest`].
-    Busy,
-    /// The engine is shut down.
-    Closed,
-}
-
-impl fmt::Display for TryIngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let why = match self {
-            TryIngestError::Busy => "shard queues are full",
-            TryIngestError::Closed => "engine is shut down",
-        };
-        write!(f, "{why}; minibatch rejected (nothing was enqueued)")
-    }
-}
-
-impl std::error::Error for TryIngestError {}
-
-/// What [`EngineHandle::admit`] does when a target shard's queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Admission {
-    /// Block until the queue has room (backpressure).
-    Wait,
-    /// Refuse the whole minibatch with [`Refused::Busy`].
-    Shed,
-}
-
-/// Why [`EngineHandle::admit`] refused a minibatch; each public entry
-/// point maps this onto its own error type.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Refused {
-    /// The ingest fence is closed (shutdown); nothing was enqueued.
-    Closed,
-    /// [`Admission::Shed`] only: a target queue was at capacity; nothing
-    /// was enqueued.
-    Busy,
-    /// A target shard's channel is gone — its worker died permanently —
-    /// possibly after some of the minibatch's sub-batches were enqueued.
-    WorkerGone(IngestError),
-}
-
-impl From<Refused> for IngestError {
-    fn from(refused: Refused) -> Self {
-        match refused {
-            Refused::WorkerGone(partial) => partial,
-            Refused::Closed | Refused::Busy => IngestError {
-                parts_delivered: 0,
-                parts_total: 0,
-            },
-        }
-    }
-}
-
-impl From<Refused> for TryIngestError {
-    fn from(refused: Refused) -> Self {
-        match refused {
-            Refused::Busy => TryIngestError::Busy,
-            Refused::Closed | Refused::WorkerGone(_) => TryIngestError::Closed,
-        }
-    }
-}
 
 /// Error returned by [`Engine::shutdown`] and [`EngineHandle::drain`] when
 /// one or more shard workers died permanently (exhausted their restart
@@ -260,9 +139,9 @@ impl Engine {
         let plane = QueryPlane::new(&config, recovered.as_ref());
         // Sub-batch buffers circulate producers → workers → producers; a
         // lane never needs to park more buffers than can be in flight on
-        // one queue (capacity) plus a checkout in progress. The bound is
-        // also what a lane retains — buffers a contended checkout
-        // allocated anew fill it — so it is not raised for folding: a lane
+        // one queue (capacity) plus a refill in progress. The bound is
+        // also what a lane retains — buffers the router allocated after a
+        // contended refill fill it — so it is not raised for folding: a lane
         // that has taken back a folded group of `g` keeps `g − 1` more
         // (`BufferPool::give_back_all`), and a shard that never folds
         // holds what it did before folding existed.
@@ -275,17 +154,15 @@ impl Engine {
         let (queues, workers) =
             ShardQueues::start(&config, &plane.shared, &pool, &obs, recovered.as_ref());
         let queues = Arc::new(queues);
-        let accepted_batches = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let persister = store
             .map(|store| Arc::new(Persister::new(store, &config, &queues, &plane.router, &obs)));
         let flusher = persister.clone().zip(config.persistence.as_ref());
-        let flusher = flusher.map(|(p, pcfg)| Flusher::spawn(p, accepted_batches.clone(), pcfg));
+        let flusher = flusher.map(|(p, pcfg)| Flusher::spawn(p, pcfg));
         let handle = EngineHandle {
             queues,
             plane,
             pool,
             persister,
-            accepted_batches,
             obs,
             config,
         };
@@ -363,7 +240,7 @@ impl Engine {
     ///
     /// Outstanding [`EngineHandle`]s stay valid for queries against the last
     /// published snapshots, but further [`EngineHandle::ingest`] calls fail
-    /// with a clean-rejection [`IngestError`] — including calls racing this
+    /// with a clean-rejection [`crate::IngestError`] — including calls racing this
     /// shutdown: every `ingest` that returned `Ok` is guaranteed to be
     /// processed.
     ///
@@ -440,7 +317,7 @@ impl Drop for Engine {
 pub struct EngineHandle {
     /// The shard queues and every cut across them (see [`ShardQueues`]):
     /// the only way a minibatch or a marker reaches a worker.
-    queues: Arc<ShardQueues>,
+    pub(crate) queues: Arc<ShardQueues>,
     /// The shards' published state and the router: what every query reads
     /// (see [`QueryPlane`]) and what ingestion routes and accounts into.
     pub(crate) plane: QueryPlane,
@@ -449,17 +326,12 @@ pub struct EngineHandle {
     pub(crate) pool: Arc<BufferPool>,
     /// Snapshot machinery, when persistence is configured.
     persister: Option<Arc<Persister>>,
-    /// Minibatches accepted so far (one per admitted minibatch, whichever
-    /// entry point offered it); the flusher's `interval_batches` counts
-    /// against this.
-    accepted_batches: Arc<std::sync::atomic::AtomicU64>,
     /// Observability recorders, when [`EngineConfig::observe`] is set. All
     /// recording is relaxed telemetry: it never adds ordering the data
     /// plane relies on (see the ordering contract in `shard.rs`).
-    obs: Option<Arc<EngineObs>>,
+    pub(crate) obs: Option<Arc<EngineObs>>,
     /// The configuration the engine was started with: φ/ε, the window
-    /// shape, the admission threshold of [`Admission::Shed`]
-    /// (`queue_capacity`), and what a time-travel view is built from.
+    /// shape, and what a time-travel view is built from.
     config: Arc<EngineConfig>,
 }
 
@@ -494,139 +366,6 @@ impl EngineHandle {
         self.window().map(|n| n / self.window_panes() as u64)
     }
 
-    /// Routes one minibatch through the configured [`Router`] and enqueues
-    /// the per-shard sub-batches, blocking while any target queue is full
-    /// (backpressure).
-    ///
-    /// Safe to call from many threads at once; item order per key is
-    /// preserved per producer. Atomic with respect to [`Engine::shutdown`]:
-    /// `Ok` means the whole minibatch will be processed, and an error from a
-    /// graceful shutdown is a *clean rejection* — none of it was enqueued.
-    /// Only a shard worker dying mid-call (a panic, never a graceful stop)
-    /// can leave the batch partially delivered; the returned [`IngestError`]
-    /// reports how many per-shard sub-batches had already been enqueued so
-    /// the caller can account for the partial application.
-    pub fn ingest(&self, minibatch: &[u64]) -> Result<(), IngestError> {
-        self.admit_pooled(minibatch, Admission::Wait)
-            .map_err(IngestError::from)
-    }
-
-    /// Non-blocking [`EngineHandle::ingest`]: routes the minibatch, then
-    /// *admits* it only if every target shard's queue has room, so a full
-    /// engine surfaces as [`TryIngestError::Busy`] instead of a stalled
-    /// caller — the backpressure primitive `psfa-serve` turns into `Busy`
-    /// responses.
-    ///
-    /// [`TryIngestError::Busy`] is always a **clean rejection**: the check
-    /// runs before any send, so nothing was enqueued. A graceful shutdown
-    /// rejects cleanly too; only a shard worker *dying* (panicking)
-    /// between this call's sends can leave the batch partially delivered —
-    /// the same caveat as [`EngineHandle::ingest`]. The admission check is
-    /// advisory under racing producers: a queue slot observed free can be
-    /// taken by a concurrent producer before the send lands, in which case
-    /// the send blocks for that one batch — a write stall bounded by the
-    /// race window, never unbounded buffering.
-    pub fn try_ingest(&self, minibatch: &[u64]) -> Result<(), TryIngestError> {
-        self.admit_pooled(minibatch, Admission::Shed)
-            .map_err(TryIngestError::from)
-    }
-
-    /// [`EngineHandle::admit`] with routing scratch checked out of the
-    /// shared pool for the duration of the call (a [`crate::Producer`]
-    /// owns its scratch instead).
-    fn admit_pooled(&self, minibatch: &[u64], admission: Admission) -> Result<(), Refused> {
-        // Routed into pooled buffers: the sub-batch `Vec`s sent to the
-        // workers were recycled from their return lanes, so a steady-state
-        // ingest call performs no heap allocation. The container (and any
-        // unsent capacity) goes back whatever the outcome.
-        let mut parts = self.pool.checkout();
-        let outcome = self.admit(minibatch, &mut parts, admission);
-        self.pool.checkin(parts);
-        outcome
-    }
-
-    /// The one way a minibatch reaches the shard workers; every public
-    /// ingest entry point ends here. Routes `minibatch` into `parts` (one
-    /// scratch buffer per shard; sent buffers are left behind as empty
-    /// `Vec`s) and enqueues the non-empty sub-batches under one fence
-    /// guard, so a racing stop or cut falls entirely before or entirely
-    /// after the minibatch — never between its per-shard parts.
-    pub(crate) fn admit(
-        &self,
-        minibatch: &[u64],
-        parts: &mut [Vec<u64>],
-        admission: Admission,
-    ) -> Result<(), Refused> {
-        if minibatch.is_empty() {
-            return Ok(());
-        }
-        let Some(guard) = self.queues.enter() else {
-            return Err(Refused::Closed);
-        };
-        self.plane.router.partition_into(minibatch, parts);
-        self.trace_hot_promotions();
-        // Shedding admits only if every target shard's channel has room
-        // *now*, before any send, so `Busy` is a clean rejection. The
-        // batches a worker has already taken off its channel (the
-        // minibatch it is applying) take no room there.
-        if admission == Admission::Shed
-            && parts.iter().enumerate().any(|(shard, part)| {
-                !part.is_empty()
-                    && self.plane.shared[shard].stats.channel_depth()
-                        >= self.config.queue_capacity as u64
-            })
-        {
-            return Err(Refused::Busy);
-        }
-        let parts_total = parts.iter().filter(|p| !p.is_empty()).count();
-        let mut parts_delivered = 0usize;
-        for (shard, slot) in parts.iter_mut().enumerate() {
-            if slot.is_empty() {
-                continue;
-            }
-            if self
-                .queues
-                .send(&guard, shard, std::mem::take(slot))
-                .is_err()
-            {
-                return Err(Refused::WorkerGone(IngestError {
-                    parts_delivered,
-                    parts_total,
-                }));
-            }
-            parts_delivered += 1;
-        }
-        // Counted under the guard, so a stop's final snapshot sees it.
-        self.accepted_batches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.queues.release(guard, minibatch.len() as u64);
-        Ok(())
-    }
-
-    /// Emits a [`TraceKind::HotPromote`] event when the router's hot set
-    /// changed since the last emission. Racing producers deduplicate on the
-    /// monotone promotion epoch: exactly one of them wins the `fetch_max`
-    /// for any given epoch and emits the event.
-    fn trace_hot_promotions(&self) {
-        use std::sync::atomic::Ordering;
-        let Some(obs) = &self.obs else {
-            return;
-        };
-        let router = &self.plane.router;
-        let promotions = router.promotions();
-        if promotions > obs.promotions_seen.load(Ordering::Relaxed)
-            && obs.promotions_seen.fetch_max(promotions, Ordering::Relaxed) < promotions
-        {
-            obs.trace.push(
-                obs.now_ns(),
-                TraceKind::HotPromote,
-                NO_SHARD,
-                promotions,
-                router.hot_keys().len() as u64,
-            );
-        }
-    }
-
     /// Blocks until every minibatch accepted before this call is
     /// processed: a barrier cut, acknowledged by each worker when it
     /// dequeues its marker — by FIFO order, after everything accepted
@@ -655,15 +394,6 @@ impl EngineHandle {
                 out
             }
         }
-    }
-
-    /// Hands out a [`crate::Producer`]: a per-thread ingest endpoint that
-    /// owns its routing scratch and otherwise ingests exactly like
-    /// [`EngineHandle::ingest`] / [`EngineHandle::try_ingest`]. One
-    /// producer per thread — the endpoints are single-owner (`&mut self`)
-    /// values; clone the handle and call this once per producer thread.
-    pub fn producer(&self) -> crate::Producer {
-        crate::Producer::new(self)
     }
 
     /// Current snapshots of every shard (each at its own epoch).
@@ -1009,6 +739,7 @@ impl EngineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psfa_obs::TraceKind;
     use psfa_stream::{RoutingPolicy, StreamGenerator, ZipfGenerator};
     use std::collections::HashMap;
 
@@ -1187,76 +918,6 @@ mod tests {
             assert_eq!(handle.sliding_estimate(item), window.estimate(item));
         }
         engine.shutdown().unwrap();
-    }
-
-    #[test]
-    fn every_accepted_ingest_is_processed_even_racing_shutdown() {
-        // Producers hammer ingest while the main thread shuts down; every
-        // batch for which ingest returned Ok must appear in the final
-        // counts — none silently dropped in the shutdown race.
-        for round in 0..10u64 {
-            let engine = Engine::spawn(
-                EngineConfig::with_shards(2)
-                    .queue_capacity(2)
-                    .heavy_hitters(0.05, 0.01),
-            );
-            let mut producers = Vec::new();
-            for p in 0..3u64 {
-                let handle = engine.handle();
-                producers.push(std::thread::spawn(move || {
-                    let mut accepted = 0u64;
-                    let batch: Vec<u64> = (0..200u64).map(|i| i * 3 + p).collect();
-                    loop {
-                        match handle.ingest(&batch) {
-                            Ok(()) => accepted += batch.len() as u64,
-                            Err(err) => {
-                                // A graceful shutdown must reject the whole
-                                // batch, never deliver part of it.
-                                assert!(err.is_clean_rejection(), "partial delivery: {err}");
-                                return accepted;
-                            }
-                        }
-                    }
-                }));
-            }
-            // Let the race land at varying points.
-            if round % 2 == 0 {
-                std::thread::yield_now();
-            }
-            let report = engine.shutdown().unwrap();
-            let accepted: u64 = producers.into_iter().map(|p| p.join().unwrap()).sum();
-            assert_eq!(
-                report.total_items(),
-                accepted,
-                "round {round}: accepted batches must never be dropped"
-            );
-        }
-    }
-
-    #[test]
-    fn rejected_ingest_leaves_no_phantom_queue_depth() {
-        let engine = Engine::spawn(config());
-        let handle = engine.handle();
-        handle.ingest(&[1, 2, 3, 4]).unwrap();
-        let report = engine.shutdown().unwrap();
-        assert_eq!(report.total_items(), 4);
-        // Post-shutdown attempts are refused and must not move counters.
-        assert_eq!(
-            handle.ingest(&[5, 6, 7]),
-            Err(IngestError {
-                parts_delivered: 0,
-                parts_total: 0
-            })
-        );
-        assert_eq!(handle.try_ingest(&[8]), Err(TryIngestError::Closed));
-        let m = handle.metrics();
-        assert_eq!(m.items_enqueued(), 4);
-        assert_eq!(m.items_processed(), 4);
-        assert_eq!(
-            m.queue_depth(),
-            0,
-            "refused batches must not inflate queue depth"
-        );
     }
 
     #[test]
@@ -1612,113 +1273,6 @@ mod tests {
         assert!(handle.trace_events().is_empty());
         assert!(handle.prometheus_text().is_none());
         engine.shutdown().unwrap();
-    }
-
-    #[test]
-    fn busy_is_a_clean_rejection_while_the_worker_is_stalled() {
-        // One shard, capacity 1, and a worker that holds every batch for
-        // `HOLD` before taking it off the channel: the channel's occupancy
-        // (`enqueued − dequeued`) stays pinned at capacity from the first
-        // accept until the hold ends, so every non-blocking offer in
-        // between must be shed without touching the enqueue counters.
-        const HOLD: std::time::Duration = std::time::Duration::from_millis(400);
-        let engine = Engine::spawn(
-            EngineConfig::with_shards(1)
-                .queue_capacity(1)
-                .heavy_hitters(0.05, 0.01)
-                .fault_injection(crate::FaultPlan::new().with_worker_delay(0, HOLD)),
-        );
-        let handle = engine.handle();
-        let mut producer = handle.producer();
-
-        handle.try_ingest(&[1, 2, 3]).unwrap();
-        assert_eq!(handle.try_ingest(&[4; 10]), Err(TryIngestError::Busy));
-        assert_eq!(producer.try_ingest(&[5; 10]), Err(TryIngestError::Busy));
-        let m = handle.metrics();
-        assert_eq!((m.items_enqueued(), m.shards[0].batches_enqueued), (3, 1));
-
-        engine.drain().unwrap();
-        assert_eq!(handle.total_items(), 3, "shed batches left no trace");
-        // Room again: both endpoints are admitted through the same core.
-        producer.try_ingest(&[5; 10]).unwrap();
-        engine.drain().unwrap();
-        assert_eq!(handle.total_items(), 13);
-        engine.shutdown().unwrap();
-        assert_eq!(producer.try_ingest(&[1]), Err(TryIngestError::Closed));
-    }
-
-    #[test]
-    fn a_worker_holding_a_folded_group_leaves_its_channel_room() {
-        // One shard, capacity 2, and a worker that holds every batch for
-        // `HOLD` as it takes it off the channel — folded ones included.
-        const HOLD: std::time::Duration = std::time::Duration::from_millis(500);
-        let engine = Engine::spawn(
-            EngineConfig::with_shards(1)
-                .queue_capacity(2)
-                .heavy_hitters(0.05, 0.01)
-                .fault_injection(crate::FaultPlan::new().with_worker_delay(0, HOLD)),
-        );
-        let handle = engine.handle();
-        let skewed = [1, 1, 1, 1, 2, 2];
-        // The first batch builds the histogram that shows the input
-        // compresses; from then on the worker folds what is queued.
-        handle.try_ingest(&skewed).unwrap();
-        engine.drain().unwrap();
-        handle.try_ingest(&skewed).unwrap();
-        handle.try_ingest(&skewed).unwrap();
-        let stats = &handle.plane.shared[0].stats;
-        let dequeued = || {
-            stats
-                .batches_dequeued
-                .load(std::sync::atomic::Ordering::Acquire)
-        };
-        while dequeued() < 2 {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        // The worker holds batch 2 in its group while it takes batch 3: two
-        // batches are in flight, none is on the channel, and counting the
-        // held ones as queued would shed this one.
-        assert_eq!(handle.try_ingest(&skewed), Ok(()));
-        engine.drain().unwrap();
-        assert_eq!(handle.total_items(), 4 * skewed.len() as u64);
-        engine.shutdown().unwrap();
-    }
-
-    #[test]
-    fn try_ingest_rejects_cleanly_when_full_and_when_closed() {
-        // One shard, capacity 1, and a worker that holds every batch for
-        // `HOLD` before taking it off the channel: the first offer fills
-        // the queue, so the next one is shed whatever the scheduling.
-        const HOLD: std::time::Duration = std::time::Duration::from_millis(400);
-        let engine = Engine::spawn(
-            EngineConfig::with_shards(1)
-                .queue_capacity(1)
-                .heavy_hitters(0.05, 0.01)
-                .fault_injection(crate::FaultPlan::new().with_worker_delay(0, HOLD)),
-        );
-        let handle = engine.handle();
-        let batch: Vec<u64> = vec![1; 50_000];
-        let mut accepted = 0u64;
-        let mut busy_seen = false;
-        for _ in 0..200 {
-            match handle.try_ingest(&batch) {
-                Ok(()) => accepted += 1,
-                Err(TryIngestError::Busy) => {
-                    busy_seen = true;
-                    break;
-                }
-                Err(TryIngestError::Closed) => panic!("engine closed unexpectedly"),
-            }
-        }
-        assert!(busy_seen, "a capacity-1 queue must report Busy under load");
-        engine.drain().unwrap();
-        // Busy was a clean rejection: exactly the accepted batches landed.
-        assert_eq!(handle.total_items(), accepted * batch.len() as u64);
-        // Room again after the drain.
-        handle.try_ingest(&[9, 9, 9]).unwrap();
-        engine.shutdown().unwrap();
-        assert_eq!(handle.try_ingest(&[1]), Err(TryIngestError::Closed));
-        assert_eq!(handle.try_ingest(&[]), Ok(()), "empty batch is a no-op");
     }
 
     /// The name predates the cadence rule: a lone batch is published by going idle or by the drain.

@@ -9,9 +9,10 @@
 //!  producers (any thread: a cloned EngineHandle, or a per-thread Producer)
 //!      │  ingest(&[u64])
 //!      ▼
-//!  router (psfa_stream::Router)
-//!      │  hash: each key owned by one shard (default)
-//!      │  skew-aware: hot keys split round-robin across all shards
+//!  ingest plane (ingest.rs): refill per-shard scratch from the BufferPool,
+//!      │  route (psfa_stream::Router — hash: each key owned by one shard;
+//!      │  skew-aware: hot keys split round-robin across all shards), admit
+//!      │  (try_ingest: room and a live worker on every target), send, release
 //!      ▼
 //!  control plane (ShardQueues) — the only sender of a shard command
 //!      │  ONE bounded FIFO per shard carries every sub-batch (backpressure
@@ -123,22 +124,20 @@
 mod config;
 mod control;
 mod engine;
+mod ingest;
 mod kernel;
 mod metrics;
 mod obs;
 mod persist;
 mod point_index;
-mod producer;
 mod query;
 mod shard;
 
 pub use config::EngineConfig;
-pub use engine::{
-    Degraded, Engine, EngineHandle, EngineReport, IngestError, ShutdownError, TryIngestError,
-};
+pub use engine::{Degraded, Engine, EngineHandle, EngineReport, ShutdownError};
+pub use ingest::{IngestError, Producer, TryIngestError};
 pub use kernel::MinibatchKernel;
 pub use metrics::{EngineMetrics, ShardHealth, ShardMetrics, StoreMetrics, WindowMetrics};
-pub use producer::Producer;
 pub use query::EpochView;
 pub use shard::ShardSnapshot;
 

@@ -236,12 +236,12 @@ impl EngineObs {
         }
         counter(
             "pool_hit",
-            "buffer-pool checkouts served with recycled capacity",
+            "scratch slots holding recycled capacity at a refill",
             pool.hits,
         );
         counter(
             "pool_miss",
-            "buffer-pool checkouts served by a fresh allocation",
+            "scratch slots left for a fresh allocation",
             pool.misses,
         );
         counter(

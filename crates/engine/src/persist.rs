@@ -15,12 +15,12 @@
 //!    persister encodes the clones, appends one [`EpochRecord`] to the
 //!    segment log, and compacts.
 //!
-//! The flusher thread polls the accepted-batch counter and cuts a new
-//! epoch every `interval_batches` minibatches; a graceful shutdown performs
-//! one final cut so no accepted data is lost, while [`crate::Engine::kill`]
-//! skips it (simulating a crash: the disk keeps only what was flushed).
+//! The flusher thread polls the control plane's count of accepted
+//! minibatches ([`ShardQueues::accepted`]) and cuts a new epoch every
+//! `interval_batches` of them; a graceful shutdown performs one final cut
+//! so no accepted data is lost, while [`crate::Engine::kill`] skips it
+//! (simulating a crash: the disk keeps only what was flushed).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -197,7 +197,7 @@ impl Persister {
     }
 }
 
-/// How often the flusher wakes to check the accepted-batch counter.
+/// How often the flusher wakes to check the accepted-minibatch count.
 /// Flushing is off the ingest hot path either way; this only bounds the
 /// delay between crossing the interval and the snapshot being cut.
 const FLUSHER_POLL: Duration = Duration::from_millis(2);
@@ -211,15 +211,10 @@ pub(crate) struct Flusher {
 
 impl Flusher {
     /// Spawns the flusher: wakes every [`FLUSHER_POLL`], cuts an epoch once
-    /// `config.interval_batches` minibatches have been accepted (the shared
-    /// `accepted` counter, bumped once per accepted minibatch) since the
-    /// last cut, and — when asked to on stop — cuts a final epoch on the
-    /// way out.
-    pub(crate) fn spawn(
-        persister: Arc<Persister>,
-        accepted: Arc<AtomicU64>,
-        config: &PersistenceConfig,
-    ) -> Self {
+    /// `config.interval_batches` minibatches have been accepted (counted by
+    /// the persister's shard queues) since the last cut, and — when asked
+    /// to on stop — cuts a final epoch on the way out.
+    pub(crate) fn spawn(persister: Arc<Persister>, config: &PersistenceConfig) -> Self {
         let interval_batches = config.interval_batches;
         let (stop, stopped) = channel();
         let thread = std::thread::Builder::new()
@@ -245,7 +240,7 @@ impl Flusher {
                             // not durable; it is counted and visible in the
                             // store metrics.
                             if final_snapshot
-                                && accepted.load(Ordering::Acquire) != last_success
+                                && persister.queues.accepted() != last_success
                                 && persister.snapshot_once().is_err()
                             {
                                 persister.note_flush_failure();
@@ -253,7 +248,7 @@ impl Flusher {
                             return;
                         }
                     }
-                    let batches = accepted.load(Ordering::Acquire);
+                    let batches = persister.queues.accepted();
                     if batches.saturating_sub(last_attempt) < interval_batches {
                         continue;
                     }

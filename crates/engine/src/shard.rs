@@ -1148,7 +1148,9 @@ pub(crate) mod tests {
         tx.send(ShardCommand::Shutdown).unwrap();
         worker.resume(&rx, &mut None);
         assert_eq!(pool.lane_depth(0), 1, "worker must recycle the buffer");
-        assert!(pool.checkout()[0].capacity() >= 64);
+        let mut scratch = [Vec::new()];
+        pool.refill(&mut scratch);
+        assert!(scratch[0].capacity() >= 64);
     }
 
     /// `count` skewed batches of 60 items over 6 keys: every histogram has

@@ -158,7 +158,7 @@ mod tests {
             }],
             counters: vec![ObsCounter {
                 name: "pool_miss".into(),
-                help: "buffer-pool checkouts served by a fresh allocation",
+                help: "scratch slots left for a fresh allocation",
                 value: 3,
             }],
             recent_events: Vec::new(),

@@ -381,7 +381,7 @@ fn dispatch(request: Request, handle: &EngineHandle, shared: &ServerShared) -> R
             }
             Err(TryIngestError::Closed) => Response::Error {
                 code: ErrorCode::Shutdown,
-                message: "engine is shut down".to_string(),
+                message: "engine is shut down or a shard worker died".to_string(),
             },
         },
         Request::Estimate(item) => Response::Count(handle.estimate(item)),

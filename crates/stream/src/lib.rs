@@ -17,8 +17,9 @@
 //! * [`split`] — the key → shard hash ([`shard_of`]) under the sharded
 //!   ingestion engine (`psfa-engine`).
 //! * [`pool`] — recycling of routed sub-batch buffers between producers and
-//!   shard workers ([`BufferPool`]), so the steady-state ingest path
-//!   allocates nothing.
+//!   shard workers ([`BufferPool`]): an ingest endpoint refills its
+//!   per-shard scratch from the workers' return lanes, so the steady-state
+//!   ingest path allocates nothing.
 //! * [`router`] — the one [`Router`] over the split layer, under either
 //!   routing policy: hash partitioning or skew-aware hot-key splitting.
 //! * [`fence`] — epoch fencing: consistent cuts of a concurrently ingested

@@ -6,36 +6,36 @@
 //! deallocation on the worker — per batch, forever. A [`BufferPool`] closes
 //! the loop:
 //!
-//! * producers [`BufferPool::checkout`] a *parts container* (`shards`
-//!   buffers, one per shard), route into it, send the non-empty buffers to
-//!   the workers, and [`BufferPool::checkin`] the container;
+//! * every ingest endpoint keeps its routing scratch — one buffer per
+//!   shard — across calls; before routing it [`BufferPool::refill`]s each
+//!   slot whose buffer it sent off last time, from that shard's return
+//!   lane, routes into the scratch and sends the non-empty buffers to the
+//!   workers;
 //! * each worker, after ingesting a sub-batch, clears the buffer and
 //!   [`BufferPool::give_back_all`]s it — with the other sub-batches of a
-//!   folded minibatch, under one lock — to its shard's **return lane**;
-//!   the next `checkout` refills container slots from the lanes, so buffer
-//!   capacity circulates producer → worker → producer instead of
+//!   folded minibatch, under one lock — to its shard's **return lane**, so
+//!   buffer capacity circulates producer → worker → producer instead of
 //!   allocator → heap.
 //!
 //! Every pool operation uses `try_lock` and **never blocks**: under
-//! momentary contention a checkout simply hands out a fresh (empty) buffer
-//! and a give-back drops the buffer — recycling is an optimisation, never a
-//! synchronisation point, so the pool cannot deadlock or stall the ingest
-//! path. Lanes are bounded, so a burst of in-flight batches cannot pin
-//! unbounded memory in the pool.
+//! momentary contention a refill simply leaves the slot empty (the router
+//! grows it) and a give-back drops the buffer — recycling is an
+//! optimisation, never a synchronisation point, so the pool cannot
+//! deadlock or stall the ingest path. Lanes are bounded, so a burst of
+//! in-flight batches cannot pin unbounded memory in the pool.
 //!
 //! ```
 //! use psfa_stream::BufferPool;
 //!
 //! let pool = BufferPool::new(2, 4);
-//! let mut parts = pool.checkout();
-//! parts[0].extend([1, 2, 3]);
-//! let routed = std::mem::take(&mut parts[0]); // sent to shard 0's worker
-//! pool.checkin(parts);
+//! let mut scratch = vec![Vec::new(), Vec::new()];
+//! pool.refill(&mut scratch);
+//! scratch[0].extend([1, 2, 3]);
+//! let routed = std::mem::take(&mut scratch[0]); // sent to shard 0's worker
 //! // ... the worker finishes the batch:
-//! let mut done = routed;
-//! done.clear();
-//! pool.give_back_all(0, [done]); // capacity returns to shard 0's lane
-//! assert!(pool.checkout()[0].capacity() >= 3);
+//! pool.give_back_all(0, [routed]); // capacity returns to shard 0's lane
+//! pool.refill(&mut scratch);
+//! assert!(scratch[0].capacity() >= 3 && scratch[0].is_empty());
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,15 +44,16 @@ use std::sync::Mutex;
 /// A relaxed snapshot of the pool's recycling effectiveness.
 ///
 /// `misses` is the observability hook for the zero-alloc claim: after
-/// warm-up (the first `shards × lane_capacity` checkouts necessarily
-/// allocate), a steady-state miss means a fresh `Vec` allocation escaped
-/// the recycling loop — exactly the silent allocation the bench shim used
-/// to be the only way to see.
+/// warm-up (the first refill of every slot necessarily allocates), a
+/// steady-state miss means a fresh `Vec` allocation escaped the recycling
+/// loop — exactly the silent allocation the bench shim used to be the only
+/// way to see.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// Checkout slots refilled from a return lane (recycled capacity).
+    /// Refilled slots that hold capacity (recycled or kept from the last
+    /// call).
     pub hits: u64,
-    /// Checkout slots left empty (the router grows them — a fresh
+    /// Refilled slots left empty (the router grows them — a fresh
     /// allocation downstream). Includes unavoidable warm-up misses.
     pub misses: u64,
     /// Give-backs dropped because the lane was full or contended.
@@ -62,7 +63,7 @@ pub struct PoolCounters {
 /// One shard's return lane.
 #[derive(Debug, Default)]
 struct Lane {
-    /// Cleared buffers, popped by the next checkout.
+    /// Cleared buffers, popped by the next refill.
     buffers: Vec<Vec<u64>>,
     /// The most buffers one give-back has returned here — the width of the
     /// widest folded minibatch; the lane retains one less than that past
@@ -76,14 +77,12 @@ struct Lane {
 pub struct BufferPool {
     /// Per-shard return lanes of cleared buffers, filled by workers.
     lanes: Vec<Mutex<Lane>>,
-    /// Recycled parts containers (the outer `Vec` of per-shard buffers).
-    containers: Mutex<Vec<Vec<Vec<u64>>>>,
     /// Buffers retained per lane, past which give-backs are dropped (plus
     /// the lane's `widest − 1`; see [`BufferPool::give_back_all`]).
     lane_capacity: usize,
-    /// Checkout slots refilled with recycled capacity (relaxed telemetry).
+    /// Refilled slots that hold capacity (relaxed telemetry).
     hits: AtomicU64,
-    /// Checkout slots handed out with no capacity (a fresh allocation will
+    /// Refilled slots left with no capacity (a fresh allocation will
     /// happen downstream when the router grows the buffer).
     misses: AtomicU64,
     /// Give-backs dropped on lane contention or a full lane.
@@ -107,7 +106,6 @@ impl BufferPool {
         );
         Self {
             lanes: (0..shards).map(|_| Mutex::default()).collect(),
-            containers: Mutex::new(Vec::new()),
             lane_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -120,75 +118,33 @@ impl BufferPool {
         self.lanes.len()
     }
 
-    /// Hands out a parts container of `shards` empty buffers, refilling
-    /// capacity-less slots from the shard return lanes. Never blocks; on
-    /// lane contention the slot simply stays empty and the router grows it.
-    pub fn checkout(&self) -> Vec<Vec<u64>> {
-        let mut parts = match self.containers.try_lock() {
-            Ok(mut containers) => containers.pop().unwrap_or_default(),
-            Err(_) => Vec::new(),
-        };
-        parts.resize_with(self.lanes.len(), Vec::new);
-        for (shard, part) in parts.iter_mut().enumerate() {
-            debug_assert!(part.is_empty(), "checked-in container held items");
-            if part.capacity() == 0 {
-                if let Ok(mut lane) = self.lanes[shard].try_lock() {
-                    if let Some(buf) = lane.buffers.pop() {
-                        *part = buf;
-                    }
-                }
-            }
-            // Relaxed telemetry: a capacity-less slot is a (future) fresh
-            // allocation the recycling loop failed to prevent.
-            if part.capacity() == 0 {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        parts
-    }
-
-    /// Returns a parts container after its non-empty buffers were sent off
-    /// (their slots left behind as empty `Vec`s by `std::mem::take`).
-    /// Leftover capacity in unsent slots stays with the container for the
-    /// next checkout.
-    pub fn checkin(&self, mut parts: Vec<Vec<u64>>) {
-        for part in &mut parts {
-            part.clear();
-        }
-        if let Ok(mut containers) = self.containers.try_lock() {
-            if containers.len() < self.lane_capacity {
-                containers.push(parts);
-            }
-        }
-    }
-
-    /// Takes one recycled buffer from `shard`'s return lane, or `None`
-    /// when the lane is empty or momentarily contended. This is the
-    /// per-producer scratch refill path: a producer that owns its parts
-    /// container outright (instead of checking containers in and out)
-    /// replaces each slot it sent to a worker with a buffer the worker
-    /// previously gave back — the same capacity loop as
-    /// [`BufferPool::checkout`], without sharing the container stack
-    /// across producers. Counts a hit or miss like a checkout slot.
+    /// Refills an endpoint's routing scratch (one buffer per shard, kept
+    /// across calls): each slot with no capacity — its buffer was sent to
+    /// a worker — takes a buffer from that shard's return lane, and every
+    /// slot counts one hit (it holds capacity) or one miss. Never blocks;
+    /// on lane contention the slot simply stays empty and the router grows
+    /// it.
     ///
     /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn take(&self, shard: usize) -> Option<Vec<u64>> {
-        let recycled = self.lanes[shard]
-            .try_lock()
-            .ok()
-            .and_then(|mut lane| lane.buffers.pop());
-        match recycled {
-            Some(buf) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(buf)
+    /// Panics if `scratch` has more slots than the pool has shards.
+    pub fn refill(&self, scratch: &mut [Vec<u64>]) {
+        let mut hits = 0;
+        for (lane, slot) in self.lanes[..scratch.len()].iter().zip(scratch.iter_mut()) {
+            if slot.capacity() == 0 {
+                if let Some(buffer) = lane.try_lock().ok().and_then(|mut l| l.buffers.pop()) {
+                    *slot = buffer;
+                }
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            hits += u64::from(slot.capacity() > 0);
+        }
+        // Relaxed telemetry, two updates per call at most: a capacity-less
+        // slot is a (future) fresh allocation the loop failed to prevent.
+        let misses = scratch.len() as u64 - hits;
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if misses > 0 {
+            self.misses.fetch_add(misses, Ordering::Relaxed);
         }
     }
 
@@ -255,17 +211,24 @@ mod tests {
     #[test]
     fn capacity_circulates_through_the_lanes() {
         let pool = BufferPool::new(2, 4);
-        let mut parts = pool.checkout();
-        assert_eq!(parts.len(), 2);
-        parts[1].extend(0..100u64);
-        let sent = std::mem::take(&mut parts[1]);
-        pool.checkin(parts);
+        let mut scratch = vec![Vec::new(), Vec::new()];
+        pool.refill(&mut scratch);
+        scratch[1].extend(0..100u64);
+        let sent = std::mem::take(&mut scratch[1]);
         pool.give_back_all(1, [sent]);
         assert_eq!(pool.lane_depth(1), 1);
-        let refreshed = pool.checkout();
-        assert!(refreshed[1].capacity() >= 100, "lane buffer was reused");
-        assert!(refreshed[1].is_empty());
+        pool.refill(&mut scratch);
+        assert!(scratch[1].capacity() >= 100, "lane buffer was reused");
+        assert!(scratch[1].is_empty());
         assert_eq!(pool.lane_depth(1), 0);
+        // A slot that kept its buffer (nothing was sent from it) is left
+        // alone, leftover items included: routing clears it.
+        pool.give_back_all(1, [Vec::with_capacity(8)]);
+        scratch[1].push(7);
+        let kept = scratch[1].as_ptr();
+        pool.refill(&mut scratch);
+        assert_eq!((scratch[1].as_ptr(), scratch[1].len()), (kept, 1));
+        assert_eq!(pool.lane_depth(1), 1);
     }
 
     #[test]
@@ -303,12 +266,14 @@ mod tests {
         pool.give_back_all(0, group);
         assert_eq!((pool.lane_depth(0), pool.counters().drops), (5, 1));
         // ... and stays that wide: a narrower group finds it full, and
-        // single give-backs refill it to 5 once checkouts have drained it.
+        // single give-backs refill it to 5 once refills have drained it.
         let group: Vec<Vec<u64>> = (0..3).map(|_| Vec::with_capacity(8)).collect();
         pool.give_back_all(0, group);
         assert_eq!((pool.lane_depth(0), pool.counters().drops), (5, 4));
         for _ in 0..3 {
-            assert!(pool.checkout()[0].is_empty(), "parked buffers are cleared");
+            let mut scratch = [Vec::new()];
+            pool.refill(&mut scratch);
+            assert!(scratch[0].is_empty(), "parked buffers are cleared");
         }
         for _ in 0..4 {
             pool.give_back_all(0, [Vec::with_capacity(8)]);
@@ -319,8 +284,9 @@ mod tests {
     #[test]
     fn counters_expose_the_recycling_loop() {
         let pool = BufferPool::new(2, 4);
-        // Cold checkout: every slot is a (warm-up) miss.
-        let mut parts = pool.checkout();
+        // Cold refill: every slot is a (warm-up) miss.
+        let mut scratch = vec![Vec::new(), Vec::new()];
+        pool.refill(&mut scratch);
         assert_eq!(
             pool.counters(),
             PoolCounters {
@@ -329,39 +295,18 @@ mod tests {
                 drops: 0
             }
         );
-        parts[0].extend(0..64u64);
-        let sent = std::mem::take(&mut parts[0]);
-        pool.checkin(parts);
+        scratch[0].extend(0..64u64);
+        let sent = std::mem::take(&mut scratch[0]);
         pool.give_back_all(0, [sent]);
-        // Warm checkout: shard 0 recycles, shard 1 still misses.
-        let parts = pool.checkout();
+        // Warm refill: shard 0 recycles, shard 1 still misses.
+        pool.refill(&mut scratch);
         let counters = pool.counters();
         assert_eq!((counters.hits, counters.misses), (1, 3));
-        drop(parts);
-    }
-
-    #[test]
-    fn take_refills_producer_owned_scratch() {
-        let pool = BufferPool::new(2, 4);
-        assert_eq!(pool.take(0), None); // cold lane: a miss
-        pool.give_back_all(0, [Vec::with_capacity(64)]);
-        let buf = pool.take(0).expect("lane buffer was reused");
-        assert!(buf.capacity() >= 64);
-        assert_eq!(pool.lane_depth(0), 0);
+        // A slot that keeps its capacity counts a hit without touching
+        // its lane; a refill of an empty lane is a miss.
+        pool.refill(&mut scratch);
         let counters = pool.counters();
-        assert_eq!((counters.hits, counters.misses), (1, 1));
-    }
-
-    #[test]
-    fn checkin_scrubs_leftover_items() {
-        let pool = BufferPool::new(2, 4);
-        let mut parts = pool.checkout();
-        parts[0].extend([9, 9, 9]);
-        // Slot 0 was never sent (e.g. the routed sub-batch stayed empty
-        // elsewhere); checkin must clear it before the container recycles.
-        pool.checkin(parts);
-        let parts = pool.checkout();
-        assert!(parts.iter().all(Vec::is_empty));
+        assert_eq!((counters.hits, counters.misses), (2, 4));
     }
 
     #[test]
@@ -371,12 +316,12 @@ mod tests {
         for t in 0..4 {
             let pool = pool.clone();
             threads.push(std::thread::spawn(move || {
+                let mut scratch = vec![Vec::new(); 4];
                 for round in 0..500usize {
-                    let mut parts = pool.checkout();
+                    pool.refill(&mut scratch);
                     let shard = (t + round) % 4;
-                    parts[shard].extend(0..32u64);
-                    let sent = std::mem::take(&mut parts[shard]);
-                    pool.checkin(parts);
+                    scratch[shard].extend(0..32u64);
+                    let sent = std::mem::take(&mut scratch[shard]);
                     pool.give_back_all(shard, [sent]);
                 }
             }));
@@ -384,5 +329,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        let counters = pool.counters();
+        assert_eq!(counters.hits + counters.misses, 4 * 500 * 4);
     }
 }

@@ -238,8 +238,9 @@ impl Router {
     /// Splits one minibatch into caller-provided buffers, one per shard
     /// (cleared first). Every item occurrence lands in exactly one
     /// sub-batch, and item order within a sub-batch preserves stream order.
-    /// The ingest hot path draws `parts` from a [`crate::BufferPool`], so
-    /// steady-state routing performs no heap allocation at all.
+    /// The engine's ingest endpoints route into scratch they keep across
+    /// calls and [`crate::BufferPool::refill`], so steady-state routing
+    /// performs no heap allocation at all.
     ///
     /// # Panics
     /// Panics if `parts.len() != self.shards()`.
@@ -453,6 +454,11 @@ mod tests {
             let owned = batch.iter().copied().filter(|&k| shard_of(k, 8) == shard);
             assert_eq!(*part, owned.collect::<Vec<u64>>());
         }
+        // Scratch an endpoint kept from an earlier call (an unsent slot
+        // still holds its items) is cleared before routing.
+        let mut scratch: Vec<Vec<u64>> = (0..8).map(|s| vec![s; 3]).collect();
+        router.partition_into(&batch, &mut scratch);
+        assert_eq!(scratch, router.partition(&batch));
         assert_eq!(router.shards(), 8);
         assert_eq!(router.name(), "hash");
         assert!(router.hot_keys().is_empty());

@@ -151,7 +151,9 @@ fn restart_budget_exhaustion_is_a_typed_death_not_an_abort() {
 /// minibatch that routes to it is refused part-way: shard 0's part is sent
 /// first and stays enqueued, shard 1's send finds the queue gone. Both
 /// ingest paths — `EngineHandle::ingest` and a `Producer` — report exactly
-/// that as a partial delivery, never as a clean rejection.
+/// that as a partial delivery, never as a clean rejection. `try_ingest`
+/// checks for the dead worker before any send, so on both endpoints it is
+/// a clean `Closed`: shard 0's queue does not move.
 #[test]
 fn a_dead_worker_makes_ingest_a_reported_partial_delivery() {
     let engine = Engine::spawn(
@@ -182,6 +184,12 @@ fn a_dead_worker_makes_ingest_a_reported_partial_delivery() {
     let mut producer = handle.producer();
     assert_eq!(producer.ingest(&batch), Err(partial));
     assert!(!partial.is_clean_rejection());
+
+    let enqueued = || handle.metrics().shards[0].items_enqueued;
+    let before = enqueued();
+    assert_eq!(handle.try_ingest(&batch), Err(TryIngestError::Closed));
+    assert_eq!(producer.try_ingest(&batch), Err(TryIngestError::Closed));
+    assert_eq!(enqueued(), before, "a refused try_ingest enqueued a part");
     match engine.shutdown() {
         Ok(_) => panic!("shutdown must surface the dead shard"),
         Err(err) => assert_eq!(err.dead_shards, vec![1]),

@@ -1,5 +1,5 @@
 //! Allocation audit of the recycled ingest hot path: after warm-up, a
-//! stream of minibatches through `BufferPool::checkout` →
+//! stream of minibatches through `BufferPool::refill` of kept scratch →
 //! `Router::partition_into` (hash routing) → a bounded queue, then drained
 //! from it the way a shard worker does — the sub-batches already queued
 //! folded into one minibatch, and for each the worker's own per-minibatch
@@ -13,6 +13,11 @@
 //! pass also routes every minibatch through a skew-aware router whose hot
 //! set is already non-empty, and promotes one more key: the hot-set probe,
 //! the skew tracker's sampling and a promotion allocate nothing either.
+//!
+//! The engine's ingest endpoints themselves — `EngineHandle::ingest`,
+//! `EngineHandle::try_ingest` and `Producer::ingest`, each the one admit
+//! routine over its own kept scratch — perform **zero** heap allocations
+//! on the calling thread once warm.
 //!
 //! The same holds for the client side of the wire: after warm-up,
 //! `Client::ingest` of an 8,192-item frame into a loopback `Server` — the
@@ -105,6 +110,7 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
     // Sized for a whole batch per part, so no round-robin phase can grow them.
     let mut skew_parts: Vec<Vec<u64>> = (0..2).map(|_| Vec::with_capacity(20_000)).collect();
     let (queue, worker_side) = std::sync::mpsc::sync_channel::<Vec<u64>>(batches.len());
+    let mut scratch = vec![Vec::new()];
     let mut group: Vec<Vec<u64>> = Vec::new();
     let mut kernel = MinibatchKernel::new(0);
     let mut hh = InfiniteHeavyHitters::new(0.01, 0.001);
@@ -121,10 +127,9 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
                     _ => &batch[..],
                 };
                 skew.partition_into(batch, &mut skew_parts);
-                let mut parts = pool.checkout();
-                router.partition_into(batch, &mut parts);
-                queue.try_send(std::mem::take(&mut parts[0])).unwrap();
-                pool.checkin(parts);
+                pool.refill(&mut scratch);
+                router.partition_into(batch, &mut scratch);
+                queue.try_send(std::mem::take(&mut scratch[0])).unwrap();
             }
             promoted += 1;
             skew.promote(&[1_000_000 + promoted]);
@@ -156,6 +161,56 @@ fn recycled_hot_path_allocates_nothing_at_steady_state() {
         skew.hot_keys().contains(&1_000_002),
         "the audited pass promoted"
     );
+}
+
+#[test]
+fn ingest_endpoints_allocate_nothing_at_steady_state() {
+    /// Minibatches per audited endpoint; the queue holds all of them, so
+    /// no send blocks.
+    const BATCHES: usize = 8;
+    // One shard whose worker holds every batch it dequeues for `HOLD`:
+    // while an endpoint is audited, no give-back races its refills (a
+    // contended lane leaves a slot empty, and the router then grows it).
+    const HOLD: std::time::Duration = std::time::Duration::from_millis(50);
+    let engine = Engine::spawn(
+        EngineConfig::with_shards(1)
+            .queue_capacity(4 * BATCHES)
+            .heavy_hitters(0.01, 0.001)
+            .fault_injection(FaultPlan::new().with_worker_delay(0, HOLD)),
+    );
+    let handle = engine.handle();
+    let mut producer = handle.producer();
+    let mut generator = ZipfGenerator::new(100_000, 1.2, 64);
+    let batches: Vec<Vec<u64>> = (0..BATCHES)
+        .map(|_| generator.next_minibatch(4_096))
+        .collect();
+    // Allocations one endpoint makes over every batch; the drain then has
+    // the worker return the pass's buffers to the lane.
+    let pass = |offer: &mut dyn FnMut(&[u64])| {
+        let made = allocations_in(|| batches.iter().for_each(|batch| offer(batch)));
+        engine.drain().expect("drain");
+        made
+    };
+    let mut ingest = |batch: &[u64]| handle.ingest(batch).expect("ingest");
+    let mut try_ingest = |batch: &[u64]| handle.try_ingest(batch).expect("try_ingest");
+    let mut produce = |batch: &[u64]| producer.ingest(batch).expect("producer ingest");
+
+    // Warm-up: every buffer one pass holds in flight, and each endpoint's
+    // scratch.
+    assert!(
+        pass(&mut ingest) > 0,
+        "the counting allocator is not installed: sizing the buffers must allocate"
+    );
+    pass(&mut try_ingest);
+    pass(&mut produce);
+    for (name, made) in [
+        ("EngineHandle::ingest", pass(&mut ingest)),
+        ("EngineHandle::try_ingest", pass(&mut try_ingest)),
+        ("Producer::ingest", pass(&mut produce)),
+    ] {
+        assert_eq!(made, 0, "{name} must not allocate at steady state");
+    }
+    engine.shutdown().unwrap();
 }
 
 #[test]
